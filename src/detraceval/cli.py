@@ -62,7 +62,10 @@ def _load_pairs(gt_dir: str, other_dir: str, suffix: str
 
 def _read_gt(path: Path) -> GroundTruth:
     with open(path) as fh:
-        return parse_ground_truth(fh)
+        try:
+            return parse_ground_truth(fh)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _read_dets(path: Path) -> DetectionSet:
@@ -167,8 +170,10 @@ def cmd_eval_system(args) -> int:
 def cmd_report(args) -> int:
     systems = []
     for path in sorted(Path(args.results).rglob("*.json")):
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
         if isinstance(doc, dict) and "scores" in doc and "detector" in doc:
             systems.append(doc)
     if not systems:
@@ -238,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--iou-thr", type=float, default=0.7,
-                       help="overlap hit/miss threshold (default 0.7)")
+        p.add_argument("--iou-thr", type=float,
+                       default=det_metrics.DEFAULT_IOU_THR,
+                       help=f"overlap hit/miss threshold "
+                            f"(default {det_metrics.DEFAULT_IOU_THR})")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("eval-det", help="detection PR/AP evaluation")

@@ -378,6 +378,9 @@ def parse_ground_truth(stream: TextIO | str) -> GroundTruth:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"ground truth is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"ground truth must be a JSON object, "
+                              f"got {type(doc).__name__}")
     try:
         regions = []
         for robj in doc.get("ignore_regions", []):

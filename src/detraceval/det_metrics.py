@@ -12,6 +12,7 @@ non-increasing precision envelope over recall in [0, max recall].
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,9 +73,12 @@ def _label_detections(dets: DetectionSet, gt: GroundTruth, iou_thr: float,
                       subset: SubsetPredicate | None) -> _LabeledCounts:
     """Run one greedy pass per frame and label every detection TP/FP/neutral.
 
-    Because greedy matching processes detections in descending score, the
-    matching of any score-thresholded subset is a prefix of the full pass,
-    so one pass yields every threshold's counts.
+    Because greedy matching processes detections in descending score (ties
+    in input order), the detections with score >= tau are a prefix of the
+    pass and their matching is the one a pass over them alone would give.
+    So this one pass yields every threshold's counts: the PR curve reads
+    them at each distinct score, the threshold sweep at each of its
+    thresholds (`threshold_counts`).
     """
     tp_scores: list[float] = []
     fp_scores: list[float] = []
@@ -143,17 +147,33 @@ def pr_curve_multi(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
         [_label_detections(d, g, iou_thr, subset) for d, g in pairs])
 
 
-def counts_at_threshold(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
-                        threshold: float,
-                        iou_thr: float = DEFAULT_IOU_THR) -> tuple[int, int, int]:
-    """(tp, fp, fn) pooled over sequences for detections with score >= threshold."""
-    tp = fp = n_gt = 0
-    for dets, gt in pairs:
-        lab = _label_detections(dets, gt, iou_thr, None)
-        tp += sum(1 for s in lab.tp_scores if s >= threshold)
-        fp += sum(1 for s in lab.fp_scores if s >= threshold)
-        n_gt += lab.n_gt
-    return tp, fp, n_gt - tp
+@dataclass(frozen=True)
+class ThresholdCounts:
+    """Labels pooled over sequences, read at any score threshold.
+
+    `tp_scores` / `fp_scores` are sorted ascending, so the detections with
+    score >= threshold are a suffix found by binary search.
+    """
+
+    tp_scores: tuple[float, ...]
+    fp_scores: tuple[float, ...]
+    n_gt: int
+
+    def at(self, threshold: float) -> tuple[int, int, int]:
+        """(tp, fp, fn) of the detections with score >= threshold."""
+        tp = len(self.tp_scores) - bisect.bisect_left(self.tp_scores, threshold)
+        fp = len(self.fp_scores) - bisect.bisect_left(self.fp_scores, threshold)
+        return tp, fp, self.n_gt - tp
+
+
+def threshold_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
+                     iou_thr: float = DEFAULT_IOU_THR) -> ThresholdCounts:
+    """Label each sequence once; the result gives (tp, fp, fn) at any threshold."""
+    labels = [_label_detections(dets, gt, iou_thr, None) for dets, gt in pairs]
+    return ThresholdCounts(
+        tp_scores=tuple(sorted(s for lab in labels for s in lab.tp_scores)),
+        fp_scores=tuple(sorted(s for lab in labels for s in lab.fp_scores)),
+        n_gt=sum(lab.n_gt for lab in labels))
 
 
 def average_precision(curve: PRCurve) -> float:

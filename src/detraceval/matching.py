@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datamodel import BBox, Detection
-from .geometry import iou
+from .geometry import box_array, iou, iou_matrix
 
 FORBIDDEN = math.inf
 
@@ -71,23 +71,28 @@ def match_frame_greedy(dets: Sequence[Detection], gts: Sequence[BBox],
     """Greedy score-ordered matching for detection PR evaluation.
 
     Detections are processed in descending score (ties by input order); each
-    takes the unmatched GT of maximum IoU if that IoU >= iou_thr.
+    takes the unmatched GT of maximum IoU (ties by smallest GT index) if that
+    IoU is > 0 and >= iou_thr.
     """
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     free = set(range(len(gts)))
     pairs: list[tuple[int, int, float]] = []
     matched_det: set[int] = set()
-    for di in order:
-        best_gi = -1
-        best_iou = 0.0
-        for gi in free:
-            v = iou(dets[di].box, gts[gi])
-            if v > best_iou or (v == best_iou and v > 0.0 and gi < best_gi):
-                best_gi, best_iou = gi, v
-        if best_gi >= 0 and best_iou >= iou_thr:
-            pairs.append((best_gi, di, best_iou))
-            free.discard(best_gi)
+    if dets and gts:
+        iou_mat = iou_matrix(box_array([d.box for d in dets]), box_array(gts))
+        # An entry that cannot match never becomes a row's match, so it is
+        # masked once up front; taken columns are masked as they go.
+        iou_mat[(iou_mat <= 0.0) | (iou_mat < iou_thr)] = -1.0
+        for di in order:
+            row = iou_mat[di]
+            gi = int(row.argmax())
+            best_iou = float(row[gi])
+            if best_iou < 0.0:
+                continue
+            pairs.append((gi, di, best_iou))
+            free.discard(gi)
             matched_det.add(di)
+            iou_mat[:, gi] = -1.0
     return FrameMatching(
         pairs=tuple(pairs),
         unmatched_gt=tuple(sorted(free)),
@@ -160,8 +165,8 @@ def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
     rest_gt = sorted(g for g in gts if g not in used_gt)
     rest_hyp = sorted(h for h in hyps if h not in used_hyp)
     if rest_gt and rest_hyp:
-        iou_mat = np.array([[iou(gts[g], hyps[h]) for h in rest_hyp]
-                            for g in rest_gt])
+        iou_mat = iou_matrix(box_array([gts[g] for g in rest_gt]),
+                             box_array([hyps[h] for h in rest_hyp]))
         for gi, hj in _residual_match(iou_mat, iou_thr):
             g, h = rest_gt[gi], rest_hyp[hj]
             pairs.append((g, h, float(iou_mat[gi, hj])))

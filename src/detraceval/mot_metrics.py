@@ -21,11 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .datamodel import GroundTruth, TrackSet, ValidationError
-from .det_metrics import IGNORE_COVERAGE_THR
+from .det_metrics import DEFAULT_IOU_THR, IGNORE_COVERAGE_THR
 from .geometry import ignore_coverage
 from .matching import clear_correspond
-
-DEFAULT_IOU_THR = 0.7
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2

@@ -10,6 +10,10 @@ bundle), then integrate each metric along the resulting PR polyline:
 MOTA/MOTP/MT%/ML% integrate as percents; IDS/FM/FP/FN as raw counts.
 The curve is not extended to synthetic endpoints; only realized operating
 points are integrated.
+
+Precision and recall at every threshold come from one detection labeling
+pass per sequence (`det_metrics.threshold_counts`); only the tracker and
+CLEAR run once per threshold.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .datamodel import DetectionSet, GroundTruth, TrackSet, ValidationError
-from .det_metrics import DEFAULT_IOU_THR, counts_at_threshold
+from .det_metrics import DEFAULT_IOU_THR, ThresholdCounts, threshold_counts
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 
 TrackerAdapter = Callable[[DetectionSet, str], TrackSet]
@@ -98,9 +102,9 @@ def select_thresholds_quantile(dets: DetectionSet,
 
 def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
                         tracker: TrackerAdapter, threshold: float,
-                        iou_thr: float) -> OperatingPoint:
+                        iou_thr: float, counts: ThresholdCounts) -> OperatingPoint:
     filtered = [(gt, dets.filter_score(threshold)) for gt, dets in pairs]
-    tp, fp, fn = counts_at_threshold([(d, g) for g, d in filtered], threshold, iou_thr)
+    tp, fp, fn = counts.at(threshold)
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     stats = []
@@ -128,9 +132,11 @@ def sweep(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
     execution order. With keep_going, a failing threshold leaves a gap
     instead of aborting.
     """
+    counts = threshold_counts([(dets, gt) for gt, dets in pairs], iou_thr)
+
     def run(tau: float) -> OperatingPoint | None:
         try:
-            return _evaluate_threshold(pairs, tracker, tau, iou_thr)
+            return _evaluate_threshold(pairs, tracker, tau, iou_thr, counts)
         except SweepError:
             if keep_going:
                 return None

@@ -11,8 +11,10 @@ streams per concern so that, with a fixed seed:
   uniform, so they are pointwise non-decreasing in clutter_rate.
 
 The oracles re-derive CLEAR metrics and AP by exhaustive enumeration and
-fine-grid integration; they share no code path with the production
-implementations beyond the domain types.
+fine-grid integration, and the sweep's detection counts by thresholding
+first and then matching with the scalar IoU; they share no code path with
+the production implementations beyond the domain types and the scalar
+geometry.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy import stats as sps
 
 from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
                         GtTrack, OutTrack, TrackSet, ValidationError, CATEGORIES)
-from .det_metrics import IGNORE_COVERAGE_THR, PRCurve
+from .det_metrics import DEFAULT_IOU_THR, IGNORE_COVERAGE_THR, PRCurve
 from .geometry import ignore_coverage, iou
 from .mot_metrics import (ML_COVERAGE, MT_COVERAGE, FrameCounts, MetricBundle,
                           SequenceStats)
@@ -253,7 +255,7 @@ def _oracle_residual(gids: list, hids: list,
 
 
 def oracle_clear(gt: GroundTruth, tracks: TrackSet,
-                 iou_thr: float = 0.7) -> MetricBundle:
+                 iou_thr: float = DEFAULT_IOU_THR) -> MetricBundle:
     """Independent CLEAR implementation for tiny instances.
 
     Same definitions as evaluate_clear, derived differently: correspondence
@@ -329,6 +331,43 @@ def oracle_clear(gt: GroundTruth, tracks: TrackSet,
         ml_pct=100.0 * ml / n_tracks if n_tracks else 0.0,
         ids=ids_total, fm=fm_total, fp=fp_total, fn=fn_total,
     )
+
+
+def oracle_sweep_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
+                        threshold: float,
+                        iou_thr: float = DEFAULT_IOU_THR) -> tuple[int, int, int]:
+    """(tp, fp, fn) pooled over sequences at one score threshold, the slow
+    way: drop the detections below the threshold, then match what is left
+    from scratch, frame by frame, with the scalar IoU.
+
+    Same rules as the detection layer: GT covered > 0.5 by ignore regions
+    leaves the pool; detections go in descending score, ties in input order,
+    each taking the free GT of highest IoU (ties to the lowest index) if that
+    IoU is > 0 and >= iou_thr; an unmatched detection covered > 0.5 is
+    neutral.
+    """
+    tp = fp = n_gt = 0
+    for dets, gt in pairs:
+        kept = [d for d in dets if d.score >= threshold]
+        frames = {d.frame for d in kept} | {
+            e.frame for tr in gt.tracks for e in tr.entries}
+        for frame in sorted(frames):
+            pool = [e.box for tr in gt.tracks for e in tr.entries
+                    if e.frame == frame and ignore_coverage(
+                        e.box, gt.ignore_regions, frame) <= IGNORE_COVERAGE_THR]
+            n_gt += len(pool)
+            free = list(range(len(pool)))
+            frame_dets = [d for d in kept if d.frame == frame]
+            for d in sorted(frame_dets, key=lambda d: -d.score):
+                overlaps = [(iou(d.box, pool[g]), -g) for g in free]
+                best, neg_g = max(overlaps, default=(0.0, 0))
+                if best > 0.0 and best >= iou_thr:
+                    free.remove(-neg_g)
+                    tp += 1
+                elif ignore_coverage(d.box, gt.ignore_regions,
+                                     frame) <= IGNORE_COVERAGE_THR:
+                    fp += 1
+    return tp, fp, n_gt - tp
 
 
 def oracle_ap(curve: PRCurve, grid_step: float = 1e-4) -> float:

@@ -16,9 +16,11 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .datamodel import (DetectionSet, OutTrack, TrackSet, ValidationError,
                         parse_tracks, write_detections)
-from .geometry import iou
+from .geometry import box_array, iou_matrix
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
 
@@ -38,39 +40,37 @@ def greedy_iou_track(dets: DetectionSet, link_thr: float = 0.5,
     are suppressed from the output. Deterministic given input order.
     """
     by_frame = dets.by_frame()
-    # active: track_id -> (last_frame, last_box)
-    active: dict[int, tuple[int, object]] = {}
+    # active: track_id -> (last_frame, last box as a box_array row)
+    active: dict[int, tuple[int, np.ndarray]] = {}
     boxes: dict[int, list[tuple[int, object]]] = {}
     next_id = 1
     for frame in sorted(by_frame):
         frame_dets = by_frame[frame]
-        live = [tid for tid, (lf, _) in active.items()
-                if frame - lf <= max_gap + 1]
-        for tid in list(active):
-            if tid not in live:
-                del active[tid]
-        candidates = []
-        for ti, tid in enumerate(live):
-            last_box = active[tid][1]
-            for di, det in enumerate(frame_dets):
-                v = iou(last_box, det.box)
-                if v >= link_thr:
-                    candidates.append((-v, ti, di, tid))
-        candidates.sort()
+        det_arr = box_array([d.box for d in frame_dets])
+        active = {tid: state for tid, state in active.items()
+                  if frame - state[0] <= max_gap + 1}
+        live = list(active)
         used_tracks: set[int] = set()
         used_dets: set[int] = set()
-        for neg_v, ti, di, tid in candidates:
-            if tid in used_tracks or di in used_dets:
-                continue
-            used_tracks.add(tid)
-            used_dets.add(di)
-            active[tid] = (frame, frame_dets[di].box)
-            boxes[tid].append((frame, frame_dets[di].box))
-        for di, det in enumerate(frame_dets):
-            if di not in used_dets:
+        if live:
+            iou_mat = iou_matrix(np.array([active[tid][1] for tid in live]),
+                                 det_arr)
+            ti, di = np.nonzero(iou_mat >= link_thr)
+            # candidates in (-iou, track index, det index) order
+            order = np.lexsort((di, ti, -iou_mat[ti, di]))
+            for t, d in zip(ti[order].tolist(), di[order].tolist()):
+                if t in used_tracks or d in used_dets:
+                    continue
+                used_tracks.add(t)
+                used_dets.add(d)
+                tid = live[t]
+                active[tid] = (frame, det_arr[d])
+                boxes[tid].append((frame, frame_dets[d].box))
+        for d, det in enumerate(frame_dets):
+            if d not in used_dets:
                 tid = next_id
                 next_id += 1
-                active[tid] = (frame, det.box)
+                active[tid] = (frame, det_arr[d])
                 boxes[tid] = [(frame, det.box)]
     tracks = [OutTrack(tid, tuple(items)) for tid, items in sorted(boxes.items())
               if len(items) >= min_track_len]

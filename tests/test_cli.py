@@ -165,6 +165,32 @@ def test_report_no_results_errors(tmp_path, capsys):
     assert "no system reports" in capsys.readouterr().err
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("detraceval: error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_eval_det_gt_json_list_errors(tmp_path, capsys):
+    _, det_dir = _emit_fixture(tmp_path, "perfect")
+    gt_dir = tmp_path / "bad-gt"
+    gt_dir.mkdir()
+    (gt_dir / "perfect.json").write_text("[1, 2, 3]\n")
+    assert main(["eval-det", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys)
+    assert "perfect.json" in err and "JSON object" in err
+
+
+def test_report_malformed_json_names_file(tmp_path, capsys):
+    results = tmp_path / "results"
+    (results / "sys").mkdir(parents=True)
+    (results / "sys" / "broken.json").write_text('{"scores": ')
+    assert main(["report", "--results", str(results),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "broken.json" in _one_line_error(capsys)
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "detraceval.cli", "gen-synthetic",

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detraceval.datamodel import BBox, IgnoreRegion
-from detraceval.geometry import (OcclusionClass, ScaleClass, ignore_coverage,
-                                 iou, occlusion_class, scale_class)
+from detraceval.geometry import (OcclusionClass, ScaleClass, box_array,
+                                 ignore_coverage, iou, iou_matrix,
+                                 occlusion_class, scale_class)
 
 boxes = st.builds(
     BBox,
@@ -46,6 +47,59 @@ def test_iou_translation_invariance(a, b, tx, ty):
     shifted_a = BBox(a.left + tx, a.top + ty, a.width, a.height)
     shifted_b = BBox(b.left + tx, b.top + ty, b.width, b.height)
     assert iou(shifted_a, shifted_b) == pytest.approx(iou(a, b), abs=1e-9)
+
+
+sizes = st.floats(0.5, 300)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two box lists near a shared origin, far from 0 on some draws; each
+    box of the first list gets an identical, edge-touching, nested,
+    disjoint or unrelated partner in the second."""
+    ox, oy = draw(st.sampled_from(((0.0, 0.0), (1e6, -1e6), (-3e7, 5e8),
+                                   (1e9, 1e9), (123456.789, 0.1))))
+    coords = st.floats(-500, 500)
+    base = draw(st.lists(st.builds(
+        lambda x, y, w, h: BBox(ox + x, oy + y, w, h),
+        coords, coords, sizes, sizes), min_size=1, max_size=6))
+    partners = []
+    for b in base:
+        kind = draw(st.sampled_from(
+            ("identical", "touch-x", "touch-y", "nested", "disjoint", "any")))
+        if kind == "identical":
+            partners.append(BBox(b.left, b.top, b.width, b.height))
+        elif kind == "touch-x":
+            partners.append(BBox(b.right, b.top, draw(sizes), b.height))
+        elif kind == "touch-y":
+            partners.append(BBox(b.left, b.bottom, b.width, draw(sizes)))
+        elif kind == "nested":
+            partners.append(BBox(b.left + b.width / 4, b.top + b.height / 4,
+                                 b.width / 2, b.height / 2))
+        elif kind == "disjoint":
+            partners.append(BBox(b.right + draw(sizes), b.bottom + draw(sizes),
+                                 draw(sizes), draw(sizes)))
+        else:
+            partners.append(BBox(ox + draw(coords), oy + draw(coords),
+                                 draw(sizes), draw(sizes)))
+    return base, draw(st.permutations(partners))
+
+
+@given(box_pairs())
+@settings(max_examples=300, deadline=None)
+def test_iou_matrix_equals_scalar_iou_bit_for_bit(pair):
+    a, b = pair
+    got = iou_matrix(box_array(a), box_array(b))
+    assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+    for i, box_a in enumerate(a):
+        for j, box_b in enumerate(b):
+            assert got[i, j] == iou(box_a, box_b), (i, j)
+
+
+def test_iou_matrix_empty_sides():
+    a = box_array([BBox(0, 0, 10, 10)])
+    assert iou_matrix(a, box_array([])).shape == (1, 0)
+    assert iou_matrix(box_array([]), a).shape == (0, 1)
 
 
 def test_scale_bands():

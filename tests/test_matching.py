@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detraceval.datamodel import BBox, Detection
+from detraceval.geometry import iou
 from detraceval.matching import (FORBIDDEN, clear_correspond, hungarian,
                                  match_frame_greedy)
 
@@ -112,6 +113,62 @@ def test_greedy_cardinality_bounded_by_optimal():
                  for g in gts] for d in dets]
         optimal = hungarian(cost)
         assert len(m.pairs) <= len(optimal)
+
+
+def test_greedy_iou_tie_goes_to_smallest_gt_index():
+    # the detection straddles two GT boxes at equal IoU
+    gts = [BBox(20, 0, 10, 10), BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)]
+    det = _det(5, 0, 0.9)
+    assert iou(det.box, gts[1]) == iou(det.box, gts[2]) > 0.0
+    m = match_frame_greedy([det], gts, 0.3)
+    assert [gi for gi, _, _ in m.pairs] == [1]
+    assert m.unmatched_gt == (0, 2)
+
+
+def test_greedy_zero_overlap_never_matches_at_zero_threshold():
+    gts = [BBox(0, 0, 10, 10)]
+    dets = [_det(10, 0, 0.9), _det(50, 50, 0.8)]  # touching, disjoint
+    m = match_frame_greedy(dets, gts, 0.0)
+    assert m.pairs == ()
+    assert m.unmatched_gt == (0,) and m.unmatched_hyp == (0, 1)
+
+
+def test_greedy_matches_at_exactly_iou_thr():
+    gts = [BBox(0, 0, 10, 20)]
+    m = match_frame_greedy([_det(0, 0, 0.9)], gts, 0.5)  # IoU 100 / 200
+    assert m.pairs == ((0, 0, 0.5),)
+
+
+def _scalar_match_frame_greedy(dets, gts, iou_thr):
+    """Reference matcher: the scalar loop over free GT per detection."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    free = set(range(len(gts)))
+    pairs = []
+    for di in order:
+        best_gi, best_iou = -1, 0.0
+        for gi in sorted(free):
+            v = iou(dets[di].box, gts[gi])
+            if v > best_iou:
+                best_gi, best_iou = gi, v
+        if best_gi >= 0 and best_iou >= iou_thr:
+            pairs.append((best_gi, di, best_iou))
+            free.discard(best_gi)
+    return pairs
+
+
+def test_greedy_matches_scalar_reference_with_ties():
+    # integer coordinates on a coarse grid and 1-decimal scores make tied
+    # IoUs and tied scores common
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        gts = [BBox(*map(float, rng.integers(0, 6, 2) * 5), 10, 10)
+               for _ in range(rng.integers(0, 6))]
+        dets = [Detection(1, BBox(*map(float, rng.integers(0, 6, 2) * 5),
+                                  10, 10), float(rng.integers(1, 4)) / 10)
+                for _ in range(rng.integers(0, 6))]
+        iou_thr = float(rng.choice([0.0, 0.3, 0.5]))
+        m = match_frame_greedy(dets, gts, iou_thr)
+        assert list(m.pairs) == _scalar_match_frame_greedy(dets, gts, iou_thr)
 
 
 def test_clear_correspond_static_scene():

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from detraceval.datamodel import (BBox, Detection, DetectionSet, OutTrack,
-                                  TrackSet, ValidationError)
+
+from detraceval.datamodel import (BBox, Detection, DetectionSet, IgnoreRegion,
+                                  OutTrack, TrackSet, ValidationError)
+from detraceval.det_metrics import threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.matching import match_frame_greedy
 from detraceval.mot_metrics import MetricBundle
@@ -12,7 +15,7 @@ from detraceval.pr_integration import (OperatingPoint, arc_length, integrate,
                                        pr_report, average_scores,
                                        select_thresholds,
                                        select_thresholds_quantile, sweep)
-from detraceval.synth import ScenarioConfig, gen_scenario
+from detraceval.synth import ScenarioConfig, gen_scenario, oracle_sweep_counts
 
 
 def _dets_with_scores(scores):
@@ -234,3 +237,52 @@ def test_ranking_flip_fixture_inverts_mota_ordering():
     diffs = [pa.metrics.mota - pb.metrics.mota
              for pa, pb in zip(curves[a], curves[b])]
     assert any(d > 0 for d in diffs) and any(d < 0 for d in diffs)
+
+
+def _random_sweep_case(seed):
+    """One or two small cluttered sequences with 1-decimal scores (many
+    ties), some with an ignore region, plus an IoU threshold."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(int(rng.integers(1, 3))):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=int(rng.integers(1, 5)), n_frames=int(rng.integers(1, 7)),
+            drop_rate=0.2, clutter_rate=float(rng.uniform(0.0, 3.0)),
+            jitter_sigma=float(rng.uniform(0.0, 4.0)), seed=seed * 10 + i))
+        dets = DetectionSet(tuple(
+            dataclasses.replace(d, score=round(d.score, 1)) for d in dets))
+        if rng.uniform() < 0.5:
+            region = IgnoreRegion(BBox(float(rng.uniform(0, 700)),
+                                       float(rng.uniform(0, 400)), 250.0, 150.0))
+            gt = dataclasses.replace(gt, ignore_regions=(region,))
+        pairs.append((dets, gt))
+    return pairs, float(rng.choice([0.3, 0.5, 0.7]))
+
+
+def test_threshold_counts_equal_filter_then_relabel_oracle():
+    n_points = 0
+    for seed in range(250):
+        pairs, iou_thr = _random_sweep_case(seed)
+        counts = threshold_counts(pairs, iou_thr)
+        scores = sorted({d.score for dets, _ in pairs for d in dets})
+        # every detection score (thresholds that equal a score), the
+        # midpoints between them, and both sides of the range
+        taus = scores + [(a + b) / 2 for a, b in zip(scores, scores[1:])]
+        taus += [min(scores, default=0.0) - 1.0, max(scores, default=0.0) + 1.0]
+        for tau in taus:
+            assert counts.at(tau) == oracle_sweep_counts(pairs, tau, iou_thr), \
+                (seed, tau)
+            n_points += 1
+    assert n_points > 1000
+
+
+def test_sweep_precision_recall_come_from_oracle_counts():
+    pairs, iou_thr = _random_sweep_case(3)
+    thresholds = sorted({d.score for dets, _ in pairs for d in dets})
+    points = sweep([(g, d) for d, g in pairs], lambda dets, seq: TrackSet(),
+                   thresholds, iou_thr=iou_thr)
+    assert len(points) == len(thresholds)
+    for p in points:
+        tp, fp, fn = oracle_sweep_counts(pairs, p.threshold, iou_thr)
+        assert p.precision == (tp / (tp + fp) if tp + fp else 1.0)
+        assert p.recall == tp / (tp + fn)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detraceval.datamodel import (BBox, Detection, DetectionSet, TrackSet,
-                                  ValidationError)
+from detraceval.datamodel import (BBox, Detection, DetectionSet, OutTrack,
+                                  TrackSet, ValidationError)
 from detraceval.fixtures import load_fixture
+from detraceval.geometry import iou
 from detraceval.mot_metrics import evaluate_clear
+from detraceval.synth import ScenarioConfig, gen_scenario
 from detraceval.trackers import (BuiltinGreedyTracker, ExternalTracker,
                                  TrackerError, greedy_iou_track, make_tracker,
                                  run_external)
@@ -88,6 +90,77 @@ def test_greedy_output_satisfies_trackset_invariants(dets):
 @settings(max_examples=30, deadline=None)
 def test_greedy_deterministic(dets):
     assert greedy_iou_track(dets) == greedy_iou_track(dets)
+
+
+def _scalar_greedy_iou_track(dets, link_thr=0.5, max_gap=1, min_track_len=1):
+    """Reference linker: the scalar pair-by-pair form of greedy_iou_track."""
+    by_frame = dets.by_frame()
+    active = {}
+    boxes = {}
+    next_id = 1
+    for frame in sorted(by_frame):
+        frame_dets = by_frame[frame]
+        live = [tid for tid, (lf, _) in active.items()
+                if frame - lf <= max_gap + 1]
+        for tid in list(active):
+            if tid not in live:
+                del active[tid]
+        candidates = []
+        for ti, tid in enumerate(live):
+            last_box = active[tid][1]
+            for di, det in enumerate(frame_dets):
+                v = iou(last_box, det.box)
+                if v >= link_thr:
+                    candidates.append((-v, ti, di, tid))
+        candidates.sort()
+        used_tracks, used_dets = set(), set()
+        for _, ti, di, tid in candidates:
+            if tid in used_tracks or di in used_dets:
+                continue
+            used_tracks.add(tid)
+            used_dets.add(di)
+            active[tid] = (frame, frame_dets[di].box)
+            boxes[tid].append((frame, frame_dets[di].box))
+        for di, det in enumerate(frame_dets):
+            if di not in used_dets:
+                tid = next_id
+                next_id += 1
+                active[tid] = (frame, det.box)
+                boxes[tid] = [(frame, det.box)]
+    return TrackSet(tuple(OutTrack(tid, tuple(items))
+                          for tid, items in sorted(boxes.items())
+                          if len(items) >= min_track_len))
+
+
+@pytest.mark.parametrize("max_gap", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_matches_scalar_reference(seed, max_gap):
+    _, dets = gen_scenario(ScenarioConfig(
+        n_targets=12, n_frames=25, drop_rate=0.2, clutter_rate=6.0,
+        jitter_sigma=2.0, seed=seed))
+    for link_thr, min_track_len in ((0.5, 1), (0.3, 3)):
+        assert greedy_iou_track(dets, link_thr, max_gap, min_track_len) == \
+            _scalar_greedy_iou_track(dets, link_thr, max_gap, min_track_len)
+
+
+def test_greedy_tied_iou_links_by_track_then_detection_order():
+    # Two touching tracks; each frame-2 detection straddles both at equal
+    # IoU, so every tie is broken by track age, then detection order.
+    a, b = BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)
+    c, d = BBox(5, 0, 10, 10), BBox(5, 2, 10, 10)
+    assert iou(a, c) == iou(b, c) and iou(a, d) == iou(b, d)
+    dets = DetectionSet((Detection(1, a, 0.9), Detection(1, b, 0.9),
+                         Detection(2, d, 0.8), Detection(2, c, 0.7)))
+    ts = greedy_iou_track(dets, link_thr=0.2)
+    assert ts == _scalar_greedy_iou_track(dets, link_thr=0.2)
+    assert [tr.boxes for tr in ts.tracks] == [((1, a), (2, c)), ((1, b), (2, d))]
+
+
+def test_greedy_links_at_exactly_link_thr():
+    a, b = BBox(0, 0, 10, 10), BBox(0, 0, 10, 20)
+    assert iou(a, b) == 0.5
+    dets = DetectionSet((Detection(1, a, 0.9), Detection(2, b, 0.9)))
+    assert len(greedy_iou_track(dets, link_thr=0.5)) == 1
 
 
 def _some_dets():
