@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import det_metrics, mot_metrics, pr_integration
-from .datamodel import (DetectionSet, GroundTruth, ValidationError,
-                        parse_detections, parse_ground_truth, parse_tracks,
+from .datamodel import (DetectionSet, ValidationError, parse_detections,
+                        parse_ground_truth, read_ground_truth, read_tracks,
                         write_detections, write_ground_truth)
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .synth import ScenarioConfig, gen_scenario
@@ -60,10 +60,10 @@ def _load_pairs(gt_dir: str, other_dir: str, suffix: str
     return pairs
 
 
-def _read_gt(path: Path) -> GroundTruth:
+def _read_gt(path: Path, reader=parse_ground_truth):
     with open(path) as fh:
         try:
-            return parse_ground_truth(fh)
+            return reader(fh)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
 
@@ -97,10 +97,11 @@ def cmd_eval_mot(args) -> int:
     triples = _load_pairs(args.gt, args.tracks, ".csv")
 
     def evaluate(triple):
+        # Columns straight from the files: no per-box object is built.
         seq, gt_path, track_path = triple
-        gt = _read_gt(gt_path)
+        gt = _read_gt(gt_path, read_ground_truth)
         with open(track_path) as fh:
-            tracks = parse_tracks(fh)
+            tracks = read_tracks(fh)
         return mot_metrics.evaluate_clear(gt, tracks, args.iou_thr)
 
     if args.jobs > 1:
@@ -190,9 +191,9 @@ def cmd_report(args) -> int:
     tracker_table = []
     for tracker_name in sorted(by_tracker):
         rows = by_tracker[tracker_name]
-        avg = {k: sum(r[k] for r in rows) / len(rows) for k in rows[0]}
         tracker_table.append({"tracker": tracker_name,
-                              "n_detectors": len(rows), **avg})
+                              "n_detectors": len(rows),
+                              **pr_integration.mean_scores(rows)})
     tracker_table.sort(key=lambda r: -r["pr_mota"])
     out = Path(args.out)
     _write_json(out / "leaderboard.json",

@@ -4,8 +4,9 @@ Band boundaries are upper-inclusive: scale (0,50] small, (50,150] medium,
 (150,inf) large; occlusion [0,0.01) none, [0.01,0.5] partial, (0.5,1] heavy.
 Boxes are half-open rectangles, so touching edges intersect with zero area.
 
-`iou` is the scalar reference; `iou_matrix` computes a whole block of IoUs
-at once and equals `iou` entry for entry, bit for bit.
+`iou` is the scalar reference; `iou_broadcast` is the one array kernel. It
+equals `iou` entry for entry, bit for bit, on row-aligned pairs and, as
+`iou_matrix`, on every pair of two box sets.
 """
 
 from __future__ import annotations
@@ -57,26 +58,33 @@ def box_array(boxes: Sequence[BBox]) -> np.ndarray:
                     dtype=np.float64).reshape(len(boxes), 4)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of `a` with every row of `b`, both `box_array`s.
+def iou_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of `a[..., :]` with `b[..., :]`, rows of left, top, right, bottom
+    (`box_array` layout) broadcast against each other: two (n, 4) arrays
+    give the n row-aligned IoUs, (n, 1, 4) against (1, m, 4) the n x m
+    matrix.
 
-    Bit-identical to `iou(a_i, b_j)`: every entry runs the scalar operation
-    order in IEEE float64, that is, clipped width and height from min/max
-    of corners, intersection 0 unless both are > 0 and their product is
+    Bit-identical to `iou`: every entry runs the scalar operation order in
+    IEEE float64, that is, clipped width and height from min/max of
+    corners, intersection 0 unless both are > 0 and their product is
     non-zero, areas from corner differences rather than width * height,
     union as (area_a + area_b) - inter, and the division last.
     """
-    w = (np.minimum(a[:, None, 2], b[None, :, 2])
-         - np.maximum(a[:, None, 0], b[None, :, 0]))
-    h = (np.minimum(a[:, None, 3], b[None, :, 3])
-         - np.maximum(a[:, None, 1], b[None, :, 1]))
+    w = (np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    h = (np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
     inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=inter != 0.0)
     return out
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of `a` with every row of `b`, both `box_array`s:
+    `iou_broadcast` over (n, 1, 4) and (1, m, 4) views."""
+    return iou_broadcast(a[:, None, :], b[None, :, :])
 
 
 def scale_class(box: BBox) -> ScaleClass:
@@ -120,19 +128,27 @@ def _union_area(rects: list[tuple[float, float, float, float]]) -> float:
     return total
 
 
-def ignore_coverage(box: BBox, regions: Sequence[IgnoreRegion], frame: int) -> float:
-    """Fraction of `box` covered by the union of ignore regions active at `frame`."""
+def box_coverage(corners: Sequence[float], area: float,
+                 regions: Sequence[Sequence[float]]) -> float:
+    """Fraction of the box with `corners` (left, top, right, bottom) and
+    `area` covered by the union of `regions`, each given by its corners."""
+    left, top, right, bottom = corners
     clipped = []
-    for region in regions:
-        if not region.active_at(frame):
-            continue
-        r = region.box
-        x0 = max(box.left, r.left)
-        y0 = max(box.top, r.top)
-        x1 = min(box.right, r.right)
-        y1 = min(box.bottom, r.bottom)
+    for r_left, r_top, r_right, r_bottom in regions:
+        x0 = max(left, r_left)
+        y0 = max(top, r_top)
+        x1 = min(right, r_right)
+        y1 = min(bottom, r_bottom)
         if x1 > x0 and y1 > y0:
             clipped.append((x0, y0, x1, y1))
     if not clipped:
         return 0.0
-    return _union_area(clipped) / box.area
+    return _union_area(clipped) / area
+
+
+def ignore_coverage(box: BBox, regions: Sequence[IgnoreRegion], frame: int) -> float:
+    """Fraction of `box` covered by the union of ignore regions active at `frame`."""
+    return box_coverage(
+        (box.left, box.top, box.right, box.bottom), box.area,
+        [(r.box.left, r.box.top, r.box.right, r.box.bottom)
+         for r in regions if r.active_at(frame)])

@@ -9,7 +9,10 @@ Three layers:
   if that overlap clears the threshold).
 * ``clear_correspond`` -- the temporal correspondence step of the CLEAR
   procedure: previous pairs persist while their overlap clears the threshold,
-  then remaining boxes are matched to maximize total overlap.
+  then remaining boxes are matched to maximize total overlap. It takes one
+  frame as two ascending id lists plus their (n, 4) corner arrays (the
+  `geometry.box_array` layout), so CLEAR can feed it slices of columns
+  without building a box object.
 
 Residual matching follows a documented deterministic rule: maximum
 cardinality, then maximum total IoU, then, scanning ground-truth ids in
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .datamodel import BBox, Detection
-from .geometry import box_array, iou, iou_matrix
+from .geometry import box_array, iou_broadcast, iou_matrix
 
 FORBIDDEN = math.inf
 
@@ -139,42 +142,47 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
 
 
 def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
-                     gts: Mapping[Hashable, BBox],
-                     hyps: Mapping[Hashable, BBox],
+                     gt_ids: Sequence[Hashable], gt_boxes: np.ndarray,
+                     hyp_ids: Sequence[Hashable], hyp_boxes: np.ndarray,
                      iou_thr: float) -> FrameMatching:
-    """One step of CLEAR temporal correspondence.
+    """One step of CLEAR temporal correspondence on one frame.
 
-    `prev` maps gt id -> hyp id from the previous frame's correspondence.
+    `gt_ids` and `hyp_ids` are the frame's ids in ascending order;
+    `gt_boxes` and `hyp_boxes` hold their boxes as (n, 4) `box_array` rows
+    (left, top, right, bottom), row i for id i. `prev` maps gt id -> hyp id
+    from the previous frame's correspondence.
     Rule 1: a previous pair persists if both boxes exist now and still overlap
-    at >= iou_thr. Rule 2: leftovers are matched by optimal assignment
-    maximizing total IoU subject to the threshold.
+    at >= iou_thr; the IoUs of all carried pairs come from one
+    `iou_broadcast` call. Rule 2: leftovers are matched by optimal
+    assignment maximizing total IoU subject to the threshold.
+    Pairs list the persisted ones by ascending gt id, then the residual ones.
     """
+    used_gt = [False] * len(gt_ids)
+    used_hyp = [False] * len(hyp_ids)
     pairs: list[tuple[Hashable, Hashable, float]] = []
-    used_gt: set[Hashable] = set()
-    used_hyp: set[Hashable] = set()
     if prev:
-        for g in sorted(prev):
-            h = prev[g]
-            if g in gts and h in hyps:
-                v = iou(gts[g], hyps[h])
+        hyp_row = {h: j for j, h in enumerate(hyp_ids)}
+        carried = [(i, hyp_row[prev[g]]) for i, g in enumerate(gt_ids)
+                   if g in prev and prev[g] in hyp_row]
+        if carried:
+            rows_g, rows_h = (list(rows) for rows in zip(*carried))
+            values = iou_broadcast(gt_boxes[rows_g], hyp_boxes[rows_h]).tolist()
+            for i, j, v in zip(rows_g, rows_h, values):
                 if v >= iou_thr:
-                    pairs.append((g, h, v))
-                    used_gt.add(g)
-                    used_hyp.add(h)
+                    pairs.append((gt_ids[i], hyp_ids[j], v))
+                    used_gt[i] = used_hyp[j] = True
 
-    rest_gt = sorted(g for g in gts if g not in used_gt)
-    rest_hyp = sorted(h for h in hyps if h not in used_hyp)
+    rest_gt = [i for i, used in enumerate(used_gt) if not used]
+    rest_hyp = [j for j, used in enumerate(used_hyp) if not used]
     if rest_gt and rest_hyp:
-        iou_mat = iou_matrix(box_array([gts[g] for g in rest_gt]),
-                             box_array([hyps[h] for h in rest_hyp]))
-        for gi, hj in _residual_match(iou_mat, iou_thr):
-            g, h = rest_gt[gi], rest_hyp[hj]
-            pairs.append((g, h, float(iou_mat[gi, hj])))
-            used_gt.add(g)
-            used_hyp.add(h)
+        iou_mat = iou_matrix(gt_boxes[rest_gt], hyp_boxes[rest_hyp])
+        for a, b in _residual_match(iou_mat, iou_thr):
+            i, j = rest_gt[a], rest_hyp[b]
+            pairs.append((gt_ids[i], hyp_ids[j], float(iou_mat[a, b])))
+            used_gt[i] = used_hyp[j] = True
 
     return FrameMatching(
         pairs=tuple(pairs),
-        unmatched_gt=tuple(sorted(g for g in gts if g not in used_gt)),
-        unmatched_hyp=tuple(sorted(h for h in hyps if h not in used_hyp)),
+        unmatched_gt=tuple(g for g, used in zip(gt_ids, used_gt) if not used),
+        unmatched_hyp=tuple(h for h, used in zip(hyp_ids, used_hyp) if not used),
     )

@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datamodel import GroundTruth, TrackSet, ValidationError
+import numpy as np
+
+from .datamodel import (GroundTruth, GtColumns, TrackColumns, TrackSet,
+                        ValidationError)
 from .det_metrics import DEFAULT_IOU_THR, IGNORE_COVERAGE_THR
-from .geometry import ignore_coverage
+from .geometry import box_coverage
 from .matching import clear_correspond
 
 MT_COVERAGE = 0.8
@@ -94,23 +97,36 @@ def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
     )
 
 
-def evaluate_clear(gt: GroundTruth, tracks: TrackSet,
+def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
                    iou_thr: float = DEFAULT_IOU_THR) -> tuple[MetricBundle, SequenceStats]:
-    for tr in tracks.tracks:
-        for frame, _ in tr.boxes:
-            if frame > gt.frame_count:
-                raise ValidationError(
-                    f"output track {tr.track_id}: frame {frame} beyond "
-                    f"frame_count {gt.frame_count}")
+    """CLEAR MOT of one sequence, from the domain objects or from their
+    columns (`read_ground_truth` / `read_tracks`, or `.columns` of the
+    objects)."""
+    g = gt.columns if isinstance(gt, GroundTruth) else gt
+    h = tracks.columns if isinstance(tracks, TrackSet) else tracks
+    late = np.flatnonzero(h.frame > g.frame_count)
+    if late.size:
+        i = late[0]
+        raise ValidationError(
+            f"output track {h.track_id[i]}: frame {h.frame[i]} beyond "
+            f"frame_count {g.frame_count}")
 
-    hyp_by_frame: dict[int, dict[int, object]] = {}
-    for tr in tracks.tracks:
-        for frame, box in tr.boxes:
-            hyp_by_frame.setdefault(frame, {})[tr.track_id] = box
-    gt_by_frame: dict[int, dict[int, object]] = {}
-    for tr in gt.tracks:
-        for e in tr.entries:
-            gt_by_frame.setdefault(e.frame, {})[tr.target_id] = e
+    # Each side sorted once by (frame, id); a frame is a slice of the rows.
+    g_order = np.lexsort((g.target_id, g.frame))
+    h_order = np.lexsort((h.track_id, h.frame))
+    g_frame, h_frame = g.frame[g_order], h.frame[h_order]
+    g_ids, h_ids = g.target_id[g_order].tolist(), h.track_id[h_order].tolist()
+    g_boxes, h_boxes = g.corners()[g_order], h.corners()[h_order]
+    if len(g.ignore):
+        # BBox.area is width * height, not a corner product
+        h_corners = h_boxes.tolist()
+        h_areas = (h.width * h.height)[h_order].tolist()
+    frames = np.union1d(g_frame, h_frame)
+    bounds = zip(frames.tolist(),
+                 np.searchsorted(g_frame, frames, "left").tolist(),
+                 np.searchsorted(g_frame, frames, "right").tolist(),
+                 np.searchsorted(h_frame, frames, "left").tolist(),
+                 np.searchsorted(h_frame, frames, "right").tolist())
 
     prev: dict[int, int] = {}
     last_match: dict[int, int] = {}      # gt id -> most recent matched hyp id
@@ -119,21 +135,18 @@ def evaluate_clear(gt: GroundTruth, tracks: TrackSet,
     fm = 0
     counts: list[FrameCounts] = []
 
-    for frame in range(1, gt.frame_count + 1):
-        entries = gt_by_frame.get(frame, {})
-        gts = {gid: e.box for gid, e in entries.items()}
-        hyps = hyp_by_frame.get(frame, {})
-        if not gts and not hyps:
-            continue
-        matching = clear_correspond(prev, gts, hyps, iou_thr)
+    for frame, g_lo, g_hi, h_lo, h_hi in bounds:
+        gts, hyps = g_ids[g_lo:g_hi], h_ids[h_lo:h_hi]
+        matching = clear_correspond(prev, gts, g_boxes[g_lo:g_hi],
+                                    hyps, h_boxes[h_lo:h_hi], iou_thr)
         prev = matching.as_map()
 
         ids_t = 0
-        for g, h, _ in matching.pairs:
-            if g in last_match and last_match[g] != h:
+        for gid, hid, _ in matching.pairs:
+            if gid in last_match and last_match[gid] != hid:
                 ids_t += 1
-            last_match[g] = h
-            matched_frames[g] = matched_frames.get(g, 0) + 1
+            last_match[gid] = hid
+            matched_frames[gid] = matched_frames.get(gid, 0) + 1
 
         for gid in gts:
             if gid in prev:
@@ -143,9 +156,14 @@ def evaluate_clear(gt: GroundTruth, tracks: TrackSet,
             elif match_state.get(gid) == "matched":
                 match_state[gid] = "gap"
 
-        fp_t = sum(
-            1 for h in matching.unmatched_hyp
-            if ignore_coverage(hyps[h], gt.ignore_regions, frame) <= IGNORE_COVERAGE_THR)
+        fp_t = len(matching.unmatched_hyp)
+        regions = g.ignore.active_corners(frame) if fp_t and len(g.ignore) else []
+        if regions:
+            row = {hid: h_lo + k for k, hid in enumerate(hyps)}
+            fp_t = sum(
+                1 for hid in matching.unmatched_hyp
+                if box_coverage(h_corners[row[hid]], h_areas[row[hid]],
+                                regions) <= IGNORE_COVERAGE_THR)
         iou_sum = sum(v for _, _, v in matching.pairs)
         counts.append(FrameCounts(
             frame=frame, gt=len(gts), matches=len(matching.pairs),
@@ -154,17 +172,18 @@ def evaluate_clear(gt: GroundTruth, tracks: TrackSet,
         ))
 
     mt = ml = 0
-    for tr in gt.tracks:
-        coverage = matched_frames.get(tr.target_id, 0) / len(tr.entries)
+    target_ids, n_entries = np.unique(g.target_id, return_counts=True)
+    for tid, n in zip(target_ids.tolist(), n_entries.tolist()):
+        coverage = matched_frames.get(tid, 0) / n
         if coverage > MT_COVERAGE:
             mt += 1
         elif coverage < ML_COVERAGE:
             ml += 1
 
     stats = SequenceStats(
-        sequence_id=gt.sequence_id,
+        sequence_id=g.sequence_id,
         frame_counts=tuple(counts),
-        fm=fm, mt=mt, ml=ml, n_tracks=len(gt.tracks),
+        fm=fm, mt=mt, ml=ml, n_tracks=len(target_ids),
     )
     return _bundle_from_stats([stats]), stats
 

@@ -22,7 +22,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .datamodel import DetectionSet, GroundTruth, TrackSet, ValidationError
 from .det_metrics import DEFAULT_IOU_THR, ThresholdCounts, threshold_counts
@@ -191,9 +191,13 @@ def pr_report(points: Sequence[OperatingPoint]) -> PRIntegratedReport:
                               curve=tuple(ordered), **scores)
 
 
+def mean_scores(rows: Sequence[Mapping[str, float]]) -> dict[str, float]:
+    """Key-wise arithmetic mean of score mappings, over the first one's keys."""
+    return {k: sum(r[k] for r in rows) / len(rows) for k in rows[0]}
+
+
 def average_scores(reports: Sequence[PRIntegratedReport]) -> dict[str, float]:
     """Detector-averaged scores for ranking a tracker across detectors."""
     if not reports:
         raise ValidationError("average_scores requires at least one report")
-    keys = reports[0].scores().keys()
-    return {k: sum(r.scores()[k] for r in reports) / len(reports) for k in keys}
+    return mean_scores([r.scores() for r in reports])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -198,3 +199,80 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "x" / "gt" / "perfect.json").exists()
+
+
+def _bad_gt_doc(shape: str) -> dict:
+    """The perfect fixture's GT document with one field of the wrong shape."""
+    doc = json.loads(_GT_TEXT)
+    entry = doc["tracks"][0]["entries"][0]
+    if shape == "track-not-object":
+        doc["tracks"] = [1]
+    elif shape == "target-id-not-integer":
+        doc["tracks"][0]["target_id"] = "x"
+    elif shape == "first-frame-string":
+        doc["ignore_regions"] = [{"left": 0, "top": 0, "width": 5, "height": 5,
+                                  "first_frame": "1", "last_frame": 3}]
+    elif shape == "entries-not-list":
+        doc["tracks"][0]["entries"] = 5
+    elif shape == "frame-not-numeric":
+        entry["frame"] = "first"
+    return doc
+
+
+_GT_TEXT = json.dumps({
+    "sequence_id": "perfect", "frame_count": 30, "ignore_regions": [],
+    "tracks": [{"target_id": 1, "entries": [
+        {"frame": 1, "left": 10, "top": 10, "width": 20, "height": 20}]}]})
+
+GT_SHAPES = ("track-not-object", "target-id-not-integer", "first-frame-string",
+             "entries-not-list", "frame-not-numeric")
+
+
+@pytest.mark.parametrize("command", ["eval-det", "eval-mot", "eval-system"])
+@pytest.mark.parametrize("shape", GT_SHAPES)
+def test_wrong_shape_gt_is_one_line_error(tmp_path, capsys, shape, command):
+    _, det_dir = _emit_fixture(tmp_path, "perfect")
+    gt_dir = tmp_path / "bad-gt"
+    gt_dir.mkdir()
+    (gt_dir / "perfect.json").write_text(json.dumps(_bad_gt_doc(shape)))
+    other = {"eval-det": ["--det", str(det_dir)],
+             "eval-mot": ["--tracks", str(det_dir)],
+             "eval-system": ["--det", str(det_dir), "--tracker", "builtin"]}
+    assert main([command, "--gt", str(gt_dir), *other[command],
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "perfect.json" in _one_line_error(capsys)
+
+
+def test_eval_mot_builds_no_box_objects(tmp_path, monkeypatch):
+    """eval-mot scores columns: with the per-box constructors disabled it
+    still succeeds and writes the same bytes, ignore regions included."""
+    from detraceval import datamodel
+    from detraceval.synth import ScenarioConfig, gen_scenario
+
+    gt, dets = gen_scenario(ScenarioConfig(
+        n_targets=6, n_frames=20, drop_rate=0.1, clutter_rate=2.0,
+        jitter_sigma=1.0, seed=2))
+    gt = dataclasses.replace(gt, ignore_regions=(
+        datamodel.IgnoreRegion(datamodel.BBox(0.0, 0.0, 400.0, 300.0)),
+        datamodel.IgnoreRegion(datamodel.BBox(300.0, 200.0, 300.0, 300.0), 5, 12)))
+    for sub in ("gt", "tracks"):
+        (tmp_path / sub).mkdir()
+    with open(tmp_path / "gt" / "s.json", "w") as fh:
+        datamodel.write_ground_truth(gt, fh)
+    with open(tmp_path / "tracks" / "s.csv", "w") as fh:
+        write_tracks(greedy_iou_track(dets, max_gap=2), fh)
+    argv = ["eval-mot", "--gt", str(tmp_path / "gt"), "--tracks",
+            str(tmp_path / "tracks"), "--jobs", "1"]
+    assert main(argv + ["--out", str(tmp_path / "unpatched")]) == 0
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built on the eval-mot path")
+
+    for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.OutTrack):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built on the eval-mot path"):
+        datamodel.parse_tracks(["1,1,0,0,5,5"])
+    assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
+    for name in ("mot_aggregate.json", "mot_s.json"):
+        assert ((tmp_path / "patched" / name).read_bytes()
+                == (tmp_path / "unpatched" / name).read_bytes())

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from detraceval.datamodel import BBox, IgnoreRegion
 from detraceval.geometry import (OcclusionClass, ScaleClass, box_array,
-                                 ignore_coverage, iou, iou_matrix,
-                                 occlusion_class, scale_class)
+                                 ignore_coverage, iou, iou_broadcast,
+                                 iou_matrix, occlusion_class, scale_class)
 
 boxes = st.builds(
     BBox,
@@ -94,6 +94,16 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit(pair):
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):
             assert got[i, j] == iou(box_a, box_b), (i, j)
+
+
+@given(box_pairs())
+@settings(max_examples=300, deadline=None)
+def test_iou_broadcast_row_aligned_equals_scalar_iou_bit_for_bit(pair):
+    a, b = pair
+    got = iou_broadcast(box_array(a), box_array(b))
+    assert got.shape == (len(a),) and got.dtype == np.float64
+    for i, (box_a, box_b) in enumerate(zip(a, b)):
+        assert got[i] == iou(box_a, box_b), i
 
 
 def test_iou_matrix_empty_sides():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detraceval.datamodel import BBox, Detection
-from detraceval.geometry import iou
+from detraceval.geometry import box_array, iou
 from detraceval.matching import (FORBIDDEN, clear_correspond, hungarian,
                                  match_frame_greedy)
 
@@ -171,12 +171,19 @@ def test_greedy_matches_scalar_reference_with_ties():
         assert list(m.pairs) == _scalar_match_frame_greedy(dets, gts, iou_thr)
 
 
+def _frame(boxes: dict) -> tuple[list, np.ndarray]:
+    """One side of a frame in clear_correspond's shape: ascending ids and
+    their corner rows."""
+    ids = sorted(boxes)
+    return ids, box_array([boxes[i] for i in ids])
+
+
 def test_clear_correspond_static_scene():
     gts = {1: BBox(0, 0, 10, 10), 2: BBox(50, 50, 10, 10)}
     hyps = {10: BBox(0, 0, 10, 10), 20: BBox(50, 50, 10, 10)}
     prev = None
     for _ in range(3):
-        m = clear_correspond(prev, gts, hyps, 0.7)
+        m = clear_correspond(prev, *_frame(gts), *_frame(hyps), 0.7)
         assert m.as_map() == {1: 10, 2: 20}
         prev = m.as_map()
 
@@ -185,7 +192,7 @@ def test_clear_correspond_reassigns_drifted_pair():
     # previous pair drifted below 0.7 while a fresh hyp sits at IoU 1.0
     gts = {1: BBox(0, 0, 10, 10)}
     hyps = {10: BBox(0, 0 + 6.56, 10, 10), 20: BBox(0, 0, 10, 10)}
-    m = clear_correspond({1: 10}, gts, hyps, 0.7)
+    m = clear_correspond({1: 10}, *_frame(gts), *_frame(hyps), 0.7)
     assert m.as_map() == {1: 20}
     assert m.unmatched_hyp == (10,)
 
@@ -195,7 +202,7 @@ def test_clear_correspond_persistence():
     # drifted (IoU 9/11) but still above threshold, while a perfect hyp
     # is available: the previous pair persists
     hyps = {10: BBox(0, 1, 10, 10), 20: BBox(0, 0, 10, 10)}
-    m = clear_correspond({1: 10}, gts, hyps, 0.7)
+    m = clear_correspond({1: 10}, *_frame(gts), *_frame(hyps), 0.7)
     assert m.as_map() == {1: 10}
 
 
@@ -208,6 +215,6 @@ def test_clear_correspond_matches_enumeration_oracle():
                for i in range(n)}
         hyps = {j: BBox(rng.uniform(0, 30), rng.uniform(0, 30), 10, 10)
                 for j in range(k)}
-        got = clear_correspond(None, gts, hyps, 0.5).as_map()
+        got = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5).as_map()
         want = _oracle_residual(sorted(gts), sorted(hyps), gts, hyps, 0.5)
         assert got == want

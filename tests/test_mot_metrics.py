@@ -1,12 +1,19 @@
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
                                   IgnoreRegion, OutTrack, TrackSet,
-                                  ValidationError)
+                                  ValidationError, read_ground_truth,
+                                  read_tracks, write_ground_truth,
+                                  write_tracks)
 from detraceval.mot_metrics import (FrameCounts, SequenceStats, aggregate,
                                     evaluate_clear)
-from detraceval.synth import oracle_clear, random_tiny_scenario
+from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_clear,
+                              random_tiny_scenario)
+from detraceval.trackers import greedy_iou_track
 
 
 def assert_bundles_equal(a, b, tol=1e-9):
@@ -199,3 +206,43 @@ def test_matches_oracle_on_random_tiny_scenarios():
         gt, tracks = random_tiny_scenario(seed)
         bundle, _ = evaluate_clear(gt, tracks)
         assert_bundles_equal(bundle, oracle_clear(gt, tracks))
+
+
+def _columns_from_files(gt, tracks):
+    """The columns eval-mot reads: the objects written out and read back."""
+    gt_buf, track_buf = io.StringIO(), io.StringIO()
+    write_ground_truth(gt, gt_buf)
+    write_tracks(tracks, track_buf)
+    return (read_ground_truth(gt_buf.getvalue()),
+            read_tracks(track_buf.getvalue().splitlines()))
+
+
+def test_columns_and_objects_score_identically():
+    """Objects (through `.columns`) and file-read columns give equal stats,
+    per-frame IoU sums bit for bit, with ignore regions and clutter."""
+    for seed in range(12):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=5, n_frames=25, drop_rate=0.2, clutter_rate=2.0,
+            jitter_sigma=2.0, seed=seed))
+        gt = dataclasses.replace(gt, ignore_regions=(
+            IgnoreRegion(BBox(100.0, 50.0, 300.0, 200.0)),
+            IgnoreRegion(BBox(400.0, 200.0, 300.0, 250.0), 5, 15)))
+        tracks = greedy_iou_track(dets, max_gap=2)
+        by_objects = evaluate_clear(gt, tracks)
+        by_columns = evaluate_clear(*_columns_from_files(gt, tracks))
+        assert by_objects == by_columns
+
+
+def test_frame_beyond_frame_count_rejected_from_columns():
+    gt = _linear_gt(n_frames=3)
+    tracks = TrackSet((OutTrack(7, ((2, BBox(0, 0, 5, 5)), (9, BBox(0, 0, 5, 5)))),
+                       OutTrack(3, ((4, BBox(0, 0, 5, 5)),))))
+    for args in ((gt, tracks), _columns_from_files(gt, tracks)):
+        with pytest.raises(ValidationError) as exc:
+            evaluate_clear(*args)
+        assert "frame_count 3" in str(exc.value)
+    # objects keep the TrackSet's order, the file is read sorted by track id
+    with pytest.raises(ValidationError, match="output track 7: frame 9"):
+        evaluate_clear(gt, tracks)
+    with pytest.raises(ValidationError, match="output track 3: frame 4"):
+        evaluate_clear(*_columns_from_files(gt, tracks))
