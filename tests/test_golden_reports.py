@@ -3,10 +3,13 @@
 The `eval-system` digests were recorded before the IoU kernel and the
 label-once sweep replaced the scalar loops; the `eval-mot`, `eval-det` and
 `report` digests before the columnar parser and CLEAR loop replaced the
-per-box objects.  Any later change that moves a report byte (an operation
-order in the kernel, a tie rule in a matcher, a parse of a number, a
-rounding in the writer) fails here instead of drifting silently.  A change
-that means to move report bytes must say why and re-record the digests.
+per-box objects; the subset digests (every subset kind, on tagged
+sequences with ignore regions) before one labeling pass per sequence
+replaced the per-subset relabel.  Any later change that moves a report
+byte (an operation order in the kernel, a tie rule in a matcher, a parse
+of a number, a rounding in the writer) fails here instead of drifting
+silently.  A change that means to move report bytes must say why and
+re-record the digests.
 """
 
 import dataclasses
@@ -15,7 +18,9 @@ import hashlib
 import pytest
 
 from detraceval.cli import main
-from detraceval.datamodel import (BBox, IgnoreRegion, parse_detections,
+from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
+                                  Detection, DetectionSet, GtTrack,
+                                  IgnoreRegion, parse_detections,
                                   write_detections, write_ground_truth,
                                   write_tracks)
 from detraceval.fixtures import load_fixture
@@ -146,6 +151,71 @@ GOLDEN_DET = {
     },
 }
 
+# --iou-thr -> file name -> sha256 of every eval-det output of the tagged
+# sequences under every subset kind
+GOLDEN_SUBSETS = {
+    "0.7": {
+        "detection_report.json":
+            "5b82dd70ee21c2d6af05f7eb8d6d9ac1a9ed2fd6dfe740d2fd53652a589e1bc7",
+        "pr_curve_category_bus.csv":
+            "99e5e7723e261930dd4272a24e8f3928330812704d331243d57b436b0f330c76",
+        "pr_curve_category_car.csv":
+            "59d8c04c9ff8113e633135ea5226df8840e9e8b9b2f243f3e70190ed7bd32db6",
+        "pr_curve_category_others.csv":
+            "a431efe16ce612325e6aa219b15225a0e43f89004d7ad08eb9d4f0bae1d3f8f9",
+        "pr_curve_category_van.csv":
+            "3917b57858f52c9bf1ff02bc83e6ec88c83919e480c8431345689bfe0eb0aeab",
+        "pr_curve_difficulty_hard.csv":
+            "84d300a8c0b780d8173aea8d1d03e0ca28f755cac1c0a3abd99f4d3c7e9ac3e8",
+        "pr_curve_occlusion_heavy.csv":
+            "885c45c4e8a50583aacf4a30e075d28f1fd2562073c36b33a92a7234c2c86d1a",
+        "pr_curve_occlusion_none.csv":
+            "58617f6c44490dd21661e856f7d9fe750204bdf29ff146da64d1362eaecde4a6",
+        "pr_curve_occlusion_partial.csv":
+            "aa1a43754d368584ead948057649e9b9e5706e04d0fb513e1df71c0b96811512",
+        "pr_curve_overall.csv":
+            "9e6688d2b1328b8a0b4eb46f2520792f4502bccd9cc0a6c4255ed3f615c06bf4",
+        "pr_curve_scale_large.csv":
+            "11e9d45593436096a71391dd8a7622d918e2d70184534b75d8bc95ea0613c430",
+        "pr_curve_scale_medium.csv":
+            "585306928f837e81da0e0fb0e4d3d0c6bb8d2fd130cfca755fe9aed0c4e8b935",
+        "pr_curve_scale_small.csv":
+            "4818ab8e8c616482f9cff4747b4a85984977a4a0b55e5ef09a385724128a1de0",
+        "pr_curve_weather_night.csv":
+            "690295f84e37ab127d128e7ca08c6846824bbe2857fe6567eb28b9b222fb7017",
+    },
+    "0.5": {
+        "detection_report.json":
+            "5941a2195d10af72016118c3309f73380880b3fce0523c73c5e0bfd06d98e9ed",
+        "pr_curve_category_bus.csv":
+            "756bde8e271f79ca0a1154e15ed5b47d7520aa43e1df5236aace588c91dbb9cc",
+        "pr_curve_category_car.csv":
+            "2762bbd220e5c38839e9ce711998de0851babea6f67392fe03eaa621dd2bd3c8",
+        "pr_curve_category_others.csv":
+            "06091d8d0800a28da5a803eee6cf50282a5a36e4401ca714b92402b19781c332",
+        "pr_curve_category_van.csv":
+            "dacfff1274e195a4c6ae4ad6ccc2f50dca34e8ab05ee3c1f8b7c3c1a9d594a36",
+        "pr_curve_difficulty_hard.csv":
+            "9d78880c4ba9b0e1849cf53ba0a792d71c5ab98b613df2664c3c1d4351519ec4",
+        "pr_curve_occlusion_heavy.csv":
+            "2cdf907bb1dff7661ff0512cdfe44e289f4b23c11959cb1d7c4a6f5dd6f9b72c",
+        "pr_curve_occlusion_none.csv":
+            "719bc4f179419a54d2596d2f660b23996c4235b785a02ce674fa7da39fb60419",
+        "pr_curve_occlusion_partial.csv":
+            "f2bb8a43298f3106f6eb6a9819476e59c71601ea7c652113853340f8effb8176",
+        "pr_curve_overall.csv":
+            "792ceea31c8777788c1755b41cd4c5dfe0139e5aa53b7cc56f688093a6ce39eb",
+        "pr_curve_scale_large.csv":
+            "428e25cb05042f71b5e2bd89f02b33b63e03c6831a41e5c06648fe8ec50f80c7",
+        "pr_curve_scale_medium.csv":
+            "93d8db3cc05f4f7f67062144727b9371e089cd2258e4000409c0ce64112443c0",
+        "pr_curve_scale_small.csv":
+            "90addf3e374a4705b26dd1d768fb1dd0da4444e2d8894f66d9abc6eb5fe785c1",
+        "pr_curve_weather_night.csv":
+            "ba2110b09b6176ca7066ae4596e8ddbfa4f5d943bf9ac295a17fbcbee9e674a5",
+    },
+}
+
 GOLDEN_LEADERBOARD = {
     "leaderboard.csv":
         "179d35e5bccb422963e3bd4f95a8903c38247e52360c7a86241bd197aa2f1317",
@@ -213,6 +283,71 @@ def _gen_ignore(data) -> None:
         write_detections(dets, fh)
 
 
+SUBSETS = ("overall", "scale:small", "scale:medium", "scale:large",
+           "occlusion:none", "occlusion:partial", "occlusion:heavy",
+           "category:car", "category:bus", "category:van", "category:others",
+           "weather:night", "difficulty:hard")
+
+# Entry occlusions cycle through these, band edges included.
+_OCCLUSIONS = (0.0, 0.005, 0.01, 0.3, 0.5, 0.500001, 0.8, 1.0)
+
+
+def _gen_subsets(data) -> None:
+    """Three tagged sequences for every subset kind: each with one static
+    and one frame-ranged ignore region, its own weather and difficulty,
+    categories cycling over targets, occlusions over entries, boxes from
+    small to large (two targets exactly at the scale band edges, 50 x 50
+    and 150 x 150, each with an exact detection per entry), and one
+    sequence with 1-decimal (tied) scores."""
+    (data / "gt").mkdir(parents=True)
+    (data / "det").mkdir()
+    for i in range(3):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=12, n_frames=30, box_size=(20.0, 200.0), drop_rate=0.1,
+            clutter_rate=4.0, jitter_sigma=1.5, seed=20 + i))
+        edge = {1: 50.0, 2: 150.0} if i == 0 else {}
+        tracks, extra = [], []
+        for tr in gt.tracks:
+            entries = []
+            for e in tr.entries:
+                box = e.box
+                if tr.target_id in edge:
+                    side = edge[tr.target_id]
+                    box = BBox(box.left, box.top, side, side)
+                    extra.append(Detection(e.frame, box, 0.75))
+                entries.append(dataclasses.replace(
+                    e, box=box,
+                    category=CATEGORIES[tr.target_id % len(CATEGORIES)],
+                    occlusion_ratio=_OCCLUSIONS[
+                        (tr.target_id + e.frame) % len(_OCCLUSIONS)]))
+            tracks.append(GtTrack(tr.target_id, tuple(entries)))
+        dets = list(dets) + extra
+        if i == 1:
+            dets = [dataclasses.replace(d, score=round(d.score, 1)) for d in dets]
+        gt = dataclasses.replace(
+            gt, sequence_id=f"tagged{i}", tracks=tuple(tracks),
+            weather=WEATHERS[i], difficulty=DIFFICULTIES[i],
+            ignore_regions=(
+                IgnoreRegion(BBox(80.0 + 200 * i, 60.0, 260.0, 180.0)),
+                IgnoreRegion(BBox(450.0, 220.0 + 40 * i, 300.0, 220.0), 8, 19)))
+        with open(data / "gt" / f"tagged{i}.json", "w") as fh:
+            write_ground_truth(gt, fh)
+        with open(data / "det" / f"tagged{i}.csv", "w") as fh:
+            write_detections(DetectionSet(tuple(
+                sorted(dets, key=lambda d: d.frame))), fh)
+
+
+def _subset_digests(tmp_path, iou_thr: str) -> dict[str, str]:
+    data, out = tmp_path / "data", tmp_path / "out"
+    _gen_subsets(data)
+    argv = ["eval-det", "--gt", str(data / "gt"), "--det", str(data / "det"),
+            "--iou-thr", iou_thr, "--out", str(out)]
+    for name in SUBSETS:
+        argv += ["--subset", name]
+    assert main(argv) == 0
+    return {p.name: _sha(p) for p in sorted(out.iterdir())}
+
+
 def _mot_digests(tmp_path, case: str, spec: str) -> dict[str, str]:
     """eval-mot of the case's GT against the tracks `spec` builds from its
     detections; file name -> sha256 for every report file."""
@@ -268,6 +403,11 @@ def test_mot_report_bytes_match_golden(tmp_path, case, spec):
 @pytest.mark.parametrize("case,category", list(GOLDEN_DET))
 def test_detection_report_bytes_match_golden(tmp_path, case, category):
     assert _det_digests(tmp_path, case, category) == GOLDEN_DET[(case, category)]
+
+
+@pytest.mark.parametrize("iou_thr", list(GOLDEN_SUBSETS))
+def test_subset_report_bytes_match_golden(tmp_path, iou_thr):
+    assert _subset_digests(tmp_path, iou_thr) == GOLDEN_SUBSETS[iou_thr]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
