@@ -14,35 +14,125 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import det_metrics, mot_metrics, pr_integration
 from .datamodel import (DetectionSet, ValidationError, parse_detections,
-                        parse_ground_truth, read_ground_truth, read_tracks,
-                        write_detections, write_ground_truth)
+                        parse_ground_truth, read_detections,
+                        read_ground_truth, read_tracks, write_detections,
+                        write_ground_truth)
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .synth import ScenarioConfig, gen_scenario
 from .trackers import TrackerError, make_tracker
 
 
-def _round6(obj):
-    """Clamp floats to 6 significant digits for stable report output."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return None
-        return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {k: _round6(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round6(v) for v in obj]
-    return obj
+# Parts gathered before each write: bounds the text held in memory.
+_CHUNK_PARTS = 8192
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write `obj` as JSON with sorted keys and a 2-space indent, floats at
+    6 significant digits and non-finite floats as null, then a newline.
+
+    The bytes are those of ``json.dump(obj, fh, sort_keys=True, indent=2)``
+    after that rounding; the text is written in bounded chunks rather than
+    built whole. A list of flat dicts with the same keys (a report's points
+    or per-frame counts) is formatted row by row from one template per key
+    set.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_round6(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        parts: list[str] = []
+        _emit(obj, "\n", parts, fh)
+        parts.append("\n")
+        fh.write("".join(parts))
+
+
+def _float_text(value: float) -> str:
+    """JSON text of `value` rounded to 6 significant digits: the float's
+    repr, or null if it is not finite."""
+    text = f"{value:.6g}"
+    # A fixed-point text is already the repr of its float: a decimal of at
+    # most 15 significant digits is the shortest that maps to that double.
+    # Integral and exponent forms differ from repr ("1" and "1.0",
+    # "1.5e+06" and "1500000.0"), so they take the round trip.
+    if "." in text and "e" not in text:
+        return text
+    if not math.isfinite(value):
+        return "null"
+    return repr(float(text))
+
+
+# Exact type -> JSON text, as `json.dump` writes it after rounding.
+_TEXT = {float: _float_text, int: int.__repr__, str: encode_basestring_ascii,
+         bool: lambda value: "true" if value else "false",
+         type(None): lambda value: "null"}
+
+
+def _scalar(value) -> str | None:
+    """JSON text of a scalar, or None for a dict, list or tuple."""
+    text = _TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    for base in (float, str, int):  # subclasses, such as numpy.float64
+        if isinstance(value, base):
+            return _TEXT[base](value)
+    if isinstance(value, (dict, list, tuple)):
+        return None
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(value, newline: str, parts: list[str], fh) -> None:
+    """Append the JSON text of `value`, nested at the indent `newline`
+    ends with, to `parts`; write `parts` out when it grows past
+    _CHUNK_PARTS."""
+    text = _scalar(value)
+    if text is not None:
+        parts.append(text)
+        return
+    if not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _emit(value[key], inner, parts, fh)
+            sep = "," + inner
+        parts.append(newline + "}")
+        return
+    shape = keys = template = None
+    sep = "[" + inner
+    for item in value:
+        if len(parts) > _CHUNK_PARTS:
+            fh.write("".join(parts))
+            parts.clear()
+        parts.append(sep)
+        sep = "," + inner
+        if type(item) is dict and item:
+            if item.keys() != shape:
+                shape = item.keys()
+                keys, template = _row_template(item, inner)
+            fields = [_TEXT.get(type(v), _scalar)(v)
+                      for v in map(item.__getitem__, keys)]
+            if None not in fields:
+                parts.append(template % tuple(fields))
+                continue
+        _emit(item, inner, parts, fh)
+    parts.append(newline + "]")
+
+
+def _row_template(row: dict, newline: str) -> tuple[list, str]:
+    """Sorted keys of a flat dict and the %-template of its JSON text at
+    the indent `newline` ends with, one %s per value."""
+    keys = sorted(row)
+    inner = newline + "  "
+    fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+              for k in keys)
+    return keys, "{" + inner + ("," + inner).join(fields) + newline + "}"
 
 
 def _load_pairs(gt_dir: str, other_dir: str, suffix: str
@@ -60,23 +150,19 @@ def _load_pairs(gt_dir: str, other_dir: str, suffix: str
     return pairs
 
 
-def _read_gt(path: Path, reader=parse_ground_truth):
+def _read(path: Path, reader):
+    """reader(file) of the file at `path`; its errors name the file."""
     with open(path) as fh:
         try:
             return reader(fh)
-        except ValidationError as exc:
+        except (ValidationError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-def _read_dets(path: Path) -> DetectionSet:
-    with open(path) as fh:
-        return parse_detections(fh)
-
-
 def cmd_eval_det(args) -> int:
-    pairs = []
-    for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv"):
-        pairs.append((_read_dets(det_path), _read_gt(gt_path)))
+    # Columns straight from the files: no per-box object is built.
+    pairs = [(_read(det_path, read_detections), _read(gt_path, read_ground_truth))
+             for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
     subsets = args.subset or ["overall"]
     report = det_metrics.detection_report(pairs, subsets, args.iou_thr)
     out = Path(args.out)
@@ -85,12 +171,15 @@ def cmd_eval_det(args) -> int:
         safe = name.replace(":", "_")
         with open(out / f"pr_curve_{safe}.csv", "w") as fh:
             fh.write("threshold,precision,recall,tp,fp,fn\n")
-            for p in body["points"]:
-                thr = p["threshold"]
-                thr_s = "" if not math.isfinite(thr) else f"{thr:.6g}"
-                fh.write(f"{thr_s},{p['precision']:.6g},{p['recall']:.6g},"
-                         f"{p['tp']},{p['fp']},{p['fn']}\n")
+            fh.writelines(
+                f"{_csv_float(p['threshold'])},{p['precision']:.6g},"
+                f"{p['recall']:.6g},{p['tp']},{p['fp']},{p['fn']}\n"
+                for p in body["points"])
     return 0
+
+
+def _csv_float(value: float) -> str:
+    return f"{value:.6g}" if math.isfinite(value) else ""
 
 
 def cmd_eval_mot(args) -> int:
@@ -99,9 +188,8 @@ def cmd_eval_mot(args) -> int:
     def evaluate(triple):
         # Columns straight from the files: no per-box object is built.
         seq, gt_path, track_path = triple
-        gt = _read_gt(gt_path, read_ground_truth)
-        with open(track_path) as fh:
-            tracks = read_tracks(fh)
+        gt = _read(gt_path, read_ground_truth)
+        tracks = _read(track_path, read_tracks)
         return mot_metrics.evaluate_clear(gt, tracks, args.iou_thr)
 
     if args.jobs > 1:
@@ -130,8 +218,8 @@ def cmd_eval_system(args) -> int:
     pairs = []
     all_dets = []
     for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv"):
-        gt = _read_gt(gt_path)
-        dets = _read_dets(det_path)
+        gt = _read(gt_path, parse_ground_truth)
+        dets = _read(det_path, parse_detections)
         pairs.append((gt, dets))
         all_dets.extend(dets)
     pooled = DetectionSet(tuple(all_dets))
@@ -168,15 +256,51 @@ def cmd_eval_system(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    systems = []
-    for path in sorted(Path(args.results).rglob("*.json")):
+def _system_report(path: Path) -> dict | None:
+    """The system report in the file at `path`, checked; None for a JSON
+    document that is not one (no `scores` or no `detector`)."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
+    if not (isinstance(doc, dict) and "scores" in doc and "detector" in doc):
+        return None
+    scores = doc["scores"]
+    if not (isinstance(scores, dict)
+            and sorted(scores) == sorted(pr_integration.SCORE_NAMES)):
+        raise ValidationError(
+            f"{path}: scores must be an object with the keys "
+            f"{', '.join(pr_integration.SCORE_NAMES)}")
+    for name in pr_integration.SCORE_NAMES:
+        if not _finite_number(scores[name]):
+            raise ValidationError(f"{path}: scores.{name} must be a finite "
+                                  f"number, got {repr(scores[name]):.60}")
+    for key in ("detector", "tracker"):
+        value = doc.get(key)
+        if not isinstance(value, str):
+            raise ValidationError(f"{path}: {key} must be a string, got "
+                                  f"{repr(value):.60}")
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
-        if isinstance(doc, dict) and "scores" in doc and "detector" in doc:
-            systems.append(doc)
+            value.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(
+                f"{path}: {key} is not valid Unicode text") from None
+    return doc
+
+
+def _finite_number(value) -> bool:
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def cmd_report(args) -> int:
+    systems = [doc for doc in map(_system_report,
+                                  sorted(Path(args.results).rglob("*.json")))
+               if doc is not None]
     if not systems:
         raise ValidationError(f"no system reports found under {args.results}")
     systems.sort(key=lambda s: (-s["scores"]["pr_mota"],
@@ -199,8 +323,7 @@ def cmd_report(args) -> int:
     _write_json(out / "leaderboard.json",
                 {"systems": leaderboard, "trackers": tracker_table})
     with open(out / "leaderboard.csv", "w") as fh:
-        keys = ["detector", "tracker", "pr_mota", "pr_motp", "pr_mt",
-                "pr_ml", "pr_ids", "pr_fm", "pr_fp", "pr_fn"]
+        keys = ["detector", "tracker", *pr_integration.SCORE_NAMES]
         fh.write(",".join(keys) + "\n")
         for row in leaderboard:
             fh.write(",".join(

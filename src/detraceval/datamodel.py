@@ -49,11 +49,11 @@ the error of the first offending line or entry with the constructors'
 message. Frames, ids and ``frame_count`` must fit in int64.
 
 `parse_tracks`, `parse_detections` and `parse_ground_truth` build the
-dataclasses from the columns; `eval-det`, `eval-system`, the trackers and
-the oracles work on those objects. `eval-mot` scores the columns directly
-and builds no per-box object; `GroundTruth.columns` and `TrackSet.columns`
-derive the same columns from objects for library callers of
-`mot_metrics.evaluate_clear`.
+dataclasses from the columns; `eval-system`, the trackers and the oracles
+work on those objects. `eval-mot` and `eval-det` score the columns directly
+and build no per-box object; `GroundTruth.columns`, `TrackSet.columns` and
+`DetectionSet.columns` derive the same columns from objects for library
+callers of `mot_metrics.evaluate_clear` and `det_metrics`.
 """
 
 from __future__ import annotations
@@ -306,6 +306,14 @@ class DetectionSet:
         scores = [d.score for d in self.detections]
         return min(scores), max(scores)
 
+    @cached_property
+    def columns(self) -> DetectionColumns:
+        """The same data as `read_detections` columns, computed once."""
+        dets = self.detections
+        return DetectionColumns(**_box_columns([d.box for d in dets]),
+                                frame=_ints([d.frame for d in dets]),
+                                score=_floats([d.score for d in dets]))
+
 
 @dataclass(frozen=True)
 class OutTrack:
@@ -432,11 +440,18 @@ class IgnoreColumns(BoxColumns):
     def _corner_rows(self) -> list[list[float]]:
         return self.corners().tolist()
 
+    def active(self, frames: Sequence[int]) -> np.ndarray:
+        """(len(frames), regions) mask: region j is active at frames[i]
+        (`IgnoreRegion.active_at`)."""
+        spans = list(zip(self.first_frame, self.last_frame))
+        return np.array([[first is None or first <= frame <= last
+                          for first, last in spans] for frame in frames],
+                        dtype=bool).reshape(len(frames), len(spans))
+
     def active_corners(self, frame: int) -> list[list[float]]:
-        """Corners of the regions active at `frame` (`IgnoreRegion.active_at`)."""
-        return [corners for corners, first, last in
-                zip(self._corner_rows, self.first_frame, self.last_frame)
-                if first is None or first <= frame <= last]
+        """Corners of the regions active at `frame`."""
+        return [corners for corners, on in
+                zip(self._corner_rows, self.active((frame,))[0]) if on]
 
     def regions(self) -> tuple[IgnoreRegion, ...]:
         return tuple(map(IgnoreRegion, self.boxes(), self.first_frame,

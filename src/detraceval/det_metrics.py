@@ -6,6 +6,20 @@ covered > 0.5 by ignore regions is neutral rather than a false positive.
 Subset evaluation treats out-of-subset GT as ignorable: a detection matched
 to it is neutral, so detections on out-of-subset objects are not punished.
 
+One labeling pass per sequence serves every subset and every threshold
+(`_label_detections`). It is exact because the subset never changes the
+matching: the pool a detection may match (GT with ignore coverage <= 0.5)
+holds in- and out-of-subset GT alike, so a subset only decides whether a
+matched detection is a true positive or neutral, and which GT counts in the
+denominator. The pass therefore records, per detection, the GT row it
+matched (or none) and whether ignore regions cover it; a subset is a boolean
+mask over GT rows (all rows or none for the sequence-level `weather` and
+`difficulty`), and its counts are read off the pass. Greedy matching takes
+detections in descending score, so the detections above any threshold are
+a prefix of the pass and their matching is the one a pass over them alone
+would give: the PR curve reads every distinct score, the threshold sweep its
+thresholds (`threshold_counts`).
+
 AP uses the exact all-point envelope rule: the area under the monotone
 non-increasing precision envelope over recall in [0, max recall].
 """
@@ -15,11 +29,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .datamodel import DetectionSet, GroundTruth, GtEntry, ValidationError
-from .geometry import (OcclusionClass, ScaleClass, ignore_coverage,
-                       occlusion_class, scale_class)
+import numpy as np
+
+from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
+                        DetectionSet, GroundTruth, GtColumns, ValidationError)
+from .geometry import (OcclusionClass, ScaleClass, ignore_coverages,
+                       occlusion_bands, scale_bands)
 from .matching import match_frame_greedy
 
 DEFAULT_IOU_THR = 0.7
@@ -27,7 +44,17 @@ DEFAULT_IOU_THR = 0.7
 # Coverage above which a box counts as lying inside ignore regions.
 IGNORE_COVERAGE_THR = 0.5
 
-SubsetPredicate = Callable[[GtEntry], bool]
+# Subset kind -> the values it accepts.
+_SUBSET_VALUES = {
+    "scale": tuple(c.value for c in ScaleClass),
+    "occlusion": tuple(c.value for c in OcclusionClass),
+    "category": CATEGORIES,
+    "weather": WEATHERS,
+    "difficulty": DIFFICULTIES,
+}
+
+Dets = DetectionSet | DetectionColumns
+Truth = GroundTruth | GtColumns
 
 
 @dataclass(frozen=True)
@@ -55,96 +82,148 @@ class PRCurve:
         return max(p.recall for p in self.points)
 
 
-@dataclass(frozen=True)
-class _LabeledCounts:
-    """Per-sequence raw material for a PR curve: detection labels + GT total.
+@dataclass(frozen=True, eq=False)
+class _Labels:
+    """One sequence's labeling pass, before any subset is applied.
 
-    `tp_scores` / `fp_scores`: scores of detections that are true / false
-    positives once their score clears the threshold. Neutralized detections
-    appear in neither list.
+    Detections are in frame order, input order within a frame. `matched`
+    is the GT row each one matched, or -1; `covered` marks the unmatched
+    ones that ignore regions cover. `pooled` marks the GT rows in the
+    matching pool.
     """
 
-    tp_scores: tuple[float, ...]
-    fp_scores: tuple[float, ...]
-    n_gt: int
+    gt: GtColumns
+    score: np.ndarray
+    matched: np.ndarray
+    covered: np.ndarray
+    pooled: np.ndarray
+
+    def counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """(TP scores, FP scores, GT count) when `rows` marks the GT rows in
+        the subset; a detection matched to a GT row outside it is neutral."""
+        hit = self.matched >= 0
+        tp = hit.copy()
+        tp[hit] = rows[self.matched[hit]]
+        return (self.score[tp], self.score[~hit & ~self.covered],
+                int(np.count_nonzero(self.pooled & rows)))
 
 
-def _label_detections(dets: DetectionSet, gt: GroundTruth, iou_thr: float,
-                      subset: SubsetPredicate | None) -> _LabeledCounts:
-    """Run one greedy pass per frame and label every detection TP/FP/neutral.
-
-    Because greedy matching processes detections in descending score (ties
-    in input order), the detections with score >= tau are a prefix of the
-    pass and their matching is the one a pass over them alone would give.
-    So this one pass yields every threshold's counts: the PR curve reads
-    them at each distinct score, the threshold sweep at each of its
-    thresholds (`threshold_counts`).
-    """
-    tp_scores: list[float] = []
-    fp_scores: list[float] = []
-    n_gt = 0
-    by_frame = dets.by_frame()
-    gt_by_frame: dict[int, list[GtEntry]] = {}
-    for tr in gt.tracks:
-        for e in tr.entries:
-            gt_by_frame.setdefault(e.frame, []).append(e)
-    for frame in sorted(set(by_frame) | set(gt_by_frame)):
-        entries = gt_by_frame.get(frame, [])
-        # GT inside ignore regions leaves the matching pool entirely.
-        pool = [e for e in entries
-                if ignore_coverage(e.box, gt.ignore_regions, frame) <= IGNORE_COVERAGE_THR]
-        in_subset = [subset is None or subset(e) for e in pool]
-        n_gt += sum(in_subset)
-        frame_dets = by_frame.get(frame, [])
-        if not frame_dets:
+def _label_detections(dets: Dets, gt: Truth, iou_thr: float) -> _Labels:
+    """Run one greedy pass per frame over a sequence; see the module
+    docstring for why this one pass serves every subset and threshold."""
+    d = dets.columns if isinstance(dets, DetectionSet) else dets
+    g = gt.columns if isinstance(gt, GroundTruth) else gt
+    g_corners = g.corners()
+    pooled = ignore_coverages(g_corners, g.width * g.height, g.frame,
+                              g.ignore) <= IGNORE_COVERAGE_THR
+    # The pool of each frame in row order, the detections in frame order.
+    pool = np.flatnonzero(pooled)
+    pool = pool[np.argsort(g.frame[pool], kind="stable")]
+    order = np.argsort(d.frame, kind="stable")
+    frame, score = d.frame[order], d.score[order]
+    d_corners = d.corners()[order]
+    pool_frame = g.frame[pool]
+    frames = np.unique(frame)
+    matched = np.full(len(order), -1, dtype=np.int64)
+    bounds = zip(np.searchsorted(frame, frames, "left").tolist(),
+                 np.searchsorted(frame, frames, "right").tolist(),
+                 np.searchsorted(pool_frame, frames, "left").tolist(),
+                 np.searchsorted(pool_frame, frames, "right").tolist())
+    for d_lo, d_hi, g_lo, g_hi in bounds:
+        if g_lo == g_hi:
             continue
-        matching = match_frame_greedy(frame_dets, [e.box for e in pool], iou_thr)
-        for gi, di, _ in matching.pairs:
-            if in_subset[gi]:
-                tp_scores.append(frame_dets[di].score)
-            # matched to out-of-subset GT: neutral
-        for di in matching.unmatched_hyp:
-            d = frame_dets[di]
-            if ignore_coverage(d.box, gt.ignore_regions, frame) <= IGNORE_COVERAGE_THR:
-                fp_scores.append(d.score)
-    return _LabeledCounts(tuple(tp_scores), tuple(fp_scores), n_gt)
+        pairs = match_frame_greedy(d_corners[d_lo:d_hi], score[d_lo:d_hi],
+                                   g_corners[pool[g_lo:g_hi]], iou_thr).pairs
+        if pairs:
+            gi, di, _ = zip(*pairs)
+            matched[d_lo + np.array(di)] = pool[g_lo + np.array(gi)]
+    covered = np.zeros(len(order), dtype=bool)
+    left = np.flatnonzero(matched < 0)
+    covered[left] = ignore_coverages(
+        d_corners[left], (d.width * d.height)[order[left]], frame[left],
+        g.ignore) > IGNORE_COVERAGE_THR
+    return _Labels(g, score, matched, covered, pooled)
 
 
-def _curve_from_labels(labels: Sequence[_LabeledCounts]) -> PRCurve:
-    n_gt = sum(lab.n_gt for lab in labels)
+def _curve(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> PRCurve:
+    """PR curve of (TP scores, FP scores, GT count) pooled over sequences."""
+    n_gt = sum(n for _, _, n in counts)
     if n_gt == 0:
         raise ValidationError("empty evaluation target set")
-    scored = [(s, True) for lab in labels for s in lab.tp_scores]
-    scored += [(s, False) for lab in labels for s in lab.fp_scores]
-    if not scored:
+    tp_scores = [tp for tp, _, _ in counts]
+    fp_scores = [fp for _, fp, _ in counts]
+    scores = np.concatenate(tp_scores + fp_scores)
+    if not len(scores):
         return PRCurve((PRPoint(math.inf, 1.0, 0.0, 0, 0, n_gt),))
-    scored.sort(key=lambda t: -t[0])
-    points: list[PRPoint] = []
-    tp = fp = 0
-    for i, (score, is_tp) in enumerate(scored):
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        if i + 1 < len(scored) and scored[i + 1][0] == score:
-            continue  # same threshold; emit once per distinct score
-        precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-        points.append(PRPoint(score, precision, tp / n_gt, tp, fp, n_gt - tp))
+    is_tp = np.zeros(len(scores), dtype=np.int64)
+    is_tp[:sum(map(len, tp_scores))] = 1
+    # Stable: detections of equal score stay in sequence, frame and input
+    # order, TPs first, and the last of them gives the point's threshold
+    # (equal scores can differ as -0.0 and 0.0).
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    tp = np.cumsum(is_tp[order])
+    # One point per distinct score, at its last detection.
+    last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    points = [PRPoint(score, t / (i + 1), t / n_gt, t, i + 1 - t, n_gt - t)
+              for score, t, i in zip(scores[last].tolist(), tp[last].tolist(),
+                                     last.tolist())]
     points.sort(key=lambda p: (p.recall, -p.precision))
     return PRCurve(tuple(points))
 
 
-def pr_curve(dets: DetectionSet, gt: GroundTruth, iou_thr: float = DEFAULT_IOU_THR,
-             subset: SubsetPredicate | None = None) -> PRCurve:
-    return _curve_from_labels([_label_detections(dets, gt, iou_thr, subset)])
+def _subset_value(name: str) -> tuple[str, str]:
+    """(kind, value) of a subset name; see `detection_report`."""
+    if name == "overall":
+        return name, ""
+    if ":" not in name:
+        raise ValidationError(f"bad subset name {name!r}")
+    kind, value = name.split(":", 1)
+    if kind not in _SUBSET_VALUES:
+        raise ValidationError(f"unknown subset kind {kind!r}")
+    if value not in _SUBSET_VALUES[kind]:
+        raise ValidationError(f"unknown {kind} {value!r} in subset {name!r}, "
+                              f"expected one of {_SUBSET_VALUES[kind]}")
+    return kind, value
 
 
-def pr_curve_multi(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
+def _subset_rows(kind: str, value: str, g: GtColumns) -> np.ndarray | None:
+    """Mask of the GT rows in the subset, or None when the subset leaves
+    out the whole sequence."""
+    if kind == "scale":
+        return scale_bands(g.width, g.height) == value
+    if kind == "occlusion":
+        return occlusion_bands(g.occlusion) == value
+    if kind == "category":
+        return np.fromiter((c == value for c in g.category), bool, len(g))
+    if kind in ("weather", "difficulty") and getattr(g, kind) != value:
+        return None
+    return np.ones(len(g), dtype=bool)
+
+
+def _subset_curve(labels: Sequence[_Labels], name: str) -> PRCurve:
+    kind, value = _subset_value(name)
+    counts = []
+    for lab in labels:
+        rows = _subset_rows(kind, value, lab.gt)
+        if rows is not None:
+            counts.append(lab.counts(rows))
+    if not counts:
+        raise ValidationError(f"empty evaluation target set for subset {name!r}")
+    return _curve(counts)
+
+
+def pr_curve(dets: Dets, gt: Truth, iou_thr: float = DEFAULT_IOU_THR,
+             subset: str = "overall") -> PRCurve:
+    return _subset_curve([_label_detections(dets, gt, iou_thr)], subset)
+
+
+def pr_curve_multi(pairs: Sequence[tuple[Dets, Truth]],
                    iou_thr: float = DEFAULT_IOU_THR,
-                   subset: SubsetPredicate | None = None) -> PRCurve:
+                   subset: str = "overall") -> PRCurve:
     """PR curve with counts pooled over several sequences."""
-    return _curve_from_labels(
-        [_label_detections(d, g, iou_thr, subset) for d, g in pairs])
+    return _subset_curve(
+        [_label_detections(d, g, iou_thr) for d, g in pairs], subset)
 
 
 @dataclass(frozen=True)
@@ -166,14 +245,15 @@ class ThresholdCounts:
         return tp, fp, self.n_gt - tp
 
 
-def threshold_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
+def threshold_counts(pairs: Sequence[tuple[Dets, Truth]],
                      iou_thr: float = DEFAULT_IOU_THR) -> ThresholdCounts:
     """Label each sequence once; the result gives (tp, fp, fn) at any threshold."""
-    labels = [_label_detections(dets, gt, iou_thr, None) for dets, gt in pairs]
+    counts = [lab.counts(np.ones(len(lab.gt), dtype=bool)) for lab in
+              (_label_detections(d, g, iou_thr) for d, g in pairs)]
     return ThresholdCounts(
-        tp_scores=tuple(sorted(s for lab in labels for s in lab.tp_scores)),
-        fp_scores=tuple(sorted(s for lab in labels for s in lab.fp_scores)),
-        n_gt=sum(lab.n_gt for lab in labels))
+        tp_scores=tuple(sorted(np.concatenate([c[0] for c in counts]).tolist())),
+        fp_scores=tuple(sorted(np.concatenate([c[1] for c in counts]).tolist())),
+        n_gt=sum(c[2] for c in counts))
 
 
 def average_precision(curve: PRCurve) -> float:
@@ -195,52 +275,20 @@ def average_precision(curve: PRCurve) -> float:
     return ap
 
 
-# ---------------------------------------------------------------------------
-# Attribute subsets
-# ---------------------------------------------------------------------------
-
-def _entry_predicate(kind: str, value: str) -> SubsetPredicate:
-    if kind == "scale":
-        want = ScaleClass(value)
-        return lambda e: scale_class(e.box) is want
-    if kind == "occlusion":
-        want_occ = OcclusionClass(value)
-        return lambda e: occlusion_class(e.occlusion_ratio) is want_occ
-    if kind == "category":
-        return lambda e: e.category == value
-    raise ValidationError(f"unknown subset kind {kind!r}")
-
-
-def resolve_subset(name: str) -> tuple[Callable[[GroundTruth], bool], SubsetPredicate | None]:
-    """Map a subset name to (sequence filter, entry predicate).
+def detection_report(pairs: Sequence[tuple[Dets, Truth]],
+                     subsets: Sequence[str] = ("overall",),
+                     iou_thr: float = DEFAULT_IOU_THR) -> dict[str, dict]:
+    """AP + PR curve per named subset, pooled over sequences, from one
+    labeling pass per sequence.
 
     Names: "overall", "difficulty:<easy|medium|hard>", "weather:<...>",
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
     "category:<car|bus|van|others>".
     """
-    if name == "overall":
-        return (lambda gt: True), None
-    if ":" not in name:
-        raise ValidationError(f"bad subset name {name!r}")
-    kind, value = name.split(":", 1)
-    if kind == "difficulty":
-        return (lambda gt: gt.difficulty == value), None
-    if kind == "weather":
-        return (lambda gt: gt.weather == value), None
-    return (lambda gt: True), _entry_predicate(kind, value)
-
-
-def detection_report(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
-                     subsets: Sequence[str] = ("overall",),
-                     iou_thr: float = DEFAULT_IOU_THR) -> dict[str, dict]:
-    """AP + PR curve per named subset, pooled over sequences."""
+    labels = [_label_detections(d, g, iou_thr) for d, g in pairs]
     report: dict[str, dict] = {}
     for name in subsets:
-        seq_filter, entry_pred = resolve_subset(name)
-        selected = [(d, g) for d, g in pairs if seq_filter(g)]
-        if not selected:
-            raise ValidationError(f"empty evaluation target set for subset {name!r}")
-        curve = pr_curve_multi(selected, iou_thr, entry_pred)
+        curve = _subset_curve(labels, name)
         report[name] = {
             "ap": average_precision(curve),
             "points": [vars(p) for p in curve.points],

@@ -6,7 +6,10 @@ Boxes are half-open rectangles, so touching edges intersect with zero area.
 
 `iou` is the scalar reference; `iou_broadcast` is the one array kernel. It
 equals `iou` entry for entry, bit for bit, on row-aligned pairs and, as
-`iou_matrix`, on every pair of two box sets.
+`iou_matrix`, on every pair of two box sets. Likewise `scale_bands`,
+`occlusion_bands` and `ignore_coverages` are the column forms of
+`scale_class`, `occlusion_class` and `ignore_coverage`, with the same
+results row by row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import BBox, IgnoreRegion
+from .datamodel import BBox, IgnoreColumns, IgnoreRegion
+
+# Upper edges of the scale bands (sqrt of box area) and of the occlusion
+# bands; see the module docstring for which side of each edge is included.
+SCALE_SMALL_MAX = 50.0
+SCALE_MEDIUM_MAX = 150.0
+OCCLUSION_NONE_BELOW = 0.01
+OCCLUSION_PARTIAL_MAX = 0.5
 
 
 class ScaleClass(enum.Enum):
@@ -89,19 +99,36 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def scale_class(box: BBox) -> ScaleClass:
     scale = math.sqrt(box.area)
-    if scale <= 50.0:
+    if scale <= SCALE_SMALL_MAX:
         return ScaleClass.SMALL
-    if scale <= 150.0:
+    if scale <= SCALE_MEDIUM_MAX:
         return ScaleClass.MEDIUM
     return ScaleClass.LARGE
 
 
+def scale_bands(width: np.ndarray, height: np.ndarray) -> np.ndarray:
+    """`scale_class(box).value` of every box: sqrt(width * height) in
+    float64, as `scale_class` computes it from `BBox.area`."""
+    scale = np.sqrt(width * height)
+    return np.where(scale <= SCALE_SMALL_MAX, ScaleClass.SMALL.value,
+                    np.where(scale <= SCALE_MEDIUM_MAX, ScaleClass.MEDIUM.value,
+                             ScaleClass.LARGE.value))
+
+
 def occlusion_class(ratio: float) -> OcclusionClass:
-    if ratio < 0.01:
+    if ratio < OCCLUSION_NONE_BELOW:
         return OcclusionClass.NONE
-    if ratio <= 0.5:
+    if ratio <= OCCLUSION_PARTIAL_MAX:
         return OcclusionClass.PARTIAL
     return OcclusionClass.HEAVY
+
+
+def occlusion_bands(ratio: np.ndarray) -> np.ndarray:
+    """`occlusion_class(r).value` of every ratio."""
+    return np.where(ratio < OCCLUSION_NONE_BELOW, OcclusionClass.NONE.value,
+                    np.where(ratio <= OCCLUSION_PARTIAL_MAX,
+                             OcclusionClass.PARTIAL.value,
+                             OcclusionClass.HEAVY.value))
 
 
 def _union_area(rects: list[tuple[float, float, float, float]]) -> float:
@@ -152,3 +179,33 @@ def ignore_coverage(box: BBox, regions: Sequence[IgnoreRegion], frame: int) -> f
         (box.left, box.top, box.right, box.bottom), box.area,
         [(r.box.left, r.box.top, r.box.right, r.box.bottom)
          for r in regions if r.active_at(frame)])
+
+
+def ignore_coverages(corners: np.ndarray, areas: np.ndarray,
+                     frames: np.ndarray, ignore: IgnoreColumns) -> np.ndarray:
+    """Coverage of every box by the ignore regions active at its frame:
+    row i equals `ignore_coverage` of the box with `corners[i]` (left, top,
+    right, bottom) and area `areas[i]` (width * height) at `frames[i]`.
+
+    One array test, with `box_coverage`'s max/min and `>` comparisons,
+    finds the boxes that some active region clips. A box that no region
+    clips has coverage exactly 0.0; only the clipped boxes go through the
+    scalar `box_coverage`, given the regions that clip them, which are the
+    ones it would keep from all active regions.
+    """
+    out = np.zeros(len(frames))
+    if not len(ignore) or not len(frames):
+        return out
+    regions = ignore.corners()
+    box, reg = corners[:, None, :], regions[None, :, :]
+    unique_frames, at = np.unique(frames, return_inverse=True)
+    clips = (ignore.active(unique_frames.tolist())[at]
+             & (np.minimum(box[..., 2], reg[..., 2])
+                > np.maximum(box[..., 0], reg[..., 0]))
+             & (np.minimum(box[..., 3], reg[..., 3])
+                > np.maximum(box[..., 1], reg[..., 1])))
+    region_rows = regions.tolist()
+    for i in np.flatnonzero(clips.any(axis=1)).tolist():
+        out[i] = box_coverage(corners[i].tolist(), float(areas[i]),
+                              [region_rows[j] for j in np.flatnonzero(clips[i])])
+    return out

@@ -6,7 +6,8 @@ Three layers:
   rectangular cost matrix with a ``FORBIDDEN`` sentinel for disallowed pairs.
 * ``match_frame_greedy`` -- score-ordered detection-to-GT matching used for
   detection PR curves (a detection takes the unmatched GT of highest overlap
-  if that overlap clears the threshold).
+  if that overlap clears the threshold). It takes one frame as corner
+  arrays plus the detections' scores.
 * ``clear_correspond`` -- the temporal correspondence step of the CLEAR
   procedure: previous pairs persist while their overlap clears the threshold,
   then remaining boxes are matched to maximize total overlap. It takes one
@@ -30,8 +31,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .datamodel import BBox, Detection
-from .geometry import box_array, iou_broadcast, iou_matrix
+from .geometry import iou_broadcast, iou_matrix
 
 FORBIDDEN = math.inf
 
@@ -69,37 +69,40 @@ class FrameMatching:
         return {g: h for g, h, _ in self.pairs}
 
 
-def match_frame_greedy(dets: Sequence[Detection], gts: Sequence[BBox],
-                       iou_thr: float) -> FrameMatching:
+def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
+                       gt_boxes: np.ndarray, iou_thr: float) -> FrameMatching:
     """Greedy score-ordered matching for detection PR evaluation.
 
-    Detections are processed in descending score (ties by input order); each
-    takes the unmatched GT of maximum IoU (ties by smallest GT index) if that
-    IoU is > 0 and >= iou_thr.
+    One frame's detections and GT are given as (n, 4) `box_array` rows
+    (left, top, right, bottom), plus the detections' scores. Detections
+    are processed in descending score (ties by row order); each takes the
+    unmatched GT of maximum IoU (ties by smallest GT row) if that IoU is
+    > 0 and >= iou_thr. Pairs are (gt row, detection row, IoU) in
+    processing order.
     """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    free = set(range(len(gts)))
+    n_dets, n_gts = len(det_boxes), len(gt_boxes)
     pairs: list[tuple[int, int, float]] = []
-    matched_det: set[int] = set()
-    if dets and gts:
-        iou_mat = iou_matrix(box_array([d.box for d in dets]), box_array(gts))
+    if n_dets and n_gts:
+        order = np.argsort(-np.asarray(det_scores, dtype=np.float64),
+                           kind="stable")
+        iou_mat = iou_matrix(det_boxes, gt_boxes)
         # An entry that cannot match never becomes a row's match, so it is
         # masked once up front; taken columns are masked as they go.
         iou_mat[(iou_mat <= 0.0) | (iou_mat < iou_thr)] = -1.0
-        for di in order:
+        for di in order.tolist():
             row = iou_mat[di]
             gi = int(row.argmax())
             best_iou = float(row[gi])
             if best_iou < 0.0:
                 continue
             pairs.append((gi, di, best_iou))
-            free.discard(gi)
-            matched_det.add(di)
             iou_mat[:, gi] = -1.0
+    taken_gt = {gi for gi, _, _ in pairs}
+    taken_det = {di for _, di, _ in pairs}
     return FrameMatching(
         pairs=tuple(pairs),
-        unmatched_gt=tuple(sorted(free)),
-        unmatched_hyp=tuple(i for i in range(len(dets)) if i not in matched_det),
+        unmatched_gt=tuple(i for i in range(n_gts) if i not in taken_gt),
+        unmatched_hyp=tuple(i for i in range(n_dets) if i not in taken_det),
     )
 
 

@@ -59,9 +59,7 @@ class PRIntegratedReport:
     curve: tuple[OperatingPoint, ...]
 
     def scores(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in
-                ("pr_mota", "pr_motp", "pr_mt", "pr_ml",
-                 "pr_ids", "pr_fm", "pr_fp", "pr_fn")}
+        return {k: getattr(self, k) for k in SCORE_NAMES}
 
 
 def select_thresholds(dets: DetectionSet, n: int = DEFAULT_N_THRESHOLDS) -> list[float]:
@@ -182,6 +180,10 @@ _EXTRACTORS: dict[str, Callable[[MetricBundle], float]] = {
     "pr_fp": lambda m: float(m.fp),
     "pr_fn": lambda m: float(m.fn),
 }
+
+
+# The PR-integrated scores, in report and leaderboard column order.
+SCORE_NAMES = tuple(_EXTRACTORS)
 
 
 def pr_report(points: Sequence[OperatingPoint]) -> PRIntegratedReport:

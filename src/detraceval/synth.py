@@ -30,7 +30,7 @@ from scipy import stats as sps
 from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
                         GtTrack, OutTrack, TrackSet, ValidationError, CATEGORIES)
 from .det_metrics import DEFAULT_IOU_THR, IGNORE_COVERAGE_THR, PRCurve
-from .geometry import ignore_coverage, iou
+from .geometry import ignore_coverage, iou, occlusion_class, scale_class
 from .mot_metrics import (ML_COVERAGE, MT_COVERAGE, FrameCounts, MetricBundle,
                           SequenceStats)
 
@@ -335,7 +335,8 @@ def oracle_clear(gt: GroundTruth, tracks: TrackSet,
 
 def oracle_sweep_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
                         threshold: float,
-                        iou_thr: float = DEFAULT_IOU_THR) -> tuple[int, int, int]:
+                        iou_thr: float = DEFAULT_IOU_THR,
+                        subset: str = "overall") -> tuple[int, int, int]:
     """(tp, fp, fn) pooled over sequences at one score threshold, the slow
     way: drop the detections below the threshold, then match what is left
     from scratch, frame by frame, with the scalar IoU.
@@ -344,26 +345,42 @@ def oracle_sweep_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
     leaves the pool; detections go in descending score, ties in input order,
     each taking the free GT of highest IoU (ties to the lowest index) if that
     IoU is > 0 and >= iou_thr; an unmatched detection covered > 0.5 is
-    neutral.
+    neutral. With a `subset` (a `det_metrics.detection_report` name),
+    sequences of another weather or difficulty are skipped, a match to
+    pooled GT outside the subset is neutral, and only pooled GT inside it
+    counts.
     """
+    kind, _, value = subset.partition(":")
+
+    def in_subset(e: GtEntry) -> bool:
+        if kind == "scale":
+            return scale_class(e.box).value == value
+        if kind == "occlusion":
+            return occlusion_class(e.occlusion_ratio).value == value
+        if kind == "category":
+            return e.category == value
+        return True
+
     tp = fp = n_gt = 0
     for dets, gt in pairs:
+        if kind in ("weather", "difficulty") and getattr(gt, kind) != value:
+            continue
         kept = [d for d in dets if d.score >= threshold]
         frames = {d.frame for d in kept} | {
             e.frame for tr in gt.tracks for e in tr.entries}
         for frame in sorted(frames):
-            pool = [e.box for tr in gt.tracks for e in tr.entries
+            pool = [e for tr in gt.tracks for e in tr.entries
                     if e.frame == frame and ignore_coverage(
                         e.box, gt.ignore_regions, frame) <= IGNORE_COVERAGE_THR]
-            n_gt += len(pool)
+            n_gt += sum(map(in_subset, pool))
             free = list(range(len(pool)))
             frame_dets = [d for d in kept if d.frame == frame]
             for d in sorted(frame_dets, key=lambda d: -d.score):
-                overlaps = [(iou(d.box, pool[g]), -g) for g in free]
+                overlaps = [(iou(d.box, pool[g].box), -g) for g in free]
                 best, neg_g = max(overlaps, default=(0.0, 0))
                 if best > 0.0 and best >= iou_thr:
                     free.remove(-neg_g)
-                    tp += 1
+                    tp += in_subset(pool[-neg_g])
                 elif ignore_coverage(d.box, gt.ignore_regions,
                                      frame) <= IGNORE_COVERAGE_THR:
                     fp += 1

@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detraceval.cli import main
+from detraceval.pr_integration import SCORE_NAMES
 from detraceval.datamodel import write_tracks
 from detraceval.fixtures import load_fixture
 from detraceval.trackers import greedy_iou_track
@@ -276,3 +282,132 @@ def test_eval_mot_builds_no_box_objects(tmp_path, monkeypatch):
     for name in ("mot_aggregate.json", "mot_s.json"):
         assert ((tmp_path / "patched" / name).read_bytes()
                 == (tmp_path / "unpatched" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command,row", [
+    ("eval-det", "1,-1,0,0,5,5\n"),
+    ("eval-system", "1,-1,oops,0,5,5,0.9,-1,-1,-1\n"),
+    ("eval-mot", "1,1,oops,0,5,5\n"),
+])
+def test_csv_error_names_its_file(tmp_path, capsys, command, row):
+    gt_dir, _ = _emit_fixture(tmp_path, "perfect")
+    csv_dir = tmp_path / "bad-csv"
+    csv_dir.mkdir()
+    (csv_dir / "perfect.csv").write_text(row)
+    other = {"eval-det": ["--det", str(csv_dir)],
+             "eval-mot": ["--tracks", str(csv_dir)],
+             "eval-system": ["--det", str(csv_dir), "--tracker", "builtin"]}
+    assert main([command, "--gt", str(gt_dir), *other[command],
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys)
+    assert f"{csv_dir / 'perfect.csv'}: line 1: " in err
+
+
+_DROP = object()
+
+
+def _system_doc(**changes) -> dict:
+    """A valid system report with `changes` applied; _DROP removes a key."""
+    doc = {"detector": "d", "tracker": "t", "iou_thr": 0.7, "arc_length": 1.0,
+           "scores": {name: 1.0 for name in SCORE_NAMES}, "points": []}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not _DROP}
+
+BAD_SYSTEM_DOCS = {
+    "scores-not-object": _system_doc(scores=1),
+    "score-string": _system_doc(
+        scores={**{name: 1.0 for name in SCORE_NAMES}, "pr_mota": "x"}),
+    "score-null": _system_doc(
+        scores={**{name: 1.0 for name in SCORE_NAMES}, "pr_fn": None}),
+    "score-bool": _system_doc(
+        scores={**{name: 1.0 for name in SCORE_NAMES}, "pr_ids": True}),
+    "score-missing": _system_doc(
+        scores={name: 1.0 for name in SCORE_NAMES[1:]}),
+    "no-tracker": _system_doc(tracker=_DROP),
+    "tracker-number": _system_doc(tracker=3),
+    "detector-list": _system_doc(detector=["a"]),
+}
+
+
+@pytest.mark.parametrize("shape", list(BAD_SYSTEM_DOCS))
+def test_report_wrong_shape_system_report_is_one_line_error(tmp_path, capsys,
+                                                            shape):
+    results = tmp_path / "results"
+    (results / "good").mkdir(parents=True)
+    (results / "good" / "system_report.json").write_text(
+        json.dumps(_system_doc()))
+    (results / "bad.json").write_text(json.dumps(BAD_SYSTEM_DOCS[shape]))
+    assert main(["report", "--results", str(results),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert f"{results / 'bad.json'}: " in _one_line_error(capsys)
+
+
+def test_report_huge_and_non_finite_scores_are_one_line_errors(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    names = ",".join(f'"{name}": 1' for name in SCORE_NAMES[1:])
+    for value in ("1" + "0" * 400, "NaN", "-Infinity", "1" * 5000):
+        (results / "r.json").write_text(
+            f'{{"detector": "d", "tracker": "t", "scores": '
+            f'{{"pr_mota": {value}, {names}}}}}')
+        assert main(["report", "--results", str(results),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "r.json" in _one_line_error(capsys)
+
+
+_SCORE_VALUES = (st.floats() | st.integers() | st.booleans() | st.none()
+                 | st.text(max_size=3) | st.just(10 ** 400))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _result_files(draw):
+    """Bytes of a file found by report's scan: arbitrary bytes, or a JSON
+    document that is, or almost is, a system report."""
+    kind = draw(st.sampled_from(("bytes", "json", "report", "report")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(_JSON_VALUES)).encode()
+    doc = {"scores": draw(st.dictionaries(
+               st.sampled_from(SCORE_NAMES + ("other",)), _SCORE_VALUES)
+               | st.fixed_dictionaries({name: st.floats(-1e3, 1e3)
+                                        for name in SCORE_NAMES})
+               | _JSON_VALUES)}
+    for key in ("detector", "tracker"):
+        value = draw(st.text(max_size=4) | _JSON_VALUES | st.just(_DROP))
+        if value is not _DROP:
+            doc[key] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def scan_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan")
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=st.lists(_result_files(), min_size=1, max_size=4))
+def test_report_scan_fuzz_never_raises(scan_root, files):
+    """Whatever the files under --results hold, report writes the tables
+    or ends in one `detraceval: error:` line; it never raises."""
+    results, out = scan_root / "results", scan_root / "out"
+    shutil.rmtree(results, ignore_errors=True)
+    for i, data in enumerate(files):
+        (results / f"run{i}").mkdir(parents=True)
+        (results / f"run{i}" / "system_report.json").write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["report", "--results", str(results), "--out", str(out)])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads((out / "leaderboard.json").read_text())["systems"]
+    else:
+        assert code == 1
+        text = err.getvalue()
+        assert text.startswith("detraceval: error: ") and text.count("\n") == 1

@@ -1,15 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from detraceval.datamodel import (BBox, Detection, DetectionSet, GroundTruth,
+from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
+                                  Detection, DetectionSet, GroundTruth,
                                   GtEntry, GtTrack, IgnoreRegion,
                                   ValidationError)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
-                                    detection_report, pr_curve)
+                                    detection_report, pr_curve,
+                                    pr_curve_multi)
+from detraceval.geometry import box_array
 from detraceval.matching import match_frame_greedy
-from detraceval.synth import oracle_ap
+from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_ap,
+                              oracle_sweep_counts)
 
 
 def _gt_two_boxes():
@@ -36,6 +41,12 @@ def test_no_detections_empty_set_convention():
     assert p.precision == 1.0 and p.recall == 0.0
 
 
+def _greedy(dets, gts, iou_thr):
+    """match_frame_greedy on Detection and BBox lists."""
+    return match_frame_greedy(box_array([d.box for d in dets]),
+                              [d.score for d in dets], box_array(gts), iou_thr)
+
+
 def _brute_force_pr(dets, gt, iou_thr, threshold):
     """Recompute one operating point from scratch at a single threshold."""
     kept = [d for d in dets if d.score >= threshold]
@@ -46,7 +57,7 @@ def _brute_force_pr(dets, gt, iou_thr, threshold):
         gts = [e.box for tr in gt.tracks for e in tr.entries if e.frame == frame]
         n_gt += len(gts)
         frame_dets = [d for d in kept if d.frame == frame]
-        m = match_frame_greedy(frame_dets, gts, iou_thr)
+        m = _greedy(frame_dets, gts, iou_thr)
         tp += len(m.pairs)
         fp += len(m.unmatched_hyp)
     precision = tp / (tp + fp) if tp + fp else 1.0
@@ -196,3 +207,105 @@ def test_ap_agrees_with_grid_oracle_random():
                     for r, p in zip(recalls, precisions))
         curve = PRCurve(tuple(sorted(pts, key=lambda q: (q.recall, -q.precision))))
         assert abs(average_precision(curve) - oracle_ap(curve)) < 1e-3
+
+
+ALL_SUBSETS = ("overall", "scale:small", "scale:medium", "scale:large",
+               "occlusion:none", "occlusion:partial", "occlusion:heavy",
+               *(f"category:{c}" for c in CATEGORIES),
+               *(f"weather:{w}" for w in WEATHERS),
+               *(f"difficulty:{d}" for d in DIFFICULTIES))
+
+
+def _random_subset_case(seed):
+    """One to three small cluttered sequences, each with a static and a
+    frame-ranged ignore region, 1-decimal (tied) scores, a random weather
+    and difficulty, boxes from small to large and entry occlusions on and
+    around the band edges; plus an IoU threshold."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(int(rng.integers(1, 4))):
+        n_frames = int(rng.integers(1, 7))
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=int(rng.integers(1, 6)), n_frames=n_frames,
+            box_size=(20.0, 200.0), drop_rate=0.2,
+            clutter_rate=float(rng.uniform(0.0, 3.0)),
+            jitter_sigma=float(rng.uniform(0.0, 4.0)), seed=seed * 10 + i))
+        occlusions = (0.0, 0.005, 0.01, 0.3, 0.5, 0.7, 1.0)
+        tracks = tuple(GtTrack(tr.target_id, tuple(
+            dataclasses.replace(e, occlusion_ratio=float(rng.choice(occlusions)))
+            for e in tr.entries)) for tr in gt.tracks)
+        first = int(rng.integers(1, n_frames + 1))
+        regions = (
+            IgnoreRegion(BBox(float(rng.uniform(0, 700)),
+                              float(rng.uniform(0, 400)), 250.0, 150.0)),
+            IgnoreRegion(BBox(float(rng.uniform(0, 700)),
+                              float(rng.uniform(0, 400)), 200.0, 200.0),
+                         first, int(rng.integers(first, n_frames + 1))))
+        gt = dataclasses.replace(
+            gt, tracks=tracks, ignore_regions=regions,
+            weather=str(rng.choice(WEATHERS)),
+            difficulty=str(rng.choice(DIFFICULTIES)))
+        dets = DetectionSet(tuple(
+            dataclasses.replace(d, score=round(d.score, 1)) for d in dets))
+        pairs.append((dets, gt))
+    return pairs, float(rng.choice([0.3, 0.5, 0.7]))
+
+
+def _counts_at(curve, threshold):
+    """(tp, fp, fn) of the detections with score >= threshold, read off a
+    PR curve: the point of the lowest score at or above it."""
+    above = [p for p in curve.points if p.threshold >= threshold]
+    if not above:
+        p = curve.points[0]
+        return 0, 0, p.tp + p.fn
+    p = min(above, key=lambda p: p.threshold)
+    return p.tp, p.fp, p.fn
+
+
+def test_subset_counts_equal_filter_then_relabel_oracle():
+    """Every subset kind read off the one labeling pass equals the scalar
+    oracle that thresholds first and relabels per subset."""
+    n_points, kinds = 0, set()
+    for seed in range(300):
+        pairs, iou_thr = _random_subset_case(seed)
+        rng = np.random.default_rng(seed)
+        scores = sorted({d.score for dets, _ in pairs for d in dets})
+        taus = scores + [(a + b) / 2 for a, b in zip(scores, scores[1:])]
+        taus += [float(t) for t in rng.uniform(-0.2, 1.2, 3)]
+        for name in rng.choice(ALL_SUBSETS, 3, replace=False).tolist():
+            want = [oracle_sweep_counts(pairs, tau, iou_thr, name) for tau in taus]
+            if all(tp + fn == 0 for tp, _, fn in want):
+                # no pooled GT in the subset, or no sequence of its kind
+                with pytest.raises(ValidationError, match="empty evaluation"):
+                    pr_curve_multi(pairs, iou_thr, name)
+                continue
+            curve = pr_curve_multi(pairs, iou_thr, name)
+            assert [_counts_at(curve, tau) for tau in taus] == want, (seed, name)
+            n_points += len(taus)
+            kinds.add(name)
+    assert n_points > 3000 and kinds == set(ALL_SUBSETS)
+
+
+def test_unknown_subset_name_is_validation_error():
+    gt = _gt_two_boxes()
+    dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),))
+    for name in ("scale:huge", "occlusion:some", "weather:foggy",
+                 "colour:red", "overall:car", "car"):
+        with pytest.raises(ValidationError):
+            detection_report([(dets, gt)], [name])
+
+
+def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
+    """-0.0 and 0.0 tie; the point's threshold is the score of the last of
+    them in (frame, input) order, TPs before FPs, down to its sign."""
+    gt = _gt_two_boxes()
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        dets = DetectionSet((
+            Detection(1, BBox(300, 300, 20, 20), first),    # FP
+            Detection(1, BBox(0, 0, 20, 20), 0.5),          # TP
+            Detection(2, BBox(400, 400, 20, 20), second),   # FP, later frame
+        ))
+        gt2 = GroundTruth("s", 2, gt.tracks)
+        (zero,) = [p for p in pr_curve(dets, gt2).points if p.threshold == 0.0]
+        assert math.copysign(1.0, zero.threshold) == math.copysign(1.0, second)
+        assert (zero.tp, zero.fp) == (1, 2)

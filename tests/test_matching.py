@@ -72,9 +72,15 @@ def _det(x, y, score, size=10.0):
     return Detection(1, BBox(x, y, size, size), score)
 
 
+def _greedy(dets, gts, iou_thr):
+    """match_frame_greedy on Detection and BBox lists."""
+    return match_frame_greedy(box_array([d.box for d in dets]),
+                              [d.score for d in dets], box_array(gts), iou_thr)
+
+
 def test_greedy_exact_hit():
     gts = [BBox(0, 0, 10, 10)]
-    m = match_frame_greedy([_det(0, 0, 0.9)], gts, 0.7)
+    m = _greedy([_det(0, 0, 0.9)], gts, 0.7)
     assert len(m.pairs) == 1
     assert m.unmatched_gt == () and m.unmatched_hyp == ()
 
@@ -82,7 +88,7 @@ def test_greedy_exact_hit():
 def test_greedy_higher_score_wins():
     gts = [BBox(0, 0, 10, 10)]
     dets = [_det(1, 0, 0.8), _det(0, 0, 0.9)]
-    m = match_frame_greedy(dets, gts, 0.7)
+    m = _greedy(dets, gts, 0.7)
     assert len(m.pairs) == 1
     gi, di, _ = m.pairs[0]
     assert di == 1  # the 0.9-score detection
@@ -96,7 +102,7 @@ def test_greedy_never_pairs_below_threshold():
                for _ in range(rng.integers(1, 5))]
         dets = [_det(rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform())
                 for _ in range(rng.integers(1, 5))]
-        m = match_frame_greedy(dets, gts, 0.5)
+        m = _greedy(dets, gts, 0.5)
         assert all(v >= 0.5 for _, _, v in m.pairs)
 
 
@@ -107,7 +113,7 @@ def test_greedy_cardinality_bounded_by_optimal():
                for _ in range(4)]
         dets = [_det(rng.uniform(0, 40), rng.uniform(0, 40), rng.uniform(), 12)
                 for _ in range(4)]
-        m = match_frame_greedy(dets, gts, 0.3)
+        m = _greedy(dets, gts, 0.3)
         from detraceval.geometry import iou
         cost = [[0.0 if iou(d.box, g) >= 0.3 else FORBIDDEN
                  for g in gts] for d in dets]
@@ -120,7 +126,7 @@ def test_greedy_iou_tie_goes_to_smallest_gt_index():
     gts = [BBox(20, 0, 10, 10), BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)]
     det = _det(5, 0, 0.9)
     assert iou(det.box, gts[1]) == iou(det.box, gts[2]) > 0.0
-    m = match_frame_greedy([det], gts, 0.3)
+    m = _greedy([det], gts, 0.3)
     assert [gi for gi, _, _ in m.pairs] == [1]
     assert m.unmatched_gt == (0, 2)
 
@@ -128,14 +134,14 @@ def test_greedy_iou_tie_goes_to_smallest_gt_index():
 def test_greedy_zero_overlap_never_matches_at_zero_threshold():
     gts = [BBox(0, 0, 10, 10)]
     dets = [_det(10, 0, 0.9), _det(50, 50, 0.8)]  # touching, disjoint
-    m = match_frame_greedy(dets, gts, 0.0)
+    m = _greedy(dets, gts, 0.0)
     assert m.pairs == ()
     assert m.unmatched_gt == (0,) and m.unmatched_hyp == (0, 1)
 
 
 def test_greedy_matches_at_exactly_iou_thr():
     gts = [BBox(0, 0, 10, 20)]
-    m = match_frame_greedy([_det(0, 0, 0.9)], gts, 0.5)  # IoU 100 / 200
+    m = _greedy([_det(0, 0, 0.9)], gts, 0.5)  # IoU 100 / 200
     assert m.pairs == ((0, 0, 0.5),)
 
 
@@ -167,7 +173,7 @@ def test_greedy_matches_scalar_reference_with_ties():
                                   10, 10), float(rng.integers(1, 4)) / 10)
                 for _ in range(rng.integers(0, 6))]
         iou_thr = float(rng.choice([0.0, 0.3, 0.5]))
-        m = match_frame_greedy(dets, gts, iou_thr)
+        m = _greedy(dets, gts, iou_thr)
         assert list(m.pairs) == _scalar_match_frame_greedy(dets, gts, iou_thr)
 
 

@@ -9,6 +9,7 @@ from detraceval.datamodel import (BBox, Detection, DetectionSet, IgnoreRegion,
                                   OutTrack, TrackSet, ValidationError)
 from detraceval.det_metrics import threshold_counts
 from detraceval.fixtures import load_fixture
+from detraceval.geometry import box_array
 from detraceval.matching import match_frame_greedy
 from detraceval.mot_metrics import MetricBundle
 from detraceval.pr_integration import (OperatingPoint, arc_length, integrate,
@@ -125,6 +126,12 @@ def test_integral_bounded_by_extremes():
         assert val <= 100.0  # MOTA-like integrand bound
 
 
+def _greedy(dets, gts, iou_thr):
+    """match_frame_greedy on Detection and BBox lists."""
+    return match_frame_greedy(box_array([d.box for d in dets]),
+                              [d.score for d in dets], box_array(gts), iou_thr)
+
+
 class OracleTracker:
     """Reports exactly the GT boxes that were detected (matched) at the
     given detections; MOTA then only loses the detector's misses."""
@@ -139,7 +146,7 @@ class OracleTracker:
         for frame in sorted(by_frame):
             entries = self.gt.entries_at(frame)
             gids = sorted(entries)
-            m = match_frame_greedy(by_frame[frame],
+            m = _greedy(by_frame[frame],
                                    [entries[g].box for g in gids],
                                    self.iou_thr)
             for gi, _, _ in m.pairs:
