@@ -5,15 +5,19 @@ label-once sweep replaced the scalar loops; the `eval-mot`, `eval-det` and
 `report` digests before the columnar parser and CLEAR loop replaced the
 per-box objects; the subset digests (every subset kind, on tagged
 sequences with ignore regions) before one labeling pass per sequence
-replaced the per-subset relabel.  Any later change that moves a report
-byte (an operation order in the kernel, a tie rule in a matcher, a parse
-of a number, a rounding in the writer) fails here instead of drifting
+replaced the per-subset relabel; the multi-sequence `eval-system` digests
+(tagged sequences with ignore regions, a builtin and a `cmd:` tracker,
+uniform and quantile thresholds) before the sweep moved from per-box
+objects to columns.  Any later change that moves a report byte (an
+operation order in the kernel, a tie rule in a matcher, a parse of a
+number, a rounding in the writer) fails here instead of drifting
 silently.  A change that means to move report bytes must say why and
 re-record the digests.
 """
 
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 
@@ -413,3 +417,77 @@ def test_subset_report_bytes_match_golden(tmp_path, iou_thr):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_leaderboard_bytes_match_golden(tmp_path):
     assert _leaderboard_digests(tmp_path) == GOLDEN_LEADERBOARD
+
+
+# (tracker, --quantile-thresholds) -> (sha256 of system_report.json, of
+# pr_curve.csv) for eval-system on the tagged sequences
+GOLDEN_SYSTEM_MULTI = {
+    ("builtin:max_gap=2", False): (
+        "a2ba039ccae0801a8a4483f8b8a8114d59dee28d9b43317e23acf51048fefb44",
+        "dcbc83e667f625c65f26ff438877d55299b6f2c1ea6474ae6c7dd95939f13ffd"),
+    ("builtin:max_gap=2", True): (
+        "e4a4cf3b2a3ca64bcc255fc07850e1ce9e8863f68863f98d474d779cb961ee2d",
+        "26656b7e601955136cbabb407541bdf036a2d6481fb74405cdc415e6d9185bba"),
+    ("cmd", False): (
+        "e7010daa1b66dccf284fe7f96f359d66e35bd5f340813330179a2c20144128c3",
+        "a6f420b3b95e0fdf7dc6794550088ebce6bb8c48582dad7c36a0160e29060ec3"),
+    ("cmd", True): (
+        "3ee6c5149cd248a172e35d08fa9fbb1219b15c50b40d99f06bb36cdd3382bbb0",
+        "b24387d0782aace99428661eaa42ab79eb3243217ed0db2fa0057b4b0929d5e0"),
+}
+
+# A small linker for `cmd:`: each detection, in file order, extends the
+# nearest-centred track seen within the last two frames (Manhattan distance
+# below 20 px, each track once per frame) or starts a new one. Boxes are
+# written back as the input's own tokens.
+_LINKER = """\
+import sys
+rows = [line.strip().split(",") for line in open(sys.argv[1]) if line.strip()]
+last, out, next_id = {}, [], 1
+for frame in sorted({int(r[0]) for r in rows}):
+    used = set()
+    for r in rows:
+        if int(r[0]) != frame:
+            continue
+        left, top, width, height = map(float, r[2:6])
+        cx, cy = left + width / 2, top + height / 2
+        best = None
+        for tid, (f, bx, by) in last.items():
+            d = abs(bx - cx) + abs(by - cy)
+            if tid not in used and frame - f <= 2 and d < 20 and (
+                    best is None or d < best[0]):
+                best = (d, tid)
+        if best is None:
+            tid, next_id = next_id, next_id + 1
+        else:
+            tid = best[1]
+        used.add(tid)
+        last[tid] = (frame, cx, cy)
+        out.append(",".join([r[0], str(tid)] + r[2:6]) + "\\n")
+open(sys.argv[2], "w").writelines(out)
+"""
+
+
+def _system_multi_digests(tmp_path, tracker: str,
+                          quantile: bool) -> tuple[str, str]:
+    data, out = tmp_path / "data", tmp_path / "out"
+    _gen_subsets(data)
+    if tracker == "cmd":
+        script = tmp_path / "linker.py"
+        script.write_text(_LINKER)
+        spec = f"cmd:{sys.executable} {script} {{input}} {{output}}"
+    else:
+        spec = tracker
+    argv = ["eval-system", "--gt", str(data / "gt"), "--det", str(data / "det"),
+            "--tracker", spec, "--tracker-name", tracker, "--jobs", "1",
+            "--out", str(out)]
+    assert main(argv + ["--quantile-thresholds"] * quantile) == 0
+    return tuple(_sha(out / name)
+                 for name in ("system_report.json", "pr_curve.csv"))
+
+
+@pytest.mark.parametrize("tracker,quantile", list(GOLDEN_SYSTEM_MULTI))
+def test_system_report_multi_sequence_bytes_match_golden(tmp_path, tracker,
+                                                         quantile):
+    assert (_system_multi_digests(tmp_path, tracker, quantile)
+            == GOLDEN_SYSTEM_MULTI[(tracker, quantile)])
