@@ -17,11 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import det_metrics, mot_metrics, pr_integration
-from .datamodel import (DetectionSet, ValidationError, parse_detections,
-                        parse_ground_truth, read_detections,
-                        read_ground_truth, read_tracks, write_detections,
-                        write_ground_truth)
+from .datamodel import (ValidationError, read_detections, read_ground_truth,
+                        read_tracks, write_detections, write_ground_truth)
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .synth import ScenarioConfig, gen_scenario
 from .trackers import TrackerError, make_tracker
@@ -215,19 +215,13 @@ def cmd_eval_mot(args) -> int:
 
 def cmd_eval_system(args) -> int:
     tracker = make_tracker(args.tracker)
-    pairs = []
-    all_dets = []
-    for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv"):
-        gt = _read(gt_path, parse_ground_truth)
-        dets = _read(det_path, parse_detections)
-        pairs.append((gt, dets))
-        all_dets.extend(dets)
-    pooled = DetectionSet(tuple(all_dets))
-    if args.quantile_thresholds:
-        thresholds = pr_integration.select_thresholds_quantile(
-            pooled, args.thresholds)
-    else:
-        thresholds = pr_integration.select_thresholds(pooled, args.thresholds)
+    # Columns straight from the files: no per-box object is built.
+    pairs = [(_read(gt_path, read_ground_truth), _read(det_path, read_detections))
+             for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
+    select = (pr_integration.select_thresholds_quantile
+              if args.quantile_thresholds else pr_integration.select_thresholds)
+    thresholds = select(np.concatenate([dets.score for _, dets in pairs]),
+                        args.thresholds)
     points = pr_integration.sweep(pairs, tracker, thresholds,
                                   iou_thr=args.iou_thr,
                                   keep_going=args.keep_going, jobs=args.jobs)

@@ -49,11 +49,14 @@ the error of the first offending line or entry with the constructors'
 message. Frames, ids and ``frame_count`` must fit in int64.
 
 `parse_tracks`, `parse_detections` and `parse_ground_truth` build the
-dataclasses from the columns; `eval-system`, the trackers and the oracles
-work on those objects. `eval-mot` and `eval-det` score the columns directly
-and build no per-box object; `GroundTruth.columns`, `TrackSet.columns` and
-`DetectionSet.columns` derive the same columns from objects for library
-callers of `mot_metrics.evaluate_clear` and `det_metrics`.
+dataclasses from the columns. The dataclasses are the public construction
+types, and the oracles in `synth` work on them. Every CLI subcommand, the
+threshold sweep and the trackers work on columns and build no per-box
+object: a threshold is the mask ``score >= threshold`` applied with
+`DetectionColumns.take`, a tracker takes `DetectionColumns` and returns
+`TrackColumns`, and `write_detections` / `write_tracks` write columns.
+`GroundTruth.columns`, `TrackSet.columns` and `DetectionSet.columns` derive
+the same columns from objects, so library callers may pass either.
 """
 
 from __future__ import annotations
@@ -291,21 +294,6 @@ class DetectionSet:
     def __iter__(self):
         return iter(self.detections)
 
-    def by_frame(self) -> dict[int, list[Detection]]:
-        out: dict[int, list[Detection]] = {}
-        for d in self.detections:
-            out.setdefault(d.frame, []).append(d)
-        return out
-
-    def filter_score(self, threshold: float) -> "DetectionSet":
-        """Keep detections with score >= threshold (input order preserved)."""
-        return DetectionSet(tuple(d for d in self.detections if d.score >= threshold))
-
-    def score_range(self) -> tuple[float, float]:
-        _check(len(self.detections) > 0, "empty DetectionSet has no score range")
-        scores = [d.score for d in self.detections]
-        return min(scores), max(scores)
-
     @cached_property
     def columns(self) -> DetectionColumns:
         """The same data as `read_detections` columns, computed once."""
@@ -476,6 +464,12 @@ class DetectionColumns(BoxColumns):
     frame: np.ndarray
     score: np.ndarray
 
+    def take(self, rows: np.ndarray) -> DetectionColumns:
+        """The rows a boolean mask or an index array selects, in its order."""
+        return DetectionColumns(
+            self.left[rows], self.top[rows], self.width[rows],
+            self.height[rows], frame=self.frame[rows], score=self.score[rows])
+
     def detection_set(self) -> DetectionSet:
         return DetectionSet(tuple(map(Detection, self.frame.tolist(),
                                       self.boxes(), self.score.tolist())))
@@ -518,6 +512,14 @@ def _fmt(value: float) -> str:
     if float(value) == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
+
+
+def _csv_lines(template: str, *columns: np.ndarray) -> Iterator[str]:
+    """template % row for every row of the columns: integers as they are,
+    floats through _fmt."""
+    fields = [col.tolist() if col.dtype.kind == "i" else
+              list(map(_fmt, col.tolist())) for col in columns]
+    return (template % row for row in zip(*fields))
 
 
 class _BadColumns(Exception):
@@ -625,11 +627,10 @@ def parse_detections(stream: Iterable[str]) -> DetectionSet:
     return read_detections(stream).detection_set()
 
 
-def write_detections(dets: DetectionSet, stream: TextIO) -> None:
-    for d in dets:
-        b = d.box
-        stream.write(f"{d.frame},-1,{_fmt(b.left)},{_fmt(b.top)},"
-                     f"{_fmt(b.width)},{_fmt(b.height)},{_fmt(d.score)},-1,-1,-1\n")
+def write_detections(dets: DetectionSet | DetectionColumns, stream: TextIO) -> None:
+    d = dets.columns if isinstance(dets, DetectionSet) else dets
+    stream.writelines(_csv_lines("%s,-1,%s,%s,%s,%s,%s,-1,-1,-1\n", d.frame,
+                                 d.left, d.top, d.width, d.height, d.score))
 
 
 def read_tracks(stream: Iterable[str]) -> TrackColumns:
@@ -678,11 +679,13 @@ def parse_tracks(stream: Iterable[str]) -> TrackSet:
     return read_tracks(stream).track_set()
 
 
-def write_tracks(tracks: TrackSet, stream: TextIO) -> None:
-    for tr in sorted(tracks.tracks, key=lambda t: t.track_id):
-        for frame, b in tr.boxes:
-            stream.write(f"{frame},{tr.track_id},{_fmt(b.left)},{_fmt(b.top)},"
-                         f"{_fmt(b.width)},{_fmt(b.height)}\n")
+def write_tracks(tracks: TrackSet | TrackColumns, stream: TextIO) -> None:
+    """Rows by ascending track id, each track's rows in their order."""
+    t = tracks.columns if isinstance(tracks, TrackSet) else tracks
+    order = np.argsort(t.track_id, kind="stable")
+    stream.writelines(_csv_lines("%s,%s,%s,%s,%s,%s\n", *(
+        col[order] for col in (t.frame, t.track_id, t.left, t.top, t.width,
+                               t.height))))
 
 
 # ---------------------------------------------------------------------------

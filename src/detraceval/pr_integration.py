@@ -13,7 +13,9 @@ points are integrated.
 
 Precision and recall at every threshold come from one detection labeling
 pass per sequence (`det_metrics.threshold_counts`); only the tracker and
-CLEAR run once per threshold.
+CLEAR run once per threshold. The sweep stays in columns: thinning at a
+threshold is the mask ``score >= threshold`` over `DetectionColumns`, and
+CLEAR scores the `TrackColumns` the tracker returns as they are.
 """
 
 from __future__ import annotations
@@ -24,11 +26,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .datamodel import DetectionSet, GroundTruth, TrackSet, ValidationError
+import numpy as np
+
+from .datamodel import (DetectionColumns, DetectionSet, GroundTruth,
+                        GtColumns, TrackColumns, ValidationError)
 from .det_metrics import DEFAULT_IOU_THR, ThresholdCounts, threshold_counts
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 
-TrackerAdapter = Callable[[DetectionSet, str], TrackSet]
+# Columns in, columns out: a tracker gets one sequence's detections with
+# score >= the threshold, in input order, and the sequence id, and returns
+# its tracks. A `cmd:` tracker sees the same data as CSV files (`trackers`).
+TrackerAdapter = Callable[[DetectionColumns, str], TrackColumns]
+Pair = tuple[GroundTruth | GtColumns, DetectionSet | DetectionColumns]
 
 DEFAULT_N_THRESHOLDS = 10
 
@@ -62,13 +71,21 @@ class PRIntegratedReport:
         return {k: getattr(self, k) for k in SCORE_NAMES}
 
 
-def select_thresholds(dets: DetectionSet, n: int = DEFAULT_N_THRESHOLDS) -> list[float]:
-    """n score values uniformly spaced over [min score, max score]."""
-    if len(dets) == 0:
+def _score_list(scores: Sequence[float] | np.ndarray, n: int) -> list[float]:
+    """The scores as Python floats, after the checks both spacings share."""
+    if len(scores) == 0:
         raise ValidationError("cannot select thresholds from an empty DetectionSet")
     if n < 2:
         raise ValidationError(f"need n >= 2 thresholds, got {n}")
-    lo, hi = dets.score_range()
+    return np.asarray(scores, dtype=np.float64).tolist()
+
+
+def select_thresholds(scores: Sequence[float] | np.ndarray,
+                      n: int = DEFAULT_N_THRESHOLDS) -> list[float]:
+    """n values uniformly spaced over [min score, max score] of the pooled
+    detection scores."""
+    values = _score_list(scores, n)
+    lo, hi = min(values), max(values)
     if lo == hi:
         warnings.warn("all detection scores are equal; single threshold")
         return [lo]
@@ -81,14 +98,10 @@ def select_thresholds(dets: DetectionSet, n: int = DEFAULT_N_THRESHOLDS) -> list
     return out
 
 
-def select_thresholds_quantile(dets: DetectionSet,
+def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
                                n: int = DEFAULT_N_THRESHOLDS) -> list[float]:
     """Alternative spacing: score quantiles instead of uniform values."""
-    if len(dets) == 0:
-        raise ValidationError("cannot select thresholds from an empty DetectionSet")
-    if n < 2:
-        raise ValidationError(f"need n >= 2 thresholds, got {n}")
-    scores = sorted(d.score for d in dets)
+    scores = sorted(_score_list(scores, n))
     out: list[float] = []
     for i in range(n):
         idx = round(i * (len(scores) - 1) / (n - 1))
@@ -98,17 +111,17 @@ def select_thresholds_quantile(dets: DetectionSet,
     return out
 
 
-def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
+def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth | GtColumns,
+                                              DetectionColumns]],
                         tracker: TrackerAdapter, threshold: float,
                         iou_thr: float, counts: ThresholdCounts) -> OperatingPoint:
-    filtered = [(gt, dets.filter_score(threshold)) for gt, dets in pairs]
     tp, fp, fn = counts.at(threshold)
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     stats = []
-    for gt, dets in filtered:
+    for gt, dets in pairs:
         try:
-            tracks = tracker(dets, gt.sequence_id)
+            tracks = tracker(dets.take(dets.score >= threshold), gt.sequence_id)
         except Exception as exc:
             raise SweepError(
                 f"tracker failed at threshold {threshold:g} on sequence "
@@ -117,7 +130,7 @@ def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
     return OperatingPoint(threshold, precision, recall, aggregate(stats))
 
 
-def sweep(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
+def sweep(pairs: Sequence[Pair],
           tracker: TrackerAdapter,
           thresholds: Sequence[float],
           iou_thr: float = DEFAULT_IOU_THR,
@@ -125,11 +138,15 @@ def sweep(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
           jobs: int = 1) -> list[OperatingPoint]:
     """Evaluate the full system at every threshold.
 
-    Threshold evaluations are independent; with jobs > 1 they run
-    concurrently. Results are returned in curve order regardless of
+    Each (ground truth, detections) pair may be objects or columns. At a
+    threshold the tracker gets the detections with score >= threshold, in
+    input order. Threshold evaluations are independent; with jobs > 1 they
+    run concurrently. Results are returned in curve order regardless of
     execution order. With keep_going, a failing threshold leaves a gap
     instead of aborting.
     """
+    pairs = [(gt, dets.columns if isinstance(dets, DetectionSet) else dets)
+             for gt, dets in pairs]
     counts = threshold_counts([(dets, gt) for gt, dets in pairs], iou_thr)
 
     def run(tau: float) -> OperatingPoint | None:

@@ -1,9 +1,14 @@
 """Tracking subjects for the sweep: a built-in greedy IoU linker and an
 adapter that shells out to an external tracker executable.
 
-External tracker contract: the command template receives {input} (detection
-CSV), {output} (track CSV to produce) and optionally {sequence}; exit 0
-means success. The workspace directory is removed on success and kept for
+Both take one sequence's detections as `DetectionColumns` (a `DetectionSet`
+goes in through `.columns`) and return `TrackColumns`, rows sorted by
+(track_id, frame) as `read_tracks` gives them.
+
+External tracker contract, in files: the command template receives {input}
+(detection CSV, written by `write_detections`), {output} (track CSV to
+produce, read by `read_tracks`) and optionally {sequence}; exit 0 means
+success. The workspace directory is removed on success and kept for
 inspection on failure.
 """
 
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import (DetectionSet, OutTrack, TrackSet, ValidationError,
-                        parse_tracks, write_detections)
-from .geometry import box_array, iou_matrix
+from .datamodel import (DetectionColumns, DetectionSet, TrackColumns,
+                        ValidationError, read_tracks, write_detections)
+from .geometry import iou_matrix
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
 
@@ -29,8 +34,9 @@ class TrackerError(RuntimeError):
     """An external tracker run failed; the message carries diagnostics."""
 
 
-def greedy_iou_track(dets: DetectionSet, link_thr: float = 0.5,
-                     max_gap: int = 1, min_track_len: int = 1) -> TrackSet:
+def greedy_iou_track(dets: DetectionColumns | DetectionSet,
+                     link_thr: float = 0.5, max_gap: int = 1,
+                     min_track_len: int = 1) -> TrackColumns:
     """Frame-by-frame greedy IoU linking.
 
     Each frame's detections are linked to active tracks in descending IoU to
@@ -38,43 +44,49 @@ def greedy_iou_track(dets: DetectionSet, link_thr: float = 0.5,
     link_thr are rejected, leftovers start new tracks, and a track idle for
     more than max_gap frames is closed. Tracks shorter than min_track_len
     are suppressed from the output. Deterministic given input order.
+    Returns the linked detections as rows sorted by (track_id, frame), the
+    layout of `read_tracks`.
     """
-    by_frame = dets.by_frame()
-    # active: track_id -> (last_frame, last box as a box_array row)
-    active: dict[int, tuple[int, np.ndarray]] = {}
-    boxes: dict[int, list[tuple[int, object]]] = {}
+    d = dets.columns if isinstance(dets, DetectionSet) else dets
+    # Frame order, input order within a frame; a frame is a slice of rows.
+    order = np.argsort(d.frame, kind="stable")
+    frame, corners = d.frame[order], d.corners()[order]
+    frames = np.unique(frame)
+    bounds = zip(frames.tolist(), np.searchsorted(frame, frames, "left").tolist(),
+                 np.searchsorted(frame, frames, "right").tolist())
+    track = np.empty(len(order), dtype=np.int64)  # track id of each row
+    # active: track id -> (last frame, row of its last box)
+    active: dict[int, tuple[int, int]] = {}
     next_id = 1
-    for frame in sorted(by_frame):
-        frame_dets = by_frame[frame]
-        det_arr = box_array([d.box for d in frame_dets])
+    for f, lo, hi in bounds:
         active = {tid: state for tid, state in active.items()
-                  if frame - state[0] <= max_gap + 1}
+                  if f - state[0] <= max_gap + 1}
         live = list(active)
         used_tracks: set[int] = set()
         used_dets: set[int] = set()
         if live:
-            iou_mat = iou_matrix(np.array([active[tid][1] for tid in live]),
-                                 det_arr)
+            iou_mat = iou_matrix(corners[[active[tid][1] for tid in live]],
+                                 corners[lo:hi])
             ti, di = np.nonzero(iou_mat >= link_thr)
             # candidates in (-iou, track index, det index) order
-            order = np.lexsort((di, ti, -iou_mat[ti, di]))
-            for t, d in zip(ti[order].tolist(), di[order].tolist()):
-                if t in used_tracks or d in used_dets:
+            ranked = np.lexsort((di, ti, -iou_mat[ti, di]))
+            for t, k in zip(ti[ranked].tolist(), di[ranked].tolist()):
+                if t in used_tracks or k in used_dets:
                     continue
                 used_tracks.add(t)
-                used_dets.add(d)
-                tid = live[t]
-                active[tid] = (frame, det_arr[d])
-                boxes[tid].append((frame, frame_dets[d].box))
-        for d, det in enumerate(frame_dets):
-            if d not in used_dets:
-                tid = next_id
+                used_dets.add(k)
+                track[lo + k] = live[t]
+                active[live[t]] = (f, lo + k)
+        for k in range(hi - lo):
+            if k not in used_dets:
+                track[lo + k] = next_id
+                active[next_id] = (f, lo + k)
                 next_id += 1
-                active[tid] = (frame, det_arr[d])
-                boxes[tid] = [(frame, det.box)]
-    tracks = [OutTrack(tid, tuple(items)) for tid, items in sorted(boxes.items())
-              if len(items) >= min_track_len]
-    return TrackSet(tuple(tracks))
+    rows = np.argsort(track, kind="stable")
+    rows = rows[np.bincount(track, minlength=next_id)[track[rows]] >= min_track_len]
+    keep = order[rows]
+    return TrackColumns(d.left[keep], d.top[keep], d.width[keep],
+                        d.height[keep], frame=d.frame[keep], track_id=track[rows])
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,7 @@ class BuiltinGreedyTracker:
     max_gap: int = 1
     min_track_len: int = 1
 
-    def __call__(self, dets: DetectionSet, sequence_id: str) -> TrackSet:
+    def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return greedy_iou_track(dets, self.link_thr, self.max_gap,
                                 self.min_track_len)
 
@@ -102,12 +114,12 @@ class ExternalTracker:
                 "external tracker command must contain {input} and {output} "
                 "placeholders")
 
-    def __call__(self, dets: DetectionSet, sequence_id: str) -> TrackSet:
+    def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return run_external(self, dets, sequence_id)
 
 
-def run_external(adapter: ExternalTracker, dets: DetectionSet,
-                 sequence_id: str) -> TrackSet:
+def run_external(adapter: ExternalTracker, dets: DetectionColumns | DetectionSet,
+                 sequence_id: str) -> TrackColumns:
     base = adapter.workdir or os.environ.get(TMPDIR_ENV) or None
     workspace = tempfile.mkdtemp(prefix=f"detraceval-{sequence_id}-", dir=base)
     input_path = os.path.join(workspace, "detections.csv")
@@ -139,7 +151,7 @@ def run_external(adapter: ExternalTracker, dets: DetectionSet,
             f"(workspace kept: {workspace})")
     try:
         with open(output_path) as fh:
-            tracks = parse_tracks(fh)
+            tracks = read_tracks(fh)
     except ValidationError as exc:
         raise TrackerError(
             f"unparseable tracker output on sequence {sequence_id!r}: {exc} "

@@ -105,7 +105,7 @@ def test_criterion_03_perfect_pipeline_identities():
     assert (bundle.ids, bundle.fm, bundle.fp, bundle.fn) == (0, 0, 0, 0)
     assert bundle.mt == stats.n_tracks
     assert bundle.mt_pct == pytest.approx(100.0, abs=1e-9)
-    thresholds = select_thresholds(fx.dets, 10)
+    thresholds = select_thresholds(fx.dets.columns.score, 10)
     points = sweep([(fx.gt, fx.dets)], fx.trackers["builtin"], thresholds)
     report = pr_report(points)
     # constant psi = 100 along the whole curve, so the line integral
@@ -145,7 +145,7 @@ def test_criterion_05_integral_bound():
     checked = 0
     for name in ("perfect", "crossing", "ranking-flip", "fp-heavy"):
         fx = load_fixture(name)
-        thresholds = select_thresholds(fx.dets, 10)
+        thresholds = select_thresholds(fx.dets.columns.score, 10)
         for tracker in fx.trackers.values():
             points = sweep([(fx.gt, fx.dets)], tracker, thresholds)
             report = pr_report(points)
@@ -187,7 +187,7 @@ def test_criterion_06_ap_oracle():
 
 def test_criterion_07_ranking_flip():
     fx = load_fixture("ranking-flip")
-    thresholds = select_thresholds(fx.dets, 10)
+    thresholds = select_thresholds(fx.dets.columns.score, 10)
     curves = {}
     for name in ("keep_all", "suppress_short"):
         points = sweep([(fx.gt, fx.dets)], fx.trackers[name], thresholds)

@@ -284,6 +284,62 @@ def test_eval_mot_builds_no_box_objects(tmp_path, monkeypatch):
                 == (tmp_path / "unpatched" / name).read_bytes())
 
 
+# A `cmd:` tracker that puts every detection in a track of its own.
+_ONE_TRACK_PER_ROW = """\
+import sys
+rows = [line.strip().split(",") for line in open(sys.argv[1]) if line.strip()]
+open(sys.argv[2], "w").writelines(
+    ",".join([r[0], str(i)] + r[2:6]) + "\\n" for i, r in enumerate(rows, 1))
+"""
+
+
+@pytest.mark.parametrize("tracker", ["builtin:max_gap=2", "cmd"])
+def test_eval_system_builds_no_box_objects(tmp_path, monkeypatch, tracker):
+    """eval-system sweeps columns: with every per-box constructor disabled
+    it still succeeds and writes the same bytes, ignore regions included,
+    for a builtin and a `cmd:` tracker."""
+    from detraceval import datamodel
+    from detraceval.synth import ScenarioConfig, gen_scenario
+
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    for sub in ("gt", "det"):
+        (tmp_path / sub).mkdir()
+    for seed in (2, 3):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=6, n_frames=20, drop_rate=0.1, clutter_rate=2.0,
+            jitter_sigma=1.0, seed=seed))
+        gt = dataclasses.replace(gt, ignore_regions=(
+            datamodel.IgnoreRegion(datamodel.BBox(0.0, 0.0, 400.0, 300.0)),
+            datamodel.IgnoreRegion(datamodel.BBox(300.0, 200.0, 300.0, 300.0),
+                                   5, 12)))
+        with open(tmp_path / "gt" / f"s{seed}.json", "w") as fh:
+            datamodel.write_ground_truth(gt, fh)
+        with open(tmp_path / "det" / f"s{seed}.csv", "w") as fh:
+            datamodel.write_detections(dets, fh)
+    if tracker == "cmd":
+        script = tmp_path / "tracker.py"
+        script.write_text(_ONE_TRACK_PER_ROW)
+        tracker = f"cmd:{sys.executable} {script} {{input}} {{output}}"
+    argv = ["eval-system", "--gt", str(tmp_path / "gt"), "--det",
+            str(tmp_path / "det"), "--tracker", tracker, "--tracker-name", "t",
+            "--thresholds", "4", "--jobs", "1"]
+    assert main(argv + ["--out", str(tmp_path / "unpatched")]) == 0
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built on the eval-system path")
+
+    for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.GtTrack,
+                datamodel.Detection, datamodel.OutTrack, datamodel.IgnoreRegion):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="built on the eval-system path"):
+        datamodel.parse_detections(["1,-1,0,0,5,5,0.9,-1,-1,-1"])
+    assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
+    for name in ("system_report.json", "pr_curve.csv"):
+        assert ((tmp_path / "patched" / name).read_bytes()
+                == (tmp_path / "unpatched" / name).read_bytes())
+    assert not list(tmp_path.glob("detraceval-*"))
+
+
 @pytest.mark.parametrize("command,row", [
     ("eval-det", "1,-1,0,0,5,5\n"),
     ("eval-system", "1,-1,oops,0,5,5,0.9,-1,-1,-1\n"),

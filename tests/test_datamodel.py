@@ -119,6 +119,6 @@ def test_filter_score_preserves_order():
         Detection(1, BBox(0, 0, 5, 5), 0.9),
         Detection(1, BBox(1, 1, 5, 5), 0.2),
         Detection(2, BBox(2, 2, 5, 5), 0.5),
-    ))
-    kept = dets.filter_score(0.5)
-    assert [d.score for d in kept] == [0.9, 0.5]
+    )).columns
+    kept = dets.take(dets.score >= 0.5)
+    assert [d.score for d in kept.detection_set()] == [0.9, 0.5]

@@ -19,11 +19,6 @@ from detraceval.pr_integration import (OperatingPoint, arc_length, integrate,
 from detraceval.synth import ScenarioConfig, gen_scenario, oracle_sweep_counts
 
 
-def _dets_with_scores(scores):
-    return DetectionSet(tuple(
-        Detection(1, BBox(10.0 * i, 0, 5, 5), s) for i, s in enumerate(scores)))
-
-
 def _bundle(mota=0.0, motp=0.0, ids=0, fm=0, fp=0, fn=0, mt_pct=0.0, ml_pct=0.0):
     return MetricBundle(mota=mota, motp=motp, mt=0, ml=0, mt_pct=mt_pct,
                         ml_pct=ml_pct, ids=ids, fm=fm, fp=fp, fn=fn)
@@ -34,28 +29,26 @@ def _point(p, r, **kw):
 
 
 def test_select_thresholds_uniform():
-    dets = _dets_with_scores([0.0, 0.9, 0.45])
-    got = select_thresholds(dets, 10)
+    got = select_thresholds([0.0, 0.9, 0.45], 10)
     assert got == pytest.approx([0.1 * i for i in range(10)])
 
 
 def test_select_thresholds_single_detection():
     with pytest.warns(UserWarning):
-        assert select_thresholds(_dets_with_scores([0.7]), 10) == [0.7]
+        assert select_thresholds([0.7], 10) == [0.7]
 
 
 def test_select_thresholds_two():
-    assert select_thresholds(_dets_with_scores([0.2, 0.8]), 2) == [0.2, 0.8]
+    assert select_thresholds([0.2, 0.8], 2) == [0.2, 0.8]
 
 
 def test_select_thresholds_empty_errors():
     with pytest.raises(ValidationError):
-        select_thresholds(DetectionSet(), 10)
+        select_thresholds([], 10)
 
 
 def test_select_thresholds_quantile():
-    dets = _dets_with_scores([0.1, 0.1, 0.1, 0.9])
-    got = select_thresholds_quantile(dets, 4)
+    got = select_thresholds_quantile([0.1, 0.1, 0.1, 0.9], 4)
     assert got == [0.1, 0.9]
 
 
@@ -141,7 +134,9 @@ class OracleTracker:
         self.iou_thr = iou_thr
 
     def __call__(self, dets, sequence_id):
-        by_frame = dets.by_frame()
+        by_frame: dict[int, list] = {}
+        for d in dets.detection_set():
+            by_frame.setdefault(d.frame, []).append(d)
         boxes: dict[int, list] = {}
         for frame in sorted(by_frame):
             entries = self.gt.entries_at(frame)
@@ -153,7 +148,7 @@ class OracleTracker:
                 boxes.setdefault(gids[gi], []).append(
                     (frame, entries[gids[gi]].box))
         return TrackSet(tuple(OutTrack(gid, tuple(items))
-                              for gid, items in sorted(boxes.items())))
+                              for gid, items in sorted(boxes.items()))).columns
 
 
 def test_sweep_against_detection_count_closed_form():
@@ -162,7 +157,7 @@ def test_sweep_against_detection_count_closed_form():
         jitter_sigma=0.0, tp_mean=0.7, clutter_mean=0.1, score_sigma=0.15,
         seed=21))
     tracker = OracleTracker(gt)
-    thresholds = select_thresholds(dets, 6)
+    thresholds = select_thresholds(dets.columns.score, 6)
     points = sweep([(gt, dets)], tracker, thresholds)
     total_gt = gt.total_boxes()
     for p in points:
@@ -207,9 +202,10 @@ def test_sweep_keep_going_records_gap():
 
     from detraceval.pr_integration import SweepError
     with pytest.raises(SweepError, match="boom"):
-        sweep([(gt, dets)], flaky, select_thresholds(dets, 4))
+        sweep([(gt, dets)], flaky, select_thresholds(dets.columns.score, 4))
     calls["n"] = 0
-    points = sweep([(gt, dets)], flaky, select_thresholds(dets, 4),
+    points = sweep([(gt, dets)], flaky,
+                   select_thresholds(dets.columns.score, 4),
                    keep_going=True)
     assert len(points) == 3
 
@@ -236,7 +232,7 @@ def test_average_scores_is_arithmetic_mean():
 
 def test_ranking_flip_fixture_inverts_mota_ordering():
     fx = load_fixture("ranking-flip")
-    thresholds = select_thresholds(fx.dets, 10)
+    thresholds = select_thresholds(fx.dets.columns.score, 10)
     names = sorted(fx.trackers)
     curves = {name: sweep([(fx.gt, fx.dets)], fx.trackers[name], thresholds)
               for name in names}
@@ -286,7 +282,7 @@ def test_threshold_counts_equal_filter_then_relabel_oracle():
 def test_sweep_precision_recall_come_from_oracle_counts():
     pairs, iou_thr = _random_sweep_case(3)
     thresholds = sorted({d.score for dets, _ in pairs for d in dets})
-    points = sweep([(g, d) for d, g in pairs], lambda dets, seq: TrackSet(),
+    points = sweep([(g, d) for d, g in pairs], lambda dets, seq: TrackSet().columns,
                    thresholds, iou_thr=iou_thr)
     assert len(points) == len(thresholds)
     for p in points:

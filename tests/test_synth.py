@@ -92,12 +92,12 @@ def test_inseparable_scores_rejected():
 def test_oracle_rejects_large_instances():
     gt, dets = gen_scenario(ScenarioConfig(n_targets=8, n_frames=3, seed=1))
     with pytest.raises(ValidationError, match="too large"):
-        oracle_clear(gt, greedy_iou_track(dets))
+        oracle_clear(gt, greedy_iou_track(dets).track_set())
 
 
 def test_oracle_equals_impl_on_perfect_fixture():
     fx = load_fixture("perfect")
-    ts = greedy_iou_track(fx.dets)
+    ts = greedy_iou_track(fx.dets).track_set()
     got, _ = evaluate_clear(fx.gt, ts)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
@@ -107,7 +107,7 @@ def test_oracle_equals_impl_on_perfect_fixture():
 
 def test_oracle_equals_impl_on_crossing_fixture():
     fx = load_fixture("crossing")
-    ts = greedy_iou_track(fx.dets)
+    ts = greedy_iou_track(fx.dets).track_set()
     got, _ = evaluate_clear(fx.gt, ts)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \

@@ -21,7 +21,7 @@ PY = sys.executable
 def test_single_static_detection_one_track():
     dets = DetectionSet(tuple(
         Detection(f, BBox(10, 10, 20, 20), 0.9) for f in range(1, 11)))
-    ts = greedy_iou_track(dets)
+    ts = greedy_iou_track(dets).track_set()
     assert len(ts) == 1
     assert len(ts.tracks[0].boxes) == 10
 
@@ -31,7 +31,7 @@ def test_two_separated_targets_two_tracks():
     for f in range(1, 11):
         dets.append(Detection(f, BBox(0 + f, 0, 20, 20), 0.9))
         dets.append(Detection(f, BBox(500 + f, 500, 20, 20), 0.9))
-    ts = greedy_iou_track(DetectionSet(tuple(dets)))
+    ts = greedy_iou_track(DetectionSet(tuple(dets))).track_set()
     assert len(ts) == 2
     assert all(len(tr.boxes) == 10 for tr in ts.tracks)
 
@@ -47,9 +47,9 @@ def test_gap_longer_than_max_gap_closes_track():
     frames = [1, 2, 5, 6]  # 2-frame hole with max_gap=1
     dets = DetectionSet(tuple(
         Detection(f, BBox(10, 10, 20, 20), 0.9) for f in frames))
-    ts = greedy_iou_track(dets, max_gap=1)
+    ts = greedy_iou_track(dets, max_gap=1).track_set()
     assert len(ts) == 2
-    ts_bridged = greedy_iou_track(dets, max_gap=2)
+    ts_bridged = greedy_iou_track(dets, max_gap=2).track_set()
     assert len(ts_bridged) == 1
 
 
@@ -59,7 +59,7 @@ def test_min_track_len_suppresses_short_tracks():
         Detection(1, BBox(400, 400, 10, 10), 0.9),
         Detection(2, BBox(0, 0, 10, 10), 0.9),
     ))
-    ts = greedy_iou_track(dets, min_track_len=2)
+    ts = greedy_iou_track(dets, min_track_len=2).track_set()
     assert len(ts) == 1
 
 
@@ -79,7 +79,7 @@ det_sets = st.lists(
 @given(det_sets)
 @settings(max_examples=60, deadline=None)
 def test_greedy_output_satisfies_trackset_invariants(dets):
-    ts = greedy_iou_track(dets)
+    ts = greedy_iou_track(dets).track_set()
     # TrackSet/OutTrack constructors enforce the invariants; rebuilding from
     # raw parts would raise if they were violated
     assert ts == TrackSet(ts.tracks)
@@ -89,12 +89,15 @@ def test_greedy_output_satisfies_trackset_invariants(dets):
 @given(det_sets)
 @settings(max_examples=30, deadline=None)
 def test_greedy_deterministic(dets):
-    assert greedy_iou_track(dets) == greedy_iou_track(dets)
+    assert greedy_iou_track(dets).track_set() == \
+        greedy_iou_track(dets).track_set()
 
 
 def _scalar_greedy_iou_track(dets, link_thr=0.5, max_gap=1, min_track_len=1):
     """Reference linker: the scalar pair-by-pair form of greedy_iou_track."""
-    by_frame = dets.by_frame()
+    by_frame = {}
+    for det in dets:
+        by_frame.setdefault(det.frame, []).append(det)
     active = {}
     boxes = {}
     next_id = 1
@@ -139,7 +142,8 @@ def test_greedy_matches_scalar_reference(seed, max_gap):
         n_targets=12, n_frames=25, drop_rate=0.2, clutter_rate=6.0,
         jitter_sigma=2.0, seed=seed))
     for link_thr, min_track_len in ((0.5, 1), (0.3, 3)):
-        assert greedy_iou_track(dets, link_thr, max_gap, min_track_len) == \
+        assert greedy_iou_track(
+            dets, link_thr, max_gap, min_track_len).track_set() == \
             _scalar_greedy_iou_track(dets, link_thr, max_gap, min_track_len)
 
 
@@ -151,7 +155,7 @@ def test_greedy_tied_iou_links_by_track_then_detection_order():
     assert iou(a, c) == iou(b, c) and iou(a, d) == iou(b, d)
     dets = DetectionSet((Detection(1, a, 0.9), Detection(1, b, 0.9),
                          Detection(2, d, 0.8), Detection(2, c, 0.7)))
-    ts = greedy_iou_track(dets, link_thr=0.2)
+    ts = greedy_iou_track(dets, link_thr=0.2).track_set()
     assert ts == _scalar_greedy_iou_track(dets, link_thr=0.2)
     assert [tr.boxes for tr in ts.tracks] == [((1, a), (2, c)), ((1, b), (2, d))]
 
@@ -160,7 +164,7 @@ def test_greedy_links_at_exactly_link_thr():
     a, b = BBox(0, 0, 10, 10), BBox(0, 0, 10, 20)
     assert iou(a, b) == 0.5
     dets = DetectionSet((Detection(1, a, 0.9), Detection(2, b, 0.9)))
-    assert len(greedy_iou_track(dets, link_thr=0.5)) == 1
+    assert len(greedy_iou_track(dets, link_thr=0.5).track_set()) == 1
 
 
 def _some_dets():
@@ -179,7 +183,7 @@ IDENTITY_TRACKER = (
 
 def test_external_identity_tracker():
     adapter = ExternalTracker(IDENTITY_TRACKER)
-    ts = run_external(adapter, _some_dets(), "seq1")
+    ts = run_external(adapter, _some_dets(), "seq1").track_set()
     assert len(ts) == 1
     assert [b for _, b in ts.tracks[0].boxes] == [d.box for d in _some_dets()]
 
