@@ -74,7 +74,7 @@ class PRIntegratedReport:
 def _score_list(scores: Sequence[float] | np.ndarray, n: int) -> list[float]:
     """The scores as Python floats, after the checks both spacings share."""
     if len(scores) == 0:
-        raise ValidationError("cannot select thresholds from an empty DetectionSet")
+        raise ValidationError("no detections: cannot select score thresholds")
     if n < 2:
         raise ValidationError(f"need n >= 2 thresholds, got {n}")
     return np.asarray(scores, dtype=np.float64).tolist()

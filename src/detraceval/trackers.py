@@ -113,6 +113,14 @@ class ExternalTracker:
             raise ValidationError(
                 "external tracker command must contain {input} and {output} "
                 "placeholders")
+        try:
+            argv = shlex.split(self.command)
+        except ValueError as exc:
+            raise ValidationError(
+                f"bad external tracker command {self.command!r}: {exc}") from None
+        # Split once here, so a bad template fails before any workspace
+        # exists; run_external fills in the placeholders per sequence.
+        object.__setattr__(self, "_argv", tuple(argv))
 
     def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return run_external(self, dets, sequence_id)
@@ -128,7 +136,7 @@ def run_external(adapter: ExternalTracker, dets: DetectionColumns | DetectionSet
         write_detections(dets, fh)
     argv = [arg.format(input=input_path, output=output_path,
                        sequence=sequence_id)
-            for arg in shlex.split(adapter.command)]
+            for arg in adapter._argv]
     try:
         proc = subprocess.run(argv, capture_output=True, text=True,
                               timeout=adapter.timeout)
@@ -160,6 +168,10 @@ def run_external(adapter: ExternalTracker, dets: DetectionColumns | DetectionSet
     return tracks
 
 
+# builtin tracker option -> the type its value is read as
+_BUILTIN_OPTIONS = {"link_thr": float, "max_gap": int, "min_track_len": int}
+
+
 def make_tracker(spec: str):
     """Build an adapter from a CLI spec: "builtin",
     "builtin:link_thr=0.4,max_gap=2,min_track_len=3" or "cmd:<template>"."""
@@ -170,12 +182,16 @@ def make_tracker(spec: str):
         for part in spec[len("builtin:"):].split(","):
             key, _, value = part.partition("=")
             key = key.strip()
-            if key == "link_thr":
-                kwargs[key] = float(value)
-            elif key in ("max_gap", "min_track_len"):
-                kwargs[key] = int(value)
-            else:
+            kind = _BUILTIN_OPTIONS.get(key)
+            if kind is None:
                 raise ValidationError(f"unknown builtin tracker option {key!r}")
+            try:
+                kwargs[key] = kind(value)
+            except ValueError:
+                raise ValidationError(
+                    f"builtin tracker option {key}: expected "
+                    f"{'an integer' if kind is int else 'a number'}, "
+                    f"got {value!r}") from None
         return BuiltinGreedyTracker(**kwargs)
     if spec.startswith("cmd:"):
         return ExternalTracker(spec[len("cmd:"):])

@@ -2,14 +2,17 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import detraceval
 from detraceval.cli import main
 from detraceval.pr_integration import SCORE_NAMES
 from detraceval.datamodel import write_tracks
@@ -199,10 +202,14 @@ def test_report_malformed_json_names_file(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # The child imports the package from where this process found it, so
+    # the test also runs from a checkout where it is not installed.
+    root = str(Path(detraceval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "detraceval.cli", "gen-synthetic",
          "--fixture", "perfect", "--out", str(tmp_path / "x")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "x" / "gt" / "perfect.json").exists()
 
@@ -338,6 +345,42 @@ def test_eval_system_builds_no_box_objects(tmp_path, monkeypatch, tracker):
         assert ((tmp_path / "patched" / name).read_bytes()
                 == (tmp_path / "unpatched" / name).read_bytes())
     assert not list(tmp_path.glob("detraceval-*"))
+
+
+@pytest.mark.parametrize("spec,option,value", [
+    ("builtin:max_gap=x", "max_gap", "'x'"),
+    ("builtin:link_thr=", "link_thr", "''"),
+    ("builtin:max_gap", "max_gap", "''"),
+])
+def test_bad_builtin_tracker_option_is_one_line_error(tmp_path, capsys, spec,
+                                                      option, value):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", spec, "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys)
+    assert option in err and f"got {value}" in err
+
+
+def test_eval_system_without_detections_says_so(tmp_path, capsys):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    (det_dir / "perfect.csv").write_text("")
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", "builtin", "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys)
+    assert "no detections" in err and "DetectionSet" not in err
+
+
+def test_unbalanced_quote_in_cmd_leaves_no_workspace(tmp_path, capsys,
+                                                     monkeypatch):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(workdir))
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", "cmd:'{input} {output}",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "No closing quotation" in _one_line_error(capsys)
+    assert not list(workdir.iterdir())
 
 
 @pytest.mark.parametrize("command,row", [

@@ -181,32 +181,43 @@ IDENTITY_TRACKER = (
 )
 
 
-def test_external_identity_tracker():
-    adapter = ExternalTracker(IDENTITY_TRACKER)
+def _assert_workspace_kept(workdir):
+    """A failed run keeps its one workspace, with the detections written."""
+    (workspace,) = workdir.glob("detraceval-seq1-*")
+    assert (workspace / "detections.csv").is_file()
+
+
+def test_external_identity_tracker(tmp_path):
+    adapter = ExternalTracker(IDENTITY_TRACKER, workdir=str(tmp_path))
     ts = run_external(adapter, _some_dets(), "seq1").track_set()
     assert len(ts) == 1
     assert [b for _, b in ts.tracks[0].boxes] == [d.box for d in _some_dets()]
+    assert not list(tmp_path.iterdir())
 
 
-def test_external_nonzero_exit():
+def test_external_nonzero_exit(tmp_path):
     adapter = ExternalTracker(f"{PY} -c \"import sys; sys.exit(1)\" "
-                              "{input} {output}")
+                              "{input} {output}", workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="status 1"):
         run_external(adapter, _some_dets(), "seq1")
+    _assert_workspace_kept(tmp_path)
 
 
-def test_external_timeout():
+def test_external_timeout(tmp_path):
     adapter = ExternalTracker(
         f"{PY} -c \"import time; time.sleep(5)\" {{input}} {{output}}",
-        timeout=0.5)
+        timeout=0.5, workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="timed out"):
         run_external(adapter, _some_dets(), "seq1")
+    _assert_workspace_kept(tmp_path)
 
 
-def test_external_missing_output():
-    adapter = ExternalTracker(f"{PY} -c pass {{input}} {{output}}")
+def test_external_missing_output(tmp_path):
+    adapter = ExternalTracker(f"{PY} -c pass {{input}} {{output}}",
+                              workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="no output"):
         run_external(adapter, _some_dets(), "seq1")
+    _assert_workspace_kept(tmp_path)
 
 
 def test_external_command_requires_placeholders():
@@ -214,10 +225,17 @@ def test_external_command_requires_placeholders():
         ExternalTracker("mytracker --in foo")
 
 
-def test_missing_binary_names_command():
-    adapter = ExternalTracker("no-such-binary-47291 {input} {output}")
+def test_missing_binary_names_command(tmp_path):
+    adapter = ExternalTracker("no-such-binary-47291 {input} {output}",
+                              workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="no-such-binary-47291"):
         run_external(adapter, _some_dets(), "seq1")
+    _assert_workspace_kept(tmp_path)
+
+
+def test_unbalanced_quote_in_command_is_rejected():
+    with pytest.raises(ValidationError, match="No closing quotation"):
+        make_tracker("cmd:'{input} {output}")
 
 
 def test_make_tracker_specs():
