@@ -37,7 +37,6 @@ from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 # score >= the threshold, in input order, and the sequence id, and returns
 # its tracks. A `cmd:` tracker sees the same data as CSV files (`trackers`).
 TrackerAdapter = Callable[[DetectionColumns, str], TrackColumns]
-Pair = tuple[GroundTruth | GtColumns, DetectionSet | DetectionColumns]
 
 DEFAULT_N_THRESHOLDS = 10
 
@@ -130,7 +129,8 @@ def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth | GtColumns,
     return OperatingPoint(threshold, precision, recall, aggregate(stats))
 
 
-def sweep(pairs: Sequence[Pair],
+def sweep(pairs: Sequence[tuple[GroundTruth | GtColumns,
+                               DetectionSet | DetectionColumns]],
           tracker: TrackerAdapter,
           thresholds: Sequence[float],
           iou_thr: float = DEFAULT_IOU_THR,

@@ -122,3 +122,24 @@ def test_filter_score_preserves_order():
     )).columns
     kept = dets.take(dets.score >= 0.5)
     assert [d.score for d in kept.detection_set()] == [0.9, 0.5]
+
+
+def test_write_tracks_orders_rows_by_track_id():
+    ts = TrackSet((
+        OutTrack(5, ((2, BBox(0, 0, 5, 5)), (3, BBox(1, 1, 5, 5.5)))),
+        OutTrack(2, ((1, BBox(50, 50, 8, 8)),)),
+    ))
+    for tracks in (ts, ts.columns):
+        buf = io.StringIO()
+        write_tracks(tracks, buf)
+        assert buf.getvalue() == "1,2,50,50,8,8\n2,5,0,0,5,5\n3,5,1,1,5,5.5\n"
+
+
+def test_write_detections_objects_and_columns_write_the_same_text():
+    dets = DetectionSet((Detection(2, BBox(1, 2.5, 3, 4), 0.25),
+                         Detection(1, BBox(1e16, -0.0, 1, 1), 1)))
+    for source in (dets, dets.columns):
+        buf = io.StringIO()
+        write_detections(source, buf)
+        assert buf.getvalue() == ("2,-1,1,2.5,3,4,0.25,-1,-1,-1\n"
+                                  "1,-1,1e+16,0,1,1,1,-1,-1,-1\n")
