@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 
-from detraceval.datamodel import (BBox, Detection, DetectionSet, IgnoreRegion,
-                                  OutTrack, TrackSet, ValidationError)
+from detraceval.datamodel import (BBox, DetectionSet, IgnoreRegion, OutTrack,
+                                  TrackSet, ValidationError)
 from detraceval.det_metrics import threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.geometry import box_array
