@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
@@ -354,6 +353,11 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+_JOBS_HELP = ("worker threads (default 1); every value gives the same bytes, "
+              "and more than 1 runs slower, since the work holds the "
+              "interpreter lock")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detraceval",
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-mot", help="CLEAR MOT evaluation")
     p.add_argument("--gt", required=True)
     p.add_argument("--tracks", required=True, help="track directory (*.csv)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     common(p)
     p.set_defaults(func=cmd_eval_mot)
 
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile-thresholds", action="store_true",
                    help="space thresholds by score quantiles instead of "
                         "uniform values")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--keep-going", action="store_true",
                    help="record a gap instead of aborting on tracker failure")
     p.add_argument("--detector-name", default="detector")
@@ -424,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (ValidationError, TrackerError,
             pr_integration.SweepError) as exc:

@@ -19,7 +19,49 @@ Residual matching follows a documented deterministic rule: maximum
 cardinality, then maximum total IoU, then, scanning ground-truth ids in
 ascending order, each takes the smallest hypothesis id consistent with an
 optimal overall assignment. Ties in total IoU closer than 1e-12 are treated
-as equal.
+as equal: at each ground truth, a candidate pair is consistent when the best
+total with that pair fixed falls short of the best total of what is still
+unassigned by at most 1e-12.
+
+The rule is applied per connected component. The residual IoU matrix is a
+bipartite graph whose edges are the pairs with IoU >= the threshold (the
+same ``>=`` that admits a pair to the assignment, so at threshold 0 every
+pair is an edge). Components share no rows or columns, so cardinality and
+total IoU add up across them, and fixing one ground truth's pair changes
+only its own component's part of both. The rule therefore decides each
+component on its own, and:
+
+* a component of one edge is that pair;
+* a 1 x k component (one ground truth) takes the smallest hypothesis whose
+  IoU is within 1e-12 of the component's maximum, and a k x 1 component
+  (one hypothesis) the smallest ground truth meeting the same test;
+* only larger components go through `_canonical_match`, which re-solves a
+  Hungarian sub-problem for every candidate pair, on their own sub-matrix.
+
+Almost every residual frame of a sweep is a set of single edges, so this
+solves almost no assignment at all.
+
+Where the 1e-12 tolerance makes this differ from running `_canonical_match`
+on the whole matrix:
+
+* Near-ties in several components at once do not add up. Each choice is
+  measured against the optimum of what is still unassigned, never against
+  the global optimum, so a 0.6e-12 near-tie in each of two components takes
+  the smaller index in both, although the two together fall 1.2e-12 short.
+  The whole-matrix routine does the same; an enumeration that compares
+  complete assignments against the global total (``synth._oracle_residual``)
+  can disagree on such input, and random boxes do not produce it.
+* Float re-summation. The whole-matrix routine compares global totals in
+  which every other component's IoUs appear on both sides. In real
+  arithmetic they cancel; in floats they are summed in another order, and
+  possibly from another of several tied optimal assignments, which moves
+  the comparison by a few units in the last place of the total (about
+  n * 2**-52 for n pairs of IoU <= 1). The per-component closed forms use
+  the exact maximum where the whole-matrix routine used scipy's float
+  optimum. Both effects are orders of magnitude below 1e-12, so a decision
+  can differ only where a shortfall lies within that few-ulp band around
+  1e-12 itself, where the whole-matrix routine's own answer already depended
+  on which tied assignment the solver returned.
 """
 
 from __future__ import annotations
@@ -30,6 +72,8 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import iou_broadcast, iou_matrix
 
@@ -113,8 +157,10 @@ def _residual_value(iou_mat: np.ndarray, iou_thr: float) -> tuple[int, float]:
     return len(assign), float(sum(iou_mat[r, c] for r, c in assign.items()))
 
 
-def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]]:
-    """Optimal residual matching, canonicalized per the documented tie-break."""
+def _canonical_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]]:
+    """Optimal residual matching, canonicalized per the documented tie-break,
+    by one Hungarian solve per candidate pair: rows in ascending order each
+    take the first column that keeps the optimum of what remains."""
     n, m = iou_mat.shape
     if n == 0 or m == 0:
         return []
@@ -141,6 +187,43 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
             cols.remove(chosen)
         if card == 0:
             break
+    return pairs
+
+
+def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]]:
+    """Optimal residual matching, canonicalized per the documented tie-break,
+    one connected component at a time (see the module docstring).
+
+    Edges are the pairs with IoU >= iou_thr. When no row and no column has
+    two edges, the edges are the answer. Otherwise a one-row component takes
+    its smallest column with IoU >= its maximum - 1e-12, a one-column
+    component its smallest row meeting that test, and only larger components
+    go through `_canonical_match` on their sub-matrix. Pairs are (row,
+    column), sorted by row.
+    """
+    rows, cols = np.nonzero(iou_mat >= iou_thr)
+    if len(rows) == 0:
+        return []
+    if np.bincount(rows).max() == 1 and np.bincount(cols).max() == 1:
+        return list(zip(rows.tolist(), cols.tolist()))
+    n, m = iou_mat.shape
+    graph = coo_matrix((np.ones(len(rows)), (rows, n + cols)),
+                       shape=(n + m, n + m))
+    label = connected_components(graph, directed=False)[1][rows]
+    pairs: list[tuple[int, int]] = []
+    for comp in np.unique(label):
+        in_comp = label == comp
+        comp_rows, comp_cols = np.unique(rows[in_comp]), np.unique(cols[in_comp])
+        sub = iou_mat[np.ix_(comp_rows, comp_cols)]
+        if 1 in sub.shape:
+            # One row or one column: its first entry within the tolerance
+            # of the maximum, in flat order.
+            first = np.argmax(sub.ravel() >= sub.max() - _IOU_TIE_TOL)
+            matched = [divmod(int(first), sub.shape[1])]
+        else:
+            matched = _canonical_match(sub, iou_thr)
+        pairs.extend((int(comp_rows[a]), int(comp_cols[b])) for a, b in matched)
+    pairs.sort()
     return pairs
 
 

@@ -95,6 +95,21 @@ class BuiltinGreedyTracker:
     max_gap: int = 1
     min_track_len: int = 1
 
+    def __post_init__(self) -> None:
+        # `not 0 < x <= 1` also rejects nan, which links nothing.
+        if not 0.0 < self.link_thr <= 1.0:
+            raise ValidationError(
+                f"builtin tracker option link_thr: expected a number in "
+                f"(0, 1], got {self.link_thr!r}")
+        if self.max_gap < 0:
+            raise ValidationError(
+                f"builtin tracker option max_gap: expected an integer >= 0, "
+                f"got {self.max_gap!r}")
+        if self.min_track_len < 1:
+            raise ValidationError(
+                f"builtin tracker option min_track_len: expected an integer "
+                f">= 1, got {self.min_track_len!r}")
+
     def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return greedy_iou_track(dets, self.link_thr, self.max_gap,
                                 self.min_track_len)
@@ -118,8 +133,20 @@ class ExternalTracker:
         except ValueError as exc:
             raise ValidationError(
                 f"bad external tracker command {self.command!r}: {exc}") from None
-        # Split once here, so a bad template fails before any workspace
-        # exists; run_external fills in the placeholders per sequence.
+        # Split and trial-fill once here, so a bad template fails before any
+        # workspace exists; run_external fills in the placeholders per
+        # sequence.
+        for arg in argv:
+            try:
+                arg.format(input="detections.csv", output="tracks.csv",
+                           sequence="sequence")
+            except (KeyError, IndexError, ValueError, AttributeError,
+                    TypeError) as exc:
+                raise ValidationError(
+                    f"bad external tracker command {self.command!r}: cannot "
+                    f"fill in {arg!r} ({type(exc).__name__}: {exc}); the "
+                    f"placeholders are {{input}}, {{output}} and {{sequence}}, "
+                    f"and a literal brace is written {{{{ or }}}}") from None
         object.__setattr__(self, "_argv", tuple(argv))
 
     def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detraceval
-from detraceval.cli import main
+from detraceval.cli import build_parser, main
 from detraceval.pr_integration import SCORE_NAMES
 from detraceval.datamodel import write_tracks
 from detraceval.fixtures import load_fixture
@@ -351,6 +351,14 @@ def test_eval_system_builds_no_box_objects(tmp_path, monkeypatch, tracker):
     ("builtin:max_gap=x", "max_gap", "'x'"),
     ("builtin:link_thr=", "link_thr", "''"),
     ("builtin:max_gap", "max_gap", "''"),
+    # values that convert but are out of range
+    ("builtin:link_thr=nan", "link_thr", "nan"),
+    ("builtin:link_thr=inf", "link_thr", "inf"),
+    ("builtin:link_thr=0", "link_thr", "0.0"),
+    ("builtin:link_thr=1.5", "link_thr", "1.5"),
+    ("builtin:max_gap=-5,min_track_len=2", "max_gap", "-5"),
+    ("builtin:min_track_len=0", "min_track_len", "0"),
+    ("builtin:min_track_len=-1", "min_track_len", "-1"),
 ])
 def test_bad_builtin_tracker_option_is_one_line_error(tmp_path, capsys, spec,
                                                       option, value):
@@ -358,7 +366,7 @@ def test_bad_builtin_tracker_option_is_one_line_error(tmp_path, capsys, spec,
     assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
                  "--tracker", spec, "--out", str(tmp_path / "out")]) == 1
     err = _one_line_error(capsys)
-    assert option in err and f"got {value}" in err
+    assert f"builtin tracker option {option}:" in err and f"got {value}" in err
 
 
 def test_eval_system_without_detections_says_so(tmp_path, capsys):
@@ -381,6 +389,39 @@ def test_unbalanced_quote_in_cmd_leaves_no_workspace(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == 1
     assert "No closing quotation" in _one_line_error(capsys)
     assert not list(workdir.iterdir())
+
+
+@pytest.mark.parametrize("template,exc", [
+    ("awk '{print $1}' {input} {output}", "KeyError"),
+    ("tool {0} {input} {output}", "IndexError"),
+    ("tool {input} {output} {", "ValueError"),
+    ("tool {input} {output} {input.name}", "AttributeError"),
+])
+def test_bad_cmd_template_is_one_line_error_without_workspace(
+        tmp_path, capsys, monkeypatch, template, exc):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(workdir))
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", f"cmd:{template}",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys)
+    assert repr(template) in err and exc in err
+    assert not list(workdir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval-mot", "eval-system"])
+def test_jobs_defaults_to_one_and_rejects_less(tmp_path, capsys, command):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    argv = [command, "--gt", str(gt_dir), "--out", str(tmp_path / "out")]
+    argv += (["--tracks", str(det_dir)] if command == "eval-mot"
+             else ["--det", str(det_dir), "--tracker", "builtin"])
+    assert build_parser().parse_args(argv).jobs == 1
+    for jobs in ("0", "-2"):
+        assert main(argv + ["--jobs", jobs]) == 1
+        assert f"--jobs must be at least 1, got {jobs}" in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,row", [

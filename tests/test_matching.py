@@ -6,7 +6,8 @@ import pytest
 
 from detraceval.datamodel import BBox, Detection
 from detraceval.geometry import box_array, iou
-from detraceval.matching import (FORBIDDEN, clear_correspond, hungarian,
+from detraceval.matching import (_IOU_TIE_TOL, FORBIDDEN, _residual_match,
+                                 _residual_value, clear_correspond, hungarian,
                                  match_frame_greedy)
 
 
@@ -224,3 +225,185 @@ def test_clear_correspond_matches_enumeration_oracle():
         got = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5).as_map()
         want = _oracle_residual(sorted(gts), sorted(hyps), gts, hyps, 0.5)
         assert got == want
+
+
+def _reference_residual_match(iou_mat, iou_thr):
+    """`matching._residual_match` before it split the matrix into connected
+    components, verbatim: the whole-matrix canonicalisation it must equal."""
+    n, m = iou_mat.shape
+    if n == 0 or m == 0:
+        return []
+    card, total = _residual_value(iou_mat, iou_thr)
+    if card == 0:
+        return []
+    rows = list(range(n))
+    cols = list(range(m))
+    pairs: list[tuple[int, int]] = []
+    for i in range(n):
+        rows.remove(i)
+        chosen = -1
+        for j in cols:
+            if iou_mat[i, j] < iou_thr:
+                continue
+            sub = iou_mat[np.ix_(rows, [c for c in cols if c != j])]
+            sub_card, sub_total = _residual_value(sub, iou_thr)
+            if sub_card + 1 == card and sub_total + iou_mat[i, j] >= total - _IOU_TIE_TOL:
+                chosen = j
+                card, total = sub_card, sub_total
+                break
+        if chosen >= 0:
+            pairs.append((i, chosen))
+            cols.remove(chosen)
+        if card == 0:
+            break
+    return pairs
+
+
+# A coarse grid of IoU values: equal totals from different pairs are common.
+_GRID = (0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0)
+
+
+def _grid_matrix(rng, n, m):
+    return rng.choice(_GRID, size=(n, m))
+
+
+def _block_matrix(rng):
+    """Random 1x1..3x3 grid-valued blocks on the diagonal, rows and columns
+    then shuffled, so components interleave in row order."""
+    shapes = [tuple(rng.integers(1, 4, 2)) for _ in range(rng.integers(1, 5))]
+    mat = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)))
+    r0 = c0 = 0
+    for r, c in shapes:
+        mat[r0:r0 + r, c0:c0 + c] = rng.choice(_GRID[1:], size=(r, c))
+        r0, c0 = r0 + r, c0 + c
+    return mat[rng.permutation(len(mat))][:, rng.permutation(mat.shape[1])]
+
+
+def _oracle_on_matrix(mat, iou_thr, monkeypatch):
+    """`synth._oracle_residual` on an IoU matrix: its boxes are row and
+    column indices, and its IoU reads the matrix."""
+    from detraceval import synth
+    n, m = mat.shape
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "iou", lambda i, j: float(mat[i, j]))
+        got = synth._oracle_residual(list(range(n)), list(range(m)),
+                                     dict(enumerate(range(n))),
+                                     dict(enumerate(range(m))), iou_thr)
+    return sorted(got.items())
+
+
+def test_residual_match_equals_whole_matrix_reference(monkeypatch):
+    rng = np.random.default_rng(7)
+    for trial in range(1500):
+        if trial % 3 == 0:
+            mat = _block_matrix(rng)
+        else:
+            n, m = (int(v) for v in rng.integers(0, 6, 2))
+            mat = _grid_matrix(rng, n, m)
+        iou_thr = float(rng.choice([0.0, 0.3, 0.5, 0.7]))
+        got = _residual_match(mat, iou_thr)
+        assert got == _reference_residual_match(mat, iou_thr), (mat, iou_thr)
+        if max(mat.shape, default=0) <= 4:
+            assert got == _oracle_on_matrix(mat, iou_thr, monkeypatch), (
+                mat, iou_thr)
+
+
+@pytest.mark.parametrize("mat, want", [
+    # exact ties in a 1 x k and a k x 1 component, plus a single edge
+    ([[0.7, 0.2, 0.7, 0.0, 0.0],
+      [0.0, 0.0, 0.0, 0.6, 0.0],
+      [0.0, 0.0, 0.0, 0.0, 0.8],
+      [0.0, 0.0, 0.0, 0.0, 0.8]], [(0, 0), (1, 3), (2, 4)]),
+    # the tie is on the larger IoU, not on the first column
+    ([[0.5, 0.9, 0.9]], [(0, 1)]),
+    ([[0.5], [0.9], [0.9]], [(1, 0)]),
+    # rows of a component interleave with another's
+    ([[0.6, 0.0, 0.6], [0.0, 0.9, 0.0], [0.6, 0.0, 0.0]], [(0, 2), (1, 1), (2, 0)]),
+])
+def test_residual_match_ties_within_components(mat, want):
+    mat = np.asarray(mat)
+    assert _residual_match(mat, 0.5) == want
+    assert _reference_residual_match(mat, 0.5) == want
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_residual_match_empty_side(shape):
+    assert _residual_match(np.zeros(shape), 0.0) == []
+
+
+def test_residual_match_at_zero_threshold_every_pair_is_an_edge():
+    # zero IoU still clears a zero threshold, so all three rows find a column
+    mat = np.array([[0.0, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, 0.0]])
+    assert _residual_match(mat, 0.0) == [(0, 0), (1, 1), (2, 2)]
+    assert _residual_match(mat, 0.0) == _reference_residual_match(mat, 0.0)
+    assert _residual_match(mat, 0.1) == [(1, 1)]
+
+
+@pytest.mark.parametrize("gap_a, gap_b, want", [
+    # each near-tie is within the tolerance on its own, so both components
+    # take the smaller column although the two together fall 1.2e-12 short
+    (0.6e-12, 0.6e-12, [(0, 0), (1, 2)]),
+    # a gap beyond the tolerance in one component leaves the other alone
+    (0.6e-12, 3e-12, [(0, 0), (1, 3)]),
+    (3e-12, 0.6e-12, [(0, 1), (1, 2)]),
+])
+def test_residual_match_near_ties_in_two_components(gap_a, gap_b, want):
+    # one 1 x 2 component per row; the 2 x 2 variant at the end takes the
+    # Hungarian path inside each component
+    one_row = np.array([[0.5, 0.5 + gap_a, 0.0, 0.0],
+                        [0.0, 0.0, 0.5, 0.5 + gap_b]])
+    assert _residual_match(one_row, 0.3) == want
+    assert _reference_residual_match(one_row, 0.3) == want
+    # transposed: one k x 1 component per column
+    want_t = sorted((j, i) for i, j in want)
+    assert _residual_match(one_row.T, 0.3) == want_t
+    assert _reference_residual_match(one_row.T, 0.3) == want_t
+    two_rows = np.zeros((4, 4))
+    two_rows[np.ix_([0, 2], [0, 1])] = [[0.5, 0.5 + gap_a], [0.4, 0.4]]
+    two_rows[np.ix_([1, 3], [2, 3])] = [[0.5, 0.5 + gap_b], [0.4, 0.4]]
+    assert _residual_match(two_rows, 0.3) == _reference_residual_match(two_rows, 0.3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_evaluate_clear_equals_whole_matrix_reference(seed, monkeypatch):
+    from detraceval import matching
+    from detraceval.mot_metrics import evaluate_clear
+    from detraceval.synth import ScenarioConfig, gen_scenario
+    from detraceval.trackers import greedy_iou_track
+    # a small arena with heavy clutter: residual components with several
+    # rows or columns occur in most frames
+    gt, dets = gen_scenario(ScenarioConfig(
+        n_targets=10, n_frames=40, arena=(240.0, 160.0), drop_rate=0.2,
+        clutter_rate=8.0, jitter_sigma=3.0, seed=seed))
+    tracks = greedy_iou_track(dets, max_gap=2)
+    for iou_thr in (0.0, 0.3, 0.5):
+        got = evaluate_clear(gt, tracks, iou_thr)
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "_residual_match", _reference_residual_match)
+            want = evaluate_clear(gt, tracks, iou_thr)
+        assert got == want
+
+
+def test_clear_correspond_closed_forms_solve_no_assignment(monkeypatch):
+    from detraceval import matching
+
+    def no_hungarian(cost):
+        raise AssertionError("hungarian called")
+
+    monkeypatch.setattr(matching, "hungarian", no_hungarian)
+    gts = {1: BBox(0, 0, 10, 10),        # 1 x 2 with a tie: hyp 10 and 11
+           2: BBox(100, 0, 10, 10),      # 2 x 1: gt 2 and 3 share hyp 20
+           3: BBox(101, 0, 10, 10),
+           4: BBox(200, 0, 10, 10),      # 1 x 1
+           5: BBox(300, 0, 10, 10)}      # no edge
+    hyps = {10: BBox(-1, 0, 10, 10), 11: BBox(1, 0, 10, 10),
+            20: BBox(101, 0, 10, 10), 40: BBox(200, 1, 10, 10),
+            50: BBox(400, 0, 10, 10)}
+    m = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)
+    assert m.as_map() == {1: 10, 3: 20, 4: 40}
+    assert m.unmatched_gt == (2, 5) and m.unmatched_hyp == (11, 50)
+    # a 2 x 2 component does need the solver: the guard above is not vacuous
+    gts[2] = BBox(102, 0, 10, 10)
+    hyps[21] = BBox(102, 0, 10, 10)
+    with pytest.raises(AssertionError, match="hungarian called"):
+        clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)

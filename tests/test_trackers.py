@@ -244,5 +244,9 @@ def test_make_tracker_specs():
     assert t == BuiltinGreedyTracker(0.4, 3, 2)
     ext = make_tracker("cmd:mytool {input} {output}")
     assert isinstance(ext, ExternalTracker)
+    # literal braces are doubled, as str.format writes them
+    assert make_tracker("cmd:awk '{{print $1}}' {input} {output} {sequence}")
+    assert make_tracker("builtin:link_thr=1,max_gap=0,min_track_len=1") == (
+        BuiltinGreedyTracker(1.0, 0, 1))
     with pytest.raises(ValidationError):
         make_tracker("magic")
