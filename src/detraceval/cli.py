@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--iou-thr", type=float,
                        default=det_metrics.DEFAULT_IOU_THR,
-                       help=f"overlap hit/miss threshold "
+                       help=f"overlap hit/miss threshold in [0, 1] "
                             f"(default {det_metrics.DEFAULT_IOU_THR})")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -430,6 +430,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
+        if not 0.0 <= getattr(args, "iou_thr", 0.0) <= 1.0:
+            raise ValidationError(
+                f"--iou-thr must be a number in [0, 1], got {args.iou_thr}")
         return args.func(args)
     except (ValidationError, TrackerError,
             pr_integration.SweepError) as exc:

@@ -34,6 +34,10 @@ columns, one row per box:
   entries are consecutive), plus the sequence fields and the ignore regions
   as `IgnoreColumns`.
 
+Each of these three column sets carries a frame column, so
+`geometry.covered` can tell which of its rows lie inside the ignore regions:
+the detection layer asks it of GT and detections, CLEAR of hypotheses.
+
 Frames and ids are int64, geometry float64; every box column set also
 gives ``right = left + width`` and ``bottom = top + height``, computed in
 float64 so that they equal `BBox.right` / `BBox.bottom` bit for bit, and
@@ -419,14 +423,11 @@ class BoxColumns:
 @dataclass(frozen=True, eq=False)
 class IgnoreColumns(BoxColumns):
     """Ignore regions; a region without a frame span has None in both
-    `first_frame` and `last_frame`."""
+    `first_frame` and `last_frame`. `geometry.covered` reads them through
+    `corners` and `active` to decide which boxes lie inside them."""
 
     first_frame: tuple[int | float | None, ...]
     last_frame: tuple[int | float | None, ...]
-
-    @cached_property
-    def _corner_rows(self) -> list[list[float]]:
-        return self.corners().tolist()
 
     def active(self, frames: Sequence[int]) -> np.ndarray:
         """(len(frames), regions) mask: region j is active at frames[i]
@@ -435,11 +436,6 @@ class IgnoreColumns(BoxColumns):
         return np.array([[first is None or first <= frame <= last
                           for first, last in spans] for frame in frames],
                         dtype=bool).reshape(len(frames), len(spans))
-
-    def active_corners(self, frame: int) -> list[list[float]]:
-        """Corners of the regions active at `frame`."""
-        return [corners for corners, on in
-                zip(self._corner_rows, self.active((frame,))[0]) if on]
 
     def regions(self) -> tuple[IgnoreRegion, ...]:
         return tuple(map(IgnoreRegion, self.boxes(), self.first_frame,

@@ -35,14 +35,11 @@ import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
                         DetectionSet, GroundTruth, GtColumns, ValidationError)
-from .geometry import (OcclusionClass, ScaleClass, ignore_coverages,
-                       occlusion_bands, scale_bands)
+from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
+                       scale_bands)
 from .matching import match_frame_greedy
 
 DEFAULT_IOU_THR = 0.7
-
-# Coverage above which a box counts as lying inside ignore regions.
-IGNORE_COVERAGE_THR = 0.5
 
 # Subset kind -> the values it accepts.
 _SUBSET_VALUES = {
@@ -114,8 +111,7 @@ def _label_detections(dets: Dets, gt: Truth, iou_thr: float) -> _Labels:
     d = dets.columns if isinstance(dets, DetectionSet) else dets
     g = gt.columns if isinstance(gt, GroundTruth) else gt
     g_corners = g.corners()
-    pooled = ignore_coverages(g_corners, g.width * g.height, g.frame,
-                              g.ignore) <= IGNORE_COVERAGE_THR
+    pooled = ~covered(g, g.ignore)
     # The pool of each frame in row order, the detections in frame order.
     pool = np.flatnonzero(pooled)
     pool = pool[np.argsort(g.frame[pool], kind="stable")]
@@ -137,12 +133,10 @@ def _label_detections(dets: Dets, gt: Truth, iou_thr: float) -> _Labels:
         if pairs:
             gi, di, _ = zip(*pairs)
             matched[d_lo + np.array(di)] = pool[g_lo + np.array(gi)]
-    covered = np.zeros(len(order), dtype=bool)
+    ignored = np.zeros(len(order), dtype=bool)
     left = np.flatnonzero(matched < 0)
-    covered[left] = ignore_coverages(
-        d_corners[left], (d.width * d.height)[order[left]], frame[left],
-        g.ignore) > IGNORE_COVERAGE_THR
-    return _Labels(g, score, matched, covered, pooled)
+    ignored[left] = covered(d.take(order[left]), g.ignore)
+    return _Labels(g, score, matched, ignored, pooled)
 
 
 def _curve(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> PRCurve:

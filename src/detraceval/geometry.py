@@ -6,10 +6,18 @@ Boxes are half-open rectangles, so touching edges intersect with zero area.
 
 `iou` is the scalar reference; `iou_broadcast` is the one array kernel. It
 equals `iou` entry for entry, bit for bit, on row-aligned pairs and, as
-`iou_matrix`, on every pair of two box sets. Likewise `scale_bands`,
-`occlusion_bands` and `ignore_coverages` are the column forms of
-`scale_class`, `occlusion_class` and `ignore_coverage`, with the same
-results row by row.
+`iou_matrix`, on every pair of two box sets. Likewise `scale_bands` and
+`occlusion_bands` are the column forms of `scale_class` and
+`occlusion_class`, with the same results row by row.
+
+Ignore regions: a box lies inside them when the union of the regions
+active at its frame covers more than `IGNORE_COVERAGE_THR` of its area.
+`ignore_coverage` is the scalar reference, which the oracles in `synth`
+compare against the threshold themselves. `covered` is the one production
+form: it takes any box columns with a frame column and returns the mask of
+the rows inside ignore regions, equal to the scalar test row by row. The
+detection layer and CLEAR both decide "inside an ignore region" through it,
+so neither knows the area convention or the threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import BBox, IgnoreColumns, IgnoreRegion
+from .datamodel import (BBox, DetectionColumns, GtColumns, IgnoreColumns,
+                        IgnoreRegion, TrackColumns)
 
 # Upper edges of the scale bands (sqrt of box area) and of the occlusion
 # bands; see the module docstring for which side of each edge is included.
@@ -28,6 +37,9 @@ SCALE_SMALL_MAX = 50.0
 SCALE_MEDIUM_MAX = 150.0
 OCCLUSION_NONE_BELOW = 0.01
 OCCLUSION_PARTIAL_MAX = 0.5
+
+# Coverage above which a box counts as lying inside ignore regions.
+IGNORE_COVERAGE_THR = 0.5
 
 
 class ScaleClass(enum.Enum):
@@ -181,31 +193,33 @@ def ignore_coverage(box: BBox, regions: Sequence[IgnoreRegion], frame: int) -> f
          for r in regions if r.active_at(frame)])
 
 
-def ignore_coverages(corners: np.ndarray, areas: np.ndarray,
-                     frames: np.ndarray, ignore: IgnoreColumns) -> np.ndarray:
-    """Coverage of every box by the ignore regions active at its frame:
-    row i equals `ignore_coverage` of the box with `corners[i]` (left, top,
-    right, bottom) and area `areas[i]` (width * height) at `frames[i]`.
+def covered(boxes: GtColumns | DetectionColumns | TrackColumns,
+            ignore: IgnoreColumns) -> np.ndarray:
+    """Mask of the rows of `boxes` that lie inside ignore regions: row i
+    is `ignore_coverage(box_i, regions, frame_i) > IGNORE_COVERAGE_THR`,
+    the box's area being width * height as `BBox.area` has it.
 
     One array test, with `box_coverage`'s max/min and `>` comparisons,
-    finds the boxes that some active region clips. A box that no region
-    clips has coverage exactly 0.0; only the clipped boxes go through the
-    scalar `box_coverage`, given the regions that clip them, which are the
-    ones it would keep from all active regions.
+    finds the boxes that some region active at their frame clips. A box
+    that no region clips has coverage exactly 0.0; only the clipped boxes
+    go through the scalar `box_coverage`, given the regions that clip
+    them, in region order, which are the ones it would keep from all
+    active regions.
     """
-    out = np.zeros(len(frames))
-    if not len(ignore) or not len(frames):
+    out = np.zeros(len(boxes), dtype=bool)
+    if not len(ignore) or not len(boxes):
         return out
-    regions = ignore.corners()
+    corners, regions = boxes.corners(), ignore.corners()
     box, reg = corners[:, None, :], regions[None, :, :]
-    unique_frames, at = np.unique(frames, return_inverse=True)
+    unique_frames, at = np.unique(boxes.frame, return_inverse=True)
     clips = (ignore.active(unique_frames.tolist())[at]
              & (np.minimum(box[..., 2], reg[..., 2])
                 > np.maximum(box[..., 0], reg[..., 0]))
              & (np.minimum(box[..., 3], reg[..., 3])
                 > np.maximum(box[..., 1], reg[..., 1])))
-    region_rows = regions.tolist()
+    areas, region_rows = boxes.width * boxes.height, regions.tolist()
     for i in np.flatnonzero(clips.any(axis=1)).tolist():
+        clipping = [region_rows[j] for j in np.flatnonzero(clips[i])]
         out[i] = box_coverage(corners[i].tolist(), float(areas[i]),
-                              [region_rows[j] for j in np.flatnonzero(clips[i])])
+                              clipping) > IGNORE_COVERAGE_THR
     return out

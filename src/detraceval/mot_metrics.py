@@ -11,8 +11,10 @@ Conventions (documented once, used by the oracle too):
   GT track's annotated frames; each interruption counts once.
 * MT: matched in strictly more than 80% of annotated frames; ML: strictly
   fewer than 20%. Coverage is identity-agnostic.
-* An unmatched hypothesis box covered > 0.5 by ignore regions is dropped
-  rather than counted as a false positive.
+* An unmatched hypothesis box inside ignore regions (covered > 0.5,
+  `geometry.covered`) is dropped rather than counted as a false positive.
+  GT inside ignore regions still counts, as FN when missed and toward
+  MT/ML; the detection layer drops such GT instead.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from .datamodel import (GroundTruth, GtColumns, TrackColumns, TrackSet,
                         ValidationError)
-from .det_metrics import DEFAULT_IOU_THR, IGNORE_COVERAGE_THR
-from .geometry import box_coverage
+from .det_metrics import DEFAULT_IOU_THR
+from .geometry import covered
 from .matching import clear_correspond
 
 MT_COVERAGE = 0.8
@@ -117,10 +119,9 @@ def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
     g_frame, h_frame = g.frame[g_order], h.frame[h_order]
     g_ids, h_ids = g.target_id[g_order].tolist(), h.track_id[h_order].tolist()
     g_boxes, h_boxes = g.corners()[g_order], h.corners()[h_order]
-    if len(g.ignore):
-        # BBox.area is width * height, not a corner product
-        h_corners = h_boxes.tolist()
-        h_areas = (h.width * h.height)[h_order].tolist()
+    # (frame, id) of every hypothesis inside ignore regions
+    inside = covered(h, g.ignore)
+    ignored = set(zip(h.frame[inside].tolist(), h.track_id[inside].tolist()))
     frames = np.union1d(g_frame, h_frame)
     bounds = zip(frames.tolist(),
                  np.searchsorted(g_frame, frames, "left").tolist(),
@@ -157,13 +158,9 @@ def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
                 match_state[gid] = "gap"
 
         fp_t = len(matching.unmatched_hyp)
-        regions = g.ignore.active_corners(frame) if fp_t and len(g.ignore) else []
-        if regions:
-            row = {hid: h_lo + k for k, hid in enumerate(hyps)}
-            fp_t = sum(
-                1 for hid in matching.unmatched_hyp
-                if box_coverage(h_corners[row[hid]], h_areas[row[hid]],
-                                regions) <= IGNORE_COVERAGE_THR)
+        if ignored:
+            fp_t -= sum((frame, hid) in ignored
+                        for hid in matching.unmatched_hyp)
         iou_sum = sum(v for _, _, v in matching.pairs)
         counts.append(FrameCounts(
             frame=frame, gt=len(gts), matches=len(matching.pairs),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,12 +30,16 @@ from scipy import stats as sps
 
 from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
                         GtTrack, OutTrack, TrackSet, ValidationError, CATEGORIES)
-from .det_metrics import DEFAULT_IOU_THR, IGNORE_COVERAGE_THR, PRCurve
-from .geometry import ignore_coverage, iou, occlusion_class, scale_class
+from .det_metrics import DEFAULT_IOU_THR, PRCurve
+from .geometry import (IGNORE_COVERAGE_THR, ignore_coverage, iou,
+                       occlusion_class, scale_class)
 from .mot_metrics import (ML_COVERAGE, MT_COVERAGE, FrameCounts, MetricBundle,
                           SequenceStats)
 
 ORACLE_MAX_OBJECTS = 5
+# Mean clutter boxes per frame; far above it, the Poisson counts overflow
+# the integer cast (and no run would finish building the boxes anyway).
+MAX_CLUTTER_RATE = 1e6
 _TIE_TOL = 1e-12
 
 
@@ -54,12 +59,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.drop_rate <= 1.0):
-            raise ValidationError(f"drop_rate out of range: {self.drop_rate}")
-        if self.clutter_rate < 0.0:
-            raise ValidationError(f"clutter_rate must be >= 0: {self.clutter_rate}")
-        if self.n_frames < 1:
-            raise ValidationError(f"n_frames must be >= 1: {self.n_frames}")
+        # nan, and every value outside [low, high], fails the test
+        for name, low, high in (("drop_rate", 0, 1), ("n_frames", 1, math.inf),
+                                ("clutter_rate", 0, MAX_CLUTTER_RATE),
+                                ("jitter_sigma", 0, sys.float_info.max),
+                                ("n_targets", 0, math.inf), ("seed", 0, math.inf)):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValidationError(
+                    f"{name} must lie in [{low:g}, {high:g}]: {value}")
         if self.tp_mean <= self.clutter_mean:
             raise ValidationError("tp_mean must exceed clutter_mean "
                                   "(scores must be separable)")

@@ -6,6 +6,7 @@ These intentionally re-derive expected values from first principles
 rather than trusting the library under test.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -30,6 +31,13 @@ from detraceval.trackers import greedy_iou_track
 
 def _report(criterion: str, detail: str) -> None:
     print(f"PASS {criterion}: {detail}")
+
+
+def _warns_if(expected: bool, match: str):
+    """`pytest.warns(UserWarning, match=match)` when `expected`, else a
+    no-op context (any warning then fails the test)."""
+    return (pytest.warns(UserWarning, match=match) if expected
+            else contextlib.nullcontext())
 
 
 def test_criterion_01_oracle_equivalence():
@@ -105,9 +113,12 @@ def test_criterion_03_perfect_pipeline_identities():
     assert (bundle.ids, bundle.fm, bundle.fp, bundle.fn) == (0, 0, 0, 0)
     assert bundle.mt == stats.n_tracks
     assert bundle.mt_pct == pytest.approx(100.0, abs=1e-9)
-    thresholds = select_thresholds(fx.dets.columns.score, 10)
+    # every score is equal: one threshold, one operating point
+    with pytest.warns(UserWarning, match="all detection scores are equal"):
+        thresholds = select_thresholds(fx.dets.columns.score, 10)
     points = sweep([(fx.gt, fx.dets)], fx.trackers["builtin"], thresholds)
-    report = pr_report(points)
+    with pytest.warns(UserWarning, match="single operating point"):
+        report = pr_report(points)
     # constant psi = 100 along the whole curve, so the line integral
     # collapses to 100 * L / 2 = 50 * L
     for p in points:
@@ -145,10 +156,14 @@ def test_criterion_05_integral_bound():
     checked = 0
     for name in ("perfect", "crossing", "ranking-flip", "fp-heavy"):
         fx = load_fixture(name)
-        thresholds = select_thresholds(fx.dets.columns.score, 10)
+        # every score is equal: one threshold, one operating point
+        single = name in ("perfect", "crossing")
+        with _warns_if(single, "all detection scores are equal"):
+            thresholds = select_thresholds(fx.dets.columns.score, 10)
         for tracker in fx.trackers.values():
             points = sweep([(fx.gt, fx.dets)], tracker, thresholds)
-            report = pr_report(points)
+            with _warns_if(single, "single operating point"):
+                report = pr_report(points)
             length = report.arc_length
             psi = [p.metrics.mota for p in points]
             value = report.scores()["pr_mota"]

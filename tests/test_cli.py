@@ -551,3 +551,36 @@ def test_report_scan_fuzz_never_raises(scan_root, files):
         assert code == 1
         text = err.getvalue()
         assert text.startswith("detraceval: error: ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval-det", "eval-mot", "eval-system"])
+@pytest.mark.parametrize("iou_thr", ["nan", "inf", "-1", "1.5"])
+def test_iou_thr_outside_unit_interval_is_one_line_error(tmp_path, capsys,
+                                                         command, iou_thr):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    other = {"eval-det": ["--det", str(det_dir)],
+             "eval-mot": ["--tracks", str(det_dir)],
+             "eval-system": ["--det", str(det_dir), "--tracker", "builtin"]}
+    assert main([command, "--gt", str(gt_dir), *other[command],
+                 "--iou-thr", iou_thr, "--out", str(tmp_path / "out")]) == 1
+    assert "--iou-thr must be a number in [0, 1]" in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--seed", "-1", "seed"),
+    ("--targets", "-3", "n_targets"),
+    ("--clutter-rate", "inf", "clutter_rate"),
+    ("--clutter-rate", "1e300", "clutter_rate"),
+    ("--clutter-rate", "nan", "clutter_rate"),
+    ("--clutter-rate", "-0.5", "clutter_rate"),
+    ("--jitter-sigma", "-1", "jitter_sigma"),
+    ("--jitter-sigma", "nan", "jitter_sigma"),
+    ("--jitter-sigma", "inf", "jitter_sigma"),
+])
+def test_gen_synthetic_bad_value_is_one_line_error(tmp_path, capsys, flag,
+                                                   value, name):
+    out = tmp_path / "out"
+    assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 1
+    assert name in _one_line_error(capsys)
+    assert not out.exists()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detraceval.datamodel import BBox, IgnoreRegion
-from detraceval.geometry import (OcclusionClass, ScaleClass, box_array,
+from detraceval.datamodel import (BBox, DetectionColumns, GroundTruth,
+                                  IgnoreRegion)
+from detraceval.geometry import (IGNORE_COVERAGE_THR, OcclusionClass,
+                                 ScaleClass, box_array, covered,
                                  ignore_coverage, iou, iou_broadcast,
                                  iou_matrix, occlusion_class, scale_class)
 
@@ -177,3 +179,64 @@ def test_ignore_coverage_matches_grid_oracle():
         exact = ignore_coverage(box, regions, 1)
         approx = _grid_coverage(box, regions, 1)
         assert abs(exact - approx) < 0.02
+
+
+# Boxes and regions on a half-unit grid, frames 1-6: exact 0.5 coverage,
+# shared edges, overlapping regions and frames on span edges are common.
+_grid_boxes = st.builds(BBox, st.integers(0, 16).map(lambda v: v / 2),
+                        st.integers(0, 16).map(lambda v: v / 2),
+                        st.integers(1, 12).map(lambda v: v / 2),
+                        st.integers(1, 12).map(lambda v: v / 2))
+_spans = st.one_of(st.just((None, None)),
+                   st.tuples(st.integers(1, 6), st.integers(0, 3)).map(
+                       lambda t: (t[0], t[0] + t[1])))
+_regions = st.lists(st.builds(lambda box, span: IgnoreRegion(box, *span),
+                              _grid_boxes, _spans), max_size=4)
+_rows = st.lists(st.tuples(_grid_boxes, st.integers(1, 6)), max_size=12)
+_SQUARE = BBox(0, 0, 10, 10)
+
+
+def _columns(rows, regions):
+    """(DetectionColumns of the (box, frame) rows, IgnoreColumns of the
+    regions): the arguments of `covered`."""
+    ignore = GroundTruth("s", 10, (), ignore_regions=tuple(regions)).columns.ignore
+    cols = DetectionColumns(
+        *(np.array([getattr(b, k) for b, _ in rows], dtype=np.float64)
+          for k in ("left", "top", "width", "height")),
+        frame=np.array([f for _, f in rows], dtype=np.int64),
+        score=np.ones(len(rows)))
+    return cols, ignore
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows, _regions)
+# coverage exactly 0.5 (not inside) and just above it
+@example([(_SQUARE, 1)], [IgnoreRegion(BBox(0, 0, 5, 10))])
+@example([(_SQUARE, 1)], [IgnoreRegion(BBox(0, 0, 5.5, 10))])
+# overlapping regions: the union is 0.5 although the areas sum to 0.6
+@example([(_SQUARE, 1)], [IgnoreRegion(BBox(0, 0, 3, 10)),
+                          IgnoreRegion(BBox(2, 0, 3, 10))])
+# frames just outside, on and inside the edges of a span
+@example([(_SQUARE, f) for f in range(1, 7)],
+         [IgnoreRegion(_SQUARE, 2, 4), IgnoreRegion(BBox(0, 0, 4, 10), 4, 5),
+          IgnoreRegion(BBox(3, 0, 4, 10), 5, 6)])
+def test_covered_equals_scalar_coverage_test(rows, regions):
+    """`covered` is the scalar `ignore_coverage(...) > IGNORE_COVERAGE_THR`
+    row by row, for static and frame-ranged, overlapping regions."""
+    want = [ignore_coverage(b, regions, f) > IGNORE_COVERAGE_THR
+            for b, f in rows]
+    got = covered(*_columns(rows, regions))
+    assert got.dtype == bool and got.tolist() == want
+
+
+def test_covered_threshold_and_span_edges():
+    regions = (IgnoreRegion(BBox(0, 0, 5, 10)),
+               IgnoreRegion(BBox(20, 0, 10, 10), 2, 4))
+    rows = [(BBox(0, 0, 10, 10), 1),    # exactly 0.5: not inside
+            (BBox(0, 0, 9, 10), 1),     # 5/9
+            (BBox(20, 0, 10, 10), 1),   # before the span
+            (BBox(20, 0, 10, 10), 2),   # first frame of the span
+            (BBox(20, 0, 10, 10), 4),   # last frame of the span
+            (BBox(20, 0, 10, 10), 5)]   # after it
+    assert covered(*_columns(rows, regions)).tolist() == [
+        False, True, False, True, True, False]

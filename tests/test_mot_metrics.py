@@ -208,6 +208,41 @@ def test_matches_oracle_on_random_tiny_scenarios():
         assert_bundles_equal(bundle, oracle_clear(gt, tracks))
 
 
+def _with_regions_over_hypotheses(gt, tracks, seed):
+    """`gt` with a static and a frame-ranged ignore region, each laid over
+    a random hypothesis box and shifted sideways by up to 80 % of its
+    width, so it covers that box between 20 % and 100 %. The frame-ranged
+    one spans the box's frame, at times on an edge of the span."""
+    rng = np.random.default_rng(seed)
+    rows = [(f, box) for tr in tracks.tracks for f, box in tr.boxes]
+    regions = []
+    for ranged in (False, True):
+        f, box = rows[int(rng.integers(len(rows)))]
+        shifted = BBox(box.left + rng.uniform(0, 0.8) * box.width, box.top,
+                       box.width, box.height)
+        span = ((f - int(rng.integers(2)), f + int(rng.integers(2)))
+                if ranged else (None, None))
+        regions.append(IgnoreRegion(shifted, *span))
+    return dataclasses.replace(gt, ignore_regions=tuple(regions))
+
+
+def test_matches_oracle_with_ignore_regions_over_hypotheses():
+    """CLEAR equals the oracle when ignore regions cover some hypotheses,
+    and the regions do drop unmatched hypotheses from FP on these seeds."""
+    dropped = 0
+    for seed in range(150):
+        gt, tracks = random_tiny_scenario(seed)
+        if not tracks.tracks:
+            continue
+        ignored = _with_regions_over_hypotheses(gt, tracks, seed)
+        bundle, _ = evaluate_clear(ignored, tracks)
+        assert_bundles_equal(bundle, oracle_clear(ignored, tracks))
+        plain, _ = evaluate_clear(gt, tracks)
+        assert bundle.fp <= plain.fp
+        dropped += plain.fp - bundle.fp
+    assert dropped > 0
+
+
 def _columns_from_files(gt, tracks):
     """The columns eval-mot reads: the objects written out and read back."""
     gt_buf, track_buf = io.StringIO(), io.StringIO()

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from detraceval.datamodel import (ValidationError, write_detections,
 from detraceval.det_metrics import PRCurve, PRPoint, average_precision
 from detraceval.fixtures import FIXTURE_NAMES, load_fixture
 from detraceval.mot_metrics import evaluate_clear
-from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_ap,
-                              oracle_clear, random_tiny_scenario)
+from detraceval.synth import (MAX_CLUTTER_RATE, ScenarioConfig, gen_scenario,
+                              oracle_ap, oracle_clear, random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
 
 
@@ -87,6 +88,25 @@ def test_degenerate_arena_rejected():
 def test_inseparable_scores_rejected():
     with pytest.raises(ValidationError, match="separable"):
         ScenarioConfig(tp_mean=0.3, clutter_mean=0.5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("n_targets", -3), ("n_frames", 0),
+    ("clutter_rate", -0.5), ("clutter_rate", math.nan),
+    ("clutter_rate", math.inf), ("clutter_rate", 1e300),
+    ("clutter_rate", MAX_CLUTTER_RATE * 2),
+    ("jitter_sigma", -1.0), ("jitter_sigma", math.nan),
+    ("jitter_sigma", math.inf),
+])
+def test_bad_scenario_values_rejected(field, value):
+    with pytest.raises(ValidationError, match=field):
+        ScenarioConfig(**{field: value})
+
+
+def test_scenario_edge_values_accepted():
+    gt, dets = gen_scenario(ScenarioConfig(n_targets=0, n_frames=1, seed=0))
+    assert not gt.tracks and not len(dets)
+    ScenarioConfig(clutter_rate=MAX_CLUTTER_RATE, jitter_sigma=0.0)
 
 
 def test_oracle_rejects_large_instances():
