@@ -29,20 +29,30 @@ same ``>=`` that admits a pair to the assignment, so at threshold 0 every
 pair is an edge). Components share no rows or columns, so cardinality and
 total IoU add up across them, and fixing one ground truth's pair changes
 only its own component's part of both. The rule therefore decides each
-component on its own, and:
+component on its own:
 
-* a component of one edge is that pair;
-* a 1 x k component (one ground truth) takes the smallest hypothesis whose
-  IoU is within 1e-12 of the component's maximum, and a k x 1 component
-  (one hypothesis) the smallest ground truth meeting the same test;
-* only larger components go through `_canonical_match`, which re-solves a
-  Hungarian sub-problem for every candidate pair, on their own sub-matrix.
+* when no row and no column has two edges, every component is one edge,
+  and the edges are the answer;
+* otherwise the components are labeled by union-find over the edges, and
+  each goes through `_canonical_match` on its own sub-matrix. That walk
+  fixes the ground truths in ascending order and asks `_residual_value`,
+  for every candidate pair, for the optimum of what would remain.
 
-Almost every residual frame of a sweep is a set of single edges, so this
-solves almost no assignment at all.
+`_residual_value` enumerates when the smaller side of its matrix is at most
+2: the best single pair, or the best two disjoint pairs. Only a matrix with
+both sides >= 3 goes to `hungarian`. So a component with a side <= 2 solves
+no assignment, and a larger one solves one per candidate pair until its
+sub-problems shrink to a side of 2. At the default threshold almost every
+residual frame of a sweep is a set of single edges, and the rest are
+components of at most 2 x 2.
+
+scipy is imported on first use only: by `hungarian` (residual components
+with both sides >= 3, and direct callers) and by `synth.gen_scenario` for
+clutter. Importing the package, and evaluating inputs whose residual
+components all have a side <= 2, loads none of it.
 
 Where the 1e-12 tolerance makes this differ from running `_canonical_match`
-on the whole matrix:
+on the whole matrix with every value from the solver:
 
 * Near-ties in several components at once do not add up. Each choice is
   measured against the optimum of what is still unassigned, never against
@@ -56,12 +66,14 @@ on the whole matrix:
   arithmetic they cancel; in floats they are summed in another order, and
   possibly from another of several tied optimal assignments, which moves
   the comparison by a few units in the last place of the total (about
-  n * 2**-52 for n pairs of IoU <= 1). The per-component closed forms use
-  the exact maximum where the whole-matrix routine used scipy's float
-  optimum. Both effects are orders of magnitude below 1e-12, so a decision
-  can differ only where a shortfall lies within that few-ulp band around
-  1e-12 itself, where the whole-matrix routine's own answer already depended
-  on which tied assignment the solver returned.
+  n * 2**-52 for n pairs of IoU <= 1). The enumeration returns the exact
+  maximum of at most two summed IoUs, the same sum the solver path forms
+  for the same pairs; the solver minimizes the costs 1 - IoU, whose
+  rounding can make it return a tied assignment whose IoU total is a unit
+  or two in the last place lower. Both effects are orders of magnitude
+  below 1e-12, so a decision can differ only where a shortfall lies within
+  that few-ulp band around 1e-12 itself, where the whole-matrix routine's
+  own answer already depended on which tied assignment the solver returned.
 """
 
 from __future__ import annotations
@@ -71,9 +83,6 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import iou_broadcast, iou_matrix
 
@@ -87,6 +96,9 @@ def hungarian(cost: Sequence[Sequence[float]]) -> dict[int, int]:
 
     Returns a partial row -> column map covering only allowed pairs.
     """
+    # scipy is imported here, on first use, to keep it off the import path
+    from scipy.optimize import linear_sum_assignment
+
     mat = np.asarray(cost, dtype=float)
     if mat.size == 0:
         return {}
@@ -151,10 +163,29 @@ def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
 
 
 def _residual_value(iou_mat: np.ndarray, iou_thr: float) -> tuple[int, float]:
-    """(cardinality, total IoU) of the optimal residual matching."""
-    cost = np.where(iou_mat >= iou_thr, 1.0 - iou_mat, FORBIDDEN)
-    assign = hungarian(cost)
-    return len(assign), float(sum(iou_mat[r, c] for r, c in assign.items()))
+    """(cardinality, total IoU) of the optimal residual matching.
+
+    With at most two rows or two columns, by enumeration: the best single
+    pair, or the best two disjoint pairs. Otherwise by `hungarian`.
+    """
+    if min(iou_mat.shape) > 2:
+        cost = np.where(iou_mat >= iou_thr, 1.0 - iou_mat, FORBIDDEN)
+        assign = hungarian(cost)
+        return len(assign), float(sum(iou_mat[r, c] for r, c in assign.items()))
+    if iou_mat.size == 0:
+        return 0, 0.0
+    # a pair below the threshold is worth -inf; at most two rows after this
+    value = np.where(iou_mat >= iou_thr, iou_mat, -np.inf)
+    if len(value) > 2:
+        value = value.T
+    if len(value) == 2:
+        both = np.add.outer(value[0], value[1])
+        np.fill_diagonal(both, -np.inf)
+        best = float(both.max())
+        if best > -np.inf:
+            return 2, best
+    best = float(value.max())
+    return (1, best) if best > -np.inf else (0, 0.0)
 
 
 def _canonical_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]]:
@@ -195,33 +226,32 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
     one connected component at a time (see the module docstring).
 
     Edges are the pairs with IoU >= iou_thr. When no row and no column has
-    two edges, the edges are the answer. Otherwise a one-row component takes
-    its smallest column with IoU >= its maximum - 1e-12, a one-column
-    component its smallest row meeting that test, and only larger components
-    go through `_canonical_match` on their sub-matrix. Pairs are (row,
-    column), sorted by row.
+    two edges, the edges are the answer. Otherwise each component, labeled
+    by union-find over the edges, goes through `_canonical_match` on its
+    sub-matrix. Pairs are (row, column), sorted by row.
     """
     rows, cols = np.nonzero(iou_mat >= iou_thr)
     if len(rows) == 0:
         return []
     if np.bincount(rows).max() == 1 and np.bincount(cols).max() == 1:
         return list(zip(rows.tolist(), cols.tolist()))
+    # nodes: row i is i, column j is n + j
     n, m = iou_mat.shape
-    graph = coo_matrix((np.ones(len(rows)), (rows, n + cols)),
-                       shape=(n + m, n + m))
-    label = connected_components(graph, directed=False)[1][rows]
+    parent = list(range(n + m))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        parent[root(r)] = root(n + c)
+    label = np.array([root(r) for r in rows.tolist()])
     pairs: list[tuple[int, int]] = []
     for comp in np.unique(label):
         in_comp = label == comp
         comp_rows, comp_cols = np.unique(rows[in_comp]), np.unique(cols[in_comp])
-        sub = iou_mat[np.ix_(comp_rows, comp_cols)]
-        if 1 in sub.shape:
-            # One row or one column: its first entry within the tolerance
-            # of the maximum, in flat order.
-            first = np.argmax(sub.ravel() >= sub.max() - _IOU_TIE_TOL)
-            matched = [divmod(int(first), sub.shape[1])]
-        else:
-            matched = _canonical_match(sub, iou_thr)
+        matched = _canonical_match(iou_mat[np.ix_(comp_rows, comp_cols)], iou_thr)
         pairs.extend((int(comp_rows[a]), int(comp_cols[b])) for a, b in matched)
     pairs.sort()
     return pairs

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
                         GtTrack, OutTrack, TrackSet, ValidationError, CATEGORIES)
@@ -40,6 +39,10 @@ ORACLE_MAX_OBJECTS = 5
 # Mean clutter boxes per frame; far above it, the Poisson counts overflow
 # the integer cast (and no run would finish building the boxes anyway).
 MAX_CLUTTER_RATE = 1e6
+# Frames, and GT boxes (targets x frames), per scenario: about 8x the
+# paper's 1.2M boxes per detector-tracker pair. The generator builds one
+# Python list per frame, so a larger request would exhaust memory first.
+MAX_SCENARIO_BOXES = 10_000_000
 _TIE_TOL = 1e-12
 
 
@@ -60,7 +63,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # nan, and every value outside [low, high], fails the test
-        for name, low, high in (("drop_rate", 0, 1), ("n_frames", 1, math.inf),
+        for name, low, high in (("drop_rate", 0, 1),
+                                ("n_frames", 1, MAX_SCENARIO_BOXES),
                                 ("clutter_rate", 0, MAX_CLUTTER_RATE),
                                 ("jitter_sigma", 0, sys.float_info.max),
                                 ("n_targets", 0, math.inf), ("seed", 0, math.inf)):
@@ -68,6 +72,10 @@ class ScenarioConfig:
             if not low <= value <= high:
                 raise ValidationError(
                     f"{name} must lie in [{low:g}, {high:g}]: {value}")
+        if self.n_targets * self.n_frames > MAX_SCENARIO_BOXES:
+            raise ValidationError(
+                f"n_targets * n_frames must not exceed {MAX_SCENARIO_BOXES}: "
+                f"{self.n_targets} * {self.n_frames}")
         if self.tp_mean <= self.clutter_mean:
             raise ValidationError("tp_mean must exceed clutter_mean "
                                   "(scores must be separable)")
@@ -135,6 +143,9 @@ def gen_scenario(config: ScenarioConfig) -> tuple[GroundTruth, DetectionSet]:
                 score=score))
 
     if config.clutter_rate > 0:
+        # scipy is imported here, its only use, to keep it off the import path
+        from scipy import stats as sps
+
         clutter_u = r_clutter.uniform(size=config.n_frames)
         counts = sps.poisson.ppf(clutter_u, config.clutter_rate).astype(int)
         r_cbox = np.random.default_rng(ss.spawn(1)[0])

@@ -214,6 +214,94 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "x" / "gt" / "perfect.json").exists()
 
 
+_SCIPY_GUARD = """
+import json, sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import detraceval
+after_package = scipy_loaded()
+import detraceval.cli
+after_cli = scipy_loaded()
+
+from detraceval import matching
+shapes = []
+canonical_match = matching._canonical_match
+
+def recording(sub, iou_thr):
+    shapes.append(list(sub.shape))
+    return canonical_match(sub, iou_thr)
+
+matching._canonical_match = recording
+codes = [detraceval.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"after_package": after_package, "after_cli": after_cli,
+                  "codes": codes, "shapes": shapes,
+                  "after_main": scipy_loaded()}))
+"""
+
+
+def _two_by_two_scene(tmp_path):
+    """Two GT targets 5 px apart and two detections between them: at the
+    default IoU threshold every GT-detection pair is an edge, so the first
+    frame's residual is one 2 x 2 component. Returns the gt, det and track
+    directories."""
+    from detraceval.datamodel import (BBox, Detection, DetectionSet,
+                                      GroundTruth, GtEntry, GtTrack, OutTrack,
+                                      TrackSet, write_detections,
+                                      write_ground_truth)
+    frames = range(1, 4)
+    gt = GroundTruth("pair", 3, tuple(
+        GtTrack(tid, tuple(GtEntry(f, BBox(x0 + 2 * f, 0, 100, 100))
+                           for f in frames))
+        for tid, x0 in ((1, 0), (2, 5))))
+    det_rows = [(x0, score) for x0, score in ((1, 0.9), (4, 0.8))]
+    dets = DetectionSet(tuple(Detection(f, BBox(x0 + 2 * f, 0, 100, 100), s)
+                              for f in frames for x0, s in det_rows))
+    tracks = TrackSet(tuple(
+        OutTrack(tid, tuple((f, BBox(x0 + 2 * f, 0, 100, 100)) for f in frames))
+        for tid, (x0, _) in enumerate(det_rows, start=1)))
+    dirs = [tmp_path / name for name in ("gt", "det", "tracks")]
+    for d in dirs:
+        d.mkdir()
+    with open(dirs[0] / "pair.json", "w") as fh:
+        write_ground_truth(gt, fh)
+    with open(dirs[1] / "pair.csv", "w") as fh:
+        write_detections(dets, fh)
+    with open(dirs[2] / "pair.csv", "w") as fh:
+        write_tracks(tracks, fh)
+    return dirs
+
+
+def test_evaluation_commands_import_no_scipy(tmp_path):
+    # scipy is imported only where it is the only way to do the job: by
+    # gen-synthetic's clutter, and by residual components with both sides
+    # >= 3. A fresh interpreter shows what the package and the evaluation
+    # commands load.
+    gt_dir, det_dir, tracks_dir = _two_by_two_scene(tmp_path)
+    out = tmp_path / "out"
+    argvs = [
+        ["eval-mot", "--gt", str(gt_dir), "--tracks", str(tracks_dir),
+         "--out", str(out / "mot")],
+        ["eval-det", "--gt", str(gt_dir), "--det", str(det_dir),
+         "--out", str(out / "det")],
+        ["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+         "--tracker", "builtin:max_gap=2", "--out", str(out / "system")],
+    ]
+    root = str(Path(detraceval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0]
+    assert [2, 2] in got["shapes"]  # the component the enumeration serves
+    assert got["after_package"] == got["after_cli"] == got["after_main"] == []
+    mot = json.loads((out / "mot" / "mot_aggregate.json").read_text())
+    assert mot["bundle"]["fn"] == mot["bundle"]["fp"] == 0
+
+
 def _bad_gt_doc(shape: str) -> dict:
     """The perfect fixture's GT document with one field of the wrong shape."""
     doc = json.loads(_GT_TEXT)
@@ -577,10 +665,12 @@ def test_iou_thr_outside_unit_interval_is_one_line_error(tmp_path, capsys,
     ("--jitter-sigma", "-1", "jitter_sigma"),
     ("--jitter-sigma", "nan", "jitter_sigma"),
     ("--jitter-sigma", "inf", "jitter_sigma"),
+    # a value may carry further arguments: this one died allocating frames
+    ("--frames", "100000000000 --targets 0", "n_frames"),
 ])
 def test_gen_synthetic_bad_value_is_one_line_error(tmp_path, capsys, flag,
                                                    value, name):
     out = tmp_path / "out"
-    assert main(["gen-synthetic", flag, value, "--out", str(out)]) == 1
+    assert main(["gen-synthetic", flag, *value.split(), "--out", str(out)]) == 1
     assert name in _one_line_error(capsys)
     assert not out.exists()

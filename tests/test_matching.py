@@ -227,13 +227,23 @@ def test_clear_correspond_matches_enumeration_oracle():
         assert got == want
 
 
+def _reference_residual_value(iou_mat, iou_thr):
+    """`matching._residual_value` when every size went through the solver,
+    verbatim, so the reference below shares no enumeration with the code it
+    checks."""
+    cost = np.where(iou_mat >= iou_thr, 1.0 - iou_mat, FORBIDDEN)
+    assign = hungarian(cost)
+    return len(assign), float(sum(iou_mat[r, c] for r, c in assign.items()))
+
+
 def _reference_residual_match(iou_mat, iou_thr):
     """`matching._residual_match` before it split the matrix into connected
-    components, verbatim: the whole-matrix canonicalisation it must equal."""
+    components, verbatim but for the solver-only value above: the
+    whole-matrix canonicalisation it must equal."""
     n, m = iou_mat.shape
     if n == 0 or m == 0:
         return []
-    card, total = _residual_value(iou_mat, iou_thr)
+    card, total = _reference_residual_value(iou_mat, iou_thr)
     if card == 0:
         return []
     rows = list(range(n))
@@ -246,7 +256,7 @@ def _reference_residual_match(iou_mat, iou_thr):
             if iou_mat[i, j] < iou_thr:
                 continue
             sub = iou_mat[np.ix_(rows, [c for c in cols if c != j])]
-            sub_card, sub_total = _residual_value(sub, iou_thr)
+            sub_card, sub_total = _reference_residual_value(sub, iou_thr)
             if sub_card + 1 == card and sub_total + iou_mat[i, j] >= total - _IOU_TIE_TOL:
                 chosen = j
                 card, total = sub_card, sub_total
@@ -308,6 +318,32 @@ def test_residual_match_equals_whole_matrix_reference(monkeypatch):
                 mat, iou_thr)
 
 
+def _tie_heavy_matrix(rng, n, m):
+    """Grid IoUs, a few of them nudged by less than the tie tolerance, so
+    exact ties, equal sums from different pairs and near-ties all occur."""
+    mat = rng.choice(_GRID, size=(n, m))
+    nudge = rng.uniform(size=(n, m)) < 0.2
+    mat[nudge] += rng.choice([-0.6e-12, 0.6e-12, -1e-16], size=int(nudge.sum()))
+    return np.clip(mat, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", ["1xk", "kx1", "2xk", "kx2", "3x3+"])
+@pytest.mark.parametrize("iou_thr", [0.0, 0.1, 0.5])
+def test_residual_value_enumeration_equals_solver(shape, iou_thr):
+    rng = np.random.default_rng([7, len(shape), int(iou_thr * 10)])
+    for _ in range(150):
+        k = int(rng.integers(0, 7))
+        n, m = {"1xk": (1, k), "kx1": (k, 1), "2xk": (2, k), "kx2": (k, 2),
+                "3x3+": tuple(int(v) for v in rng.integers(3, 6, 2))}[shape]
+        mat = _tie_heavy_matrix(rng, n, m)
+        card, total = _residual_value(mat, iou_thr)
+        want_card, want_total = _reference_residual_value(mat, iou_thr)
+        assert card == want_card, (mat, iou_thr)
+        assert abs(total - want_total) <= 1e-15, (mat, iou_thr)
+        assert _residual_match(mat, iou_thr) == _reference_residual_match(
+            mat, iou_thr), (mat, iou_thr)
+
+
 @pytest.mark.parametrize("mat, want", [
     # exact ties in a 1 x k and a k x 1 component, plus a single edge
     ([[0.7, 0.2, 0.7, 0.0, 0.0],
@@ -349,7 +385,7 @@ def test_residual_match_at_zero_threshold_every_pair_is_an_edge():
 ])
 def test_residual_match_near_ties_in_two_components(gap_a, gap_b, want):
     # one 1 x 2 component per row; the 2 x 2 variant at the end takes the
-    # Hungarian path inside each component
+    # `_canonical_match` walk over two rows inside each component
     one_row = np.array([[0.5, 0.5 + gap_a, 0.0, 0.0],
                         [0.0, 0.0, 0.5, 0.5 + gap_b]])
     assert _residual_match(one_row, 0.3) == want
@@ -395,15 +431,18 @@ def test_clear_correspond_closed_forms_solve_no_assignment(monkeypatch):
            2: BBox(100, 0, 10, 10),      # 2 x 1: gt 2 and 3 share hyp 20
            3: BBox(101, 0, 10, 10),
            4: BBox(200, 0, 10, 10),      # 1 x 1
-           5: BBox(300, 0, 10, 10)}      # no edge
+           5: BBox(300, 0, 10, 10),      # no edge
+           6: BBox(500, 0, 10, 10),      # 2 x 2: gt 6 and 7, hyp 60 and 61
+           7: BBox(501, 0, 10, 10)}
     hyps = {10: BBox(-1, 0, 10, 10), 11: BBox(1, 0, 10, 10),
             20: BBox(101, 0, 10, 10), 40: BBox(200, 1, 10, 10),
-            50: BBox(400, 0, 10, 10)}
+            50: BBox(400, 0, 10, 10),
+            60: BBox(501, 0, 10, 10), 61: BBox(500, 0, 10, 10)}
     m = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)
-    assert m.as_map() == {1: 10, 3: 20, 4: 40}
+    assert m.as_map() == {1: 10, 3: 20, 4: 40, 6: 61, 7: 60}
     assert m.unmatched_gt == (2, 5) and m.unmatched_hyp == (11, 50)
-    # a 2 x 2 component does need the solver: the guard above is not vacuous
-    gts[2] = BBox(102, 0, 10, 10)
-    hyps[21] = BBox(102, 0, 10, 10)
+    # a 3 x 3 component does need the solver: the guard above is not vacuous
+    gts[8] = BBox(502, 0, 10, 10)
+    hyps[62] = BBox(502, 0, 10, 10)
     with pytest.raises(AssertionError, match="hungarian called"):
         clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)

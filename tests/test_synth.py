@@ -10,8 +10,9 @@ from detraceval.datamodel import (ValidationError, write_detections,
 from detraceval.det_metrics import PRCurve, PRPoint, average_precision
 from detraceval.fixtures import FIXTURE_NAMES, load_fixture
 from detraceval.mot_metrics import evaluate_clear
-from detraceval.synth import (MAX_CLUTTER_RATE, ScenarioConfig, gen_scenario,
-                              oracle_ap, oracle_clear, random_tiny_scenario)
+from detraceval.synth import (MAX_CLUTTER_RATE, MAX_SCENARIO_BOXES,
+                              ScenarioConfig, gen_scenario, oracle_ap,
+                              oracle_clear, random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
 
 
@@ -103,10 +104,19 @@ def test_bad_scenario_values_rejected(field, value):
         ScenarioConfig(**{field: value})
 
 
+def test_scenario_box_count_bounded():
+    with pytest.raises(ValidationError, match="n_frames"):
+        ScenarioConfig(n_targets=0, n_frames=MAX_SCENARIO_BOXES + 1)
+    with pytest.raises(ValidationError, match="n_targets \\* n_frames"):
+        ScenarioConfig(n_targets=MAX_SCENARIO_BOXES // 1000 + 1, n_frames=1000)
+
+
 def test_scenario_edge_values_accepted():
     gt, dets = gen_scenario(ScenarioConfig(n_targets=0, n_frames=1, seed=0))
     assert not gt.tracks and not len(dets)
     ScenarioConfig(clutter_rate=MAX_CLUTTER_RATE, jitter_sigma=0.0)
+    ScenarioConfig(n_targets=1, n_frames=MAX_SCENARIO_BOXES)
+    ScenarioConfig(n_targets=MAX_SCENARIO_BOXES // 1000, n_frames=1000)
 
 
 def test_oracle_rejects_large_instances():
