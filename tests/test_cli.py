@@ -255,7 +255,7 @@ def _two_by_two_scene(tmp_path):
         GtTrack(tid, tuple(GtEntry(f, BBox(x0 + 2 * f, 0, 100, 100))
                            for f in frames))
         for tid, x0 in ((1, 0), (2, 5))))
-    det_rows = [(x0, score) for x0, score in ((1, 0.9), (4, 0.8))]
+    det_rows = ((1, 0.9), (4, 0.8))  # (left at frame 0, score)
     dets = DetectionSet(tuple(Detection(f, BBox(x0 + 2 * f, 0, 100, 100), s)
                               for f in frames for x0, s in det_rows))
     tracks = TrackSet(tuple(

@@ -327,14 +327,18 @@ def _tie_heavy_matrix(rng, n, m):
     return np.clip(mat, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("shape", ["1xk", "kx1", "2xk", "kx2", "3x3+"])
+_SHAPES = {"1xk": lambda rng, k: (1, k), "kx1": lambda rng, k: (k, 1),
+           "2xk": lambda rng, k: (2, k), "kx2": lambda rng, k: (k, 2),
+           "3x3+": lambda rng, k: tuple(int(v) for v in rng.integers(3, 6, 2))}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
 @pytest.mark.parametrize("iou_thr", [0.0, 0.1, 0.5])
 def test_residual_value_enumeration_equals_solver(shape, iou_thr):
-    rng = np.random.default_rng([7, len(shape), int(iou_thr * 10)])
+    rng = np.random.default_rng([7, list(_SHAPES).index(shape),
+                                 int(iou_thr * 10)])
     for _ in range(150):
-        k = int(rng.integers(0, 7))
-        n, m = {"1xk": (1, k), "kx1": (k, 1), "2xk": (2, k), "kx2": (k, 2),
-                "3x3+": tuple(int(v) for v in rng.integers(3, 6, 2))}[shape]
+        n, m = _SHAPES[shape](rng, int(rng.integers(0, 7)))
         mat = _tie_heavy_matrix(rng, n, m)
         card, total = _residual_value(mat, iou_thr)
         want_card, want_total = _reference_residual_value(mat, iou_thr)
