@@ -52,15 +52,16 @@ reader walk the rows one by one, through the domain constructors, to raise
 the error of the first offending line or entry with the constructors'
 message. Frames, ids and ``frame_count`` must fit in int64.
 
-`parse_tracks`, `parse_detections` and `parse_ground_truth` build the
-dataclasses from the columns. The dataclasses are the public construction
-types, and the oracles in `synth` work on them. Every CLI subcommand, the
-threshold sweep and the trackers work on columns and build no per-box
-object: a threshold is the mask ``score >= threshold`` applied with
-`DetectionColumns.take`, a tracker takes `DetectionColumns` and returns
-`TrackColumns`, and `write_detections` / `write_tracks` write columns.
-`GroundTruth.columns`, `TrackSet.columns` and `DetectionSet.columns` derive
-the same columns from objects, so library callers may pass either.
+The dataclasses are the public construction types, and the oracles in
+`synth` work on them. `GroundTruth.columns`, `DetectionSet.columns` and
+`TrackSet.columns` derive the readers' columns from objects; they are the
+one bridge between the two models, and nothing turns columns back into
+objects. Every CLI subcommand, the threshold sweep and the trackers work on
+columns and build no per-box object: a threshold is the mask
+``score >= threshold`` applied with `DetectionColumns.take`, a tracker
+takes `DetectionColumns` and returns `TrackColumns`, and
+`write_detections` / `write_tracks` write columns. Library functions that
+take columns also take the objects and call `.columns` themselves.
 """
 
 from __future__ import annotations
@@ -382,14 +383,6 @@ def _box_columns(boxes: Sequence[BBox]) -> dict[str, np.ndarray]:
             for name in _BOX_FIELDS}
 
 
-def _runs(ids: np.ndarray) -> list[tuple[int, int]]:
-    """(start, end) of every run of equal consecutive values."""
-    if len(ids) == 0:
-        return []
-    cuts = [0, *(np.flatnonzero(np.diff(ids)) + 1).tolist(), len(ids)]
-    return list(zip(cuts, cuts[1:]))
-
-
 @dataclass(frozen=True, eq=False)
 class BoxColumns:
     """One box per row as float64 columns."""
@@ -415,10 +408,6 @@ class BoxColumns:
         layout."""
         return np.column_stack((self.left, self.top, self.right, self.bottom))
 
-    def boxes(self) -> list[BBox]:
-        return list(map(BBox, self.left.tolist(), self.top.tolist(),
-                        self.width.tolist(), self.height.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class IgnoreColumns(BoxColumns):
@@ -437,22 +426,11 @@ class IgnoreColumns(BoxColumns):
                           for first, last in spans] for frame in frames],
                         dtype=bool).reshape(len(frames), len(spans))
 
-    def regions(self) -> tuple[IgnoreRegion, ...]:
-        return tuple(map(IgnoreRegion, self.boxes(), self.first_frame,
-                         self.last_frame))
-
 
 @dataclass(frozen=True, eq=False)
 class TrackColumns(BoxColumns):
     frame: np.ndarray
     track_id: np.ndarray
-
-    def track_set(self) -> TrackSet:
-        """The tracks; rows must be grouped by track, frames ascending."""
-        rows = list(zip(self.frame.tolist(), self.boxes()))
-        ids = self.track_id.tolist()
-        return TrackSet(tuple(OutTrack(ids[a], tuple(rows[a:b]))
-                              for a, b in _runs(self.track_id)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,10 +443,6 @@ class DetectionColumns(BoxColumns):
         return DetectionColumns(
             self.left[rows], self.top[rows], self.width[rows],
             self.height[rows], frame=self.frame[rows], score=self.score[rows])
-
-    def detection_set(self) -> DetectionSet:
-        return DetectionSet(tuple(map(Detection, self.frame.tolist(),
-                                      self.boxes(), self.score.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,20 +457,6 @@ class GtColumns(BoxColumns):
     weather: str
     difficulty: str
     ignore: IgnoreColumns
-
-    def ground_truth(self) -> GroundTruth:
-        """The domain object; rows must be grouped by track (target ids
-        unique)."""
-        entries = list(map(GtEntry, self.frame.tolist(), self.boxes(),
-                           self.occlusion.tolist(), self.truncation.tolist(),
-                           self.category))
-        ids = self.target_id.tolist()
-        tracks = tuple(GtTrack(ids[a], tuple(entries[a:b]))
-                       for a, b in _runs(self.target_id))
-        return GroundTruth(sequence_id=self.sequence_id,
-                           frame_count=self.frame_count, tracks=tracks,
-                           ignore_regions=self.ignore.regions(),
-                           weather=self.weather, difficulty=self.difficulty)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +579,6 @@ def _first_bad_detection(lines: list[str]) -> NoReturn:
     raise AssertionError("detection columns failed a check that no row fails")
 
 
-def parse_detections(stream: Iterable[str]) -> DetectionSet:
-    return read_detections(stream).detection_set()
-
-
 def write_detections(dets: DetectionSet | DetectionColumns, stream: TextIO) -> None:
     d = dets.columns if isinstance(dets, DetectionSet) else dets
     stream.writelines(_csv_lines("%s,-1,%s,%s,%s,%s,%s,-1,-1,-1\n", d.frame,
@@ -669,10 +625,6 @@ def _first_bad_track_row(lines: list[str]) -> NoReturn:
         positions[(track_id, frame)] = line_no
         _in_line(line_no, BBox, left, top, width, height)
     raise AssertionError("track columns failed a check that no row fails")
-
-
-def parse_tracks(stream: Iterable[str]) -> TrackSet:
-    return read_tracks(stream).track_set()
 
 
 def write_tracks(tracks: TrackSet | TrackColumns, stream: TextIO) -> None:
@@ -864,10 +816,6 @@ def _first_gt_error(doc: dict) -> NoReturn:
     except KeyError as exc:
         raise ValidationError(f"ground truth: missing field {exc}") from None
     raise AssertionError("ground truth columns failed a check that no entry fails")
-
-
-def parse_ground_truth(stream: TextIO | str) -> GroundTruth:
-    return read_ground_truth(stream).ground_truth()
 
 
 def write_ground_truth(gt: GroundTruth, stream: TextIO) -> None:

@@ -372,7 +372,7 @@ def test_eval_mot_builds_no_box_objects(tmp_path, monkeypatch):
     for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.OutTrack):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     with pytest.raises(AssertionError, match="built on the eval-mot path"):
-        datamodel.parse_tracks(["1,1,0,0,5,5"])
+        datamodel.BBox(0, 0, 5, 5)
     assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
     for name in ("mot_aggregate.json", "mot_s.json"):
         assert ((tmp_path / "patched" / name).read_bytes()
@@ -427,7 +427,7 @@ def test_eval_system_builds_no_box_objects(tmp_path, monkeypatch, tracker):
                 datamodel.Detection, datamodel.OutTrack, datamodel.IgnoreRegion):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     with pytest.raises(AssertionError, match="built on the eval-system path"):
-        datamodel.parse_detections(["1,-1,0,0,5,5,0.9,-1,-1,-1"])
+        datamodel.BBox(0, 0, 5, 5)
     assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
     for name in ("system_report.json", "pr_curve.csv"):
         assert ((tmp_path / "patched" / name).read_bytes()

@@ -24,7 +24,7 @@ import pytest
 from detraceval.cli import main
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   Detection, DetectionSet, GtTrack,
-                                  IgnoreRegion, parse_detections,
+                                  IgnoreRegion, read_detections,
                                   write_detections, write_ground_truth,
                                   write_tracks)
 from detraceval.fixtures import load_fixture
@@ -361,7 +361,7 @@ def _mot_digests(tmp_path, case: str, spec: str) -> dict[str, str]:
     (data / "tracks").mkdir()
     for det_path in sorted((data / "det").glob("*.csv")):
         with open(det_path) as fh:
-            tracks = tracker(parse_detections(fh), det_path.stem)
+            tracks = tracker(read_detections(fh), det_path.stem)
         with open(data / "tracks" / det_path.name, "w") as fh:
             write_tracks(tracks, fh)
     assert main(["eval-mot", "--gt", str(data / "gt"),

@@ -2,15 +2,14 @@
 
 The `old_*` functions below are the parsers as they were before the
 columnar readers, copied verbatim apart from their names; they build the
-same domain objects one line or entry at a time. On valid and corrupted
-inputs the new `parse_*` functions must give equal objects whose floats are
-bit-identical (so equal to `float(token)`), the same columns through
-`read_*`, or the same `ValidationError` text. Where the old parser crashed
-with another exception, the new one must raise `ValidationError`.
+domain objects one line or entry at a time. On valid and corrupted inputs
+each `read_*` function must give columns holding the old objects' values,
+floats bit-identical (so equal to `float(token)`), or the same
+`ValidationError` text. Where the old parser crashed with another
+exception, the reader must raise `ValidationError`.
 """
 
 import copy
-import dataclasses
 import itertools
 import json
 import math
@@ -26,9 +25,8 @@ from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   Detection, DetectionSet, GroundTruth,
                                   GtEntry, GtTrack, IgnoreRegion, OutTrack,
                                   TrackSet, ValidationError, _check,
-                                  parse_detections, parse_ground_truth,
-                                  parse_tracks, read_detections,
-                                  read_ground_truth, read_tracks)
+                                  read_detections, read_ground_truth,
+                                  read_tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +178,19 @@ def _bits(column: np.ndarray) -> bytes:
     return column.tobytes()
 
 
-def _same(old, parse, read, data):
-    """The new parser and the reader agree with the old parser as the
-    module docstring says; returns the old outcome."""
-    want = _outcome(old, data)
-    got, columns = _outcome(parse, data), _outcome(read, data)
-    if want[0] == "crash":
-        assert got[0] == columns[0] == "error", (want, got, columns)
+def _same(old, read, data, columns_match, must_fail=False):
+    """The reader agrees with the old parser as the module docstring says:
+    `columns_match(columns, objects)` checks an accepted input, and
+    `must_fail` marks an input the reader rejects whatever the old parser
+    did. Returns the old outcome."""
+    want, got = _outcome(old, data), _outcome(read, data)
+    if must_fail or want[0] == "crash":
+        assert got[0] == "error", (want, got)
     elif want[0] == "error":
-        assert got == columns == want
+        assert got == want
     else:
-        assert got == want and columns[0] == "ok", (got, columns)
-        assert _canon(dataclasses.astuple(got[1])) == \
-            _canon(dataclasses.astuple(want[1]))
+        assert got[0] == "ok", (want, got)
+        columns_match(got[1], want[1])
     return want
 
 
@@ -247,58 +245,60 @@ def test_every_single_token_fault_matches_old_parser(kind):
     """Each field of two lines replaced by each odd token: the reader
     rejects exactly what the old parser rejected, with its message."""
     if kind == "tracks":
-        base, old, parse, read = TRACK_LINES, old_parse_tracks, parse_tracks, read_tracks
+        base, old, read, match = (TRACK_LINES, old_parse_tracks, read_tracks,
+                                  _track_columns_match)
     else:
-        base, old, parse, read = (DETECTION_LINES, old_parse_detections,
-                                  parse_detections, read_detections)
+        base, old, read, match = (DETECTION_LINES, old_parse_detections,
+                                  read_detections, _detection_columns_match)
     for line in (0, 2):
         for field in range(len(base[line].split(","))):
             for token in ODD_TOKENS + ODD_NUMBERS:
                 fields = base[line].split(",")
                 fields[field] = token
                 lines = [*base[:line], ",".join(fields), *base[line + 1:]]
-                _same(old, parse, read, lines)
+                _same(old, read, lines, match)
+
+
+def _box_columns_match(cols, boxes: list[BBox]) -> None:
+    for name in ("left", "top", "width", "height", "right", "bottom"):
+        assert _bits(getattr(cols, name)) == _bits(
+            np.array([getattr(b, name) for b in boxes], dtype=np.float64))
 
 
 def _track_columns_match(cols, tracks: TrackSet) -> None:
     rows = [(tr.track_id, f, b) for tr in tracks.tracks for f, b in tr.boxes]
     assert cols.track_id.tolist() == [tid for tid, _, _ in rows]
     assert cols.frame.tolist() == [f for _, f, _ in rows]
-    for name in ("left", "top", "width", "height", "right", "bottom"):
-        assert _bits(getattr(cols, name)) == _bits(
-            np.array([getattr(b, name) for _, _, b in rows], dtype=np.float64))
+    _box_columns_match(cols, [b for _, _, b in rows])
+
+
+def _detection_columns_match(cols, dets: DetectionSet) -> None:
+    assert cols.frame.tolist() == [d.frame for d in dets]
+    assert _bits(cols.score) == _bits(np.array([d.score for d in dets],
+                                               dtype=np.float64))
+    _box_columns_match(cols, [d.box for d in dets])
 
 
 @given(csv_lines("tracks"))
 @settings(max_examples=400, deadline=None)
 def test_parse_tracks_equals_old_parser(lines):
-    outcome = _same(old_parse_tracks, parse_tracks, read_tracks, lines)
-    if outcome[0] == "ok":
-        _track_columns_match(read_tracks(lines), outcome[1])
+    _same(old_parse_tracks, read_tracks, lines, _track_columns_match)
 
 
 @given(csv_lines("detections"))
 @settings(max_examples=400, deadline=None)
 def test_parse_detections_equals_old_parser(lines):
-    outcome = _same(old_parse_detections, parse_detections, read_detections, lines)
-    if outcome[0] == "ok":
-        cols = read_detections(lines)
-        dets = outcome[1].detections
-        assert cols.frame.tolist() == [d.frame for d in dets]
-        assert _bits(cols.score) == _bits(np.array([d.score for d in dets], dtype=np.float64))
-        for name in ("left", "top", "width", "height", "right", "bottom"):
-            assert _bits(getattr(cols, name)) == _bits(np.array(
-                [getattr(d.box, name) for d in dets], dtype=np.float64))
+    _same(old_parse_detections, read_detections, lines, _detection_columns_match)
 
 
 def test_csv_token_parsing_matches_float_and_int():
     lines = ["1_0, 7 ,-0.0,1e3,1_0.5, 2 "]
-    ts = parse_tracks(lines)
-    assert ts == old_parse_tracks(lines)
-    (frame, box), = ts.tracks[0].boxes
-    assert (frame, ts.tracks[0].track_id) == (10, 7)
-    assert struct.pack("<d", box.left) == struct.pack("<d", -0.0)
-    assert (box.top, box.width, box.height) == (1000.0, 10.5, 2.0)
+    cols = read_tracks(lines)
+    _track_columns_match(cols, old_parse_tracks(lines))
+    assert (cols.frame.tolist(), cols.track_id.tolist()) == ([10], [7])
+    assert _bits(cols.left) == struct.pack("<d", -0.0)
+    assert (cols.top.tolist(), cols.width.tolist(), cols.height.tolist()) == (
+        [1000.0], [10.5], [2.0])
 
 
 @pytest.mark.parametrize("lines,message", [
@@ -310,7 +310,7 @@ def test_csv_token_parsing_matches_float_and_int():
     (["1,1,0,0,5"], "line 1: expected 6 comma-separated fields, got 5"),
 ])
 def test_track_errors_name_the_first_offending_line(lines, message):
-    for parse in (old_parse_tracks, parse_tracks, read_tracks):
+    for parse in (old_parse_tracks, read_tracks):
         with pytest.raises(ValidationError) as exc:
             parse(lines)
         assert str(exc.value) == message
@@ -318,9 +318,9 @@ def test_track_errors_name_the_first_offending_line(lines, message):
 
 def test_ids_beyond_int64_are_rejected():
     with pytest.raises(ValidationError, match="line 2: frame out of range"):
-        parse_tracks(["1,1,0,0,5,5", f"{2 ** 63},1,0,0,5,5"])
+        read_tracks(["1,1,0,0,5,5", f"{2 ** 63},1,0,0,5,5"])
     with pytest.raises(ValidationError, match="target_id out of range"):
-        parse_ground_truth(json.dumps({
+        read_ground_truth(json.dumps({
             "sequence_id": "s", "frame_count": 1, "tracks": [
                 {"target_id": 2 ** 63, "entries": [
                     {"frame": 1, "left": 0, "top": 0, "width": 1, "height": 1}]}]}))
@@ -461,12 +461,6 @@ def _gt_single_faults():
         yield doc
 
 
-def test_every_single_gt_fault_matches_old_parser():
-    for doc in _gt_single_faults():
-        _same(old_parse_ground_truth, parse_ground_truth, read_ground_truth,
-              json.dumps(doc))
-
-
 def _gt_columns_match(cols, gt: GroundTruth) -> None:
     rows = [(tr.target_id, e) for tr in gt.tracks for e in tr.entries]
     assert cols.target_id.tolist() == [tid for tid, _ in rows]
@@ -476,20 +470,32 @@ def _gt_columns_match(cols, gt: GroundTruth) -> None:
                       ("truncation", lambda e: e.truncation_ratio)):
         assert _bits(getattr(cols, name)) == _bits(
             np.array([get(e) for _, e in rows], dtype=np.float64))
-    for name in ("left", "top", "width", "height", "right", "bottom"):
-        assert _bits(getattr(cols, name)) == _bits(
-            np.array([getattr(e.box, name) for _, e in rows], dtype=np.float64))
-        assert _bits(getattr(cols.ignore, name)) == _bits(np.array(
-            [getattr(r.box, name) for r in gt.ignore_regions], dtype=np.float64))
+    _box_columns_match(cols, [e.box for _, e in rows])
+    regions = gt.ignore_regions
+    _box_columns_match(cols.ignore, [r.box for r in regions])
+    assert _canon((cols.ignore.first_frame, cols.ignore.last_frame)) == _canon(
+        (tuple(r.first_frame for r in regions),
+         tuple(r.last_frame for r in regions)))
+    fields = ("sequence_id", "frame_count", "weather", "difficulty")
+    assert _canon(tuple(getattr(cols, f) for f in fields)) == _canon(
+        tuple(getattr(gt, f) for f in fields))
+
+
+def _same_gt(text: str):
+    return _same(old_parse_ground_truth, read_ground_truth, text,
+                 _gt_columns_match)
+
+
+def test_every_single_gt_fault_matches_old_parser():
+    for doc in _gt_single_faults():
+        _same_gt(json.dumps(doc))
 
 
 @given(gt_texts())
 @settings(max_examples=500, deadline=None)
 def test_parse_ground_truth_equals_old_parser(text):
-    outcome = _same(old_parse_ground_truth, parse_ground_truth,
-                    read_ground_truth, text)
+    outcome = _same_gt(text)
     if outcome[0] == "ok":
-        _gt_columns_match(read_ground_truth(text), outcome[1])
         assert outcome[1].columns.frame.tolist() == read_ground_truth(text).frame.tolist()
 
 

@@ -119,12 +119,6 @@ def test_integral_bounded_by_extremes():
         assert val <= 100.0  # MOTA-like integrand bound
 
 
-def _greedy(dets, gts, iou_thr):
-    """match_frame_greedy on Detection and BBox lists."""
-    return match_frame_greedy(box_array([d.box for d in dets]),
-                              [d.score for d in dets], box_array(gts), iou_thr)
-
-
 class OracleTracker:
     """Reports exactly the GT boxes that were detected (matched) at the
     given detections; MOTA then only loses the detector's misses."""
@@ -134,15 +128,14 @@ class OracleTracker:
         self.iou_thr = iou_thr
 
     def __call__(self, dets, sequence_id):
-        by_frame: dict[int, list] = {}
-        for d in dets.detection_set():
-            by_frame.setdefault(d.frame, []).append(d)
+        corners = dets.corners()
         boxes: dict[int, list] = {}
-        for frame in sorted(by_frame):
+        for frame in np.unique(dets.frame).tolist():
+            rows = dets.frame == frame
             entries = self.gt.entries_at(frame)
             gids = sorted(entries)
-            m = _greedy(by_frame[frame],
-                                   [entries[g].box for g in gids],
+            m = match_frame_greedy(corners[rows], dets.score[rows],
+                                   box_array([entries[g].box for g in gids]),
                                    self.iou_thr)
             for gi, _, _ in m.pairs:
                 boxes.setdefault(gids[gi], []).append(

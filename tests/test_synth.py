@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from detraceval.datamodel import (ValidationError, write_detections,
-                                  write_ground_truth)
+from detraceval.datamodel import (BBox, OutTrack, TrackSet, ValidationError,
+                                  write_detections, write_ground_truth)
 from detraceval.det_metrics import PRCurve, PRPoint, average_precision
 from detraceval.fixtures import FIXTURE_NAMES, load_fixture
 from detraceval.mot_metrics import evaluate_clear
@@ -14,6 +14,18 @@ from detraceval.synth import (MAX_CLUTTER_RATE, MAX_SCENARIO_BOXES,
                               ScenarioConfig, gen_scenario, oracle_ap,
                               oracle_clear, random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
+
+
+def _track_set(tracks) -> TrackSet:
+    """Tracker output (rows sorted by track, then frame) as the objects
+    `oracle_clear` takes."""
+    boxes: dict[int, list] = {}
+    for track_id, frame, *box in zip(
+            tracks.track_id.tolist(), tracks.frame.tolist(), tracks.left.tolist(),
+            tracks.top.tolist(), tracks.width.tolist(), tracks.height.tolist()):
+        boxes.setdefault(track_id, []).append((frame, BBox(*box)))
+    return TrackSet(tuple(OutTrack(track_id, tuple(items))
+                          for track_id, items in boxes.items()))
 
 
 def _render(gt, dets):
@@ -122,12 +134,12 @@ def test_scenario_edge_values_accepted():
 def test_oracle_rejects_large_instances():
     gt, dets = gen_scenario(ScenarioConfig(n_targets=8, n_frames=3, seed=1))
     with pytest.raises(ValidationError, match="too large"):
-        oracle_clear(gt, greedy_iou_track(dets).track_set())
+        oracle_clear(gt, _track_set(greedy_iou_track(dets)))
 
 
 def test_oracle_equals_impl_on_perfect_fixture():
     fx = load_fixture("perfect")
-    ts = greedy_iou_track(fx.dets).track_set()
+    ts = _track_set(greedy_iou_track(fx.dets))
     got, _ = evaluate_clear(fx.gt, ts)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
@@ -137,7 +149,7 @@ def test_oracle_equals_impl_on_perfect_fixture():
 
 def test_oracle_equals_impl_on_crossing_fixture():
     fx = load_fixture("crossing")
-    ts = greedy_iou_track(fx.dets).track_set()
+    ts = _track_set(greedy_iou_track(fx.dets))
     got, _ = evaluate_clear(fx.gt, ts)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,35 @@ from detraceval.trackers import (BuiltinGreedyTracker, ExternalTracker,
 PY = sys.executable
 
 
+def _rows(tracks) -> list[tuple]:
+    """(track_id, frame, left, top, width, height) of every output row."""
+    return list(zip(tracks.track_id.tolist(), tracks.frame.tolist(),
+                    tracks.left.tolist(), tracks.top.tolist(),
+                    tracks.width.tolist(), tracks.height.tolist()))
+
+
+def _row(track_id: int, frame: int, box: BBox) -> tuple:
+    return (track_id, frame, *dataclasses.astuple(box))
+
+
+def _check_layout(tracks) -> None:
+    """The documented output layout: track ids >= 1, rows sorted by
+    (track_id, frame), one row per (track, frame)."""
+    assert (tracks.track_id >= 1).all()
+    keys = list(zip(tracks.track_id.tolist(), tracks.frame.tolist()))
+    assert keys == sorted(set(keys))
+
+
+def _n_tracks(tracks) -> int:
+    return len(np.unique(tracks.track_id))
+
+
 def test_single_static_detection_one_track():
     dets = DetectionSet(tuple(
         Detection(f, BBox(10, 10, 20, 20), 0.9) for f in range(1, 11)))
-    ts = greedy_iou_track(dets).track_set()
-    assert len(ts) == 1
-    assert len(ts.tracks[0].boxes) == 10
+    t = greedy_iou_track(dets)
+    _check_layout(t)
+    assert _n_tracks(t) == 1 and len(t) == 10
 
 
 def test_two_separated_targets_two_tracks():
@@ -31,9 +56,9 @@ def test_two_separated_targets_two_tracks():
     for f in range(1, 11):
         dets.append(Detection(f, BBox(0 + f, 0, 20, 20), 0.9))
         dets.append(Detection(f, BBox(500 + f, 500, 20, 20), 0.9))
-    ts = greedy_iou_track(DetectionSet(tuple(dets))).track_set()
-    assert len(ts) == 2
-    assert all(len(tr.boxes) == 10 for tr in ts.tracks)
+    t = greedy_iou_track(DetectionSet(tuple(dets)))
+    _check_layout(t)
+    assert np.unique(t.track_id, return_counts=True)[1].tolist() == [10, 10]
 
 
 def test_crossing_fixture_produces_identity_switch():
@@ -47,10 +72,8 @@ def test_gap_longer_than_max_gap_closes_track():
     frames = [1, 2, 5, 6]  # 2-frame hole with max_gap=1
     dets = DetectionSet(tuple(
         Detection(f, BBox(10, 10, 20, 20), 0.9) for f in frames))
-    ts = greedy_iou_track(dets, max_gap=1).track_set()
-    assert len(ts) == 2
-    ts_bridged = greedy_iou_track(dets, max_gap=2).track_set()
-    assert len(ts_bridged) == 1
+    assert _n_tracks(greedy_iou_track(dets, max_gap=1)) == 2
+    assert _n_tracks(greedy_iou_track(dets, max_gap=2)) == 1
 
 
 def test_min_track_len_suppresses_short_tracks():
@@ -59,8 +82,9 @@ def test_min_track_len_suppresses_short_tracks():
         Detection(1, BBox(400, 400, 10, 10), 0.9),
         Detection(2, BBox(0, 0, 10, 10), 0.9),
     ))
-    ts = greedy_iou_track(dets, min_track_len=2).track_set()
-    assert len(ts) == 1
+    t = greedy_iou_track(dets, min_track_len=2)
+    assert _rows(t) == [_row(1, 1, BBox(0, 0, 10, 10)),
+                        _row(1, 2, BBox(0, 0, 10, 10))]
 
 
 det_sets = st.lists(
@@ -79,18 +103,15 @@ det_sets = st.lists(
 @given(det_sets)
 @settings(max_examples=60, deadline=None)
 def test_greedy_output_satisfies_trackset_invariants(dets):
-    ts = greedy_iou_track(dets).track_set()
-    # TrackSet/OutTrack constructors enforce the invariants; rebuilding from
-    # raw parts would raise if they were violated
-    assert ts == TrackSet(ts.tracks)
-    assert ts.total_boxes() == len(dets)
+    t = greedy_iou_track(dets)
+    _check_layout(t)
+    assert len(t) == len(dets)
 
 
 @given(det_sets)
 @settings(max_examples=30, deadline=None)
 def test_greedy_deterministic(dets):
-    assert greedy_iou_track(dets).track_set() == \
-        greedy_iou_track(dets).track_set()
+    assert _rows(greedy_iou_track(dets)) == _rows(greedy_iou_track(dets))
 
 
 def _scalar_greedy_iou_track(dets, link_thr=0.5, max_gap=1, min_track_len=1):
@@ -142,9 +163,10 @@ def test_greedy_matches_scalar_reference(seed, max_gap):
         n_targets=12, n_frames=25, drop_rate=0.2, clutter_rate=6.0,
         jitter_sigma=2.0, seed=seed))
     for link_thr, min_track_len in ((0.5, 1), (0.3, 3)):
-        assert greedy_iou_track(
-            dets, link_thr, max_gap, min_track_len).track_set() == \
-            _scalar_greedy_iou_track(dets, link_thr, max_gap, min_track_len)
+        t = greedy_iou_track(dets, link_thr, max_gap, min_track_len)
+        _check_layout(t)
+        assert _rows(t) == _rows(_scalar_greedy_iou_track(
+            dets, link_thr, max_gap, min_track_len).columns)
 
 
 def test_greedy_tied_iou_links_by_track_then_detection_order():
@@ -155,16 +177,16 @@ def test_greedy_tied_iou_links_by_track_then_detection_order():
     assert iou(a, c) == iou(b, c) and iou(a, d) == iou(b, d)
     dets = DetectionSet((Detection(1, a, 0.9), Detection(1, b, 0.9),
                          Detection(2, d, 0.8), Detection(2, c, 0.7)))
-    ts = greedy_iou_track(dets, link_thr=0.2).track_set()
-    assert ts == _scalar_greedy_iou_track(dets, link_thr=0.2)
-    assert [tr.boxes for tr in ts.tracks] == [((1, a), (2, c)), ((1, b), (2, d))]
+    t = greedy_iou_track(dets, link_thr=0.2)
+    assert _rows(t) == _rows(_scalar_greedy_iou_track(dets, link_thr=0.2).columns)
+    assert _rows(t) == [_row(1, 1, a), _row(1, 2, c), _row(2, 1, b), _row(2, 2, d)]
 
 
 def test_greedy_links_at_exactly_link_thr():
     a, b = BBox(0, 0, 10, 10), BBox(0, 0, 10, 20)
     assert iou(a, b) == 0.5
     dets = DetectionSet((Detection(1, a, 0.9), Detection(2, b, 0.9)))
-    assert len(greedy_iou_track(dets, link_thr=0.5).track_set()) == 1
+    assert _n_tracks(greedy_iou_track(dets, link_thr=0.5)) == 1
 
 
 def _some_dets():
@@ -189,9 +211,9 @@ def _assert_workspace_kept(workdir):
 
 def test_external_identity_tracker(tmp_path):
     adapter = ExternalTracker(IDENTITY_TRACKER, workdir=str(tmp_path))
-    ts = run_external(adapter, _some_dets(), "seq1").track_set()
-    assert len(ts) == 1
-    assert [b for _, b in ts.tracks[0].boxes] == [d.box for d in _some_dets()]
+    t = run_external(adapter, _some_dets(), "seq1")
+    _check_layout(t)
+    assert _rows(t) == [_row(1, d.frame, d.box) for d in _some_dets()]
     assert not list(tmp_path.iterdir())
 
 
