@@ -150,18 +150,36 @@ def _load_pairs(gt_dir: str, other_dir: str, suffix: str
 
 
 def _read(path: Path, reader):
-    """reader(file) of the file at `path`; its errors name the file."""
-    with open(path) as fh:
-        try:
+    """reader(file) of the file at `path`; its errors, and a file that
+    cannot be opened or read, name the file."""
+    try:
+        with open(path) as fh:
             return reader(fh)
-        except (ValidationError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+    except (ValidationError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_pair(gt_path: Path, path: Path, reader):
+    """One sequence's GT columns, and the columns `reader`
+    (`read_detections` or `read_tracks`) reads from the file at `path`; no
+    per-box object is built. A file that cannot be read, a malformed one
+    and a row beyond the GT's frame_count are each a ValidationError that
+    names the file."""
+    gt = _read(gt_path, read_ground_truth)
+    boxes = _read(path, reader)
+    last = int(boxes.frame.max(initial=0))
+    if last > gt.frame_count:
+        raise ValidationError(
+            f"{path}: frame {last} beyond frame_count {gt.frame_count}")
+    return gt, boxes
 
 
 def cmd_eval_det(args) -> int:
-    # Columns straight from the files: no per-box object is built.
-    pairs = [(_read(det_path, read_detections), _read(gt_path, read_ground_truth))
-             for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
+    pairs = [(dets, gt) for gt, dets in (
+        _read_pair(gt_path, det_path, read_detections)
+        for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv"))]
     subsets = args.subset or ["overall"]
     report = det_metrics.detection_report(pairs, subsets, args.iou_thr)
     out = Path(args.out)
@@ -185,11 +203,9 @@ def cmd_eval_mot(args) -> int:
     triples = _load_pairs(args.gt, args.tracks, ".csv")
 
     def evaluate(triple):
-        # Columns straight from the files: no per-box object is built.
-        seq, gt_path, track_path = triple
-        gt = _read(gt_path, read_ground_truth)
-        tracks = _read(track_path, read_tracks)
-        return mot_metrics.evaluate_clear(gt, tracks, args.iou_thr)
+        _, gt_path, track_path = triple
+        return mot_metrics.evaluate_clear(
+            *_read_pair(gt_path, track_path, read_tracks), args.iou_thr)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -214,8 +230,7 @@ def cmd_eval_mot(args) -> int:
 
 def cmd_eval_system(args) -> int:
     tracker = make_tracker(args.tracker)
-    # Columns straight from the files: no per-box object is built.
-    pairs = [(_read(gt_path, read_ground_truth), _read(det_path, read_detections))
+    pairs = [_read_pair(gt_path, det_path, read_detections)
              for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
     select = (pr_integration.select_thresholds_quantile
               if args.quantile_thresholds else pr_integration.select_thresholds)

@@ -50,7 +50,9 @@ increasing GT frames within a track, frames <= ``frame_count``, unique
 checked once per file on whole columns. Only when a check fails does the
 reader walk the rows one by one, through the domain constructors, to raise
 the error of the first offending line or entry with the constructors'
-message. Frames, ids and ``frame_count`` must fit in int64.
+message. Frames, ids and ``frame_count`` must fit in int64; in the GT JSON
+they must be integers or floats with an integral value (``2.0``, not
+``1.9``, ``"2"`` or ``true``), never truncated.
 
 The dataclasses are the public construction types, and the oracles in
 `synth` work on them. `GroundTruth.columns`, `DetectionSet.columns` and
@@ -644,7 +646,7 @@ def _load_json(stream: TextIO | str):
     text = stream if isinstance(stream, str) else stream.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ValidationError(f"ground truth is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("ground truth is not valid JSON: "
@@ -655,10 +657,18 @@ def _load_json(stream: TextIO | str):
     return doc
 
 
+def _is_int(value) -> bool:
+    """An int, or a float with an integral value; not a bool or a string."""
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
 def _int_column(values: list) -> np.ndarray:
-    """int() of every value, as int64; raises like int() or on overflow."""
+    """Every value as int64; raises _BadColumns unless each one is
+    `_is_int`, OverflowError beyond int64."""
     if set(map(type, values)) <= {int}:
         return _ints(values)
+    if not all(map(_is_int, values)):
+        raise _BadColumns
     return _ints(list(map(int, values)))
 
 
@@ -696,9 +706,7 @@ def _gt_columns(doc: dict) -> GtColumns:
     truncation = _float_column([e.get("truncation", 0.0) for e in entries])
     category = tuple([e.get("category", "car") for e in entries])
     track_ids = _int_column([t["target_id"] for t in tracks])
-    frame_count = int(doc["frame_count"])
-    if not _INT64.min <= frame_count <= _INT64.max:
-        raise _BadColumns
+    frame_count = int(_int_column([doc["frame_count"]])[0])
     columns = GtColumns(
         **box, frame=frame,
         target_id=np.repeat(track_ids, list(map(len, per_track))),
@@ -750,13 +758,11 @@ def _json_object(value, what: str) -> dict:
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-    if not _INT64.min <= out <= _INT64.max:
+    if not _is_int(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not _INT64.min <= value <= _INT64.max:
         raise ValidationError(f"{what} out of range: {value!r}")
-    return out
+    return int(value)
 
 
 def _as_float(value, what: str) -> float:

@@ -75,9 +75,6 @@ class PRCurve:
         if not self.points:
             raise ValidationError("PRCurve must contain at least one point")
 
-    def max_recall(self) -> float:
-        return max(p.recall for p in self.points)
-
 
 @dataclass(frozen=True, eq=False)
 class _Labels:

@@ -9,13 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detraceval
-from detraceval.cli import build_parser, main
+from detraceval.cli import _read_pair, build_parser, main
 from detraceval.pr_integration import SCORE_NAMES
-from detraceval.datamodel import write_tracks
+from detraceval.datamodel import (DetectionColumns, GtColumns, TrackColumns,
+                                  ValidationError, read_detections, read_tracks,
+                                  write_tracks)
 from detraceval.fixtures import load_fixture
 from detraceval.trackers import greedy_iou_track
 
@@ -674,3 +676,139 @@ def test_gen_synthetic_bad_value_is_one_line_error(tmp_path, capsys, flag,
     assert main(["gen-synthetic", flag, *value.split(), "--out", str(out)]) == 1
     assert name in _one_line_error(capsys)
     assert not out.exists()
+
+
+# One short sequence: GT (frame_count 3), detections and tracks, as files.
+_SHORT_GT = json.dumps({
+    "sequence_id": "s", "frame_count": 3, "ignore_regions": [
+        {"left": 0, "top": 0, "width": 4, "height": 4,
+         "first_frame": 2, "last_frame": 3}],
+    "tracks": [{"target_id": 1, "entries": [
+        {"frame": f, "left": 10 + f, "top": 10, "width": 20, "height": 20,
+         "occlusion": 0.25, "category": "bus"} for f in (1, 2, 3)]}]}) + "\n"
+_SHORT_DETS = ("1,-1,11,10,20,20,0.9,-1,-1,-1\n2,-1,12,10,20,20,0.5,-1,-1,-1\n"
+               "3,-1,50.5,60,8,9,0.25,-1,-1,-1\n")
+_SHORT_TRACKS = "1,1,11,10,20,20\n2,1,12,10,20,20\n3,2,50.5,60,8,9\n"
+_INPUTS = {"gt": ("s.json", _SHORT_GT), "det": ("s.csv", _SHORT_DETS),
+           "tracks": ("s.csv", _SHORT_TRACKS)}
+# command -> the kinds of input it reads, GT first
+_COMMAND_INPUTS = {"eval-det": ("gt", "det"), "eval-mot": ("gt", "tracks"),
+                   "eval-system": ("gt", "det")}
+
+
+def _short_scene(root: Path, **texts) -> None:
+    """The short sequence's three inputs under root/gt, root/det and
+    root/tracks; `texts` replaces the text of a kind."""
+    for kind, (name, text) in _INPUTS.items():
+        (root / kind).mkdir(parents=True, exist_ok=True)
+        (root / kind / name).write_text(texts.get(kind, text))
+
+
+def _eval(command: str, root: Path, *extra: str) -> int:
+    gt, other = _COMMAND_INPUTS[command]
+    argv = [command, "--gt", str(root / gt), f"--{other}", str(root / other)]
+    if command == "eval-system":
+        argv += ["--tracker", "builtin"]
+    return main([*argv, *extra, "--out", str(root / "out")])
+
+
+@pytest.mark.parametrize("command,kind", [
+    (command, kind) for command, kinds in _COMMAND_INPUTS.items()
+    for kind in kinds])
+def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, kind):
+    """An input path that cannot be read (here a directory named like the
+    file) ends in one line naming it."""
+    _short_scene(tmp_path)
+    assert _eval(command, tmp_path) == 0
+    path = tmp_path / kind / _INPUTS[kind][0]
+    path.unlink()
+    path.mkdir()
+    assert _eval(command, tmp_path) == 1
+    assert _one_line_error(capsys) == f"detraceval: error: {path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("eval-det", ()), ("eval-mot", ()), ("eval-system", ()),
+    ("eval-system", ("--keep-going",))])
+def test_box_beyond_frame_count_names_its_file(tmp_path, capsys, command, extra):
+    """A detection or track row past the GT's frame_count is an error
+    naming the file, for every command, --keep-going or not."""
+    _short_scene(tmp_path, det=_SHORT_DETS + "4,-1,1,1,5,5,0.5,-1,-1,-1\n",
+                 tracks=_SHORT_TRACKS + "5,2,1,1,5,5\n")
+    kind = _COMMAND_INPUTS[command][1]
+    assert _eval(command, tmp_path, *extra) == 1
+    frame = 4 if kind == "det" else 5
+    assert _one_line_error(capsys) == (
+        f"detraceval: error: {tmp_path / kind / 's.csv'}: frame {frame} "
+        f"beyond frame_count 3\n")
+
+
+# Bytes that change the meaning of CSV and JSON text; arbitrary bytes are
+# mostly not UTF-8 and would stop most reads at decoding.
+_SYNTAX = st.sampled_from([b",", b"\n", b"-", b".", b"e", b"0", b"9", b'"',
+                           b"{", b"}", b"[", b"]", b":", b" ", b"nan", b"1e999",
+                           b"true", b"null", b"\r", b"\x00"])
+
+
+def _mutated(data: bytes):
+    """`data` with up to four edits: a span of up to 3 bytes deleted, or
+    replaced by syntax bytes or arbitrary ones."""
+    edit = st.tuples(st.integers(0, len(data)), st.integers(0, 3),
+                     _SYNTAX | st.binary(max_size=2))
+
+    def apply(edits):
+        out = data
+        for at, drop, insert in edits:
+            out = out[:at] + insert + out[at + drop:]
+        return out
+
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+# box file kind -> its reader and the columns it gives
+_BOX_READERS = {"det": (read_detections, DetectionColumns),
+                "tracks": (read_tracks, TrackColumns)}
+# (kind, bytes of its file): arbitrary bytes or text, or the valid file
+# mutated
+_FUZZ_CASES = st.one_of(*(
+    st.tuples(st.just(kind), st.binary(max_size=60)
+              | st.text(max_size=60).map(str.encode)
+              | _mutated(text.encode()))
+    for kind, (_, text) in _INPUTS.items()))
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _short_scene(root)
+    return root
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_FUZZ_CASES)
+@example(case=("gt", b"\xff\xfe{}"))
+@example(case=("det", b"1,-1,0,0,5,5,0.9,-1,-1,\x00\n"))
+@example(case=("gt", b'{"frame_count": ' + b"1" * 5000 + b"}"))
+def test_pair_reader_fuzz_gives_columns_or_names_the_file(fuzz_root, case):
+    """Whatever bytes an input file holds, the pair reader gives columns or
+    a ValidationError whose text starts with that file's path; a GT whose
+    frame_count the other file's rows pass names the other file."""
+    kind, data = case
+    name, text = _INPUTS[kind]
+    path = fuzz_root / kind / name
+    path.write_bytes(data)
+    try:
+        for other in _BOX_READERS if kind == "gt" else (kind,):
+            reader, columns = _BOX_READERS[other]
+            box_path = fuzz_root / other / "s.csv"
+            try:
+                gt, boxes = _read_pair(fuzz_root / "gt" / "s.json", box_path,
+                                       reader)
+            except ValidationError as exc:
+                error = str(exc)
+                assert error.startswith(f"{path}: ") or (
+                    kind == "gt" and error.startswith(f"{box_path}: frame ")), error
+                continue
+            assert isinstance(gt, GtColumns) and isinstance(boxes, columns)
+    finally:
+        path.write_text(text)

@@ -6,7 +6,12 @@ domain objects one line or entry at a time. On valid and corrupted inputs
 each `read_*` function must give columns holding the old objects' values,
 floats bit-identical (so equal to `float(token)`), or the same
 `ValidationError` text. Where the old parser crashed with another
-exception, the reader must raise `ValidationError`.
+exception, the reader must raise `ValidationError`. The GT integer fields
+(`frame_count`, `target_id`, `frame`) are the one deliberate difference:
+the old parser truncated any value `int()` takes, the reader accepts only
+an int or a float with an integral value, so where such a field holds
+anything else the reader must raise `ValidationError` whatever the old
+parser did.
 """
 
 import copy
@@ -182,7 +187,7 @@ def _same(old, read, data, columns_match, must_fail=False):
     """The reader agrees with the old parser as the module docstring says:
     `columns_match(columns, objects)` checks an accepted input, and
     `must_fail` marks an input the reader rejects whatever the old parser
-    did. Returns the old outcome."""
+    did. Returns the old outcome and the reader's."""
     want, got = _outcome(old, data), _outcome(read, data)
     if must_fail or want[0] == "crash":
         assert got[0] == "error", (want, got)
@@ -191,7 +196,7 @@ def _same(old, read, data, columns_match, must_fail=False):
     else:
         assert got[0] == "ok", (want, got)
         columns_match(got[1], want[1])
-    return want
+    return want, got
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +486,29 @@ def _gt_columns_match(cols, gt: GroundTruth) -> None:
         tuple(getattr(gt, f) for f in fields))
 
 
+def _is_int(value) -> bool:
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
+def _loose_int(text: str) -> bool:
+    """Whether a GT integer field the reader reaches holds a value other
+    than an int or an integral float."""
+    doc = json.loads(text)
+    values = [doc.get("frame_count", 0)]
+    tracks = doc.get("tracks")
+    for track in tracks if type(tracks) is list else ():
+        if type(track) is dict:
+            values.append(track.get("target_id", 0))
+            entries = track.get("entries")
+            values.extend(e.get("frame", 0)
+                          for e in (entries if type(entries) is list else ())
+                          if type(e) is dict)
+    return not all(map(_is_int, values))
+
+
 def _same_gt(text: str):
     return _same(old_parse_ground_truth, read_ground_truth, text,
-                 _gt_columns_match)
+                 _gt_columns_match, must_fail=_loose_int(text))
 
 
 def test_every_single_gt_fault_matches_old_parser():
@@ -491,12 +516,48 @@ def test_every_single_gt_fault_matches_old_parser():
         _same_gt(json.dumps(doc))
 
 
+# Where each GT integer field sits in `_base_doc`, and how its errors name it.
+INT_FIELDS = [((), "frame_count", "frame_count"),
+              (("tracks", 1), "target_id", "tracks[1].target_id"),
+              (("tracks", 1, "entries", 2), "frame", "tracks[1].entries[2].frame")]
+
+
+def _field(doc: dict, path: tuple) -> dict:
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@pytest.mark.parametrize("path,key,where", INT_FIELDS)
+@pytest.mark.parametrize("value", [1.9, 2.7, 3.9, "2", " 3 ", True, False,
+                                   math.nan, math.inf, [1], None])
+def test_gt_integer_fields_are_not_truncated(path, key, where, value):
+    """An integer field holding anything but an int or an integral float
+    is an error naming it; the old parser truncated 1.9, "2" and True."""
+    doc = _base_doc()
+    _field(doc, path)[key] = value
+    with pytest.raises(ValidationError) as exc:
+        read_ground_truth(json.dumps(doc))
+    assert str(exc.value) == f"{where} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("path,key,where", INT_FIELDS)
+def test_gt_integral_floats_are_read_as_integers(path, key, where):
+    doc = _base_doc()
+    want = read_ground_truth(json.dumps(doc))
+    _field(doc, path)[key] = float(_field(doc, path)[key])
+    got = read_ground_truth(json.dumps(doc))
+    assert (got.frame_count, got.target_id.tolist(), got.frame.tolist()) == (
+        want.frame_count, want.target_id.tolist(), want.frame.tolist())
+    assert type(got.frame_count) is int and got.frame.dtype == np.int64
+
+
 @given(gt_texts())
 @settings(max_examples=500, deadline=None)
 def test_parse_ground_truth_equals_old_parser(text):
-    outcome = _same_gt(text)
-    if outcome[0] == "ok":
-        assert outcome[1].columns.frame.tolist() == read_ground_truth(text).frame.tolist()
+    want, got = _same_gt(text)
+    if got[0] == "ok":
+        assert want[1].columns.frame.tolist() == got[1].frame.tolist()
 
 
 # ---------------------------------------------------------------------------
