@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import det_metrics, mot_metrics, pr_integration
-from .datamodel import (ValidationError, read_detections, read_ground_truth,
-                        read_tracks, write_detections, write_ground_truth)
+from .datamodel import (ValidationError, check_frame_count, read_detections,
+                        read_ground_truth, read_tracks, write_detections,
+                        write_ground_truth)
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .synth import ScenarioConfig, gen_scenario
 from .trackers import TrackerError, make_tracker
@@ -169,17 +170,13 @@ def _read_pair(gt_path: Path, path: Path, reader):
     names the file."""
     gt = _read(gt_path, read_ground_truth)
     boxes = _read(path, reader)
-    last = int(boxes.frame.max(initial=0))
-    if last > gt.frame_count:
-        raise ValidationError(
-            f"{path}: frame {last} beyond frame_count {gt.frame_count}")
+    check_frame_count(gt, boxes, str(path))
     return gt, boxes
 
 
 def cmd_eval_det(args) -> int:
-    pairs = [(dets, gt) for gt, dets in (
-        _read_pair(gt_path, det_path, read_detections)
-        for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv"))]
+    pairs = [_read_pair(gt_path, det_path, read_detections)[::-1]
+             for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
     subsets = args.subset or ["overall"]
     report = det_metrics.detection_report(pairs, subsets, args.iou_thr)
     out = Path(args.out)

@@ -64,6 +64,9 @@ columns and build no per-box object: a threshold is the mask
 takes `DetectionColumns` and returns `TrackColumns`, and
 `write_detections` / `write_tracks` write columns. Library functions that
 take columns also take the objects and call `.columns` themselves.
+`check_frame_count` is the one check that a detection or track row lies
+at a frame <= the GT's ``frame_count``; the CLI's pair reader and every
+evaluation function that scores boxes against a GT call it.
 """
 
 from __future__ import annotations
@@ -459,6 +462,16 @@ class GtColumns(BoxColumns):
     weather: str
     difficulty: str
     ignore: IgnoreColumns
+
+
+def check_frame_count(gt: GtColumns, boxes: DetectionColumns | TrackColumns,
+                      name: str) -> None:
+    """Raise `<name>: frame F beyond frame_count C` at the first row of
+    `boxes` that lies past the sequence's last frame."""
+    late = np.flatnonzero(boxes.frame > gt.frame_count)
+    if late.size:
+        raise ValidationError(f"{name}: frame {boxes.frame[late[0]]} beyond "
+                              f"frame_count {gt.frame_count}")
 
 
 # ---------------------------------------------------------------------------

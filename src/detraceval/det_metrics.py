@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
-                        DetectionSet, GroundTruth, GtColumns, ValidationError)
+                        DetectionSet, GroundTruth, GtColumns, ValidationError,
+                        check_frame_count)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
 from .matching import match_frame_greedy
@@ -107,6 +108,7 @@ def _label_detections(dets: Dets, gt: Truth, iou_thr: float) -> _Labels:
     docstring for why this one pass serves every subset and threshold."""
     d = dets.columns if isinstance(dets, DetectionSet) else dets
     g = gt.columns if isinstance(gt, GroundTruth) else gt
+    check_frame_count(g, d, "detections")
     g_corners = g.corners()
     pooled = ~covered(g, g.ignore)
     # The pool of each frame in row order, the detections in frame order.

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GroundTruth, GtColumns, TrackColumns, TrackSet,
-                        ValidationError)
+                        ValidationError, check_frame_count)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
 from .matching import clear_correspond
@@ -106,12 +106,7 @@ def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
     objects)."""
     g = gt.columns if isinstance(gt, GroundTruth) else gt
     h = tracks.columns if isinstance(tracks, TrackSet) else tracks
-    late = np.flatnonzero(h.frame > g.frame_count)
-    if late.size:
-        i = late[0]
-        raise ValidationError(
-            f"output track {h.track_id[i]}: frame {h.frame[i]} beyond "
-            f"frame_count {g.frame_count}")
+    check_frame_count(g, h, "output tracks")
 
     # Each side sorted once by (frame, id); a frame is a slice of the rows.
     g_order = np.lexsort((g.target_id, g.frame))

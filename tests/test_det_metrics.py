@@ -10,7 +10,7 @@ from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   ValidationError)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
                                     detection_report, pr_curve,
-                                    pr_curve_multi)
+                                    pr_curve_multi, threshold_counts)
 from detraceval.geometry import box_array
 from detraceval.matching import match_frame_greedy
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_ap,
@@ -39,6 +39,22 @@ def test_no_detections_empty_set_convention():
     assert len(curve.points) == 1
     p = curve.points[0]
     assert p.precision == 1.0 and p.recall == 0.0
+
+
+def test_detection_beyond_frame_count_rejected():
+    """A detection past the GT's last frame is an input error in every
+    labeling path, as in eval-det, not a false positive."""
+    gt = _gt_two_boxes()  # frame_count 1
+    dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),
+                         Detection(2, BBox(0, 0, 20, 20), 0.8)))
+    want = "detections: frame 2 beyond frame_count 1"
+    for score in (lambda: pr_curve(dets, gt),
+                  lambda: pr_curve_multi([(dets, gt)]),
+                  lambda: detection_report([(dets, gt)]),
+                  lambda: threshold_counts([(dets.columns, gt.columns)])):
+        with pytest.raises(ValidationError) as exc:
+            score()
+        assert str(exc.value) == want
 
 
 def _greedy(dets, gts, iou_thr):

@@ -277,7 +277,7 @@ def test_frame_beyond_frame_count_rejected_from_columns():
             evaluate_clear(*args)
         assert "frame_count 3" in str(exc.value)
     # objects keep the TrackSet's order, the file is read sorted by track id
-    with pytest.raises(ValidationError, match="output track 7: frame 9"):
+    with pytest.raises(ValidationError, match="output tracks: frame 9 beyond"):
         evaluate_clear(gt, tracks)
-    with pytest.raises(ValidationError, match="output track 3: frame 4"):
+    with pytest.raises(ValidationError, match="output tracks: frame 4 beyond"):
         evaluate_clear(*_columns_from_files(gt, tracks))

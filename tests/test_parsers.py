@@ -9,9 +9,9 @@ floats bit-identical (so equal to `float(token)`), or the same
 exception, the reader must raise `ValidationError`. The GT integer fields
 (`frame_count`, `target_id`, `frame`) are the one deliberate difference:
 the old parser truncated any value `int()` takes, the reader accepts only
-an int or a float with an integral value, so where such a field holds
-anything else the reader must raise `ValidationError` whatever the old
-parser did.
+an int or a float with an integral value, so where such a field holds a
+value the old parser converted (`"7"`, `2.7`, `True`) the reader must
+raise `ValidationError` whatever the old parser did.
 """
 
 import copy
@@ -490,9 +490,18 @@ def _is_int(value) -> bool:
     return type(value) is int or (type(value) is float and value.is_integer())
 
 
+def _converted(value) -> bool:
+    """Whether the old parser's int() took a value the reader rejects."""
+    try:
+        int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return not _is_int(value)
+
+
 def _loose_int(text: str) -> bool:
-    """Whether a GT integer field the reader reaches holds a value other
-    than an int or an integral float."""
+    """Whether a GT integer field the reader reaches holds a value the old
+    parser converted but the reader rejects ("7", " 3 ", 2.7, True)."""
     doc = json.loads(text)
     values = [doc.get("frame_count", 0)]
     tracks = doc.get("tracks")
@@ -503,7 +512,7 @@ def _loose_int(text: str) -> bool:
             values.extend(e.get("frame", 0)
                           for e in (entries if type(entries) is list else ())
                           if type(e) is dict)
-    return not all(map(_is_int, values))
+    return any(map(_converted, values))
 
 
 def _same_gt(text: str):
