@@ -18,8 +18,7 @@ from .matching import (FORBIDDEN, FrameMatching, clear_correspond, hungarian,
 from .mot_metrics import (FrameCounts, MetricBundle, SequenceStats, aggregate,
                           evaluate_clear)
 from .pr_integration import (OperatingPoint, PRIntegratedReport, SweepError,
-                             average_scores, integrate, pr_report,
-                             select_thresholds, sweep)
+                             integrate, pr_report, select_thresholds, sweep)
 from .synth import (ScenarioConfig, gen_scenario, oracle_ap, oracle_clear,
                     random_tiny_scenario)
 from .trackers import (BuiltinGreedyTracker, ExternalTracker, TrackerError,

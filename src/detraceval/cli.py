@@ -175,7 +175,7 @@ def _read_pair(gt_path: Path, path: Path, reader):
 
 
 def cmd_eval_det(args) -> int:
-    pairs = [_read_pair(gt_path, det_path, read_detections)[::-1]
+    pairs = [_read_pair(gt_path, det_path, read_detections)
              for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
     subsets = args.subset or ["overall"]
     report = det_metrics.detection_report(pairs, subsets, args.iou_thr)

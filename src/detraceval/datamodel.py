@@ -50,9 +50,10 @@ increasing GT frames within a track, frames <= ``frame_count``, unique
 checked once per file on whole columns. Only when a check fails does the
 reader walk the rows one by one, through the domain constructors, to raise
 the error of the first offending line or entry with the constructors'
-message. Frames, ids and ``frame_count`` must fit in int64; in the GT JSON
-they must be integers or floats with an integral value (``2.0``, not
-``1.9``, ``"2"`` or ``true``), never truncated.
+message. Frames, ids, ``frame_count`` and ignore-region frame spans must
+fit in int64; in the GT JSON they must be integers or floats with an
+integral value (``2.0``, not ``1.9``, ``"2"`` or ``true``), never
+truncated.
 
 The dataclasses are the public construction types, and the oracles in
 `synth` work on them. `GroundTruth.columns`, `DetectionSet.columns` and
@@ -62,11 +63,14 @@ objects. Every CLI subcommand, the threshold sweep and the trackers work on
 columns and build no per-box object: a threshold is the mask
 ``score >= threshold`` applied with `DetectionColumns.take`, a tracker
 takes `DetectionColumns` and returns `TrackColumns`, and
-`write_detections` / `write_tracks` write columns. Library functions that
-take columns also take the objects and call `.columns` themselves.
-`check_frame_count` is the one check that a detection or track row lies
-at a frame <= the GT's ``frame_count``; the CLI's pair reader and every
-evaluation function that scores boxes against a GT call it.
+`write_detections` / `write_tracks` write columns. Every evaluation
+function and tracker takes columns only, and a caller holding objects
+passes their `.columns`; a function that takes GT and boxes takes them in
+the order (GT, boxes). `write_detections` alone also takes a
+`DetectionSet`, since `gen_scenario` returns one. `check_frame_count` is
+the one check that a detection or track row lies at a frame <= the GT's
+``frame_count``; the CLI's pair reader and every evaluation function that
+scores boxes against a GT call it.
 """
 
 from __future__ import annotations
@@ -83,10 +87,6 @@ import numpy as np
 CATEGORIES = ("car", "bus", "van", "others")
 WEATHERS = ("cloudy", "night", "sunny", "rainy")
 DIFFICULTIES = ("easy", "medium", "hard")
-
-# Samples this truncated are conventionally excluded from training sets;
-# they stay in the files and are merely flagged.
-TRUNCATION_FLAG_THRESHOLD = 0.5
 
 _NUMBER = (int, float)
 _INT64 = np.iinfo(np.int64)
@@ -167,10 +167,6 @@ class GtEntry:
             return f"truncation_ratio out of range [0,1]: {self.truncation_ratio}"
         return f"unknown category {self.category!r}, expected one of {CATEGORIES}"
 
-    @property
-    def truncation_flagged(self) -> bool:
-        return self.truncation_ratio > TRUNCATION_FLAG_THRESHOLD
-
 
 @dataclass(frozen=True)
 class GtTrack:
@@ -186,18 +182,21 @@ class GtTrack:
                f"(duplicate or unsorted frame)")
 
 
-def _span_problem(first, last) -> str | None:
-    """Message for an invalid ignore-region frame span, or None."""
+def _span(first, last) -> tuple[int | None, int | None]:
+    """An ignore region's frame span, its bounds as ints; each bound
+    follows the GT integer rule of `_as_int`. Raises ValidationError for an
+    invalid span."""
     if (first is None) != (last is None):
-        return "ignore region: first_frame and last_frame must be given together"
+        raise ValidationError(
+            "ignore region: first_frame and last_frame must be given together")
     if first is None:
-        return None
-    for name, v in (("first_frame", first), ("last_frame", last)):
-        if not isinstance(v, _NUMBER):
-            return f"ignore region: {name} must be a number, got {v!r}"
+        return None, None
+    first = _as_int(first, "ignore region: first_frame")
+    last = _as_int(last, "ignore region: last_frame")
     if not first <= last:
-        return f"ignore region: first_frame {first} > last_frame {last}"
-    return None
+        raise ValidationError(
+            f"ignore region: first_frame {first} > last_frame {last}")
+    return first, last
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,9 @@ class IgnoreRegion:
     last_frame: int | None = None
 
     def __post_init__(self) -> None:
-        problem = _span_problem(self.first_frame, self.last_frame)
-        if problem is not None:
-            raise ValidationError(problem)
+        first, last = _span(self.first_frame, self.last_frame)
+        object.__setattr__(self, "first_frame", first)
+        object.__setattr__(self, "last_frame", last)
 
     def active_at(self, frame: int) -> bool:
         if self.first_frame is None:
@@ -409,8 +408,8 @@ class BoxColumns:
         return self.top + self.height
 
     def corners(self) -> np.ndarray:
-        """(n, 4) rows of left, top, right, bottom: `geometry.box_array`'s
-        layout."""
+        """(n, 4) rows of left, top, right, bottom, the layout of every
+        `geometry` and `matching` kernel."""
         return np.column_stack((self.left, self.top, self.right, self.bottom))
 
 
@@ -420,8 +419,8 @@ class IgnoreColumns(BoxColumns):
     `first_frame` and `last_frame`. `geometry.covered` reads them through
     `corners` and `active` to decide which boxes lie inside them."""
 
-    first_frame: tuple[int | float | None, ...]
-    last_frame: tuple[int | float | None, ...]
+    first_frame: tuple[int | None, ...]
+    last_frame: tuple[int | None, ...]
 
     def active(self, frames: Sequence[int]) -> np.ndarray:
         """(len(frames), regions) mask: region j is active at frames[i]
@@ -595,6 +594,9 @@ def _first_bad_detection(lines: list[str]) -> NoReturn:
 
 
 def write_detections(dets: DetectionSet | DetectionColumns, stream: TextIO) -> None:
+    """Detection CSV rows in row order. The one writer that also takes the
+    objects: `gen-synthetic` and the benchmark's input generator write
+    `gen_scenario`'s `DetectionSet` through it."""
     d = dets.columns if isinstance(dets, DetectionSet) else dets
     stream.writelines(_csv_lines("%s,-1,%s,%s,%s,%s,%s,-1,-1,-1\n", d.frame,
                                  d.left, d.top, d.width, d.height, d.score))
@@ -642,13 +644,12 @@ def _first_bad_track_row(lines: list[str]) -> NoReturn:
     raise AssertionError("track columns failed a check that no row fails")
 
 
-def write_tracks(tracks: TrackSet | TrackColumns, stream: TextIO) -> None:
+def write_tracks(tracks: TrackColumns, stream: TextIO) -> None:
     """Rows by ascending track id, each track's rows in their order."""
-    t = tracks.columns if isinstance(tracks, TrackSet) else tracks
-    order = np.argsort(t.track_id, kind="stable")
+    order = np.argsort(tracks.track_id, kind="stable")
     stream.writelines(_csv_lines("%s,%s,%s,%s,%s,%s\n", *(
-        col[order] for col in (t.frame, t.track_id, t.left, t.top, t.width,
-                               t.height))))
+        col[order] for col in (tracks.frame, tracks.track_id, tracks.left,
+                               tracks.top, tracks.width, tracks.height))))
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +748,10 @@ def _ignore_columns(regions: list) -> IgnoreColumns:
         if type(robj) is not dict:
             raise _BadColumns
         box = [float(robj[name]) for name in _BOX_FIELDS]
-        span = robj.get("first_frame"), robj.get("last_frame")
-        if not (all(map(math.isfinite, box)) and box[2] > 0 and box[3] > 0
-                and _span_problem(*span) is None):
+        if not (all(map(math.isfinite, box)) and box[2] > 0 and box[3] > 0):
             raise _BadColumns
         boxes.append(box)
-        spans.append(span)
+        spans.append(_span(robj.get("first_frame"), robj.get("last_frame")))
     cols = np.array(boxes, dtype=np.float64).reshape(len(boxes), 4).T
     return IgnoreColumns(*cols, first_frame=tuple(s[0] for s in spans),
                          last_frame=tuple(s[1] for s in spans))

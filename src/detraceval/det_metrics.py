@@ -34,8 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
-                        DetectionSet, GroundTruth, GtColumns, ValidationError,
-                        check_frame_count)
+                        GtColumns, ValidationError, check_frame_count)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
 from .matching import match_frame_greedy
@@ -50,10 +49,6 @@ _SUBSET_VALUES = {
     "weather": WEATHERS,
     "difficulty": DIFFICULTIES,
 }
-
-Dets = DetectionSet | DetectionColumns
-Truth = GroundTruth | GtColumns
-
 
 @dataclass(frozen=True)
 class PRPoint:
@@ -103,11 +98,10 @@ class _Labels:
                 int(np.count_nonzero(self.pooled & rows)))
 
 
-def _label_detections(dets: Dets, gt: Truth, iou_thr: float) -> _Labels:
+def _label_detections(g: GtColumns, d: DetectionColumns,
+                      iou_thr: float) -> _Labels:
     """Run one greedy pass per frame over a sequence; see the module
     docstring for why this one pass serves every subset and threshold."""
-    d = dets.columns if isinstance(dets, DetectionSet) else dets
-    g = gt.columns if isinstance(gt, GroundTruth) else gt
     check_frame_count(g, d, "detections")
     g_corners = g.corners()
     pooled = ~covered(g, g.ignore)
@@ -206,17 +200,18 @@ def _subset_curve(labels: Sequence[_Labels], name: str) -> PRCurve:
     return _curve(counts)
 
 
-def pr_curve(dets: Dets, gt: Truth, iou_thr: float = DEFAULT_IOU_THR,
+def pr_curve(gt: GtColumns, dets: DetectionColumns,
+             iou_thr: float = DEFAULT_IOU_THR,
              subset: str = "overall") -> PRCurve:
-    return _subset_curve([_label_detections(dets, gt, iou_thr)], subset)
+    return _subset_curve([_label_detections(gt, dets, iou_thr)], subset)
 
 
-def pr_curve_multi(pairs: Sequence[tuple[Dets, Truth]],
+def pr_curve_multi(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                    iou_thr: float = DEFAULT_IOU_THR,
                    subset: str = "overall") -> PRCurve:
-    """PR curve with counts pooled over several sequences."""
+    """PR curve with counts pooled over several (GT, detections) pairs."""
     return _subset_curve(
-        [_label_detections(d, g, iou_thr) for d, g in pairs], subset)
+        [_label_detections(g, d, iou_thr) for g, d in pairs], subset)
 
 
 @dataclass(frozen=True)
@@ -238,11 +233,12 @@ class ThresholdCounts:
         return tp, fp, self.n_gt - tp
 
 
-def threshold_counts(pairs: Sequence[tuple[Dets, Truth]],
+def threshold_counts(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                      iou_thr: float = DEFAULT_IOU_THR) -> ThresholdCounts:
-    """Label each sequence once; the result gives (tp, fp, fn) at any threshold."""
+    """Label each (GT, detections) pair once; the result gives (tp, fp,
+    fn) at any threshold."""
     counts = [lab.counts(np.ones(len(lab.gt), dtype=bool)) for lab in
-              (_label_detections(d, g, iou_thr) for d, g in pairs)]
+              (_label_detections(g, d, iou_thr) for g, d in pairs)]
     return ThresholdCounts(
         tp_scores=tuple(sorted(np.concatenate([c[0] for c in counts]).tolist())),
         fp_scores=tuple(sorted(np.concatenate([c[1] for c in counts]).tolist())),
@@ -268,17 +264,17 @@ def average_precision(curve: PRCurve) -> float:
     return ap
 
 
-def detection_report(pairs: Sequence[tuple[Dets, Truth]],
+def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                      subsets: Sequence[str] = ("overall",),
                      iou_thr: float = DEFAULT_IOU_THR) -> dict[str, dict]:
-    """AP + PR curve per named subset, pooled over sequences, from one
-    labeling pass per sequence.
+    """AP + PR curve per named subset, pooled over the (GT, detections)
+    pairs, from one labeling pass per sequence.
 
     Names: "overall", "difficulty:<easy|medium|hard>", "weather:<...>",
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
     "category:<car|bus|van|others>".
     """
-    labels = [_label_detections(d, g, iou_thr) for d, g in pairs]
+    labels = [_label_detections(g, d, iou_thr) for g, d in pairs]
     report: dict[str, dict] = {}
     for name in subsets:
         curve = _subset_curve(labels, name)

@@ -73,18 +73,11 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def box_array(boxes: Sequence[BBox]) -> np.ndarray:
-    """(n, 4) float64 array of left, top, right, bottom, taken from the
-    `BBox` properties so that every corner equals the scalar path's."""
-    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes],
-                    dtype=np.float64).reshape(len(boxes), 4)
-
-
 def iou_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of `a[..., :]` with `b[..., :]`, rows of left, top, right, bottom
-    (`box_array` layout) broadcast against each other: two (n, 4) arrays
-    give the n row-aligned IoUs, (n, 1, 4) against (1, m, 4) the n x m
-    matrix.
+    (`BoxColumns.corners` layout) broadcast against each other: two (n, 4)
+    arrays give the n row-aligned IoUs, (n, 1, 4) against (1, m, 4) the
+    n x m matrix.
 
     Bit-identical to `iou`: every entry runs the scalar operation order in
     IEEE float64, that is, clipped width and height from min/max of
@@ -104,8 +97,9 @@ def iou_broadcast(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of `a` with every row of `b`, both `box_array`s:
-    `iou_broadcast` over (n, 1, 4) and (1, m, 4) views."""
+    """IoU of every row of `a` with every row of `b`, both in the
+    `BoxColumns.corners` layout: `iou_broadcast` over (n, 1, 4) and
+    (1, m, 4) views."""
     return iou_broadcast(a[:, None, :], b[None, :, :])
 
 

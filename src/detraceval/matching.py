@@ -12,7 +12,7 @@ Three layers:
   procedure: previous pairs persist while their overlap clears the threshold,
   then remaining boxes are matched to maximize total overlap. It takes one
   frame as two ascending id lists plus their (n, 4) corner arrays (the
-  `geometry.box_array` layout), so CLEAR can feed it slices of columns
+  `BoxColumns.corners` layout), so CLEAR can feed it slices of columns
   without building a box object.
 
 Residual matching follows a documented deterministic rule: maximum
@@ -115,10 +115,10 @@ def hungarian(cost: Sequence[Sequence[float]]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class FrameMatching:
-    """One frame's correspondence: matched (gt, hyp, iou) plus leftovers."""
+    """One frame's correspondence: matched (gt, hyp, iou) plus the
+    unmatched hypotheses."""
 
     pairs: tuple[tuple[Hashable, Hashable, float], ...]
-    unmatched_gt: tuple[Hashable, ...]
     unmatched_hyp: tuple[Hashable, ...]
 
     def as_map(self) -> dict[Hashable, Hashable]:
@@ -129,8 +129,8 @@ def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
                        gt_boxes: np.ndarray, iou_thr: float) -> FrameMatching:
     """Greedy score-ordered matching for detection PR evaluation.
 
-    One frame's detections and GT are given as (n, 4) `box_array` rows
-    (left, top, right, bottom), plus the detections' scores. Detections
+    One frame's detections and GT are given as (n, 4) `BoxColumns.corners`
+    rows (left, top, right, bottom), plus the detections' scores. Detections
     are processed in descending score (ties by row order); each takes the
     unmatched GT of maximum IoU (ties by smallest GT row) if that IoU is
     > 0 and >= iou_thr. Pairs are (gt row, detection row, IoU) in
@@ -153,11 +153,9 @@ def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
                 continue
             pairs.append((gi, di, best_iou))
             iou_mat[:, gi] = -1.0
-    taken_gt = {gi for gi, _, _ in pairs}
     taken_det = {di for _, di, _ in pairs}
     return FrameMatching(
         pairs=tuple(pairs),
-        unmatched_gt=tuple(i for i in range(n_gts) if i not in taken_gt),
         unmatched_hyp=tuple(i for i in range(n_dets) if i not in taken_det),
     )
 
@@ -264,9 +262,9 @@ def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
     """One step of CLEAR temporal correspondence on one frame.
 
     `gt_ids` and `hyp_ids` are the frame's ids in ascending order;
-    `gt_boxes` and `hyp_boxes` hold their boxes as (n, 4) `box_array` rows
-    (left, top, right, bottom), row i for id i. `prev` maps gt id -> hyp id
-    from the previous frame's correspondence.
+    `gt_boxes` and `hyp_boxes` hold their boxes as (n, 4)
+    `BoxColumns.corners` rows (left, top, right, bottom), row i for id i.
+    `prev` maps gt id -> hyp id from the previous frame's correspondence.
     Rule 1: a previous pair persists if both boxes exist now and still overlap
     at >= iou_thr; the IoUs of all carried pairs come from one
     `iou_broadcast` call. Rule 2: leftovers are matched by optimal
@@ -299,6 +297,5 @@ def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
 
     return FrameMatching(
         pairs=tuple(pairs),
-        unmatched_gt=tuple(g for g, used in zip(gt_ids, used_gt) if not used),
         unmatched_hyp=tuple(h for h, used in zip(hyp_ids, used_hyp) if not used),
     )

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import (GroundTruth, GtColumns, TrackColumns, TrackSet,
-                        ValidationError, check_frame_count)
+from .datamodel import (GtColumns, TrackColumns, ValidationError,
+                        check_frame_count)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
 from .matching import clear_correspond
@@ -99,24 +99,23 @@ def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
     )
 
 
-def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
+def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
                    iou_thr: float = DEFAULT_IOU_THR) -> tuple[MetricBundle, SequenceStats]:
-    """CLEAR MOT of one sequence, from the domain objects or from their
-    columns (`read_ground_truth` / `read_tracks`, or `.columns` of the
-    objects)."""
-    g = gt.columns if isinstance(gt, GroundTruth) else gt
-    h = tracks.columns if isinstance(tracks, TrackSet) else tracks
-    check_frame_count(g, h, "output tracks")
+    """CLEAR MOT of one sequence from its GT and hypothesis columns
+    (`read_ground_truth` / `read_tracks`, or `.columns` of the objects)."""
+    check_frame_count(gt, tracks, "output tracks")
 
     # Each side sorted once by (frame, id); a frame is a slice of the rows.
-    g_order = np.lexsort((g.target_id, g.frame))
-    h_order = np.lexsort((h.track_id, h.frame))
-    g_frame, h_frame = g.frame[g_order], h.frame[h_order]
-    g_ids, h_ids = g.target_id[g_order].tolist(), h.track_id[h_order].tolist()
-    g_boxes, h_boxes = g.corners()[g_order], h.corners()[h_order]
+    g_order = np.lexsort((gt.target_id, gt.frame))
+    h_order = np.lexsort((tracks.track_id, tracks.frame))
+    g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
+    g_ids = gt.target_id[g_order].tolist()
+    h_ids = tracks.track_id[h_order].tolist()
+    g_boxes, h_boxes = gt.corners()[g_order], tracks.corners()[h_order]
     # (frame, id) of every hypothesis inside ignore regions
-    inside = covered(h, g.ignore)
-    ignored = set(zip(h.frame[inside].tolist(), h.track_id[inside].tolist()))
+    inside = covered(tracks, gt.ignore)
+    ignored = set(zip(tracks.frame[inside].tolist(),
+                      tracks.track_id[inside].tolist()))
     frames = np.union1d(g_frame, h_frame)
     bounds = zip(frames.tolist(),
                  np.searchsorted(g_frame, frames, "left").tolist(),
@@ -164,7 +163,7 @@ def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
         ))
 
     mt = ml = 0
-    target_ids, n_entries = np.unique(g.target_id, return_counts=True)
+    target_ids, n_entries = np.unique(gt.target_id, return_counts=True)
     for tid, n in zip(target_ids.tolist(), n_entries.tolist()):
         coverage = matched_frames.get(tid, 0) / n
         if coverage > MT_COVERAGE:
@@ -173,7 +172,7 @@ def evaluate_clear(gt: GroundTruth | GtColumns, tracks: TrackSet | TrackColumns,
             ml += 1
 
     stats = SequenceStats(
-        sequence_id=g.sequence_id,
+        sequence_id=gt.sequence_id,
         frame_counts=tuple(counts),
         fm=fm, mt=mt, ml=ml, n_tracks=len(target_ids),
     )

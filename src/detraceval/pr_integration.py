@@ -28,8 +28,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import (DetectionColumns, DetectionSet, GroundTruth,
-                        GtColumns, TrackColumns, ValidationError)
+from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
+                        ValidationError)
 from .det_metrics import DEFAULT_IOU_THR, ThresholdCounts, threshold_counts
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 
@@ -110,8 +110,7 @@ def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
     return out
 
 
-def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth | GtColumns,
-                                              DetectionColumns]],
+def _evaluate_threshold(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                         tracker: TrackerAdapter, threshold: float,
                         iou_thr: float, counts: ThresholdCounts) -> OperatingPoint:
     tp, fp, fn = counts.at(threshold)
@@ -129,8 +128,7 @@ def _evaluate_threshold(pairs: Sequence[tuple[GroundTruth | GtColumns,
     return OperatingPoint(threshold, precision, recall, aggregate(stats))
 
 
-def sweep(pairs: Sequence[tuple[GroundTruth | GtColumns,
-                               DetectionSet | DetectionColumns]],
+def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
           tracker: TrackerAdapter,
           thresholds: Sequence[float],
           iou_thr: float = DEFAULT_IOU_THR,
@@ -138,16 +136,14 @@ def sweep(pairs: Sequence[tuple[GroundTruth | GtColumns,
           jobs: int = 1) -> list[OperatingPoint]:
     """Evaluate the full system at every threshold.
 
-    Each (ground truth, detections) pair may be objects or columns. At a
-    threshold the tracker gets the detections with score >= threshold, in
-    input order. Threshold evaluations are independent; with jobs > 1 they
-    run concurrently. Results are returned in curve order regardless of
+    `pairs` holds each sequence's (GT, detections) columns. At a threshold
+    the tracker gets the detections with score >= threshold, in input
+    order. Threshold evaluations are independent; with jobs > 1 they run
+    concurrently. Results are returned in curve order regardless of
     execution order. With keep_going, a failing threshold leaves a gap
     instead of aborting.
     """
-    pairs = [(gt, dets.columns if isinstance(dets, DetectionSet) else dets)
-             for gt, dets in pairs]
-    counts = threshold_counts([(dets, gt) for gt, dets in pairs], iou_thr)
+    counts = threshold_counts(pairs, iou_thr)
 
     def run(tau: float) -> OperatingPoint | None:
         try:
@@ -213,10 +209,3 @@ def pr_report(points: Sequence[OperatingPoint]) -> PRIntegratedReport:
 def mean_scores(rows: Sequence[Mapping[str, float]]) -> dict[str, float]:
     """Key-wise arithmetic mean of score mappings, over the first one's keys."""
     return {k: sum(r[k] for r in rows) / len(rows) for k in rows[0]}
-
-
-def average_scores(reports: Sequence[PRIntegratedReport]) -> dict[str, float]:
-    """Detector-averaged scores for ranking a tracker across detectors."""
-    if not reports:
-        raise ValidationError("average_scores requires at least one report")
-    return mean_scores([r.scores() for r in reports])

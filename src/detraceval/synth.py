@@ -352,7 +352,7 @@ def oracle_clear(gt: GroundTruth, tracks: TrackSet,
     )
 
 
-def oracle_sweep_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
+def oracle_sweep_counts(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
                         threshold: float,
                         iou_thr: float = DEFAULT_IOU_THR,
                         subset: str = "overall") -> tuple[int, int, int]:
@@ -381,7 +381,7 @@ def oracle_sweep_counts(pairs: Sequence[tuple[DetectionSet, GroundTruth]],
         return True
 
     tp = fp = n_gt = 0
-    for dets, gt in pairs:
+    for gt, dets in pairs:
         if kind in ("weather", "difficulty") and getattr(gt, kind) != value:
             continue
         kept = [d for d in dets if d.score >= threshold]

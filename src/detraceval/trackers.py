@@ -1,9 +1,9 @@
 """Tracking subjects for the sweep: a built-in greedy IoU linker and an
 adapter that shells out to an external tracker executable.
 
-Both take one sequence's detections as `DetectionColumns` (a `DetectionSet`
-goes in through `.columns`) and return `TrackColumns`, rows sorted by
-(track_id, frame) as `read_tracks` gives them.
+Both take one sequence's detections as `DetectionColumns` and return
+`TrackColumns`, rows sorted by (track_id, frame) as `read_tracks` gives
+them.
 
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import (DetectionColumns, DetectionSet, TrackColumns,
-                        ValidationError, read_tracks, write_detections)
+from .datamodel import (DetectionColumns, TrackColumns, ValidationError,
+                        read_tracks, write_detections)
 from .geometry import iou_matrix
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
@@ -34,9 +34,8 @@ class TrackerError(RuntimeError):
     """An external tracker run failed; the message carries diagnostics."""
 
 
-def greedy_iou_track(dets: DetectionColumns | DetectionSet,
-                     link_thr: float = 0.5, max_gap: int = 1,
-                     min_track_len: int = 1) -> TrackColumns:
+def greedy_iou_track(dets: DetectionColumns, link_thr: float = 0.5,
+                     max_gap: int = 1, min_track_len: int = 1) -> TrackColumns:
     """Frame-by-frame greedy IoU linking.
 
     Each frame's detections are linked to active tracks in descending IoU to
@@ -47,10 +46,9 @@ def greedy_iou_track(dets: DetectionColumns | DetectionSet,
     Returns the linked detections as rows sorted by (track_id, frame), the
     layout of `read_tracks`.
     """
-    d = dets.columns if isinstance(dets, DetectionSet) else dets
     # Frame order, input order within a frame; a frame is a slice of rows.
-    order = np.argsort(d.frame, kind="stable")
-    frame, corners = d.frame[order], d.corners()[order]
+    order = np.argsort(dets.frame, kind="stable")
+    frame, corners = dets.frame[order], dets.corners()[order]
     frames = np.unique(frame)
     bounds = zip(frames.tolist(), np.searchsorted(frame, frames, "left").tolist(),
                  np.searchsorted(frame, frames, "right").tolist())
@@ -85,8 +83,9 @@ def greedy_iou_track(dets: DetectionColumns | DetectionSet,
     rows = np.argsort(track, kind="stable")
     rows = rows[np.bincount(track, minlength=next_id)[track[rows]] >= min_track_len]
     keep = order[rows]
-    return TrackColumns(d.left[keep], d.top[keep], d.width[keep],
-                        d.height[keep], frame=d.frame[keep], track_id=track[rows])
+    return TrackColumns(dets.left[keep], dets.top[keep], dets.width[keep],
+                        dets.height[keep], frame=dets.frame[keep],
+                        track_id=track[rows])
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class ExternalTracker:
         return run_external(self, dets, sequence_id)
 
 
-def run_external(adapter: ExternalTracker, dets: DetectionColumns | DetectionSet,
+def run_external(adapter: ExternalTracker, dets: DetectionColumns,
                  sequence_id: str) -> TrackColumns:
     base = adapter.workdir or os.environ.get(TMPDIR_ENV) or None
     workspace = tempfile.mkdtemp(prefix=f"detraceval-{sequence_id}-", dir=base)

@@ -45,7 +45,7 @@ def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
     for seed in range(n):
         gt, tracks = random_tiny_scenario(seed)
-        got, _ = evaluate_clear(gt, tracks)
+        got, _ = evaluate_clear(gt.columns, tracks.columns)
         want = oracle_clear(gt, tracks)
         assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
                (want.ids, want.fm, want.fp, want.fn,
@@ -103,11 +103,12 @@ def test_criterion_02_hungarian_exact():
 
 def test_criterion_03_perfect_pipeline_identities():
     fx = load_fixture("perfect")
-    curve = pr_curve(fx.dets, fx.gt)
+    gt, dets = fx.gt.columns, fx.dets.columns
+    curve = pr_curve(gt, dets)
     ap = average_precision(curve)
     assert ap == pytest.approx(1.0, abs=1e-9)
-    tracks = greedy_iou_track(fx.dets)
-    bundle, stats = evaluate_clear(fx.gt, tracks)
+    tracks = greedy_iou_track(dets)
+    bundle, stats = evaluate_clear(gt, tracks)
     assert bundle.mota == pytest.approx(100.0, abs=1e-9)
     assert bundle.motp == pytest.approx(100.0, abs=1e-9)
     assert (bundle.ids, bundle.fm, bundle.fp, bundle.fn) == (0, 0, 0, 0)
@@ -115,8 +116,8 @@ def test_criterion_03_perfect_pipeline_identities():
     assert bundle.mt_pct == pytest.approx(100.0, abs=1e-9)
     # every score is equal: one threshold, one operating point
     with pytest.warns(UserWarning, match="all detection scores are equal"):
-        thresholds = select_thresholds(fx.dets.columns.score, 10)
-    points = sweep([(fx.gt, fx.dets)], fx.trackers["builtin"], thresholds)
+        thresholds = select_thresholds(dets.score, 10)
+    points = sweep([(gt, dets)], fx.trackers["builtin"], thresholds)
     with pytest.warns(UserWarning, match="single operating point"):
         report = pr_report(points)
     # constant psi = 100 along the whole curve, so the line integral
@@ -141,11 +142,11 @@ def test_criterion_04_mota_substitution_and_range():
 
     gt, _ = random_tiny_scenario(3)
     empty = TrackSet(())
-    empty_bundle, _ = evaluate_clear(gt, empty)
+    empty_bundle, _ = evaluate_clear(gt.columns, empty.columns)
     assert empty_bundle.mota == 0.0
 
     fx = load_fixture("fp-heavy")
-    heavy, _ = evaluate_clear(fx.gt, greedy_iou_track(fx.dets))
+    heavy, _ = evaluate_clear(fx.gt.columns, greedy_iou_track(fx.dets.columns))
     assert heavy.mota < 0.0
     _report("criterion-04 accuracy formula",
             f"counts (100,20,10,2) -> 68.0 exact; empty -> 0.0; "
@@ -161,7 +162,8 @@ def test_criterion_05_integral_bound():
         with _warns_if(single, "all detection scores are equal"):
             thresholds = select_thresholds(fx.dets.columns.score, 10)
         for tracker in fx.trackers.values():
-            points = sweep([(fx.gt, fx.dets)], tracker, thresholds)
+            points = sweep([(fx.gt.columns, fx.dets.columns)], tracker,
+                           thresholds)
             with _warns_if(single, "single operating point"):
                 report = pr_report(points)
             length = report.arc_length
@@ -205,7 +207,8 @@ def test_criterion_07_ranking_flip():
     thresholds = select_thresholds(fx.dets.columns.score, 10)
     curves = {}
     for name in ("keep_all", "suppress_short"):
-        points = sweep([(fx.gt, fx.dets)], fx.trackers[name], thresholds)
+        points = sweep([(fx.gt.columns, fx.dets.columns)], fx.trackers[name],
+                       thresholds)
         curves[name] = {p.threshold: p.metrics.mota for p in points}
     shared = sorted(set(curves["keep_all"]) & set(curves["suppress_short"]))
     diffs = [curves["keep_all"][t] - curves["suppress_short"][t]
@@ -227,8 +230,8 @@ def test_criterion_08_relabeling_invariance():
         shuffled = [int(x) for x in rng.permutation(len(ids))]
         mapping = {old: 1000 + new for old, new in zip(ids, shuffled)}
         relabeled = tracks.relabel(mapping)
-        original, _ = evaluate_clear(gt, tracks)
-        renamed, _ = evaluate_clear(gt, relabeled)
+        original, _ = evaluate_clear(gt.columns, tracks.columns)
+        renamed, _ = evaluate_clear(gt.columns, relabeled.columns)
         for field in ("ids", "fm", "fp", "fn", "mt", "ml"):
             assert getattr(original, field) == getattr(renamed, field), \
                 f"seed {seed}: {field}"
@@ -263,7 +266,7 @@ def _big_benchmark(tmp_path):
     with open(gt_dir / "bench.json", "w") as fh:
         write_ground_truth(gt, fh)
     with open(tr_dir / "bench.csv", "w") as fh:
-        write_tracks(tracks, fh)
+        write_tracks(tracks.columns, fh)
     return gt.total_boxes(), gt_dir, tr_dir
 
 

@@ -91,7 +91,7 @@ def test_eval_mot_perfect(tmp_path):
     tracks_dir = tmp_path / "tracks"
     tracks_dir.mkdir()
     with open(tracks_dir / "perfect.csv", "w") as fh:
-        write_tracks(greedy_iou_track(fx.dets), fh)
+        write_tracks(greedy_iou_track(fx.dets.columns), fh)
     out = tmp_path / "out"
     assert main(["eval-mot", "--gt", str(gt_dir), "--tracks",
                  str(tracks_dir), "--out", str(out)]) == 0
@@ -108,7 +108,7 @@ def test_eval_mot_crossing_counts_switch(tmp_path):
     tracks_dir = tmp_path / "tracks"
     tracks_dir.mkdir()
     with open(tracks_dir / "crossing.csv", "w") as fh:
-        write_tracks(greedy_iou_track(fx.dets), fh)
+        write_tracks(greedy_iou_track(fx.dets.columns), fh)
     out = tmp_path / "out"
     assert main(["eval-mot", "--gt", str(gt_dir), "--tracks",
                  str(tracks_dir), "--out", str(out)]) == 0
@@ -271,7 +271,7 @@ def _two_by_two_scene(tmp_path):
     with open(dirs[1] / "pair.csv", "w") as fh:
         write_detections(dets, fh)
     with open(dirs[2] / "pair.csv", "w") as fh:
-        write_tracks(tracks, fh)
+        write_tracks(tracks.columns, fh)
     return dirs
 
 
@@ -346,41 +346,6 @@ def test_wrong_shape_gt_is_one_line_error(tmp_path, capsys, shape, command):
     assert "perfect.json" in _one_line_error(capsys)
 
 
-def test_eval_mot_builds_no_box_objects(tmp_path, monkeypatch):
-    """eval-mot scores columns: with the per-box constructors disabled it
-    still succeeds and writes the same bytes, ignore regions included."""
-    from detraceval import datamodel
-    from detraceval.synth import ScenarioConfig, gen_scenario
-
-    gt, dets = gen_scenario(ScenarioConfig(
-        n_targets=6, n_frames=20, drop_rate=0.1, clutter_rate=2.0,
-        jitter_sigma=1.0, seed=2))
-    gt = dataclasses.replace(gt, ignore_regions=(
-        datamodel.IgnoreRegion(datamodel.BBox(0.0, 0.0, 400.0, 300.0)),
-        datamodel.IgnoreRegion(datamodel.BBox(300.0, 200.0, 300.0, 300.0), 5, 12)))
-    for sub in ("gt", "tracks"):
-        (tmp_path / sub).mkdir()
-    with open(tmp_path / "gt" / "s.json", "w") as fh:
-        datamodel.write_ground_truth(gt, fh)
-    with open(tmp_path / "tracks" / "s.csv", "w") as fh:
-        write_tracks(greedy_iou_track(dets, max_gap=2), fh)
-    argv = ["eval-mot", "--gt", str(tmp_path / "gt"), "--tracks",
-            str(tmp_path / "tracks"), "--jobs", "1"]
-    assert main(argv + ["--out", str(tmp_path / "unpatched")]) == 0
-
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__} built on the eval-mot path")
-
-    for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.OutTrack):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
-    with pytest.raises(AssertionError, match="built on the eval-mot path"):
-        datamodel.BBox(0, 0, 5, 5)
-    assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
-    for name in ("mot_aggregate.json", "mot_s.json"):
-        assert ((tmp_path / "patched" / name).read_bytes()
-                == (tmp_path / "unpatched" / name).read_bytes())
-
-
 # A `cmd:` tracker that puts every detection in a track of its own.
 _ONE_TRACK_PER_ROW = """\
 import sys
@@ -389,17 +354,26 @@ open(sys.argv[2], "w").writelines(
     ",".join([r[0], str(i)] + r[2:6]) + "\\n" for i, r in enumerate(rows, 1))
 """
 
+# One subset of each kind, each non-empty on the scene below.
+_EVAL_DET_SUBSETS = ("overall", "scale:medium", "occlusion:partial",
+                     "category:car", "weather:cloudy", "difficulty:medium")
 
-@pytest.mark.parametrize("tracker", ["builtin:max_gap=2", "cmd"])
-def test_eval_system_builds_no_box_objects(tmp_path, monkeypatch, tracker):
-    """eval-system sweeps columns: with every per-box constructor disabled
-    it still succeeds and writes the same bytes, ignore regions included,
-    for a builtin and a `cmd:` tracker."""
+
+@pytest.mark.parametrize("command,tracker", [
+    ("eval-det", None), ("eval-mot", None),
+    ("eval-system", "builtin:max_gap=2"), ("eval-system", "cmd")],
+    ids=["eval-det", "eval-mot", "eval-system-builtin", "eval-system-cmd"])
+def test_evaluation_commands_build_no_box_objects(tmp_path, monkeypatch,
+                                                  command, tracker):
+    """Every evaluation command works on columns: with every per-box
+    constructor disabled it still succeeds and writes the same bytes,
+    ignore regions included; eval-det with one subset of each kind, and
+    eval-system with a builtin and a `cmd:` tracker."""
     from detraceval import datamodel
     from detraceval.synth import ScenarioConfig, gen_scenario
 
     monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
-    for sub in ("gt", "det"):
+    for sub in ("gt", "det", "tracks"):
         (tmp_path / sub).mkdir()
     for seed in (2, 3):
         gt, dets = gen_scenario(ScenarioConfig(
@@ -413,25 +387,38 @@ def test_eval_system_builds_no_box_objects(tmp_path, monkeypatch, tracker):
             datamodel.write_ground_truth(gt, fh)
         with open(tmp_path / "det" / f"s{seed}.csv", "w") as fh:
             datamodel.write_detections(dets, fh)
-    if tracker == "cmd":
-        script = tmp_path / "tracker.py"
-        script.write_text(_ONE_TRACK_PER_ROW)
-        tracker = f"cmd:{sys.executable} {script} {{input}} {{output}}"
-    argv = ["eval-system", "--gt", str(tmp_path / "gt"), "--det",
-            str(tmp_path / "det"), "--tracker", tracker, "--tracker-name", "t",
-            "--thresholds", "4", "--jobs", "1"]
+        with open(tmp_path / "tracks" / f"s{seed}.csv", "w") as fh:
+            write_tracks(greedy_iou_track(dets.columns, max_gap=2), fh)
+    argv = [command, "--gt", str(tmp_path / "gt")]
+    if command == "eval-det":
+        argv += ["--det", str(tmp_path / "det")]
+        for name in _EVAL_DET_SUBSETS:
+            argv += ["--subset", name]
+        outputs = ["detection_report.json"] + [
+            f"pr_curve_{name.replace(':', '_')}.csv" for name in _EVAL_DET_SUBSETS]
+    elif command == "eval-mot":
+        argv += ["--tracks", str(tmp_path / "tracks"), "--jobs", "1"]
+        outputs = ["mot_aggregate.json", "mot_s2.json", "mot_s3.json"]
+    else:
+        if tracker == "cmd":
+            script = tmp_path / "tracker.py"
+            script.write_text(_ONE_TRACK_PER_ROW)
+            tracker = f"cmd:{sys.executable} {script} {{input}} {{output}}"
+        argv += ["--det", str(tmp_path / "det"), "--tracker", tracker,
+                 "--tracker-name", "t", "--thresholds", "4", "--jobs", "1"]
+        outputs = ["system_report.json", "pr_curve.csv"]
     assert main(argv + ["--out", str(tmp_path / "unpatched")]) == 0
 
     def refuse(self):
-        raise AssertionError(f"{type(self).__name__} built on the eval-system path")
+        raise AssertionError(f"{type(self).__name__} built on the {command} path")
 
     for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.GtTrack,
                 datamodel.Detection, datamodel.OutTrack, datamodel.IgnoreRegion):
         monkeypatch.setattr(cls, "__post_init__", refuse)
-    with pytest.raises(AssertionError, match="built on the eval-system path"):
+    with pytest.raises(AssertionError, match=f"built on the {command} path"):
         datamodel.BBox(0, 0, 5, 5)
     assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
-    for name in ("system_report.json", "pr_curve.csv"):
+    for name in outputs:
         assert ((tmp_path / "patched" / name).read_bytes()
                 == (tmp_path / "unpatched" / name).read_bytes())
     assert not list(tmp_path.glob("detraceval-*"))

@@ -97,7 +97,7 @@ def test_track_roundtrip():
         OutTrack(2, ((1, BBox(50, 50, 8, 8)),)),
     ))
     buf = io.StringIO()
-    write_tracks(ts, buf)
+    write_tracks(ts.columns, buf)
     assert_same_columns(read_tracks(buf.getvalue().splitlines()), ts.columns)
 
 
@@ -132,11 +132,6 @@ def test_ignore_region_frame_range():
     assert IgnoreRegion(BBox(0, 0, 5, 5)).active_at(999)
 
 
-def test_truncation_flag():
-    assert GtEntry(1, BBox(0, 0, 5, 5), truncation_ratio=0.6).truncation_flagged
-    assert not GtEntry(1, BBox(0, 0, 5, 5), truncation_ratio=0.5).truncation_flagged
-
-
 def test_filter_score_preserves_order():
     dets = DetectionSet((
         Detection(1, BBox(0, 0, 5, 5), 0.9),
@@ -153,10 +148,9 @@ def test_write_tracks_orders_rows_by_track_id():
         OutTrack(5, ((2, BBox(0, 0, 5, 5)), (3, BBox(1, 1, 5, 5.5)))),
         OutTrack(2, ((1, BBox(50, 50, 8, 8)),)),
     ))
-    for tracks in (ts, ts.columns):
-        buf = io.StringIO()
-        write_tracks(tracks, buf)
-        assert buf.getvalue() == "1,2,50,50,8,8\n2,5,0,0,5,5\n3,5,1,1,5,5.5\n"
+    buf = io.StringIO()
+    write_tracks(ts.columns, buf)
+    assert buf.getvalue() == "1,2,50,50,8,8\n2,5,0,0,5,5\n3,5,1,1,5,5.5\n"
 
 
 def test_write_detections_objects_and_columns_write_the_same_text():

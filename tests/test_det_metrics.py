@@ -11,7 +11,6 @@ from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
                                     detection_report, pr_curve,
                                     pr_curve_multi, threshold_counts)
-from detraceval.geometry import box_array
 from detraceval.matching import match_frame_greedy
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_ap,
                               oracle_sweep_counts)
@@ -28,14 +27,14 @@ def test_perfect_detector_single_point():
     gt = _gt_two_boxes()
     dets = DetectionSet(tuple(
         Detection(1, tr.entries[0].box, 1.0) for tr in gt.tracks))
-    curve = pr_curve(dets, gt)
+    curve = pr_curve(gt.columns, dets.columns)
     assert len(curve.points) == 1
     p = curve.points[0]
     assert p.precision == 1.0 and p.recall == 1.0
 
 
 def test_no_detections_empty_set_convention():
-    curve = pr_curve(DetectionSet(), _gt_two_boxes())
+    curve = pr_curve(_gt_two_boxes().columns, DetectionSet().columns)
     assert len(curve.points) == 1
     p = curve.points[0]
     assert p.precision == 1.0 and p.recall == 0.0
@@ -47,20 +46,27 @@ def test_detection_beyond_frame_count_rejected():
     gt = _gt_two_boxes()  # frame_count 1
     dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),
                          Detection(2, BBox(0, 0, 20, 20), 0.8)))
+    g, d = gt.columns, dets.columns
     want = "detections: frame 2 beyond frame_count 1"
-    for score in (lambda: pr_curve(dets, gt),
-                  lambda: pr_curve_multi([(dets, gt)]),
-                  lambda: detection_report([(dets, gt)]),
-                  lambda: threshold_counts([(dets.columns, gt.columns)])):
+    for score in (lambda: pr_curve(g, d),
+                  lambda: pr_curve_multi([(g, d)]),
+                  lambda: detection_report([(g, d)]),
+                  lambda: threshold_counts([(g, d)])):
         with pytest.raises(ValidationError) as exc:
             score()
         assert str(exc.value) == want
 
 
+def _corners(boxes):
+    """(n, 4) left, top, right, bottom rows of BBox objects."""
+    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes],
+                    dtype=np.float64).reshape(len(boxes), 4)
+
+
 def _greedy(dets, gts, iou_thr):
     """match_frame_greedy on Detection and BBox lists."""
-    return match_frame_greedy(box_array([d.box for d in dets]),
-                              [d.score for d in dets], box_array(gts), iou_thr)
+    return match_frame_greedy(_corners([d.box for d in dets]),
+                              [d.score for d in dets], _corners(gts), iou_thr)
 
 
 def _brute_force_pr(dets, gt, iou_thr, threshold):
@@ -87,7 +93,7 @@ def test_worked_three_detection_curve():
         Detection(1, BBox(300, 300, 20, 20), 0.8),   # clutter
         Detection(1, BBox(100, 100, 20, 20), 0.7),   # hit
     ))
-    curve = pr_curve(dets, gt)
+    curve = pr_curve(gt.columns, dets.columns)
     got = [(p.precision, p.recall) for p in
            sorted(curve.points, key=lambda p: -p.threshold)]
     assert got[0] == (1.0, 0.5)
@@ -132,10 +138,10 @@ def test_clutter_at_new_lowest_score_never_increases_ap():
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(100, 100, 20, 20), 0.7),
     ))
-    base = pr_curve(dets, gt)
+    base = pr_curve(gt.columns, dets.columns)
     noisier = DetectionSet(dets.detections
                            + (Detection(1, BBox(300, 300, 20, 20), 0.1),))
-    with_clutter = pr_curve(noisier, gt)
+    with_clutter = pr_curve(gt.columns, noisier.columns)
     assert average_precision(with_clutter) <= average_precision(base)
     # higher-threshold points are unchanged
     base_pts = {p.threshold: (p.precision, p.recall) for p in base.points}
@@ -154,7 +160,7 @@ def test_ignored_gt_and_detections_are_neutral():
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(100, 100, 20, 20), 0.8),  # in ignore region: neutral
     ))
-    curve = pr_curve(dets, gt)
+    curve = pr_curve(gt.columns, dets.columns)
     # single countable GT, matched: every point has no FP and full recall
     best = max(curve.points, key=lambda p: p.recall)
     assert best.fp == 0 and best.recall == 1.0 and best.tp == 1
@@ -164,7 +170,7 @@ def test_subset_empty_target_set_error():
     gt = _gt_two_boxes()  # all "car"
     dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),))
     with pytest.raises(ValidationError, match="empty evaluation target set"):
-        detection_report([(dets, gt)], ["category:bus"])
+        detection_report([(gt.columns, dets.columns)], ["category:bus"])
 
 
 def test_subset_overall_equals_no_predicate():
@@ -173,9 +179,9 @@ def test_subset_overall_equals_no_predicate():
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(300, 300, 20, 20), 0.4),
     ))
-    report = detection_report([(dets, gt)], ["overall"])
+    report = detection_report([(gt.columns, dets.columns)], ["overall"])
     assert report["overall"]["ap"] == pytest.approx(
-        average_precision(pr_curve(dets, gt)))
+        average_precision(pr_curve(gt.columns, dets.columns)))
 
 
 def test_matched_out_of_subset_gt_neutralizes_detection():
@@ -189,7 +195,7 @@ def test_matched_out_of_subset_gt_neutralizes_detection():
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(100, 100, 20, 20), 0.8),
     ))
-    report = detection_report([(dets, gt)], ["category:car"])
+    report = detection_report([(gt.columns, dets.columns)], ["category:car"])
     points = report["category:car"]["points"]
     assert all(p["fp"] == 0 for p in points)
     assert report["category:car"]["ap"] == 1.0
@@ -206,7 +212,7 @@ def test_per_scale_counts_recombine():
         Detection(1, BBox(300, 300, 200, 200), 0.8),
     ))
     report = detection_report(
-        [(dets, gt)], ["overall", "scale:small", "scale:large"])
+        [(gt.columns, dets.columns)], ["overall", "scale:small", "scale:large"])
     overall_tp = max(p["tp"] for p in report["overall"]["points"])
     small_tp = max(p["tp"] for p in report["scale:small"]["points"])
     large_tp = max(p["tp"] for p in report["scale:large"]["points"])
@@ -263,7 +269,7 @@ def _random_subset_case(seed):
             difficulty=str(rng.choice(DIFFICULTIES)))
         dets = DetectionSet(tuple(
             dataclasses.replace(d, score=round(d.score, 1)) for d in dets))
-        pairs.append((dets, gt))
+        pairs.append((gt, dets))
     return pairs, float(rng.choice([0.3, 0.5, 0.7]))
 
 
@@ -285,7 +291,8 @@ def test_subset_counts_equal_filter_then_relabel_oracle():
     for seed in range(300):
         pairs, iou_thr = _random_subset_case(seed)
         rng = np.random.default_rng(seed)
-        scores = sorted({d.score for dets, _ in pairs for d in dets})
+        scores = sorted({d.score for _, dets in pairs for d in dets})
+        columns = [(gt.columns, dets.columns) for gt, dets in pairs]
         taus = scores + [(a + b) / 2 for a, b in zip(scores, scores[1:])]
         taus += [float(t) for t in rng.uniform(-0.2, 1.2, 3)]
         for name in rng.choice(ALL_SUBSETS, 3, replace=False).tolist():
@@ -293,9 +300,9 @@ def test_subset_counts_equal_filter_then_relabel_oracle():
             if all(tp + fn == 0 for tp, _, fn in want):
                 # no pooled GT in the subset, or no sequence of its kind
                 with pytest.raises(ValidationError, match="empty evaluation"):
-                    pr_curve_multi(pairs, iou_thr, name)
+                    pr_curve_multi(columns, iou_thr, name)
                 continue
-            curve = pr_curve_multi(pairs, iou_thr, name)
+            curve = pr_curve_multi(columns, iou_thr, name)
             assert [_counts_at(curve, tau) for tau in taus] == want, (seed, name)
             n_points += len(taus)
             kinds.add(name)
@@ -308,7 +315,7 @@ def test_unknown_subset_name_is_validation_error():
     for name in ("scale:huge", "occlusion:some", "weather:foggy",
                  "colour:red", "overall:car", "car"):
         with pytest.raises(ValidationError):
-            detection_report([(dets, gt)], [name])
+            detection_report([(gt.columns, dets.columns)], [name])
 
 
 def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
@@ -322,6 +329,7 @@ def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
             Detection(2, BBox(400, 400, 20, 20), second),   # FP, later frame
         ))
         gt2 = GroundTruth("s", 2, gt.tracks)
-        (zero,) = [p for p in pr_curve(dets, gt2).points if p.threshold == 0.0]
+        (zero,) = [p for p in pr_curve(gt2.columns, dets.columns).points
+                   if p.threshold == 0.0]
         assert math.copysign(1.0, zero.threshold) == math.copysign(1.0, second)
         assert (zero.tp, zero.fp) == (1, 2)

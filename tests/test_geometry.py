@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from detraceval.datamodel import (BBox, DetectionColumns, GroundTruth,
                                   IgnoreRegion)
 from detraceval.geometry import (IGNORE_COVERAGE_THR, OcclusionClass,
-                                 ScaleClass, box_array, covered,
+                                 ScaleClass, covered,
                                  ignore_coverage, iou, iou_broadcast,
                                  iou_matrix, occlusion_class, scale_class)
 
@@ -87,11 +87,17 @@ def box_pairs(draw):
     return base, draw(st.permutations(partners))
 
 
+def _corners(boxes):
+    """(n, 4) left, top, right, bottom rows of BBox objects."""
+    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes],
+                    dtype=np.float64).reshape(len(boxes), 4)
+
+
 @given(box_pairs())
 @settings(max_examples=300, deadline=None)
 def test_iou_matrix_equals_scalar_iou_bit_for_bit(pair):
     a, b = pair
-    got = iou_matrix(box_array(a), box_array(b))
+    got = iou_matrix(_corners(a), _corners(b))
     assert got.shape == (len(a), len(b)) and got.dtype == np.float64
     for i, box_a in enumerate(a):
         for j, box_b in enumerate(b):
@@ -102,16 +108,16 @@ def test_iou_matrix_equals_scalar_iou_bit_for_bit(pair):
 @settings(max_examples=300, deadline=None)
 def test_iou_broadcast_row_aligned_equals_scalar_iou_bit_for_bit(pair):
     a, b = pair
-    got = iou_broadcast(box_array(a), box_array(b))
+    got = iou_broadcast(_corners(a), _corners(b))
     assert got.shape == (len(a),) and got.dtype == np.float64
     for i, (box_a, box_b) in enumerate(zip(a, b)):
         assert got[i] == iou(box_a, box_b), i
 
 
 def test_iou_matrix_empty_sides():
-    a = box_array([BBox(0, 0, 10, 10)])
-    assert iou_matrix(a, box_array([])).shape == (1, 0)
-    assert iou_matrix(box_array([]), a).shape == (0, 1)
+    a = _corners([BBox(0, 0, 10, 10)])
+    assert iou_matrix(a, _corners([])).shape == (1, 0)
+    assert iou_matrix(_corners([]), a).shape == (0, 1)
 
 
 def test_scale_bands():

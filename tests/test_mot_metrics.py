@@ -47,7 +47,7 @@ def _stats(frame_counts, fm=0, mt=0, ml=0, n_tracks=0):
 
 def test_perfect_tracking():
     gt = _linear_gt()
-    bundle, _ = evaluate_clear(gt, gt_as_tracks(gt))
+    bundle, _ = evaluate_clear(gt.columns, gt_as_tracks(gt).columns)
     assert bundle.mota == 100.0
     assert bundle.motp == 100.0
     assert bundle.ids == bundle.fm == bundle.fp == bundle.fn == 0
@@ -56,7 +56,7 @@ def test_perfect_tracking():
 
 def test_empty_tracker():
     gt = _linear_gt()
-    bundle, _ = evaluate_clear(gt, TrackSet())
+    bundle, _ = evaluate_clear(gt.columns, TrackSet().columns)
     assert bundle.fn == gt.total_boxes()
     assert bundle.fp == 0 and bundle.ids == 0
     assert bundle.mota == 0.0
@@ -74,18 +74,18 @@ def test_frame_beyond_frame_count_rejected():
     gt = _linear_gt(n_frames=5)
     bad = TrackSet((OutTrack(1, ((6, BBox(0, 0, 5, 5)),)),))
     with pytest.raises(ValidationError, match="beyond"):
-        evaluate_clear(gt, bad)
+        evaluate_clear(gt.columns, bad.columns)
 
 
 def test_aggregate_single_sequence_identity():
     gt = _linear_gt()
-    bundle, stats = evaluate_clear(gt, gt_as_tracks(gt))
+    bundle, stats = evaluate_clear(gt.columns, gt_as_tracks(gt).columns)
     assert aggregate([stats]) == bundle
 
 
 def test_aggregate_two_identical_sequences():
     gt = _linear_gt()
-    bundle, stats = evaluate_clear(gt, gt_as_tracks(gt))
+    bundle, stats = evaluate_clear(gt.columns, gt_as_tracks(gt).columns)
     combined = aggregate([stats, stats])
     assert combined.mota == bundle.mota
     assert combined.fn == 2 * bundle.fn
@@ -112,7 +112,7 @@ def test_mota_can_go_negative():
         OutTrack(i, tuple((f, BBox(500.0 + 30 * i, 500.0, 10, 10))
                           for f in range(1, 4)))
         for i in range(1, 6)))
-    bundle, _ = evaluate_clear(gt, clutter)
+    bundle, _ = evaluate_clear(gt.columns, clutter.columns)
     assert bundle.mota < 0
 
 
@@ -125,8 +125,9 @@ def test_relabeling_invariance():
             continue
         shuffled = list(rng.permutation(ids))
         mapping = {a: 1000 + b for a, b in zip(ids, shuffled)}
-        base, _ = evaluate_clear(gt, tracks)
-        relabeled, _ = evaluate_clear(gt, tracks.relabel(mapping))
+        base, _ = evaluate_clear(gt.columns, tracks.columns)
+        relabeled, _ = evaluate_clear(gt.columns,
+                                      tracks.relabel(mapping).columns)
         assert_bundles_equal(base, relabeled)
 
 
@@ -138,8 +139,8 @@ def test_removing_clutter_track_never_decreases_mota():
             (f, BBox(400.0 + f, 400.0, 8, 8))
             for f in range(1, gt.frame_count + 1)))
         with_clutter = TrackSet(tracks.tracks + (clutter,))
-        assert evaluate_clear(gt, tracks)[0].mota \
-            >= evaluate_clear(gt, with_clutter)[0].mota
+        assert evaluate_clear(gt.columns, tracks.columns)[0].mota \
+            >= evaluate_clear(gt.columns, with_clutter.columns)[0].mota
 
 
 def test_mt_ml_boundaries_are_strict():
@@ -147,16 +148,16 @@ def test_mt_ml_boundaries_are_strict():
     gt = _linear_gt(n_tracks=1, n_frames=10)
     partial = TrackSet((OutTrack(1, tuple(
         (e.frame, e.box) for e in gt.tracks[0].entries[:2])),))
-    bundle, _ = evaluate_clear(gt, partial)
+    bundle, _ = evaluate_clear(gt.columns, partial.columns)
     assert bundle.mt == 0 and bundle.ml == 0
     # matched 8 of 10 (80%): still not MT
     partial8 = TrackSet((OutTrack(1, tuple(
         (e.frame, e.box) for e in gt.tracks[0].entries[:8])),))
-    assert evaluate_clear(gt, partial8)[0].mt == 0
+    assert evaluate_clear(gt.columns, partial8.columns)[0].mt == 0
     # matched 9 of 10 (90%): MT
     partial9 = TrackSet((OutTrack(1, tuple(
         (e.frame, e.box) for e in gt.tracks[0].entries[:9])),))
-    assert evaluate_clear(gt, partial9)[0].mt == 1
+    assert evaluate_clear(gt.columns, partial9.columns)[0].mt == 1
 
 
 def test_ids_same_id_after_gap_is_not_a_switch():
@@ -164,7 +165,8 @@ def test_ids_same_id_after_gap_is_not_a_switch():
     entries = gt.tracks[0].entries
     # matched frames 1,2,4,5 by the same id: one fragmentation, no switch
     boxes = tuple((e.frame, e.box) for e in entries if e.frame != 3)
-    bundle, _ = evaluate_clear(gt, TrackSet((OutTrack(1, boxes),)))
+    bundle, _ = evaluate_clear(gt.columns,
+                               TrackSet((OutTrack(1, boxes),)).columns)
     assert bundle.ids == 0
     assert bundle.fm == 1
 
@@ -174,14 +176,14 @@ def test_ids_counts_id_change():
     entries = gt.tracks[0].entries
     a = OutTrack(1, tuple((e.frame, e.box) for e in entries[:2]))
     b = OutTrack(2, tuple((e.frame, e.box) for e in entries[2:]))
-    bundle, _ = evaluate_clear(gt, TrackSet((a, b)))
+    bundle, _ = evaluate_clear(gt.columns, TrackSet((a, b)).columns)
     assert bundle.ids == 1
     assert bundle.fm == 0  # no unmatched frame in between
 
 
 def test_motp_equals_mean_matched_iou():
     gt, tracks = random_tiny_scenario(3)
-    bundle, stats = evaluate_clear(gt, tracks)
+    bundle, stats = evaluate_clear(gt.columns, tracks.columns)
     matches = sum(c.matches for c in stats.frame_counts)
     iou_sum = sum(c.iou_sum for c in stats.frame_counts)
     if matches:
@@ -197,14 +199,14 @@ def test_unmatched_hyp_over_ignore_region_not_fp():
         OutTrack(1, tuple((f, BBox(0, 0, 20, 20)) for f in (1, 2, 3))),
         OutTrack(2, tuple((f, BBox(500, 500, 20, 20)) for f in (1, 2, 3))),
     ))
-    bundle, _ = evaluate_clear(gt, hyp)
+    bundle, _ = evaluate_clear(gt.columns, hyp.columns)
     assert bundle.fp == 0 and bundle.mota == 100.0
 
 
 def test_matches_oracle_on_random_tiny_scenarios():
     for seed in range(100):
         gt, tracks = random_tiny_scenario(seed)
-        bundle, _ = evaluate_clear(gt, tracks)
+        bundle, _ = evaluate_clear(gt.columns, tracks.columns)
         assert_bundles_equal(bundle, oracle_clear(gt, tracks))
 
 
@@ -235,9 +237,9 @@ def test_matches_oracle_with_ignore_regions_over_hypotheses():
         if not tracks.tracks:
             continue
         ignored = _with_regions_over_hypotheses(gt, tracks, seed)
-        bundle, _ = evaluate_clear(ignored, tracks)
+        bundle, _ = evaluate_clear(ignored.columns, tracks.columns)
         assert_bundles_equal(bundle, oracle_clear(ignored, tracks))
-        plain, _ = evaluate_clear(gt, tracks)
+        plain, _ = evaluate_clear(gt.columns, tracks.columns)
         assert bundle.fp <= plain.fp
         dropped += plain.fp - bundle.fp
     assert dropped > 0
@@ -262,8 +264,8 @@ def test_columns_and_objects_score_identically():
         gt = dataclasses.replace(gt, ignore_regions=(
             IgnoreRegion(BBox(100.0, 50.0, 300.0, 200.0)),
             IgnoreRegion(BBox(400.0, 200.0, 300.0, 250.0), 5, 15)))
-        tracks = greedy_iou_track(dets, max_gap=2)
-        by_objects = evaluate_clear(gt, tracks)
+        tracks = greedy_iou_track(dets.columns, max_gap=2)
+        by_objects = evaluate_clear(gt.columns, tracks)
         by_columns = evaluate_clear(*_columns_from_files(gt, tracks))
         assert by_objects == by_columns
 
@@ -271,13 +273,14 @@ def test_columns_and_objects_score_identically():
 def test_frame_beyond_frame_count_rejected_from_columns():
     gt = _linear_gt(n_frames=3)
     tracks = TrackSet((OutTrack(7, ((2, BBox(0, 0, 5, 5)), (9, BBox(0, 0, 5, 5)))),
-                       OutTrack(3, ((4, BBox(0, 0, 5, 5)),))))
-    for args in ((gt, tracks), _columns_from_files(gt, tracks)):
+                       OutTrack(3, ((4, BBox(0, 0, 5, 5)),)))).columns
+    for args in ((gt.columns, tracks), _columns_from_files(gt, tracks)):
         with pytest.raises(ValidationError) as exc:
             evaluate_clear(*args)
         assert "frame_count 3" in str(exc.value)
-    # objects keep the TrackSet's order, the file is read sorted by track id
+    # `.columns` keeps the TrackSet's order, the file is read sorted by
+    # track id
     with pytest.raises(ValidationError, match="output tracks: frame 9 beyond"):
-        evaluate_clear(gt, tracks)
+        evaluate_clear(gt.columns, tracks)
     with pytest.raises(ValidationError, match="output tracks: frame 4 beyond"):
         evaluate_clear(*_columns_from_files(gt, tracks))

@@ -561,6 +561,27 @@ def test_gt_integral_floats_are_read_as_integers(path, key, where):
     assert type(got.frame_count) is int and got.frame.dtype == np.int64
 
 
+@pytest.mark.parametrize("value,error", [
+    (1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True"),
+    ("3", "must be an integer, got '3'"), (1e300, "out of range: 1e+300"),
+    (3.0, None)])
+def test_ignore_region_spans_follow_the_integer_rule(value, error):
+    """An ignore-region span bound is an int or an integral float within
+    int64, read as an int; the reader and `IgnoreRegion` give one text."""
+    doc = _base_doc()
+    doc["ignore_regions"][1]["first_frame"] = value
+    outcomes = [_outcome(read_ground_truth, json.dumps(doc)),
+                _outcome(lambda v: IgnoreRegion(BBox(5, 5, 9, 9), v, 3), value)]
+    if error is not None:
+        want = ("error", f"ignore region: first_frame {error}")
+        assert outcomes == [want, want]
+        return
+    (kind, cols), (_, region) = outcomes
+    assert kind == "ok" and cols.ignore.first_frame == (None, 3)
+    assert type(cols.ignore.first_frame[1]) is int
+    assert type(region.first_frame) is int and region.first_frame == 3
+
+
 @given(gt_texts())
 @settings(max_examples=500, deadline=None)
 def test_parse_ground_truth_equals_old_parser(text):

@@ -9,12 +9,10 @@ from detraceval.datamodel import (BBox, DetectionSet, IgnoreRegion, OutTrack,
                                   TrackSet, ValidationError)
 from detraceval.det_metrics import threshold_counts
 from detraceval.fixtures import load_fixture
-from detraceval.geometry import box_array
 from detraceval.matching import match_frame_greedy
 from detraceval.mot_metrics import MetricBundle
 from detraceval.pr_integration import (OperatingPoint, arc_length, integrate,
-                                       pr_report, average_scores,
-                                       select_thresholds,
+                                       pr_report, select_thresholds,
                                        select_thresholds_quantile, sweep)
 from detraceval.synth import ScenarioConfig, gen_scenario, oracle_sweep_counts
 
@@ -119,6 +117,12 @@ def test_integral_bounded_by_extremes():
         assert val <= 100.0  # MOTA-like integrand bound
 
 
+def _corners(boxes):
+    """(n, 4) left, top, right, bottom rows of BBox objects."""
+    return np.array([(b.left, b.top, b.right, b.bottom) for b in boxes],
+                    dtype=np.float64).reshape(len(boxes), 4)
+
+
 class OracleTracker:
     """Reports exactly the GT boxes that were detected (matched) at the
     given detections; MOTA then only loses the detector's misses."""
@@ -135,7 +139,7 @@ class OracleTracker:
             entries = self.gt.entries_at(frame)
             gids = sorted(entries)
             m = match_frame_greedy(corners[rows], dets.score[rows],
-                                   box_array([entries[g].box for g in gids]),
+                                   _corners([entries[g].box for g in gids]),
                                    self.iou_thr)
             for gi, _, _ in m.pairs:
                 boxes.setdefault(gids[gi], []).append(
@@ -151,7 +155,7 @@ def test_sweep_against_detection_count_closed_form():
         seed=21))
     tracker = OracleTracker(gt)
     thresholds = select_thresholds(dets.columns.score, 6)
-    points = sweep([(gt, dets)], tracker, thresholds)
+    points = sweep([(gt.columns, dets.columns)], tracker, thresholds)
     total_gt = gt.total_boxes()
     for p in points:
         fn_det = round((1.0 - p.recall) * total_gt)
@@ -164,7 +168,7 @@ def test_sweep_threshold_above_max_score():
         n_targets=2, n_frames=5, tp_mean=0.5, clutter_mean=0.1,
         score_sigma=0.0, seed=1))
     tracker = OracleTracker(gt)
-    points = sweep([(gt, dets)], tracker, [0.9])
+    points = sweep([(gt.columns, dets.columns)], tracker, [0.9])
     assert len(points) == 1
     p = points[0]
     assert p.recall == 0.0
@@ -176,7 +180,7 @@ def test_sweep_threshold_below_min_score_is_identity():
     gt, dets = gen_scenario(ScenarioConfig(
         n_targets=2, n_frames=5, tp_mean=0.5, score_sigma=0.0, seed=1))
     tracker = OracleTracker(gt)
-    low = sweep([(gt, dets)], tracker, [0.0])[0]
+    low = sweep([(gt.columns, dets.columns)], tracker, [0.0])[0]
     assert low.recall == 1.0 and low.precision == 1.0
     assert low.metrics.mota == 100.0
 
@@ -195,9 +199,10 @@ def test_sweep_keep_going_records_gap():
 
     from detraceval.pr_integration import SweepError
     with pytest.raises(SweepError, match="boom"):
-        sweep([(gt, dets)], flaky, select_thresholds(dets.columns.score, 4))
+        sweep([(gt.columns, dets.columns)], flaky,
+              select_thresholds(dets.columns.score, 4))
     calls["n"] = 0
-    points = sweep([(gt, dets)], flaky,
+    points = sweep([(gt.columns, dets.columns)], flaky,
                    select_thresholds(dets.columns.score, 4),
                    keep_going=True)
     assert len(points) == 3
@@ -216,18 +221,12 @@ def test_pr_report_count_linearity():
     assert pr_report(doubled).pr_ids == pytest.approx(2 * pr_report(pts).pr_ids)
 
 
-def test_average_scores_is_arithmetic_mean():
-    r1 = pr_report([_point(1.0, 0.0, mota=100.0), _point(1.0, 1.0, mota=100.0)])
-    r2 = pr_report([_point(1.0, 0.0, mota=0.0), _point(1.0, 1.0, mota=50.0)])
-    avg = average_scores([r1, r2])
-    assert avg["pr_mota"] == pytest.approx((r1.pr_mota + r2.pr_mota) / 2)
-
-
 def test_ranking_flip_fixture_inverts_mota_ordering():
     fx = load_fixture("ranking-flip")
     thresholds = select_thresholds(fx.dets.columns.score, 10)
     names = sorted(fx.trackers)
-    curves = {name: sweep([(fx.gt, fx.dets)], fx.trackers[name], thresholds)
+    pairs = [(fx.gt.columns, fx.dets.columns)]
+    curves = {name: sweep(pairs, fx.trackers[name], thresholds)
               for name in names}
     a, b = names
     diffs = [pa.metrics.mota - pb.metrics.mota
@@ -251,16 +250,20 @@ def _random_sweep_case(seed):
             region = IgnoreRegion(BBox(float(rng.uniform(0, 700)),
                                        float(rng.uniform(0, 400)), 250.0, 150.0))
             gt = dataclasses.replace(gt, ignore_regions=(region,))
-        pairs.append((dets, gt))
+        pairs.append((gt, dets))
     return pairs, float(rng.choice([0.3, 0.5, 0.7]))
+
+
+def _columns(pairs):
+    return [(gt.columns, dets.columns) for gt, dets in pairs]
 
 
 def test_threshold_counts_equal_filter_then_relabel_oracle():
     n_points = 0
     for seed in range(250):
         pairs, iou_thr = _random_sweep_case(seed)
-        counts = threshold_counts(pairs, iou_thr)
-        scores = sorted({d.score for dets, _ in pairs for d in dets})
+        counts = threshold_counts(_columns(pairs), iou_thr)
+        scores = sorted({d.score for _, dets in pairs for d in dets})
         # every detection score (thresholds that equal a score), the
         # midpoints between them, and both sides of the range
         taus = scores + [(a + b) / 2 for a, b in zip(scores, scores[1:])]
@@ -274,8 +277,8 @@ def test_threshold_counts_equal_filter_then_relabel_oracle():
 
 def test_sweep_precision_recall_come_from_oracle_counts():
     pairs, iou_thr = _random_sweep_case(3)
-    thresholds = sorted({d.score for dets, _ in pairs for d in dets})
-    points = sweep([(g, d) for d, g in pairs], lambda dets, seq: TrackSet().columns,
+    thresholds = sorted({d.score for _, dets in pairs for d in dets})
+    points = sweep(_columns(pairs), lambda dets, seq: TrackSet().columns,
                    thresholds, iou_thr=iou_thr)
     assert len(points) == len(thresholds)
     for p in points:

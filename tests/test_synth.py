@@ -67,7 +67,7 @@ def test_fn_nondecreasing_in_drop_rate():
     counts = []
     for rate in (0.0, 0.3, 0.6, 0.9):
         gt, dets = gen_scenario(dataclasses.replace(base, drop_rate=rate))
-        bundle, _ = evaluate_clear(gt, greedy_iou_track(dets))
+        bundle, _ = evaluate_clear(gt.columns, greedy_iou_track(dets.columns))
         counts.append(bundle.fn)
     assert counts == sorted(counts)
 
@@ -134,13 +134,13 @@ def test_scenario_edge_values_accepted():
 def test_oracle_rejects_large_instances():
     gt, dets = gen_scenario(ScenarioConfig(n_targets=8, n_frames=3, seed=1))
     with pytest.raises(ValidationError, match="too large"):
-        oracle_clear(gt, _track_set(greedy_iou_track(dets)))
+        oracle_clear(gt, _track_set(greedy_iou_track(dets.columns)))
 
 
 def test_oracle_equals_impl_on_perfect_fixture():
     fx = load_fixture("perfect")
-    ts = _track_set(greedy_iou_track(fx.dets))
-    got, _ = evaluate_clear(fx.gt, ts)
+    ts = _track_set(greedy_iou_track(fx.dets.columns))
+    got, _ = evaluate_clear(fx.gt.columns, ts.columns)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
         (want.ids, want.fm, want.fp, want.fn, want.mt, want.ml)
@@ -149,8 +149,8 @@ def test_oracle_equals_impl_on_perfect_fixture():
 
 def test_oracle_equals_impl_on_crossing_fixture():
     fx = load_fixture("crossing")
-    ts = _track_set(greedy_iou_track(fx.dets))
-    got, _ = evaluate_clear(fx.gt, ts)
+    ts = _track_set(greedy_iou_track(fx.dets.columns))
+    got, _ = evaluate_clear(fx.gt.columns, ts.columns)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
         (want.ids, want.fm, want.fp, want.fn, want.mt, want.ml)
@@ -158,7 +158,7 @@ def test_oracle_equals_impl_on_crossing_fixture():
 
 def test_fp_heavy_fixture_negative_mota():
     fx = load_fixture("fp-heavy")
-    bundle, _ = evaluate_clear(fx.gt, greedy_iou_track(fx.dets))
+    bundle, _ = evaluate_clear(fx.gt.columns, greedy_iou_track(fx.dets.columns))
     assert bundle.mota < 0
 
 

@@ -46,7 +46,7 @@ def _n_tracks(tracks) -> int:
 def test_single_static_detection_one_track():
     dets = DetectionSet(tuple(
         Detection(f, BBox(10, 10, 20, 20), 0.9) for f in range(1, 11)))
-    t = greedy_iou_track(dets)
+    t = greedy_iou_track(dets.columns)
     _check_layout(t)
     assert _n_tracks(t) == 1 and len(t) == 10
 
@@ -56,15 +56,15 @@ def test_two_separated_targets_two_tracks():
     for f in range(1, 11):
         dets.append(Detection(f, BBox(0 + f, 0, 20, 20), 0.9))
         dets.append(Detection(f, BBox(500 + f, 500, 20, 20), 0.9))
-    t = greedy_iou_track(DetectionSet(tuple(dets)))
+    t = greedy_iou_track(DetectionSet(tuple(dets)).columns)
     _check_layout(t)
     assert np.unique(t.track_id, return_counts=True)[1].tolist() == [10, 10]
 
 
 def test_crossing_fixture_produces_identity_switch():
     fx = load_fixture("crossing")
-    ts = greedy_iou_track(fx.dets)
-    bundle, _ = evaluate_clear(fx.gt, ts)
+    ts = greedy_iou_track(fx.dets.columns)
+    bundle, _ = evaluate_clear(fx.gt.columns, ts)
     assert bundle.ids >= 1
 
 
@@ -72,8 +72,8 @@ def test_gap_longer_than_max_gap_closes_track():
     frames = [1, 2, 5, 6]  # 2-frame hole with max_gap=1
     dets = DetectionSet(tuple(
         Detection(f, BBox(10, 10, 20, 20), 0.9) for f in frames))
-    assert _n_tracks(greedy_iou_track(dets, max_gap=1)) == 2
-    assert _n_tracks(greedy_iou_track(dets, max_gap=2)) == 1
+    assert _n_tracks(greedy_iou_track(dets.columns, max_gap=1)) == 2
+    assert _n_tracks(greedy_iou_track(dets.columns, max_gap=2)) == 1
 
 
 def test_min_track_len_suppresses_short_tracks():
@@ -82,7 +82,7 @@ def test_min_track_len_suppresses_short_tracks():
         Detection(1, BBox(400, 400, 10, 10), 0.9),
         Detection(2, BBox(0, 0, 10, 10), 0.9),
     ))
-    t = greedy_iou_track(dets, min_track_len=2)
+    t = greedy_iou_track(dets.columns, min_track_len=2)
     assert _rows(t) == [_row(1, 1, BBox(0, 0, 10, 10)),
                         _row(1, 2, BBox(0, 0, 10, 10))]
 
@@ -97,7 +97,7 @@ det_sets = st.lists(
         score=st.floats(0, 1),
     ),
     max_size=25,
-).map(lambda lst: DetectionSet(tuple(lst)))
+).map(lambda lst: DetectionSet(tuple(lst)).columns)
 
 
 @given(det_sets)
@@ -163,7 +163,7 @@ def test_greedy_matches_scalar_reference(seed, max_gap):
         n_targets=12, n_frames=25, drop_rate=0.2, clutter_rate=6.0,
         jitter_sigma=2.0, seed=seed))
     for link_thr, min_track_len in ((0.5, 1), (0.3, 3)):
-        t = greedy_iou_track(dets, link_thr, max_gap, min_track_len)
+        t = greedy_iou_track(dets.columns, link_thr, max_gap, min_track_len)
         _check_layout(t)
         assert _rows(t) == _rows(_scalar_greedy_iou_track(
             dets, link_thr, max_gap, min_track_len).columns)
@@ -177,7 +177,7 @@ def test_greedy_tied_iou_links_by_track_then_detection_order():
     assert iou(a, c) == iou(b, c) and iou(a, d) == iou(b, d)
     dets = DetectionSet((Detection(1, a, 0.9), Detection(1, b, 0.9),
                          Detection(2, d, 0.8), Detection(2, c, 0.7)))
-    t = greedy_iou_track(dets, link_thr=0.2)
+    t = greedy_iou_track(dets.columns, link_thr=0.2)
     assert _rows(t) == _rows(_scalar_greedy_iou_track(dets, link_thr=0.2).columns)
     assert _rows(t) == [_row(1, 1, a), _row(1, 2, c), _row(2, 1, b), _row(2, 2, d)]
 
@@ -186,7 +186,7 @@ def test_greedy_links_at_exactly_link_thr():
     a, b = BBox(0, 0, 10, 10), BBox(0, 0, 10, 20)
     assert iou(a, b) == 0.5
     dets = DetectionSet((Detection(1, a, 0.9), Detection(2, b, 0.9)))
-    assert _n_tracks(greedy_iou_track(dets, link_thr=0.5)) == 1
+    assert _n_tracks(greedy_iou_track(dets.columns, link_thr=0.5)) == 1
 
 
 def _some_dets():
@@ -211,7 +211,7 @@ def _assert_workspace_kept(workdir):
 
 def test_external_identity_tracker(tmp_path):
     adapter = ExternalTracker(IDENTITY_TRACKER, workdir=str(tmp_path))
-    t = run_external(adapter, _some_dets(), "seq1")
+    t = run_external(adapter, _some_dets().columns, "seq1")
     _check_layout(t)
     assert _rows(t) == [_row(1, d.frame, d.box) for d in _some_dets()]
     assert not list(tmp_path.iterdir())
@@ -221,7 +221,7 @@ def test_external_nonzero_exit(tmp_path):
     adapter = ExternalTracker(f"{PY} -c \"import sys; sys.exit(1)\" "
                               "{input} {output}", workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="status 1"):
-        run_external(adapter, _some_dets(), "seq1")
+        run_external(adapter, _some_dets().columns, "seq1")
     _assert_workspace_kept(tmp_path)
 
 
@@ -230,7 +230,7 @@ def test_external_timeout(tmp_path):
         f"{PY} -c \"import time; time.sleep(5)\" {{input}} {{output}}",
         timeout=0.5, workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="timed out"):
-        run_external(adapter, _some_dets(), "seq1")
+        run_external(adapter, _some_dets().columns, "seq1")
     _assert_workspace_kept(tmp_path)
 
 
@@ -238,7 +238,7 @@ def test_external_missing_output(tmp_path):
     adapter = ExternalTracker(f"{PY} -c pass {{input}} {{output}}",
                               workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="no output"):
-        run_external(adapter, _some_dets(), "seq1")
+        run_external(adapter, _some_dets().columns, "seq1")
     _assert_workspace_kept(tmp_path)
 
 
@@ -251,7 +251,7 @@ def test_missing_binary_names_command(tmp_path):
     adapter = ExternalTracker("no-such-binary-47291 {input} {output}",
                               workdir=str(tmp_path))
     with pytest.raises(TrackerError, match="no-such-binary-47291"):
-        run_external(adapter, _some_dets(), "seq1")
+        run_external(adapter, _some_dets().columns, "seq1")
     _assert_workspace_kept(tmp_path)
 
 
