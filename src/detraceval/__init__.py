@@ -13,7 +13,7 @@ from .det_metrics import (PRCurve, PRPoint, average_precision,
                           detection_report, pr_curve, pr_curve_multi)
 from .geometry import (OcclusionClass, ScaleClass, ignore_coverage, iou,
                        occlusion_class, scale_class)
-from .matching import (FORBIDDEN, FrameMatching, clear_correspond, hungarian,
+from .matching import (FORBIDDEN, clear_correspond, hungarian,
                        match_frame_greedy)
 from .mot_metrics import (FrameCounts, MetricBundle, SequenceStats, aggregate,
                           evaluate_clear)

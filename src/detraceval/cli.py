@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -204,11 +203,7 @@ def cmd_eval_mot(args) -> int:
         return mot_metrics.evaluate_clear(
             *_read_pair(gt_path, track_path, read_tracks), args.iou_thr)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(evaluate, triples))
-    else:
-        results = [evaluate(t) for t in triples]
+    results = pr_integration.map_jobs(evaluate, triples, args.jobs)
 
     out = Path(args.out)
     all_stats = []
@@ -365,9 +360,10 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-_JOBS_HELP = ("worker threads (default 1); every value gives the same bytes, "
-              "and more than 1 runs slower, since the work holds the "
-              "interpreter lock")
+_JOBS_HELP = ("worker threads (default 1); every value gives the same bytes. "
+              "Threads pay only while external (cmd:) trackers run; the "
+              "built-in tracker and CLEAR hold the interpreter lock, so more "
+              "threads do not speed them up")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,7 +53,9 @@ the error of the first offending line or entry with the constructors'
 message. Frames, ids, ``frame_count`` and ignore-region frame spans must
 fit in int64; in the GT JSON they must be integers or floats with an
 integral value (``2.0``, not ``1.9``, ``"2"`` or ``true``), never
-truncated.
+truncated. The domain constructors apply the same rule (`_as_int`, which
+also takes numpy integers) to every frame, id and ``frame_count``, so
+`.columns` never truncates either.
 
 The dataclasses are the public construction types, and the oracles in
 `synth` work on them. `GroundTruth.columns`, `DetectionSet.columns` and
@@ -152,6 +154,7 @@ class GtEntry:
     category: str = "car"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "frame", _as_int(self.frame, "GtEntry.frame"))
         if not (self.frame >= 1
                 and 0.0 <= self.occlusion_ratio <= 1.0
                 and 0.0 <= self.truncation_ratio <= 1.0
@@ -174,6 +177,8 @@ class GtTrack:
     entries: tuple[GtEntry, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "target_id",
+                           _as_int(self.target_id, "GtTrack.target_id"))
         object.__setattr__(self, "entries", tuple(self.entries))
         _check(len(self.entries) > 0, f"track {self.target_id}: empty track")
         frames = [e.frame for e in self.entries]
@@ -228,6 +233,8 @@ class GroundTruth:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", tuple(self.tracks))
         object.__setattr__(self, "ignore_regions", tuple(self.ignore_regions))
+        object.__setattr__(self, "frame_count", _as_int(
+            self.frame_count, "GroundTruth.frame_count"))
         _check(self.frame_count >= 1,
                f"frame_count must be >= 1, got {self.frame_count}")
         _check(self.weather in WEATHERS,
@@ -285,6 +292,7 @@ class Detection:
     score: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "frame", _as_int(self.frame, "Detection.frame"))
         _check(self.frame >= 1, f"Detection.frame must be >= 1, got {self.frame}")
         _check(math.isfinite(self.score),
                f"Detection.score must be finite, got {self.score!r}")
@@ -318,7 +326,11 @@ class OutTrack:
     boxes: tuple[tuple[int, BBox], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        object.__setattr__(self, "track_id",
+                           _as_int(self.track_id, "OutTrack.track_id"))
+        object.__setattr__(self, "boxes", tuple(
+            (_as_int(f, f"output track {self.track_id}: frame"), b)
+            for f, b in self.boxes))
         _check(self.track_id >= 1,
                f"track_id must be a positive integer, got {self.track_id}")
         frames = [f for f, _ in self.boxes]
@@ -471,6 +483,17 @@ def check_frame_count(gt: GtColumns, boxes: DetectionColumns | TrackColumns,
     if late.size:
         raise ValidationError(f"{name}: frame {boxes.frame[late[0]]} beyond "
                               f"frame_count {gt.frame_count}")
+
+
+def frame_slices(frames: np.ndarray,
+                 *columns: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """(frame, lo_1, hi_1, lo_2, hi_2, ...) for each of `frames`: each
+    column is a frame column sorted ascending, and its rows lo_k:hi_k are
+    the ones at that frame. The per-frame loops of CLEAR, detection
+    labeling and the builtin tracker take their row ranges from here."""
+    bounds = [np.searchsorted(col, frames, side).tolist()
+              for col in columns for side in ("left", "right")]
+    return zip(frames.tolist(), *bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +695,10 @@ def _load_json(stream: TextIO | str):
 
 
 def _is_int(value) -> bool:
-    """An int, or a float with an integral value; not a bool or a string."""
-    return type(value) is int or (type(value) is float and value.is_integer())
+    """A Python or numpy integer, or a float with an integral value; not a
+    bool or a string."""
+    return (type(value) is int or isinstance(value, np.integer)
+            or (isinstance(value, float) and value.is_integer()))
 
 
 def _int_column(values: list) -> np.ndarray:
@@ -770,6 +795,9 @@ def _json_object(value, what: str) -> dict:
 
 
 def _as_int(value, what: str) -> int:
+    """`value` as an int when it is `_is_int` and fits in int64: the GT
+    integer rule, which the domain constructors apply to every frame, id
+    and frame count. Raises ValidationError naming `what` otherwise."""
     if not _is_int(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     if not _INT64.min <= value <= _INT64.max:

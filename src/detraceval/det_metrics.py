@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
-                        GtColumns, ValidationError, check_frame_count)
+                        GtColumns, ValidationError, check_frame_count,
+                        frame_slices)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
 from .matching import match_frame_greedy
@@ -111,18 +112,13 @@ def _label_detections(g: GtColumns, d: DetectionColumns,
     order = np.argsort(d.frame, kind="stable")
     frame, score = d.frame[order], d.score[order]
     d_corners = d.corners()[order]
-    pool_frame = g.frame[pool]
-    frames = np.unique(frame)
     matched = np.full(len(order), -1, dtype=np.int64)
-    bounds = zip(np.searchsorted(frame, frames, "left").tolist(),
-                 np.searchsorted(frame, frames, "right").tolist(),
-                 np.searchsorted(pool_frame, frames, "left").tolist(),
-                 np.searchsorted(pool_frame, frames, "right").tolist())
-    for d_lo, d_hi, g_lo, g_hi in bounds:
+    for _, d_lo, d_hi, g_lo, g_hi in frame_slices(np.unique(frame), frame,
+                                                  g.frame[pool]):
         if g_lo == g_hi:
             continue
         pairs = match_frame_greedy(d_corners[d_lo:d_hi], score[d_lo:d_hi],
-                                   g_corners[pool[g_lo:g_hi]], iou_thr).pairs
+                                   g_corners[pool[g_lo:g_hi]], iou_thr)
         if pairs:
             gi, di, _ = zip(*pairs)
             matched[d_lo + np.array(di)] = pool[g_lo + np.array(gi)]

@@ -15,6 +15,10 @@ Three layers:
   `BoxColumns.corners` layout), so CLEAR can feed it slices of columns
   without building a box object.
 
+Both matchers return one frame's matches as a list of (gt, hypothesis, IoU)
+pairs and nothing else: a box that no pair holds is unmatched, and a caller
+that needs the unmatched boxes reads them off the pairs.
+
 Residual matching follows a documented deterministic rule: maximum
 cardinality, then maximum total IoU, then, scanning ground-truth ids in
 ascending order, each takes the smallest hypothesis id consistent with an
@@ -79,7 +83,6 @@ on the whole matrix with every value from the solver:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -113,20 +116,9 @@ def hungarian(cost: Sequence[Sequence[float]]) -> dict[int, int]:
     return {int(r): int(c) for r, c in zip(rows, cols) if allowed[r, c]}
 
 
-@dataclass(frozen=True)
-class FrameMatching:
-    """One frame's correspondence: matched (gt, hyp, iou) plus the
-    unmatched hypotheses."""
-
-    pairs: tuple[tuple[Hashable, Hashable, float], ...]
-    unmatched_hyp: tuple[Hashable, ...]
-
-    def as_map(self) -> dict[Hashable, Hashable]:
-        return {g: h for g, h, _ in self.pairs}
-
-
 def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
-                       gt_boxes: np.ndarray, iou_thr: float) -> FrameMatching:
+                       gt_boxes: np.ndarray,
+                       iou_thr: float) -> list[tuple[int, int, float]]:
     """Greedy score-ordered matching for detection PR evaluation.
 
     One frame's detections and GT are given as (n, 4) `BoxColumns.corners`
@@ -136,9 +128,8 @@ def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
     > 0 and >= iou_thr. Pairs are (gt row, detection row, IoU) in
     processing order.
     """
-    n_dets, n_gts = len(det_boxes), len(gt_boxes)
     pairs: list[tuple[int, int, float]] = []
-    if n_dets and n_gts:
+    if len(det_boxes) and len(gt_boxes):
         order = np.argsort(-np.asarray(det_scores, dtype=np.float64),
                            kind="stable")
         iou_mat = iou_matrix(det_boxes, gt_boxes)
@@ -153,11 +144,7 @@ def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
                 continue
             pairs.append((gi, di, best_iou))
             iou_mat[:, gi] = -1.0
-    taken_det = {di for _, di, _ in pairs}
-    return FrameMatching(
-        pairs=tuple(pairs),
-        unmatched_hyp=tuple(i for i in range(n_dets) if i not in taken_det),
-    )
+    return pairs
 
 
 def _residual_value(iou_mat: np.ndarray, iou_thr: float) -> tuple[int, float]:
@@ -258,7 +245,7 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
 def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
                      gt_ids: Sequence[Hashable], gt_boxes: np.ndarray,
                      hyp_ids: Sequence[Hashable], hyp_boxes: np.ndarray,
-                     iou_thr: float) -> FrameMatching:
+                     iou_thr: float) -> list[tuple[Hashable, Hashable, float]]:
     """One step of CLEAR temporal correspondence on one frame.
 
     `gt_ids` and `hyp_ids` are the frame's ids in ascending order;
@@ -269,7 +256,8 @@ def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
     at >= iou_thr; the IoUs of all carried pairs come from one
     `iou_broadcast` call. Rule 2: leftovers are matched by optimal
     assignment maximizing total IoU subject to the threshold.
-    Pairs list the persisted ones by ascending gt id, then the residual ones.
+    Returns (gt id, hyp id, IoU) pairs: the persisted ones by ascending gt
+    id, then the residual ones by ascending gt row.
     """
     used_gt = [False] * len(gt_ids)
     used_hyp = [False] * len(hyp_ids)
@@ -293,9 +281,4 @@ def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
         for a, b in _residual_match(iou_mat, iou_thr):
             i, j = rest_gt[a], rest_hyp[b]
             pairs.append((gt_ids[i], hyp_ids[j], float(iou_mat[a, b])))
-            used_gt[i] = used_hyp[j] = True
-
-    return FrameMatching(
-        pairs=tuple(pairs),
-        unmatched_hyp=tuple(h for h, used in zip(hyp_ids, used_hyp) if not used),
-    )
+    return pairs

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GtColumns, TrackColumns, ValidationError,
-                        check_frame_count)
+                        check_frame_count, frame_slices)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
 from .matching import clear_correspond
@@ -116,13 +116,6 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     inside = covered(tracks, gt.ignore)
     ignored = set(zip(tracks.frame[inside].tolist(),
                       tracks.track_id[inside].tolist()))
-    frames = np.union1d(g_frame, h_frame)
-    bounds = zip(frames.tolist(),
-                 np.searchsorted(g_frame, frames, "left").tolist(),
-                 np.searchsorted(g_frame, frames, "right").tolist(),
-                 np.searchsorted(h_frame, frames, "left").tolist(),
-                 np.searchsorted(h_frame, frames, "right").tolist())
-
     prev: dict[int, int] = {}
     last_match: dict[int, int] = {}      # gt id -> most recent matched hyp id
     match_state: dict[int, str] = {}     # gt id -> "matched" | "gap"
@@ -130,14 +123,15 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     fm = 0
     counts: list[FrameCounts] = []
 
-    for frame, g_lo, g_hi, h_lo, h_hi in bounds:
+    for frame, g_lo, g_hi, h_lo, h_hi in frame_slices(
+            np.union1d(g_frame, h_frame), g_frame, h_frame):
         gts, hyps = g_ids[g_lo:g_hi], h_ids[h_lo:h_hi]
-        matching = clear_correspond(prev, gts, g_boxes[g_lo:g_hi],
-                                    hyps, h_boxes[h_lo:h_hi], iou_thr)
-        prev = matching.as_map()
+        pairs = clear_correspond(prev, gts, g_boxes[g_lo:g_hi],
+                                 hyps, h_boxes[h_lo:h_hi], iou_thr)
+        prev = {g: h for g, h, _ in pairs}
 
         ids_t = 0
-        for gid, hid, _ in matching.pairs:
+        for gid, hid, _ in pairs:
             if gid in last_match and last_match[gid] != hid:
                 ids_t += 1
             last_match[gid] = hid
@@ -151,14 +145,15 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
             elif match_state.get(gid) == "matched":
                 match_state[gid] = "gap"
 
-        fp_t = len(matching.unmatched_hyp)
+        fp_t = len(hyps) - len(pairs)
         if ignored:
+            taken = set(prev.values())
             fp_t -= sum((frame, hid) in ignored
-                        for hid in matching.unmatched_hyp)
-        iou_sum = sum(v for _, _, v in matching.pairs)
+                        for hid in hyps if hid not in taken)
+        iou_sum = sum(v for _, _, v in pairs)
         counts.append(FrameCounts(
-            frame=frame, gt=len(gts), matches=len(matching.pairs),
-            fn=len(gts) - len(matching.pairs), fp=fp_t, ids=ids_t,
+            frame=frame, gt=len(gts), matches=len(pairs),
+            fn=len(gts) - len(pairs), fp=fp_t, ids=ids_t,
             iou_sum=iou_sum,
         ))
 

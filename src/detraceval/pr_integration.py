@@ -55,19 +55,14 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class PRIntegratedReport:
-    pr_mota: float
-    pr_motp: float
-    pr_mt: float
-    pr_ml: float
-    pr_ids: float
-    pr_fm: float
-    pr_fp: float
-    pr_fn: float
+    """`integrals` maps each name of `SCORE_NAMES` to its integrated score."""
+
+    integrals: Mapping[str, float]
     arc_length: float
     curve: tuple[OperatingPoint, ...]
 
     def scores(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in SCORE_NAMES}
+        return {k: self.integrals[k] for k in SCORE_NAMES}
 
 
 def _score_list(scores: Sequence[float] | np.ndarray, n: int) -> list[float]:
@@ -128,6 +123,17 @@ def _evaluate_threshold(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     return OperatingPoint(threshold, precision, recall, aggregate(stats))
 
 
+def map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
+    """[fn(item) for item in items], on `jobs` threads when jobs > 1; the
+    one home of the `--jobs` policy. The built-in tracker and CLEAR hold
+    Python's interpreter lock, so threads pay only while external (`cmd:`)
+    tracker processes run, which then overlap."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
           tracker: TrackerAdapter,
           thresholds: Sequence[float],
@@ -153,12 +159,7 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                 return None
             raise
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, thresholds))
-    else:
-        results = [run(t) for t in thresholds]
-    points = [p for p in results if p is not None]
+    points = [p for p in map_jobs(run, thresholds, jobs) if p is not None]
     points.sort(key=lambda p: (p.recall, -p.precision))
     return points
 
@@ -201,9 +202,9 @@ SCORE_NAMES = tuple(_EXTRACTORS)
 
 def pr_report(points: Sequence[OperatingPoint]) -> PRIntegratedReport:
     ordered = sorted(points, key=lambda p: (p.recall, -p.precision))
-    scores = {name: integrate(ordered, fn) for name, fn in _EXTRACTORS.items()}
-    return PRIntegratedReport(arc_length=arc_length(ordered),
-                              curve=tuple(ordered), **scores)
+    return PRIntegratedReport(
+        {name: integrate(ordered, fn) for name, fn in _EXTRACTORS.items()},
+        arc_length(ordered), tuple(ordered))
 
 
 def mean_scores(rows: Sequence[Mapping[str, float]]) -> dict[str, float]:

@@ -7,14 +7,15 @@ them.
 
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
-produce, read by `read_tracks`) and optionally {sequence}; exit 0 means
-success. The workspace directory is removed on success and kept for
-inspection on failure.
+produce, read by `read_tracks`) and optionally {sequence}, the raw
+sequence id; exit 0 means success. The workspace directory is removed on
+success and kept for inspection on failure.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import (DetectionColumns, TrackColumns, ValidationError,
-                        read_tracks, write_detections)
+                        frame_slices, read_tracks, write_detections)
 from .geometry import iou_matrix
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
@@ -49,14 +50,11 @@ def greedy_iou_track(dets: DetectionColumns, link_thr: float = 0.5,
     # Frame order, input order within a frame; a frame is a slice of rows.
     order = np.argsort(dets.frame, kind="stable")
     frame, corners = dets.frame[order], dets.corners()[order]
-    frames = np.unique(frame)
-    bounds = zip(frames.tolist(), np.searchsorted(frame, frames, "left").tolist(),
-                 np.searchsorted(frame, frames, "right").tolist())
     track = np.empty(len(order), dtype=np.int64)  # track id of each row
     # active: track id -> (last frame, row of its last box)
     active: dict[int, tuple[int, int]] = {}
     next_id = 1
-    for f, lo, hi in bounds:
+    for f, lo, hi in frame_slices(np.unique(frame), frame):
         active = {tid: state for tid, state in active.items()
                   if f - state[0] <= max_gap + 1}
         live = list(active)
@@ -155,7 +153,10 @@ class ExternalTracker:
 def run_external(adapter: ExternalTracker, dets: DetectionColumns,
                  sequence_id: str) -> TrackColumns:
     base = adapter.workdir or os.environ.get(TMPDIR_ENV) or None
-    workspace = tempfile.mkdtemp(prefix=f"detraceval-{sequence_id}-", dir=base)
+    # The id goes into a directory name: path separators and other
+    # characters become "_", and the length stays within NAME_MAX.
+    safe_id = re.sub(r"[^A-Za-z0-9._-]", "_", sequence_id)[:64]
+    workspace = tempfile.mkdtemp(prefix=f"detraceval-{safe_id}-", dir=base)
     input_path = os.path.join(workspace, "detections.csv")
     output_path = os.path.join(workspace, "tracks.csv")
     with open(input_path, "w") as fh:

@@ -129,6 +129,39 @@ def test_eval_system_jobs_byte_identical(tmp_path):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
 
 
+_OVERLAP_TRACKER = """\
+import sys, time
+dets, out, log = sys.argv[1:4]
+with open(log, "a") as fh:
+    fh.write("start\\n")
+deadline = time.monotonic() + 10.0
+while open(log).read().count("start") < 2 and time.monotonic() < deadline:
+    time.sleep(0.01)
+rows = [line.split(",") for line in open(dets) if line.strip()]
+with open(out, "w") as fh:
+    fh.writelines(",".join([r[0], str(i + 1)] + r[2:6]) + "\\n"
+                  for i, r in enumerate(rows))
+with open(log, "a") as fh:
+    fh.write("end\\n")
+"""
+
+
+def test_jobs_overlap_external_tracker_runs(tmp_path):
+    """The one case threads serve: with --jobs 2, two `cmd:` tracker runs
+    are under way at once. Each run logs its start, waits (at most 10 s)
+    until the log holds two starts, then logs its end."""
+    gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
+    script, log = tmp_path / "overlap.py", tmp_path / "runs.log"
+    script.write_text(_OVERLAP_TRACKER)
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", f"cmd:{sys.executable} {script} {{input}} "
+                              f"{{output}} {log}",
+                 "--thresholds", "2", "--jobs", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    events = log.read_text().split()
+    assert events[:2] == ["start", "start"], events
+
+
 def test_eval_system_report_schema(tmp_path):
     gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
     out = tmp_path / "out"

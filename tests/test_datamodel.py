@@ -161,3 +161,45 @@ def test_write_detections_objects_and_columns_write_the_same_text():
         write_detections(source, buf)
         assert buf.getvalue() == ("2,-1,1,2.5,3,4,0.25,-1,-1,-1\n"
                                   "1,-1,1e+16,0,1,1,1,-1,-1,-1\n")
+
+
+_BOX = BBox(0, 0, 5, 5)
+
+# field name -> a constructor that puts the value there
+_INTEGER_FIELDS = {
+    "GtEntry.frame": lambda v: GtEntry(v, _BOX),
+    "GtTrack.target_id": lambda v: GtTrack(v, (GtEntry(1, _BOX),)),
+    "GroundTruth.frame_count": lambda v: GroundTruth("s", v, ()),
+    "Detection.frame": lambda v: Detection(v, _BOX, 0.5),
+    "OutTrack.track_id": lambda v: OutTrack(v, ()),
+    "output track 1: frame": lambda v: OutTrack(1, ((v, _BOX),)),
+}
+
+
+@pytest.mark.parametrize("field", list(_INTEGER_FIELDS))
+def test_constructors_apply_the_integer_rule(field):
+    """Every frame, id and frame_count follows the GT integer rule: 1.5,
+    True and 2**63 are errors naming the field, never truncated; 3 and 3.0
+    are taken as the int 3, so `.columns` equals what was given."""
+    make = _INTEGER_FIELDS[field]
+    for bad, problem in ((1.5, "must be an integer, got 1.5"),
+                         (True, "must be an integer, got True"),
+                         (2 ** 63, f"out of range: {2 ** 63}")):
+        with pytest.raises(ValidationError) as info:
+            make(bad)
+        assert str(info.value) == f"{field} {problem}"
+    for good in (3, 3.0, np.int64(3)):
+        make(good)
+
+
+def test_columns_keep_every_integral_frame():
+    entries = (GtEntry(1.0, _BOX), GtEntry(np.int64(3), _BOX))
+    gt = GroundTruth("s", 5.0, (GtTrack(2.0, entries),))
+    assert gt.columns.frame.tolist() == [1, 3]
+    assert gt.columns.target_id.tolist() == [2, 2]
+    assert type(gt.frame_count) is int and gt.columns.frame_count == 5
+    dets = DetectionSet((Detection(4.0, _BOX, 0.5),))
+    assert dets.columns.frame.tolist() == [4]
+    tracks = TrackSet((OutTrack(7.0, ((2.0, _BOX),)),))
+    assert tracks.columns.frame.tolist() == [2]
+    assert tracks.columns.track_id.tolist() == [7]

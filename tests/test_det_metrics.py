@@ -80,8 +80,8 @@ def _brute_force_pr(dets, gt, iou_thr, threshold):
         n_gt += len(gts)
         frame_dets = [d for d in kept if d.frame == frame]
         m = _greedy(frame_dets, gts, iou_thr)
-        tp += len(m.pairs)
-        fp += len(m.unmatched_hyp)
+        tp += len(m)
+        fp += len(frame_dets) - len(m)
     precision = tp / (tp + fp) if tp + fp else 1.0
     return precision, tp / n_gt
 

@@ -85,27 +85,38 @@ def _greedy(dets, gts, iou_thr):
                               [d.score for d in dets], _corners(gts), iou_thr)
 
 
-def _unmatched_gt(m, gt_ids):
-    """The GT ids, in order, that no pair of `m` holds."""
-    taken = {g for g, _, _ in m.pairs}
+def _unmatched_gt(pairs, gt_ids):
+    """The GT ids, in order, that no pair holds."""
+    taken = {g for g, _, _ in pairs}
     return tuple(g for g in gt_ids if g not in taken)
+
+
+def _unmatched_hyp(pairs, hyp_ids):
+    """The hypothesis ids, in order, that no pair holds."""
+    taken = {h for _, h, _ in pairs}
+    return tuple(h for h in hyp_ids if h not in taken)
+
+
+def _as_map(pairs):
+    return {g: h for g, h, _ in pairs}
 
 
 def test_greedy_exact_hit():
     gts = [BBox(0, 0, 10, 10)]
     m = _greedy([_det(0, 0, 0.9)], gts, 0.7)
-    assert len(m.pairs) == 1
-    assert _unmatched_gt(m, range(1)) == () and m.unmatched_hyp == ()
+    assert len(m) == 1
+    assert _unmatched_gt(m, range(1)) == ()
+    assert _unmatched_hyp(m, range(1)) == ()
 
 
 def test_greedy_higher_score_wins():
     gts = [BBox(0, 0, 10, 10)]
     dets = [_det(1, 0, 0.8), _det(0, 0, 0.9)]
     m = _greedy(dets, gts, 0.7)
-    assert len(m.pairs) == 1
-    gi, di, _ = m.pairs[0]
+    assert len(m) == 1
+    gi, di, _ = m[0]
     assert di == 1  # the 0.9-score detection
-    assert m.unmatched_hyp == (0,)
+    assert _unmatched_hyp(m, range(2)) == (0,)
 
 
 def test_greedy_never_pairs_below_threshold():
@@ -116,7 +127,7 @@ def test_greedy_never_pairs_below_threshold():
         dets = [_det(rng.uniform(0, 50), rng.uniform(0, 50), rng.uniform())
                 for _ in range(rng.integers(1, 5))]
         m = _greedy(dets, gts, 0.5)
-        assert all(v >= 0.5 for _, _, v in m.pairs)
+        assert all(v >= 0.5 for _, _, v in m)
 
 
 def test_greedy_cardinality_bounded_by_optimal():
@@ -131,7 +142,7 @@ def test_greedy_cardinality_bounded_by_optimal():
         cost = [[0.0 if iou(d.box, g) >= 0.3 else FORBIDDEN
                  for g in gts] for d in dets]
         optimal = hungarian(cost)
-        assert len(m.pairs) <= len(optimal)
+        assert len(m) <= len(optimal)
 
 
 def test_greedy_iou_tie_goes_to_smallest_gt_index():
@@ -140,7 +151,7 @@ def test_greedy_iou_tie_goes_to_smallest_gt_index():
     det = _det(5, 0, 0.9)
     assert iou(det.box, gts[1]) == iou(det.box, gts[2]) > 0.0
     m = _greedy([det], gts, 0.3)
-    assert [gi for gi, _, _ in m.pairs] == [1]
+    assert [gi for gi, _, _ in m] == [1]
     assert _unmatched_gt(m, range(3)) == (0, 2)
 
 
@@ -148,14 +159,15 @@ def test_greedy_zero_overlap_never_matches_at_zero_threshold():
     gts = [BBox(0, 0, 10, 10)]
     dets = [_det(10, 0, 0.9), _det(50, 50, 0.8)]  # touching, disjoint
     m = _greedy(dets, gts, 0.0)
-    assert m.pairs == ()
-    assert _unmatched_gt(m, range(1)) == (0,) and m.unmatched_hyp == (0, 1)
+    assert m == []
+    assert _unmatched_gt(m, range(1)) == (0,)
+    assert _unmatched_hyp(m, range(2)) == (0, 1)
 
 
 def test_greedy_matches_at_exactly_iou_thr():
     gts = [BBox(0, 0, 10, 20)]
     m = _greedy([_det(0, 0, 0.9)], gts, 0.5)  # IoU 100 / 200
-    assert m.pairs == ((0, 0, 0.5),)
+    assert m == [(0, 0, 0.5)]
 
 
 def _scalar_match_frame_greedy(dets, gts, iou_thr):
@@ -187,7 +199,7 @@ def test_greedy_matches_scalar_reference_with_ties():
                 for _ in range(rng.integers(0, 6))]
         iou_thr = float(rng.choice([0.0, 0.3, 0.5]))
         m = _greedy(dets, gts, iou_thr)
-        assert list(m.pairs) == _scalar_match_frame_greedy(dets, gts, iou_thr)
+        assert m == _scalar_match_frame_greedy(dets, gts, iou_thr)
 
 
 def _frame(boxes: dict) -> tuple[list, np.ndarray]:
@@ -203,8 +215,8 @@ def test_clear_correspond_static_scene():
     prev = None
     for _ in range(3):
         m = clear_correspond(prev, *_frame(gts), *_frame(hyps), 0.7)
-        assert m.as_map() == {1: 10, 2: 20}
-        prev = m.as_map()
+        assert _as_map(m) == {1: 10, 2: 20}
+        prev = _as_map(m)
 
 
 def test_clear_correspond_reassigns_drifted_pair():
@@ -212,8 +224,8 @@ def test_clear_correspond_reassigns_drifted_pair():
     gts = {1: BBox(0, 0, 10, 10)}
     hyps = {10: BBox(0, 0 + 6.56, 10, 10), 20: BBox(0, 0, 10, 10)}
     m = clear_correspond({1: 10}, *_frame(gts), *_frame(hyps), 0.7)
-    assert m.as_map() == {1: 20}
-    assert m.unmatched_hyp == (10,)
+    assert _as_map(m) == {1: 20}
+    assert _unmatched_hyp(m, sorted(hyps)) == (10,)
 
 
 def test_clear_correspond_persistence():
@@ -222,7 +234,7 @@ def test_clear_correspond_persistence():
     # is available: the previous pair persists
     hyps = {10: BBox(0, 1, 10, 10), 20: BBox(0, 0, 10, 10)}
     m = clear_correspond({1: 10}, *_frame(gts), *_frame(hyps), 0.7)
-    assert m.as_map() == {1: 10}
+    assert _as_map(m) == {1: 10}
 
 
 def test_clear_correspond_matches_enumeration_oracle():
@@ -234,7 +246,7 @@ def test_clear_correspond_matches_enumeration_oracle():
                for i in range(n)}
         hyps = {j: BBox(rng.uniform(0, 30), rng.uniform(0, 30), 10, 10)
                 for j in range(k)}
-        got = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5).as_map()
+        got = _as_map(clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5))
         want = _oracle_residual(sorted(gts), sorted(hyps), gts, hyps, 0.5)
         assert got == want
 
@@ -456,9 +468,9 @@ def test_clear_correspond_closed_forms_solve_no_assignment(monkeypatch):
             50: BBox(400, 0, 10, 10),
             60: BBox(501, 0, 10, 10), 61: BBox(500, 0, 10, 10)}
     m = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)
-    assert m.as_map() == {1: 10, 3: 20, 4: 40, 6: 61, 7: 60}
+    assert _as_map(m) == {1: 10, 3: 20, 4: 40, 6: 61, 7: 60}
     assert _unmatched_gt(m, sorted(gts)) == (2, 5)
-    assert m.unmatched_hyp == (11, 50)
+    assert _unmatched_hyp(m, sorted(hyps)) == (11, 50)
     # a 3 x 3 component does need the solver: the guard above is not vacuous
     gts[8] = BBox(502, 0, 10, 10)
     hyps[62] = BBox(502, 0, 10, 10)

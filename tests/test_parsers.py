@@ -606,8 +606,13 @@ def _old_bbox_check(left, top, width, height) -> None:
 
 
 def _old_entry_check(frame, occlusion, truncation, category) -> None:
-    """GtEntry.__post_init__ before the combined check."""
-    _check(frame >= 1, f"GtEntry.frame must be >= 1, got {frame}")
+    """GtEntry.__post_init__ before the combined check, behind the GT
+    integer rule on the frame (Python or numpy integers and integral
+    floats; never a bool), which the constructor applies first."""
+    _check((isinstance(frame, (int, np.integer)) and not isinstance(frame, bool))
+           or (isinstance(frame, float) and frame.is_integer()),
+           f"GtEntry.frame must be an integer, got {frame!r}")
+    _check(frame >= 1, f"GtEntry.frame must be >= 1, got {int(frame)}")
     _check(0.0 <= occlusion <= 1.0,
            f"occlusion_ratio out of range [0,1]: {occlusion}")
     _check(0.0 <= truncation <= 1.0,
@@ -638,7 +643,8 @@ def test_bbox_accept_set_and_messages_unchanged():
 
 def test_gt_entry_accept_set_and_messages_unchanged():
     box = BBox(0, 0, 1, 1)
-    frames = (1, 0, -1, 2, True, False, 2.5, 0.5, np.int64(3), "1", None)
+    frames = (1, 0, -1, 2, True, False, 2.5, 0.5, 3.0, -0.0, np.int64(3),
+              "1", None)
     ratios = (0.0, 1.0, 0.5, -0.1, 1.1, -0.0, math.nan, True, 2,
               np.float64(0.3), "x")
     categories = ("car", "others", "x", None, ["car"], 1)

@@ -138,10 +138,10 @@ class OracleTracker:
             rows = dets.frame == frame
             entries = self.gt.entries_at(frame)
             gids = sorted(entries)
-            m = match_frame_greedy(corners[rows], dets.score[rows],
-                                   _corners([entries[g].box for g in gids]),
-                                   self.iou_thr)
-            for gi, _, _ in m.pairs:
+            pairs = match_frame_greedy(corners[rows], dets.score[rows],
+                                       _corners([entries[g].box for g in gids]),
+                                       self.iou_thr)
+            for gi, _, _ in pairs:
                 boxes.setdefault(gids[gi], []).append(
                     (frame, entries[gids[gi]].box))
         return TrackSet(tuple(OutTrack(gid, tuple(items))
@@ -218,7 +218,8 @@ def test_pr_report_all_zero_bundles():
 def test_pr_report_count_linearity():
     pts = [_point(1.0, 0.0, ids=2), _point(0.5, 1.0, ids=4)]
     doubled = [_point(1.0, 0.0, ids=4), _point(0.5, 1.0, ids=8)]
-    assert pr_report(doubled).pr_ids == pytest.approx(2 * pr_report(pts).pr_ids)
+    assert pr_report(doubled).scores()["pr_ids"] == pytest.approx(
+        2 * pr_report(pts).scores()["pr_ids"])
 
 
 def test_ranking_flip_fixture_inverts_mota_ordering():

@@ -272,3 +272,37 @@ def test_make_tracker_specs():
         BuiltinGreedyTracker(1.0, 0, 1))
     with pytest.raises(ValidationError):
         make_tracker("magic")
+
+
+@pytest.mark.parametrize("sequence_id", ["a/b", "x" * 300, "../up"],
+                         ids=["slash", "300-chars", "parent-dir"])
+def test_external_tracker_takes_any_sequence_id(tmp_path, sequence_id):
+    """The workspace name is made from the id with unsafe characters
+    replaced and its length capped; {sequence} still gets the raw id."""
+    seen = tmp_path / "seen.txt"
+    script = tmp_path / "track.py"
+    script.write_text(
+        "import sys\n"
+        "rows = [l.split(',') for l in open(sys.argv[1])]\n"
+        "open(sys.argv[2], 'w').write(''.join(\n"
+        "    ','.join([r[0], str(i + 1)] + r[2:6]) + chr(10)\n"
+        "    for i, r in enumerate(rows)))\n"
+        "open(sys.argv[4], 'w').write(sys.argv[3])\n")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    adapter = ExternalTracker(f"{PY} {script} {{input}} {{output}} "
+                              f"{{sequence}} {seen}", workdir=str(workdir))
+    tracks = run_external(adapter, _some_dets().columns, sequence_id)
+    assert len(tracks) == len(_some_dets())
+    assert seen.read_text() == sequence_id
+    assert not list(workdir.iterdir())
+
+
+def test_failed_tracker_keeps_a_safe_workspace(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    adapter = make_tracker(f"cmd:{PY} -c \"import sys; sys.exit(3)\" "
+                           "{input} {output}")
+    with pytest.raises(TrackerError, match="status 3"):
+        adapter(_some_dets().columns, "a/b")
+    (workspace,) = tmp_path.glob("detraceval-a_b-*")
+    assert (workspace / "detections.csv").is_file()
