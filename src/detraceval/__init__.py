@@ -9,8 +9,7 @@ brute-force oracles for verification.
 from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
                         GtTrack, IgnoreRegion, OutTrack, TrackSet,
                         ValidationError)
-from .det_metrics import (PRCurve, PRPoint, average_precision,
-                          detection_report, pr_curve, pr_curve_multi)
+from .det_metrics import PRCurve, PRPoint, average_precision, detection_report
 from .geometry import (OcclusionClass, ScaleClass, ignore_coverage, iou,
                        occlusion_class, scale_class)
 from .matching import (FORBIDDEN, clear_correspond, hungarian,

@@ -9,6 +9,7 @@ byte-identical outputs regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -197,6 +198,10 @@ def _csv_float(value: float) -> str:
 
 def cmd_eval_mot(args) -> int:
     triples = _load_pairs(args.gt, args.tracks, ".csv")
+    if any(seq == "aggregate" for seq, _, _ in triples):
+        raise ValidationError(
+            "sequence 'aggregate': the name is reserved for "
+            "mot_aggregate.json; rename its ground truth file")
 
     def evaluate(triple):
         _, gt_path, track_path = triple
@@ -322,13 +327,13 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     _write_json(out / "leaderboard.json",
                 {"systems": leaderboard, "trackers": tracker_table})
-    with open(out / "leaderboard.csv", "w") as fh:
+    with open(out / "leaderboard.csv", "w", newline="") as fh:
         keys = ["detector", "tracker", *pr_integration.SCORE_NAMES]
-        fh.write(",".join(keys) + "\n")
-        for row in leaderboard:
-            fh.write(",".join(
-                f"{row[k]:.6g}" if isinstance(row[k], float) else str(row[k])
-                for k in keys) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows(
+            [f"{row[k]:.6g}" if isinstance(row[k], float) else str(row[k])
+             for k in keys] for row in leaderboard)
     return 0
 
 

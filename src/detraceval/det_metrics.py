@@ -17,16 +17,24 @@ mask over GT rows (all rows or none for the sequence-level `weather` and
 `difficulty`), and its counts are read off the pass. Greedy matching takes
 detections in descending score, so the detections above any threshold are
 a prefix of the pass and their matching is the one a pass over them alone
-would give: the PR curve reads every distinct score, the threshold sweep its
-thresholds (`threshold_counts`).
+would give.
+
+The pooled labels become one `CountTable`: cumulative TP and detection
+counts at every distinct score, in descending score order. Its rows are
+the PR curve that `detection_report` writes and integrates, and the sweep
+reads its thresholds off the same table (`threshold_counts(...).at`).
+Along descending score the TP count never falls, and at a fixed TP count
+precision falls as detections are added, so the rows are already in curve
+order: recall ascending, ties by precision descending.
 
 AP uses the exact all-point envelope rule: the area under the monotone
 non-increasing precision envelope over recall in [0, max recall].
+`PRCurve` and `PRPoint` are the input of the numeric AP oracle
+(`synth.oracle_ap`); no evaluation path builds them.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,7 +71,8 @@ class PRPoint:
 
 @dataclass(frozen=True)
 class PRCurve:
-    """Operating points ordered by ascending recall, ties by descending precision."""
+    """Operating points ordered by ascending recall, ties by descending
+    precision: the input of `synth.oracle_ap`."""
 
     points: tuple[PRPoint, ...]
 
@@ -71,6 +80,36 @@ class PRCurve:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValidationError("PRCurve must contain at least one point")
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Detection counts pooled over sequences, at every operating point.
+
+    Row 0 keeps nothing (score inf); then one row per distinct detection
+    score, in descending score order, which is also curve order. `tp` and
+    `kept` count the TPs and the counted detections (TP or FP) with score
+    >= the row's score; `n_gt` is the GT count.
+    """
+
+    score: np.ndarray
+    tp: np.ndarray
+    kept: np.ndarray
+    n_gt: int
+
+    def at(self, threshold: float) -> tuple[int, int, int]:
+        """(tp, fp, fn) of the detections with score >= threshold."""
+        i = np.searchsorted(-self.score, -threshold, side="right") - 1
+        tp = int(self.tp[i])
+        return tp, int(self.kept[i]) - tp, self.n_gt - tp
+
+
+def rates(tp, kept, n_gt) -> tuple[np.ndarray, np.ndarray]:
+    """Precision and recall of counts (arrays or numbers): precision is 1.0
+    when nothing is kept, and recall 0.0 when there is no GT."""
+    tp = np.asarray(tp, dtype=np.float64)
+    return (np.divide(tp, kept, out=np.ones_like(tp), where=np.asarray(kept) > 0),
+            np.divide(tp, n_gt, out=np.zeros_like(tp), where=n_gt > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,31 +167,21 @@ def _label_detections(g: GtColumns, d: DetectionColumns,
     return _Labels(g, score, matched, ignored, pooled)
 
 
-def _curve(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> PRCurve:
-    """PR curve of (TP scores, FP scores, GT count) pooled over sequences."""
-    n_gt = sum(n for _, _, n in counts)
-    if n_gt == 0:
-        raise ValidationError("empty evaluation target set")
+def _table(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> CountTable:
+    """Count table of (TP scores, FP scores, GT count) pooled over sequences."""
     tp_scores = [tp for tp, _, _ in counts]
-    fp_scores = [fp for _, fp, _ in counts]
-    scores = np.concatenate(tp_scores + fp_scores)
-    if not len(scores):
-        return PRCurve((PRPoint(math.inf, 1.0, 0.0, 0, 0, n_gt),))
+    scores = np.concatenate(tp_scores + [fp for _, fp, _ in counts])
     is_tp = np.zeros(len(scores), dtype=np.int64)
     is_tp[:sum(map(len, tp_scores))] = 1
     # Stable: detections of equal score stay in sequence, frame and input
-    # order, TPs first, and the last of them gives the point's threshold
-    # (equal scores can differ as -0.0 and 0.0).
+    # order, TPs first, and the last of them gives the row's score (equal
+    # scores can differ as -0.0 and 0.0).
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
-    tp = np.cumsum(is_tp[order])
-    # One point per distinct score, at its last detection.
-    last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
-    points = [PRPoint(score, t / (i + 1), t / n_gt, t, i + 1 - t, n_gt - t)
-              for score, t, i in zip(scores[last].tolist(), tp[last].tolist(),
-                                     last.tolist())]
-    points.sort(key=lambda p: (p.recall, -p.precision))
-    return PRCurve(tuple(points))
+    last = np.flatnonzero(np.append(scores[1:] != scores[:-1], len(scores) > 0))
+    return CountTable(np.append(math.inf, scores[last]),
+                      np.append(0, np.cumsum(is_tp[order])[last]),
+                      np.append(0, last + 1), sum(n for _, _, n in counts))
 
 
 def _subset_value(name: str) -> tuple[str, str]:
@@ -184,7 +213,7 @@ def _subset_rows(kind: str, value: str, g: GtColumns) -> np.ndarray | None:
     return np.ones(len(g), dtype=bool)
 
 
-def _subset_curve(labels: Sequence[_Labels], name: str) -> PRCurve:
+def _subset_table(labels: Sequence[_Labels], name: str) -> CountTable:
     kind, value = _subset_value(name)
     counts = []
     for lab in labels:
@@ -193,78 +222,35 @@ def _subset_curve(labels: Sequence[_Labels], name: str) -> PRCurve:
             counts.append(lab.counts(rows))
     if not counts:
         raise ValidationError(f"empty evaluation target set for subset {name!r}")
-    return _curve(counts)
-
-
-def pr_curve(gt: GtColumns, dets: DetectionColumns,
-             iou_thr: float = DEFAULT_IOU_THR,
-             subset: str = "overall") -> PRCurve:
-    return _subset_curve([_label_detections(gt, dets, iou_thr)], subset)
-
-
-def pr_curve_multi(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                   iou_thr: float = DEFAULT_IOU_THR,
-                   subset: str = "overall") -> PRCurve:
-    """PR curve with counts pooled over several (GT, detections) pairs."""
-    return _subset_curve(
-        [_label_detections(g, d, iou_thr) for g, d in pairs], subset)
-
-
-@dataclass(frozen=True)
-class ThresholdCounts:
-    """Labels pooled over sequences, read at any score threshold.
-
-    `tp_scores` / `fp_scores` are sorted ascending, so the detections with
-    score >= threshold are a suffix found by binary search.
-    """
-
-    tp_scores: tuple[float, ...]
-    fp_scores: tuple[float, ...]
-    n_gt: int
-
-    def at(self, threshold: float) -> tuple[int, int, int]:
-        """(tp, fp, fn) of the detections with score >= threshold."""
-        tp = len(self.tp_scores) - bisect.bisect_left(self.tp_scores, threshold)
-        fp = len(self.fp_scores) - bisect.bisect_left(self.fp_scores, threshold)
-        return tp, fp, self.n_gt - tp
+    return _table(counts)
 
 
 def threshold_counts(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                     iou_thr: float = DEFAULT_IOU_THR) -> ThresholdCounts:
-    """Label each (GT, detections) pair once; the result gives (tp, fp,
-    fn) at any threshold."""
-    counts = [lab.counts(np.ones(len(lab.gt), dtype=bool)) for lab in
-              (_label_detections(g, d, iou_thr) for g, d in pairs)]
-    return ThresholdCounts(
-        tp_scores=tuple(sorted(np.concatenate([c[0] for c in counts]).tolist())),
-        fp_scores=tuple(sorted(np.concatenate([c[1] for c in counts]).tolist())),
-        n_gt=sum(c[2] for c in counts))
+                     iou_thr: float = DEFAULT_IOU_THR) -> CountTable:
+    """Label each (GT, detections) pair once; the table gives (tp, fp, fn)
+    at any threshold."""
+    return _table([lab.counts(np.ones(len(lab.gt), dtype=bool)) for lab in
+                   (_label_detections(g, d, iou_thr) for g, d in pairs)])
 
 
-def average_precision(curve: PRCurve) -> float:
-    """Area under the monotone precision envelope over [0, max recall]."""
-    pts = sorted(curve.points, key=lambda p: (p.recall, -p.precision))
-    # envelope at recall r: max precision among points with recall >= r
-    env: list[tuple[float, float]] = []  # (recall, envelope precision), recall asc
-    best = 0.0
-    for p in reversed(pts):
-        best = max(best, p.precision)
-        env.append((p.recall, best))
-    env.reverse()
-    ap = 0.0
-    prev_r = 0.0
-    for r, e in env:
-        if r > prev_r:
-            ap += (r - prev_r) * e
-            prev_r = r
-    return ap
+def average_precision(recall: np.ndarray, precision: np.ndarray) -> float:
+    """Area under the monotone precision envelope over [0, max recall], of
+    points in curve order (recall ascending, ties by precision descending).
+    The envelope at a point is the highest precision at or after it; each
+    rise in recall is summed left to right at the envelope where it ends."""
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    prev = np.append(0.0, recall[:-1])
+    step = recall > prev
+    return np.cumsum(np.append(0.0, (recall - prev)[step] * env[step]))[-1].item()
 
 
 def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                      subsets: Sequence[str] = ("overall",),
                      iou_thr: float = DEFAULT_IOU_THR) -> dict[str, dict]:
     """AP + PR curve per named subset, pooled over the (GT, detections)
-    pairs, from one labeling pass per sequence.
+    pairs, from one labeling pass per sequence. A subset's `points` are its
+    count table's rows in curve order, one per distinct score, or the one
+    row of nothing kept when there are no detections.
 
     Names: "overall", "difficulty:<easy|medium|hard>", "weather:<...>",
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
@@ -273,9 +259,19 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     labels = [_label_detections(g, d, iou_thr) for g, d in pairs]
     report: dict[str, dict] = {}
     for name in subsets:
-        curve = _subset_curve(labels, name)
+        table = _subset_table(labels, name)
+        if table.n_gt == 0:
+            raise ValidationError("empty evaluation target set")
+        # Row 0 (nothing kept) is a point only when there are no detections.
+        rows = slice(1 if len(table.score) > 1 else 0, None)
+        tp, kept = table.tp[rows], table.kept[rows]
+        precision, recall = rates(tp, kept, table.n_gt)
+        columns = {"threshold": table.score[rows], "precision": precision,
+                   "recall": recall, "tp": tp, "fp": kept - tp,
+                   "fn": table.n_gt - tp}
         report[name] = {
-            "ap": average_precision(curve),
-            "points": [vars(p) for p in curve.points],
+            "ap": average_precision(recall, precision),
+            "points": [dict(zip(columns, row)) for row in
+                       zip(*(c.tolist() for c in columns.values()))],
         }
     return report

@@ -11,11 +11,15 @@ MOTA/MOTP/MT%/ML% integrate as percents; IDS/FM/FP/FN as raw counts.
 The curve is not extended to synthetic endpoints; only realized operating
 points are integrated.
 
-Precision and recall at every threshold come from one detection labeling
-pass per sequence (`det_metrics.threshold_counts`); only the tracker and
-CLEAR run once per threshold. The sweep stays in columns: thinning at a
-threshold is the mask ``score >= threshold`` over `DetectionColumns`, and
-CLEAR scores the `TrackColumns` the tracker returns as they are.
+Precision and recall at every threshold are read off one count table,
+built from one detection labeling pass per sequence
+(`det_metrics.threshold_counts`): the table whose rows are also
+`eval-det`'s PR curve. Only the tracker and CLEAR run once per threshold.
+The sweep stays in columns: thinning at a threshold is the mask
+``score >= threshold`` over `DetectionColumns`, and CLEAR scores the
+`TrackColumns` the tracker returns as they are. Tracker output past the
+sequence's last frame is a tracker failure at that threshold, like an
+exception in the tracker.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
-                        ValidationError)
-from .det_metrics import DEFAULT_IOU_THR, ThresholdCounts, threshold_counts
+                        ValidationError, check_frame_count)
+from .det_metrics import DEFAULT_IOU_THR, CountTable, rates, threshold_counts
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 
 # Columns in, columns out: a tracker gets one sequence's detections with
@@ -107,20 +111,21 @@ def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
 
 def _evaluate_threshold(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                         tracker: TrackerAdapter, threshold: float,
-                        iou_thr: float, counts: ThresholdCounts) -> OperatingPoint:
+                        iou_thr: float, counts: CountTable) -> OperatingPoint:
     tp, fp, fn = counts.at(threshold)
-    precision = tp / (tp + fp) if tp + fp > 0 else 1.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    precision, recall = rates(tp, tp + fp, tp + fn)
     stats = []
     for gt, dets in pairs:
         try:
             tracks = tracker(dets.take(dets.score >= threshold), gt.sequence_id)
+            check_frame_count(gt, tracks, "tracker output")
         except Exception as exc:
             raise SweepError(
                 f"tracker failed at threshold {threshold:g} on sequence "
                 f"{gt.sequence_id!r}: {exc}") from exc
         stats.append(evaluate_clear(gt, tracks, iou_thr)[1])
-    return OperatingPoint(threshold, precision, recall, aggregate(stats))
+    return OperatingPoint(threshold, precision.item(), recall.item(),
+                          aggregate(stats))
 
 
 def map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:

@@ -19,7 +19,8 @@ from detraceval.cli import main
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
                                   OutTrack, TrackSet, write_ground_truth,
                                   write_tracks)
-from detraceval.det_metrics import PRCurve, PRPoint, average_precision, pr_curve
+from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
+                                    detection_report)
 from detraceval.fixtures import load_fixture
 from detraceval.matching import FORBIDDEN, hungarian
 from detraceval.mot_metrics import (FrameCounts, SequenceStats, aggregate,
@@ -104,8 +105,7 @@ def test_criterion_02_hungarian_exact():
 def test_criterion_03_perfect_pipeline_identities():
     fx = load_fixture("perfect")
     gt, dets = fx.gt.columns, fx.dets.columns
-    curve = pr_curve(gt, dets)
-    ap = average_precision(curve)
+    ap = detection_report([(gt, dets)])["overall"]["ap"]
     assert ap == pytest.approx(1.0, abs=1e-9)
     tracks = greedy_iou_track(dets)
     bundle, stats = evaluate_clear(gt, tracks)
@@ -177,10 +177,16 @@ def test_criterion_05_integral_bound():
             f"{checked} sweeps inside [min*L/2, max*L/2] and <= 100")
 
 
+def _ap(curve: PRCurve) -> float:
+    """`average_precision` of a curve's points."""
+    return average_precision(np.array([p.recall for p in curve.points]),
+                             np.array([p.precision for p in curve.points]))
+
+
 def test_criterion_06_ap_oracle():
     two_point = PRCurve((PRPoint(1.0, 1.0, 0.5, 1, 0, 1),
                          PRPoint(0.5, 0.5, 1.0, 2, 2, 0)))
-    assert average_precision(two_point) == pytest.approx(0.75, abs=1e-9)
+    assert _ap(two_point) == pytest.approx(0.75, abs=1e-9)
     assert oracle_ap(two_point) == pytest.approx(0.75, abs=1e-3)
 
     rng = np.random.default_rng(60)
@@ -194,7 +200,7 @@ def test_criterion_06_ap_oracle():
                       for r, p in zip(recalls, precisions)),
                      key=lambda q: (q.recall, -q.precision))
         curve = PRCurve(tuple(pts))
-        err = abs(average_precision(curve) - oracle_ap(curve))
+        err = abs(_ap(curve) - oracle_ap(curve))
         worst = max(worst, err)
         assert err < 1e-3
     _report("criterion-06 ap numeric oracle",

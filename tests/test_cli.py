@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -116,6 +117,51 @@ def test_eval_mot_crossing_counts_switch(tmp_path):
     assert agg["bundle"]["ids"] >= 1
 
 
+def test_eval_mot_reserves_the_aggregate_name(tmp_path, capsys):
+    """A sequence named `aggregate` would have its report overwritten by
+    mot_aggregate.json: an error before anything is evaluated."""
+    _short_scene(tmp_path)
+    for kind in ("gt", "tracks"):
+        name = _INPUTS[kind][0]
+        (tmp_path / kind / name).rename(
+            tmp_path / kind / name.replace("s.", "aggregate."))
+    assert _eval("eval-mot", tmp_path) == 1
+    assert "'aggregate'" in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+_LATE_WHEN_ALONE = """\
+import sys
+rows = [line.strip().split(",") for line in open(sys.argv[1]) if line.strip()]
+shift = 1000 if len(rows) == 1 else 0
+open(sys.argv[2], "w").writelines(
+    ",".join([str(int(r[0]) + shift), str(i)] + r[2:6]) + "\\n"
+    for i, r in enumerate(rows, 1))
+"""
+
+
+def test_tracker_output_beyond_frame_count_is_a_tracker_failure(
+        tmp_path, monkeypatch, capsys):
+    """A tracker that writes frames past frame_count fails at that
+    threshold: the error names the threshold and the sequence, and
+    --keep-going leaves a gap there instead."""
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    _short_scene(tmp_path)
+    script = tmp_path / "tracker.py"
+    script.write_text(_LATE_WHEN_ALONE)
+    tracker = ("--tracker", f"cmd:{sys.executable} {script} {{input}} {{output}}")
+    # Scores 0.9, 0.5 and 0.25: one detection is left above 0.5 only.
+    assert _eval("eval-system", tmp_path, *tracker) == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("detraceval: error: tracker failed at threshold 0.5")
+    assert err.endswith(" on sequence 's': tracker output: frame 1001 "
+                        "beyond frame_count 3\n")
+    assert _eval("eval-system", tmp_path, *tracker, "--keep-going") == 0
+    report = json.loads((tmp_path / "out" / "system_report.json").read_text())
+    thresholds = [p["threshold"] for p in report["points"]]
+    assert len(thresholds) == 4 and max(thresholds) <= 0.5
+
+
 def test_eval_system_jobs_byte_identical(tmp_path):
     gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
     outs = []
@@ -200,6 +246,34 @@ def test_report_leaderboard(tmp_path):
     csv_lines = (out / "leaderboard.csv").read_text().splitlines()
     assert csv_lines[0].startswith("detector,tracker,pr_mota")
     assert len(csv_lines) == 3
+
+
+def test_leaderboard_csv_quotes_names(tmp_path):
+    """Names with a comma (the default tracker name is the spec), a quote
+    or a newline read back as one field each; every row has the header's
+    10 fields and equals leaderboard.json."""
+    gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
+    results = tmp_path / "results"
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", "builtin:max_gap=2,min_track_len=3",
+                 "--detector-name", 'say "cheese"',
+                 "--out", str(results / "spec")]) == 0
+    (results / "other.json").write_text(json.dumps(
+        _system_doc(detector="two\nlines", tracker="a,b")))
+    out = tmp_path / "tables"
+    assert main(["report", "--results", str(results),
+                 "--out", str(out)]) == 0
+    systems = json.loads((out / "leaderboard.json").read_text())["systems"]
+    with open(out / "leaderboard.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["detector", "tracker", *SCORE_NAMES]
+    assert len(rows) == len(systems) == 2
+    for row, system in zip(rows, systems):
+        assert len(row) == 10
+        assert row[:2] == [system["detector"], system["tracker"]]
+        assert [float(v) for v in row[2:]] == [system[k] for k in SCORE_NAMES]
+    assert {s["tracker"] for s in systems} == {
+        "builtin:max_gap=2,min_track_len=3", "a,b"}
 
 
 def test_report_no_results_errors(tmp_path, capsys):
@@ -399,10 +473,10 @@ _EVAL_DET_SUBSETS = ("overall", "scale:medium", "occlusion:partial",
 def test_evaluation_commands_build_no_box_objects(tmp_path, monkeypatch,
                                                   command, tracker):
     """Every evaluation command works on columns: with every per-box
-    constructor disabled it still succeeds and writes the same bytes,
-    ignore regions included; eval-det with one subset of each kind, and
-    eval-system with a builtin and a `cmd:` tracker."""
-    from detraceval import datamodel
+    constructor and `PRCurve` disabled it still succeeds and writes the
+    same bytes, ignore regions included; eval-det with one subset of each
+    kind, and eval-system with a builtin and a `cmd:` tracker."""
+    from detraceval import datamodel, det_metrics
     from detraceval.synth import ScenarioConfig, gen_scenario
 
     monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
@@ -446,10 +520,13 @@ def test_evaluation_commands_build_no_box_objects(tmp_path, monkeypatch,
         raise AssertionError(f"{type(self).__name__} built on the {command} path")
 
     for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.GtTrack,
-                datamodel.Detection, datamodel.OutTrack, datamodel.IgnoreRegion):
+                datamodel.Detection, datamodel.OutTrack, datamodel.IgnoreRegion,
+                det_metrics.PRCurve):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     with pytest.raises(AssertionError, match=f"built on the {command} path"):
         datamodel.BBox(0, 0, 5, 5)
+    with pytest.raises(AssertionError, match=f"built on the {command} path"):
+        det_metrics.PRCurve((det_metrics.PRPoint(1.0, 1.0, 1.0, 1, 0, 0),))
     assert main(argv + ["--out", str(tmp_path / "patched")]) == 0
     for name in outputs:
         assert ((tmp_path / "patched" / name).read_bytes()

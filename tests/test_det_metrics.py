@@ -9,8 +9,7 @@ from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   GtEntry, GtTrack, IgnoreRegion,
                                   ValidationError)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
-                                    detection_report, pr_curve,
-                                    pr_curve_multi, threshold_counts)
+                                    detection_report, rates, threshold_counts)
 from detraceval.matching import match_frame_greedy
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_ap,
                               oracle_sweep_counts)
@@ -23,21 +22,60 @@ def _gt_two_boxes():
     ))
 
 
+def _points(gt, dets, iou_thr=0.7):
+    """The overall report rows of one sequence."""
+    return detection_report([(gt.columns, dets.columns)], ["overall"],
+                            iou_thr)["overall"]["points"]
+
+
+def _reference_ap(curve: PRCurve) -> float:
+    """The former point-by-point `average_precision`, kept verbatim."""
+    pts = sorted(curve.points, key=lambda p: (p.recall, -p.precision))
+    # envelope at recall r: max precision among points with recall >= r
+    env: list[tuple[float, float]] = []  # (recall, envelope precision), recall asc
+    best = 0.0
+    for p in reversed(pts):
+        best = max(best, p.precision)
+        env.append((p.recall, best))
+    env.reverse()
+    ap = 0.0
+    prev_r = 0.0
+    for r, e in env:
+        if r > prev_r:
+            ap += (r - prev_r) * e
+            prev_r = r
+    return ap
+
+
+def _ap(curve: PRCurve) -> float:
+    """`average_precision` of a curve's points."""
+    return average_precision(np.array([p.recall for p in curve.points]),
+                             np.array([p.precision for p in curve.points]))
+
+
+def _assert_curve_order(precision, recall):
+    """Recall ascending, ties by precision descending."""
+    keys = [(r, -p) for p, r in zip(precision, recall)]
+    assert keys == sorted(keys)
+
+
 def test_perfect_detector_single_point():
     gt = _gt_two_boxes()
     dets = DetectionSet(tuple(
         Detection(1, tr.entries[0].box, 1.0) for tr in gt.tracks))
-    curve = pr_curve(gt.columns, dets.columns)
-    assert len(curve.points) == 1
-    p = curve.points[0]
-    assert p.precision == 1.0 and p.recall == 1.0
+    (p,) = _points(gt, dets)
+    assert p["precision"] == 1.0 and p["recall"] == 1.0
 
 
 def test_no_detections_empty_set_convention():
-    curve = pr_curve(_gt_two_boxes().columns, DetectionSet().columns)
-    assert len(curve.points) == 1
-    p = curve.points[0]
-    assert p.precision == 1.0 and p.recall == 0.0
+    """No detections: the one row keeps nothing, precision 1, AP 0; the
+    sweep reads the same row at every threshold."""
+    gt, dets = _gt_two_boxes().columns, DetectionSet().columns
+    report = detection_report([(gt, dets)])["overall"]
+    assert report == {"ap": 0.0, "points": [dict(
+        threshold=math.inf, precision=1.0, recall=0.0, tp=0, fp=0, fn=2)]}
+    table = threshold_counts([(gt, dets)])
+    assert [table.at(tau) for tau in (-1.0, 0.0, math.inf)] == [(0, 0, 2)] * 3
 
 
 def test_detection_beyond_frame_count_rejected():
@@ -48,9 +86,7 @@ def test_detection_beyond_frame_count_rejected():
                          Detection(2, BBox(0, 0, 20, 20), 0.8)))
     g, d = gt.columns, dets.columns
     want = "detections: frame 2 beyond frame_count 1"
-    for score in (lambda: pr_curve(g, d),
-                  lambda: pr_curve_multi([(g, d)]),
-                  lambda: detection_report([(g, d)]),
+    for score in (lambda: detection_report([(g, d)]),
                   lambda: threshold_counts([(g, d)])):
         with pytest.raises(ValidationError) as exc:
             score()
@@ -93,20 +129,20 @@ def test_worked_three_detection_curve():
         Detection(1, BBox(300, 300, 20, 20), 0.8),   # clutter
         Detection(1, BBox(100, 100, 20, 20), 0.7),   # hit
     ))
-    curve = pr_curve(gt.columns, dets.columns)
-    got = [(p.precision, p.recall) for p in
-           sorted(curve.points, key=lambda p: -p.threshold)]
+    points = _points(gt, dets)
+    got = [(p["precision"], p["recall"]) for p in
+           sorted(points, key=lambda p: -p["threshold"])]
     assert got[0] == (1.0, 0.5)
     assert got[1] == (0.5, 0.5)
     assert got[2] == (pytest.approx(2 / 3), 1.0)
     # cross-check every threshold against a from-scratch evaluation
-    for p in curve.points:
-        want = _brute_force_pr(dets, gt, 0.7, p.threshold)
-        assert (p.precision, p.recall) == pytest.approx(want)
+    for p in points:
+        want = _brute_force_pr(dets, gt, 0.7, p["threshold"])
+        assert (p["precision"], p["recall"]) == pytest.approx(want)
 
 
 def test_ap_single_point():
-    assert average_precision(PRCurve((PRPoint(1.0, 1.0, 1.0, 1, 0, 0),))) == 1.0
+    assert average_precision(np.array([1.0]), np.array([1.0])) == 1.0
 
 
 def test_ap_two_point_worked_example():
@@ -114,22 +150,34 @@ def test_ap_two_point_worked_example():
         PRPoint(0.9, 1.0, 0.5, 1, 0, 1),
         PRPoint(0.5, 0.5, 1.0, 2, 2, 0),
     ))
-    assert average_precision(curve) == pytest.approx(0.75)
+    assert _ap(curve) == pytest.approx(0.75)
     assert abs(oracle_ap(curve) - 0.75) < 1e-3
 
 
 def test_ap_all_miss():
-    curve = PRCurve((PRPoint(math.inf, 1.0, 0.0, 0, 0, 5),))
-    assert average_precision(curve) == 0.0
+    assert average_precision(np.array([0.0]), np.array([1.0])) == 0.0
 
 
 def test_ap_invariant_under_dominated_points():
-    base = PRCurve((
-        PRPoint(0.9, 1.0, 0.5, 1, 0, 1),
-        PRPoint(0.5, 0.5, 1.0, 2, 2, 0),
-    ))
-    with_dominated = PRCurve(base.points + (PRPoint(0.7, 0.4, 0.5, 0, 0, 0),))
-    assert average_precision(with_dominated) == average_precision(base)
+    base = (np.array([0.5, 1.0]), np.array([1.0, 0.5]))
+    with_dominated = (np.array([0.5, 0.5, 1.0]), np.array([1.0, 0.4, 0.5]))
+    assert average_precision(*with_dominated) == average_precision(*base)
+
+
+def test_ap_equals_the_former_loop_on_random_curves():
+    """Curves in curve order, with coarse values so that recalls and
+    precisions tie often: the array AP equals the former loop exactly."""
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.integers(1, 15))
+        levels = int(rng.choice([3, 10, 1000]))
+        recall = np.sort(rng.integers(0, levels + 1, n) / levels)
+        precision = rng.integers(0, levels + 1, n) / levels
+        order = np.lexsort((-precision, recall))
+        recall, precision = recall[order], precision[order]
+        curve = PRCurve(tuple(PRPoint(0.0, p, r, 0, 0, 0) for p, r in
+                              zip(precision.tolist(), recall.tolist())))
+        assert average_precision(recall, precision) == _reference_ap(curve)
 
 
 def test_clutter_at_new_lowest_score_never_increases_ap():
@@ -138,16 +186,17 @@ def test_clutter_at_new_lowest_score_never_increases_ap():
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(100, 100, 20, 20), 0.7),
     ))
-    base = pr_curve(gt.columns, dets.columns)
+    base = detection_report([(gt.columns, dets.columns)])["overall"]
     noisier = DetectionSet(dets.detections
                            + (Detection(1, BBox(300, 300, 20, 20), 0.1),))
-    with_clutter = pr_curve(gt.columns, noisier.columns)
-    assert average_precision(with_clutter) <= average_precision(base)
+    with_clutter = detection_report([(gt.columns, noisier.columns)])["overall"]
+    assert with_clutter["ap"] <= base["ap"]
     # higher-threshold points are unchanged
-    base_pts = {p.threshold: (p.precision, p.recall) for p in base.points}
-    for p in with_clutter.points:
-        if p.threshold > 0.1:
-            assert base_pts[p.threshold] == (p.precision, p.recall)
+    base_pts = {p["threshold"]: (p["precision"], p["recall"])
+                for p in base["points"]}
+    for p in with_clutter["points"]:
+        if p["threshold"] > 0.1:
+            assert base_pts[p["threshold"]] == (p["precision"], p["recall"])
 
 
 def test_ignored_gt_and_detections_are_neutral():
@@ -160,10 +209,9 @@ def test_ignored_gt_and_detections_are_neutral():
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(100, 100, 20, 20), 0.8),  # in ignore region: neutral
     ))
-    curve = pr_curve(gt.columns, dets.columns)
     # single countable GT, matched: every point has no FP and full recall
-    best = max(curve.points, key=lambda p: p.recall)
-    assert best.fp == 0 and best.recall == 1.0 and best.tp == 1
+    best = max(_points(gt, dets), key=lambda p: p["recall"])
+    assert best["fp"] == 0 and best["recall"] == 1.0 and best["tp"] == 1
 
 
 def test_subset_empty_target_set_error():
@@ -174,14 +222,20 @@ def test_subset_empty_target_set_error():
 
 
 def test_subset_overall_equals_no_predicate():
+    """The overall rows are the rows of the sweep's table, which applies
+    no subset mask."""
     gt = _gt_two_boxes()
     dets = DetectionSet((
         Detection(1, BBox(0, 0, 20, 20), 0.9),
         Detection(1, BBox(300, 300, 20, 20), 0.4),
     ))
-    report = detection_report([(gt.columns, dets.columns)], ["overall"])
-    assert report["overall"]["ap"] == pytest.approx(
-        average_precision(pr_curve(gt.columns, dets.columns)))
+    pairs = [(gt.columns, dets.columns)]
+    points = detection_report(pairs, ["overall"])["overall"]["points"]
+    table = threshold_counts(pairs)
+    assert [(p["threshold"], p["tp"], p["fp"], p["fn"]) for p in points] == [
+        (s, tp, k - tp, table.n_gt - tp) for s, tp, k in
+        zip(table.score[1:].tolist(), table.tp[1:].tolist(),
+            table.kept[1:].tolist())]
 
 
 def test_matched_out_of_subset_gt_neutralizes_detection():
@@ -228,7 +282,7 @@ def test_ap_agrees_with_grid_oracle_random():
         pts = tuple(PRPoint(float(1 - r), float(p), float(r), 0, 0, 0)
                     for r, p in zip(recalls, precisions))
         curve = PRCurve(tuple(sorted(pts, key=lambda q: (q.recall, -q.precision))))
-        assert abs(average_precision(curve) - oracle_ap(curve)) < 1e-3
+        assert abs(_ap(curve) - oracle_ap(curve)) < 1e-3
 
 
 ALL_SUBSETS = ("overall", "scale:small", "scale:medium", "scale:large",
@@ -273,20 +327,21 @@ def _random_subset_case(seed):
     return pairs, float(rng.choice([0.3, 0.5, 0.7]))
 
 
-def _counts_at(curve, threshold):
+def _counts_at(points, threshold):
     """(tp, fp, fn) of the detections with score >= threshold, read off a
-    PR curve: the point of the lowest score at or above it."""
-    above = [p for p in curve.points if p.threshold >= threshold]
+    report's rows: the row of the lowest score at or above it."""
+    above = [p for p in points if p["threshold"] >= threshold]
     if not above:
-        p = curve.points[0]
-        return 0, 0, p.tp + p.fn
-    p = min(above, key=lambda p: p.threshold)
-    return p.tp, p.fp, p.fn
+        p = points[0]
+        return 0, 0, p["tp"] + p["fn"]
+    p = min(above, key=lambda p: p["threshold"])
+    return p["tp"], p["fp"], p["fn"]
 
 
 def test_subset_counts_equal_filter_then_relabel_oracle():
     """Every subset kind read off the one labeling pass equals the scalar
-    oracle that thresholds first and relabels per subset."""
+    oracle that thresholds first and relabels per subset; the report's
+    rows are in curve order."""
     n_points, kinds = 0, set()
     for seed in range(300):
         pairs, iou_thr = _random_subset_case(seed)
@@ -300,10 +355,12 @@ def test_subset_counts_equal_filter_then_relabel_oracle():
             if all(tp + fn == 0 for tp, _, fn in want):
                 # no pooled GT in the subset, or no sequence of its kind
                 with pytest.raises(ValidationError, match="empty evaluation"):
-                    pr_curve_multi(columns, iou_thr, name)
+                    detection_report(columns, [name], iou_thr)
                 continue
-            curve = pr_curve_multi(columns, iou_thr, name)
-            assert [_counts_at(curve, tau) for tau in taus] == want, (seed, name)
+            points = detection_report(columns, [name], iou_thr)[name]["points"]
+            assert [_counts_at(points, tau) for tau in taus] == want, (seed, name)
+            _assert_curve_order([p["precision"] for p in points],
+                                [p["recall"] for p in points])
             n_points += len(taus)
             kinds.add(name)
     assert n_points > 3000 and kinds == set(ALL_SUBSETS)
@@ -329,7 +386,30 @@ def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
             Detection(2, BBox(400, 400, 20, 20), second),   # FP, later frame
         ))
         gt2 = GroundTruth("s", 2, gt.tracks)
-        (zero,) = [p for p in pr_curve(gt2.columns, dets.columns).points
-                   if p.threshold == 0.0]
-        assert math.copysign(1.0, zero.threshold) == math.copysign(1.0, second)
-        assert (zero.tp, zero.fp) == (1, 2)
+        points = _points(gt2, dets)
+        _assert_curve_order([p["precision"] for p in points],
+                            [p["recall"] for p in points])
+        (zero,) = [p for p in points if p["threshold"] == 0.0]
+        assert math.copysign(1.0, zero["threshold"]) == math.copysign(1.0, second)
+        assert (zero["tp"], zero["fp"]) == (1, 2)
+        table = threshold_counts([(gt2.columns, dets.columns)])
+        assert table.at(0.0) == table.at(-0.0) == (1, 2, 1)
+        _assert_curve_order(*rates(table.tp, table.kept, table.n_gt))
+
+
+def test_ap_equals_the_former_loop_on_every_subset():
+    """On the subset oracle's cases, every subset's AP equals the former
+    loop run on the report's own rows."""
+    n_reports = 0
+    for seed in range(60):
+        pairs, iou_thr = _random_subset_case(seed)
+        columns = [(gt.columns, dets.columns) for gt, dets in pairs]
+        for name in ALL_SUBSETS:
+            try:
+                body = detection_report(columns, [name], iou_thr)[name]
+            except ValidationError:
+                continue
+            curve = PRCurve(tuple(PRPoint(**p) for p in body["points"]))
+            assert body["ap"] == _reference_ap(curve), (seed, name)
+            n_reports += 1
+    assert n_reports > 300

@@ -7,7 +7,7 @@ import pytest
 
 from detraceval.datamodel import (BBox, DetectionSet, IgnoreRegion, OutTrack,
                                   TrackSet, ValidationError)
-from detraceval.det_metrics import threshold_counts
+from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.matching import match_frame_greedy
 from detraceval.mot_metrics import MetricBundle
@@ -259,6 +259,15 @@ def _columns(pairs):
     return [(gt.columns, dets.columns) for gt, dets in pairs]
 
 
+def _assert_table_in_curve_order(table):
+    """Rows by descending score are by recall ascending, ties by
+    precision descending."""
+    assert np.all(np.diff(table.score) < 0)
+    precision, recall = rates(table.tp, table.kept, table.n_gt)
+    keys = list(zip(recall.tolist(), (-precision).tolist()))
+    assert keys == sorted(keys)
+
+
 def test_threshold_counts_equal_filter_then_relabel_oracle():
     n_points = 0
     for seed in range(250):
@@ -273,6 +282,7 @@ def test_threshold_counts_equal_filter_then_relabel_oracle():
             assert counts.at(tau) == oracle_sweep_counts(pairs, tau, iou_thr), \
                 (seed, tau)
             n_points += 1
+        _assert_table_in_curve_order(counts)
     assert n_points > 1000
 
 
@@ -282,6 +292,7 @@ def test_sweep_precision_recall_come_from_oracle_counts():
     points = sweep(_columns(pairs), lambda dets, seq: TrackSet().columns,
                    thresholds, iou_thr=iou_thr)
     assert len(points) == len(thresholds)
+    _assert_table_in_curve_order(threshold_counts(_columns(pairs), iou_thr))
     for p in points:
         tp, fp, fn = oracle_sweep_counts(pairs, p.threshold, iou_thr)
         assert p.precision == (tp / (tp + fp) if tp + fp else 1.0)

@@ -185,7 +185,9 @@ def test_oracle_ap_random_agreement():
                       for r, p in zip(recalls, precisions)),
                      key=lambda q: (q.recall, -q.precision))
         curve = PRCurve(tuple(pts))
-        assert abs(average_precision(curve) - oracle_ap(curve)) < 1e-3
+        assert abs(average_precision(np.array([p.recall for p in pts]),
+                                     np.array([p.precision for p in pts]))
+                   - oracle_ap(curve)) < 1e-3
 
 
 def test_random_tiny_scenario_within_oracle_limits():
