@@ -7,15 +7,14 @@ brute-force oracles for verification.
 """
 
 from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
-                        GtTrack, IgnoreRegion, OutTrack, TrackSet,
+                        GtTrack, IgnoreRegion, OutTrack, Rows, TrackSet,
                         ValidationError)
 from .det_metrics import PRCurve, PRPoint, average_precision, detection_report
 from .geometry import (OcclusionClass, ScaleClass, ignore_coverage, iou,
                        occlusion_class, scale_class)
 from .matching import (FORBIDDEN, clear_correspond, hungarian,
                        match_frame_greedy)
-from .mot_metrics import (FrameCounts, MetricBundle, SequenceStats, aggregate,
-                          evaluate_clear)
+from .mot_metrics import MetricBundle, SequenceStats, aggregate, evaluate_clear
 from .pr_integration import (OperatingPoint, PRIntegratedReport, SweepError,
                              integrate, pr_report, select_thresholds, sweep)
 from .synth import (ScenarioConfig, gen_scenario, oracle_ap, oracle_clear,

@@ -4,6 +4,11 @@ generate synthetic scenarios.
 All reports are files (JSON with stable key order and floats at 6
 significant digits, plus plot-ready CSVs); identical inputs and flags yield
 byte-identical outputs regardless of --jobs.
+
+Each subcommand checks its arguments, then creates its --out directory
+before it reads or computes anything. An --out that cannot be created, or a
+report that cannot be written, is one line ``detraceval: error: <path>:
+<reason>`` and exit 1.
 """
 
 from __future__ import annotations
@@ -15,20 +20,23 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
 from . import det_metrics, mot_metrics, pr_integration
-from .datamodel import (ValidationError, check_frame_count, read_detections,
-                        read_ground_truth, read_tracks, write_detections,
-                        write_ground_truth)
+from .datamodel import (Rows, ValidationError, check_frame_count,
+                        read_detections, read_ground_truth, read_tracks,
+                        write_detections, write_ground_truth)
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .synth import ScenarioConfig, gen_scenario
 from .trackers import TrackerError, make_tracker
 
 
-# Parts gathered before each write: bounds the text held in memory.
-_CHUNK_PARTS = 8192
+# Rows formatted and written at a time: bounds the text held in memory.
+# `Rows` are the only report parts whose size grows with the input.
+_CHUNK_ROWS = 8192
 
 
 def _write_json(path: Path, obj) -> None:
@@ -36,12 +44,9 @@ def _write_json(path: Path, obj) -> None:
     6 significant digits and non-finite floats as null, then a newline.
 
     The bytes are those of ``json.dump(obj, fh, sort_keys=True, indent=2)``
-    after that rounding; the text is written in bounded chunks rather than
-    built whole. A list of flat dicts with the same keys (a report's points
-    or per-frame counts) is formatted row by row from one template per key
-    set.
+    after that rounding, with `Rows` written as the list of their row
+    objects, _CHUNK_ROWS rows at a time.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         parts: list[str] = []
         _emit(obj, "\n", parts, fh)
@@ -70,27 +75,25 @@ _TEXT = {float: _float_text, int: int.__repr__, str: encode_basestring_ascii,
          type(None): lambda value: "null"}
 
 
-def _scalar(value) -> str | None:
-    """JSON text of a scalar, or None for a dict, list or tuple."""
+def _scalar(value) -> str:
+    """JSON text of a scalar; a TypeError for anything else."""
     text = _TEXT.get(type(value))
     if text is not None:
         return text(value)
     for base in (float, str, int):  # subclasses, such as numpy.float64
         if isinstance(value, base):
             return _TEXT[base](value)
-    if isinstance(value, (dict, list, tuple)):
-        return None
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(value, newline: str, parts: list[str], fh) -> None:
     """Append the JSON text of `value`, nested at the indent `newline`
-    ends with, to `parts`; write `parts` out when it grows past
-    _CHUNK_PARTS."""
-    text = _scalar(value)
-    if text is not None:
-        parts.append(text)
+    ends with, to `parts`. `Rows` are formatted column by column, each
+    row filled into one %-template, and written out with `parts` every
+    _CHUNK_ROWS rows."""
+    if not isinstance(value, (dict, list, tuple, Rows)):
+        parts.append(_scalar(value))
         return
     if not value:
         parts.append("{}" if isinstance(value, dict) else "[]")
@@ -104,35 +107,53 @@ def _emit(value, newline: str, parts: list[str], fh) -> None:
             sep = "," + inner
         parts.append(newline + "}")
         return
-    shape = keys = template = None
     sep = "[" + inner
-    for item in value:
-        if len(parts) > _CHUNK_PARTS:
+    if isinstance(value, Rows):
+        keys, field = sorted(value.columns), inner + "  "
+        template = "{" + field + ("," + field).join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+            for k in keys) + inner + "}"
+        for lo in range(0, len(value), _CHUNK_ROWS):
+            texts = [[_TEXT.get(type(v), _scalar)(v)
+                      for v in value[k][lo:lo + _CHUNK_ROWS]] for k in keys]
+            parts.append(sep + ("," + inner).join(
+                map(template.__mod__, zip(*texts))))
+            sep = "," + inner
             fh.write("".join(parts))
             parts.clear()
-        parts.append(sep)
-        sep = "," + inner
-        if type(item) is dict and item:
-            if item.keys() != shape:
-                shape = item.keys()
-                keys, template = _row_template(item, inner)
-            fields = [_TEXT.get(type(v), _scalar)(v)
-                      for v in map(item.__getitem__, keys)]
-            if None not in fields:
-                parts.append(template % tuple(fields))
-                continue
-        _emit(item, inner, parts, fh)
+    else:
+        for item in value:
+            parts.append(sep)
+            sep = "," + inner
+            _emit(item, inner, parts, fh)
     parts.append(newline + "]")
 
 
-def _row_template(row: dict, newline: str) -> tuple[list, str]:
-    """Sorted keys of a flat dict and the %-template of its JSON text at
-    the indent `newline` ends with, one %s per value."""
-    keys = sorted(row)
-    inner = newline + "  "
-    fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-              for k in keys)
-    return keys, "{" + inner + ("," + inner).join(fields) + newline + "}"
+def _write_csv(path: Path, header: Sequence[str], rows: Rows) -> None:
+    """Write the columns of `rows` that `header` names, in its order, as
+    CSV: a float at 6 significant digits, or an empty field if it is not
+    finite; any other value as its text. A field holding a comma, a quote,
+    "\\r" or "\\n" is quoted; each line ends in "\\n". Like `_write_json`,
+    it formats and writes _CHUNK_ROWS rows at a time."""
+    with open(path, "w", newline="") as fh:
+        # A writer ending lines in "\n" alone leaves "\r" unquoted, and a
+        # reader then splits the row. This one quotes both, and passes
+        # each row, line end included, to one write call.
+        lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lf, lineterminator="\r\n")
+        writer.writerow(header)
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            writer.writerows(zip(*(
+                [str(v) if not isinstance(v, float) else
+                 f"{v:.6g}" if math.isfinite(v) else ""
+                 for v in rows[k][lo:lo + _CHUNK_ROWS]] for k in header)))
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, created with its parents if missing."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _load_pairs(gt_dir: str, other_dir: str, suffix: str
@@ -175,25 +196,17 @@ def _read_pair(gt_path: Path, path: Path, reader):
 
 
 def cmd_eval_det(args) -> int:
+    out = _out_dir(args)
     pairs = [_read_pair(gt_path, det_path, read_detections)
              for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
     subsets = args.subset or ["overall"]
     report = det_metrics.detection_report(pairs, subsets, args.iou_thr)
-    out = Path(args.out)
     _write_json(out / "detection_report.json", report)
+    header = ("threshold", "precision", "recall", "tp", "fp", "fn")
     for name, body in report.items():
-        safe = name.replace(":", "_")
-        with open(out / f"pr_curve_{safe}.csv", "w") as fh:
-            fh.write("threshold,precision,recall,tp,fp,fn\n")
-            fh.writelines(
-                f"{_csv_float(p['threshold'])},{p['precision']:.6g},"
-                f"{p['recall']:.6g},{p['tp']},{p['fp']},{p['fn']}\n"
-                for p in body["points"])
+        _write_csv(out / f"pr_curve_{name.replace(':', '_')}.csv", header,
+                   body["points"])
     return 0
-
-
-def _csv_float(value: float) -> str:
-    return f"{value:.6g}" if math.isfinite(value) else ""
 
 
 def cmd_eval_mot(args) -> int:
@@ -202,6 +215,7 @@ def cmd_eval_mot(args) -> int:
         raise ValidationError(
             "sequence 'aggregate': the name is reserved for "
             "mot_aggregate.json; rename its ground truth file")
+    out = _out_dir(args)
 
     def evaluate(triple):
         _, gt_path, track_path = triple
@@ -210,14 +224,13 @@ def cmd_eval_mot(args) -> int:
 
     results = pr_integration.map_jobs(evaluate, triples, args.jobs)
 
-    out = Path(args.out)
     all_stats = []
     for (seq, _, _), (bundle, stats) in zip(triples, results):
         all_stats.append(stats)
         _write_json(out / f"mot_{seq}.json", {
             "sequence_id": seq,
             "bundle": bundle.as_dict(),
-            "per_frame_counts": [vars(c) for c in stats.frame_counts],
+            "per_frame_counts": stats.frame_counts,
         })
     _write_json(out / "mot_aggregate.json",
                 {"bundle": mot_metrics.aggregate(all_stats).as_dict(),
@@ -227,6 +240,7 @@ def cmd_eval_mot(args) -> int:
 
 def cmd_eval_system(args) -> int:
     tracker = make_tracker(args.tracker)
+    out = _out_dir(args)
     pairs = [_read_pair(gt_path, det_path, read_detections)
              for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
     select = (pr_integration.select_thresholds_quantile
@@ -237,27 +251,22 @@ def cmd_eval_system(args) -> int:
                                   iou_thr=args.iou_thr,
                                   keep_going=args.keep_going, jobs=args.jobs)
     report = pr_integration.pr_report(points)
-    out = Path(args.out)
+    rows = [{"threshold": p.threshold, "precision": p.precision,
+             "recall": p.recall, "bundle": p.metrics.as_dict()}
+            for p in report.curve]
     _write_json(out / "system_report.json", {
         "detector": args.detector_name,
         "tracker": args.tracker_name or args.tracker,
         "iou_thr": args.iou_thr,
         "arc_length": report.arc_length,
         "scores": report.scores(),
-        "points": [
-            {"threshold": p.threshold, "precision": p.precision,
-             "recall": p.recall, "bundle": p.metrics.as_dict()}
-            for p in report.curve
-        ],
+        "points": rows,
     })
-    with open(out / "pr_curve.csv", "w") as fh:
-        fh.write("threshold,precision,recall,mota,motp,mt_pct,ml_pct,"
-                 "ids,fm,fp,fn\n")
-        for p in report.curve:
-            m = p.metrics
-            fh.write(f"{p.threshold:.6g},{p.precision:.6g},{p.recall:.6g},"
-                     f"{m.mota:.6g},{m.motp:.6g},{m.mt_pct:.6g},"
-                     f"{m.ml_pct:.6g},{m.ids},{m.fm},{m.fp},{m.fn}\n")
+    header = ("threshold", "precision", "recall", "mota", "motp", "mt_pct",
+              "ml_pct", "ids", "fm", "fp", "fn")
+    flat = [{**r, **r["bundle"]} for r in rows]
+    _write_csv(out / "pr_curve.csv", header,
+               Rows({k: [f[k] for f in flat] for k in header}))
     return 0
 
 
@@ -303,6 +312,7 @@ def _finite_number(value) -> bool:
 
 
 def cmd_report(args) -> int:
+    out = _out_dir(args)
     systems = [doc for doc in map(_system_report,
                                   sorted(Path(args.results).rglob("*.json")))
                if doc is not None]
@@ -324,22 +334,21 @@ def cmd_report(args) -> int:
                               "n_detectors": len(rows),
                               **pr_integration.mean_scores(rows)})
     tracker_table.sort(key=lambda r: -r["pr_mota"])
-    out = Path(args.out)
     _write_json(out / "leaderboard.json",
                 {"systems": leaderboard, "trackers": tracker_table})
-    with open(out / "leaderboard.csv", "w", newline="") as fh:
-        keys = ["detector", "tracker", *pr_integration.SCORE_NAMES]
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerows(
-            [f"{row[k]:.6g}" if isinstance(row[k], float) else str(row[k])
-             for k in keys] for row in leaderboard)
+    keys = ("detector", "tracker", *pr_integration.SCORE_NAMES)
+    _write_csv(out / "leaderboard.csv", keys,
+               Rows({k: [row[k] for row in leaderboard] for k in keys}))
     return 0
 
 
 def cmd_gen_synthetic(args) -> int:
-    out = Path(args.out)
-    if args.fixture:
+    config = None if args.fixture else ScenarioConfig(
+        n_targets=args.targets, n_frames=args.frames,
+        drop_rate=args.drop_rate, clutter_rate=args.clutter_rate,
+        jitter_sigma=args.jitter_sigma, seed=args.seed)
+    out = _out_dir(args)
+    if config is None:
         fixture = load_fixture(args.fixture)
         gt, dets = fixture.gt, fixture.dets
         seq = fixture.name
@@ -347,16 +356,12 @@ def cmd_gen_synthetic(args) -> int:
                        "trackers": {name: vars(t)
                                     for name, t in fixture.trackers.items()}}
     else:
-        config = ScenarioConfig(
-            n_targets=args.targets, n_frames=args.frames,
-            drop_rate=args.drop_rate, clutter_rate=args.clutter_rate,
-            jitter_sigma=args.jitter_sigma, seed=args.seed)
         gt, dets = gen_scenario(config)
         seq = gt.sequence_id
         config_echo = {k: list(v) if isinstance(v, tuple) else v
                        for k, v in vars(config).items()}
-    (out / "gt").mkdir(parents=True, exist_ok=True)
-    (out / "det").mkdir(parents=True, exist_ok=True)
+    (out / "gt").mkdir(exist_ok=True)
+    (out / "det").mkdir(exist_ok=True)
     with open(out / "gt" / f"{seq}.json", "w") as fh:
         write_ground_truth(gt, fh)
     with open(out / "det" / f"{seq}.csv", "w") as fh:
@@ -450,6 +455,10 @@ def main(argv=None) -> int:
     except (ValidationError, TrackerError,
             pr_integration.SweepError) as exc:
         print(f"detraceval: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the --out directory, or a report write
+        print(f"detraceval: error: {exc.filename or args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -496,6 +496,27 @@ def frame_slices(frames: np.ndarray,
     return zip(frames.tolist(), *bounds)
 
 
+@dataclass(frozen=True)
+class Rows:
+    """Report rows held as columns: column name -> list of Python scalars,
+    every list of one length. ``len(rows)`` is the row count and
+    ``rows[name]`` a column. A detection report's PR points and CLEAR's
+    per-frame counts are `Rows`; the CLI writes them to JSON and CSV
+    column by column, and no per-row object is built on the way."""
+
+    columns: dict[str, list]
+
+    def __post_init__(self) -> None:
+        if len(set(map(len, self.columns.values()))) > 1:
+            raise ValueError("Rows columns differ in length")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, name: str) -> list:
+        return self.columns[name]
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------

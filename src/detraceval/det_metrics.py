@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
-                        GtColumns, ValidationError, check_frame_count,
+                        GtColumns, Rows, ValidationError, check_frame_count,
                         frame_slices)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
@@ -250,7 +250,9 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     """AP + PR curve per named subset, pooled over the (GT, detections)
     pairs, from one labeling pass per sequence. A subset's `points` are its
     count table's rows in curve order, one per distinct score, or the one
-    row of nothing kept when there are no detections.
+    row of nothing kept when there are no detections: `Rows` with the
+    columns threshold, precision, recall, tp, fp and fn, each taken from
+    the table's arrays with one ``tolist``.
 
     Names: "overall", "difficulty:<easy|medium|hard>", "weather:<...>",
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
@@ -271,7 +273,6 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                    "fn": table.n_gt - tp}
         report[name] = {
             "ap": average_precision(recall, precision),
-            "points": [dict(zip(columns, row)) for row in
-                       zip(*(c.tolist() for c in columns.values()))],
+            "points": Rows({k: c.tolist() for k, c in columns.items()}),
         }
     return report

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import (GtColumns, TrackColumns, ValidationError,
+from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
                         check_frame_count, frame_slices)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
@@ -35,22 +35,17 @@ ML_COVERAGE = 0.2
 
 
 @dataclass(frozen=True)
-class FrameCounts:
-    frame: int
-    gt: int
-    matches: int
-    fn: int
-    fp: int
-    ids: int
-    iou_sum: float
-
-
-@dataclass(frozen=True)
 class SequenceStats:
-    """Everything needed to re-derive a MetricBundle or aggregate sequences."""
+    """Everything needed to re-derive a MetricBundle or aggregate sequences.
+
+    `frame_counts` holds one row per scored frame (a frame with a GT or a
+    hypothesis box), in frame order, with the columns frame, gt, matches,
+    fn, fp, ids and iou_sum; iou_sum is the int 0 at a frame without a
+    match, the float sum of the matched IoUs otherwise.
+    """
 
     sequence_id: str
-    frame_counts: tuple[FrameCounts, ...]
+    frame_counts: Rows
     fm: int
     mt: int
     ml: int
@@ -75,12 +70,11 @@ class MetricBundle:
 
 
 def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
-    gt_total = sum(c.gt for s in stats for c in s.frame_counts)
-    fn = sum(c.fn for s in stats for c in s.frame_counts)
-    fp = sum(c.fp for s in stats for c in s.frame_counts)
-    ids = sum(c.ids for s in stats for c in s.frame_counts)
-    matches = sum(c.matches for s in stats for c in s.frame_counts)
-    iou_sum = sum(c.iou_sum for s in stats for c in s.frame_counts)
+    # Summed sequence by sequence, frame by frame: MOTP's float sum keeps
+    # one order.
+    gt_total, fn, fp, ids, matches, iou_sum = (
+        sum(v for s in stats for v in s.frame_counts[name])
+        for name in ("gt", "fn", "fp", "ids", "matches", "iou_sum"))
     fm = sum(s.fm for s in stats)
     mt = sum(s.mt for s in stats)
     ml = sum(s.ml for s in stats)
@@ -121,10 +115,10 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     match_state: dict[int, str] = {}     # gt id -> "matched" | "gap"
     matched_frames: dict[int, int] = {}
     fm = 0
-    counts: list[FrameCounts] = []
+    frames = np.union1d(g_frame, h_frame)
+    n_gt, n_matches, n_fp, n_ids, iou_sums = [], [], [], [], []
 
-    for frame, g_lo, g_hi, h_lo, h_hi in frame_slices(
-            np.union1d(g_frame, h_frame), g_frame, h_frame):
+    for frame, g_lo, g_hi, h_lo, h_hi in frame_slices(frames, g_frame, h_frame):
         gts, hyps = g_ids[g_lo:g_hi], h_ids[h_lo:h_hi]
         pairs = clear_correspond(prev, gts, g_boxes[g_lo:g_hi],
                                  hyps, h_boxes[h_lo:h_hi], iou_thr)
@@ -150,12 +144,11 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
             taken = set(prev.values())
             fp_t -= sum((frame, hid) in ignored
                         for hid in hyps if hid not in taken)
-        iou_sum = sum(v for _, _, v in pairs)
-        counts.append(FrameCounts(
-            frame=frame, gt=len(gts), matches=len(pairs),
-            fn=len(gts) - len(pairs), fp=fp_t, ids=ids_t,
-            iou_sum=iou_sum,
-        ))
+        n_gt.append(len(gts))
+        n_matches.append(len(pairs))
+        n_fp.append(fp_t)
+        n_ids.append(ids_t)
+        iou_sums.append(sum(v for _, _, v in pairs))
 
     mt = ml = 0
     target_ids, n_entries = np.unique(gt.target_id, return_counts=True)
@@ -168,7 +161,10 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
 
     stats = SequenceStats(
         sequence_id=gt.sequence_id,
-        frame_counts=tuple(counts),
+        frame_counts=Rows({
+            "frame": frames.tolist(), "gt": n_gt, "matches": n_matches,
+            "fn": [g - m for g, m in zip(n_gt, n_matches)], "fp": n_fp,
+            "ids": n_ids, "iou_sum": iou_sums}),
         fm=fm, mt=mt, ml=ml, n_tracks=len(target_ids),
     )
     return _bundle_from_stats([stats]), stats

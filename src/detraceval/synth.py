@@ -32,8 +32,7 @@ from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
 from .det_metrics import DEFAULT_IOU_THR, PRCurve
 from .geometry import (IGNORE_COVERAGE_THR, ignore_coverage, iou,
                        occlusion_class, scale_class)
-from .mot_metrics import (ML_COVERAGE, MT_COVERAGE, FrameCounts, MetricBundle,
-                          SequenceStats)
+from .mot_metrics import ML_COVERAGE, MT_COVERAGE, MetricBundle
 
 ORACLE_MAX_OBJECTS = 5
 # Mean clutter boxes per frame; far above it, the Poisson counts overflow

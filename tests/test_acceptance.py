@@ -17,14 +17,13 @@ import pytest
 
 from detraceval.cli import main
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
-                                  OutTrack, TrackSet, write_ground_truth,
-                                  write_tracks)
+                                  OutTrack, Rows, TrackSet,
+                                  write_ground_truth, write_tracks)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
                                     detection_report)
 from detraceval.fixtures import load_fixture
 from detraceval.matching import FORBIDDEN, hungarian
-from detraceval.mot_metrics import (FrameCounts, SequenceStats, aggregate,
-                                    evaluate_clear)
+from detraceval.mot_metrics import SequenceStats, aggregate, evaluate_clear
 from detraceval.pr_integration import pr_report, select_thresholds, sweep
 from detraceval.synth import oracle_ap, oracle_clear, random_tiny_scenario
 from detraceval.trackers import greedy_iou_track
@@ -134,8 +133,9 @@ def test_criterion_03_perfect_pipeline_identities():
 def test_criterion_04_mota_substitution_and_range():
     stats = SequenceStats(
         sequence_id="substitution",
-        frame_counts=(FrameCounts(frame=1, gt=100, matches=80, fn=20,
-                                  fp=10, ids=2, iou_sum=80.0),),
+        frame_counts=Rows({"frame": [1], "gt": [100], "matches": [80],
+                           "fn": [20], "fp": [10], "ids": [2],
+                           "iou_sum": [80.0]}),
         fm=0, mt=0, ml=0, n_tracks=1)
     bundle = aggregate([stats])
     assert bundle.mota == 68.0

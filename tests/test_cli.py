@@ -249,9 +249,9 @@ def test_report_leaderboard(tmp_path):
 
 
 def test_leaderboard_csv_quotes_names(tmp_path):
-    """Names with a comma (the default tracker name is the spec), a quote
-    or a newline read back as one field each; every row has the header's
-    10 fields and equals leaderboard.json."""
+    """Names with a comma (the default tracker name is the spec), a quote,
+    a newline or a carriage return read back as one field each; every row
+    has the header's 10 fields and equals leaderboard.json."""
     gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
     results = tmp_path / "results"
     assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
@@ -260,6 +260,8 @@ def test_leaderboard_csv_quotes_names(tmp_path):
                  "--out", str(results / "spec")]) == 0
     (results / "other.json").write_text(json.dumps(
         _system_doc(detector="two\nlines", tracker="a,b")))
+    (results / "cr.json").write_text(json.dumps(
+        _system_doc(detector="car\rriage", tracker="cr\r\nlf")))
     out = tmp_path / "tables"
     assert main(["report", "--results", str(results),
                  "--out", str(out)]) == 0
@@ -267,13 +269,13 @@ def test_leaderboard_csv_quotes_names(tmp_path):
     with open(out / "leaderboard.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["detector", "tracker", *SCORE_NAMES]
-    assert len(rows) == len(systems) == 2
+    assert len(rows) == len(systems) == 3
     for row, system in zip(rows, systems):
         assert len(row) == 10
         assert row[:2] == [system["detector"], system["tracker"]]
         assert [float(v) for v in row[2:]] == [system[k] for k in SCORE_NAMES]
     assert {s["tracker"] for s in systems} == {
-        "builtin:max_gap=2,min_track_len=3", "a,b"}
+        "builtin:max_gap=2,min_track_len=3", "a,b", "cr\r\nlf"}
 
 
 def test_report_no_results_errors(tmp_path, capsys):
@@ -909,3 +911,47 @@ def test_pair_reader_fuzz_gives_columns_or_names_the_file(fuzz_root, case):
             assert isinstance(gt, GtColumns) and isinstance(boxes, columns)
     finally:
         path.write_text(text)
+
+
+def test_eval_det_without_detections_writes_the_nothing_kept_row(tmp_path):
+    """With no detections the PR curve is the one row that keeps nothing:
+    its threshold (inf) is an empty field, precision 1 and every GT a
+    miss."""
+    _short_scene(tmp_path, det="")
+    assert _eval("eval-det", tmp_path) == 0
+    assert (tmp_path / "out" / "pr_curve_overall.csv").read_text() == (
+        "threshold,precision,recall,tp,fp,fn\n,1,0,0,0,3\n")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["eval-det", "eval-mot", "eval-system",
+                                     "report", "gen-synthetic"])
+def test_unusable_out_is_one_line_error(tmp_path, capsys, command, under):
+    """An --out that names a file, or a path under one, ends in one line
+    naming it, for every subcommand."""
+    _short_scene(tmp_path)
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "a.json").write_text(json.dumps(_system_doc()))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "x" if under else taken
+    gt = ["--gt", str(tmp_path / "gt")]
+    det = ["--det", str(tmp_path / "det")]
+    argv = {"eval-det": [*gt, *det],
+            "eval-mot": [*gt, "--tracks", str(tmp_path / "tracks")],
+            "eval-system": [*gt, *det, "--tracker", "builtin"],
+            "report": ["--results", str(tmp_path / "results")],
+            "gen-synthetic": ["--fixture", "perfect"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 1
+    reason = "Not a directory" if under else "File exists"
+    assert _one_line_error(capsys) == f"detraceval: error: {out}: {reason}\n"
+
+
+def test_unwritable_report_is_one_line_error(tmp_path, capsys):
+    """A report file that cannot be written ends in one line naming it."""
+    _short_scene(tmp_path)
+    blocked = tmp_path / "out" / "pr_curve_overall.csv"
+    blocked.mkdir(parents=True)
+    assert _eval("eval-det", tmp_path) == 1
+    assert _one_line_error(capsys) == (
+        f"detraceval: error: {blocked}: Is a directory\n")

@@ -6,10 +6,10 @@ import pytest
 
 from detraceval.datamodel import (BBox, Detection, DetectionSet, GroundTruth,
                                   GtEntry, GtTrack, IgnoreRegion, OutTrack,
-                                  TrackSet, ValidationError, read_detections,
-                                  read_ground_truth, read_tracks,
-                                  write_detections, write_ground_truth,
-                                  write_tracks)
+                                  Rows, TrackSet, ValidationError,
+                                  read_detections, read_ground_truth,
+                                  read_tracks, write_detections,
+                                  write_ground_truth, write_tracks)
 from detraceval.synth import ScenarioConfig, gen_scenario
 
 
@@ -203,3 +203,11 @@ def test_columns_keep_every_integral_frame():
     tracks = TrackSet((OutTrack(7.0, ((2.0, _BOX),)),))
     assert tracks.columns.frame.tolist() == [2]
     assert tracks.columns.track_id.tolist() == [7]
+
+
+def test_rows_length_is_the_row_count_of_equal_columns():
+    rows = Rows({"a": [1, 2, 3], "b": [0.5, None, "x"]})
+    assert len(rows) == 3 and rows["b"] == [0.5, None, "x"]
+    assert len(Rows({})) == len(Rows({"a": []})) == 0
+    with pytest.raises(ValueError, match="differ in length"):
+        Rows({"a": [1, 2], "b": [1]})

@@ -6,7 +6,7 @@ import pytest
 
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   Detection, DetectionSet, GroundTruth,
-                                  GtEntry, GtTrack, IgnoreRegion,
+                                  GtEntry, GtTrack, IgnoreRegion, Rows,
                                   ValidationError)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
                                     detection_report, rates, threshold_counts)
@@ -22,10 +22,15 @@ def _gt_two_boxes():
     ))
 
 
+def _dicts(rows):
+    """Report rows as one dict per row."""
+    return [dict(zip(rows.columns, row)) for row in zip(*rows.columns.values())]
+
+
 def _points(gt, dets, iou_thr=0.7):
-    """The overall report rows of one sequence."""
-    return detection_report([(gt.columns, dets.columns)], ["overall"],
-                            iou_thr)["overall"]["points"]
+    """The overall report rows of one sequence, one dict per row."""
+    return _dicts(detection_report([(gt.columns, dets.columns)], ["overall"],
+                                   iou_thr)["overall"]["points"])
 
 
 def _reference_ap(curve: PRCurve) -> float:
@@ -72,8 +77,9 @@ def test_no_detections_empty_set_convention():
     sweep reads the same row at every threshold."""
     gt, dets = _gt_two_boxes().columns, DetectionSet().columns
     report = detection_report([(gt, dets)])["overall"]
-    assert report == {"ap": 0.0, "points": [dict(
-        threshold=math.inf, precision=1.0, recall=0.0, tp=0, fp=0, fn=2)]}
+    assert report == {"ap": 0.0, "points": Rows(dict(
+        threshold=[math.inf], precision=[1.0], recall=[0.0], tp=[0], fp=[0],
+        fn=[2]))}
     table = threshold_counts([(gt, dets)])
     assert [table.at(tau) for tau in (-1.0, 0.0, math.inf)] == [(0, 0, 2)] * 3
 
@@ -193,8 +199,8 @@ def test_clutter_at_new_lowest_score_never_increases_ap():
     assert with_clutter["ap"] <= base["ap"]
     # higher-threshold points are unchanged
     base_pts = {p["threshold"]: (p["precision"], p["recall"])
-                for p in base["points"]}
-    for p in with_clutter["points"]:
+                for p in _dicts(base["points"])}
+    for p in _dicts(with_clutter["points"]):
         if p["threshold"] > 0.1:
             assert base_pts[p["threshold"]] == (p["precision"], p["recall"])
 
@@ -232,7 +238,7 @@ def test_subset_overall_equals_no_predicate():
     pairs = [(gt.columns, dets.columns)]
     points = detection_report(pairs, ["overall"])["overall"]["points"]
     table = threshold_counts(pairs)
-    assert [(p["threshold"], p["tp"], p["fp"], p["fn"]) for p in points] == [
+    assert list(zip(*(points[k] for k in ("threshold", "tp", "fp", "fn")))) == [
         (s, tp, k - tp, table.n_gt - tp) for s, tp, k in
         zip(table.score[1:].tolist(), table.tp[1:].tolist(),
             table.kept[1:].tolist())]
@@ -251,7 +257,7 @@ def test_matched_out_of_subset_gt_neutralizes_detection():
     ))
     report = detection_report([(gt.columns, dets.columns)], ["category:car"])
     points = report["category:car"]["points"]
-    assert all(p["fp"] == 0 for p in points)
+    assert set(points["fp"]) == {0}
     assert report["category:car"]["ap"] == 1.0
 
 
@@ -267,9 +273,9 @@ def test_per_scale_counts_recombine():
     ))
     report = detection_report(
         [(gt.columns, dets.columns)], ["overall", "scale:small", "scale:large"])
-    overall_tp = max(p["tp"] for p in report["overall"]["points"])
-    small_tp = max(p["tp"] for p in report["scale:small"]["points"])
-    large_tp = max(p["tp"] for p in report["scale:large"]["points"])
+    overall_tp = max(report["overall"]["points"]["tp"])
+    small_tp = max(report["scale:small"]["points"]["tp"])
+    large_tp = max(report["scale:large"]["points"]["tp"])
     assert small_tp + large_tp == overall_tp == 2
 
 
@@ -358,9 +364,9 @@ def test_subset_counts_equal_filter_then_relabel_oracle():
                     detection_report(columns, [name], iou_thr)
                 continue
             points = detection_report(columns, [name], iou_thr)[name]["points"]
-            assert [_counts_at(points, tau) for tau in taus] == want, (seed, name)
-            _assert_curve_order([p["precision"] for p in points],
-                                [p["recall"] for p in points])
+            rows = _dicts(points)
+            assert [_counts_at(rows, tau) for tau in taus] == want, (seed, name)
+            _assert_curve_order(points["precision"], points["recall"])
             n_points += len(taus)
             kinds.add(name)
     assert n_points > 3000 and kinds == set(ALL_SUBSETS)
@@ -409,7 +415,7 @@ def test_ap_equals_the_former_loop_on_every_subset():
                 body = detection_report(columns, [name], iou_thr)[name]
             except ValidationError:
                 continue
-            curve = PRCurve(tuple(PRPoint(**p) for p in body["points"]))
+            curve = PRCurve(tuple(PRPoint(**p) for p in _dicts(body["points"])))
             assert body["ap"] == _reference_ap(curve), (seed, name)
             n_reports += 1
     assert n_reports > 300

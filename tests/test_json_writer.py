@@ -4,7 +4,8 @@
 at 6 significant digits, non-finite floats as null. The reference below is
 the code it replaced, kept verbatim: round every float, then
 ``json.dump(..., sort_keys=True, indent=2)`` and a newline. The bytes must
-be equal on every value a report can hold.
+be equal on every value a report can hold; the reference is given each
+`Rows` as the list of its row dicts.
 """
 
 import io
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detraceval import cli
+from detraceval.datamodel import Rows
 
 
 def _round6(obj):
@@ -33,15 +35,27 @@ def _round6(obj):
     return obj
 
 
+def _plain(obj):
+    """`obj` with every `Rows` turned into the list of its row dicts."""
+    if isinstance(obj, Rows):
+        return [dict(zip(obj.columns, row))
+                for row in zip(*obj.columns.values())]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
 def _reference(obj) -> str:
     buf = io.StringIO()
-    json.dump(_round6(obj), buf, sort_keys=True, indent=2)
+    json.dump(_round6(_plain(obj)), buf, sort_keys=True, indent=2)
     buf.write("\n")
     return buf.getvalue()
 
 
 def _written(obj, root: Path) -> str:
-    path = root / "sub" / "report.json"
+    path = root / "report.json"
     cli._write_json(path, obj)
     return path.read_text()
 
@@ -74,6 +88,15 @@ def rows(draw, values):
     return out
 
 
+@st.composite
+def tables(draw):
+    """`Rows` of 0 to 6 rows; a column holds any mix of scalars."""
+    keys = draw(st.lists(strings, max_size=6, unique=True))
+    n = draw(st.integers(0, 6))
+    return Rows({k: draw(st.lists(scalars, min_size=n, max_size=n))
+                 for k in keys})
+
+
 def _extend(children):
     return (st.lists(children, max_size=5)
             | st.lists(children, max_size=5).map(tuple)
@@ -81,7 +104,7 @@ def _extend(children):
             | rows(children))
 
 
-documents = st.recursive(scalars, _extend, max_leaves=40)
+documents = st.recursive(scalars | tables(), _extend, max_leaves=40)
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +125,8 @@ def test_writer_special_floats(tmp_path, value):
 
 
 def test_writer_long_lists_cross_chunks(tmp_path):
-    """Lists long enough to be written in several chunks, with row shapes
-    that change and rows that hold nested values."""
+    """Rows long enough to be written in several chunks, and long lists
+    with row shapes that change and rows that hold nested values."""
     rng = np.random.default_rng(0)
     points = [{"threshold": float(t), "precision": float(p), "recall": float(r),
                "tp": i, "fp": 2 * i, "fn": -i}
@@ -111,8 +134,30 @@ def test_writer_long_lists_cross_chunks(tmp_path):
     points[100] = {"threshold": None, "tp": [1, 2.5, {"x": math.nan}]}
     points[200] = {}
     points[300] = {"other": "é", "keys": (1, 2)}
+    columns = {k: [p.get(k) for p in points[:100]] * 300
+               for k in ("threshold", "precision", "tp")}
     obj = {"overall": {"ap": 0.1234567, "points": points},
+           "rows": Rows(columns),
            "nested": [[{"a": 1.0}] * 3, [], {}, ()] * 2000}
+    assert _written(obj, tmp_path) == _reference(obj)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("obj", [
+    Rows({}),
+    Rows({"a": [], "b": []}),
+    Rows({"%": [1, 2], "%s": [0.5, None], "é": ["x", "%d"], "日本": [True, 3],
+          "": [-0.0, 1e16]}),
+    Rows({"x": NON_FINITE + [1, 2.5, np.float64(1 / 3), 7],
+          "y": [0, 1.0, -2, 1e-5, math.inf, 10**20, 0.1234565]}),
+    {"a": [Rows({"v": [1, 2.5]}), {"b": (Rows({"w": NON_FINITE}), Rows({}))}],
+     "c": Rows({"z": [1]})},
+    [[[Rows({"deep": [0.1, 2]})]]],
+], ids=["no-columns", "no-rows", "keys", "mixed-and-non-finite", "nested",
+        "deep"])
+def test_writer_rows_equal_their_row_dicts(tmp_path, obj):
     assert _written(obj, tmp_path) == _reference(obj)
 
 
@@ -121,5 +166,12 @@ def test_writer_long_lists_cross_chunks(tmp_path):
 def test_writer_rejects_what_json_rejects(tmp_path, value):
     with pytest.raises(TypeError):
         _reference({"v": value})
-    with pytest.raises(TypeError):
-        _written({"v": value}, tmp_path)
+    for obj in ({"v": value}, Rows({"v": [1, value]})):
+        with pytest.raises(TypeError):
+            _written(obj, tmp_path)
+
+
+@pytest.mark.parametrize("value", [[1], (1,), {"a": 1}])
+def test_writer_rejects_rows_holding_containers(tmp_path, value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _written(Rows({"v": [1.0, value]}), tmp_path)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
-                                  IgnoreRegion, OutTrack, TrackSet,
+                                  IgnoreRegion, OutTrack, Rows, TrackSet,
                                   ValidationError, read_ground_truth,
                                   read_tracks, write_ground_truth,
                                   write_tracks)
-from detraceval.mot_metrics import (FrameCounts, SequenceStats, aggregate,
-                                    evaluate_clear)
+from detraceval.mot_metrics import SequenceStats, aggregate, evaluate_clear
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_clear,
                               random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
@@ -41,8 +40,13 @@ def _linear_gt(n_tracks=2, n_frames=10):
     return GroundTruth("seq", n_frames, tuple(tracks))
 
 
+FRAME_COLUMNS = ("frame", "gt", "matches", "fn", "fp", "ids", "iou_sum")
+
+
 def _stats(frame_counts, fm=0, mt=0, ml=0, n_tracks=0):
-    return SequenceStats("x", tuple(frame_counts), fm, mt, ml, n_tracks)
+    """Stats of per-frame rows (frame, gt, matches, fn, fp, ids, iou_sum)."""
+    columns = dict(zip(FRAME_COLUMNS, map(list, zip(*frame_counts))))
+    return SequenceStats("x", Rows(columns), fm, mt, ml, n_tracks)
 
 
 def test_perfect_tracking():
@@ -64,9 +68,7 @@ def test_empty_tracker():
 
 
 def test_eq1_substitution():
-    counts = [FrameCounts(frame=1, gt=100, matches=80, fn=20, fp=10, ids=2,
-                          iou_sum=72.0)]
-    bundle = aggregate([_stats(counts, n_tracks=1)])
+    bundle = aggregate([_stats([(1, 100, 80, 20, 10, 2, 72.0)], n_tracks=1)])
     assert bundle.mota == pytest.approx(68.0)
 
 
@@ -94,8 +96,8 @@ def test_aggregate_two_identical_sequences():
 
 def test_aggregate_sums_before_ratio():
     # MOTA 80 over GT 100 and MOTA 20 over GT 300 -> 100*(1-(20+240)/400) = 35
-    a = _stats([FrameCounts(1, 100, 80, 20, 0, 0, 80.0)], n_tracks=1)
-    b = _stats([FrameCounts(1, 300, 60, 240, 0, 0, 60.0)], n_tracks=1)
+    a = _stats([(1, 100, 80, 20, 0, 0, 80.0)], n_tracks=1)
+    b = _stats([(1, 300, 60, 240, 0, 0, 60.0)], n_tracks=1)
     assert aggregate([a]).mota == pytest.approx(80.0)
     assert aggregate([b]).mota == pytest.approx(20.0)
     assert aggregate([a, b]).mota == pytest.approx(35.0)
@@ -184,10 +186,29 @@ def test_ids_counts_id_change():
 def test_motp_equals_mean_matched_iou():
     gt, tracks = random_tiny_scenario(3)
     bundle, stats = evaluate_clear(gt.columns, tracks.columns)
-    matches = sum(c.matches for c in stats.frame_counts)
-    iou_sum = sum(c.iou_sum for c in stats.frame_counts)
+    matches = sum(stats.frame_counts["matches"])
+    iou_sum = sum(stats.frame_counts["iou_sum"])
     if matches:
         assert bundle.motp == pytest.approx(100.0 * iou_sum / matches)
+
+
+def test_frame_counts_are_one_row_per_scored_frame():
+    """One row per frame with a GT or a hypothesis box, in frame order, of
+    Python scalars; iou_sum is the int 0 where nothing matched."""
+    gt = _linear_gt(n_tracks=1, n_frames=6)
+    tracks = TrackSet((OutTrack(7, tuple(
+        (e.frame, e.box) for e in gt.tracks[0].entries[:3])),))
+    bundle, stats = evaluate_clear(gt.columns, tracks.columns)
+    counts = stats.frame_counts
+    assert sorted(counts.columns) == sorted(FRAME_COLUMNS)
+    assert len(counts) == 6 and counts["frame"] == [1, 2, 3, 4, 5, 6]
+    assert counts["matches"] == [1, 1, 1, 0, 0, 0]
+    assert counts["fn"] == [0, 0, 0, 1, 1, 1]
+    assert counts["iou_sum"] == [1.0, 1.0, 1.0, 0, 0, 0]
+    assert [type(v) for v in counts["iou_sum"]] == [float] * 3 + [int] * 3
+    assert all(type(v) is int for name in FRAME_COLUMNS[:-1]
+               for v in counts[name])
+    assert aggregate([stats]) == bundle
 
 
 def test_unmatched_hyp_over_ignore_region_not_fp():
