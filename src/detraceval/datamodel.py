@@ -419,10 +419,14 @@ class BoxColumns:
     def bottom(self) -> np.ndarray:
         return self.top + self.height
 
-    def corners(self) -> np.ndarray:
-        """(n, 4) rows of left, top, right, bottom, the layout of every
-        `geometry` and `matching` kernel."""
-        return np.column_stack((self.left, self.top, self.right, self.bottom))
+    def corners(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Left, top, right, bottom of the boxes at `rows` (all of them by
+        default) along a last axis of 4, the layout of every `geometry` and
+        `matching` kernel: (n, 4) for all rows, (k, w, 4) for a (k, w)
+        index array. Right and bottom are `right` and `bottom` row by row."""
+        left, top = self.left[rows], self.top[rows]
+        return np.stack((left, top, left + self.width[rows],
+                         top + self.height[rows]), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,8 +493,8 @@ def frame_slices(frames: np.ndarray,
                  *columns: np.ndarray) -> Iterator[tuple[int, ...]]:
     """(frame, lo_1, hi_1, lo_2, hi_2, ...) for each of `frames`: each
     column is a frame column sorted ascending, and its rows lo_k:hi_k are
-    the ones at that frame. The per-frame loops of CLEAR, detection
-    labeling and the builtin tracker take their row ranges from here."""
+    the ones at that frame. The per-frame loops of detection labeling and
+    the builtin tracker take their row ranges from here."""
     bounds = [np.searchsorted(col, frames, side).tolist()
               for col in columns for side in ("left", "right")]
     return zip(frames.tolist(), *bounds)

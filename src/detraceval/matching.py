@@ -11,9 +11,11 @@ Three layers:
 * ``clear_correspond`` -- the temporal correspondence step of the CLEAR
   procedure: previous pairs persist while their overlap clears the threshold,
   then remaining boxes are matched to maximize total overlap. It takes one
-  frame as two ascending id lists plus their (n, 4) corner arrays (the
-  `BoxColumns.corners` layout), so CLEAR can feed it slices of columns
-  without building a box object.
+  frame as two ascending id lists plus the frame's IoU matrix, which
+  `mot_metrics.evaluate_clear` slices from its edge table. That caller
+  runs it on conflicted frames only (a GT or hypothesis with two pairs at
+  or above the threshold); a conflict-free frame is matched by exactly
+  those pairs, which evaluate_clear takes without calling it.
 
 Both matchers return one frame's matches as a list of (gt, hypothesis, IoU)
 pairs and nothing else: a box that no pair holds is unmatched, and a caller
@@ -46,9 +48,10 @@ component on its own:
 2: the best single pair, or the best two disjoint pairs. Only a matrix with
 both sides >= 3 goes to `hungarian`. So a component with a side <= 2 solves
 no assignment, and a larger one solves one per candidate pair until its
-sub-problems shrink to a side of 2. At the default threshold almost every
-residual frame of a sweep is a set of single edges, and the rest are
-components of at most 2 x 2.
+sub-problems shrink to a side of 2. At the default threshold the
+conflicted frames of a sweep hold mostly single edges and components with
+a side of 2: on the benchmark's `system-sweep` seed-1 input they solve no
+assignment.
 
 scipy is imported on first use only: by `hungarian` (residual components
 with both sides >= 3, and direct callers) and by `synth.gen_scenario` for
@@ -87,7 +90,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import iou_broadcast, iou_matrix
+from .geometry import iou_matrix
 
 FORBIDDEN = math.inf
 
@@ -243,19 +246,18 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
 
 
 def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
-                     gt_ids: Sequence[Hashable], gt_boxes: np.ndarray,
-                     hyp_ids: Sequence[Hashable], hyp_boxes: np.ndarray,
+                     gt_ids: Sequence[Hashable], hyp_ids: Sequence[Hashable],
+                     iou_mat: np.ndarray,
                      iou_thr: float) -> list[tuple[Hashable, Hashable, float]]:
     """One step of CLEAR temporal correspondence on one frame.
 
-    `gt_ids` and `hyp_ids` are the frame's ids in ascending order;
-    `gt_boxes` and `hyp_boxes` hold their boxes as (n, 4)
-    `BoxColumns.corners` rows (left, top, right, bottom), row i for id i.
-    `prev` maps gt id -> hyp id from the previous frame's correspondence.
+    `gt_ids` and `hyp_ids` are the frame's ids in ascending order, and
+    `iou_mat[i, j]` is the IoU of gt i with hypothesis j (`iou_matrix` of
+    their boxes). `prev` maps gt id -> hyp id from the correspondence at
+    the frame before.
     Rule 1: a previous pair persists if both boxes exist now and still overlap
-    at >= iou_thr; the IoUs of all carried pairs come from one
-    `iou_broadcast` call. Rule 2: leftovers are matched by optimal
-    assignment maximizing total IoU subject to the threshold.
+    at >= iou_thr. Rule 2: leftovers are matched by optimal assignment
+    maximizing total IoU subject to the threshold.
     Returns (gt id, hyp id, IoU) pairs: the persisted ones by ascending gt
     id, then the residual ones by ascending gt row.
     """
@@ -264,21 +266,17 @@ def clear_correspond(prev: Mapping[Hashable, Hashable] | None,
     pairs: list[tuple[Hashable, Hashable, float]] = []
     if prev:
         hyp_row = {h: j for j, h in enumerate(hyp_ids)}
-        carried = [(i, hyp_row[prev[g]]) for i, g in enumerate(gt_ids)
-                   if g in prev and prev[g] in hyp_row]
-        if carried:
-            rows_g, rows_h = (list(rows) for rows in zip(*carried))
-            values = iou_broadcast(gt_boxes[rows_g], hyp_boxes[rows_h]).tolist()
-            for i, j, v in zip(rows_g, rows_h, values):
-                if v >= iou_thr:
-                    pairs.append((gt_ids[i], hyp_ids[j], v))
-                    used_gt[i] = used_hyp[j] = True
+        for i, g in enumerate(gt_ids):
+            j = hyp_row.get(prev[g], -1) if g in prev else -1
+            if j >= 0 and iou_mat[i, j] >= iou_thr:
+                pairs.append((g, hyp_ids[j], float(iou_mat[i, j])))
+                used_gt[i] = used_hyp[j] = True
 
     rest_gt = [i for i, used in enumerate(used_gt) if not used]
     rest_hyp = [j for j, used in enumerate(used_hyp) if not used]
     if rest_gt and rest_hyp:
-        iou_mat = iou_matrix(gt_boxes[rest_gt], hyp_boxes[rest_hyp])
-        for a, b in _residual_match(iou_mat, iou_thr):
+        rest = iou_mat[np.ix_(rest_gt, rest_hyp)]
+        for a, b in _residual_match(rest, iou_thr):
             i, j = rest_gt[a], rest_hyp[b]
-            pairs.append((gt_ids[i], hyp_ids[j], float(iou_mat[a, b])))
+            pairs.append((gt_ids[i], hyp_ids[j], float(rest[a, b])))
     return pairs

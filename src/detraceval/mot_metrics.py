@@ -5,6 +5,11 @@ Conventions (documented once, used by the oracle too):
 * MOTA = 100 * (1 - (FN + FP + IDS) / GT), counts summed over frames (and
   over sequences before the ratio when aggregating). Can be negative.
 * MOTP = 100 * (sum of matched IoU) / (number of matches); higher is better.
+* Correspondence (`matching.clear_correspond`): a pair matched at frame
+  f - 1 persists at frame f while it still overlaps at >= the threshold;
+  the rest is matched by the residual rule. Only a match at frame f - 1
+  persists: a frame with no box at all ends every correspondence, as a
+  frame whose boxes all go unmatched does.
 * An identity switch compares a GT's matched hypothesis id against its most
   recent prior match, so a gap followed by the same id is not a switch.
 * A fragmentation is any matched -> unmatched -> matched transition over a
@@ -15,6 +20,51 @@ Conventions (documented once, used by the oracle too):
   `geometry.covered`) is dropped rather than counted as a false positive.
   GT inside ignore regions still counts, as FN when missed and toward
   MT/ML; the detection layer drops such GT instead.
+
+Algorithm. Each side is sorted by (frame, id); a scored frame (one with a
+GT or a hypothesis box) is a slice of rows on each side.
+
+1. The edge table, chunk by chunk. An edge is a same-frame (GT row,
+   hypothesis row) pair with IoU >= the threshold. Consecutive frames are
+   taken in chunks of at most `EDGE_CHUNK_PAIRS` pairs at the sequence's
+   widest frames, each frame padded to the chunk's widest GT and
+   hypothesis frame, and one `geometry.iou_broadcast` call per chunk gives
+   every same-frame IoU. A chunk's table lives only while its frames are
+   matched, so memory does not grow with the sequence's length.
+2. Conflicts. A frame is conflicted when some GT row or some hypothesis
+   row in it has two edges, counted along each side of the chunk's table.
+   A conflict-free frame matches exactly its edges. Then the chunk's
+   conflicted frames go through `matching.clear_correspond` in frame
+   order, each given its (n, m) slice of the table and the pairs matched
+   at the frame before.
+3. Counts, from the matched pairs in array passes. FN and FP per frame
+   from the pair counts; IDS, FM, MT and ML over the GT rows ordered by
+   (id, frame); each frame's IoU sum adds its pairs in the order
+   `clear_correspond` returns them, one pass per pair rank.
+
+Why this equals running `clear_correspond` on every frame in order:
+
+* `iou_broadcast` is elementwise, so every IoU is bit for bit the one a
+  per-frame `iou_matrix` gives.
+* A conflict-free frame: a persisted pair is an edge. An edge that does
+  not persist has both rows free, because each row has one edge only, so
+  it is in the residual; and a residual whose rows and columns have at
+  most one edge each is matched by its edges (`_residual_match`'s first
+  branch). So the frame's match is its edges, whatever the frame before
+  held.
+* A conflicted frame gets the same input as in a frame-by-frame walk: its
+  IoU matrix and the pairs matched at the frame before, whichever path
+  (an earlier chunk, a conflict-free frame, an earlier conflicted frame)
+  found them.
+* A pair (g, h) matched at frame f is one that `clear_correspond`
+  persisted exactly when (g, h) was matched at f - 1: it is then carried
+  and is an edge, and a persisted pair was matched at f - 1. Persisted
+  pairs come first by gt id, then residual pairs by gt row, and within a
+  frame gt rows ascend with gt id; each frame's IoU sum starts from the
+  int 0 and adds its pairs left to right in that order, as Python's `sum`
+  does, so a frame without a match keeps the int 0.
+* At threshold 0 every same-frame pair is an edge, so every frame with two
+  boxes on one side is conflicted and runs `clear_correspond`.
 """
 
 from __future__ import annotations
@@ -25,13 +75,19 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
-                        check_frame_count, frame_slices)
+                        check_frame_count)
 from .det_metrics import DEFAULT_IOU_THR
-from .geometry import covered
+from .geometry import covered, iou_broadcast
 from .matching import clear_correspond
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
+
+# Same-frame pairs whose IoUs one chunk of the edge table computes: a chunk
+# takes as many consecutive frames as fit when every frame is as wide as the
+# sequence's widest GT and hypothesis frames (at least one frame). At about
+# 100 bytes of temporaries a pair, a chunk stays within a few MB.
+EDGE_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,79 +149,143 @@ def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
     )
 
 
+def _padded(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo[k] .. lo[k] + n[k] - 1 of each frame k, padded with row 0 to
+    the widest frame: a (frames, width) index array and its mask of real
+    rows."""
+    offset = np.arange(n.max())
+    valid = offset < n[:, None]
+    return np.where(valid, lo[:, None] + offset, 0), valid
+
+
+def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
+                g_lo: np.ndarray, n_g: np.ndarray, tracks: TrackColumns,
+                h_order: np.ndarray, h_lo: np.ndarray, n_h: np.ndarray,
+                iou_thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """CLEAR's correspondence over a sequence, one chunk of the edge table
+    at a time (see the module docstring). Rows are positions in the sorted
+    orders `g_order` and `h_order`; scored frame k, numbered frames[k],
+    holds GT rows g_lo[k] .. g_lo[k] + n_g[k] - 1 and hypothesis rows
+    h_lo[k] .. h_lo[k] + n_h[k] - 1. Returns (match, match_iou): the
+    hypothesis row matched to each GT row (-1 if none) and their IoU.
+    Corners are built per chunk from the rows it pads to, so no
+    whole-sequence copy of them is made."""
+    g_ids, h_ids = gt.target_id[g_order], tracks.track_id[h_order]
+    match = np.full(len(g_ids), -1)
+    match_iou = np.zeros(len(g_ids))
+    if not (len(frames) and n_g.max() and n_h.max()):
+        return match, match_iou
+    step = max(1, EDGE_CHUNK_PAIRS // int(n_g.max() * n_h.max()))
+    for first in range(0, len(frames), step):
+        chunk = slice(first, first + step)
+        g_rows, g_valid = _padded(g_lo[chunk], n_g[chunk])
+        h_rows, h_valid = _padded(h_lo[chunk], n_h[chunk])
+        iou = iou_broadcast(gt.corners(g_order[g_rows])[:, :, None],
+                            tracks.corners(h_order[h_rows])[:, None])
+        edge = g_valid[:, :, None] & h_valid[:, None] & (iou >= iou_thr)
+        conflicted = ((np.count_nonzero(edge, axis=2) > 1).any(axis=1)
+                      | (np.count_nonzero(edge, axis=1) > 1).any(axis=1))
+        at, i, j = np.nonzero(edge & ~conflicted[:, None, None])
+        match[g_rows[at, i]] = h_rows[at, j]
+        match_iou[g_rows[at, i]] = iou[at, i, j]
+        # The frame before is settled: an earlier chunk, a conflict-free
+        # frame above, or an earlier pass of this loop.
+        for k in np.flatnonzero(conflicted).tolist():
+            f = first + k
+            prev: dict[int, int] = {}
+            if f and frames[f - 1] == frames[f] - 1:
+                rows = np.arange(g_lo[f - 1], g_lo[f - 1] + n_g[f - 1])
+                rows = rows[match[rows] >= 0]
+                prev = dict(zip(g_ids[rows].tolist(),
+                                h_ids[match[rows]].tolist()))
+            g0, h0 = int(g_lo[f]), int(h_lo[f])
+            gts = g_ids[g0:g0 + n_g[f]].tolist()
+            hyps = h_ids[h0:h0 + n_h[f]].tolist()
+            g_row = {g: g0 + a for a, g in enumerate(gts)}
+            h_row = {h: h0 + b for b, h in enumerate(hyps)}
+            for g, h, v in clear_correspond(prev, gts, hyps,
+                                            iou[k, :len(gts), :len(hyps)],
+                                            iou_thr):
+                match[g_row[g]], match_iou[g_row[g]] = h_row[h], v
+    return match, match_iou
+
+
 def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
                    iou_thr: float = DEFAULT_IOU_THR) -> tuple[MetricBundle, SequenceStats]:
     """CLEAR MOT of one sequence from its GT and hypothesis columns
-    (`read_ground_truth` / `read_tracks`, or `.columns` of the objects)."""
+    (`read_ground_truth` / `read_tracks`, or `.columns` of the objects),
+    by the edge-table algorithm of the module docstring."""
     check_frame_count(gt, tracks, "output tracks")
 
     # Each side sorted once by (frame, id); a frame is a slice of the rows.
     g_order = np.lexsort((gt.target_id, gt.frame))
     h_order = np.lexsort((tracks.track_id, tracks.frame))
     g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
-    g_ids = gt.target_id[g_order].tolist()
-    h_ids = tracks.track_id[h_order].tolist()
-    g_boxes, h_boxes = gt.corners()[g_order], tracks.corners()[h_order]
-    # (frame, id) of every hypothesis inside ignore regions
-    inside = covered(tracks, gt.ignore)
-    ignored = set(zip(tracks.frame[inside].tolist(),
-                      tracks.track_id[inside].tolist()))
-    prev: dict[int, int] = {}
-    last_match: dict[int, int] = {}      # gt id -> most recent matched hyp id
-    match_state: dict[int, str] = {}     # gt id -> "matched" | "gap"
-    matched_frames: dict[int, int] = {}
-    fm = 0
     frames = np.union1d(g_frame, h_frame)
-    n_gt, n_matches, n_fp, n_ids, iou_sums = [], [], [], [], []
+    g_lo, h_lo = (np.searchsorted(col, frames) for col in (g_frame, h_frame))
+    n_g = np.searchsorted(g_frame, frames, "right") - g_lo
+    n_h = np.searchsorted(h_frame, frames, "right") - h_lo
+    match, match_iou = _correspond(frames, gt, g_order, g_lo, n_g,
+                                   tracks, h_order, h_lo, n_h, iou_thr)
 
-    for frame, g_lo, g_hi, h_lo, h_hi in frame_slices(frames, g_frame, h_frame):
-        gts, hyps = g_ids[g_lo:g_hi], h_ids[h_lo:h_hi]
-        pairs = clear_correspond(prev, gts, g_boxes[g_lo:g_hi],
-                                 hyps, h_boxes[h_lo:h_hi], iou_thr)
-        prev = {g: h for g, h, _ in pairs}
+    n_frames = len(frames)
+    g_at = np.repeat(np.arange(n_frames), n_g)   # frame index of each row
+    hit = match >= 0
+    n_matches = np.bincount(g_at[hit], minlength=n_frames)
+    taken = np.zeros(len(tracks), dtype=bool)
+    taken[match[hit]] = True
+    dropped = covered(tracks, gt.ignore)[h_order] & ~taken
+    n_fp = n_h - n_matches - np.bincount(
+        np.repeat(np.arange(n_frames), n_h)[dropped], minlength=n_frames)
 
-        ids_t = 0
-        for gid, hid, _ in pairs:
-            if gid in last_match and last_match[gid] != hid:
-                ids_t += 1
-            last_match[gid] = hid
-            matched_frames[gid] = matched_frames.get(gid, 0) + 1
+    # GT rows by (id, frame): a stable sort by id keeps the frame order
+    by_id = np.argsort(gt.target_id[g_order], kind="stable")
+    tid, on = gt.target_id[g_order[by_id]], hit[by_id]
+    hid = np.zeros(len(tid), dtype=tracks.track_id.dtype)
+    hid[on] = tracks.track_id[h_order[match[by_id[on]]]]
+    new_track = np.ones(len(tid), dtype=bool)
+    new_track[1:] = tid[1:] != tid[:-1]
+    same = ~new_track[1:]
+    # IDS: the matched hyp id changes between a GT's successive matches
+    rows = np.flatnonzero(on)
+    switch = ((tid[rows[1:]] == tid[rows[:-1]])
+              & (hid[rows[1:]] != hid[rows[:-1]]))
+    n_ids = np.bincount(g_at[by_id[rows[1:][switch]]], minlength=n_frames)
+    # persisted: the same pair was matched at the frame before
+    persisted = np.zeros(len(tid), dtype=bool)
+    persisted[by_id[1:]] = (same & on[1:] & on[:-1] & (hid[1:] == hid[:-1])
+                            & (g_frame[by_id[1:]] == g_frame[by_id[:-1]] + 1))
+    # FM: unmatched -> matched steps within a track, but not the first match
+    track = np.cumsum(new_track) - 1
+    n_tracks = int(new_track.sum())
+    matched_entries = np.bincount(track[on], minlength=n_tracks)
+    coverage = matched_entries / np.bincount(track, minlength=n_tracks)
+    fm = (np.count_nonzero(same & on[1:] & ~on[:-1])
+          - np.count_nonzero(~on[new_track] & (matched_entries > 0)))
 
-        for gid in gts:
-            if gid in prev:
-                if match_state.get(gid) == "gap":
-                    fm += 1
-                match_state[gid] = "matched"
-            elif match_state.get(gid) == "matched":
-                match_state[gid] = "gap"
+    # Each frame's IoU sum in clear_correspond's pair order, persisted pairs
+    # then residual pairs, each by gt row: one pass per pair rank adds the
+    # rank's pair of every frame that has one.
+    hit_rows = np.flatnonzero(hit)
+    ranked = hit_rows[np.argsort(2 * g_at[hit_rows] + ~persisted[hit_rows],
+                                 kind="stable")]
+    first = np.cumsum(n_matches) - n_matches
+    iou_sums = np.zeros(n_frames)
+    for rank in range(int(n_matches.max()) if n_frames else 0):
+        at = np.flatnonzero(n_matches > rank)
+        iou_sums[at] += match_iou[ranked[first[at] + rank]]
 
-        fp_t = len(hyps) - len(pairs)
-        if ignored:
-            taken = set(prev.values())
-            fp_t -= sum((frame, hid) in ignored
-                        for hid in hyps if hid not in taken)
-        n_gt.append(len(gts))
-        n_matches.append(len(pairs))
-        n_fp.append(fp_t)
-        n_ids.append(ids_t)
-        iou_sums.append(sum(v for _, _, v in pairs))
-
-    mt = ml = 0
-    target_ids, n_entries = np.unique(gt.target_id, return_counts=True)
-    for tid, n in zip(target_ids.tolist(), n_entries.tolist()):
-        coverage = matched_frames.get(tid, 0) / n
-        if coverage > MT_COVERAGE:
-            mt += 1
-        elif coverage < ML_COVERAGE:
-            ml += 1
-
+    n_matches_list = n_matches.tolist()
     stats = SequenceStats(
         sequence_id=gt.sequence_id,
         frame_counts=Rows({
-            "frame": frames.tolist(), "gt": n_gt, "matches": n_matches,
-            "fn": [g - m for g, m in zip(n_gt, n_matches)], "fp": n_fp,
-            "ids": n_ids, "iou_sum": iou_sums}),
-        fm=fm, mt=mt, ml=ml, n_tracks=len(target_ids),
+            "frame": frames.tolist(), "gt": n_g.tolist(),
+            "matches": n_matches_list, "fn": (n_g - n_matches).tolist(),
+            "fp": n_fp.tolist(), "ids": n_ids.tolist(),
+            "iou_sum": [v if m else 0 for v, m in zip(iou_sums.tolist(),
+                                                       n_matches_list)]}),
+        fm=int(fm), mt=int(np.count_nonzero(coverage > MT_COVERAGE)),
+        ml=int(np.count_nonzero(coverage < ML_COVERAGE)), n_tracks=n_tracks,
     )
     return _bundle_from_stats([stats]), stats
 

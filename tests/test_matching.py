@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detraceval.datamodel import BBox, Detection
-from detraceval.geometry import iou
+from detraceval.geometry import iou, iou_matrix
 from detraceval.matching import (_IOU_TIE_TOL, FORBIDDEN, _residual_match,
                                  _residual_value, clear_correspond, hungarian,
                                  match_frame_greedy)
@@ -138,7 +138,7 @@ def test_greedy_cardinality_bounded_by_optimal():
         dets = [_det(rng.uniform(0, 40), rng.uniform(0, 40), rng.uniform(), 12)
                 for _ in range(4)]
         m = _greedy(dets, gts, 0.3)
-        from detraceval.geometry import iou
+        from detraceval.geometry import iou, iou_matrix
         cost = [[0.0 if iou(d.box, g) >= 0.3 else FORBIDDEN
                  for g in gts] for d in dets]
         optimal = hungarian(cost)
@@ -202,11 +202,13 @@ def test_greedy_matches_scalar_reference_with_ties():
         assert m == _scalar_match_frame_greedy(dets, gts, iou_thr)
 
 
-def _frame(boxes: dict) -> tuple[list, np.ndarray]:
-    """One side of a frame in clear_correspond's shape: ascending ids and
-    their corner rows."""
-    ids = sorted(boxes)
-    return ids, _corners([boxes[i] for i in ids])
+def _correspond(prev, gts: dict, hyps: dict, iou_thr):
+    """`clear_correspond` on one frame given as id -> box maps: ascending
+    ids and the frame's IoU matrix."""
+    g_ids, h_ids = sorted(gts), sorted(hyps)
+    iou_mat = iou_matrix(_corners([gts[g] for g in g_ids]),
+                         _corners([hyps[h] for h in h_ids]))
+    return clear_correspond(prev, g_ids, h_ids, iou_mat, iou_thr)
 
 
 def test_clear_correspond_static_scene():
@@ -214,7 +216,7 @@ def test_clear_correspond_static_scene():
     hyps = {10: BBox(0, 0, 10, 10), 20: BBox(50, 50, 10, 10)}
     prev = None
     for _ in range(3):
-        m = clear_correspond(prev, *_frame(gts), *_frame(hyps), 0.7)
+        m = _correspond(prev, gts, hyps, 0.7)
         assert _as_map(m) == {1: 10, 2: 20}
         prev = _as_map(m)
 
@@ -223,7 +225,7 @@ def test_clear_correspond_reassigns_drifted_pair():
     # previous pair drifted below 0.7 while a fresh hyp sits at IoU 1.0
     gts = {1: BBox(0, 0, 10, 10)}
     hyps = {10: BBox(0, 0 + 6.56, 10, 10), 20: BBox(0, 0, 10, 10)}
-    m = clear_correspond({1: 10}, *_frame(gts), *_frame(hyps), 0.7)
+    m = _correspond({1: 10}, gts, hyps, 0.7)
     assert _as_map(m) == {1: 20}
     assert _unmatched_hyp(m, sorted(hyps)) == (10,)
 
@@ -233,7 +235,7 @@ def test_clear_correspond_persistence():
     # drifted (IoU 9/11) but still above threshold, while a perfect hyp
     # is available: the previous pair persists
     hyps = {10: BBox(0, 1, 10, 10), 20: BBox(0, 0, 10, 10)}
-    m = clear_correspond({1: 10}, *_frame(gts), *_frame(hyps), 0.7)
+    m = _correspond({1: 10}, gts, hyps, 0.7)
     assert _as_map(m) == {1: 10}
 
 
@@ -246,7 +248,7 @@ def test_clear_correspond_matches_enumeration_oracle():
                for i in range(n)}
         hyps = {j: BBox(rng.uniform(0, 30), rng.uniform(0, 30), 10, 10)
                 for j in range(k)}
-        got = _as_map(clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5))
+        got = _as_map(_correspond(None, gts, hyps, 0.5))
         want = _oracle_residual(sorted(gts), sorted(hyps), gts, hyps, 0.5)
         assert got == want
 
@@ -467,7 +469,7 @@ def test_clear_correspond_closed_forms_solve_no_assignment(monkeypatch):
             20: BBox(101, 0, 10, 10), 40: BBox(200, 1, 10, 10),
             50: BBox(400, 0, 10, 10),
             60: BBox(501, 0, 10, 10), 61: BBox(500, 0, 10, 10)}
-    m = clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)
+    m = _correspond(None, gts, hyps, 0.5)
     assert _as_map(m) == {1: 10, 3: 20, 4: 40, 6: 61, 7: 60}
     assert _unmatched_gt(m, sorted(gts)) == (2, 5)
     assert _unmatched_hyp(m, sorted(hyps)) == (11, 50)
@@ -475,4 +477,4 @@ def test_clear_correspond_closed_forms_solve_no_assignment(monkeypatch):
     gts[8] = BBox(502, 0, 10, 10)
     hyps[62] = BBox(502, 0, 10, 10)
     with pytest.raises(AssertionError, match="hungarian called"):
-        clear_correspond(None, *_frame(gts), *_frame(hyps), 0.5)
+        _correspond(None, gts, hyps, 0.5)

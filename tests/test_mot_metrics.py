@@ -4,12 +4,19 @@ import io
 import numpy as np
 import pytest
 
+from detraceval import mot_metrics
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
                                   IgnoreRegion, OutTrack, Rows, TrackSet,
-                                  ValidationError, read_ground_truth,
+                                  ValidationError, check_frame_count,
+                                  frame_slices, read_ground_truth,
                                   read_tracks, write_ground_truth,
                                   write_tracks)
-from detraceval.mot_metrics import SequenceStats, aggregate, evaluate_clear
+from detraceval.det_metrics import DEFAULT_IOU_THR
+from detraceval.geometry import covered, iou_matrix
+from detraceval.matching import clear_correspond
+from detraceval.mot_metrics import (ML_COVERAGE, MT_COVERAGE, SequenceStats,
+                                    _bundle_from_stats, aggregate,
+                                    evaluate_clear)
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_clear,
                               random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
@@ -305,3 +312,262 @@ def test_frame_beyond_frame_count_rejected_from_columns():
         evaluate_clear(gt.columns, tracks)
     with pytest.raises(ValidationError, match="output tracks: frame 4 beyond"):
         evaluate_clear(*_columns_from_files(gt, tracks))
+
+
+def test_correspondence_ends_at_a_frame_without_boxes():
+    """Frame 2 holds no box, so the (gt 1, hyp 1) pair of frame 1 does not
+    persist into frame 3: there hyp 1 goes to gt 2 and hyp 2 to gt 1, an
+    identity switch for gt 1, and nothing is missed."""
+    gt = GroundTruth("gap", 3, (
+        GtTrack(1, (GtEntry(1, BBox(0, 0, 100, 100)),
+                    GtEntry(3, BBox(0, 0, 100, 100)))),
+        GtTrack(2, (GtEntry(3, BBox(30, 0, 100, 100)),))))
+    tracks = TrackSet((
+        OutTrack(1, ((1, BBox(0, 0, 100, 100)), (3, BBox(20, 0, 100, 100)))),
+        OutTrack(2, ((3, BBox(-5, 0, 100, 100)),))))
+    bundle, _ = evaluate_clear(gt.columns, tracks.columns, 0.6)
+    assert (bundle.fp, bundle.fn, bundle.ids) == (0, 0, 1)
+    assert bundle.mota == pytest.approx(200 / 3)
+    assert_bundles_equal(bundle, oracle_clear(gt, tracks, 0.6))
+
+
+def _gappy_scenario(seed, grid=False):
+    """A tiny GT with gaps in its tracks and empty frames (no GT and no
+    hypothesis box) between scored ones, plus jittered hypotheses with
+    drops, identity churn, a duplicate track on the first target and
+    clutter, so some frames hold only GT and some only hypotheses. With
+    `grid`, every box is 10 x 10 on a 5 px grid and jitter moves it by
+    whole grid steps, so IoUs tie often. At most 3 GT and 5 hypothesis
+    boxes share a frame, which `oracle_clear` accepts."""
+    rng = np.random.default_rng(seed)
+    n_frames = int(rng.integers(4, 10))
+    empty = {f for f in range(2, n_frames) if rng.uniform() < 0.3}
+
+    def box(x, y, w, h):
+        if grid:
+            return BBox(5.0 * round(x / 5), 5.0 * round(y / 5), 10.0, 10.0)
+        return BBox(x, y, max(w, 2.0), max(h, 2.0))
+
+    targets, hyp_boxes, next_id = [], {}, 1
+    for tid in range(1, int(rng.integers(1, 4)) + 1):
+        x, y = rng.uniform(0, 40, 2)
+        w, h = rng.uniform(10, 25, 2)
+        vx, vy = rng.uniform(-3, 3, 2)
+        # hypothesis ids following this target: its own, and on the first
+        # target at times a duplicate
+        n_ids = 2 if tid == 1 and rng.uniform() < 0.6 else 1
+        ids = list(range(next_id, next_id + n_ids))
+        next_id += len(ids)
+        entries = []
+        for f in range(1, n_frames + 1):
+            b = box(x + vx * f, y + vy * f, w, h)
+            if f in empty or rng.uniform() < 0.2:
+                continue  # an empty frame, or a gap in the track
+            entries.append(GtEntry(f, b))
+            for k, hyp_id in enumerate(ids):
+                if rng.uniform() < 0.25:
+                    continue  # missed
+                if rng.uniform() < 0.15:
+                    ids[k] = hyp_id = next_id  # identity churn
+                    next_id += 1
+                jx, jy, jw, jh = rng.normal(0, 5 if grid else 2.0, 4)
+                hyp_boxes.setdefault(hyp_id, []).append(
+                    (f, box(b.left + jx, b.top + jy, w + jw, h + jh)))
+        if entries:
+            targets.append(GtTrack(tid, tuple(entries)))
+    f = int(rng.integers(1, n_frames + 1))
+    if f not in empty and rng.uniform() < 0.5:
+        hyp_boxes[next_id] = [(f, box(*rng.uniform(0, 40, 2),
+                                      *rng.uniform(8, 25, 2)))]
+    return (GroundTruth(f"gappy-{seed}", n_frames, tuple(targets)),
+            TrackSet(tuple(OutTrack(h, tuple(boxes))
+                           for h, boxes in hyp_boxes.items())))
+
+
+@pytest.mark.parametrize("iou_thr", [0.3, 0.5, 0.7])
+def test_matches_oracle_on_scenarios_with_gaps(iou_thr):
+    """Tracks with gaps and frames without any box: CLEAR equals the
+    oracle, which walks every frame of the sequence."""
+    for seed in range(120):
+        for grid in (False, True):
+            gt, tracks = _gappy_scenario(seed, grid)
+            bundle, _ = evaluate_clear(gt.columns, tracks.columns, iou_thr)
+            assert_bundles_equal(bundle, oracle_clear(gt, tracks, iou_thr))
+
+
+def _reference_evaluate_clear(gt, tracks, iou_thr=DEFAULT_IOU_THR):
+    """`evaluate_clear` as the frame-by-frame walk that the edge table
+    replaced, kept as its reference. It is verbatim except for two points:
+    `clear_correspond` gets the frame's IoU matrix, and the correspondence
+    persists only from the frame right before (`prev_frame`)."""
+    check_frame_count(gt, tracks, "output tracks")
+
+    # Each side sorted once by (frame, id); a frame is a slice of the rows.
+    g_order = np.lexsort((gt.target_id, gt.frame))
+    h_order = np.lexsort((tracks.track_id, tracks.frame))
+    g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
+    g_ids = gt.target_id[g_order].tolist()
+    h_ids = tracks.track_id[h_order].tolist()
+    g_boxes, h_boxes = gt.corners()[g_order], tracks.corners()[h_order]
+    # (frame, id) of every hypothesis inside ignore regions
+    inside = covered(tracks, gt.ignore)
+    ignored = set(zip(tracks.frame[inside].tolist(),
+                      tracks.track_id[inside].tolist()))
+    prev: dict[int, int] = {}
+    prev_frame = None
+    last_match: dict[int, int] = {}      # gt id -> most recent matched hyp id
+    match_state: dict[int, str] = {}     # gt id -> "matched" | "gap"
+    matched_frames: dict[int, int] = {}
+    fm = 0
+    frames = np.union1d(g_frame, h_frame)
+    n_gt, n_matches, n_fp, n_ids, iou_sums = [], [], [], [], []
+
+    for frame, g_lo, g_hi, h_lo, h_hi in frame_slices(frames, g_frame, h_frame):
+        gts, hyps = g_ids[g_lo:g_hi], h_ids[h_lo:h_hi]
+        pairs = clear_correspond(prev if prev_frame == frame - 1 else {},
+                                 gts, hyps,
+                                 iou_matrix(g_boxes[g_lo:g_hi],
+                                            h_boxes[h_lo:h_hi]), iou_thr)
+        prev, prev_frame = {g: h for g, h, _ in pairs}, frame
+
+        ids_t = 0
+        for gid, hid, _ in pairs:
+            if gid in last_match and last_match[gid] != hid:
+                ids_t += 1
+            last_match[gid] = hid
+            matched_frames[gid] = matched_frames.get(gid, 0) + 1
+
+        for gid in gts:
+            if gid in prev:
+                if match_state.get(gid) == "gap":
+                    fm += 1
+                match_state[gid] = "matched"
+            elif match_state.get(gid) == "matched":
+                match_state[gid] = "gap"
+
+        fp_t = len(hyps) - len(pairs)
+        if ignored:
+            taken = set(prev.values())
+            fp_t -= sum((frame, hid) in ignored
+                        for hid in hyps if hid not in taken)
+        n_gt.append(len(gts))
+        n_matches.append(len(pairs))
+        n_fp.append(fp_t)
+        n_ids.append(ids_t)
+        iou_sums.append(sum(v for _, _, v in pairs))
+
+    mt = ml = 0
+    target_ids, n_entries = np.unique(gt.target_id, return_counts=True)
+    for tid, n in zip(target_ids.tolist(), n_entries.tolist()):
+        coverage = matched_frames.get(tid, 0) / n
+        if coverage > MT_COVERAGE:
+            mt += 1
+        elif coverage < ML_COVERAGE:
+            ml += 1
+
+    stats = SequenceStats(
+        sequence_id=gt.sequence_id,
+        frame_counts=Rows({
+            "frame": frames.tolist(), "gt": n_gt, "matches": n_matches,
+            "fn": [g - m for g, m in zip(n_gt, n_matches)], "fp": n_fp,
+            "ids": n_ids, "iou_sum": iou_sums}),
+        fm=fm, mt=mt, ml=ml, n_tracks=len(target_ids),
+    )
+    return _bundle_from_stats([stats]), stats
+
+
+def _assert_same_clear(got, want):
+    """Equal bundles and stats, and every iou_sum of the same Python type
+    (the int 0 where a frame has no match)."""
+    assert got == want
+    assert ([type(v) for v in got[1].frame_counts["iou_sum"]]
+            == [type(v) for v in want[1].frame_counts["iou_sum"]])
+
+
+def _property_scenes():
+    """(GT, hypothesis) columns: random tracker output on a small arena
+    (conflict-heavy) with ignore regions, gappy scenarios with free and
+    grid-aligned boxes (tie-heavy), and the empty sides."""
+    scenes = []
+    for seed in range(3):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=6, n_frames=20, arena=(160.0, 120.0), drop_rate=0.2,
+            clutter_rate=4.0, jitter_sigma=3.0, seed=seed))
+        gt = dataclasses.replace(gt, ignore_regions=(
+            IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),
+            IgnoreRegion(BBox(80.0, 60.0, 60.0, 50.0), 5, 12)))
+        scenes.append((gt.columns, greedy_iou_track(dets.columns, max_gap=2)))
+    for seed in range(40):
+        for grid in (False, True):
+            gt, tracks = _gappy_scenario(seed, grid)
+            scenes.append((gt.columns, tracks.columns))
+    gt = _linear_gt(n_tracks=2, n_frames=4)
+    nothing = GroundTruth("none", 4, ())
+    scenes += [(gt.columns, TrackSet().columns),
+               (nothing.columns, gt_as_tracks(gt).columns),
+               (nothing.columns, TrackSet().columns)]
+    return scenes
+
+
+def _frame_kinds(gt, tracks, iou_thr):
+    """Per scored frame: "conflicted" when a GT or hypothesis row has two
+    edges, else "gt only", "hyp only" or "free"."""
+    g_order = np.lexsort((gt.target_id, gt.frame))
+    h_order = np.lexsort((tracks.track_id, tracks.frame))
+    g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
+    g_boxes, h_boxes = gt.corners()[g_order], tracks.corners()[h_order]
+    kinds = []
+    for _, g_lo, g_hi, h_lo, h_hi in frame_slices(
+            np.union1d(g_frame, h_frame), g_frame, h_frame):
+        edge = iou_matrix(g_boxes[g_lo:g_hi], h_boxes[h_lo:h_hi]) >= iou_thr
+        kinds.append("gt only" if h_lo == h_hi else "hyp only" if g_lo == g_hi
+                     else "conflicted" if (edge.sum(0).max() > 1
+                                           or edge.sum(1).max() > 1)
+                     else "free")
+    return kinds
+
+
+@pytest.mark.parametrize("iou_thr", [0.0, 0.3, 0.7, 1.0])
+def test_evaluate_clear_equals_the_frame_walk(iou_thr):
+    for gt, tracks in _property_scenes():
+        _assert_same_clear(evaluate_clear(gt, tracks, iou_thr),
+                           _reference_evaluate_clear(gt, tracks, iou_thr))
+
+
+def test_property_scenes_cover_the_conflict_patterns():
+    """The scenes above hold runs of conflicted frames, conflict-free
+    frames right after conflicted ones, and frames with one side only."""
+    for iou_thr in (0.3, 0.7):
+        seen = set()
+        for gt, tracks in _property_scenes():
+            kinds = _frame_kinds(gt, tracks, iou_thr)
+            seen.update(kinds)
+            seen.update(zip(kinds, kinds[1:]))
+        assert {("conflicted", "conflicted"), ("conflicted", "free"),
+                "gt only", "hyp only"} <= seen, iou_thr
+
+
+@pytest.mark.parametrize("budget", ["one frame", "mid-sequence"])
+def test_chunk_budget_does_not_change_results(budget, monkeypatch):
+    """One frame per chunk (so some chunks hold one side only), and chunks
+    of 7 frames, which end inside runs of conflicted frames, give what the
+    default budget gives."""
+    gt, dets = gen_scenario(ScenarioConfig(
+        n_targets=8, n_frames=30, arena=(200.0, 140.0), drop_rate=0.2,
+        clutter_rate=6.0, jitter_sigma=3.0, seed=4))
+    scenes = [(gt.columns, greedy_iou_track(dets.columns, max_gap=2))]
+    kinds = _frame_kinds(*scenes[0], 0.3)
+    assert ("conflicted", "conflicted") in zip(kinds[6::7], kinds[7::7])
+    for seed in range(20):
+        gt, tracks = _gappy_scenario(seed)
+        scenes.append((gt.columns, tracks.columns))
+    for gt, tracks in scenes:
+        want = [evaluate_clear(gt, tracks, iou_thr) for iou_thr in (0.3, 0.5)]
+        widest = max(np.unique(gt.frame, return_counts=True)[1], default=1) \
+            * max(np.unique(tracks.frame, return_counts=True)[1], default=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(mot_metrics, "EDGE_CHUNK_PAIRS",
+                          1 if budget == "one frame" else 7 * widest)
+            for iou_thr, expected in zip((0.3, 0.5), want):
+                _assert_same_clear(evaluate_clear(gt, tracks, iou_thr),
+                                   expected)
