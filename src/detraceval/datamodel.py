@@ -493,11 +493,35 @@ def frame_slices(frames: np.ndarray,
                  *columns: np.ndarray) -> Iterator[tuple[int, ...]]:
     """(frame, lo_1, hi_1, lo_2, hi_2, ...) for each of `frames`: each
     column is a frame column sorted ascending, and its rows lo_k:hi_k are
-    the ones at that frame. The per-frame loops of detection labeling and
-    the builtin tracker take their row ranges from here."""
+    the ones at that frame. The per-frame loop of detection labeling takes
+    its row ranges from here."""
     bounds = [np.searchsorted(col, frames, side).tolist()
               for col in columns for side in ("left", "right")]
     return zip(frames.tolist(), *bounds)
+
+
+# Box pairs whose IoUs one chunk of frames computes in one
+# `geometry.iou_broadcast` call, in CLEAR's edge table and the builtin
+# tracker's link table: a chunk takes as many frames as fit when every frame
+# pairs the sequence's widest frames (at least one frame). At about 100
+# bytes of temporaries a pair, a chunk stays within a few MB.
+EDGE_CHUNK_PAIRS = 1 << 16
+
+
+def frame_chunks(n_frames: int, pairs_per_frame: int) -> Iterator[slice]:
+    """Consecutive slices of `n_frames` frames, each as long as
+    `EDGE_CHUNK_PAIRS` allows at `pairs_per_frame` pairs a frame."""
+    step = max(1, EDGE_CHUNK_PAIRS // pairs_per_frame)
+    return (slice(first, first + step) for first in range(0, n_frames, step))
+
+
+def padded_rows(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo[k] .. lo[k] + n[k] - 1 of each frame k, padded with row 0 to
+    the widest frame: a (frames, width) index array and its mask of real
+    rows."""
+    offset = np.arange(n.max())
+    valid = offset < n[:, None]
+    return np.where(valid, lo[:, None] + offset, 0), valid
 
 
 @dataclass(frozen=True)

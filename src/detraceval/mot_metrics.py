@@ -26,10 +26,10 @@ GT or a hypothesis box) is a slice of rows on each side.
 
 1. The edge table, chunk by chunk. An edge is a same-frame (GT row,
    hypothesis row) pair with IoU >= the threshold. Consecutive frames are
-   taken in chunks of at most `EDGE_CHUNK_PAIRS` pairs at the sequence's
-   widest frames, each frame padded to the chunk's widest GT and
-   hypothesis frame, and one `geometry.iou_broadcast` call per chunk gives
-   every same-frame IoU. A chunk's table lives only while its frames are
+   taken in chunks of at most `datamodel.EDGE_CHUNK_PAIRS` pairs at the
+   sequence's widest frames (`datamodel.frame_chunks`), each frame padded
+   to the chunk's widest GT and hypothesis frame, and one
+   `geometry.iou_broadcast` call per chunk gives every same-frame IoU. A chunk's table lives only while its frames are
    matched, so memory does not grow with the sequence's length.
 2. Conflicts. A frame is conflicted when some GT row or some hypothesis
    row in it has two edges, counted along each side of the chunk's table.
@@ -75,19 +75,13 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
-                        check_frame_count)
+                        check_frame_count, frame_chunks, padded_rows)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered, iou_broadcast
 from .matching import clear_correspond
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
-
-# Same-frame pairs whose IoUs one chunk of the edge table computes: a chunk
-# takes as many consecutive frames as fit when every frame is as wide as the
-# sequence's widest GT and hypothesis frames (at least one frame). At about
-# 100 bytes of temporaries a pair, a chunk stays within a few MB.
-EDGE_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,15 +143,6 @@ def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
     )
 
 
-def _padded(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows lo[k] .. lo[k] + n[k] - 1 of each frame k, padded with row 0 to
-    the widest frame: a (frames, width) index array and its mask of real
-    rows."""
-    offset = np.arange(n.max())
-    valid = offset < n[:, None]
-    return np.where(valid, lo[:, None] + offset, 0), valid
-
-
 def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
                 g_lo: np.ndarray, n_g: np.ndarray, tracks: TrackColumns,
                 h_order: np.ndarray, h_lo: np.ndarray, n_h: np.ndarray,
@@ -175,11 +160,9 @@ def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
     match_iou = np.zeros(len(g_ids))
     if not (len(frames) and n_g.max() and n_h.max()):
         return match, match_iou
-    step = max(1, EDGE_CHUNK_PAIRS // int(n_g.max() * n_h.max()))
-    for first in range(0, len(frames), step):
-        chunk = slice(first, first + step)
-        g_rows, g_valid = _padded(g_lo[chunk], n_g[chunk])
-        h_rows, h_valid = _padded(h_lo[chunk], n_h[chunk])
+    for chunk in frame_chunks(len(frames), int(n_g.max() * n_h.max())):
+        g_rows, g_valid = padded_rows(g_lo[chunk], n_g[chunk])
+        h_rows, h_valid = padded_rows(h_lo[chunk], n_h[chunk])
         iou = iou_broadcast(gt.corners(g_order[g_rows])[:, :, None],
                             tracks.corners(h_order[h_rows])[:, None])
         edge = g_valid[:, :, None] & h_valid[:, None] & (iou >= iou_thr)
@@ -191,7 +174,7 @@ def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
         # The frame before is settled: an earlier chunk, a conflict-free
         # frame above, or an earlier pass of this loop.
         for k in np.flatnonzero(conflicted).tolist():
-            f = first + k
+            f = chunk.start + k
             prev: dict[int, int] = {}
             if f and frames[f - 1] == frames[f] - 1:
                 rows = np.arange(g_lo[f - 1], g_lo[f - 1] + n_g[f - 1])

@@ -14,12 +14,15 @@ points are integrated.
 Precision and recall at every threshold are read off one count table,
 built from one detection labeling pass per sequence
 (`det_metrics.threshold_counts`): the table whose rows are also
-`eval-det`'s PR curve. Only the tracker and CLEAR run once per threshold.
-The sweep stays in columns: thinning at a threshold is the mask
-``score >= threshold`` over `DetectionColumns`, and CLEAR scores the
-`TrackColumns` the tracker returns as they are. Tracker output past the
-sequence's last frame is a tracker failure at that threshold, like an
-exception in the tracker.
+`eval-det`'s PR curve. Only the tracker and CLEAR run once per threshold,
+and of the tracker only its per-threshold step: each sequence's tracker
+entry point (`by_threshold`, see `trackers`) is made once, over the
+detections at the lowest threshold, before the threshold loop, and the
+builtin tracker computes its link IoUs there. The sweep stays in columns:
+thinning at a threshold is the mask ``score >= threshold`` over
+`DetectionColumns`, and CLEAR scores the `TrackColumns` the tracker
+returns as they are. Tracker output past the sequence's last frame is a
+tracker failure at that threshold, like an exception in the tracker.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 # Columns in, columns out: a tracker gets one sequence's detections with
 # score >= the threshold, in input order, and the sequence id, and returns
 # its tracks. A `cmd:` tracker sees the same data as CSV files (`trackers`).
+# A tracker with a `by_threshold(dets, sequence_id)` method gives the sweep
+# one function of the threshold per sequence instead.
 TrackerAdapter = Callable[[DetectionColumns, str], TrackColumns]
+TracksAt = Callable[[float], TrackColumns]
 
 DEFAULT_N_THRESHOLDS = 10
 
@@ -109,15 +115,33 @@ def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
     return out
 
 
-def _evaluate_threshold(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                        tracker: TrackerAdapter, threshold: float,
-                        iou_thr: float, counts: CountTable) -> OperatingPoint:
+def _tracks_at(tracker: TrackerAdapter, dets: DetectionColumns,
+               sequence_id: str) -> TracksAt:
+    """The tracker's per-sequence entry point over `dets`. A tracker
+    without one runs on the detections with score >= tau. An entry point
+    that fails fails each threshold of the sequence, so the failure is
+    reported, and skipped with keep_going, where a per-threshold one is."""
+    try:
+        by_threshold = getattr(tracker, "by_threshold", None)
+        if by_threshold is None:
+            return lambda tau: tracker(dets.take(dets.score >= tau),
+                                       sequence_id)
+        return by_threshold(dets, sequence_id)
+    except Exception as exc:
+        def failed(tau: float, error: Exception = exc) -> TrackColumns:
+            raise error
+        return failed
+
+
+def _evaluate_threshold(gts: Sequence[GtColumns], tracks_at: Sequence[TracksAt],
+                        threshold: float, iou_thr: float,
+                        counts: CountTable) -> OperatingPoint:
     tp, fp, fn = counts.at(threshold)
     precision, recall = rates(tp, tp + fp, tp + fn)
     stats = []
-    for gt, dets in pairs:
+    for gt, at in zip(gts, tracks_at):
         try:
-            tracks = tracker(dets.take(dets.score >= threshold), gt.sequence_id)
+            tracks = at(threshold)
             check_frame_count(gt, tracks, "tracker output")
         except Exception as exc:
             raise SweepError(
@@ -149,16 +173,21 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
 
     `pairs` holds each sequence's (GT, detections) columns. At a threshold
     the tracker gets the detections with score >= threshold, in input
-    order. Threshold evaluations are independent; with jobs > 1 they run
-    concurrently. Results are returned in curve order regardless of
-    execution order. With keep_going, a failing threshold leaves a gap
-    instead of aborting.
+    order; its per-sequence entry points are made first, one per sequence
+    over the detections at the lowest threshold. Threshold evaluations are
+    independent; with jobs > 1 they run concurrently. Results are returned
+    in curve order regardless of execution order. With keep_going, a
+    failing threshold leaves a gap instead of aborting.
     """
     counts = threshold_counts(pairs, iou_thr)
+    lowest = min(thresholds, default=0.0)
+    gts = [gt for gt, _ in pairs]
+    tracks_at = [_tracks_at(tracker, dets.take(dets.score >= lowest),
+                            gt.sequence_id) for gt, dets in pairs]
 
     def run(tau: float) -> OperatingPoint | None:
         try:
-            return _evaluate_threshold(pairs, tracker, tau, iou_thr, counts)
+            return _evaluate_threshold(gts, tracks_at, tau, iou_thr, counts)
         except SweepError:
             if keep_going:
                 return None

@@ -3,7 +3,14 @@ adapter that shells out to an external tracker executable.
 
 Both take one sequence's detections as `DetectionColumns` and return
 `TrackColumns`, rows sorted by (track_id, frame) as `read_tracks` gives
-them.
+them. Both also have one per-sequence entry point for the threshold sweep,
+``by_threshold(dets, sequence_id)``, which returns the sequence's tracks as
+a function of the score threshold tau: what a call on
+``dets.take(dets.score >= tau)`` returns. The sweep makes it once per
+sequence, so only the tracker's per-threshold step and CLEAR run once per
+threshold. The builtin linker computes its link IoUs there, once per
+sequence, in one `LinkTable`, and links each threshold's rows from that
+table; a `cmd:` tracker runs once per threshold on the thinned detections.
 
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
@@ -21,18 +28,134 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .datamodel import (DetectionColumns, TrackColumns, ValidationError,
-                        frame_slices, read_tracks, write_detections)
-from .geometry import iou_matrix
+                        frame_chunks, padded_rows, read_tracks,
+                        write_detections)
+from .geometry import iou_broadcast
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
 
 
 class TrackerError(RuntimeError):
     """An external tracker run failed; the message carries diagnostics."""
+
+
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """Step 1 of the greedy IoU linker, one sequence's worth: every link
+    (source row, destination row, IoU) with 1 <= frame[dst] - frame[src]
+    <= max_gap + 1 and IoU >= link_thr. Rows are positions in `order`, the
+    detections sorted by frame (stable, so input order within a frame).
+    Links are sorted by destination frame, then descending IoU, then
+    destination row: the greedy rank wherever a frame's IoUs differ."""
+
+    dets: DetectionColumns
+    order: np.ndarray
+    frame: np.ndarray  # frame of each sorted row
+    src: np.ndarray
+    dst: np.ndarray
+    iou: np.ndarray
+
+    def tracks(self, keep: np.ndarray | None = None,
+               min_track_len: int = 1) -> TrackColumns:
+        """Step 2: the greedy link of the rows `keep` selects (a mask in
+        input order; every row if None), as `greedy_iou_track` documents.
+
+        A link takes part when both its rows are kept. At each frame the
+        candidates are the links whose source row is still the last row of
+        its track, ranked by (-IoU, track, destination row); a candidate
+        whose track or destination row is taken is skipped. Tracks are
+        numbered in creation order, which is the order of their first rows,
+        so the rank reads a track's first row and ids are given after the
+        loop. Kept rows that no link reaches start tracks."""
+        kept = (np.ones(len(self.order), dtype=bool) if keep is None
+                else keep[self.order])
+        on = kept[self.src] & kept[self.dst]
+        src, dst, iou = self.src[on], self.dst[on], self.iou[on]
+        # Frames where two links tie on IoU: there the rank needs the
+        # tracks' first rows, known only once the earlier frames are linked.
+        frame = self.frame[dst]
+        tie = (frame[1:] == frame[:-1]) & (iou[1:] == iou[:-1])
+        tied = np.unique(frame[1:][tie])
+        head = np.array(_greedy_link(
+            len(kept), src.tolist(), dst.tolist(), iou.tolist(),
+            list(zip(np.searchsorted(frame, tied).tolist(),
+                     np.searchsorted(frame, tied, "right").tolist()))),
+            dtype=np.intp)
+        rows = np.flatnonzero(kept)
+        # A track's id: the number of tracks whose first row is not later.
+        track = np.cumsum(kept & (head == np.arange(len(kept))))[head[rows]]
+        by_track = np.argsort(track, kind="stable")
+        by_track = by_track[np.bincount(track)[track[by_track]]
+                            >= min_track_len]
+        out = self.order[rows[by_track]]
+        dets = self.dets
+        return TrackColumns(dets.left[out], dets.top[out], dets.width[out],
+                            dets.height[out], frame=dets.frame[out],
+                            track_id=track[by_track])
+
+
+def _greedy_link(n_rows: int, src: list[int], dst: list[int],
+                 iou: list[float], tied: list[tuple[int, int]]) -> list[int]:
+    """The frame-by-frame greedy pass over links in `LinkTable` order, with
+    the links of each tied frame lo:hi re-ranked by (-IoU, first row of the
+    source's track, destination row). Returns the first row of each row's
+    track."""
+    first = list(range(n_rows))  # first[d] < d once d is linked to
+    extended = bytearray(n_rows)  # rows no longer the last of their track
+
+    def link(pairs) -> None:
+        for s, d in pairs:
+            if extended[s] or first[d] != d:
+                continue
+            extended[s] = 1
+            first[d] = first[s]
+
+    done = 0
+    for lo, hi in tied + [(len(src), len(src))]:
+        link(zip(src[done:lo], dst[done:lo]))
+        ranked = sorted(zip(iou[lo:hi], src[lo:hi], dst[lo:hi]),
+                        key=lambda e: (-e[0], first[e[1]], e[2]))
+        link((s, d) for _, s, d in ranked)
+        done = hi
+    return first
+
+
+def link_table(dets: DetectionColumns, link_thr: float = 0.5,
+               max_gap: int = 1) -> LinkTable:
+    """Step 1 of `greedy_iou_track` (see `LinkTable`). For each lag, in
+    present frames, the frame pairs at most max_gap + 1 frames apart are
+    taken in chunks of padded frames (`datamodel.frame_chunks`), one
+    `iou_broadcast` call per chunk; each IoU is bit for bit the one an
+    `iou_matrix` of the two frames gives."""
+    order = np.argsort(dets.frame, kind="stable")
+    frame, corners = dets.frame[order], dets.corners(order)
+    frames, lo, n = np.unique(frame, return_index=True, return_counts=True)
+    parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+              np.empty(0))]
+    # Present frames are distinct, so lag k spans at least k frames: the
+    # lags end within the sequence's frame span, whatever max_gap is.
+    reach = min(max_gap + 1, int(frames[-1] - frames[0])) if len(frames) else 0
+    for lag in range(1, reach + 1):
+        at = np.flatnonzero(frames[lag:] - frames[:-lag] <= reach)
+        if not len(at):
+            break
+        for chunk in frame_chunks(len(at), int(n.max()) ** 2):
+            a = at[chunk]
+            s_rows, s_valid = padded_rows(lo[a], n[a])
+            d_rows, d_valid = padded_rows(lo[a + lag], n[a + lag])
+            iou = iou_broadcast(corners[s_rows][:, :, None],
+                                corners[d_rows][:, None])
+            k, i, j = np.nonzero(s_valid[:, :, None] & d_valid[:, None]
+                                 & (iou >= link_thr))
+            parts.append((s_rows[k, i], d_rows[k, j], iou[k, i, j]))
+    src, dst, iou = map(np.concatenate, zip(*parts))
+    rank = np.lexsort((dst, -iou, frame[dst]))
+    return LinkTable(dets, order, frame, src[rank], dst[rank], iou[rank])
 
 
 def greedy_iou_track(dets: DetectionColumns, link_thr: float = 0.5,
@@ -45,45 +168,13 @@ def greedy_iou_track(dets: DetectionColumns, link_thr: float = 0.5,
     more than max_gap frames is closed. Tracks shorter than min_track_len
     are suppressed from the output. Deterministic given input order.
     Returns the linked detections as rows sorted by (track_id, frame), the
-    layout of `read_tracks`.
+    layout of `read_tracks`. Runs `link_table`, then `LinkTable.tracks`.
     """
-    # Frame order, input order within a frame; a frame is a slice of rows.
-    order = np.argsort(dets.frame, kind="stable")
-    frame, corners = dets.frame[order], dets.corners()[order]
-    track = np.empty(len(order), dtype=np.int64)  # track id of each row
-    # active: track id -> (last frame, row of its last box)
-    active: dict[int, tuple[int, int]] = {}
-    next_id = 1
-    for f, lo, hi in frame_slices(np.unique(frame), frame):
-        active = {tid: state for tid, state in active.items()
-                  if f - state[0] <= max_gap + 1}
-        live = list(active)
-        used_tracks: set[int] = set()
-        used_dets: set[int] = set()
-        if live:
-            iou_mat = iou_matrix(corners[[active[tid][1] for tid in live]],
-                                 corners[lo:hi])
-            ti, di = np.nonzero(iou_mat >= link_thr)
-            # candidates in (-iou, track index, det index) order
-            ranked = np.lexsort((di, ti, -iou_mat[ti, di]))
-            for t, k in zip(ti[ranked].tolist(), di[ranked].tolist()):
-                if t in used_tracks or k in used_dets:
-                    continue
-                used_tracks.add(t)
-                used_dets.add(k)
-                track[lo + k] = live[t]
-                active[live[t]] = (f, lo + k)
-        for k in range(hi - lo):
-            if k not in used_dets:
-                track[lo + k] = next_id
-                active[next_id] = (f, lo + k)
-                next_id += 1
-    rows = np.argsort(track, kind="stable")
-    rows = rows[np.bincount(track, minlength=next_id)[track[rows]] >= min_track_len]
-    keep = order[rows]
-    return TrackColumns(dets.left[keep], dets.top[keep], dets.width[keep],
-                        dets.height[keep], frame=dets.frame[keep],
-                        track_id=track[rows])
+    return link_table(dets, link_thr, max_gap).tracks(None, min_track_len)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int or isinstance(value, np.integer)
 
 
 @dataclass(frozen=True)
@@ -98,11 +189,12 @@ class BuiltinGreedyTracker:
             raise ValidationError(
                 f"builtin tracker option link_thr: expected a number in "
                 f"(0, 1], got {self.link_thr!r}")
-        if self.max_gap < 0:
+        # A bool, a float (nan and 1.5 too) or a string is not an integer.
+        if not (_is_int(self.max_gap) and self.max_gap >= 0):
             raise ValidationError(
                 f"builtin tracker option max_gap: expected an integer >= 0, "
                 f"got {self.max_gap!r}")
-        if self.min_track_len < 1:
+        if not (_is_int(self.min_track_len) and self.min_track_len >= 1):
             raise ValidationError(
                 f"builtin tracker option min_track_len: expected an integer "
                 f">= 1, got {self.min_track_len!r}")
@@ -110,6 +202,15 @@ class BuiltinGreedyTracker:
     def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return greedy_iou_track(dets, self.link_thr, self.max_gap,
                                 self.min_track_len)
+
+    def by_threshold(self, dets: DetectionColumns,
+                     sequence_id: str) -> Callable[[float], TrackColumns]:
+        """The sequence's tracks at each score threshold tau, equal to
+        ``self(dets.take(dets.score >= tau), sequence_id)``: the link
+        table is built once, here, over all of `dets`, and each call links
+        the rows with score >= tau."""
+        table = link_table(dets, self.link_thr, self.max_gap)
+        return lambda tau: table.tracks(dets.score >= tau, self.min_track_len)
 
 
 @dataclass(frozen=True)
@@ -148,6 +249,13 @@ class ExternalTracker:
 
     def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return run_external(self, dets, sequence_id)
+
+    def by_threshold(self, dets: DetectionColumns,
+                     sequence_id: str) -> Callable[[float], TrackColumns]:
+        """The sequence's tracks at each score threshold tau: one run on
+        the detections with score >= tau, in input order."""
+        return lambda tau: run_external(self, dets.take(dets.score >= tau),
+                                        sequence_id)
 
 
 def run_external(adapter: ExternalTracker, dets: DetectionColumns,
@@ -212,6 +320,10 @@ def make_tracker(spec: str):
             kind = _BUILTIN_OPTIONS.get(key)
             if kind is None:
                 raise ValidationError(f"unknown builtin tracker option {key!r}")
+            if key in kwargs:
+                raise ValidationError(
+                    f"builtin tracker option {key}: expected one value, got "
+                    f"{value!r} after {kwargs[key]!r}")
             try:
                 kwargs[key] = kind(value)
             except ValueError:

@@ -162,6 +162,23 @@ def test_tracker_output_beyond_frame_count_is_a_tracker_failure(
     assert len(thresholds) == 4 and max(thresholds) <= 0.5
 
 
+def test_builtin_sweep_equals_reference_linker_per_threshold(tmp_path):
+    """The builtin tracker links every threshold from one link table per
+    sequence; a `cmd:` tracker running the per-frame reference linker on
+    each threshold's detection file gives the same report bytes."""
+    gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
+    linker = Path(__file__).resolve().parent / "reference_linker.py"
+    specs = {"builtin": "builtin:max_gap=2",
+             "cmd": f"cmd:{sys.executable} {linker} {{input}} {{output}} 2"}
+    for name, spec in specs.items():
+        assert main(["eval-system", "--gt", str(gt_dir), "--det",
+                     str(det_dir), "--tracker", spec, "--tracker-name", "t",
+                     "--out", str(tmp_path / name)]) == 0
+    for rel in ("system_report.json", "pr_curve.csv"):
+        assert ((tmp_path / "builtin" / rel).read_bytes()
+                == (tmp_path / "cmd" / rel).read_bytes())
+
+
 def test_eval_system_jobs_byte_identical(tmp_path):
     gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
     outs = []
@@ -548,6 +565,8 @@ def test_evaluation_commands_build_no_box_objects(tmp_path, monkeypatch,
     ("builtin:max_gap=-5,min_track_len=2", "max_gap", "-5"),
     ("builtin:min_track_len=0", "min_track_len", "0"),
     ("builtin:min_track_len=-1", "min_track_len", "-1"),
+    # an option given twice
+    ("builtin:max_gap=2,max_gap=3", "max_gap", "'3'"),
 ])
 def test_bad_builtin_tracker_option_is_one_line_error(tmp_path, capsys, spec,
                                                       option, value):

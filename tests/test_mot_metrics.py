@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from detraceval import mot_metrics
+from detraceval import datamodel
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
                                   IgnoreRegion, OutTrack, Rows, TrackSet,
                                   ValidationError, check_frame_count,
@@ -566,7 +566,7 @@ def test_chunk_budget_does_not_change_results(budget, monkeypatch):
         widest = max(np.unique(gt.frame, return_counts=True)[1], default=1) \
             * max(np.unique(tracks.frame, return_counts=True)[1], default=1)
         with monkeypatch.context() as patch:
-            patch.setattr(mot_metrics, "EDGE_CHUNK_PAIRS",
+            patch.setattr(datamodel, "EDGE_CHUNK_PAIRS",
                           1 if budget == "one frame" else 7 * widest)
             for iou_thr, expected in zip((0.3, 0.5), want):
                 _assert_same_clear(evaluate_clear(gt, tracks, iou_thr),

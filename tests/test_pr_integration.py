@@ -11,8 +11,9 @@ from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.matching import match_frame_greedy
 from detraceval.mot_metrics import MetricBundle
-from detraceval.pr_integration import (OperatingPoint, arc_length, integrate,
-                                       pr_report, select_thresholds,
+from detraceval import trackers
+from detraceval.pr_integration import (OperatingPoint, SweepError, arc_length,
+                                       integrate, pr_report, select_thresholds,
                                        select_thresholds_quantile, sweep)
 from detraceval.synth import ScenarioConfig, gen_scenario, oracle_sweep_counts
 
@@ -206,6 +207,60 @@ def test_sweep_keep_going_records_gap():
                    select_thresholds(dets.columns.score, 4),
                    keep_going=True)
     assert len(points) == 3
+
+
+def _two_sequences():
+    pairs = []
+    for seed, name in ((3, "a"), (4, "b")):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=4, n_frames=12, drop_rate=0.2, clutter_rate=2.0,
+            jitter_sigma=1.0, seed=seed))
+        pairs.append((dataclasses.replace(gt, sequence_id=name).columns,
+                      dets.columns))
+    return pairs
+
+
+def test_sweep_builds_one_link_table_per_sequence(monkeypatch):
+    """The builtin tracker's IoUs are computed once per sequence: the
+    number of link tables and of IoU calls does not grow with the number
+    of thresholds, and the points equal per-threshold tracking."""
+    pairs = _two_sequences()
+    scores = np.concatenate([dets.score for _, dets in pairs])
+    tracker = trackers.BuiltinGreedyTracker(max_gap=2)
+    calls = {"link_table": 0, "iou_broadcast": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(trackers, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(trackers, name, counted)
+    seen = []
+    for n in (3, 8):
+        for key in calls:
+            calls[key] = 0
+        thresholds = select_thresholds(scores, n)
+        points = sweep(pairs, tracker, thresholds)
+        seen.append(dict(calls))
+        assert points == sweep(pairs, lambda d, seq: tracker(d, seq),
+                               thresholds)
+    assert seen[0] == seen[1] and seen[0]["link_table"] == 2
+
+
+def test_failing_per_sequence_step_fails_each_threshold():
+    """A tracker whose per-sequence step fails on sequence 'b' fails every
+    threshold there, as a tracker failing per threshold does."""
+    class Broken:
+        def by_threshold(self, dets, sequence_id):
+            if sequence_id == "b":
+                raise RuntimeError("no table")
+            return lambda tau: TrackSet().columns
+
+    pairs = _two_sequences()
+    thresholds = select_thresholds(pairs[0][1].score, 4)
+    with pytest.raises(SweepError, match=(
+            f"tracker failed at threshold {thresholds[0]:g} on sequence 'b': "
+            "no table")):
+        sweep(pairs, Broken(), thresholds)
+    assert sweep(pairs, Broken(), thresholds, keep_going=True, jobs=2) == []
 
 
 def test_pr_report_all_zero_bundles():

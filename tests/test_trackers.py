@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detraceval.datamodel import (BBox, Detection, DetectionSet, OutTrack,
-                                  TrackSet, ValidationError)
+from detraceval import datamodel
+from detraceval.datamodel import (BBox, Detection, DetectionColumns,
+                                  DetectionSet, OutTrack, TrackSet,
+                                  ValidationError)
 from detraceval.fixtures import load_fixture
 from detraceval.geometry import iou
 from detraceval.mot_metrics import evaluate_clear
 from detraceval.synth import ScenarioConfig, gen_scenario
 from detraceval.trackers import (BuiltinGreedyTracker, ExternalTracker,
-                                 TrackerError, greedy_iou_track, make_tracker,
-                                 run_external)
+                                 TrackerError, greedy_iou_track, link_table,
+                                 make_tracker, run_external)
+from reference_linker import frame_loop_greedy_iou_track
 
 PY = sys.executable
 
@@ -187,6 +190,120 @@ def test_greedy_links_at_exactly_link_thr():
     assert iou(a, b) == 0.5
     dets = DetectionSet((Detection(1, a, 0.9), Detection(2, b, 0.9)))
     assert _n_tracks(greedy_iou_track(dets.columns, link_thr=0.5)) == 1
+
+
+def _link_scenes() -> list[DetectionColumns]:
+    """Detections for the link-table property tests: gappy scenarios with
+    frames 4, 9 and 10 empty and frame 6 emptied above score 0.3, and
+    grid-aligned scenes of two box sizes, where IoUs tie."""
+    scenes = []
+    for seed in range(3):
+        _, dets = gen_scenario(ScenarioConfig(
+            n_targets=8, n_frames=14, drop_rate=0.3, clutter_rate=3.0,
+            jitter_sigma=2.0, seed=seed))
+        cols = dets.columns.take(~np.isin(dets.columns.frame, (4, 9, 10)))
+        scenes.append(DetectionColumns(
+            cols.left, cols.top, cols.width, cols.height, frame=cols.frame,
+            score=np.where(cols.frame == 6, 0.25 * cols.score, cols.score)))
+    rng = np.random.default_rng(7)
+    for n in (40, 60, 80):
+        size = rng.choice([10.0, 20.0], n)
+        scenes.append(DetectionColumns(
+            5.0 * rng.integers(0, 6, n), 5.0 * rng.integers(0, 3, n), size,
+            size, frame=rng.integers(1, 10, n),
+            score=rng.choice([0.2, 0.4, 0.6, 0.8], n)))
+    return scenes
+
+
+def _ladder(dets) -> list[float]:
+    """Thresholds below the scores, above them, and at every k-th score,
+    k = len(scores) // 8 or 1."""
+    scores = np.unique(dets.score)
+    step = max(1, len(scores) // 8)
+    return [-1.0, *scores[::step].tolist(), 2.0]
+
+
+def _assert_same_tracks(got, want) -> None:
+    assert _rows(got) == _rows(want)
+    assert got.track_id.dtype == want.track_id.dtype
+    assert got.frame.dtype == want.frame.dtype
+
+
+def _assert_links_like_frame_loop(dets, link_thr, max_gap, min_track_len):
+    """by_threshold(dets)(tau) equals the per-frame loop run on the
+    detections with score >= tau, at every threshold of the ladder."""
+    at = BuiltinGreedyTracker(link_thr, max_gap, min_track_len).by_threshold(
+        dets, "s")
+    for tau in _ladder(dets):
+        _assert_same_tracks(at(tau), frame_loop_greedy_iou_track(
+            dets.take(dets.score >= tau), link_thr, max_gap, min_track_len))
+
+
+def test_link_scenes_cover_ties_and_empty_frames():
+    """The scenes hold frames without detections, frames emptied only at
+    high thresholds, and frames where two links tie on IoU."""
+    scenes = _link_scenes()
+    gappy, grid = scenes[:3], scenes[3:]
+    for dets in gappy:
+        present = set(dets.frame.tolist())
+        assert not present & {4, 9, 10} and 6 in present
+        assert 6 not in set(dets.frame[dets.score >= 0.3].tolist())
+    tied = 0
+    for dets in grid:
+        table = link_table(dets, 0.2, 2)
+        frame = table.frame[table.dst]
+        tied += np.count_nonzero((frame[1:] == frame[:-1])
+                                 & (table.iou[1:] == table.iou[:-1]))
+    assert tied > 10
+
+
+@pytest.mark.parametrize("max_gap", [0, 1, 2, 10**6])
+@pytest.mark.parametrize("link_thr", [0.2, 0.5, 1.0])
+def test_by_threshold_equals_the_frame_loop(link_thr, max_gap):
+    for dets in _link_scenes():
+        for min_track_len in (1, 3):
+            _assert_links_like_frame_loop(dets, link_thr, max_gap,
+                                          min_track_len)
+
+
+@pytest.mark.parametrize("frames_per_chunk", [1, 7])
+def test_chunk_budget_does_not_change_links(frames_per_chunk, monkeypatch):
+    """One frame per chunk of the link table, and chunks of 7 frames."""
+    for dets in _link_scenes():
+        widest = np.unique(dets.frame, return_counts=True)[1].max()
+        monkeypatch.setattr(datamodel, "EDGE_CHUNK_PAIRS",
+                            1 if frames_per_chunk == 1 else 7 * widest ** 2)
+        for link_thr, max_gap in ((0.2, 2), (0.5, 1), (0.5, 10**6)):
+            _assert_links_like_frame_loop(dets, link_thr, max_gap, 1)
+
+
+@given(det_sets, st.sampled_from([0.2, 0.5]), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_greedy_equals_the_frame_loop(dets, link_thr, max_gap):
+    _assert_same_tracks(greedy_iou_track(dets, link_thr, max_gap),
+                        frame_loop_greedy_iou_track(dets, link_thr, max_gap))
+    _assert_links_like_frame_loop(dets, link_thr, max_gap, 1)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("max_gap", 1.5), ("max_gap", float("nan")), ("max_gap", True),
+    ("max_gap", 2.0), ("max_gap", "2"), ("min_track_len", 2.5),
+    ("min_track_len", float("nan")), ("min_track_len", True)])
+def test_builtin_rejects_non_integer_options(option, value):
+    with pytest.raises(ValidationError, match=(
+            f"builtin tracker option {option}: expected an integer")):
+        BuiltinGreedyTracker(**{option: value})
+    assert BuiltinGreedyTracker(**{option: np.int64(2)}) == (
+        BuiltinGreedyTracker(**{option: 2}))
+
+
+def test_repeated_builtin_option_is_rejected():
+    with pytest.raises(ValidationError, match=(
+            "builtin tracker option max_gap: expected one value, "
+            "got '3' after 2")):
+        make_tracker("builtin:max_gap=2,max_gap=3")
+    with pytest.raises(ValidationError, match="option link_thr: expected one"):
+        make_tracker("builtin:link_thr=0.4,max_gap=1,link_thr=0.4")
 
 
 def _some_dets():
