@@ -43,46 +43,57 @@ gives ``right = left + width`` and ``bottom = top + height``, computed in
 float64 so that they equal `BBox.right` / `BBox.bottom` bit for bit, and
 every number equals what ``int(token)`` / ``float(token)`` gives.
 
-Every invariant the domain types enforce (finite boxes with positive width
-and height, frames and track ids >= 1, one box per (track, frame), strictly
-increasing GT frames within a track, frames <= ``frame_count``, unique
-``target_id``, categories and ratio ranges, ignore-region frame spans) is
-checked once per file on whole columns. Only when a check fails does the
-reader walk the rows one by one, through the domain constructors, to raise
-the error of the first offending line or entry with the constructors'
-message. Frames, ids, ``frame_count`` and ignore-region frame spans must
-fit in int64; in the GT JSON they must be integers or floats with an
-integral value (``2.0``, not ``1.9``, ``"2"`` or ``true``), never
+Input rules. Each reader states the rules of its format once, in one
+table (`_DETECTION_RULES`, `_TRACK_RULES`, `_GT_RULES`): finite boxes with
+positive width and height, frames and track ids >= 1, one box per (track,
+frame), GT categories and ratio ranges, non-empty tracks with strictly
+increasing frames, unique ``target_id`` and frames <= ``frame_count``. A
+rule is a row mask computed on whole columns and a message template, and
+the table keeps the rules in check order. A file is first converted whole
+columns at a time; when that fails, the reader converts it one value at a
+time in check order up to the first value that fails (a wrong field
+count, a token ``int()`` / ``float()`` rejects, a missing key, a wrong
+JSON type, a GT integer that is not integral). Either way the masks then
+run once on the columns converted, and the reader raises the error that
+comes first in check order: the earliest row a mask flags, with the first
+rule it breaks, or the conversion failure, which follows every rule its
+own row had reached. The rules on a sequence's own fields
+(`_check_sequence`) and on an ignore region's frame span (`_span`) are
+checked where those fields are converted, by the reader and the
+constructors alike. Frames, ids, ``frame_count`` and ignore-region frame
+spans must fit in int64; in the GT JSON they must be integers or floats
+with an integral value (``2.0``, not ``1.9``, ``"2"`` or ``true``), never
 truncated. The domain constructors apply the same rule (`_as_int`, which
 also takes numpy integers) to every frame, id and ``frame_count``, so
 `.columns` never truncates either.
 
-The dataclasses are the public construction types, and the oracles in
-`synth` work on them. `GroundTruth.columns`, `DetectionSet.columns` and
-`TrackSet.columns` derive the readers' columns from objects; they are the
-one bridge between the two models, and nothing turns columns back into
-objects. Every CLI subcommand, the threshold sweep and the trackers work on
-columns and build no per-box object: a threshold is the mask
+The readers build no domain object. The dataclasses are construction
+types only: `synth`, `fixtures`, the oracles and the tests build inputs
+with them and pass their `.columns` (`GroundTruth.columns`,
+`DetectionSet.columns`, `TrackSet.columns`); nothing turns columns back
+into objects. Every CLI subcommand, the threshold sweep and the trackers
+work on columns and build no per-box object: a threshold is the mask
 ``score >= threshold`` applied with `DetectionColumns.take`, a tracker
 takes `DetectionColumns` and returns `TrackColumns`, and
 `write_detections` / `write_tracks` write columns. Every evaluation
-function and tracker takes columns only, and a caller holding objects
-passes their `.columns`; a function that takes GT and boxes takes them in
-the order (GT, boxes). `write_detections` alone also takes a
-`DetectionSet`, since `gen_scenario` returns one. `check_frame_count` is
-the one check that a detection or track row lies at a frame <= the GT's
-``frame_count``; the CLI's pair reader and every evaluation function that
-scores boxes against a GT call it.
+function and tracker takes columns only; a function that takes GT and
+boxes takes them in the order (GT, boxes). `write_detections` alone also
+takes a `DetectionSet`, since `gen_scenario` returns one.
+`check_frame_count` is the one check that a detection or track row lies
+at a frame <= the GT's ``frame_count``; the CLI's pair reader and every
+evaluation function that scores boxes against a GT call it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -204,6 +215,16 @@ def _span(first, last) -> tuple[int | None, int | None]:
     return first, last
 
 
+def _check_sequence(frame_count: int, weather, difficulty) -> None:
+    """The rules on a sequence's own fields, in check order, for
+    `GroundTruth` and the GT reader alike."""
+    _check(frame_count >= 1, f"frame_count must be >= 1, got {frame_count}")
+    _check(weather in WEATHERS,
+           f"unknown weather {weather!r}, expected one of {WEATHERS}")
+    _check(difficulty in DIFFICULTIES,
+           f"unknown difficulty {difficulty!r}, expected one of {DIFFICULTIES}")
+
+
 @dataclass(frozen=True)
 class IgnoreRegion:
     box: BBox
@@ -235,12 +256,7 @@ class GroundTruth:
         object.__setattr__(self, "ignore_regions", tuple(self.ignore_regions))
         object.__setattr__(self, "frame_count", _as_int(
             self.frame_count, "GroundTruth.frame_count"))
-        _check(self.frame_count >= 1,
-               f"frame_count must be >= 1, got {self.frame_count}")
-        _check(self.weather in WEATHERS,
-               f"unknown weather {self.weather!r}, expected one of {WEATHERS}")
-        _check(self.difficulty in DIFFICULTIES,
-               f"unknown difficulty {self.difficulty!r}, expected one of {DIFFICULTIES}")
+        _check_sequence(self.frame_count, self.weather, self.difficulty)
         seen: set[int] = set()
         for tr in self.tracks:
             _check(tr.target_id not in seen,
@@ -546,6 +562,92 @@ class Rows:
 
 
 # ---------------------------------------------------------------------------
+# Input rules
+# ---------------------------------------------------------------------------
+
+# Each reader states its format's rules once, in one table: level -> its
+# rules in the format's check order. A rule is (after, bad, template):
+# `bad(columns)` flags the level's rows that break it, on whole columns; a
+# row is checked by it once its first `after` fields (in conversion order)
+# are converted; `template` is the error, formatted with the row's values.
+
+def _box_rules(after: int, prefix: str = "") -> tuple:
+    """`BBox`'s invariants, in its check order."""
+    return (*((after, lambda c, name=name: ~np.isfinite(c[name]),
+               f"{prefix}BBox.{name} must be finite, got {{{name}!r}}")
+              for name in _BOX_FIELDS),
+            *((after, lambda c, name=name: c[name] <= 0,
+               f"{prefix}degenerate box: {name} must be > 0, got {{{name}}}")
+              for name in ("width", "height")))
+
+
+_DETECTION_FIELDS = {"frame": (0, int), "left": (2, float), "top": (3, float),
+                     "width": (4, float), "height": (5, float),
+                     "score": (6, float)}
+_DETECTION_RULES = {"row": (
+    *_box_rules(6, "line {line}: "),
+    (6, lambda c: c["frame"] < 1,
+     "line {line}: Detection.frame must be >= 1, got {frame}"),
+    (6, lambda c: ~np.isfinite(c["score"]),
+     "line {line}: Detection.score must be finite, got {score!r}"))}
+
+_TRACK_FIELDS = {"frame": (0, int), "track_id": (1, int), "left": (2, float),
+                 "top": (3, float), "width": (4, float), "height": (5, float)}
+# `before`: the line of the track's box before this one at the same frame.
+_TRACK_RULES = {"row": (
+    (2, lambda c: c["track_id"] < 1,
+     "line {line}: track_id must be a positive integer, got {track_id}"),
+    (6, lambda c: c["before"] > 0, "line {line}: track {track_id} already "
+                                   "has a box at frame {frame} (line {before})"),
+    *_box_rules(6, "line {line}: "))}
+
+# The levels are laid out by `_gt_levels`; the rules on the document's own
+# fields are `_check_sequence`, checked as the document is converted.
+_GT_RULES = {
+    "region": _box_rules(4),
+    "entry": (
+        *_box_rules(5),
+        (8, lambda c: c["frame"] < 1, "GtEntry.frame must be >= 1, got {frame}"),
+        *((8, lambda c, name=name: ~((c[name] >= 0) & (c[name] <= 1)),
+           f"{name}_ratio out of range [0,1]: {{{name}}}")
+          for name in ("occlusion", "truncation")),
+        (8, lambda c: ~np.fromiter(map(CATEGORIES.__contains__, c["category"]),
+                                   bool, len(c["category"])),
+         f"unknown category {{category!r}}, expected one of {CATEGORIES}")),
+    "track": (
+        (2, lambda c: c["length"] == 0, "track {target_id}: empty track"),
+        (2, lambda c: c["unsorted"], "track {target_id}: frames must be strictly "
+                                     "increasing (duplicate or unsorted frame)")),
+    "late_tracks": ((0, lambda c: ~np.isin(np.arange(len(c["target_id"])), np.unique(
+        c["target_id"], return_index=True)[1]), "duplicate target_id {target_id}"),),
+    "late_entries": ((0, lambda c: c["frame"] > c["frame_count"], "track {target_id}: "
+                      "entry frame {frame} beyond frame_count {frame_count}"),)}
+
+
+def _check_rules(table: dict, levels: dict, failure: tuple | None = None) -> None:
+    """Raise the first error in check order: of a rule of `table` that a row
+    breaks, or `failure`, a (place, error) of a value that did not convert.
+
+    `levels` maps a level to its columns (each an array or a tuple with a
+    value per row, or one value for all rows) and to `key(row)`, the row's
+    place in the check order; a rule flagged at a row takes the place
+    key(row) + (after,), and at one place the first rule in the table
+    counts."""
+    first = failure
+    for level, (columns, key) in levels.items():
+        for after, bad, template in table[level]:
+            rows = np.flatnonzero(bad(columns))
+            if rows.size and (first is None or (*key(rows[0]), after) < first[0]):
+                row = rows[0]
+                first = (*key(row), after), ValidationError(template.format(**{
+                    name: value[row].item() if isinstance(value, np.ndarray) else
+                    value[row] if isinstance(value, tuple) else value
+                    for name, value in columns.items()}))
+    if first is not None:
+        raise first[1]
+
+
+# ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
@@ -565,21 +667,8 @@ def _csv_lines(template: str, *columns: np.ndarray) -> Iterator[str]:
 
 
 class _BadColumns(Exception):
-    """A whole-column check failed; the row walk finds the first bad row."""
-
-
-def _csv_rows(stream: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Every line stripped, and the non-blank ones."""
-    lines = list(map(str.strip, stream))
-    return lines, list(filter(None, lines))
-
-
-def _numbered_rows(lines: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, fields) of every non-blank line; the row walk
-    of the error path."""
-    for line_no, line in enumerate(lines, start=1):
-        if line:
-            yield line_no, line.split(",")
+    """A whole-column conversion failed; converting one value at a time
+    finds the first value that fails."""
 
 
 def _csv_columns(rows: list[str], n_fields: int,
@@ -601,13 +690,6 @@ def _csv_columns(rows: list[str], n_fields: int,
         raise _BadColumns from None
 
 
-def _field_count(row: list[str], n_fields: int, line_no: int) -> None:
-    if len(row) != n_fields:
-        raise ValidationError(
-            f"line {line_no}: expected {n_fields} comma-separated fields, "
-            f"got {len(row)}")
-
-
 def _convert(token: str, kind: type, line_no: int, what: str):
     try:
         value = kind(token)
@@ -618,51 +700,37 @@ def _convert(token: str, kind: type, line_no: int, what: str):
     return value
 
 
-def _in_line(line_no: int, make, *args):
-    """make(*args), with its ValidationError prefixed by the line number."""
-    try:
-        return make(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"line {line_no}: {exc}") from None
-
-
-def _all(*conditions: np.ndarray) -> bool:
-    return all(bool(np.all(c)) for c in conditions)
-
-
-def _boxes_ok(left, top, width, height) -> bool:
-    return _all(np.isfinite(left), np.isfinite(top), np.isfinite(width),
-                np.isfinite(height), width > 0, height > 0)
-
-
-_DETECTION_FIELDS = {"frame": (0, int), "left": (2, float), "top": (3, float),
-                     "width": (4, float), "height": (5, float),
-                     "score": (6, float)}
-_TRACK_FIELDS = {"frame": (0, int), "track_id": (1, int), "left": (2, float),
-                 "top": (3, float), "width": (4, float), "height": (5, float)}
+def _read_csv(stream: Iterable[str], n_fields: int, fields: dict) -> tuple:
+    """(columns, line numbers, failure) of a CSV file for `_check_rules`,
+    each row's place its index. When a row does not convert, the rows are
+    converted one at a time up to it, and the columns end with that row,
+    the fields it did not convert read as "0"."""
+    lines = list(map(str.strip, stream))
+    rows = list(filter(None, lines))
+    line = (np.arange(1, len(rows) + 1) if len(rows) == len(lines) else
+            np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + 1)
+    with suppress(_BadColumns):
+        return _csv_columns(rows, n_fields, fields), line, None
+    for at, (line_no, row) in enumerate(zip(line.tolist(), rows)):
+        tokens, padded, converted = row.split(","), ["0"] * n_fields, 0
+        try:
+            if len(tokens) != n_fields:
+                raise ValidationError(f"line {line_no}: expected {n_fields} "
+                                      f"comma-separated fields, got {len(tokens)}")
+            for name, (index, kind) in fields.items():
+                _convert(tokens[index], kind, line_no, name)
+                padded[index], converted = tokens[index], converted + 1
+        except ValidationError as exc:
+            return (_csv_columns(rows[:at] + [",".join(padded)], n_fields, fields),
+                    line[:at + 1], ((at, converted + 0.5), exc))
+    raise AssertionError("CSV columns failed to convert where no row fails")
 
 
 def read_detections(stream: Iterable[str]) -> DetectionColumns:
-    lines, rows = _csv_rows(stream)
-    try:
-        cols = _csv_columns(rows, 10, _DETECTION_FIELDS)
-        if not (_boxes_ok(cols["left"], cols["top"], cols["width"], cols["height"])
-                and _all(cols["frame"] >= 1, np.isfinite(cols["score"]))):
-            raise _BadColumns
-    except _BadColumns:
-        _first_bad_detection(lines)
+    cols, line, failure = _read_csv(stream, 10, _DETECTION_FIELDS)
+    _check_rules(_DETECTION_RULES, {"row": ({**cols, "line": line},
+                                            lambda row: (row,))}, failure)
     return DetectionColumns(**cols)
-
-
-def _first_bad_detection(lines: list[str]) -> NoReturn:
-    for line_no, row in _numbered_rows(lines):
-        _field_count(row, 10, line_no)
-        frame, left, top, width, height, score = (
-            _convert(row[index], kind, line_no, name)
-            for name, (index, kind) in _DETECTION_FIELDS.items())
-        box = _in_line(line_no, BBox, left, top, width, height)
-        _in_line(line_no, Detection, frame, box, score)
-    raise AssertionError("detection columns failed a check that no row fails")
 
 
 def write_detections(dets: DetectionSet | DetectionColumns, stream: TextIO) -> None:
@@ -676,44 +744,19 @@ def write_detections(dets: DetectionSet | DetectionColumns, stream: TextIO) -> N
 
 def read_tracks(stream: Iterable[str]) -> TrackColumns:
     """Track CSV rows sorted by (track_id, frame)."""
-    lines, rows = _csv_rows(stream)
-    try:
-        cols = _csv_columns(rows, 6, _TRACK_FIELDS)
-        frame, track_id = cols["frame"], cols["track_id"]
-        order = np.lexsort((frame, track_id))
-        cols = {name: col[order] for name, col in cols.items()}
-        repeated = ((np.diff(cols["track_id"]) == 0)
-                    & (np.diff(cols["frame"]) == 0))
-        if not (_boxes_ok(cols["left"], cols["top"], cols["width"], cols["height"])
-                and _all(track_id >= 1, ~repeated)):
-            raise _BadColumns
-    except _BadColumns:
-        _first_bad_track_row(lines)
+    cols, line, failure = _read_csv(stream, 6, _TRACK_FIELDS)
+    order = np.lexsort((cols["frame"], cols["track_id"]))
+    same = (np.diff(cols["track_id"][order]) == 0) & (np.diff(cols["frame"][order]) == 0)
+    before = np.zeros_like(line)
+    before[order[1:][same]] = line[order[:-1][same]]
+    _check_rules(_TRACK_RULES, {"row": ({**cols, "line": line, "before": before},
+                                        lambda row: (row,))}, failure)
+    cols = {name: col[order] for name, col in cols.items()}
     early = cols["frame"] < 1
     if early.any():
         raise ValidationError(f"output track {cols['track_id'][early].min()}: "
                               f"frames must be >= 1")
     return TrackColumns(**cols)
-
-
-def _first_bad_track_row(lines: list[str]) -> NoReturn:
-    positions: dict[tuple[int, int], int] = {}
-    for line_no, row in _numbered_rows(lines):
-        _field_count(row, 6, line_no)
-        frame = _convert(row[0], int, line_no, "frame")
-        track_id = _convert(row[1], int, line_no, "track_id")
-        if track_id < 1:
-            raise ValidationError(
-                f"line {line_no}: track_id must be a positive integer, got {track_id}")
-        left, top, width, height = (_convert(row[i], float, line_no, name)
-                                    for i, name in enumerate(_BOX_FIELDS, 2))
-        if (track_id, frame) in positions:
-            raise ValidationError(
-                f"line {line_no}: track {track_id} already has a box at frame {frame} "
-                f"(line {positions[(track_id, frame)]})")
-        positions[(track_id, frame)] = line_no
-        _in_line(line_no, BBox, left, top, width, height)
-    raise AssertionError("track columns failed a check that no row fails")
 
 
 def write_tracks(tracks: TrackColumns, stream: TextIO) -> None:
@@ -766,81 +809,63 @@ def _float_column(values: list) -> np.ndarray:
     return _floats(list(map(float, values)))
 
 
-def read_ground_truth(stream: TextIO | str) -> GtColumns:
-    doc = _load_json(stream)
-    try:
-        columns = _gt_columns(doc)
-    except (_BadColumns, KeyError, TypeError, ValueError, OverflowError):
-        _first_gt_error(doc)
-    return columns
+def _box_floats(objects: list) -> dict[str, np.ndarray]:
+    return {name: _float_column([o[name] for o in objects]) for name in _BOX_FIELDS}
 
 
-def _gt_columns(doc: dict) -> GtColumns:
-    regions, tracks = doc.get("ignore_regions", []), doc["tracks"]
-    if type(regions) is not list or type(tracks) is not list:
-        raise _BadColumns
-    ignore = _ignore_columns(regions)
-    if set(map(type, tracks)) - {dict}:
-        raise _BadColumns
+def _gt_columns(regions: list, tracks: list) -> tuple[dict, dict, dict]:
+    """The region, entry and track columns of the ignore regions and tracks;
+    raises when a value does not convert (a region, track or entry that is
+    not an object fails where a field is first read from it)."""
     per_track = [t["entries"] for t in tracks]
-    if set(map(type, per_track)) - {list} or not all(per_track):
+    if {type(regions), type(tracks), *map(type, per_track)} - {list}:
         raise _BadColumns
     entries = [e for es in per_track for e in es]
-    if set(map(type, entries)) - {dict}:
-        raise _BadColumns
-    box = {name: _float_column([e[name] for e in entries]) for name in _BOX_FIELDS}
-    frame = _int_column([e["frame"] for e in entries])
-    occlusion = _float_column([e.get("occlusion", 0.0) for e in entries])
-    truncation = _float_column([e.get("truncation", 0.0) for e in entries])
-    category = tuple([e.get("category", "car") for e in entries])
-    track_ids = _int_column([t["target_id"] for t in tracks])
-    frame_count = int(_int_column([doc["frame_count"]])[0])
-    columns = GtColumns(
-        **box, frame=frame,
-        target_id=np.repeat(track_ids, list(map(len, per_track))),
-        occlusion=occlusion, truncation=truncation, category=category,
-        sequence_id=str(doc["sequence_id"]), frame_count=frame_count,
-        weather=doc.get("weather", "cloudy"),
-        difficulty=doc.get("difficulty", "medium"), ignore=ignore)
-    same_track = np.diff(columns.target_id) == 0
-    if not (_boxes_ok(*box.values())
-            and _all(frame >= 1, frame <= frame_count,
-                     (np.diff(frame) > 0) | ~same_track,
-                     (0.0 <= occlusion) & (occlusion <= 1.0),
-                     (0.0 <= truncation) & (truncation <= 1.0))
-            and len(np.unique(track_ids)) == len(track_ids)
-            and set(category) <= set(CATEGORIES)
-            and frame_count >= 1 and columns.weather in WEATHERS
-            and columns.difficulty in DIFFICULTIES):
-        raise _BadColumns
-    return columns
+    return _box_floats(regions), {
+        "frame": _int_column([e["frame"] for e in entries]), **_box_floats(entries),
+        **{name: _float_column([e.get(name, 0.0) for e in entries])
+           for name in ("occlusion", "truncation")},
+        "category": tuple([e.get("category", "car") for e in entries])}, {
+        "target_id": _int_column([t["target_id"] for t in tracks]),
+        "length": _ints(list(map(len, per_track)))}
 
 
-def _ignore_columns(regions: list) -> IgnoreColumns:
-    boxes, spans = [], []
-    for robj in regions:
-        if type(robj) is not dict:
-            raise _BadColumns
-        box = [float(robj[name]) for name in _BOX_FIELDS]
-        if not (all(map(math.isfinite, box)) and box[2] > 0 and box[3] > 0):
-            raise _BadColumns
-        boxes.append(box)
-        spans.append(_span(robj.get("first_frame"), robj.get("last_frame")))
-    cols = np.array(boxes, dtype=np.float64).reshape(len(boxes), 4).T
-    return IgnoreColumns(*cols, first_frame=tuple(s[0] for s in spans),
-                         last_frame=tuple(s[1] for s in spans))
+def _document(doc: dict) -> dict:
+    """The sequence fields of a GT document, converted and checked."""
+    fields = {"sequence_id": str(doc["sequence_id"]),
+              "frame_count": _as_int(doc["frame_count"], "frame_count"),
+              "weather": doc.get("weather", "cloudy"),
+              "difficulty": doc.get("difficulty", "medium")}
+    _check_sequence(fields["frame_count"], fields["weather"], fields["difficulty"])
+    return fields
 
 
-def _json_list(value, what: str) -> list:
-    if type(value) is not list:
-        raise ValidationError(f"{what} must be a JSON array, got {type(value).__name__}")
-    return value
+def _gt_levels(region: dict, entry: dict, track: dict,
+               document: dict | None = None) -> dict:
+    """The GT rules' levels, keyed in check order: the ignore regions; each
+    track's entries, then the track; then, given the checked `document`,
+    each track's id (`late_tracks`) followed by its entries' frames
+    (`late_entries`)."""
+    owner = np.repeat(np.arange(len(track["length"])), track["length"])
+    track = {**track, "unsorted": np.isin(np.arange(len(track["length"])), owner[1:][
+        (np.diff(entry["frame"]) <= 0) & (np.diff(owner) == 0)])}
+    levels = {"region": (region, lambda j: (0, j)),
+              "entry": (entry, lambda e: (1, owner[e], 0, e)),
+              "track": (track, lambda t: (1, t, 1))}
+    if document is not None:
+        levels.update(late_tracks=(track, lambda t: (2, t, 0)),
+                      late_entries=({**entry, **document, "target_id": np.repeat(
+                          track["target_id"], track["length"])},
+                          lambda e: (2, owner[e], 1, e)))
+    return levels
 
 
-def _json_object(value, what: str) -> dict:
-    if type(value) is not dict:
-        raise ValidationError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
+def _json(value, kind: type, what: str):
+    """`value`, which must be a JSON array (`kind` list) or object (dict)."""
+    if type(value) is kind:
+        return value
+    raise ValidationError(f"{what} must be a JSON {'array' if kind is list else 'object'}"
+                          f", got {type(value).__name__}")
 
 
 def _as_int(value, what: str) -> int:
@@ -861,56 +886,73 @@ def _as_float(value, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
-def _box_from_obj(obj: dict, what: str) -> BBox:
-    try:
-        return BBox(*(_as_float(obj[name], f"{what}: {name}")
-                      for name in _BOX_FIELDS))
-    except KeyError as exc:
-        raise ValidationError(f"{what}: missing field {exc}") from None
+def _numbers(obj: dict, what: str, out: dict) -> None:
+    """Convert the box fields of `obj` into `out` as floats, one at a time."""
+    for name in _BOX_FIELDS:
+        if name not in obj:
+            raise ValidationError(f"{what}: missing field {name!r}")
+        out[name] = _as_float(obj[name], f"{what}: {name}")
 
 
-def _first_gt_error(doc: dict) -> NoReturn:
-    """Read `doc` entry by entry through the domain constructors, in the
-    order they meet each field, and raise the first error."""
+# How many fields `_gt_walk` converts of a region, an entry and a track.
+_GT_FIELD_COUNTS = {"region": 4, "entry": 8, "track": 2}
+
+
+def _gt_walk(doc: dict) -> tuple:
+    """`doc` converted one value at a time in check order, up to the first
+    value that fails: the levels so far, and the failure with its place
+    (`_check_rules`). Regions, entries and tracks are built as
+    defaultdict(int), so the one the walk failed in reads 0 for the fields
+    it did not reach and still makes a row for the rules it did reach."""
+    regions, tracks, entries = [], [], []
     try:
-        regions = []
-        for i, robj in enumerate(_json_list(doc.get("ignore_regions", []),
-                                            "ignore_regions")):
-            robj = _json_object(robj, f"ignore_regions[{i}]")
-            box = _box_from_obj(robj, "ignore region")
-            regions.append(IgnoreRegion(box, robj.get("first_frame"),
-                                        robj.get("last_frame")))
-        tracks = []
-        for i, tobj in enumerate(_json_list(doc["tracks"], "tracks")):
-            tobj = _json_object(tobj, f"tracks[{i}]")
-            entries = []
-            for k, eobj in enumerate(_json_list(tobj["entries"],
-                                                f"tracks[{i}].entries")):
+        for i, robj in enumerate(_json(doc.get("ignore_regions", []), list,
+                                       "ignore_regions")):
+            regions.append(region := defaultdict(int))
+            _numbers(_json(robj, dict, f"ignore_regions[{i}]"), "ignore region", region)
+            _span(robj.get("first_frame"), robj.get("last_frame"))
+        for i, tobj in enumerate(_json(doc["tracks"], list, "tracks")):
+            tracks.append(track := defaultdict(int, entries=[]))
+            for k, eobj in enumerate(_json(_json(tobj, dict, f"tracks[{i}]")["entries"],
+                                           list, f"tracks[{i}].entries")):
                 where = f"tracks[{i}].entries[{k}]"
-                eobj = _json_object(eobj, where)
-                entries.append(GtEntry(
-                    frame=_as_int(eobj["frame"], f"{where}.frame"),
-                    box=_box_from_obj(eobj, f"track {tobj['target_id']}"),
-                    occlusion_ratio=_as_float(eobj.get("occlusion", 0.0),
-                                              f"{where}.occlusion"),
-                    truncation_ratio=_as_float(eobj.get("truncation", 0.0),
-                                               f"{where}.truncation"),
-                    category=eobj.get("category", "car"),
-                ))
-            tracks.append(GtTrack(_as_int(tobj["target_id"],
-                                          f"tracks[{i}].target_id"),
-                                  tuple(entries)))
-        GroundTruth(
-            sequence_id=str(doc["sequence_id"]),
-            frame_count=_as_int(doc["frame_count"], "frame_count"),
-            tracks=tuple(tracks),
-            ignore_regions=tuple(regions),
-            weather=doc.get("weather", "cloudy"),
-            difficulty=doc.get("difficulty", "medium"),
-        )
+                entries.append(entry := defaultdict(int))
+                track["entries"].append(entry)
+                entry["frame"] = _as_int(_json(eobj, dict, where)["frame"], f"{where}.frame")
+                _numbers(eobj, f"track {tobj['target_id']}", entry)
+                for name in ("occlusion", "truncation"):
+                    entry[name] = _as_float(eobj.get(name, 0.0), f"{where}.{name}")
+                entry["category"] = eobj.get("category", "car")
+            track["target_id"] = _as_int(tobj["target_id"], f"tracks[{i}].target_id")
+        _document(doc)
+        raise AssertionError("ground truth failed to convert where no value fails")
     except KeyError as exc:
-        raise ValidationError(f"ground truth: missing field {exc}") from None
-    raise AssertionError("ground truth columns failed a check that no entry fails")
+        error = ValidationError(f"ground truth: missing field {exc}")
+    except ValidationError as exc:
+        error = exc
+    at = None
+    for level, objects in (("region", regions), ("track", tracks), ("entry", entries)):
+        if objects and len(objects[-1]) < _GT_FIELD_COUNTS[level]:
+            at = level, len(objects) - 1, len(objects[-1])
+    levels = _gt_levels(*_gt_columns(regions, tracks))
+    place = (math.inf,) if at is None else (*levels[at[0]][1](at[1]), at[2] + 0.5)
+    return levels, (place, error)
+
+
+def read_ground_truth(stream: TextIO | str) -> GtColumns:
+    doc = _load_json(stream)
+    try:
+        regions = doc.get("ignore_regions", [])
+        region, entry, track = _gt_columns(regions, doc["tracks"])
+        spans = [_span(r.get("first_frame"), r.get("last_frame")) for r in regions]
+        document = _document(doc)
+    except (_BadColumns, KeyError, TypeError, ValueError, OverflowError):
+        _check_rules(_GT_RULES, *_gt_walk(doc))  # raises: the walk stops at a failure
+    _check_rules(_GT_RULES, _gt_levels(region, entry, track, document))
+    first, last = zip(*spans) if spans else ((), ())
+    return GtColumns(**entry, target_id=np.repeat(track["target_id"], track["length"]),
+                     **document, ignore=IgnoreColumns(**region, first_frame=first,
+                                                      last_frame=last))
 
 
 def write_ground_truth(gt: GroundTruth, stream: TextIO) -> None:

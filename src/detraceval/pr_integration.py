@@ -93,8 +93,11 @@ def select_thresholds(scores: Sequence[float] | np.ndarray,
     if lo == hi:
         warnings.warn("all detection scores are equal; single threshold")
         return [lo]
-    step = (hi - lo) / (n - 1)
-    values = [lo + i * step for i in range(n - 1)] + [hi]
+    # Where hi - lo overflows a double, the ladder is stepped at half scale;
+    # scaling by 1.0 leaves every other ladder bit for bit as it was.
+    scale = 1.0 if math.isfinite(hi - lo) else 0.5
+    step = (hi * scale - lo * scale) / (n - 1)
+    values = [(lo * scale + i * step) / scale for i in range(n - 1)] + [hi]
     out: list[float] = []
     for v in values:
         if not out or v > out[-1]:
@@ -179,6 +182,8 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     in curve order regardless of execution order. With keep_going, a
     failing threshold leaves a gap instead of aborting.
     """
+    if not all(map(math.isfinite, thresholds)):
+        raise ValidationError(f"thresholds must be finite: {list(map(float, thresholds))}")
     counts = threshold_counts(pairs, iou_thr)
     lowest = min(thresholds, default=0.0)
     gts = [gt for gt, _ in pairs]

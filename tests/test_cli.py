@@ -242,6 +242,32 @@ def test_eval_system_report_schema(tmp_path):
     assert len(doc["points"]) >= 2
 
 
+def test_eval_system_scores_a_score_range_that_overflows(tmp_path):
+    """Finite scores -1e308 .. 1e308, whose range overflows a double, give
+    a finite threshold ladder; each point's recall counts what it keeps."""
+    from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
+                                      write_ground_truth)
+    for sub in ("gt", "det"):
+        (tmp_path / sub).mkdir()
+    gt = GroundTruth("s", 2, (
+        GtTrack(1, (GtEntry(1, BBox(0, 0, 10, 10)), GtEntry(2, BBox(0, 0, 10, 10)))),
+        GtTrack(2, (GtEntry(1, BBox(50, 0, 10, 10)),))))
+    with open(tmp_path / "gt" / "s.json", "w") as fh:
+        write_ground_truth(gt, fh)
+    (tmp_path / "det" / "s.csv").write_text(
+        "1,-1,0,0,10,10,-1e308,-1,-1,-1\n"
+        "2,-1,0,0,10,10,1e308,-1,-1,-1\n"
+        "1,-1,50,0,10,10,0,-1,-1,-1\n")
+    out = tmp_path / "out"
+    assert main(["eval-system", "--gt", str(tmp_path / "gt"),
+                 "--det", str(tmp_path / "det"), "--tracker", "builtin",
+                 "--tracker-name", "t", "--thresholds", "3",
+                 "--out", str(out)]) == 0
+    points = json.loads((out / "system_report.json").read_text())["points"]
+    assert [(p["threshold"], p["recall"], p["bundle"]["fn"]) for p in points] == [
+        (1e308, 0.333333, 2), (0.0, 0.666667, 1), (-1e308, 1.0, 0)]
+
+
 def test_report_leaderboard(tmp_path):
     gt_dir, det_dir = _emit_fixture(tmp_path, "ranking-flip")
     results = tmp_path / "results"

@@ -15,6 +15,7 @@ raise `ValidationError` whatever the old parser did.
 """
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -306,21 +307,6 @@ def test_csv_token_parsing_matches_float_and_int():
         [1000.0], [10.5], [2.0])
 
 
-@pytest.mark.parametrize("lines,message", [
-    (["1,1,0,0,5,5", "1,1,9,9,5,5"], "line 2: track 1 already has a box at frame 1 (line 1)"),
-    (["1,1,0,0,0,5", "1,2,oops,0,5,5"], "line 1: degenerate box: width must be > 0, got 0.0"),
-    (["", "1,0,oops,0,5,5"], "line 2: track_id must be a positive integer, got 0"),
-    (["1,2,0,0,5,5", "0,3,0,0,5,5", "-1,2,0,0,5,5"], "output track 2: frames must be >= 1"),
-    (["1,1,nan,0,5,5"], "line 1: BBox.left must be finite, got nan"),
-    (["1,1,0,0,5"], "line 1: expected 6 comma-separated fields, got 5"),
-])
-def test_track_errors_name_the_first_offending_line(lines, message):
-    for parse in (old_parse_tracks, read_tracks):
-        with pytest.raises(ValidationError) as exc:
-            parse(lines)
-        assert str(exc.value) == message
-
-
 def test_ids_beyond_int64_are_rejected():
     with pytest.raises(ValidationError, match="line 2: frame out of range"):
         read_tracks(["1,1,0,0,5,5", f"{2 ** 63},1,0,0,5,5"])
@@ -535,6 +521,119 @@ def _field(doc: dict, path: tuple) -> dict:
     for step in path:
         doc = doc[step]
     return doc
+
+
+def _gt_text(*edits) -> str:
+    """`_base_doc` as JSON with each (path, key, value) edit made; the
+    value `...` deletes the key."""
+    doc = _base_doc()
+    for path, key, value in edits:
+        if value is ...:
+            del _field(doc, path)[key]
+        else:
+            _field(doc, path)[key] = value
+    return json.dumps(doc)
+
+
+ENTRY = ("tracks", 0, "entries", 0)
+# Inputs that break several rules, each with the error of the first break
+# in the format's check order: a row's rules come after the conversions
+# they follow and before the ones that follow them, a track's rules after
+# its entries, and the document's rules before the duplicate-id and
+# beyond-frame_count rules, which go track by track.
+ORDERING_CASES = {
+    "gt-box-before-occlusion-conversion": (
+        _gt_text((ENTRY, "width", -1), (ENTRY, "occlusion", "x")),
+        "degenerate box: width must be > 0, got -1.0", read_ground_truth),
+    "gt-entry-rules-before-next-entry": (
+        _gt_text((ENTRY, "occlusion", 1.5), (("tracks", 0, "entries", 1), "frame", "x")),
+        "occlusion_ratio out of range [0,1]: 1.5", read_ground_truth),
+    "gt-track-rules-before-next-track": (
+        _gt_text((("tracks", 0), "entries", _base_doc()["tracks"][0]["entries"][::-1]),
+                 (("tracks", 1, "entries", 0), "left", ...)),
+        "track 1: frames must be strictly increasing (duplicate or unsorted frame)",
+        read_ground_truth),
+    "gt-document-before-frame-count": (
+        _gt_text((("tracks", 0, "entries", 2), "frame", 5), ((), "weather", "fog")),
+        f"unknown weather 'fog', expected one of {WEATHERS}", read_ground_truth),
+    "gt-duplicate-id-before-its-frames": (
+        _gt_text((("tracks", 1), "target_id", 1), (("tracks", 1, "entries", 2), "frame", 5)),
+        "duplicate target_id 1", read_ground_truth),
+    "gt-entries-before-target-id-conversion": (
+        _gt_text((("tracks", 1), "target_id", "x"), (("tracks", 1, "entries", 0), "width", 0)),
+        "degenerate box: width must be > 0, got 0.0", read_ground_truth),
+    "tracks-track-id-before-box-conversion": (
+        ["1,0,oops,0,5,5"], "line 1: track_id must be a positive integer, got 0",
+        read_tracks),
+    "detections-conversion-before-box": (
+        ["1,-1,0,0,0,5,x,-1,-1,-1"], "line 1: malformed score: 'x'", read_detections),
+    "detections-frame-before-score": (
+        ["0,-1,0,0,5,5,nan,-1,-1,-1", "1,-1,oops,0,5,5,0.5,-1,-1,-1"],
+        "line 1: Detection.frame must be >= 1, got 0", read_detections),
+}
+OLD_PARSERS = {read_tracks: old_parse_tracks, read_detections: old_parse_detections,
+               read_ground_truth: old_parse_ground_truth}
+
+
+@pytest.mark.parametrize("lines,message,read", [
+    (["1,1,0,0,5,5", "1,1,9,9,5,5"], "line 2: track 1 already has a box at frame 1 (line 1)",
+     read_tracks),
+    (["1,1,0,0,0,5", "1,2,oops,0,5,5"], "line 1: degenerate box: width must be > 0, got 0.0",
+     read_tracks),
+    (["", "1,0,oops,0,5,5"], "line 2: track_id must be a positive integer, got 0",
+     read_tracks),
+    (["1,2,0,0,5,5", "0,3,0,0,5,5", "-1,2,0,0,5,5"], "output track 2: frames must be >= 1",
+     read_tracks),
+    (["1,1,nan,0,5,5"], "line 1: BBox.left must be finite, got nan", read_tracks),
+    (["1,1,0,0,5"], "line 1: expected 6 comma-separated fields, got 5", read_tracks),
+    *(pytest.param(*case, id=name) for name, case in ORDERING_CASES.items()),
+])
+def test_track_errors_name_the_first_offending_line(lines, message, read):
+    for parse in (OLD_PARSERS[read], read):
+        with pytest.raises(ValidationError) as exc:
+            parse(lines)
+        assert str(exc.value) == message
+
+
+def _columns_or_error(read, data):
+    """A reader's columns as comparable values, or its error text."""
+    def canon(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tobytes()
+        if dataclasses.is_dataclass(value):
+            return tuple(canon(getattr(value, f.name))
+                         for f in dataclasses.fields(value))
+        return _canon(value)
+    try:
+        return "ok", canon(read(data))
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def test_readers_build_no_box_objects(monkeypatch):
+    """The readers state their rules on columns and build no per-box
+    object, on the error path too: with every container constructor
+    refusing to run, each single-token and single-GT fault, each ordering
+    case and each valid input gives the same columns or error text."""
+    cases = [(read_tracks, TRACK_LINES), (read_detections, DETECTION_LINES),
+             (read_ground_truth, json.dumps(_base_doc())),
+             *((read, data) for data, _, read in ORDERING_CASES.values()),
+             *((read_ground_truth, json.dumps(doc)) for doc in _gt_single_faults())]
+    for read, base in ((read_tracks, TRACK_LINES), (read_detections, DETECTION_LINES)):
+        for line, field, token in itertools.product(
+                (0, 2), range(len(base[0].split(","))), ODD_TOKENS + ODD_NUMBERS):
+            fields = base[line].split(",")
+            fields[field] = token
+            cases.append((read, [*base[:line], ",".join(fields), *base[line + 1:]]))
+    want = [_columns_or_error(read, data) for read, data in cases]
+
+    def refuse(self):
+        raise AssertionError(f"a reader built a {type(self).__name__}")
+
+    for cls in (BBox, GtEntry, GtTrack, GroundTruth, IgnoreRegion, Detection,
+                DetectionSet, OutTrack, TrackSet):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert [_columns_or_error(read, data) for read, data in cases] == want
 
 
 @pytest.mark.parametrize("path,key,where", INT_FIELDS)

@@ -41,6 +41,17 @@ def test_select_thresholds_two():
     assert select_thresholds([0.2, 0.8], 2) == [0.2, 0.8]
 
 
+def test_select_thresholds_stay_finite_when_the_score_range_overflows():
+    """-1e308 .. 1e308 spans more than a double holds: the ladder still
+    runs from the lowest score to the highest, finite and increasing."""
+    for n in (2, 3, 10):
+        got = select_thresholds([-1e308, 0.5, 1e308], n)
+        assert len(got) == n and got[0] == -1e308 and got[-1] == 1e308
+        assert all(map(math.isfinite, got)) and got == sorted(set(got))
+    big = float(np.finfo(np.float64).max)
+    assert select_thresholds([-big, big], 3) == [-big, 0.0, big]
+
+
 def test_select_thresholds_empty_errors():
     with pytest.raises(ValidationError):
         select_thresholds([], 10)
@@ -175,6 +186,14 @@ def test_sweep_threshold_above_max_score():
     assert p.recall == 0.0
     assert p.metrics.fn == gt.total_boxes()
     assert p.metrics.mota == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_a_non_finite_threshold(bad):
+    gt, dets = gen_scenario(ScenarioConfig(n_targets=2, n_frames=5, seed=1))
+    with pytest.raises(ValidationError,
+                       match=rf"thresholds must be finite: \[0\.5, {bad}\]"):
+        sweep([(gt.columns, dets.columns)], OracleTracker(gt), [0.5, bad])
 
 
 def test_sweep_threshold_below_min_score_is_identity():
