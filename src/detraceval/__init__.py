@@ -6,9 +6,8 @@ line integration along the PR curve, with a synthetic scenario generator and
 brute-force oracles for verification.
 """
 
-from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
-                        GtTrack, IgnoreRegion, OutTrack, Rows, TrackSet,
-                        ValidationError)
+from .datamodel import (BBox, GroundTruth, GtEntry, GtTrack, IgnoreRegion,
+                        Rows, ValidationError)
 from .det_metrics import PRCurve, PRPoint, average_precision, detection_report
 from .geometry import (OcclusionClass, ScaleClass, ignore_coverage, iou,
                        occlusion_class, scale_class)

@@ -1,4 +1,4 @@
-"""Domain types for ground truth, detections and tracker output, plus file I/O.
+"""Domain types for ground truth, columns for every box file, plus file I/O.
 
 File formats (the contract external tools must follow):
 
@@ -63,22 +63,23 @@ checked where those fields are converted, by the reader and the
 constructors alike. Frames, ids, ``frame_count`` and ignore-region frame
 spans must fit in int64; in the GT JSON they must be integers or floats
 with an integral value (``2.0``, not ``1.9``, ``"2"`` or ``true``), never
-truncated. The domain constructors apply the same rule (`_as_int`, which
-also takes numpy integers) to every frame, id and ``frame_count``, so
-`.columns` never truncates either.
+truncated. The GT constructors apply the same rule (`_as_int`, which also
+takes numpy integers) to every frame, id and ``frame_count``, so
+`GroundTruth.columns` never truncates either.
 
-The readers build no domain object. The dataclasses are construction
-types only: `synth`, `fixtures`, the oracles and the tests build inputs
-with them and pass their `.columns` (`GroundTruth.columns`,
-`DetectionSet.columns`, `TrackSet.columns`); nothing turns columns back
-into objects. Every CLI subcommand, the threshold sweep and the trackers
-work on columns and build no per-box object: a threshold is the mask
-``score >= threshold`` applied with `DetectionColumns.take`, a tracker
-takes `DetectionColumns` and returns `TrackColumns`, and
-`write_detections` / `write_tracks` write columns. Every evaluation
-function and tracker takes columns only; a function that takes GT and
-boxes takes them in the order (GT, boxes). `write_detections` alone also
-takes a `DetectionSet`, since `gen_scenario` returns one.
+The readers build no domain object. Detections and tracks have no
+per-box type: `gen_scenario`, the fixtures and the trackers build their
+columns directly, and `gen_scenario` checks its detections against
+`_DETECTION_RULES` through `checked_detections`, as `read_detections`
+does. The GT dataclasses are construction types only: `synth`, `fixtures`
+and the tests build ground truth with them and pass `GroundTruth.columns`;
+nothing turns columns back into objects. Every CLI subcommand, the
+threshold sweep and the trackers work on columns and build no per-box
+object: a threshold is the mask ``score >= threshold`` applied with
+`DetectionColumns.take`, a tracker takes `DetectionColumns` and returns
+`TrackColumns`, and `write_detections` / `write_tracks` write columns.
+Every evaluation function and tracker takes columns only; a function that
+takes GT and boxes takes them in the order (GT, boxes).
 `check_frame_count` is the one check that a detection or track row lies
 at a frame <= the GT's ``frame_count``; the CLI's pair reader and every
 evaluation function that scores boxes against a GT call it.
@@ -299,103 +300,6 @@ class GroundTruth:
                 **_box_columns([r.box for r in regions]),
                 first_frame=tuple(r.first_frame for r in regions),
                 last_frame=tuple(r.last_frame for r in regions)))
-
-
-@dataclass(frozen=True)
-class Detection:
-    frame: int
-    box: BBox
-    score: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frame", _as_int(self.frame, "Detection.frame"))
-        _check(self.frame >= 1, f"Detection.frame must be >= 1, got {self.frame}")
-        _check(math.isfinite(self.score),
-               f"Detection.score must be finite, got {self.score!r}")
-
-
-@dataclass(frozen=True)
-class DetectionSet:
-    detections: tuple[Detection, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detections", tuple(self.detections))
-
-    def __len__(self) -> int:
-        return len(self.detections)
-
-    def __iter__(self):
-        return iter(self.detections)
-
-    @cached_property
-    def columns(self) -> DetectionColumns:
-        """The same data as `read_detections` columns, computed once."""
-        dets = self.detections
-        return DetectionColumns(**_box_columns([d.box for d in dets]),
-                                frame=_ints([d.frame for d in dets]),
-                                score=_floats([d.score for d in dets]))
-
-
-@dataclass(frozen=True)
-class OutTrack:
-    track_id: int
-    boxes: tuple[tuple[int, BBox], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "track_id",
-                           _as_int(self.track_id, "OutTrack.track_id"))
-        object.__setattr__(self, "boxes", tuple(
-            (_as_int(f, f"output track {self.track_id}: frame"), b)
-            for f, b in self.boxes))
-        _check(self.track_id >= 1,
-               f"track_id must be a positive integer, got {self.track_id}")
-        frames = [f for f, _ in self.boxes]
-        _check(all(a < b for a, b in zip(frames, frames[1:])),
-               f"output track {self.track_id}: frames must be strictly increasing")
-        _check(all(f >= 1 for f in frames),
-               f"output track {self.track_id}: frames must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrackSet:
-    tracks: tuple[OutTrack, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tracks", tuple(self.tracks))
-        seen: set[int] = set()
-        for tr in self.tracks:
-            _check(tr.track_id not in seen,
-                   f"duplicate track_id {tr.track_id} in TrackSet")
-            seen.add(tr.track_id)
-
-    def __len__(self) -> int:
-        return len(self.tracks)
-
-    def boxes_at(self, frame: int) -> dict[int, BBox]:
-        out: dict[int, BBox] = {}
-        for tr in self.tracks:
-            for f, b in tr.boxes:
-                if f == frame:
-                    out[tr.track_id] = b
-                elif f > frame:
-                    break
-        return out
-
-    def total_boxes(self) -> int:
-        return sum(len(tr.boxes) for tr in self.tracks)
-
-    def relabel(self, mapping: dict[int, int]) -> "TrackSet":
-        """Apply a bijective id relabeling."""
-        return TrackSet(tuple(
-            OutTrack(mapping[tr.track_id], tr.boxes) for tr in self.tracks))
-
-    @cached_property
-    def columns(self) -> TrackColumns:
-        """Rows in track order, then box order, computed once."""
-        rows = [(tr.track_id, f, b) for tr in self.tracks for f, b in tr.boxes]
-        return TrackColumns(**_box_columns([b for _, _, b in rows]),
-                            frame=_ints([f for _, f, _ in rows]),
-                            track_id=_ints([tid for tid, _, _ in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -726,20 +630,25 @@ def _read_csv(stream: Iterable[str], n_fields: int, fields: dict) -> tuple:
     raise AssertionError("CSV columns failed to convert where no row fails")
 
 
-def read_detections(stream: Iterable[str]) -> DetectionColumns:
-    cols, line, failure = _read_csv(stream, 10, _DETECTION_FIELDS)
+def checked_detections(cols: dict[str, np.ndarray], line: np.ndarray,
+                       failure: tuple | None = None) -> DetectionColumns:
+    """`cols` (frame, box and score columns) as `DetectionColumns` once
+    they pass `_DETECTION_RULES`, row i named as line `line[i]`; `failure`
+    as in `_check_rules`."""
     _check_rules(_DETECTION_RULES, {"row": ({**cols, "line": line},
                                             lambda row: (row,))}, failure)
     return DetectionColumns(**cols)
 
 
-def write_detections(dets: DetectionSet | DetectionColumns, stream: TextIO) -> None:
-    """Detection CSV rows in row order. The one writer that also takes the
-    objects: `gen-synthetic` and the benchmark's input generator write
-    `gen_scenario`'s `DetectionSet` through it."""
-    d = dets.columns if isinstance(dets, DetectionSet) else dets
-    stream.writelines(_csv_lines("%s,-1,%s,%s,%s,%s,%s,-1,-1,-1\n", d.frame,
-                                 d.left, d.top, d.width, d.height, d.score))
+def read_detections(stream: Iterable[str]) -> DetectionColumns:
+    return checked_detections(*_read_csv(stream, 10, _DETECTION_FIELDS))
+
+
+def write_detections(dets: DetectionColumns, stream: TextIO) -> None:
+    """Detection CSV rows in row order."""
+    stream.writelines(_csv_lines("%s,-1,%s,%s,%s,%s,%s,-1,-1,-1\n", dets.frame,
+                                 dets.left, dets.top, dets.width, dets.height,
+                                 dets.score))
 
 
 def read_tracks(stream: Iterable[str]) -> TrackColumns:
@@ -870,7 +779,7 @@ def _json(value, kind: type, what: str):
 
 def _as_int(value, what: str) -> int:
     """`value` as an int when it is `_is_int` and fits in int64: the GT
-    integer rule, which the domain constructors apply to every frame, id
+    integer rule, which the GT constructors apply to every frame, id
     and frame count. Raises ValidationError naming `what` otherwise."""
     if not _is_int(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
-                        GtTrack, ValidationError)
+import numpy as np
+
+from .datamodel import (BBox, DetectionColumns, GroundTruth, GtEntry, GtTrack,
+                        ValidationError, _box_columns, _ints)
 from .synth import ScenarioConfig, gen_scenario
 from .trackers import BuiltinGreedyTracker
 
@@ -23,7 +25,7 @@ from .trackers import BuiltinGreedyTracker
 class Fixture:
     name: str
     gt: GroundTruth
-    dets: DetectionSet
+    dets: DetectionColumns
     trackers: dict[str, BuiltinGreedyTracker] = field(default_factory=dict)
 
 
@@ -41,24 +43,26 @@ def _crossing() -> Fixture:
     # its detections for frames 8-10 (a gap the default tracker cannot
     # bridge), forcing a fresh identity on re-acquisition.
     n_frames = 21
-    tracks = []
     entries_a = []
     entries_b = []
-    dets = []
+    det_frames, det_boxes = [], []
     for t in range(n_frames):
         frame = t + 1
         box_a = BBox(10.0 + 8.0 * t, 100.0, 24.0, 24.0)
         box_b = BBox(170.0 - 8.0 * t, 100.0, 24.0, 24.0)
         entries_a.append(GtEntry(frame=frame, box=box_a))
         entries_b.append(GtEntry(frame=frame, box=box_b))
-        dets.append(Detection(frame, box_a, 1.0))
+        det_frames.append(frame)
+        det_boxes.append(box_a)
         if not 8 <= frame <= 10:
-            dets.append(Detection(frame, box_b, 1.0))
+            det_frames.append(frame)
+            det_boxes.append(box_b)
     tracks = [GtTrack(1, tuple(entries_a)), GtTrack(2, tuple(entries_b))]
     gt = GroundTruth(sequence_id="crossing", frame_count=n_frames,
                      tracks=tuple(tracks))
-    return Fixture("crossing", gt, DetectionSet(tuple(dets)),
-                   {"builtin": BuiltinGreedyTracker()})
+    dets = DetectionColumns(**_box_columns(det_boxes), frame=_ints(det_frames),
+                            score=np.ones(len(det_frames)))
+    return Fixture("crossing", gt, dets, {"builtin": BuiltinGreedyTracker()})
 
 
 def _ranking_flip() -> Fixture:

@@ -196,7 +196,8 @@ def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
 def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
                    iou_thr: float = DEFAULT_IOU_THR) -> tuple[MetricBundle, SequenceStats]:
     """CLEAR MOT of one sequence from its GT and hypothesis columns
-    (`read_ground_truth` / `read_tracks`, or `.columns` of the objects),
+    (`read_ground_truth` / `read_tracks`, or `GroundTruth.columns` and
+    the `TrackColumns` a tracker returns),
     by the edge-table algorithm of the module docstring."""
     check_frame_count(gt, tracks, "output tracks")
 

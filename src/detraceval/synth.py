@@ -10,11 +10,16 @@ streams per concern so that, with a fixed seed:
 * per-frame clutter counts come from inverse-CDF Poisson sampling on a shared
   uniform, so they are pointwise non-decreasing in clutter_rate.
 
+`gen_scenario` returns the GT as a `GroundTruth` and the detections as
+`DetectionColumns`, checked by the detection reader's rules;
+`random_tiny_scenario` returns its hypotheses as `TrackColumns`.
+
 The oracles re-derive CLEAR metrics and AP by exhaustive enumeration and
 fine-grid integration, and the sweep's detection counts by thresholding
 first and then matching with the scalar IoU; they share no code path with
-the production implementations beyond the domain types and the scalar
-geometry.
+the production implementations beyond the GT types and the scalar
+geometry: they take detections and tracks as columns and walk their rows
+one `BBox` at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import (BBox, Detection, DetectionSet, GroundTruth, GtEntry,
-                        GtTrack, OutTrack, TrackSet, ValidationError, CATEGORIES)
+from .datamodel import (BBox, BoxColumns, DetectionColumns, GroundTruth,
+                        GtEntry, GtTrack, TrackColumns, ValidationError,
+                        CATEGORIES, _BOX_FIELDS, _floats, _ints,
+                        checked_detections)
 from .det_metrics import DEFAULT_IOU_THR, PRCurve
 from .geometry import (IGNORE_COVERAGE_THR, ignore_coverage, iou,
                        occlusion_class, scale_class)
@@ -92,8 +99,11 @@ def _reflect(pos: float, vel: float, limit: float) -> tuple[float, float]:
     return pos, vel
 
 
-def gen_scenario(config: ScenarioConfig) -> tuple[GroundTruth, DetectionSet]:
-    """Constant-velocity targets with wall reflection, plus detector noise."""
+def gen_scenario(config: ScenarioConfig) -> tuple[GroundTruth, DetectionColumns]:
+    """Constant-velocity targets with wall reflection, plus detector noise.
+    The detections are sorted by frame, stably; a generated box or score
+    that breaks a detection rule (a non-finite or degenerate box) is a
+    ValidationError naming the line it would take in the detection CSV."""
     ss = np.random.SeedSequence(config.seed)
     r_motion, r_attr, r_drop, r_jitter, r_score, r_clutter = (
         np.random.default_rng(s) for s in ss.spawn(6))
@@ -122,7 +132,8 @@ def gen_scenario(config: ScenarioConfig) -> tuple[GroundTruth, DetectionSet]:
             y, vy = _reflect(y, vy, ah - h)
         tracks.append(GtTrack(target + 1, tuple(entries)))
 
-    dets: list[Detection] = []
+    # (frame, left, top, width, height, score) of every detection
+    rows: list[tuple] = []
     for t in range(config.n_frames):
         for box in per_frame_boxes[t]:
             # draws happen regardless of the drop decision so that raising
@@ -134,12 +145,9 @@ def gen_scenario(config: ScenarioConfig) -> tuple[GroundTruth, DetectionSet]:
                 if config.score_sigma > 0 else config.tp_mean
             if u < config.drop_rate:
                 continue
-            dets.append(Detection(
-                frame=t + 1,
-                box=BBox(box.left + jit[0], box.top + jit[1],
+            rows.append((t + 1, box.left + jit[0], box.top + jit[1],
                          max(box.width + jit[2], 1.0),
-                         max(box.height + jit[3], 1.0)),
-                score=score))
+                         max(box.height + jit[3], 1.0), score))
 
     if config.clutter_rate > 0:
         # scipy is imported here, its only use, to keep it off the import path
@@ -157,21 +165,31 @@ def gen_scenario(config: ScenarioConfig) -> tuple[GroundTruth, DetectionSet]:
                 score = float(r_cbox.normal(config.clutter_mean,
                                             config.score_sigma)) \
                     if config.score_sigma > 0 else config.clutter_mean
-                dets.append(Detection(t + 1, BBox(x, y, w, h), score))
+                rows.append((t + 1, x, y, w, h, score))
 
-    dets.sort(key=lambda d: d.frame)
+    rows.sort(key=lambda row: row[0])
+    frame, *floats = zip(*rows) if rows else [()] * 6
+    try:
+        dets = checked_detections({
+            "frame": _ints(frame),
+            **dict(zip((*_BOX_FIELDS, "score"), map(_floats, floats)))},
+            np.arange(1, len(rows) + 1))
+    except ValidationError as exc:
+        raise ValidationError(f"generated detection CSV {exc}") from None
     gt = GroundTruth(sequence_id=f"synth-{config.seed}",
                      frame_count=config.n_frames, tracks=tuple(tracks))
-    return gt, DetectionSet(tuple(dets))
+    return gt, dets
 
 
 # ---------------------------------------------------------------------------
 # Random tiny scenarios for oracle equivalence testing
 # ---------------------------------------------------------------------------
 
-def random_tiny_scenario(seed: int) -> tuple[GroundTruth, TrackSet]:
+def random_tiny_scenario(seed: int) -> tuple[GroundTruth, TrackColumns]:
     """A small GT plus a noisy hypothesis set: jittered copies of GT boxes
-    with random drops, identity churn, and occasional clutter tracks."""
+    with random drops, identity churn, and occasional clutter tracks; the
+    hypotheses' rows sorted by (track_id, frame), as `read_tracks` gives
+    them."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_tracks = int(rng.integers(1, 4))
     n_frames = int(rng.integers(2, 6))
@@ -191,7 +209,8 @@ def random_tiny_scenario(seed: int) -> tuple[GroundTruth, TrackSet]:
     gt = GroundTruth(sequence_id=f"tiny-{seed}", frame_count=n_frames,
                      tracks=tuple(tracks))
 
-    hyp_boxes: dict[int, list[tuple[int, BBox]]] = {}
+    # (track_id, frame, left, top, width, height) of every hypothesis
+    rows: list[tuple] = []
     next_id = 1
     id_of: dict[int, int] = {}
     for tr in gt.tracks:
@@ -206,20 +225,19 @@ def random_tiny_scenario(seed: int) -> tuple[GroundTruth, TrackSet]:
                 next_id += 1
             b = e.box
             jitter = rng.normal(0, 1.5, 4)
-            box = BBox(b.left + jitter[0], b.top + jitter[1],
-                       max(b.width + jitter[2], 2.0),
-                       max(b.height + jitter[3], 2.0))
-            hyp_boxes.setdefault(id_of[tr.target_id], []).append((e.frame, box))
+            rows.append((id_of[tr.target_id], e.frame, b.left + jitter[0],
+                         b.top + jitter[1], max(b.width + jitter[2], 2.0),
+                         max(b.height + jitter[3], 2.0)))
     n_clutter = int(rng.integers(0, 3))
     for _ in range(n_clutter):
         f = int(rng.integers(1, n_frames + 1))
-        box = BBox(rng.uniform(0, 160), rng.uniform(0, 90),
-                   rng.uniform(8, 25), rng.uniform(8, 25))
-        hyp_boxes.setdefault(next_id, []).append((f, box))
+        rows.append((next_id, f, rng.uniform(0, 160), rng.uniform(0, 90),
+                     rng.uniform(8, 25), rng.uniform(8, 25)))
         next_id += 1
-    out = [OutTrack(tid, tuple(sorted(items)))
-           for tid, items in sorted(hyp_boxes.items())]
-    return gt, TrackSet(tuple(out))
+    rows.sort(key=lambda row: row[:2])
+    track_id, frame, *boxes = zip(*rows) if rows else [()] * 6
+    return gt, TrackColumns(*map(_floats, boxes), frame=_ints(frame),
+                            track_id=_ints(track_id))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +290,14 @@ def _oracle_residual(gids: list, hids: list,
     return {gids[i]: hids[j] for i, j in enumerate(best[3]) if j >= 0}
 
 
-def oracle_clear(gt: GroundTruth, tracks: TrackSet,
+def _box_rows(boxes: BoxColumns, *names: str):
+    """(each of the `names` columns' value, BBox) for every row, as Python
+    scalars: the oracles walk the rows one box at a time."""
+    return zip(*(getattr(boxes, name).tolist() for name in names),
+               map(BBox, *(getattr(boxes, name).tolist() for name in _BOX_FIELDS)))
+
+
+def oracle_clear(gt: GroundTruth, tracks: TrackColumns,
                  iou_thr: float = DEFAULT_IOU_THR) -> MetricBundle:
     """Independent CLEAR implementation for tiny instances.
 
@@ -285,12 +310,15 @@ def oracle_clear(gt: GroundTruth, tracks: TrackSet,
     fn_total = fp_total = gt_total = matches_total = 0
     iou_total = 0.0
     prev: dict[int, int] = {}
+    hyps_at: dict[int, dict[int, BBox]] = {}
+    for track_id, frame, box in _box_rows(tracks, "track_id", "frame"):
+        hyps_at.setdefault(frame, {})[track_id] = box
 
     for frame in range(1, gt.frame_count + 1):
         entries = gt.entries_at(frame)
         if len(entries) > ORACLE_MAX_OBJECTS:
             raise ValidationError("oracle_clear: instance too large")
-        hyps = tracks.boxes_at(frame)
+        hyps = hyps_at.get(frame, {})
         if len(hyps) > ORACLE_MAX_OBJECTS:
             raise ValidationError("oracle_clear: instance too large")
         boxes_g = {g: e.box for g, e in entries.items()}
@@ -351,7 +379,7 @@ def oracle_clear(gt: GroundTruth, tracks: TrackSet,
     )
 
 
-def oracle_sweep_counts(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
+def oracle_sweep_counts(pairs: Sequence[tuple[GroundTruth, DetectionColumns]],
                         threshold: float,
                         iou_thr: float = DEFAULT_IOU_THR,
                         subset: str = "overall") -> tuple[int, int, int]:
@@ -383,8 +411,9 @@ def oracle_sweep_counts(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
     for gt, dets in pairs:
         if kind in ("weather", "difficulty") and getattr(gt, kind) != value:
             continue
-        kept = [d for d in dets if d.score >= threshold]
-        frames = {d.frame for d in kept} | {
+        kept = [(frame, score, box) for frame, score, box
+                in _box_rows(dets, "frame", "score") if score >= threshold]
+        frames = {frame for frame, _, _ in kept} | {
             e.frame for tr in gt.tracks for e in tr.entries}
         for frame in sorted(frames):
             pool = [e for tr in gt.tracks for e in tr.entries
@@ -392,14 +421,14 @@ def oracle_sweep_counts(pairs: Sequence[tuple[GroundTruth, DetectionSet]],
                         e.box, gt.ignore_regions, frame) <= IGNORE_COVERAGE_THR]
             n_gt += sum(map(in_subset, pool))
             free = list(range(len(pool)))
-            frame_dets = [d for d in kept if d.frame == frame]
-            for d in sorted(frame_dets, key=lambda d: -d.score):
-                overlaps = [(iou(d.box, pool[g].box), -g) for g in free]
+            frame_dets = [(score, box) for f, score, box in kept if f == frame]
+            for _, box in sorted(frame_dets, key=lambda d: -d[0]):
+                overlaps = [(iou(box, pool[g].box), -g) for g in free]
                 best, neg_g = max(overlaps, default=(0.0, 0))
                 if best > 0.0 and best >= iou_thr:
                     free.remove(-neg_g)
                     tp += in_subset(pool[-neg_g])
-                elif ignore_coverage(d.box, gt.ignore_regions,
+                elif ignore_coverage(box, gt.ignore_regions,
                                      frame) <= IGNORE_COVERAGE_THR:
                     fp += 1
     return tp, fp, n_gt - tp

@@ -15,8 +15,9 @@ table; a `cmd:` tracker runs once per threshold on the thinned detections.
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
 produce, read by `read_tracks`) and optionally {sequence}, the raw
-sequence id; exit 0 means success. The workspace directory is removed on
-success and kept for inspection on failure.
+sequence id; exit 0 means success. The workspace directory is made under
+``$DETRACEVAL_TMPDIR`` when it is set, else the system temporary
+directory; it is removed on success and kept for inspection on failure.
 """
 
 from __future__ import annotations
@@ -219,7 +220,6 @@ class ExternalTracker:
 
     command: str
     timeout: float | None = None
-    workdir: str | None = None
 
     def __post_init__(self) -> None:
         if "{input}" not in self.command or "{output}" not in self.command:
@@ -260,7 +260,7 @@ class ExternalTracker:
 
 def run_external(adapter: ExternalTracker, dets: DetectionColumns,
                  sequence_id: str) -> TrackColumns:
-    base = adapter.workdir or os.environ.get(TMPDIR_ENV) or None
+    base = os.environ.get(TMPDIR_ENV) or None
     # The id goes into a directory name: path separators and other
     # characters become "_", and the length stays within NAME_MAX.
     safe_id = re.sub(r"[^A-Za-z0-9._-]", "_", sequence_id)[:64]

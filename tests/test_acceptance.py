@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
+from box_columns import relabel, track_columns
 from detraceval.cli import main
-from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
-                                  OutTrack, Rows, TrackSet,
+from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack, Rows,
                                   write_ground_truth, write_tracks)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
                                     detection_report)
@@ -45,7 +45,7 @@ def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
     for seed in range(n):
         gt, tracks = random_tiny_scenario(seed)
-        got, _ = evaluate_clear(gt.columns, tracks.columns)
+        got, _ = evaluate_clear(gt.columns, tracks)
         want = oracle_clear(gt, tracks)
         assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
                (want.ids, want.fm, want.fp, want.fn,
@@ -103,7 +103,7 @@ def test_criterion_02_hungarian_exact():
 
 def test_criterion_03_perfect_pipeline_identities():
     fx = load_fixture("perfect")
-    gt, dets = fx.gt.columns, fx.dets.columns
+    gt, dets = fx.gt.columns, fx.dets
     ap = detection_report([(gt, dets)])["overall"]["ap"]
     assert ap == pytest.approx(1.0, abs=1e-9)
     tracks = greedy_iou_track(dets)
@@ -141,12 +141,12 @@ def test_criterion_04_mota_substitution_and_range():
     assert bundle.mota == 68.0
 
     gt, _ = random_tiny_scenario(3)
-    empty = TrackSet(())
-    empty_bundle, _ = evaluate_clear(gt.columns, empty.columns)
+    empty = track_columns()
+    empty_bundle, _ = evaluate_clear(gt.columns, empty)
     assert empty_bundle.mota == 0.0
 
     fx = load_fixture("fp-heavy")
-    heavy, _ = evaluate_clear(fx.gt.columns, greedy_iou_track(fx.dets.columns))
+    heavy, _ = evaluate_clear(fx.gt.columns, greedy_iou_track(fx.dets))
     assert heavy.mota < 0.0
     _report("criterion-04 accuracy formula",
             f"counts (100,20,10,2) -> 68.0 exact; empty -> 0.0; "
@@ -160,9 +160,9 @@ def test_criterion_05_integral_bound():
         # every score is equal: one threshold, one operating point
         single = name in ("perfect", "crossing")
         with _warns_if(single, "all detection scores are equal"):
-            thresholds = select_thresholds(fx.dets.columns.score, 10)
+            thresholds = select_thresholds(fx.dets.score, 10)
         for tracker in fx.trackers.values():
-            points = sweep([(fx.gt.columns, fx.dets.columns)], tracker,
+            points = sweep([(fx.gt.columns, fx.dets)], tracker,
                            thresholds)
             with _warns_if(single, "single operating point"):
                 report = pr_report(points)
@@ -210,10 +210,10 @@ def test_criterion_06_ap_oracle():
 
 def test_criterion_07_ranking_flip():
     fx = load_fixture("ranking-flip")
-    thresholds = select_thresholds(fx.dets.columns.score, 10)
+    thresholds = select_thresholds(fx.dets.score, 10)
     curves = {}
     for name in ("keep_all", "suppress_short"):
-        points = sweep([(fx.gt.columns, fx.dets.columns)], fx.trackers[name],
+        points = sweep([(fx.gt.columns, fx.dets)], fx.trackers[name],
                        thresholds)
         curves[name] = {p.threshold: p.metrics.mota for p in points}
     shared = sorted(set(curves["keep_all"]) & set(curves["suppress_short"]))
@@ -232,12 +232,12 @@ def test_criterion_08_relabeling_invariance():
     n = 100
     for seed in range(n):
         gt, tracks = random_tiny_scenario(seed + 10_000)
-        ids = sorted({t.track_id for t in tracks.tracks})
+        ids = np.unique(tracks.track_id).tolist()
         shuffled = [int(x) for x in rng.permutation(len(ids))]
         mapping = {old: 1000 + new for old, new in zip(ids, shuffled)}
-        relabeled = tracks.relabel(mapping)
-        original, _ = evaluate_clear(gt.columns, tracks.columns)
-        renamed, _ = evaluate_clear(gt.columns, relabeled.columns)
+        relabeled = relabel(tracks, mapping)
+        original, _ = evaluate_clear(gt.columns, tracks)
+        renamed, _ = evaluate_clear(gt.columns, relabeled)
         for field in ("ids", "fm", "fp", "fn", "mt", "ml"):
             assert getattr(original, field) == getattr(renamed, field), \
                 f"seed {seed}: {field}"
@@ -261,10 +261,10 @@ def _big_benchmark(tmp_path):
                                    box=BBox(left, 100.0, 40.0, 40.0)))
             boxes.append((frame, BBox(left + 1.0, 100.0, 40.0, 40.0)))
         gt_tracks.append(GtTrack(target_id=tid, entries=tuple(entries)))
-        out_tracks.append(OutTrack(track_id=tid, boxes=tuple(boxes)))
+        out_tracks.append((tid, boxes))
     gt = GroundTruth(sequence_id="bench", frame_count=n_frames,
                      tracks=tuple(gt_tracks))
-    tracks = TrackSet(tuple(out_tracks))
+    tracks = track_columns(*out_tracks)
     gt_dir = tmp_path / "gt"
     tr_dir = tmp_path / "tracks"
     gt_dir.mkdir()
@@ -272,7 +272,7 @@ def _big_benchmark(tmp_path):
     with open(gt_dir / "bench.json", "w") as fh:
         write_ground_truth(gt, fh)
     with open(tr_dir / "bench.csv", "w") as fh:
-        write_tracks(tracks.columns, fh)
+        write_tracks(tracks, fh)
     return gt.total_boxes(), gt_dir, tr_dir
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detraceval
+from box_columns import det_columns, track_columns
 from detraceval.cli import _read_pair, build_parser, main
 from detraceval.pr_integration import SCORE_NAMES
 from detraceval.datamodel import (DetectionColumns, GtColumns, TrackColumns,
@@ -92,7 +94,7 @@ def test_eval_mot_perfect(tmp_path):
     tracks_dir = tmp_path / "tracks"
     tracks_dir.mkdir()
     with open(tracks_dir / "perfect.csv", "w") as fh:
-        write_tracks(greedy_iou_track(fx.dets.columns), fh)
+        write_tracks(greedy_iou_track(fx.dets), fh)
     out = tmp_path / "out"
     assert main(["eval-mot", "--gt", str(gt_dir), "--tracks",
                  str(tracks_dir), "--out", str(out)]) == 0
@@ -109,7 +111,7 @@ def test_eval_mot_crossing_counts_switch(tmp_path):
     tracks_dir = tmp_path / "tracks"
     tracks_dir.mkdir()
     with open(tracks_dir / "crossing.csv", "w") as fh:
-        write_tracks(greedy_iou_track(fx.dets.columns), fh)
+        write_tracks(greedy_iou_track(fx.dets), fh)
     out = tmp_path / "out"
     assert main(["eval-mot", "--gt", str(gt_dir), "--tracks",
                  str(tracks_dir), "--out", str(out)]) == 0
@@ -400,20 +402,18 @@ def _two_by_two_scene(tmp_path):
     default IoU threshold every GT-detection pair is an edge, so the first
     frame's residual is one 2 x 2 component. Returns the gt, det and track
     directories."""
-    from detraceval.datamodel import (BBox, Detection, DetectionSet,
-                                      GroundTruth, GtEntry, GtTrack, OutTrack,
-                                      TrackSet, write_detections,
-                                      write_ground_truth)
+    from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
+                                      write_detections, write_ground_truth)
     frames = range(1, 4)
     gt = GroundTruth("pair", 3, tuple(
         GtTrack(tid, tuple(GtEntry(f, BBox(x0 + 2 * f, 0, 100, 100))
                            for f in frames))
         for tid, x0 in ((1, 0), (2, 5))))
     det_rows = ((1, 0.9), (4, 0.8))  # (left at frame 0, score)
-    dets = DetectionSet(tuple(Detection(f, BBox(x0 + 2 * f, 0, 100, 100), s)
-                              for f in frames for x0, s in det_rows))
-    tracks = TrackSet(tuple(
-        OutTrack(tid, tuple((f, BBox(x0 + 2 * f, 0, 100, 100)) for f in frames))
+    dets = det_columns(*((f, BBox(x0 + 2 * f, 0, 100, 100), s)
+                         for f in frames for x0, s in det_rows))
+    tracks = track_columns(*(
+        (tid, ((f, BBox(x0 + 2 * f, 0, 100, 100)) for f in frames))
         for tid, (x0, _) in enumerate(det_rows, start=1)))
     dirs = [tmp_path / name for name in ("gt", "det", "tracks")]
     for d in dirs:
@@ -423,7 +423,7 @@ def _two_by_two_scene(tmp_path):
     with open(dirs[1] / "pair.csv", "w") as fh:
         write_detections(dets, fh)
     with open(dirs[2] / "pair.csv", "w") as fh:
-        write_tracks(tracks.columns, fh)
+        write_tracks(tracks, fh)
     return dirs
 
 
@@ -540,7 +540,7 @@ def test_evaluation_commands_build_no_box_objects(tmp_path, monkeypatch,
         with open(tmp_path / "det" / f"s{seed}.csv", "w") as fh:
             datamodel.write_detections(dets, fh)
         with open(tmp_path / "tracks" / f"s{seed}.csv", "w") as fh:
-            write_tracks(greedy_iou_track(dets.columns, max_gap=2), fh)
+            write_tracks(greedy_iou_track(dets, max_gap=2), fh)
     argv = [command, "--gt", str(tmp_path / "gt")]
     if command == "eval-det":
         argv += ["--det", str(tmp_path / "det")]
@@ -565,8 +565,7 @@ def test_evaluation_commands_build_no_box_objects(tmp_path, monkeypatch,
         raise AssertionError(f"{type(self).__name__} built on the {command} path")
 
     for cls in (datamodel.BBox, datamodel.GtEntry, datamodel.GtTrack,
-                datamodel.Detection, datamodel.OutTrack, datamodel.IgnoreRegion,
-                det_metrics.PRCurve):
+                datamodel.IgnoreRegion, det_metrics.PRCurve):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     with pytest.raises(AssertionError, match=f"built on the {command} path"):
         datamodel.BBox(0, 0, 5, 5)
@@ -820,6 +819,17 @@ def test_gen_synthetic_bad_value_is_one_line_error(tmp_path, capsys, flag,
     assert main(["gen-synthetic", flag, *value.split(), "--out", str(out)]) == 1
     assert name in _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_gen_synthetic_box_that_breaks_a_detection_rule_is_one_line_error(
+        tmp_path, capsys):
+    """A jitter large enough to overflow a generated box to infinity: the
+    detection rules reject it in one error line naming the box field."""
+    assert main(["gen-synthetic", "--targets", "3", "--frames", "5",
+                 "--clutter-rate", "0", "--jitter-sigma", "1e308",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _one_line_error(capsys)
+    assert re.search(r"BBox\.(left|top|width|height) must be finite", err), err
 
 
 # One short sequence: GT (frame_count 3), detections and tracks, as files.

@@ -4,9 +4,9 @@ import io
 import numpy as np
 import pytest
 
-from detraceval.datamodel import (BBox, Detection, DetectionSet, GroundTruth,
-                                  GtEntry, GtTrack, IgnoreRegion, OutTrack,
-                                  Rows, TrackSet, ValidationError,
+from box_columns import det_columns, track_columns
+from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
+                                  IgnoreRegion, Rows, ValidationError,
                                   read_detections, read_ground_truth,
                                   read_tracks, write_detections,
                                   write_ground_truth, write_tracks)
@@ -83,7 +83,7 @@ def test_detection_roundtrip_random():
         buf = io.StringIO()
         write_detections(dets, buf)
         assert_same_columns(read_detections(buf.getvalue().splitlines()),
-                            dets.columns)
+                            dets)
 
 
 def test_track_degenerate_box_error():
@@ -92,13 +92,13 @@ def test_track_degenerate_box_error():
 
 
 def test_track_roundtrip():
-    ts = TrackSet((
-        OutTrack(1, ((1, BBox(0, 0, 5, 5)), (2, BBox(1, 1, 5, 5)))),
-        OutTrack(2, ((1, BBox(50, 50, 8, 8)),)),
-    ))
+    ts = track_columns(
+        (1, ((1, BBox(0, 0, 5, 5)), (2, BBox(1, 1, 5, 5)))),
+        (2, ((1, BBox(50, 50, 8, 8)),)),
+    )
     buf = io.StringIO()
-    write_tracks(ts.columns, buf)
-    assert_same_columns(read_tracks(buf.getvalue().splitlines()), ts.columns)
+    write_tracks(ts, buf)
+    assert_same_columns(read_tracks(buf.getvalue().splitlines()), ts)
 
 
 def test_malformed_line_reports_line_number():
@@ -133,34 +133,33 @@ def test_ignore_region_frame_range():
 
 
 def test_filter_score_preserves_order():
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 5, 5), 0.9),
-        Detection(1, BBox(1, 1, 5, 5), 0.2),
-        Detection(2, BBox(2, 2, 5, 5), 0.5),
-    )).columns
+    dets = det_columns(
+        (1, BBox(0, 0, 5, 5), 0.9),
+        (1, BBox(1, 1, 5, 5), 0.2),
+        (2, BBox(2, 2, 5, 5), 0.5),
+    )
     kept = dets.take(dets.score >= 0.5)
     assert kept.score.tolist() == [0.9, 0.5]
     assert kept.left.tolist() == [0, 2]
 
 
 def test_write_tracks_orders_rows_by_track_id():
-    ts = TrackSet((
-        OutTrack(5, ((2, BBox(0, 0, 5, 5)), (3, BBox(1, 1, 5, 5.5)))),
-        OutTrack(2, ((1, BBox(50, 50, 8, 8)),)),
-    ))
+    ts = track_columns(
+        (5, ((2, BBox(0, 0, 5, 5)), (3, BBox(1, 1, 5, 5.5)))),
+        (2, ((1, BBox(50, 50, 8, 8)),)),
+    )
     buf = io.StringIO()
-    write_tracks(ts.columns, buf)
+    write_tracks(ts, buf)
     assert buf.getvalue() == "1,2,50,50,8,8\n2,5,0,0,5,5\n3,5,1,1,5,5.5\n"
 
 
-def test_write_detections_objects_and_columns_write_the_same_text():
-    dets = DetectionSet((Detection(2, BBox(1, 2.5, 3, 4), 0.25),
-                         Detection(1, BBox(1e16, -0.0, 1, 1), 1)))
-    for source in (dets, dets.columns):
-        buf = io.StringIO()
-        write_detections(source, buf)
-        assert buf.getvalue() == ("2,-1,1,2.5,3,4,0.25,-1,-1,-1\n"
-                                  "1,-1,1e+16,0,1,1,1,-1,-1,-1\n")
+def test_write_detections_writes_rows_in_order_with_canonical_numbers():
+    dets = det_columns((2, BBox(1, 2.5, 3, 4), 0.25),
+                       (1, BBox(1e16, -0.0, 1, 1), 1))
+    buf = io.StringIO()
+    write_detections(dets, buf)
+    assert buf.getvalue() == ("2,-1,1,2.5,3,4,0.25,-1,-1,-1\n"
+                              "1,-1,1e+16,0,1,1,1,-1,-1,-1\n")
 
 
 _BOX = BBox(0, 0, 5, 5)
@@ -170,9 +169,6 @@ _INTEGER_FIELDS = {
     "GtEntry.frame": lambda v: GtEntry(v, _BOX),
     "GtTrack.target_id": lambda v: GtTrack(v, (GtEntry(1, _BOX),)),
     "GroundTruth.frame_count": lambda v: GroundTruth("s", v, ()),
-    "Detection.frame": lambda v: Detection(v, _BOX, 0.5),
-    "OutTrack.track_id": lambda v: OutTrack(v, ()),
-    "output track 1: frame": lambda v: OutTrack(1, ((v, _BOX),)),
 }
 
 
@@ -198,11 +194,6 @@ def test_columns_keep_every_integral_frame():
     assert gt.columns.frame.tolist() == [1, 3]
     assert gt.columns.target_id.tolist() == [2, 2]
     assert type(gt.frame_count) is int and gt.columns.frame_count == 5
-    dets = DetectionSet((Detection(4.0, _BOX, 0.5),))
-    assert dets.columns.frame.tolist() == [4]
-    tracks = TrackSet((OutTrack(7.0, ((2.0, _BOX),)),))
-    assert tracks.columns.frame.tolist() == [2]
-    assert tracks.columns.track_id.tolist() == [7]
 
 
 def test_rows_length_is_the_row_count_of_equal_columns():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from box_columns import concat, det_columns, round_scores
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
-                                  Detection, DetectionSet, GroundTruth,
-                                  GtEntry, GtTrack, IgnoreRegion, Rows,
-                                  ValidationError)
+                                  GroundTruth, GtEntry, GtTrack, IgnoreRegion,
+                                  Rows, ValidationError)
 from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
                                     detection_report, rates, threshold_counts)
 from detraceval.matching import match_frame_greedy
@@ -29,7 +29,7 @@ def _dicts(rows):
 
 def _points(gt, dets, iou_thr=0.7):
     """The overall report rows of one sequence, one dict per row."""
-    return _dicts(detection_report([(gt.columns, dets.columns)], ["overall"],
+    return _dicts(detection_report([(gt.columns, dets)], ["overall"],
                                    iou_thr)["overall"]["points"])
 
 
@@ -66,8 +66,7 @@ def _assert_curve_order(precision, recall):
 
 def test_perfect_detector_single_point():
     gt = _gt_two_boxes()
-    dets = DetectionSet(tuple(
-        Detection(1, tr.entries[0].box, 1.0) for tr in gt.tracks))
+    dets = det_columns(*((1, tr.entries[0].box, 1.0) for tr in gt.tracks))
     (p,) = _points(gt, dets)
     assert p["precision"] == 1.0 and p["recall"] == 1.0
 
@@ -75,7 +74,7 @@ def test_perfect_detector_single_point():
 def test_no_detections_empty_set_convention():
     """No detections: the one row keeps nothing, precision 1, AP 0; the
     sweep reads the same row at every threshold."""
-    gt, dets = _gt_two_boxes().columns, DetectionSet().columns
+    gt, dets = _gt_two_boxes().columns, det_columns()
     report = detection_report([(gt, dets)])["overall"]
     assert report == {"ap": 0.0, "points": Rows(dict(
         threshold=[math.inf], precision=[1.0], recall=[0.0], tp=[0], fp=[0],
@@ -88,9 +87,9 @@ def test_detection_beyond_frame_count_rejected():
     """A detection past the GT's last frame is an input error in every
     labeling path, as in eval-det, not a false positive."""
     gt = _gt_two_boxes()  # frame_count 1
-    dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),
-                         Detection(2, BBox(0, 0, 20, 20), 0.8)))
-    g, d = gt.columns, dets.columns
+    dets = det_columns((1, BBox(0, 0, 20, 20), 0.9),
+                       (2, BBox(0, 0, 20, 20), 0.8))
+    g, d = gt.columns, dets
     want = "detections: frame 2 beyond frame_count 1"
     for score in (lambda: detection_report([(g, d)]),
                   lambda: threshold_counts([(g, d)])):
@@ -106,21 +105,22 @@ def _corners(boxes):
 
 
 def _greedy(dets, gts, iou_thr):
-    """match_frame_greedy on Detection and BBox lists."""
-    return match_frame_greedy(_corners([d.box for d in dets]),
-                              [d.score for d in dets], _corners(gts), iou_thr)
+    """match_frame_greedy on a (box, score) list and a BBox list."""
+    return match_frame_greedy(_corners([box for box, _ in dets]),
+                              [score for _, score in dets], _corners(gts), iou_thr)
 
 
 def _brute_force_pr(dets, gt, iou_thr, threshold):
-    """Recompute one operating point from scratch at a single threshold."""
-    kept = [d for d in dets if d.score >= threshold]
+    """Recompute one operating point from scratch at a single threshold,
+    from the detections' (frame, box, score) rows."""
+    kept = [row for row in dets if row[2] >= threshold]
     tp = fp = n_gt = 0
-    frames = {d.frame for d in kept} | {e.frame for tr in gt.tracks
-                                        for e in tr.entries}
+    frames = {frame for frame, _, _ in kept} | {e.frame for tr in gt.tracks
+                                                for e in tr.entries}
     for frame in sorted(frames):
         gts = [e.box for tr in gt.tracks for e in tr.entries if e.frame == frame]
         n_gt += len(gts)
-        frame_dets = [d for d in kept if d.frame == frame]
+        frame_dets = [(box, score) for f, box, score in kept if f == frame]
         m = _greedy(frame_dets, gts, iou_thr)
         tp += len(m)
         fp += len(frame_dets) - len(m)
@@ -130,12 +130,12 @@ def _brute_force_pr(dets, gt, iou_thr, threshold):
 
 def test_worked_three_detection_curve():
     gt = _gt_two_boxes()
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 20, 20), 0.9),       # hit
-        Detection(1, BBox(300, 300, 20, 20), 0.8),   # clutter
-        Detection(1, BBox(100, 100, 20, 20), 0.7),   # hit
-    ))
-    points = _points(gt, dets)
+    rows = (
+        (1, BBox(0, 0, 20, 20), 0.9),       # hit
+        (1, BBox(300, 300, 20, 20), 0.8),   # clutter
+        (1, BBox(100, 100, 20, 20), 0.7),   # hit
+    )
+    points = _points(gt, det_columns(*rows))
     got = [(p["precision"], p["recall"]) for p in
            sorted(points, key=lambda p: -p["threshold"])]
     assert got[0] == (1.0, 0.5)
@@ -143,7 +143,7 @@ def test_worked_three_detection_curve():
     assert got[2] == (pytest.approx(2 / 3), 1.0)
     # cross-check every threshold against a from-scratch evaluation
     for p in points:
-        want = _brute_force_pr(dets, gt, 0.7, p["threshold"])
+        want = _brute_force_pr(rows, gt, 0.7, p["threshold"])
         assert (p["precision"], p["recall"]) == pytest.approx(want)
 
 
@@ -188,14 +188,13 @@ def test_ap_equals_the_former_loop_on_random_curves():
 
 def test_clutter_at_new_lowest_score_never_increases_ap():
     gt = _gt_two_boxes()
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 20, 20), 0.9),
-        Detection(1, BBox(100, 100, 20, 20), 0.7),
-    ))
-    base = detection_report([(gt.columns, dets.columns)])["overall"]
-    noisier = DetectionSet(dets.detections
-                           + (Detection(1, BBox(300, 300, 20, 20), 0.1),))
-    with_clutter = detection_report([(gt.columns, noisier.columns)])["overall"]
+    dets = det_columns(
+        (1, BBox(0, 0, 20, 20), 0.9),
+        (1, BBox(100, 100, 20, 20), 0.7),
+    )
+    base = detection_report([(gt.columns, dets)])["overall"]
+    noisier = concat(dets, det_columns((1, BBox(300, 300, 20, 20), 0.1)))
+    with_clutter = detection_report([(gt.columns, noisier)])["overall"]
     assert with_clutter["ap"] <= base["ap"]
     # higher-threshold points are unchanged
     base_pts = {p["threshold"]: (p["precision"], p["recall"])
@@ -211,10 +210,10 @@ def test_ignored_gt_and_detections_are_neutral():
         GtTrack(1, (GtEntry(1, BBox(0, 0, 20, 20)),)),
         GtTrack(2, (GtEntry(1, BBox(100, 100, 20, 20)),)),  # inside ignore
     ), ignore_regions=(region,))
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 20, 20), 0.9),
-        Detection(1, BBox(100, 100, 20, 20), 0.8),  # in ignore region: neutral
-    ))
+    dets = det_columns(
+        (1, BBox(0, 0, 20, 20), 0.9),
+        (1, BBox(100, 100, 20, 20), 0.8),  # in ignore region: neutral
+    )
     # single countable GT, matched: every point has no FP and full recall
     best = max(_points(gt, dets), key=lambda p: p["recall"])
     assert best["fp"] == 0 and best["recall"] == 1.0 and best["tp"] == 1
@@ -222,20 +221,20 @@ def test_ignored_gt_and_detections_are_neutral():
 
 def test_subset_empty_target_set_error():
     gt = _gt_two_boxes()  # all "car"
-    dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),))
+    dets = det_columns((1, BBox(0, 0, 20, 20), 0.9))
     with pytest.raises(ValidationError, match="empty evaluation target set"):
-        detection_report([(gt.columns, dets.columns)], ["category:bus"])
+        detection_report([(gt.columns, dets)], ["category:bus"])
 
 
 def test_subset_overall_equals_no_predicate():
     """The overall rows are the rows of the sweep's table, which applies
     no subset mask."""
     gt = _gt_two_boxes()
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 20, 20), 0.9),
-        Detection(1, BBox(300, 300, 20, 20), 0.4),
-    ))
-    pairs = [(gt.columns, dets.columns)]
+    dets = det_columns(
+        (1, BBox(0, 0, 20, 20), 0.9),
+        (1, BBox(300, 300, 20, 20), 0.4),
+    )
+    pairs = [(gt.columns, dets)]
     points = detection_report(pairs, ["overall"])["overall"]["points"]
     table = threshold_counts(pairs)
     assert list(zip(*(points[k] for k in ("threshold", "tp", "fp", "fn")))) == [
@@ -251,11 +250,11 @@ def test_matched_out_of_subset_gt_neutralizes_detection():
         GtTrack(1, (GtEntry(1, BBox(0, 0, 20, 20), category="car"),)),
         GtTrack(2, (GtEntry(1, BBox(100, 100, 20, 20), category="bus"),)),
     ))
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 20, 20), 0.9),
-        Detection(1, BBox(100, 100, 20, 20), 0.8),
-    ))
-    report = detection_report([(gt.columns, dets.columns)], ["category:car"])
+    dets = det_columns(
+        (1, BBox(0, 0, 20, 20), 0.9),
+        (1, BBox(100, 100, 20, 20), 0.8),
+    )
+    report = detection_report([(gt.columns, dets)], ["category:car"])
     points = report["category:car"]["points"]
     assert set(points["fp"]) == {0}
     assert report["category:car"]["ap"] == 1.0
@@ -267,12 +266,12 @@ def test_per_scale_counts_recombine():
         GtTrack(1, (GtEntry(1, BBox(0, 0, 20, 20)),)),        # scale 20: small
         GtTrack(2, (GtEntry(1, BBox(300, 300, 200, 200)),)),  # scale 200: large
     ))
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 20, 20), 0.9),
-        Detection(1, BBox(300, 300, 200, 200), 0.8),
-    ))
+    dets = det_columns(
+        (1, BBox(0, 0, 20, 20), 0.9),
+        (1, BBox(300, 300, 200, 200), 0.8),
+    )
     report = detection_report(
-        [(gt.columns, dets.columns)], ["overall", "scale:small", "scale:large"])
+        [(gt.columns, dets)], ["overall", "scale:small", "scale:large"])
     overall_tp = max(report["overall"]["points"]["tp"])
     small_tp = max(report["scale:small"]["points"]["tp"])
     large_tp = max(report["scale:large"]["points"]["tp"])
@@ -327,8 +326,7 @@ def _random_subset_case(seed):
             gt, tracks=tracks, ignore_regions=regions,
             weather=str(rng.choice(WEATHERS)),
             difficulty=str(rng.choice(DIFFICULTIES)))
-        dets = DetectionSet(tuple(
-            dataclasses.replace(d, score=round(d.score, 1)) for d in dets))
+        dets = round_scores(dets, 1)
         pairs.append((gt, dets))
     return pairs, float(rng.choice([0.3, 0.5, 0.7]))
 
@@ -352,8 +350,9 @@ def test_subset_counts_equal_filter_then_relabel_oracle():
     for seed in range(300):
         pairs, iou_thr = _random_subset_case(seed)
         rng = np.random.default_rng(seed)
-        scores = sorted({d.score for _, dets in pairs for d in dets})
-        columns = [(gt.columns, dets.columns) for gt, dets in pairs]
+        scores = sorted({score for _, dets in pairs
+                         for score in dets.score.tolist()})
+        columns = [(gt.columns, dets) for gt, dets in pairs]
         taus = scores + [(a + b) / 2 for a, b in zip(scores, scores[1:])]
         taus += [float(t) for t in rng.uniform(-0.2, 1.2, 3)]
         for name in rng.choice(ALL_SUBSETS, 3, replace=False).tolist():
@@ -374,11 +373,11 @@ def test_subset_counts_equal_filter_then_relabel_oracle():
 
 def test_unknown_subset_name_is_validation_error():
     gt = _gt_two_boxes()
-    dets = DetectionSet((Detection(1, BBox(0, 0, 20, 20), 0.9),))
+    dets = det_columns((1, BBox(0, 0, 20, 20), 0.9))
     for name in ("scale:huge", "occlusion:some", "weather:foggy",
                  "colour:red", "overall:car", "car"):
         with pytest.raises(ValidationError):
-            detection_report([(gt.columns, dets.columns)], [name])
+            detection_report([(gt.columns, dets)], [name])
 
 
 def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
@@ -386,11 +385,11 @@ def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
     them in (frame, input) order, TPs before FPs, down to its sign."""
     gt = _gt_two_boxes()
     for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-        dets = DetectionSet((
-            Detection(1, BBox(300, 300, 20, 20), first),    # FP
-            Detection(1, BBox(0, 0, 20, 20), 0.5),          # TP
-            Detection(2, BBox(400, 400, 20, 20), second),   # FP, later frame
-        ))
+        dets = det_columns(
+            (1, BBox(300, 300, 20, 20), first),    # FP
+            (1, BBox(0, 0, 20, 20), 0.5),          # TP
+            (2, BBox(400, 400, 20, 20), second),   # FP, later frame
+        )
         gt2 = GroundTruth("s", 2, gt.tracks)
         points = _points(gt2, dets)
         _assert_curve_order([p["precision"] for p in points],
@@ -398,7 +397,7 @@ def test_tied_signed_zero_scores_keep_the_last_detections_threshold():
         (zero,) = [p for p in points if p["threshold"] == 0.0]
         assert math.copysign(1.0, zero["threshold"]) == math.copysign(1.0, second)
         assert (zero["tp"], zero["fp"]) == (1, 2)
-        table = threshold_counts([(gt2.columns, dets.columns)])
+        table = threshold_counts([(gt2.columns, dets)])
         assert table.at(0.0) == table.at(-0.0) == (1, 2, 1)
         _assert_curve_order(*rates(table.tp, table.kept, table.n_gt))
 
@@ -409,7 +408,7 @@ def test_ap_equals_the_former_loop_on_every_subset():
     n_reports = 0
     for seed in range(60):
         pairs, iou_thr = _random_subset_case(seed)
-        columns = [(gt.columns, dets.columns) for gt, dets in pairs]
+        columns = [(gt.columns, dets) for gt, dets in pairs]
         for name in ALL_SUBSETS:
             try:
                 body = detection_report(columns, [name], iou_thr)[name]

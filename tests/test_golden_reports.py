@@ -8,7 +8,10 @@ sequences with ignore regions) before one labeling pass per sequence
 replaced the per-subset relabel; the multi-sequence `eval-system` digests
 (tagged sequences with ignore regions, a builtin and a `cmd:` tracker,
 uniform and quantile thresholds) before the sweep moved from per-box
-objects to columns.  Any later change that moves a report byte (an
+objects to columns; the `gen-synthetic` digests (GT, detections and
+config of every fixture and of one cluttered scenario) before
+`gen_scenario` and the fixtures moved from per-box detection objects to
+columns.  Any later change that moves a report byte (an
 operation order in the kernel, a tie rule in a matcher, a parse of a
 number, a rounding in the writer) fails here instead of drifting
 silently.  A change that means to move report bytes must say why and
@@ -21,10 +24,12 @@ import sys
 
 import pytest
 
+import numpy as np
+
+from box_columns import concat, det_columns, round_scores
 from detraceval.cli import main
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
-                                  Detection, DetectionSet, GtTrack,
-                                  IgnoreRegion, read_detections,
+                                  GtTrack, IgnoreRegion, read_detections,
                                   write_detections, write_ground_truth,
                                   write_tracks)
 from detraceval.fixtures import load_fixture
@@ -220,6 +225,50 @@ GOLDEN_SUBSETS = {
     },
 }
 
+# case -> file under gen-synthetic's --out -> sha256 of that file
+GOLDEN_GEN = {
+    "perfect": {
+        "config.json":
+            "7aa7e40daee29d97d01cd04d630307b24320cb416c4ff599a6d6e19a60222974",
+        "det/perfect.csv":
+            "761ed6a174379f722d198507cad3a728c4ed03cc5054a18cd58c7a347abe9a46",
+        "gt/perfect.json":
+            "d33bafe41e116784ebfe8d3e521ea393729d160b59f01f25fcaf83ade7dd67da",
+    },
+    "crossing": {
+        "config.json":
+            "b4f799aaa408fd77868c6d878dcb6d58f435a5dcdc0d6b5177ab8024c2e98edf",
+        "det/crossing.csv":
+            "44f7e788d289e592ed6676962485bee848fb0503c1acf7382514be55171c0c53",
+        "gt/crossing.json":
+            "cff4da972dbcfe9dcfb90680253bb1a2b1c5624963ad3e85450018dc1775d9c3",
+    },
+    "ranking-flip": {
+        "config.json":
+            "18e1b7b2c67f6656cca2b046e59a36c8643129e799d96f167cb8d56019ba2f50",
+        "det/ranking-flip.csv":
+            "2d4249ce827bf64fb7eae91ecb80c87274eb92efa787071c78969b69aec13f7d",
+        "gt/ranking-flip.json":
+            "d063ea371c64e70b78b56658c9ca1df65e676205577bf9b2b28714df1b83ffad",
+    },
+    "fp-heavy": {
+        "config.json":
+            "16bb687333da083a3d2d13760d57ddcef56a47ce1cc08b5657793ebae64ea2ce",
+        "det/fp-heavy.csv":
+            "2d854eb7505e5115fa8e1f4b5ba40f5b08b789cb08ff5a8372b8edd25ed4b14e",
+        "gt/fp-heavy.json":
+            "12e80bf9214ad4dd4043fdc5e1d9c58869176bc56f202a9f4da75245eb57234d",
+    },
+    "cluttered": {
+        "config.json":
+            "b064fea28411530e16befba006298eb2079129c56a7232a1cbab77b52d1984e9",
+        "det/synth-1.csv":
+            "e000eb2d1ec87fb6a3bd263af0f426cd4ed055d2062582d17b0cd4580871c8f0",
+        "gt/synth-1.json":
+            "b572a8d5f897d56ccc4bf3357fec4ae3d687ca4c77514224cc7432374e7b188e",
+    },
+}
+
 GOLDEN_LEADERBOARD = {
     "leaderboard.csv":
         "179d35e5bccb422963e3bd4f95a8903c38247e52360c7a86241bd197aa2f1317",
@@ -318,16 +367,16 @@ def _gen_subsets(data) -> None:
                 if tr.target_id in edge:
                     side = edge[tr.target_id]
                     box = BBox(box.left, box.top, side, side)
-                    extra.append(Detection(e.frame, box, 0.75))
+                    extra.append((e.frame, box, 0.75))
                 entries.append(dataclasses.replace(
                     e, box=box,
                     category=CATEGORIES[tr.target_id % len(CATEGORIES)],
                     occlusion_ratio=_OCCLUSIONS[
                         (tr.target_id + e.frame) % len(_OCCLUSIONS)]))
             tracks.append(GtTrack(tr.target_id, tuple(entries)))
-        dets = list(dets) + extra
+        dets = concat(dets, det_columns(*extra))
         if i == 1:
-            dets = [dataclasses.replace(d, score=round(d.score, 1)) for d in dets]
+            dets = round_scores(dets, 1)
         gt = dataclasses.replace(
             gt, sequence_id=f"tagged{i}", tracks=tuple(tracks),
             weather=WEATHERS[i], difficulty=DIFFICULTIES[i],
@@ -337,8 +386,14 @@ def _gen_subsets(data) -> None:
         with open(data / "gt" / f"tagged{i}.json", "w") as fh:
             write_ground_truth(gt, fh)
         with open(data / "det" / f"tagged{i}.csv", "w") as fh:
-            write_detections(DetectionSet(tuple(
-                sorted(dets, key=lambda d: d.frame))), fh)
+            write_detections(dets.take(np.argsort(dets.frame, kind="stable")), fh)
+
+
+def _gen_digests(tmp_path, case: str) -> dict[str, str]:
+    data = tmp_path / "data"
+    _gen(data, case)
+    return {p.relative_to(data).as_posix(): _sha(p)
+            for p in sorted(data.rglob("*")) if p.is_file()}
 
 
 def _subset_digests(tmp_path, iou_thr: str) -> dict[str, str]:
@@ -397,6 +452,11 @@ def _leaderboard_digests(tmp_path) -> dict[str, str]:
 def _mot_cases():
     yield from _cases()
     yield "ignore", "builtin:max_gap=2"
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_GEN))
+def test_gen_synthetic_bytes_match_golden(tmp_path, case):
+    assert _gen_digests(tmp_path, case) == GOLDEN_GEN[case]
 
 
 @pytest.mark.parametrize("case,spec", list(_mot_cases()))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from detraceval.datamodel import BBox, Detection
+from detraceval.datamodel import BBox
 from detraceval.geometry import iou, iou_matrix
 from detraceval.matching import (_IOU_TIE_TOL, FORBIDDEN, _residual_match,
                                  _residual_value, clear_correspond, hungarian,
@@ -70,7 +70,8 @@ def test_hungarian_matches_brute_force_random():
 
 
 def _det(x, y, score, size=10.0):
-    return Detection(1, BBox(x, y, size, size), score)
+    """One frame's detection as (box, score)."""
+    return BBox(x, y, size, size), score
 
 
 def _corners(boxes):
@@ -80,9 +81,9 @@ def _corners(boxes):
 
 
 def _greedy(dets, gts, iou_thr):
-    """match_frame_greedy on Detection and BBox lists."""
-    return match_frame_greedy(_corners([d.box for d in dets]),
-                              [d.score for d in dets], _corners(gts), iou_thr)
+    """match_frame_greedy on a (box, score) list and a BBox list."""
+    return match_frame_greedy(_corners([box for box, _ in dets]),
+                              [score for _, score in dets], _corners(gts), iou_thr)
 
 
 def _unmatched_gt(pairs, gt_ids):
@@ -139,8 +140,8 @@ def test_greedy_cardinality_bounded_by_optimal():
                 for _ in range(4)]
         m = _greedy(dets, gts, 0.3)
         from detraceval.geometry import iou, iou_matrix
-        cost = [[0.0 if iou(d.box, g) >= 0.3 else FORBIDDEN
-                 for g in gts] for d in dets]
+        cost = [[0.0 if iou(box, g) >= 0.3 else FORBIDDEN
+                 for g in gts] for box, _ in dets]
         optimal = hungarian(cost)
         assert len(m) <= len(optimal)
 
@@ -149,7 +150,7 @@ def test_greedy_iou_tie_goes_to_smallest_gt_index():
     # the detection straddles two GT boxes at equal IoU
     gts = [BBox(20, 0, 10, 10), BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)]
     det = _det(5, 0, 0.9)
-    assert iou(det.box, gts[1]) == iou(det.box, gts[2]) > 0.0
+    assert iou(det[0], gts[1]) == iou(det[0], gts[2]) > 0.0
     m = _greedy([det], gts, 0.3)
     assert [gi for gi, _, _ in m] == [1]
     assert _unmatched_gt(m, range(3)) == (0, 2)
@@ -172,13 +173,13 @@ def test_greedy_matches_at_exactly_iou_thr():
 
 def _scalar_match_frame_greedy(dets, gts, iou_thr):
     """Reference matcher: the scalar loop over free GT per detection."""
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    order = sorted(range(len(dets)), key=lambda i: -dets[i][1])
     free = set(range(len(gts)))
     pairs = []
     for di in order:
         best_gi, best_iou = -1, 0.0
         for gi in sorted(free):
-            v = iou(dets[di].box, gts[gi])
+            v = iou(dets[di][0], gts[gi])
             if v > best_iou:
                 best_gi, best_iou = gi, v
         if best_gi >= 0 and best_iou >= iou_thr:
@@ -194,8 +195,8 @@ def test_greedy_matches_scalar_reference_with_ties():
     for _ in range(300):
         gts = [BBox(*map(float, rng.integers(0, 6, 2) * 5), 10, 10)
                for _ in range(rng.integers(0, 6))]
-        dets = [Detection(1, BBox(*map(float, rng.integers(0, 6, 2) * 5),
-                                  10, 10), float(rng.integers(1, 4)) / 10)
+        dets = [(BBox(*map(float, rng.integers(0, 6, 2) * 5), 10, 10),
+                 float(rng.integers(1, 4)) / 10)
                 for _ in range(rng.integers(0, 6))]
         iou_thr = float(rng.choice([0.0, 0.3, 0.5]))
         m = _greedy(dets, gts, iou_thr)
@@ -442,7 +443,7 @@ def test_evaluate_clear_equals_whole_matrix_reference(seed, monkeypatch):
         n_targets=10, n_frames=40, arena=(240.0, 160.0), drop_rate=0.2,
         clutter_rate=8.0, jitter_sigma=3.0, seed=seed))
     gt = gt.columns
-    tracks = greedy_iou_track(dets.columns, max_gap=2)
+    tracks = greedy_iou_track(dets, max_gap=2)
     for iou_thr in (0.0, 0.3, 0.5):
         got = evaluate_clear(gt, tracks, iou_thr)
         with monkeypatch.context() as patch:

@@ -4,13 +4,13 @@ import io
 import numpy as np
 import pytest
 
+from box_columns import concat, relabel, track_columns
 from detraceval import datamodel
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
-                                  IgnoreRegion, OutTrack, Rows, TrackSet,
-                                  ValidationError, check_frame_count,
-                                  frame_slices, read_ground_truth,
-                                  read_tracks, write_ground_truth,
-                                  write_tracks)
+                                  IgnoreRegion, Rows, ValidationError,
+                                  check_frame_count, frame_slices,
+                                  read_ground_truth, read_tracks,
+                                  write_ground_truth, write_tracks)
 from detraceval.det_metrics import DEFAULT_IOU_THR
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import clear_correspond
@@ -32,8 +32,8 @@ def assert_bundles_equal(a, b, tol=1e-9):
 
 def gt_as_tracks(gt):
     """Perfect tracker output: GT boxes with ids offset."""
-    return TrackSet(tuple(
-        OutTrack(tr.target_id + 100, tuple((e.frame, e.box) for e in tr.entries))
+    return track_columns(*(
+        (tr.target_id + 100, ((e.frame, e.box) for e in tr.entries))
         for tr in gt.tracks))
 
 
@@ -58,7 +58,7 @@ def _stats(frame_counts, fm=0, mt=0, ml=0, n_tracks=0):
 
 def test_perfect_tracking():
     gt = _linear_gt()
-    bundle, _ = evaluate_clear(gt.columns, gt_as_tracks(gt).columns)
+    bundle, _ = evaluate_clear(gt.columns, gt_as_tracks(gt))
     assert bundle.mota == 100.0
     assert bundle.motp == 100.0
     assert bundle.ids == bundle.fm == bundle.fp == bundle.fn == 0
@@ -67,7 +67,7 @@ def test_perfect_tracking():
 
 def test_empty_tracker():
     gt = _linear_gt()
-    bundle, _ = evaluate_clear(gt.columns, TrackSet().columns)
+    bundle, _ = evaluate_clear(gt.columns, track_columns())
     assert bundle.fn == gt.total_boxes()
     assert bundle.fp == 0 and bundle.ids == 0
     assert bundle.mota == 0.0
@@ -81,20 +81,20 @@ def test_eq1_substitution():
 
 def test_frame_beyond_frame_count_rejected():
     gt = _linear_gt(n_frames=5)
-    bad = TrackSet((OutTrack(1, ((6, BBox(0, 0, 5, 5)),)),))
+    bad = track_columns((1, ((6, BBox(0, 0, 5, 5)),)))
     with pytest.raises(ValidationError, match="beyond"):
-        evaluate_clear(gt.columns, bad.columns)
+        evaluate_clear(gt.columns, bad)
 
 
 def test_aggregate_single_sequence_identity():
     gt = _linear_gt()
-    bundle, stats = evaluate_clear(gt.columns, gt_as_tracks(gt).columns)
+    bundle, stats = evaluate_clear(gt.columns, gt_as_tracks(gt))
     assert aggregate([stats]) == bundle
 
 
 def test_aggregate_two_identical_sequences():
     gt = _linear_gt()
-    bundle, stats = evaluate_clear(gt.columns, gt_as_tracks(gt).columns)
+    bundle, stats = evaluate_clear(gt.columns, gt_as_tracks(gt))
     combined = aggregate([stats, stats])
     assert combined.mota == bundle.mota
     assert combined.fn == 2 * bundle.fn
@@ -117,11 +117,10 @@ def test_aggregate_empty_rejected():
 
 def test_mota_can_go_negative():
     gt = _linear_gt(n_tracks=1, n_frames=3)
-    clutter = TrackSet(tuple(
-        OutTrack(i, tuple((f, BBox(500.0 + 30 * i, 500.0, 10, 10))
-                          for f in range(1, 4)))
+    clutter = track_columns(*(
+        (i, ((f, BBox(500.0 + 30 * i, 500.0, 10, 10)) for f in range(1, 4)))
         for i in range(1, 6)))
-    bundle, _ = evaluate_clear(gt.columns, clutter.columns)
+    bundle, _ = evaluate_clear(gt.columns, clutter)
     assert bundle.mota < 0
 
 
@@ -129,14 +128,14 @@ def test_relabeling_invariance():
     rng = np.random.default_rng(7)
     for seed in range(30):
         gt, tracks = random_tiny_scenario(seed)
-        ids = [tr.track_id for tr in tracks.tracks]
+        ids = np.unique(tracks.track_id).tolist()
         if not ids:
             continue
         shuffled = list(rng.permutation(ids))
         mapping = {a: 1000 + b for a, b in zip(ids, shuffled)}
-        base, _ = evaluate_clear(gt.columns, tracks.columns)
+        base, _ = evaluate_clear(gt.columns, tracks)
         relabeled, _ = evaluate_clear(gt.columns,
-                                      tracks.relabel(mapping).columns)
+                                      relabel(tracks, mapping))
         assert_bundles_equal(base, relabeled)
 
 
@@ -144,29 +143,29 @@ def test_removing_clutter_track_never_decreases_mota():
     rng = np.random.default_rng(8)
     for seed in range(20):
         gt, tracks = random_tiny_scenario(seed)
-        clutter = OutTrack(9999, tuple(
+        clutter = track_columns((9999, (
             (f, BBox(400.0 + f, 400.0, 8, 8))
-            for f in range(1, gt.frame_count + 1)))
-        with_clutter = TrackSet(tracks.tracks + (clutter,))
-        assert evaluate_clear(gt.columns, tracks.columns)[0].mota \
-            >= evaluate_clear(gt.columns, with_clutter.columns)[0].mota
+            for f in range(1, gt.frame_count + 1))))
+        with_clutter = concat(tracks, clutter)
+        assert evaluate_clear(gt.columns, tracks)[0].mota \
+            >= evaluate_clear(gt.columns, with_clutter)[0].mota
 
 
 def test_mt_ml_boundaries_are_strict():
     # track annotated 10 frames, matched exactly 2 (20%): neither MT nor ML
     gt = _linear_gt(n_tracks=1, n_frames=10)
-    partial = TrackSet((OutTrack(1, tuple(
-        (e.frame, e.box) for e in gt.tracks[0].entries[:2])),))
-    bundle, _ = evaluate_clear(gt.columns, partial.columns)
+    partial = track_columns((1, (
+        (e.frame, e.box) for e in gt.tracks[0].entries[:2])))
+    bundle, _ = evaluate_clear(gt.columns, partial)
     assert bundle.mt == 0 and bundle.ml == 0
     # matched 8 of 10 (80%): still not MT
-    partial8 = TrackSet((OutTrack(1, tuple(
-        (e.frame, e.box) for e in gt.tracks[0].entries[:8])),))
-    assert evaluate_clear(gt.columns, partial8.columns)[0].mt == 0
+    partial8 = track_columns((1, (
+        (e.frame, e.box) for e in gt.tracks[0].entries[:8])))
+    assert evaluate_clear(gt.columns, partial8)[0].mt == 0
     # matched 9 of 10 (90%): MT
-    partial9 = TrackSet((OutTrack(1, tuple(
-        (e.frame, e.box) for e in gt.tracks[0].entries[:9])),))
-    assert evaluate_clear(gt.columns, partial9.columns)[0].mt == 1
+    partial9 = track_columns((1, (
+        (e.frame, e.box) for e in gt.tracks[0].entries[:9])))
+    assert evaluate_clear(gt.columns, partial9)[0].mt == 1
 
 
 def test_ids_same_id_after_gap_is_not_a_switch():
@@ -175,7 +174,7 @@ def test_ids_same_id_after_gap_is_not_a_switch():
     # matched frames 1,2,4,5 by the same id: one fragmentation, no switch
     boxes = tuple((e.frame, e.box) for e in entries if e.frame != 3)
     bundle, _ = evaluate_clear(gt.columns,
-                               TrackSet((OutTrack(1, boxes),)).columns)
+                               track_columns((1, boxes)))
     assert bundle.ids == 0
     assert bundle.fm == 1
 
@@ -183,16 +182,16 @@ def test_ids_same_id_after_gap_is_not_a_switch():
 def test_ids_counts_id_change():
     gt = _linear_gt(n_tracks=1, n_frames=4)
     entries = gt.tracks[0].entries
-    a = OutTrack(1, tuple((e.frame, e.box) for e in entries[:2]))
-    b = OutTrack(2, tuple((e.frame, e.box) for e in entries[2:]))
-    bundle, _ = evaluate_clear(gt.columns, TrackSet((a, b)).columns)
+    a = (1, ((e.frame, e.box) for e in entries[:2]))
+    b = (2, ((e.frame, e.box) for e in entries[2:]))
+    bundle, _ = evaluate_clear(gt.columns, track_columns(a, b))
     assert bundle.ids == 1
     assert bundle.fm == 0  # no unmatched frame in between
 
 
 def test_motp_equals_mean_matched_iou():
     gt, tracks = random_tiny_scenario(3)
-    bundle, stats = evaluate_clear(gt.columns, tracks.columns)
+    bundle, stats = evaluate_clear(gt.columns, tracks)
     matches = sum(stats.frame_counts["matches"])
     iou_sum = sum(stats.frame_counts["iou_sum"])
     if matches:
@@ -203,9 +202,9 @@ def test_frame_counts_are_one_row_per_scored_frame():
     """One row per frame with a GT or a hypothesis box, in frame order, of
     Python scalars; iou_sum is the int 0 where nothing matched."""
     gt = _linear_gt(n_tracks=1, n_frames=6)
-    tracks = TrackSet((OutTrack(7, tuple(
-        (e.frame, e.box) for e in gt.tracks[0].entries[:3])),))
-    bundle, stats = evaluate_clear(gt.columns, tracks.columns)
+    tracks = track_columns((7, (
+        (e.frame, e.box) for e in gt.tracks[0].entries[:3])))
+    bundle, stats = evaluate_clear(gt.columns, tracks)
     counts = stats.frame_counts
     assert sorted(counts.columns) == sorted(FRAME_COLUMNS)
     assert len(counts) == 6 and counts["frame"] == [1, 2, 3, 4, 5, 6]
@@ -223,18 +222,18 @@ def test_unmatched_hyp_over_ignore_region_not_fp():
     gt = GroundTruth("s", 3, (
         GtTrack(1, tuple(GtEntry(f, BBox(0, 0, 20, 20)) for f in (1, 2, 3))),
     ), ignore_regions=(region,))
-    hyp = TrackSet((
-        OutTrack(1, tuple((f, BBox(0, 0, 20, 20)) for f in (1, 2, 3))),
-        OutTrack(2, tuple((f, BBox(500, 500, 20, 20)) for f in (1, 2, 3))),
-    ))
-    bundle, _ = evaluate_clear(gt.columns, hyp.columns)
+    hyp = track_columns(
+        (1, ((f, BBox(0, 0, 20, 20)) for f in (1, 2, 3))),
+        (2, ((f, BBox(500, 500, 20, 20)) for f in (1, 2, 3))),
+    )
+    bundle, _ = evaluate_clear(gt.columns, hyp)
     assert bundle.fp == 0 and bundle.mota == 100.0
 
 
 def test_matches_oracle_on_random_tiny_scenarios():
     for seed in range(100):
         gt, tracks = random_tiny_scenario(seed)
-        bundle, _ = evaluate_clear(gt.columns, tracks.columns)
+        bundle, _ = evaluate_clear(gt.columns, tracks)
         assert_bundles_equal(bundle, oracle_clear(gt, tracks))
 
 
@@ -244,12 +243,13 @@ def _with_regions_over_hypotheses(gt, tracks, seed):
     width, so it covers that box between 20 % and 100 %. The frame-ranged
     one spans the box's frame, at times on an edge of the span."""
     rng = np.random.default_rng(seed)
-    rows = [(f, box) for tr in tracks.tracks for f, box in tr.boxes]
     regions = []
     for ranged in (False, True):
-        f, box = rows[int(rng.integers(len(rows)))]
-        shifted = BBox(box.left + rng.uniform(0, 0.8) * box.width, box.top,
-                       box.width, box.height)
+        row = int(rng.integers(len(tracks)))
+        f = int(tracks.frame[row])
+        left, top, width, height = (float(getattr(tracks, name)[row])
+                                    for name in ("left", "top", "width", "height"))
+        shifted = BBox(left + rng.uniform(0, 0.8) * width, top, width, height)
         span = ((f - int(rng.integers(2)), f + int(rng.integers(2)))
                 if ranged else (None, None))
         regions.append(IgnoreRegion(shifted, *span))
@@ -262,12 +262,12 @@ def test_matches_oracle_with_ignore_regions_over_hypotheses():
     dropped = 0
     for seed in range(150):
         gt, tracks = random_tiny_scenario(seed)
-        if not tracks.tracks:
+        if not len(tracks):
             continue
         ignored = _with_regions_over_hypotheses(gt, tracks, seed)
-        bundle, _ = evaluate_clear(ignored.columns, tracks.columns)
+        bundle, _ = evaluate_clear(ignored.columns, tracks)
         assert_bundles_equal(bundle, oracle_clear(ignored, tracks))
-        plain, _ = evaluate_clear(gt.columns, tracks.columns)
+        plain, _ = evaluate_clear(gt.columns, tracks)
         assert bundle.fp <= plain.fp
         dropped += plain.fp - bundle.fp
     assert dropped > 0
@@ -283,7 +283,7 @@ def _columns_from_files(gt, tracks):
 
 
 def test_columns_and_objects_score_identically():
-    """Objects (through `.columns`) and file-read columns give equal stats,
+    """GT objects (through `.columns`) and file-read columns give equal stats,
     per-frame IoU sums bit for bit, with ignore regions and clutter."""
     for seed in range(12):
         gt, dets = gen_scenario(ScenarioConfig(
@@ -292,7 +292,7 @@ def test_columns_and_objects_score_identically():
         gt = dataclasses.replace(gt, ignore_regions=(
             IgnoreRegion(BBox(100.0, 50.0, 300.0, 200.0)),
             IgnoreRegion(BBox(400.0, 200.0, 300.0, 250.0), 5, 15)))
-        tracks = greedy_iou_track(dets.columns, max_gap=2)
+        tracks = greedy_iou_track(dets, max_gap=2)
         by_objects = evaluate_clear(gt.columns, tracks)
         by_columns = evaluate_clear(*_columns_from_files(gt, tracks))
         assert by_objects == by_columns
@@ -300,14 +300,13 @@ def test_columns_and_objects_score_identically():
 
 def test_frame_beyond_frame_count_rejected_from_columns():
     gt = _linear_gt(n_frames=3)
-    tracks = TrackSet((OutTrack(7, ((2, BBox(0, 0, 5, 5)), (9, BBox(0, 0, 5, 5)))),
-                       OutTrack(3, ((4, BBox(0, 0, 5, 5)),)))).columns
+    tracks = track_columns((7, ((2, BBox(0, 0, 5, 5)), (9, BBox(0, 0, 5, 5)))),
+                           (3, ((4, BBox(0, 0, 5, 5)),)))
     for args in ((gt.columns, tracks), _columns_from_files(gt, tracks)):
         with pytest.raises(ValidationError) as exc:
             evaluate_clear(*args)
         assert "frame_count 3" in str(exc.value)
-    # `.columns` keeps the TrackSet's order, the file is read sorted by
-    # track id
+    # the columns keep the order given, the file is read sorted by track id
     with pytest.raises(ValidationError, match="output tracks: frame 9 beyond"):
         evaluate_clear(gt.columns, tracks)
     with pytest.raises(ValidationError, match="output tracks: frame 4 beyond"):
@@ -322,10 +321,10 @@ def test_correspondence_ends_at_a_frame_without_boxes():
         GtTrack(1, (GtEntry(1, BBox(0, 0, 100, 100)),
                     GtEntry(3, BBox(0, 0, 100, 100)))),
         GtTrack(2, (GtEntry(3, BBox(30, 0, 100, 100)),))))
-    tracks = TrackSet((
-        OutTrack(1, ((1, BBox(0, 0, 100, 100)), (3, BBox(20, 0, 100, 100)))),
-        OutTrack(2, ((3, BBox(-5, 0, 100, 100)),))))
-    bundle, _ = evaluate_clear(gt.columns, tracks.columns, 0.6)
+    tracks = track_columns(
+        (1, ((1, BBox(0, 0, 100, 100)), (3, BBox(20, 0, 100, 100)))),
+        (2, ((3, BBox(-5, 0, 100, 100)),)))
+    bundle, _ = evaluate_clear(gt.columns, tracks, 0.6)
     assert (bundle.fp, bundle.fn, bundle.ids) == (0, 0, 1)
     assert bundle.mota == pytest.approx(200 / 3)
     assert_bundles_equal(bundle, oracle_clear(gt, tracks, 0.6))
@@ -380,8 +379,7 @@ def _gappy_scenario(seed, grid=False):
         hyp_boxes[next_id] = [(f, box(*rng.uniform(0, 40, 2),
                                       *rng.uniform(8, 25, 2)))]
     return (GroundTruth(f"gappy-{seed}", n_frames, tuple(targets)),
-            TrackSet(tuple(OutTrack(h, tuple(boxes))
-                           for h, boxes in hyp_boxes.items())))
+            track_columns(*hyp_boxes.items()))
 
 
 @pytest.mark.parametrize("iou_thr", [0.3, 0.5, 0.7])
@@ -391,7 +389,7 @@ def test_matches_oracle_on_scenarios_with_gaps(iou_thr):
     for seed in range(120):
         for grid in (False, True):
             gt, tracks = _gappy_scenario(seed, grid)
-            bundle, _ = evaluate_clear(gt.columns, tracks.columns, iou_thr)
+            bundle, _ = evaluate_clear(gt.columns, tracks, iou_thr)
             assert_bundles_equal(bundle, oracle_clear(gt, tracks, iou_thr))
 
 
@@ -496,16 +494,16 @@ def _property_scenes():
         gt = dataclasses.replace(gt, ignore_regions=(
             IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),
             IgnoreRegion(BBox(80.0, 60.0, 60.0, 50.0), 5, 12)))
-        scenes.append((gt.columns, greedy_iou_track(dets.columns, max_gap=2)))
+        scenes.append((gt.columns, greedy_iou_track(dets, max_gap=2)))
     for seed in range(40):
         for grid in (False, True):
             gt, tracks = _gappy_scenario(seed, grid)
-            scenes.append((gt.columns, tracks.columns))
+            scenes.append((gt.columns, tracks))
     gt = _linear_gt(n_tracks=2, n_frames=4)
     nothing = GroundTruth("none", 4, ())
-    scenes += [(gt.columns, TrackSet().columns),
-               (nothing.columns, gt_as_tracks(gt).columns),
-               (nothing.columns, TrackSet().columns)]
+    scenes += [(gt.columns, track_columns()),
+               (nothing.columns, gt_as_tracks(gt)),
+               (nothing.columns, track_columns())]
     return scenes
 
 
@@ -555,12 +553,12 @@ def test_chunk_budget_does_not_change_results(budget, monkeypatch):
     gt, dets = gen_scenario(ScenarioConfig(
         n_targets=8, n_frames=30, arena=(200.0, 140.0), drop_rate=0.2,
         clutter_rate=6.0, jitter_sigma=3.0, seed=4))
-    scenes = [(gt.columns, greedy_iou_track(dets.columns, max_gap=2))]
+    scenes = [(gt.columns, greedy_iou_track(dets, max_gap=2))]
     kinds = _frame_kinds(*scenes[0], 0.3)
     assert ("conflicted", "conflicted") in zip(kinds[6::7], kinds[7::7])
     for seed in range(20):
         gt, tracks = _gappy_scenario(seed)
-        scenes.append((gt.columns, tracks.columns))
+        scenes.append((gt.columns, tracks))
     for gt, tracks in scenes:
         want = [evaluate_clear(gt, tracks, iou_thr) for iou_thr in (0.3, 0.5)]
         widest = max(np.unique(gt.frame, return_counts=True)[1], default=1) \

@@ -2,16 +2,17 @@
 
 The `old_*` functions below are the parsers as they were before the
 columnar readers, copied verbatim apart from their names; they build the
-domain objects one line or entry at a time. On valid and corrupted inputs
-each `read_*` function must give columns holding the old objects' values,
-floats bit-identical (so equal to `float(token)`), or the same
-`ValidationError` text. Where the old parser crashed with another
-exception, the reader must raise `ValidationError`. The GT integer fields
-(`frame_count`, `target_id`, `frame`) are the one deliberate difference:
-the old parser truncated any value `int()` takes, the reader accepts only
-an int or a float with an integral value, so where such a field holds a
-value the old parser converted (`"7"`, `2.7`, `True`) the reader must
-raise `ValidationError` whatever the old parser did.
+domain objects one line or entry at a time (the detection and track
+containers, which the library no longer has, from `reference_containers`).
+On valid and corrupted inputs each `read_*` function must give columns
+holding the old objects' values, floats bit-identical (so equal to
+`float(token)`), or the same `ValidationError` text. Where the old parser
+crashed with another exception, the reader must raise `ValidationError`.
+The GT integer fields (`frame_count`, `target_id`, `frame`) are the one
+deliberate difference: the old parser truncated any value `int()` takes,
+the reader accepts only an int or a float with an integral value, so where
+such a field holds a value the old parser converted (`"7"`, `2.7`, `True`)
+the reader must raise `ValidationError` whatever the old parser did.
 """
 
 import copy
@@ -28,11 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
-                                  Detection, DetectionSet, GroundTruth,
-                                  GtEntry, GtTrack, IgnoreRegion, OutTrack,
-                                  TrackSet, ValidationError, _check,
-                                  read_detections, read_ground_truth,
-                                  read_tracks)
+                                  GroundTruth, GtEntry, GtTrack, IgnoreRegion,
+                                  ValidationError, _check, read_detections,
+                                  read_ground_truth, read_tracks)
+from reference_containers import Detection, DetectionSet, OutTrack, TrackSet
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,23 @@ def _corrupt(draw, doc) -> None:
         doc["tracks"].append(copy.deepcopy(track))
     else:
         pool = BAD_LIST_VALUES if key in LIST_KEYS else BAD_VALUES
-        target[key] = draw(st.sampled_from(pool))
+        # a copy: a later "item" corruption must not write into the pool
+        target[key] = copy.deepcopy(draw(st.sampled_from(pool)))
+
+
+def test_corrupt_leaves_the_value_pools_unchanged():
+    """Replace `tracks` with the pool's `[1]`, then set its item 0: the
+    pools Hypothesis draws from later stay as they were."""
+    pools = copy.deepcopy((BAD_VALUES, BAD_LIST_VALUES))
+    doc = _base_doc()
+    # what each `draw` returns, in turn (an item's new value before its
+    # index); `sampled_from` gives the pool's own object
+    script = iter([doc, "tracks", "replace", BAD_LIST_VALUES[4],
+                   doc, "tracks", "item", "x", 0])
+    for _ in range(2):
+        _corrupt(lambda strategy: next(script), doc)
+    assert doc["tracks"] == ["x"]
+    assert (BAD_VALUES, BAD_LIST_VALUES) == pools
 
 
 def _base_doc() -> dict:
@@ -630,8 +646,7 @@ def test_readers_build_no_box_objects(monkeypatch):
     def refuse(self):
         raise AssertionError(f"a reader built a {type(self).__name__}")
 
-    for cls in (BBox, GtEntry, GtTrack, GroundTruth, IgnoreRegion, Detection,
-                DetectionSet, OutTrack, TrackSet):
+    for cls in (BBox, GtEntry, GtTrack, GroundTruth, IgnoreRegion):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     assert [_columns_or_error(read, data) for read, data in cases] == want
 

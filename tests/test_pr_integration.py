@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 
-from detraceval.datamodel import (BBox, DetectionSet, IgnoreRegion, OutTrack,
-                                  TrackSet, ValidationError)
+from box_columns import round_scores, track_columns
+from detraceval.datamodel import BBox, IgnoreRegion, ValidationError
 from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.matching import match_frame_greedy
@@ -156,8 +156,7 @@ class OracleTracker:
             for gi, _, _ in pairs:
                 boxes.setdefault(gids[gi], []).append(
                     (frame, entries[gids[gi]].box))
-        return TrackSet(tuple(OutTrack(gid, tuple(items))
-                              for gid, items in sorted(boxes.items()))).columns
+        return track_columns(*sorted(boxes.items()))
 
 
 def test_sweep_against_detection_count_closed_form():
@@ -166,8 +165,8 @@ def test_sweep_against_detection_count_closed_form():
         jitter_sigma=0.0, tp_mean=0.7, clutter_mean=0.1, score_sigma=0.15,
         seed=21))
     tracker = OracleTracker(gt)
-    thresholds = select_thresholds(dets.columns.score, 6)
-    points = sweep([(gt.columns, dets.columns)], tracker, thresholds)
+    thresholds = select_thresholds(dets.score, 6)
+    points = sweep([(gt.columns, dets)], tracker, thresholds)
     total_gt = gt.total_boxes()
     for p in points:
         fn_det = round((1.0 - p.recall) * total_gt)
@@ -180,7 +179,7 @@ def test_sweep_threshold_above_max_score():
         n_targets=2, n_frames=5, tp_mean=0.5, clutter_mean=0.1,
         score_sigma=0.0, seed=1))
     tracker = OracleTracker(gt)
-    points = sweep([(gt.columns, dets.columns)], tracker, [0.9])
+    points = sweep([(gt.columns, dets)], tracker, [0.9])
     assert len(points) == 1
     p = points[0]
     assert p.recall == 0.0
@@ -193,14 +192,14 @@ def test_sweep_rejects_a_non_finite_threshold(bad):
     gt, dets = gen_scenario(ScenarioConfig(n_targets=2, n_frames=5, seed=1))
     with pytest.raises(ValidationError,
                        match=rf"thresholds must be finite: \[0\.5, {bad}\]"):
-        sweep([(gt.columns, dets.columns)], OracleTracker(gt), [0.5, bad])
+        sweep([(gt.columns, dets)], OracleTracker(gt), [0.5, bad])
 
 
 def test_sweep_threshold_below_min_score_is_identity():
     gt, dets = gen_scenario(ScenarioConfig(
         n_targets=2, n_frames=5, tp_mean=0.5, score_sigma=0.0, seed=1))
     tracker = OracleTracker(gt)
-    low = sweep([(gt.columns, dets.columns)], tracker, [0.0])[0]
+    low = sweep([(gt.columns, dets)], tracker, [0.0])[0]
     assert low.recall == 1.0 and low.precision == 1.0
     assert low.metrics.mota == 100.0
 
@@ -219,11 +218,11 @@ def test_sweep_keep_going_records_gap():
 
     from detraceval.pr_integration import SweepError
     with pytest.raises(SweepError, match="boom"):
-        sweep([(gt.columns, dets.columns)], flaky,
-              select_thresholds(dets.columns.score, 4))
+        sweep([(gt.columns, dets)], flaky,
+              select_thresholds(dets.score, 4))
     calls["n"] = 0
-    points = sweep([(gt.columns, dets.columns)], flaky,
-                   select_thresholds(dets.columns.score, 4),
+    points = sweep([(gt.columns, dets)], flaky,
+                   select_thresholds(dets.score, 4),
                    keep_going=True)
     assert len(points) == 3
 
@@ -235,7 +234,7 @@ def _two_sequences():
             n_targets=4, n_frames=12, drop_rate=0.2, clutter_rate=2.0,
             jitter_sigma=1.0, seed=seed))
         pairs.append((dataclasses.replace(gt, sequence_id=name).columns,
-                      dets.columns))
+                      dets))
     return pairs
 
 
@@ -271,7 +270,7 @@ def test_failing_per_sequence_step_fails_each_threshold():
         def by_threshold(self, dets, sequence_id):
             if sequence_id == "b":
                 raise RuntimeError("no table")
-            return lambda tau: TrackSet().columns
+            return lambda tau: track_columns()
 
     pairs = _two_sequences()
     thresholds = select_thresholds(pairs[0][1].score, 4)
@@ -298,9 +297,9 @@ def test_pr_report_count_linearity():
 
 def test_ranking_flip_fixture_inverts_mota_ordering():
     fx = load_fixture("ranking-flip")
-    thresholds = select_thresholds(fx.dets.columns.score, 10)
+    thresholds = select_thresholds(fx.dets.score, 10)
     names = sorted(fx.trackers)
-    pairs = [(fx.gt.columns, fx.dets.columns)]
+    pairs = [(fx.gt.columns, fx.dets)]
     curves = {name: sweep(pairs, fx.trackers[name], thresholds)
               for name in names}
     a, b = names
@@ -319,8 +318,7 @@ def _random_sweep_case(seed):
             n_targets=int(rng.integers(1, 5)), n_frames=int(rng.integers(1, 7)),
             drop_rate=0.2, clutter_rate=float(rng.uniform(0.0, 3.0)),
             jitter_sigma=float(rng.uniform(0.0, 4.0)), seed=seed * 10 + i))
-        dets = DetectionSet(tuple(
-            dataclasses.replace(d, score=round(d.score, 1)) for d in dets))
+        dets = round_scores(dets, 1)
         if rng.uniform() < 0.5:
             region = IgnoreRegion(BBox(float(rng.uniform(0, 700)),
                                        float(rng.uniform(0, 400)), 250.0, 150.0))
@@ -330,7 +328,7 @@ def _random_sweep_case(seed):
 
 
 def _columns(pairs):
-    return [(gt.columns, dets.columns) for gt, dets in pairs]
+    return [(gt.columns, dets) for gt, dets in pairs]
 
 
 def _assert_table_in_curve_order(table):
@@ -347,7 +345,7 @@ def test_threshold_counts_equal_filter_then_relabel_oracle():
     for seed in range(250):
         pairs, iou_thr = _random_sweep_case(seed)
         counts = threshold_counts(_columns(pairs), iou_thr)
-        scores = sorted({d.score for _, dets in pairs for d in dets})
+        scores = sorted({score for _, dets in pairs for score in dets.score.tolist()})
         # every detection score (thresholds that equal a score), the
         # midpoints between them, and both sides of the range
         taus = scores + [(a + b) / 2 for a, b in zip(scores, scores[1:])]
@@ -362,8 +360,8 @@ def test_threshold_counts_equal_filter_then_relabel_oracle():
 
 def test_sweep_precision_recall_come_from_oracle_counts():
     pairs, iou_thr = _random_sweep_case(3)
-    thresholds = sorted({d.score for _, dets in pairs for d in dets})
-    points = sweep(_columns(pairs), lambda dets, seq: TrackSet().columns,
+    thresholds = sorted({score for _, dets in pairs for score in dets.score.tolist()})
+    points = sweep(_columns(pairs), lambda dets, seq: track_columns(),
                    thresholds, iou_thr=iou_thr)
     assert len(points) == len(thresholds)
     _assert_table_in_curve_order(threshold_counts(_columns(pairs), iou_thr))

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from detraceval.datamodel import (BBox, OutTrack, TrackSet, ValidationError,
-                                  write_detections, write_ground_truth)
+from detraceval.datamodel import (ValidationError, read_tracks,
+                                  write_detections, write_ground_truth,
+                                  write_tracks)
 from detraceval.det_metrics import PRCurve, PRPoint, average_precision
 from detraceval.fixtures import FIXTURE_NAMES, load_fixture
 from detraceval.mot_metrics import evaluate_clear
@@ -14,18 +15,6 @@ from detraceval.synth import (MAX_CLUTTER_RATE, MAX_SCENARIO_BOXES,
                               ScenarioConfig, gen_scenario, oracle_ap,
                               oracle_clear, random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
-
-
-def _track_set(tracks) -> TrackSet:
-    """Tracker output (rows sorted by track, then frame) as the objects
-    `oracle_clear` takes."""
-    boxes: dict[int, list] = {}
-    for track_id, frame, *box in zip(
-            tracks.track_id.tolist(), tracks.frame.tolist(), tracks.left.tolist(),
-            tracks.top.tolist(), tracks.width.tolist(), tracks.height.tolist()):
-        boxes.setdefault(track_id, []).append((frame, BBox(*box)))
-    return TrackSet(tuple(OutTrack(track_id, tuple(items))
-                          for track_id, items in boxes.items()))
 
 
 def _render(gt, dets):
@@ -41,7 +30,8 @@ def test_noiseless_config_reproduces_gt_boxes():
         jitter_sigma=0.0, seed=5))
     gt_boxes = sorted((e.frame, e.box.left, e.box.top)
                       for tr in gt.tracks for e in tr.entries)
-    det_boxes = sorted((d.frame, d.box.left, d.box.top) for d in dets)
+    det_boxes = sorted(zip(dets.frame.tolist(), dets.left.tolist(),
+                           dets.top.tolist()))
     assert gt_boxes == det_boxes
 
 
@@ -57,8 +47,13 @@ def test_higher_drop_rate_is_subset():
     low_gt, low = gen_scenario(base)
     high_gt, high = gen_scenario(dataclasses.replace(base, drop_rate=0.6))
     assert low_gt == high_gt
-    assert set(high.detections) <= set(low.detections)
-    assert len(high.detections) < len(low.detections)
+    def rows(dets):
+        return set(zip(dets.frame.tolist(), dets.left.tolist(), dets.top.tolist(),
+                       dets.width.tolist(), dets.height.tolist(),
+                       dets.score.tolist()))
+
+    assert rows(high) <= rows(low)
+    assert len(high) < len(low)
 
 
 def test_fn_nondecreasing_in_drop_rate():
@@ -67,7 +62,7 @@ def test_fn_nondecreasing_in_drop_rate():
     counts = []
     for rate in (0.0, 0.3, 0.6, 0.9):
         gt, dets = gen_scenario(dataclasses.replace(base, drop_rate=rate))
-        bundle, _ = evaluate_clear(gt.columns, greedy_iou_track(dets.columns))
+        bundle, _ = evaluate_clear(gt.columns, greedy_iou_track(dets))
         counts.append(bundle.fn)
     assert counts == sorted(counts)
 
@@ -84,7 +79,8 @@ def test_fp_nondecreasing_in_clutter_rate():
 
 
 def test_generated_data_satisfies_invariants():
-    # constructors validate; building 50 scenarios is the property
+    # the GT constructors and the detection rules validate; building 50
+    # scenarios is the property
     for seed in range(50):
         gt, dets = gen_scenario(ScenarioConfig(
             n_targets=1 + seed % 5, n_frames=1 + seed % 10,
@@ -134,13 +130,13 @@ def test_scenario_edge_values_accepted():
 def test_oracle_rejects_large_instances():
     gt, dets = gen_scenario(ScenarioConfig(n_targets=8, n_frames=3, seed=1))
     with pytest.raises(ValidationError, match="too large"):
-        oracle_clear(gt, _track_set(greedy_iou_track(dets.columns)))
+        oracle_clear(gt, greedy_iou_track(dets))
 
 
 def test_oracle_equals_impl_on_perfect_fixture():
     fx = load_fixture("perfect")
-    ts = _track_set(greedy_iou_track(fx.dets.columns))
-    got, _ = evaluate_clear(fx.gt.columns, ts.columns)
+    ts = greedy_iou_track(fx.dets)
+    got, _ = evaluate_clear(fx.gt.columns, ts)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
         (want.ids, want.fm, want.fp, want.fn, want.mt, want.ml)
@@ -149,8 +145,8 @@ def test_oracle_equals_impl_on_perfect_fixture():
 
 def test_oracle_equals_impl_on_crossing_fixture():
     fx = load_fixture("crossing")
-    ts = _track_set(greedy_iou_track(fx.dets.columns))
-    got, _ = evaluate_clear(fx.gt.columns, ts.columns)
+    ts = greedy_iou_track(fx.dets)
+    got, _ = evaluate_clear(fx.gt.columns, ts)
     want = oracle_clear(fx.gt, ts)
     assert (got.ids, got.fm, got.fp, got.fn, got.mt, got.ml) == \
         (want.ids, want.fm, want.fp, want.fn, want.mt, want.ml)
@@ -158,7 +154,7 @@ def test_oracle_equals_impl_on_crossing_fixture():
 
 def test_fp_heavy_fixture_negative_mota():
     fx = load_fixture("fp-heavy")
-    bundle, _ = evaluate_clear(fx.gt.columns, greedy_iou_track(fx.dets.columns))
+    bundle, _ = evaluate_clear(fx.gt.columns, greedy_iou_track(fx.dets))
     assert bundle.mota < 0
 
 
@@ -195,4 +191,24 @@ def test_random_tiny_scenario_within_oracle_limits():
         gt, tracks = random_tiny_scenario(seed)
         for frame in range(1, gt.frame_count + 1):
             assert len(gt.entries_at(frame)) <= 5
-            assert len(tracks.boxes_at(frame)) <= 5
+            assert np.count_nonzero(tracks.frame == frame) <= 5
+
+
+def test_random_tiny_scenario_rows_read_back_unchanged():
+    """The hypotheses come sorted by (track_id, frame), as `read_tracks`
+    gives them: written and read back, every column is unchanged."""
+    for seed in range(50):
+        _, tracks = random_tiny_scenario(seed)
+        buf = io.StringIO()
+        write_tracks(tracks, buf)
+        back = read_tracks(buf.getvalue().splitlines())
+        for name in ("frame", "track_id", "left", "top", "width", "height"):
+            assert getattr(back, name).tolist() == getattr(tracks, name).tolist()
+
+
+def test_generated_detections_follow_the_detection_rules():
+    """A jitter that overflows a box is the detection reader's error,
+    named by the line the box would take in the detection CSV."""
+    with pytest.raises(ValidationError, match=r"^generated detection CSV line "
+                       r"\d+: BBox\.\w+ must be finite, got -?inf$"):
+        gen_scenario(ScenarioConfig(n_targets=3, n_frames=5, jitter_sigma=1e308))

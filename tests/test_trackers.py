@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_columns import det_columns, track_columns
 from detraceval import datamodel
-from detraceval.datamodel import (BBox, Detection, DetectionColumns,
-                                  DetectionSet, OutTrack, TrackSet,
-                                  ValidationError)
+from detraceval.datamodel import BBox, DetectionColumns, ValidationError
 from detraceval.fixtures import load_fixture
 from detraceval.geometry import iou
 from detraceval.mot_metrics import evaluate_clear
-from detraceval.synth import ScenarioConfig, gen_scenario
+from detraceval.synth import ScenarioConfig, _box_rows, gen_scenario
 from detraceval.trackers import (BuiltinGreedyTracker, ExternalTracker,
                                  TrackerError, greedy_iou_track, link_table,
                                  make_tracker, run_external)
@@ -47,9 +46,8 @@ def _n_tracks(tracks) -> int:
 
 
 def test_single_static_detection_one_track():
-    dets = DetectionSet(tuple(
-        Detection(f, BBox(10, 10, 20, 20), 0.9) for f in range(1, 11)))
-    t = greedy_iou_track(dets.columns)
+    dets = det_columns(*((f, BBox(10, 10, 20, 20), 0.9) for f in range(1, 11)))
+    t = greedy_iou_track(dets)
     _check_layout(t)
     assert _n_tracks(t) == 1 and len(t) == 10
 
@@ -57,50 +55,48 @@ def test_single_static_detection_one_track():
 def test_two_separated_targets_two_tracks():
     dets = []
     for f in range(1, 11):
-        dets.append(Detection(f, BBox(0 + f, 0, 20, 20), 0.9))
-        dets.append(Detection(f, BBox(500 + f, 500, 20, 20), 0.9))
-    t = greedy_iou_track(DetectionSet(tuple(dets)).columns)
+        dets.append((f, BBox(0 + f, 0, 20, 20), 0.9))
+        dets.append((f, BBox(500 + f, 500, 20, 20), 0.9))
+    t = greedy_iou_track(det_columns(*dets))
     _check_layout(t)
     assert np.unique(t.track_id, return_counts=True)[1].tolist() == [10, 10]
 
 
 def test_crossing_fixture_produces_identity_switch():
     fx = load_fixture("crossing")
-    ts = greedy_iou_track(fx.dets.columns)
+    ts = greedy_iou_track(fx.dets)
     bundle, _ = evaluate_clear(fx.gt.columns, ts)
     assert bundle.ids >= 1
 
 
 def test_gap_longer_than_max_gap_closes_track():
     frames = [1, 2, 5, 6]  # 2-frame hole with max_gap=1
-    dets = DetectionSet(tuple(
-        Detection(f, BBox(10, 10, 20, 20), 0.9) for f in frames))
-    assert _n_tracks(greedy_iou_track(dets.columns, max_gap=1)) == 2
-    assert _n_tracks(greedy_iou_track(dets.columns, max_gap=2)) == 1
+    dets = det_columns(*((f, BBox(10, 10, 20, 20), 0.9) for f in frames))
+    assert _n_tracks(greedy_iou_track(dets, max_gap=1)) == 2
+    assert _n_tracks(greedy_iou_track(dets, max_gap=2)) == 1
 
 
 def test_min_track_len_suppresses_short_tracks():
-    dets = DetectionSet((
-        Detection(1, BBox(0, 0, 10, 10), 0.9),
-        Detection(1, BBox(400, 400, 10, 10), 0.9),
-        Detection(2, BBox(0, 0, 10, 10), 0.9),
-    ))
-    t = greedy_iou_track(dets.columns, min_track_len=2)
+    dets = det_columns(
+        (1, BBox(0, 0, 10, 10), 0.9),
+        (1, BBox(400, 400, 10, 10), 0.9),
+        (2, BBox(0, 0, 10, 10), 0.9),
+    )
+    t = greedy_iou_track(dets, min_track_len=2)
     assert _rows(t) == [_row(1, 1, BBox(0, 0, 10, 10)),
                         _row(1, 2, BBox(0, 0, 10, 10))]
 
 
 det_sets = st.lists(
-    st.builds(
-        Detection,
-        frame=st.integers(1, 6),
-        box=st.builds(BBox,
-                      left=st.floats(0, 200), top=st.floats(0, 200),
-                      width=st.floats(1, 50), height=st.floats(1, 50)),
-        score=st.floats(0, 1),
+    st.tuples(
+        st.integers(1, 6),
+        st.builds(BBox,
+                  left=st.floats(0, 200), top=st.floats(0, 200),
+                  width=st.floats(1, 50), height=st.floats(1, 50)),
+        st.floats(0, 1),
     ),
     max_size=25,
-).map(lambda lst: DetectionSet(tuple(lst)).columns)
+).map(lambda rows: det_columns(*rows))
 
 
 @given(det_sets)
@@ -120,8 +116,8 @@ def test_greedy_deterministic(dets):
 def _scalar_greedy_iou_track(dets, link_thr=0.5, max_gap=1, min_track_len=1):
     """Reference linker: the scalar pair-by-pair form of greedy_iou_track."""
     by_frame = {}
-    for det in dets:
-        by_frame.setdefault(det.frame, []).append(det)
+    for frame, box in _box_rows(dets, "frame"):
+        by_frame.setdefault(frame, []).append(box)
     active = {}
     boxes = {}
     next_id = 1
@@ -135,8 +131,8 @@ def _scalar_greedy_iou_track(dets, link_thr=0.5, max_gap=1, min_track_len=1):
         candidates = []
         for ti, tid in enumerate(live):
             last_box = active[tid][1]
-            for di, det in enumerate(frame_dets):
-                v = iou(last_box, det.box)
+            for di, box in enumerate(frame_dets):
+                v = iou(last_box, box)
                 if v >= link_thr:
                     candidates.append((-v, ti, di, tid))
         candidates.sort()
@@ -146,17 +142,16 @@ def _scalar_greedy_iou_track(dets, link_thr=0.5, max_gap=1, min_track_len=1):
                 continue
             used_tracks.add(tid)
             used_dets.add(di)
-            active[tid] = (frame, frame_dets[di].box)
-            boxes[tid].append((frame, frame_dets[di].box))
-        for di, det in enumerate(frame_dets):
+            active[tid] = (frame, frame_dets[di])
+            boxes[tid].append((frame, frame_dets[di]))
+        for di, box in enumerate(frame_dets):
             if di not in used_dets:
                 tid = next_id
                 next_id += 1
-                active[tid] = (frame, det.box)
-                boxes[tid] = [(frame, det.box)]
-    return TrackSet(tuple(OutTrack(tid, tuple(items))
-                          for tid, items in sorted(boxes.items())
-                          if len(items) >= min_track_len))
+                active[tid] = (frame, box)
+                boxes[tid] = [(frame, box)]
+    return track_columns(*((tid, items) for tid, items in sorted(boxes.items())
+                           if len(items) >= min_track_len))
 
 
 @pytest.mark.parametrize("max_gap", [1, 2])
@@ -166,10 +161,10 @@ def test_greedy_matches_scalar_reference(seed, max_gap):
         n_targets=12, n_frames=25, drop_rate=0.2, clutter_rate=6.0,
         jitter_sigma=2.0, seed=seed))
     for link_thr, min_track_len in ((0.5, 1), (0.3, 3)):
-        t = greedy_iou_track(dets.columns, link_thr, max_gap, min_track_len)
+        t = greedy_iou_track(dets, link_thr, max_gap, min_track_len)
         _check_layout(t)
         assert _rows(t) == _rows(_scalar_greedy_iou_track(
-            dets, link_thr, max_gap, min_track_len).columns)
+            dets, link_thr, max_gap, min_track_len))
 
 
 def test_greedy_tied_iou_links_by_track_then_detection_order():
@@ -178,18 +173,17 @@ def test_greedy_tied_iou_links_by_track_then_detection_order():
     a, b = BBox(0, 0, 10, 10), BBox(10, 0, 10, 10)
     c, d = BBox(5, 0, 10, 10), BBox(5, 2, 10, 10)
     assert iou(a, c) == iou(b, c) and iou(a, d) == iou(b, d)
-    dets = DetectionSet((Detection(1, a, 0.9), Detection(1, b, 0.9),
-                         Detection(2, d, 0.8), Detection(2, c, 0.7)))
-    t = greedy_iou_track(dets.columns, link_thr=0.2)
-    assert _rows(t) == _rows(_scalar_greedy_iou_track(dets, link_thr=0.2).columns)
+    dets = det_columns((1, a, 0.9), (1, b, 0.9), (2, d, 0.8), (2, c, 0.7))
+    t = greedy_iou_track(dets, link_thr=0.2)
+    assert _rows(t) == _rows(_scalar_greedy_iou_track(dets, link_thr=0.2))
     assert _rows(t) == [_row(1, 1, a), _row(1, 2, c), _row(2, 1, b), _row(2, 2, d)]
 
 
 def test_greedy_links_at_exactly_link_thr():
     a, b = BBox(0, 0, 10, 10), BBox(0, 0, 10, 20)
     assert iou(a, b) == 0.5
-    dets = DetectionSet((Detection(1, a, 0.9), Detection(2, b, 0.9)))
-    assert _n_tracks(greedy_iou_track(dets.columns, link_thr=0.5)) == 1
+    dets = det_columns((1, a, 0.9), (2, b, 0.9))
+    assert _n_tracks(greedy_iou_track(dets, link_thr=0.5)) == 1
 
 
 def _link_scenes() -> list[DetectionColumns]:
@@ -201,7 +195,7 @@ def _link_scenes() -> list[DetectionColumns]:
         _, dets = gen_scenario(ScenarioConfig(
             n_targets=8, n_frames=14, drop_rate=0.3, clutter_rate=3.0,
             jitter_sigma=2.0, seed=seed))
-        cols = dets.columns.take(~np.isin(dets.columns.frame, (4, 9, 10)))
+        cols = dets.take(~np.isin(dets.frame, (4, 9, 10)))
         scenes.append(DetectionColumns(
             cols.left, cols.top, cols.width, cols.height, frame=cols.frame,
             score=np.where(cols.frame == 6, 0.25 * cols.score, cols.score)))
@@ -307,10 +301,10 @@ def test_repeated_builtin_option_is_rejected():
 
 
 def _some_dets():
-    return DetectionSet((
-        Detection(1, BBox(5, 5, 20, 20), 0.9),
-        Detection(2, BBox(7, 5, 20, 20), 0.8),
-    ))
+    return det_columns(
+        (1, BBox(5, 5, 20, 20), 0.9),
+        (2, BBox(7, 5, 20, 20), 0.8),
+    )
 
 
 IDENTITY_TRACKER = (
@@ -326,36 +320,40 @@ def _assert_workspace_kept(workdir):
     assert (workspace / "detections.csv").is_file()
 
 
-def test_external_identity_tracker(tmp_path):
-    adapter = ExternalTracker(IDENTITY_TRACKER, workdir=str(tmp_path))
-    t = run_external(adapter, _some_dets().columns, "seq1")
+def test_external_identity_tracker(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    adapter = ExternalTracker(IDENTITY_TRACKER)
+    t = run_external(adapter, _some_dets(), "seq1")
     _check_layout(t)
-    assert _rows(t) == [_row(1, d.frame, d.box) for d in _some_dets()]
+    assert _rows(t) == [_row(1, 1, BBox(5, 5, 20, 20)),
+                        _row(1, 2, BBox(7, 5, 20, 20))]
     assert not list(tmp_path.iterdir())
 
 
-def test_external_nonzero_exit(tmp_path):
+def test_external_nonzero_exit(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
     adapter = ExternalTracker(f"{PY} -c \"import sys; sys.exit(1)\" "
-                              "{input} {output}", workdir=str(tmp_path))
+                              "{input} {output}")
     with pytest.raises(TrackerError, match="status 1"):
-        run_external(adapter, _some_dets().columns, "seq1")
+        run_external(adapter, _some_dets(), "seq1")
     _assert_workspace_kept(tmp_path)
 
 
-def test_external_timeout(tmp_path):
+def test_external_timeout(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
     adapter = ExternalTracker(
         f"{PY} -c \"import time; time.sleep(5)\" {{input}} {{output}}",
-        timeout=0.5, workdir=str(tmp_path))
+        timeout=0.5)
     with pytest.raises(TrackerError, match="timed out"):
-        run_external(adapter, _some_dets().columns, "seq1")
+        run_external(adapter, _some_dets(), "seq1")
     _assert_workspace_kept(tmp_path)
 
 
-def test_external_missing_output(tmp_path):
-    adapter = ExternalTracker(f"{PY} -c pass {{input}} {{output}}",
-                              workdir=str(tmp_path))
+def test_external_missing_output(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    adapter = ExternalTracker(f"{PY} -c pass {{input}} {{output}}")
     with pytest.raises(TrackerError, match="no output"):
-        run_external(adapter, _some_dets().columns, "seq1")
+        run_external(adapter, _some_dets(), "seq1")
     _assert_workspace_kept(tmp_path)
 
 
@@ -364,11 +362,11 @@ def test_external_command_requires_placeholders():
         ExternalTracker("mytracker --in foo")
 
 
-def test_missing_binary_names_command(tmp_path):
-    adapter = ExternalTracker("no-such-binary-47291 {input} {output}",
-                              workdir=str(tmp_path))
+def test_missing_binary_names_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    adapter = ExternalTracker("no-such-binary-47291 {input} {output}")
     with pytest.raises(TrackerError, match="no-such-binary-47291"):
-        run_external(adapter, _some_dets().columns, "seq1")
+        run_external(adapter, _some_dets(), "seq1")
     _assert_workspace_kept(tmp_path)
 
 
@@ -393,7 +391,8 @@ def test_make_tracker_specs():
 
 @pytest.mark.parametrize("sequence_id", ["a/b", "x" * 300, "../up"],
                          ids=["slash", "300-chars", "parent-dir"])
-def test_external_tracker_takes_any_sequence_id(tmp_path, sequence_id):
+def test_external_tracker_takes_any_sequence_id(tmp_path, monkeypatch,
+                                                sequence_id):
     """The workspace name is made from the id with unsafe characters
     replaced and its length capped; {sequence} still gets the raw id."""
     seen = tmp_path / "seen.txt"
@@ -407,9 +406,10 @@ def test_external_tracker_takes_any_sequence_id(tmp_path, sequence_id):
         "open(sys.argv[4], 'w').write(sys.argv[3])\n")
     workdir = tmp_path / "work"
     workdir.mkdir()
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(workdir))
     adapter = ExternalTracker(f"{PY} {script} {{input}} {{output}} "
-                              f"{{sequence}} {seen}", workdir=str(workdir))
-    tracks = run_external(adapter, _some_dets().columns, sequence_id)
+                              f"{{sequence}} {seen}")
+    tracks = run_external(adapter, _some_dets(), sequence_id)
     assert len(tracks) == len(_some_dets())
     assert seen.read_text() == sequence_id
     assert not list(workdir.iterdir())
@@ -420,6 +420,6 @@ def test_failed_tracker_keeps_a_safe_workspace(tmp_path, monkeypatch):
     adapter = make_tracker(f"cmd:{PY} -c \"import sys; sys.exit(3)\" "
                            "{input} {output}")
     with pytest.raises(TrackerError, match="status 3"):
-        adapter(_some_dets().columns, "a/b")
+        adapter(_some_dets(), "a/b")
     (workspace,) = tmp_path.glob("detraceval-a_b-*")
     assert (workspace / "detections.csv").is_file()
