@@ -347,7 +347,6 @@ def cmd_gen_synthetic(args) -> int:
         n_targets=args.targets, n_frames=args.frames,
         drop_rate=args.drop_rate, clutter_rate=args.clutter_rate,
         jitter_sigma=args.jitter_sigma, seed=args.seed)
-    out = _out_dir(args)
     if config is None:
         fixture = load_fixture(args.fixture)
         gt, dets = fixture.gt, fixture.dets
@@ -360,6 +359,8 @@ def cmd_gen_synthetic(args) -> int:
         seq = gt.sequence_id
         config_echo = {k: list(v) if isinstance(v, tuple) else v
                        for k, v in vars(config).items()}
+    # Made only once the scenario exists, so a failed run leaves no --out.
+    out = _out_dir(args)
     (out / "gt").mkdir(exist_ok=True)
     (out / "det").mkdir(exist_ok=True)
     with open(out / "gt" / f"{seq}.json", "w") as fh:

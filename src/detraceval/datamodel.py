@@ -409,30 +409,55 @@ def check_frame_count(gt: GtColumns, boxes: DetectionColumns | TrackColumns,
                               f"frame_count {gt.frame_count}")
 
 
+def positions(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The position of each of `rows` in the permutation `order`: where a
+    row sits once the rows are sorted, as CLEAR and detection labeling
+    read the input rows of an edge table."""
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    return position[rows]
+
+
 def frame_slices(frames: np.ndarray,
                  *columns: np.ndarray) -> Iterator[tuple[int, ...]]:
     """(frame, lo_1, hi_1, lo_2, hi_2, ...) for each of `frames`: each
     column is a frame column sorted ascending, and its rows lo_k:hi_k are
-    the ones at that frame. The per-frame loop of detection labeling takes
-    its row ranges from here."""
+    the ones at that frame. Detection labeling's loop over conflicted
+    frames takes its row ranges from here."""
     bounds = [np.searchsorted(col, frames, side).tolist()
               for col in columns for side in ("left", "right")]
     return zip(frames.tolist(), *bounds)
 
 
-# Box pairs whose IoUs one chunk of frames computes in one
-# `geometry.iou_broadcast` call, in CLEAR's edge table and the builtin
-# tracker's link table: a chunk takes as many frames as fit when every frame
-# pairs the sequence's widest frames (at least one frame). At about 100
-# bytes of temporaries a pair, a chunk stays within a few MB.
+# Box pairs whose IoUs one chunk of frame pairs computes in one
+# `geometry.iou_broadcast` call (`geometry.iou_edges`, behind the GT x box
+# edge table and the builtin tracker's link table), counted after padding.
+# At about 100 bytes of temporaries a pair, a chunk stays within a few MB.
 EDGE_CHUNK_PAIRS = 1 << 16
 
 
-def frame_chunks(n_frames: int, pairs_per_frame: int) -> Iterator[slice]:
-    """Consecutive slices of `n_frames` frames, each as long as
-    `EDGE_CHUNK_PAIRS` allows at `pairs_per_frame` pairs a frame."""
-    step = max(1, EDGE_CHUNK_PAIRS // pairs_per_frame)
-    return (slice(first, first + step) for first in range(0, n_frames, step))
+def frame_chunks(a_n: np.ndarray, b_n: np.ndarray) -> Iterator[np.ndarray]:
+    """The frame pairs k = 0 .. len(a_n) - 1, with a_n[k] boxes on one side
+    and b_n[k] on the other, as index arrays in chunks. Pairs are ordered
+    by their wider side, then by a_n * b_n, then by k, so a chunk holds
+    pairs of like shape. A chunk takes as many pairs as fit
+    `EDGE_CHUNK_PAIRS` when each is padded to the chunk's widest a and b
+    side (at least one pair). Every pair has a box on each side."""
+    wide = np.maximum(a_n, b_n)
+    order = np.lexsort((a_n * b_n, wide))
+    a_n, b_n, wide = a_n[order], b_n[order], wide[order]
+    start = 0
+    while start < len(order):
+        # Each pair from here on pads to at least wide[start] boxes.
+        end = min(len(order),
+                  start + max(1, EDGE_CHUNK_PAIRS // int(wide[start])))
+        padded = (np.arange(1, end - start + 1)
+                  * np.maximum.accumulate(a_n[start:end])
+                  * np.maximum.accumulate(b_n[start:end]))
+        stop = start + max(1, int(np.searchsorted(padded, EDGE_CHUNK_PAIRS,
+                                                  "right")))
+        yield order[start:stop]
+        start = stop
 
 
 def padded_rows(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

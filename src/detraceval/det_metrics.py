@@ -19,6 +19,22 @@ detections in descending score, so the detections above any threshold are
 a prefix of the pass and their matching is the one a pass over them alone
 would give.
 
+The pass reads the sequence's GT x detection edge table
+(`matching.edge_table`): every same-frame (GT row, detection row, IoU)
+with IoU >= iou_thr, computed once per sequence by `geometry.iou_edges`.
+Of it the pass keeps the edges whose GT row is in the pool and whose IoU is
+> 0: exactly the pairs greedy matching may take. In a frame where no
+detection and no pooled GT row holds two kept edges, greedy matching is
+the set of those edges: a detection's only candidate is its edge's GT, and
+no other detection has an edge to that GT, so it is still free whatever
+the score order. Only the other, conflicted, frames run
+`matching.match_frame_greedy`, in frame order, on the frame's (detection,
+pooled GT) IoU matrix filled from the table, with 0 where the table holds
+no edge; a 0 never matches, and every other entry is the IoU a per-frame
+`iou_matrix` gives, bit for bit (`iou_broadcast` is symmetric). The sweep
+builds the tables itself and hands each to CLEAR as well
+(`pr_integration`).
+
 The pooled labels become one `CountTable`: cumulative TP and detection
 counts at every distinct score, in descending score order. Its rows are
 the PR curve that `detection_report` writes and integrates, and the sweep
@@ -43,10 +59,10 @@ import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
                         GtColumns, Rows, ValidationError, check_frame_count,
-                        frame_slices)
+                        frame_slices, positions)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
-from .matching import match_frame_greedy
+from .matching import EdgeTable, edge_table, match_frame_greedy
 
 DEFAULT_IOU_THR = 0.7
 
@@ -138,29 +154,42 @@ class _Labels:
                 int(np.count_nonzero(self.pooled & rows)))
 
 
-def _label_detections(g: GtColumns, d: DetectionColumns,
+def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
                       iou_thr: float) -> _Labels:
-    """Run one greedy pass per frame over a sequence; see the module
-    docstring for why this one pass serves every subset and threshold."""
+    """One sequence's greedy labeling, read off its GT x detection edge
+    table at iou_thr; see the module docstring for why this one pass
+    serves every subset and threshold, and why a conflict-free frame is
+    matched by its edges."""
     check_frame_count(g, d, "detections")
-    g_corners = g.corners()
     pooled = ~covered(g, g.ignore)
-    # The pool of each frame in row order, the detections in frame order.
-    pool = np.flatnonzero(pooled)
-    pool = pool[np.argsort(g.frame[pool], kind="stable")]
+    # Detections in frame order; an edge's detection is its position there.
     order = np.argsort(d.frame, kind="stable")
     frame, score = d.frame[order], d.score[order]
-    d_corners = d.corners()[order]
+    on = pooled[edges.gt] & (edges.iou > 0.0)
+    e_gt, e_det, e_iou = (edges.gt[on], positions(order, edges.box[on]),
+                          edges.iou[on])
+    conflicted = np.union1d(
+        frame[np.bincount(e_det, minlength=len(order)) > 1],
+        g.frame[np.bincount(e_gt, minlength=len(g)) > 1])
+    hard = np.isin(frame[e_det], conflicted)
     matched = np.full(len(order), -1, dtype=np.int64)
-    for _, d_lo, d_hi, g_lo, g_hi in frame_slices(np.unique(frame), frame,
-                                                  g.frame[pool]):
-        if g_lo == g_hi:
-            continue
-        pairs = match_frame_greedy(d_corners[d_lo:d_hi], score[d_lo:d_hi],
-                                   g_corners[pool[g_lo:g_hi]], iou_thr)
+    matched[e_det[~hard]] = e_gt[~hard]
+    # Conflicted frames: the greedy rule on the frame's (detections, pool)
+    # matrix, with IoU 0 where the table holds no edge.
+    hard = np.flatnonzero(hard)
+    hard = hard[np.argsort(e_det[hard], kind="stable")]
+    pool = np.flatnonzero(pooled)
+    pool = pool[np.argsort(g.frame[pool], kind="stable")]
+    for _, d_lo, d_hi, g_lo, g_hi, e_lo, e_hi in frame_slices(
+            conflicted, frame, g.frame[pool], frame[e_det[hard]]):
+        at = hard[e_lo:e_hi]
+        gts = pool[g_lo:g_hi]
+        iou_mat = np.zeros((d_hi - d_lo, len(gts)))
+        iou_mat[e_det[at] - d_lo, np.searchsorted(gts, e_gt[at])] = e_iou[at]
+        pairs = match_frame_greedy(iou_mat, score[d_lo:d_hi], iou_thr)
         if pairs:
             gi, di, _ = zip(*pairs)
-            matched[d_lo + np.array(di)] = pool[g_lo + np.array(gi)]
+            matched[d_lo + np.array(di)] = gts[np.array(gi)]
     ignored = np.zeros(len(order), dtype=bool)
     left = np.flatnonzero(matched < 0)
     ignored[left] = covered(d.take(order[left]), g.ignore)
@@ -225,12 +254,23 @@ def _subset_table(labels: Sequence[_Labels], name: str) -> CountTable:
     return _table(counts)
 
 
+def _labels(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
+            iou_thr: float,
+            edges: Sequence[EdgeTable] | None) -> list[_Labels]:
+    if edges is None:
+        edges = [edge_table(g, d, iou_thr) for g, d in pairs]
+    return [_label_detections(g, d, e, iou_thr)
+            for (g, d), e in zip(pairs, edges)]
+
+
 def threshold_counts(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                     iou_thr: float = DEFAULT_IOU_THR) -> CountTable:
+                     iou_thr: float = DEFAULT_IOU_THR,
+                     edges: Sequence[EdgeTable] | None = None) -> CountTable:
     """Label each (GT, detections) pair once; the table gives (tp, fp, fn)
-    at any threshold."""
-    return _table([lab.counts(np.ones(len(lab.gt), dtype=bool)) for lab in
-                   (_label_detections(g, d, iou_thr) for g, d in pairs)])
+    at any threshold. `edges` holds each pair's `matching.edge_table` at
+    iou_thr when the caller has built them; they are built here otherwise."""
+    return _table([lab.counts(np.ones(len(lab.gt), dtype=bool))
+                   for lab in _labels(pairs, iou_thr, edges)])
 
 
 def average_precision(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -258,7 +298,7 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
     "category:<car|bus|van|others>".
     """
-    labels = [_label_detections(g, d, iou_thr) for g, d in pairs]
+    labels = _labels(pairs, iou_thr, None)
     report: dict[str, dict] = {}
     for name in subsets:
         table = _subset_table(labels, name)

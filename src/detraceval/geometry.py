@@ -6,9 +6,12 @@ Boxes are half-open rectangles, so touching edges intersect with zero area.
 
 `iou` is the scalar reference; `iou_broadcast` is the one array kernel. It
 equals `iou` entry for entry, bit for bit, on row-aligned pairs and, as
-`iou_matrix`, on every pair of two box sets. Likewise `scale_bands` and
-`occlusion_bands` are the column forms of `scale_class` and
-`occlusion_class`, with the same results row by row.
+`iou_matrix`, on every pair of two box sets. `iou_edges` runs it over many
+frame pairs at once, in padded chunks, and keeps the pairs at or above a
+threshold: the builtin tracker's link table and the GT x box edge table
+that labeling and CLEAR read (`matching.edge_table`) both come from it.
+Likewise `scale_bands` and `occlusion_bands` are the column forms of
+`scale_class` and `occlusion_class`, with the same results row by row.
 
 Ignore regions: a box lies inside them when the union of the regions
 active at its frame covers more than `IGNORE_COVERAGE_THR` of its area.
@@ -28,8 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import (BBox, DetectionColumns, GtColumns, IgnoreColumns,
-                        IgnoreRegion, TrackColumns)
+from .datamodel import (BBox, BoxColumns, DetectionColumns, GtColumns,
+                        IgnoreColumns, IgnoreRegion, TrackColumns,
+                        frame_chunks, padded_rows)
 
 # Upper edges of the scale bands (sqrt of box area) and of the occlusion
 # bands; see the module docstring for which side of each edge is included.
@@ -101,6 +105,34 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `BoxColumns.corners` layout: `iou_broadcast` over (n, 1, 4) and
     (1, m, 4) views."""
     return iou_broadcast(a[:, None, :], b[None, :, :])
+
+
+def iou_edges(a: BoxColumns, a_order: np.ndarray, a_lo: np.ndarray,
+              a_n: np.ndarray, b: BoxColumns, b_order: np.ndarray,
+              b_lo: np.ndarray, b_n: np.ndarray,
+              iou_thr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (a position, b position, IoU) with IoU >= iou_thr over frame
+    pairs k: the boxes at positions a_lo[k] .. a_lo[k] + a_n[k] - 1 of
+    `a_order` (rows of `a`) against those at b_lo[k] .. b_lo[k] + b_n[k] - 1
+    of `b_order`. Pairs with an empty side are skipped; the others go in
+    chunks (`datamodel.frame_chunks`), each padded to its widest frames
+    (`datamodel.padded_rows`), its corners built for it alone, and given to
+    one `iou_broadcast` call with `a` as its first argument, so each IoU is
+    bit for bit `iou_matrix(a_frame, b_frame)`'s entry. Edges come chunk by
+    chunk, and within a frame pair by a position, then b position."""
+    pairs = np.flatnonzero((a_n > 0) & (b_n > 0))
+    parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+              np.empty(0))]
+    for chunk in frame_chunks(a_n[pairs], b_n[pairs]):
+        k = pairs[chunk]
+        a_at, a_valid = padded_rows(a_lo[k], a_n[k])
+        b_at, b_valid = padded_rows(b_lo[k], b_n[k])
+        iou = iou_broadcast(a.corners(a_order[a_at])[:, :, None],
+                            b.corners(b_order[b_at])[:, None])
+        at, i, j = np.nonzero(a_valid[:, :, None] & b_valid[:, None]
+                              & (iou >= iou_thr))
+        parts.append((a_at[at, i], b_at[at, j], iou[at, i, j]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def scale_class(box: BBox) -> ScaleClass:

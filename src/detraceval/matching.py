@@ -6,16 +6,20 @@ Three layers:
   rectangular cost matrix with a ``FORBIDDEN`` sentinel for disallowed pairs.
 * ``match_frame_greedy`` -- score-ordered detection-to-GT matching used for
   detection PR curves (a detection takes the unmatched GT of highest overlap
-  if that overlap clears the threshold). It takes one frame as corner
-  arrays plus the detections' scores.
+  if that overlap clears the threshold). It takes one frame as its
+  (detection, GT) IoU matrix plus the detections' scores.
 * ``clear_correspond`` -- the temporal correspondence step of the CLEAR
   procedure: previous pairs persist while their overlap clears the threshold,
   then remaining boxes are matched to maximize total overlap. It takes one
-  frame as two ascending id lists plus the frame's IoU matrix, which
-  `mot_metrics.evaluate_clear` slices from its edge table. That caller
-  runs it on conflicted frames only (a GT or hypothesis with two pairs at
-  or above the threshold); a conflict-free frame is matched by exactly
-  those pairs, which evaluate_clear takes without calling it.
+  frame as two ascending id lists plus the frame's IoU matrix.
+
+Both matchers get their frame's matrix from one sequence's `EdgeTable`
+(`edge_table`: every same-frame GT x box pair with IoU >= the threshold,
+computed once by `geometry.iou_edges`), and both callers,
+`det_metrics._label_detections` and `mot_metrics.evaluate_clear`, run them
+on conflicted frames only (a GT or a box with two pairs in the table); a
+conflict-free frame is matched by exactly those pairs, which the callers
+take without calling them.
 
 Both matchers return one frame's matches as a list of (gt, hypothesis, IoU)
 pairs and nothing else: a box that no pair holds is unmatched, and a caller
@@ -86,11 +90,13 @@ on the whole matrix with every value from the solver:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import iou_matrix
+from .datamodel import DetectionColumns, GtColumns, TrackColumns
+from .geometry import iou_edges
 
 FORBIDDEN = math.inf
 
@@ -119,26 +125,26 @@ def hungarian(cost: Sequence[Sequence[float]]) -> dict[int, int]:
     return {int(r): int(c) for r, c in zip(rows, cols) if allowed[r, c]}
 
 
-def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
-                       gt_boxes: np.ndarray,
+def match_frame_greedy(iou_mat: np.ndarray, det_scores: Sequence[float],
                        iou_thr: float) -> list[tuple[int, int, float]]:
     """Greedy score-ordered matching for detection PR evaluation.
 
-    One frame's detections and GT are given as (n, 4) `BoxColumns.corners`
-    rows (left, top, right, bottom), plus the detections' scores. Detections
-    are processed in descending score (ties by row order); each takes the
-    unmatched GT of maximum IoU (ties by smallest GT row) if that IoU is
-    > 0 and >= iou_thr. Pairs are (gt row, detection row, IoU) in
-    processing order.
+    One frame is given as its (detections, GT) IoU matrix, `iou_mat[d, g]`
+    being the IoU of detection d with GT g (`iou_matrix` of their corners),
+    plus the detections' scores. Detections are processed in descending
+    score (ties by row order); each takes the unmatched GT of maximum IoU
+    (ties by smallest GT column) if that IoU is > 0 and >= iou_thr. Pairs
+    are (gt column, detection row, IoU) in processing order.
     """
     pairs: list[tuple[int, int, float]] = []
-    if len(det_boxes) and len(gt_boxes):
+    if iou_mat.size:
         order = np.argsort(-np.asarray(det_scores, dtype=np.float64),
                            kind="stable")
-        iou_mat = iou_matrix(det_boxes, gt_boxes)
         # An entry that cannot match never becomes a row's match, so it is
-        # masked once up front; taken columns are masked as they go.
-        iou_mat[(iou_mat <= 0.0) | (iou_mat < iou_thr)] = -1.0
+        # masked once up front; taken columns are masked as they go. The
+        # caller's matrix is left as it is.
+        iou_mat = np.where((iou_mat <= 0.0) | (iou_mat < iou_thr), -1.0,
+                           iou_mat)
         for di in order.tolist():
             row = iou_mat[di]
             gi = int(row.argmax())
@@ -148,6 +154,46 @@ def match_frame_greedy(det_boxes: np.ndarray, det_scores: Sequence[float],
             pairs.append((gi, di, best_iou))
             iou_mat[:, gi] = -1.0
     return pairs
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """One sequence's same-frame (GT row, box row) pairs with IoU >= the
+    threshold it was built at: `gt`, `box` and `iou` hold one edge each,
+    rows in input order, no two edges alike. `n_boxes` is the number of
+    box rows the table covers."""
+
+    gt: np.ndarray
+    box: np.ndarray
+    iou: np.ndarray
+    n_boxes: int
+
+    def take(self, rows: np.ndarray) -> EdgeTable:
+        """The table of the boxes that the distinct box rows `rows` select,
+        in its order: the edges of those rows, each box row renumbered as
+        its position in `rows`."""
+        position = np.full(self.n_boxes, -1)
+        position[rows] = np.arange(len(rows))
+        box = position[self.box]
+        on = box >= 0
+        return EdgeTable(self.gt[on], box[on], self.iou[on], len(rows))
+
+
+def edge_table(gt: GtColumns, boxes: DetectionColumns | TrackColumns,
+               iou_thr: float) -> EdgeTable:
+    """The `EdgeTable` of GT x `boxes` at iou_thr. Each side is sorted by
+    frame, and every frame that holds GT goes to one `geometry.iou_edges`
+    call with the GT as its first side; it skips the frames without boxes."""
+    g_order = np.argsort(gt.frame, kind="stable")
+    b_order = np.argsort(boxes.frame, kind="stable")
+    g_frame, b_frame = gt.frame[g_order], boxes.frame[b_order]
+    frames = g_frame[np.diff(g_frame, prepend=g_frame[:1] - 1) != 0]
+    g_lo, b_lo = (np.searchsorted(col, frames) for col in (g_frame, b_frame))
+    n_g = np.searchsorted(g_frame, frames, "right") - g_lo
+    n_b = np.searchsorted(b_frame, frames, "right") - b_lo
+    g, b, iou = iou_edges(gt, g_order, g_lo, n_g, boxes, b_order, b_lo, n_b,
+                          iou_thr)
+    return EdgeTable(g_order[g], b_order[b], iou, len(boxes))
 
 
 def _residual_value(iou_mat: np.ndarray, iou_thr: float) -> tuple[int, float]:

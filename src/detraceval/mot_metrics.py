@@ -24,28 +24,46 @@ Conventions (documented once, used by the oracle too):
 Algorithm. Each side is sorted by (frame, id); a scored frame (one with a
 GT or a hypothesis box) is a slice of rows on each side.
 
-1. The edge table, chunk by chunk. An edge is a same-frame (GT row,
-   hypothesis row) pair with IoU >= the threshold. Consecutive frames are
-   taken in chunks of at most `datamodel.EDGE_CHUNK_PAIRS` pairs at the
-   sequence's widest frames (`datamodel.frame_chunks`), each frame padded
-   to the chunk's widest GT and hypothesis frame, and one
-   `geometry.iou_broadcast` call per chunk gives every same-frame IoU. A chunk's table lives only while its frames are
-   matched, so memory does not grow with the sequence's length.
+1. The edge table (`matching.edge_table`): every same-frame (GT row,
+   hypothesis row, IoU) with IoU >= the threshold. `geometry.iou_edges`
+   computes it: the frames, ordered by width, go in chunks of at most
+   `datamodel.EDGE_CHUNK_PAIRS` padded pairs, one `iou_broadcast` call per
+   chunk with the GT side first. `evaluate_clear` builds it from the GT
+   and the tracks (`eval-mot`, `cmd:` trackers) unless the caller passes
+   one. The sweep passes, for the builtin tracker, the track rows' part of
+   the sequence's GT x detection table (`EdgeTable.take`): a builtin track
+   row is a detection row with its box unchanged, so its IoUs are that
+   detection's.
 2. Conflicts. A frame is conflicted when some GT row or some hypothesis
-   row in it has two edges, counted along each side of the chunk's table.
-   A conflict-free frame matches exactly its edges. Then the chunk's
-   conflicted frames go through `matching.clear_correspond` in frame
-   order, each given its (n, m) slice of the table and the pairs matched
-   at the frame before.
+   row in it has two edges, counted by one `bincount` over the edges per
+   side. A conflict-free frame matches exactly its edges. The conflicted
+   frames go through `matching.clear_correspond` in frame order, each
+   given its (n, m) IoU matrix, filled from its edges and with -1 (below
+   any threshold) elsewhere, and the pairs matched at the frame before.
 3. Counts, from the matched pairs in array passes. FN and FP per frame
    from the pair counts; IDS, FM, MT and ML over the GT rows ordered by
    (id, frame); each frame's IoU sum adds its pairs in the order
    `clear_correspond` returns them, one pass per pair rank.
 
+Memory. The table lives while `_correspond` runs: 24 bytes an edge (two
+row numbers and an IoU), plus the chunk being computed while it is built,
+and `_correspond`'s per-edge arrays. At the default threshold a sequence
+has about one edge per GT box. At threshold 0 every same-frame pair is an
+edge, so the table holds the sum over frames of GT boxes x hypothesis
+boxes and is no longer bounded by the chunk size: a sequence of 5000
+frames of 20 GT and 20 hypothesis boxes has 2M edges, 48 MB of table,
+and `eval-mot` on it peaks about 120 MB higher than with a per-chunk
+table.
+
 Why this equals running `clear_correspond` on every frame in order:
 
-* `iou_broadcast` is elementwise, so every IoU is bit for bit the one a
-  per-frame `iou_matrix` gives.
+* `iou_broadcast` is elementwise and symmetric bit for bit (`min`, `max`
+  and `+` commute in IEEE arithmetic), so every IoU is bit for bit the one
+  a per-frame `iou_matrix` of the GT and hypothesis boxes gives, whichever
+  table it was read from.
+* `clear_correspond` reads an IoU only where it is >= the threshold, in
+  persistence and in the residual alike, so the -1 of a non-edge changes
+  nothing.
 * A conflict-free frame: a persisted pair is an edge. An edge that does
   not persist has both rows free, because each row has one edge only, so
   it is in the residual; and a residual whose rows and columns have at
@@ -54,8 +72,7 @@ Why this equals running `clear_correspond` on every frame in order:
   held.
 * A conflicted frame gets the same input as in a frame-by-frame walk: its
   IoU matrix and the pairs matched at the frame before, whichever path
-  (an earlier chunk, a conflict-free frame, an earlier conflicted frame)
-  found them.
+  (a conflict-free frame, an earlier conflicted frame) found them.
 * A pair (g, h) matched at frame f is one that `clear_correspond`
   persisted exactly when (g, h) was matched at f - 1: it is then carried
   and is an edge, and a persisted pair was matched at f - 1. Persisted
@@ -75,10 +92,10 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
-                        check_frame_count, frame_chunks, padded_rows)
+                        check_frame_count, positions)
 from .det_metrics import DEFAULT_IOU_THR
-from .geometry import covered, iou_broadcast
-from .matching import clear_correspond
+from .geometry import covered
+from .matching import EdgeTable, clear_correspond, edge_table
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
@@ -146,59 +163,66 @@ def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
 def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
                 g_lo: np.ndarray, n_g: np.ndarray, tracks: TrackColumns,
                 h_order: np.ndarray, h_lo: np.ndarray, n_h: np.ndarray,
+                edges: EdgeTable,
                 iou_thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """CLEAR's correspondence over a sequence, one chunk of the edge table
-    at a time (see the module docstring). Rows are positions in the sorted
-    orders `g_order` and `h_order`; scored frame k, numbered frames[k],
-    holds GT rows g_lo[k] .. g_lo[k] + n_g[k] - 1 and hypothesis rows
-    h_lo[k] .. h_lo[k] + n_h[k] - 1. Returns (match, match_iou): the
-    hypothesis row matched to each GT row (-1 if none) and their IoU.
-    Corners are built per chunk from the rows it pads to, so no
-    whole-sequence copy of them is made."""
+    """CLEAR's correspondence over a sequence from its edge table (see the
+    module docstring). Rows are positions in the sorted orders `g_order`
+    and `h_order`; scored frame k, numbered frames[k], holds GT rows
+    g_lo[k] .. g_lo[k] + n_g[k] - 1 and hypothesis rows h_lo[k] ..
+    h_lo[k] + n_h[k] - 1. Returns (match, match_iou): the hypothesis row
+    matched to each GT row (-1 if none) and their IoU. The table and the
+    arrays made from it live only while this runs."""
     g_ids, h_ids = gt.target_id[g_order], tracks.track_id[h_order]
+    e_g, e_h = positions(g_order, edges.gt), positions(h_order, edges.box)
+    e_iou = edges.iou
     match = np.full(len(g_ids), -1)
     match_iou = np.zeros(len(g_ids))
-    if not (len(frames) and n_g.max() and n_h.max()):
-        return match, match_iou
-    for chunk in frame_chunks(len(frames), int(n_g.max() * n_h.max())):
-        g_rows, g_valid = padded_rows(g_lo[chunk], n_g[chunk])
-        h_rows, h_valid = padded_rows(h_lo[chunk], n_h[chunk])
-        iou = iou_broadcast(gt.corners(g_order[g_rows])[:, :, None],
-                            tracks.corners(h_order[h_rows])[:, None])
-        edge = g_valid[:, :, None] & h_valid[:, None] & (iou >= iou_thr)
-        conflicted = ((np.count_nonzero(edge, axis=2) > 1).any(axis=1)
-                      | (np.count_nonzero(edge, axis=1) > 1).any(axis=1))
-        at, i, j = np.nonzero(edge & ~conflicted[:, None, None])
-        match[g_rows[at, i]] = h_rows[at, j]
-        match_iou[g_rows[at, i]] = iou[at, i, j]
-        # The frame before is settled: an earlier chunk, a conflict-free
-        # frame above, or an earlier pass of this loop.
-        for k in np.flatnonzero(conflicted).tolist():
-            f = chunk.start + k
-            prev: dict[int, int] = {}
-            if f and frames[f - 1] == frames[f] - 1:
-                rows = np.arange(g_lo[f - 1], g_lo[f - 1] + n_g[f - 1])
-                rows = rows[match[rows] >= 0]
-                prev = dict(zip(g_ids[rows].tolist(),
-                                h_ids[match[rows]].tolist()))
-            g0, h0 = int(g_lo[f]), int(h_lo[f])
-            gts = g_ids[g0:g0 + n_g[f]].tolist()
-            hyps = h_ids[h0:h0 + n_h[f]].tolist()
-            g_row = {g: g0 + a for a, g in enumerate(gts)}
-            h_row = {h: h0 + b for b, h in enumerate(hyps)}
-            for g, h, v in clear_correspond(prev, gts, hyps,
-                                            iou[k, :len(gts), :len(hyps)],
-                                            iou_thr):
-                match[g_row[g]], match_iou[g_row[g]] = h_row[h], v
+    # A frame is conflicted when a GT row or a hypothesis row in it has two
+    # edges; h_lo finds the frame of a hypothesis row.
+    g_at = np.repeat(np.arange(len(frames)), n_g)  # frame index of each row
+    conflicted = np.zeros(len(frames), dtype=bool)
+    conflicted[g_at[np.bincount(e_g, minlength=len(g_ids)) > 1]] = True
+    twice = np.flatnonzero(np.bincount(e_h, minlength=len(h_ids)) > 1)
+    conflicted[np.searchsorted(h_lo, twice, "right") - 1] = True
+    hard = conflicted[g_at[e_g]]
+    match[e_g[~hard]] = e_h[~hard]
+    match_iou[e_g[~hard]] = e_iou[~hard]
+    # Conflicted frames in frame order; the frame before is settled: a
+    # conflict-free frame above, or an earlier pass of this loop.
+    hard = np.flatnonzero(hard)
+    hard = hard[np.argsort(e_g[hard], kind="stable")]
+    bounds = np.searchsorted(e_g[hard], g_lo[conflicted]).tolist()
+    for f, lo, hi in zip(np.flatnonzero(conflicted).tolist(), bounds,
+                         bounds[1:] + [len(hard)]):
+        prev: dict[int, int] = {}
+        if f and frames[f - 1] == frames[f] - 1:
+            rows = np.arange(g_lo[f - 1], g_lo[f - 1] + n_g[f - 1])
+            rows = rows[match[rows] >= 0]
+            prev = dict(zip(g_ids[rows].tolist(), h_ids[match[rows]].tolist()))
+        g0, h0 = int(g_lo[f]), int(h_lo[f])
+        gts = g_ids[g0:g0 + n_g[f]].tolist()
+        hyps = h_ids[h0:h0 + n_h[f]].tolist()
+        # Below the threshold where the table holds no edge.
+        iou = np.full((len(gts), len(hyps)), -1.0)
+        at = hard[lo:hi]
+        iou[e_g[at] - g0, e_h[at] - h0] = e_iou[at]
+        g_row = {g: g0 + a for a, g in enumerate(gts)}
+        h_row = {h: h0 + b for b, h in enumerate(hyps)}
+        for g, h, v in clear_correspond(prev, gts, hyps, iou, iou_thr):
+            match[g_row[g]], match_iou[g_row[g]] = h_row[h], v
     return match, match_iou
 
 
 def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
-                   iou_thr: float = DEFAULT_IOU_THR) -> tuple[MetricBundle, SequenceStats]:
+                   iou_thr: float = DEFAULT_IOU_THR,
+                   edges: EdgeTable | None = None
+                   ) -> tuple[MetricBundle, SequenceStats]:
     """CLEAR MOT of one sequence from its GT and hypothesis columns
     (`read_ground_truth` / `read_tracks`, or `GroundTruth.columns` and
-    the `TrackColumns` a tracker returns),
-    by the edge-table algorithm of the module docstring."""
+    the `TrackColumns` a tracker returns), by the edge-table algorithm of
+    the module docstring. `edges` is the GT x `tracks` table at iou_thr
+    (`matching.edge_table`) when the caller has it, as the sweep has for
+    the builtin tracker; it is built here otherwise."""
     check_frame_count(gt, tracks, "output tracks")
 
     # Each side sorted once by (frame, id); a frame is a slice of the rows.
@@ -209,8 +233,9 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     g_lo, h_lo = (np.searchsorted(col, frames) for col in (g_frame, h_frame))
     n_g = np.searchsorted(g_frame, frames, "right") - g_lo
     n_h = np.searchsorted(h_frame, frames, "right") - h_lo
-    match, match_iou = _correspond(frames, gt, g_order, g_lo, n_g,
-                                   tracks, h_order, h_lo, n_h, iou_thr)
+    match, match_iou = _correspond(
+        frames, gt, g_order, g_lo, n_g, tracks, h_order, h_lo, n_h,
+        edge_table(gt, tracks, iou_thr) if edges is None else edges, iou_thr)
 
     n_frames = len(frames)
     g_at = np.repeat(np.arange(n_frames), n_g)   # frame index of each row

@@ -11,15 +11,24 @@ MOTA/MOTP/MT%/ML% integrate as percents; IDS/FM/FP/FN as raw counts.
 The curve is not extended to synthetic endpoints; only realized operating
 points are integrated.
 
-Precision and recall at every threshold are read off one count table,
-built from one detection labeling pass per sequence
-(`det_metrics.threshold_counts`): the table whose rows are also
-`eval-det`'s PR curve. Only the tracker and CLEAR run once per threshold,
-and of the tracker only its per-threshold step: each sequence's tracker
-entry point (`by_threshold`, see `trackers`) is made once, over the
-detections at the lowest threshold, before the threshold loop, and the
-builtin tracker computes its link IoUs there. The sweep stays in columns:
-thinning at a threshold is the mask ``score >= threshold`` over
+Before the threshold loop, per sequence, the sweep builds three things
+once:
+
+* the GT x detection edge table (`matching.edge_table`): every same-frame
+  (GT row, detection row, IoU) with IoU >= iou_thr, over all detections;
+* from it, the detection labeling pass (`det_metrics.threshold_counts`),
+  whose count table gives precision and recall at every threshold and
+  whose rows are also `eval-det`'s PR curve;
+* the tracker's entry point (`by_threshold`, see `trackers`) over the
+  detections at the lowest threshold; the builtin tracker computes its
+  link IoUs there, in one link table.
+
+So only the tracker's per-threshold step and CLEAR run once per
+threshold. The builtin tracker's step also names the detection row behind
+each track row; CLEAR then reads those rows' part of the edge table
+(`EdgeTable.take`) and computes no IoU. A `cmd:` tracker's output is a
+new set of boxes, so CLEAR builds its table from them. The sweep stays in
+columns: thinning at a threshold is the mask ``score >= threshold`` over
 `DetectionColumns`, and CLEAR scores the `TrackColumns` the tracker
 returns as they are. Tracker output past the sequence's last frame is a
 tracker failure at that threshold, like an exception in the tracker.
@@ -31,22 +40,25 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
                         ValidationError, check_frame_count)
 from .det_metrics import DEFAULT_IOU_THR, CountTable, rates, threshold_counts
+from .matching import EdgeTable, edge_table
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 
 # Columns in, columns out: a tracker gets one sequence's detections with
 # score >= the threshold, in input order, and the sequence id, and returns
 # its tracks. A `cmd:` tracker sees the same data as CSV files (`trackers`).
 # A tracker with a `by_threshold(dets, sequence_id)` method gives the sweep
-# one function of the threshold per sequence instead.
+# one function of the threshold per sequence instead (`trackers.TracksAt`).
 TrackerAdapter = Callable[[DetectionColumns, str], TrackColumns]
-TracksAt = Callable[[float], TrackColumns]
+# One sequence's tracks at a threshold, with their GT x track edge table
+# when the sweep can take it from the GT x detection one.
+ScoredAt = Callable[[float], tuple[TrackColumns, EdgeTable | None]]
 
 DEFAULT_N_THRESHOLDS = 10
 
@@ -119,24 +131,34 @@ def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
 
 
 def _tracks_at(tracker: TrackerAdapter, dets: DetectionColumns,
-               sequence_id: str) -> TracksAt:
-    """The tracker's per-sequence entry point over `dets`. A tracker
-    without one runs on the detections with score >= tau. An entry point
-    that fails fails each threshold of the sequence, so the failure is
-    reported, and skipped with keep_going, where a per-threshold one is."""
+               sequence_id: str, lowest: float, edges: EdgeTable) -> ScoredAt:
+    """The tracker's per-sequence entry point over the detections with
+    score >= lowest; a tracker without one runs on the detections with
+    score >= tau. Where the entry point gives the detection row behind
+    each track row, the tracks' edge table is the rows' part of `edges`,
+    the sequence's GT x detection table. An entry point that fails fails
+    each threshold of the sequence, so the failure is reported, and
+    skipped with keep_going, where a per-threshold one is."""
+    kept = np.flatnonzero(dets.score >= lowest)
     try:
         by_threshold = getattr(tracker, "by_threshold", None)
         if by_threshold is None:
-            return lambda tau: tracker(dets.take(dets.score >= tau),
-                                       sequence_id)
-        return by_threshold(dets, sequence_id)
+            return lambda tau: (tracker(dets.take(dets.score >= tau),
+                                        sequence_id), None)
+        at = by_threshold(dets.take(kept), sequence_id)
     except Exception as exc:
-        def failed(tau: float, error: Exception = exc) -> TrackColumns:
+        def failed(tau: float, error: Exception = exc) -> NoReturn:
             raise error
         return failed
 
+    def scored_at(tau: float) -> tuple[TrackColumns, EdgeTable | None]:
+        tracks, rows = at(tau)
+        return tracks, None if rows is None else edges.take(kept[rows])
+    return scored_at
 
-def _evaluate_threshold(gts: Sequence[GtColumns], tracks_at: Sequence[TracksAt],
+
+def _evaluate_threshold(gts: Sequence[GtColumns],
+                        tracks_at: Sequence[ScoredAt],
                         threshold: float, iou_thr: float,
                         counts: CountTable) -> OperatingPoint:
     tp, fp, fn = counts.at(threshold)
@@ -144,13 +166,13 @@ def _evaluate_threshold(gts: Sequence[GtColumns], tracks_at: Sequence[TracksAt],
     stats = []
     for gt, at in zip(gts, tracks_at):
         try:
-            tracks = at(threshold)
+            tracks, edges = at(threshold)
             check_frame_count(gt, tracks, "tracker output")
         except Exception as exc:
             raise SweepError(
                 f"tracker failed at threshold {threshold:g} on sequence "
                 f"{gt.sequence_id!r}: {exc}") from exc
-        stats.append(evaluate_clear(gt, tracks, iou_thr)[1])
+        stats.append(evaluate_clear(gt, tracks, iou_thr, edges)[1])
     return OperatingPoint(threshold, precision.item(), recall.item(),
                           aggregate(stats))
 
@@ -176,19 +198,21 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
 
     `pairs` holds each sequence's (GT, detections) columns. At a threshold
     the tracker gets the detections with score >= threshold, in input
-    order; its per-sequence entry points are made first, one per sequence
-    over the detections at the lowest threshold. Threshold evaluations are
+    order; the edge tables, the labeling and the tracker's per-sequence
+    entry points are made first, one per sequence (see the module
+    docstring). Threshold evaluations are
     independent; with jobs > 1 they run concurrently. Results are returned
     in curve order regardless of execution order. With keep_going, a
     failing threshold leaves a gap instead of aborting.
     """
     if not all(map(math.isfinite, thresholds)):
         raise ValidationError(f"thresholds must be finite: {list(map(float, thresholds))}")
-    counts = threshold_counts(pairs, iou_thr)
+    edges = [edge_table(gt, dets, iou_thr) for gt, dets in pairs]
+    counts = threshold_counts(pairs, iou_thr, edges)
     lowest = min(thresholds, default=0.0)
     gts = [gt for gt, _ in pairs]
-    tracks_at = [_tracks_at(tracker, dets.take(dets.score >= lowest),
-                            gt.sequence_id) for gt, dets in pairs]
+    tracks_at = [_tracks_at(tracker, dets, gt.sequence_id, lowest, table)
+                 for (gt, dets), table in zip(pairs, edges)]
 
     def run(tau: float) -> OperatingPoint | None:
         try:

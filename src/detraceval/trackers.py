@@ -4,13 +4,18 @@ adapter that shells out to an external tracker executable.
 Both take one sequence's detections as `DetectionColumns` and return
 `TrackColumns`, rows sorted by (track_id, frame) as `read_tracks` gives
 them. Both also have one per-sequence entry point for the threshold sweep,
-``by_threshold(dets, sequence_id)``, which returns the sequence's tracks as
-a function of the score threshold tau: what a call on
-``dets.take(dets.score >= tau)`` returns. The sweep makes it once per
-sequence, so only the tracker's per-threshold step and CLEAR run once per
-threshold. The builtin linker computes its link IoUs there, once per
-sequence, in one `LinkTable`, and links each threshold's rows from that
-table; a `cmd:` tracker runs once per threshold on the thinned detections.
+``by_threshold(dets, sequence_id)``, which returns a function of the score
+threshold tau (`TracksAt`): it gives what a call on
+``dets.take(dets.score >= tau)`` returns, and the row of `dets` behind
+each track row, or None where the tracker cannot say. The sweep makes it
+once per sequence, so only the tracker's per-threshold step and CLEAR run
+once per threshold. The builtin linker computes its link IoUs there, once
+per sequence, in one `LinkTable` (`geometry.iou_edges` over the frame
+pairs up to max_gap + 1 frames apart), and links each threshold's rows
+from that table; its track rows are detection rows with their boxes
+unchanged, so it names them, and the sweep's CLEAR reads their IoUs from
+the sequence's GT x detection table. A `cmd:` tracker runs once per
+threshold on the thinned detections and names no rows.
 
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
@@ -34,11 +39,15 @@ from typing import Callable
 import numpy as np
 
 from .datamodel import (DetectionColumns, TrackColumns, ValidationError,
-                        frame_chunks, padded_rows, read_tracks,
-                        write_detections)
-from .geometry import iou_broadcast
+                        read_tracks, write_detections)
+from .geometry import iou_edges
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
+
+
+# A per-sequence entry point (`by_threshold`): threshold tau -> the tracks,
+# and the detection row behind each track row, or None when unknown.
+TracksAt = Callable[[float], tuple[TrackColumns, np.ndarray | None]]
 
 
 class TrackerError(RuntimeError):
@@ -52,7 +61,8 @@ class LinkTable:
     <= max_gap + 1 and IoU >= link_thr. Rows are positions in `order`, the
     detections sorted by frame (stable, so input order within a frame).
     Links are sorted by destination frame, then descending IoU, then
-    destination row: the greedy rank wherever a frame's IoUs differ."""
+    destination row: the greedy rank wherever a frame's IoUs differ; then
+    by lag and source row."""
 
     dets: DetectionColumns
     order: np.ndarray
@@ -62,9 +72,10 @@ class LinkTable:
     iou: np.ndarray
 
     def tracks(self, keep: np.ndarray | None = None,
-               min_track_len: int = 1) -> TrackColumns:
+               min_track_len: int = 1) -> tuple[TrackColumns, np.ndarray]:
         """Step 2: the greedy link of the rows `keep` selects (a mask in
-        input order; every row if None), as `greedy_iou_track` documents.
+        input order; every row if None), as `greedy_iou_track` documents,
+        and the detection row (input order) behind each track row.
 
         A link takes part when both its rows are kept. At each frame the
         candidates are the links whose source row is still the last row of
@@ -97,7 +108,7 @@ class LinkTable:
         dets = self.dets
         return TrackColumns(dets.left[out], dets.top[out], dets.width[out],
                             dets.height[out], frame=dets.frame[out],
-                            track_id=track[by_track])
+                            track_id=track[by_track]), out
 
 
 def _greedy_link(n_rows: int, src: list[int], dst: list[int],
@@ -128,34 +139,24 @@ def _greedy_link(n_rows: int, src: list[int], dst: list[int],
 
 def link_table(dets: DetectionColumns, link_thr: float = 0.5,
                max_gap: int = 1) -> LinkTable:
-    """Step 1 of `greedy_iou_track` (see `LinkTable`). For each lag, in
-    present frames, the frame pairs at most max_gap + 1 frames apart are
-    taken in chunks of padded frames (`datamodel.frame_chunks`), one
-    `iou_broadcast` call per chunk; each IoU is bit for bit the one an
+    """Step 1 of `greedy_iou_track` (see `LinkTable`). The frame pairs at
+    most max_gap + 1 present frames apart, at each lag, go through one
+    `geometry.iou_edges` call, so each IoU is bit for bit the one an
     `iou_matrix` of the two frames gives."""
     order = np.argsort(dets.frame, kind="stable")
-    frame, corners = dets.frame[order], dets.corners(order)
+    frame = dets.frame[order]
     frames, lo, n = np.unique(frame, return_index=True, return_counts=True)
-    parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
-              np.empty(0))]
     # Present frames are distinct, so lag k spans at least k frames: the
     # lags end within the sequence's frame span, whatever max_gap is.
+    # Lag k also needs k + 1 present frames.
     reach = min(max_gap + 1, int(frames[-1] - frames[0])) if len(frames) else 0
-    for lag in range(1, reach + 1):
-        at = np.flatnonzero(frames[lag:] - frames[:-lag] <= reach)
-        if not len(at):
-            break
-        for chunk in frame_chunks(len(at), int(n.max()) ** 2):
-            a = at[chunk]
-            s_rows, s_valid = padded_rows(lo[a], n[a])
-            d_rows, d_valid = padded_rows(lo[a + lag], n[a + lag])
-            iou = iou_broadcast(corners[s_rows][:, :, None],
-                                corners[d_rows][:, None])
-            k, i, j = np.nonzero(s_valid[:, :, None] & d_valid[:, None]
-                                 & (iou >= link_thr))
-            parts.append((s_rows[k, i], d_rows[k, j], iou[k, i, j]))
-    src, dst, iou = map(np.concatenate, zip(*parts))
-    rank = np.lexsort((dst, -iou, frame[dst]))
+    lags = range(1, min(reach, len(frames) - 1) + 1)
+    s = [np.flatnonzero(frames[lag:] - frames[:-lag] <= reach) for lag in lags]
+    d = [a + lag for a, lag in zip(s, lags)]
+    s, d = (np.concatenate([np.empty(0, dtype=np.intp), *x]) for x in (s, d))
+    src, dst, iou = iou_edges(dets, order, lo[s], n[s], dets, order, lo[d],
+                              n[d], link_thr)
+    rank = np.lexsort((src, -frame[src], dst, -iou, frame[dst]))
     return LinkTable(dets, order, frame, src[rank], dst[rank], iou[rank])
 
 
@@ -171,7 +172,7 @@ def greedy_iou_track(dets: DetectionColumns, link_thr: float = 0.5,
     Returns the linked detections as rows sorted by (track_id, frame), the
     layout of `read_tracks`. Runs `link_table`, then `LinkTable.tracks`.
     """
-    return link_table(dets, link_thr, max_gap).tracks(None, min_track_len)
+    return link_table(dets, link_thr, max_gap).tracks(None, min_track_len)[0]
 
 
 def _is_int(value) -> bool:
@@ -205,11 +206,11 @@ class BuiltinGreedyTracker:
                                 self.min_track_len)
 
     def by_threshold(self, dets: DetectionColumns,
-                     sequence_id: str) -> Callable[[float], TrackColumns]:
+                     sequence_id: str) -> TracksAt:
         """The sequence's tracks at each score threshold tau, equal to
-        ``self(dets.take(dets.score >= tau), sequence_id)``: the link
-        table is built once, here, over all of `dets`, and each call links
-        the rows with score >= tau."""
+        ``self(dets.take(dets.score >= tau), sequence_id)``, and the row of
+        `dets` behind each track row: the link table is built once, here,
+        over all of `dets`, and each call links the rows with score >= tau."""
         table = link_table(dets, self.link_thr, self.max_gap)
         return lambda tau: table.tracks(dets.score >= tau, self.min_track_len)
 
@@ -251,11 +252,12 @@ class ExternalTracker:
         return run_external(self, dets, sequence_id)
 
     def by_threshold(self, dets: DetectionColumns,
-                     sequence_id: str) -> Callable[[float], TrackColumns]:
+                     sequence_id: str) -> TracksAt:
         """The sequence's tracks at each score threshold tau: one run on
-        the detections with score >= tau, in input order."""
-        return lambda tau: run_external(self, dets.take(dets.score >= tau),
-                                        sequence_id)
+        the detections with score >= tau, in input order. The rows behind
+        the tracks are unknown (None)."""
+        return lambda tau: (run_external(self, dets.take(dets.score >= tau),
+                                         sequence_id), None)
 
 
 def run_external(adapter: ExternalTracker, dets: DetectionColumns,

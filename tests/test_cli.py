@@ -824,12 +824,15 @@ def test_gen_synthetic_bad_value_is_one_line_error(tmp_path, capsys, flag,
 def test_gen_synthetic_box_that_breaks_a_detection_rule_is_one_line_error(
         tmp_path, capsys):
     """A jitter large enough to overflow a generated box to infinity: the
-    detection rules reject it in one error line naming the box field."""
+    detection rules reject it in one error line naming the box field, and
+    no --out directory is left behind."""
+    out = tmp_path / "out"
     assert main(["gen-synthetic", "--targets", "3", "--frames", "5",
                  "--clutter-rate", "0", "--jitter-sigma", "1e308",
-                 "--out", str(tmp_path / "out")]) == 1
+                 "--out", str(out)]) == 1
     err = _one_line_error(capsys)
     assert re.search(r"BBox\.(left|top|width|height) must be finite", err), err
+    assert not out.exists()
 
 
 # One short sequence: GT (frame_count 3), detections and tracks, as files.

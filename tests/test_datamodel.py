@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from box_columns import det_columns, track_columns
+from detraceval import datamodel
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
                                   IgnoreRegion, Rows, ValidationError,
                                   read_detections, read_ground_truth,
@@ -202,3 +203,24 @@ def test_rows_length_is_the_row_count_of_equal_columns():
     assert len(Rows({})) == len(Rows({"a": []})) == 0
     with pytest.raises(ValueError, match="differ in length"):
         Rows({"a": [1, 2], "b": [1]})
+
+
+@pytest.mark.parametrize("budget", [1, 7, 60, 1 << 16])
+def test_frame_chunks_take_each_pair_once_in_width_order(budget, monkeypatch):
+    """Every frame pair once, ordered by wider side, then pair count; each
+    chunk within the budget once padded to its widest sides, or a single
+    pair, and the next pair would not fit."""
+    rng = np.random.default_rng(3)
+    a_n, b_n = rng.integers(1, 12, 200), rng.integers(1, 12, 200)
+    monkeypatch.setattr(datamodel, "EDGE_CHUNK_PAIRS", budget)
+    chunks = list(datamodel.frame_chunks(a_n, b_n))
+    order = np.concatenate(chunks)
+    assert order.tolist() == np.lexsort((a_n * b_n,
+                                         np.maximum(a_n, b_n))).tolist()
+
+    def padded(k):
+        return len(k) * a_n[k].max() * b_n[k].max()
+    for k, after in zip(chunks, chunks[1:] + [None]):
+        assert len(k) == 1 or padded(k) <= budget
+        if after is not None:
+            assert padded(np.append(k, after[0])) > budget

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from box_columns import concat, det_columns, round_scores
+from detraceval import datamodel, det_metrics
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   GroundTruth, GtEntry, GtTrack, IgnoreRegion,
                                   Rows, ValidationError)
-from detraceval.det_metrics import (PRCurve, PRPoint, average_precision,
-                                    detection_report, rates, threshold_counts)
-from detraceval.matching import match_frame_greedy
+from detraceval.det_metrics import (PRCurve, PRPoint, _label_detections,
+                                    average_precision, detection_report, rates,
+                                    threshold_counts)
+from detraceval.geometry import covered, iou_matrix
+from detraceval.matching import edge_table, match_frame_greedy
+from reference_labeler import frame_loop_label_detections
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_ap,
                               oracle_sweep_counts)
 
@@ -106,8 +110,9 @@ def _corners(boxes):
 
 def _greedy(dets, gts, iou_thr):
     """match_frame_greedy on a (box, score) list and a BBox list."""
-    return match_frame_greedy(_corners([box for box, _ in dets]),
-                              [score for _, score in dets], _corners(gts), iou_thr)
+    return match_frame_greedy(iou_matrix(_corners([box for box, _ in dets]),
+                                         _corners(gts)),
+                              [score for _, score in dets], iou_thr)
 
 
 def _brute_force_pr(dets, gt, iou_thr, threshold):
@@ -418,3 +423,121 @@ def test_ap_equals_the_former_loop_on_every_subset():
             assert body["ap"] == _reference_ap(curve), (seed, name)
             n_reports += 1
     assert n_reports > 300
+
+
+def _grid_scene(seed, n_gt, n_dets):
+    """GT and detections on a 5-px grid, 10 or 20 px wide, over frames 1-5,
+    with scores from three values and one ignore region: IoUs and scores
+    tie often."""
+    rng = np.random.default_rng(seed)
+
+    def boxes(n):
+        size = rng.choice([10.0, 20.0], n)
+        return (5.0 * rng.integers(0, 6, n), 5.0 * rng.integers(0, 3, n),
+                size, rng.integers(1, 6, n))
+    left, top, size, frame = boxes(n_gt)
+    gt = GroundTruth("grid", 5, tuple(
+        GtTrack(i + 1, (GtEntry(int(f), BBox(float(x), float(y), s, s)),))
+        for i, (x, y, s, f) in enumerate(zip(left, top, size, frame))),
+        ignore_regions=(IgnoreRegion(BBox(0.0, 0.0, 12.0, 12.0), 2, 4),))
+    left, top, size, frame = boxes(n_dets)
+    return gt.columns, det_columns(*(
+        (int(f), BBox(float(x), float(y), s, s), float(score))
+        for x, y, s, f, score in zip(left, top, size, frame,
+                                     rng.choice([0.25, 0.5, 0.75], n_dets))))
+
+
+def _label_scenes():
+    """(GT, detections) columns: cluttered scenarios on a small arena
+    (conflict-heavy) with a static and a frame-ranged ignore region and
+    1-decimal (tied) scores, grid scenes (tied IoUs and scores), frames of
+    one GT box and one detection apart or touching (IoU 0), and the empty
+    sides."""
+    scenes = []
+    for seed in range(4):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=8, n_frames=12, arena=(160.0, 120.0), drop_rate=0.2,
+            clutter_rate=5.0, jitter_sigma=4.0, seed=seed))
+        gt = dataclasses.replace(gt, ignore_regions=(
+            IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),
+            IgnoreRegion(BBox(80.0, 60.0, 60.0, 50.0), 4, 9)))
+        scenes.append((gt.columns, round_scores(dets, 1)))
+    for seed in range(6):
+        scenes.append(_grid_scene(seed, 12, 30))
+    box = BBox(0.0, 0.0, 10.0, 10.0)
+    apart = GroundTruth("apart", 2, (GtTrack(1, (GtEntry(1, box),
+                                                 GtEntry(2, box))),))
+    scenes.append((apart.columns,
+                   det_columns((1, BBox(50.0, 50.0, 10.0, 10.0), 0.5),
+                               (2, BBox(10.0, 0.0, 10.0, 10.0), 0.5))))
+    gt, dets = scenes[0]
+    nothing = GroundTruth("none", 12, ())
+    scenes += [(gt, dets.take(np.zeros(len(dets), dtype=bool))),
+               (nothing.columns, dets)]
+    return scenes
+
+
+def _label_frame_kinds(g, d, iou_thr):
+    """Per frame with a detection and a pooled GT box: which side has a
+    box with two edges (pooled pairs with IoU > 0 and >= iou_thr):
+    "detection", "gt", "both" or "free"."""
+    pooled = ~covered(g, g.ignore)
+    kinds = []
+    for f in np.intersect1d(d.frame, g.frame[pooled]).tolist():
+        gts = np.flatnonzero(pooled & (g.frame == f))
+        iou = iou_matrix(d.corners(np.flatnonzero(d.frame == f)),
+                         g.corners(gts))
+        edge = (iou > 0.0) & (iou >= iou_thr)
+        by_det, by_gt = edge.sum(1).max() > 1, edge.sum(0).max() > 1
+        kinds.append("both" if by_det and by_gt else "detection" if by_det
+                     else "gt" if by_gt else "free")
+    return kinds
+
+
+@pytest.mark.parametrize("iou_thr", [0.0, 0.3, 0.5, 0.7, 1.0])
+def test_table_labeling_equals_the_frame_loop(iou_thr):
+    for g, d in _label_scenes():
+        got = _label_detections(g, d, edge_table(g, d, iou_thr), iou_thr)
+        want = frame_loop_label_detections(g, d, iou_thr)
+        for name in ("score", "matched", "covered", "pooled"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+def test_label_scenes_cover_the_conflict_patterns():
+    """Frames where only detections, only GT, or both hold two edges, and
+    conflict-free frames; at IoU 1.0 the grid's equal boxes still meet."""
+    one_side = {"detection", "gt", "free"}
+    every = one_side | {"both"}
+    for iou_thr, want in ((0.0, {"gt", "both", "free"}), (0.3, every),
+                          (0.5, every), (0.7, every), (1.0, one_side)):
+        kinds = {k for g, d in _label_scenes()
+                 for k in _label_frame_kinds(g, d, iou_thr)}
+        assert want <= kinds, iou_thr
+
+
+def test_greedy_matching_runs_on_conflicted_frames_only(monkeypatch):
+    calls = []
+
+    def counted(iou_mat, scores, iou_thr, _fn=det_metrics.match_frame_greedy):
+        calls.append(iou_mat.shape)
+        return _fn(iou_mat, scores, iou_thr)
+    monkeypatch.setattr(det_metrics, "match_frame_greedy", counted)
+    for iou_thr in (0.3, 0.7):
+        for g, d in _label_scenes():
+            calls.clear()
+            _label_detections(g, d, edge_table(g, d, iou_thr), iou_thr)
+            kinds = _label_frame_kinds(g, d, iou_thr)
+            assert len(calls) == len(kinds) - kinds.count("free")
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_chunk_budget_does_not_change_labels(budget, monkeypatch):
+    """One frame pair per chunk, and chunks that end mid-sequence."""
+    scenes = _label_scenes()
+    want = [threshold_counts([scene], 0.3) for scene in scenes]
+    monkeypatch.setattr(datamodel, "EDGE_CHUNK_PAIRS", budget)
+    for scene, expected in zip(scenes, want):
+        got = threshold_counts([scene], 0.3)
+        for name in ("score", "tp", "kept", "n_gt"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))

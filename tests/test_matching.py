@@ -82,8 +82,9 @@ def _corners(boxes):
 
 def _greedy(dets, gts, iou_thr):
     """match_frame_greedy on a (box, score) list and a BBox list."""
-    return match_frame_greedy(_corners([box for box, _ in dets]),
-                              [score for _, score in dets], _corners(gts), iou_thr)
+    return match_frame_greedy(iou_matrix(_corners([box for box, _ in dets]),
+                                         _corners(gts)),
+                              [score for _, score in dets], iou_thr)
 
 
 def _unmatched_gt(pairs, gt_ids):

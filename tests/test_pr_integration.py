@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,15 @@ from box_columns import round_scores, track_columns
 from detraceval.datamodel import BBox, IgnoreRegion, ValidationError
 from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
+from detraceval.geometry import iou_matrix
 from detraceval.matching import match_frame_greedy
-from detraceval.mot_metrics import MetricBundle
-from detraceval import trackers
+from detraceval.mot_metrics import MetricBundle, evaluate_clear
+from detraceval import geometry, pr_integration, trackers
 from detraceval.pr_integration import (OperatingPoint, SweepError, arc_length,
                                        integrate, pr_report, select_thresholds,
                                        select_thresholds_quantile, sweep)
 from detraceval.synth import ScenarioConfig, gen_scenario, oracle_sweep_counts
+from test_mot_metrics import _assert_same_clear, _reference_evaluate_clear
 
 
 def _bundle(mota=0.0, motp=0.0, ids=0, fm=0, fp=0, fn=0, mt_pct=0.0, ml_pct=0.0):
@@ -150,9 +154,10 @@ class OracleTracker:
             rows = dets.frame == frame
             entries = self.gt.entries_at(frame)
             gids = sorted(entries)
-            pairs = match_frame_greedy(corners[rows], dets.score[rows],
-                                       _corners([entries[g].box for g in gids]),
-                                       self.iou_thr)
+            pairs = match_frame_greedy(
+                iou_matrix(corners[rows],
+                           _corners([entries[g].box for g in gids])),
+                dets.score[rows], self.iou_thr)
             for gi, _, _ in pairs:
                 boxes.setdefault(gids[gi], []).append(
                     (frame, entries[gids[gi]].box))
@@ -239,18 +244,21 @@ def _two_sequences():
 
 
 def test_sweep_builds_one_link_table_per_sequence(monkeypatch):
-    """The builtin tracker's IoUs are computed once per sequence: the
-    number of link tables and of IoU calls does not grow with the number
-    of thresholds, and the points equal per-threshold tracking."""
+    """The sweep's IoUs are computed once per sequence: the number of link
+    tables, of GT x detection edge tables and of IoU kernel calls (all
+    made while building them) does not grow with the number of
+    thresholds, and the points equal per-threshold tracking."""
     pairs = _two_sequences()
     scores = np.concatenate([dets.score for _, dets in pairs])
     tracker = trackers.BuiltinGreedyTracker(max_gap=2)
-    calls = {"link_table": 0, "iou_broadcast": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(trackers, name), _name=name):
+    calls = {"link_table": 0, "edge_table": 0, "iou_broadcast": 0}
+    for module, name in ((trackers, "link_table"),
+                         (pr_integration, "edge_table"),
+                         (geometry, "iou_broadcast")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(trackers, name, counted)
+        monkeypatch.setattr(module, name, counted)
     seen = []
     for n in (3, 8):
         for key in calls:
@@ -260,7 +268,53 @@ def test_sweep_builds_one_link_table_per_sequence(monkeypatch):
         seen.append(dict(calls))
         assert points == sweep(pairs, lambda d, seq: tracker(d, seq),
                                thresholds)
-    assert seen[0] == seen[1] and seen[0]["link_table"] == 2
+    assert seen[0] == seen[1]
+    assert seen[0]["link_table"] == seen[0]["edge_table"] == 2
+
+
+def _crowded_sequences():
+    """Two cluttered sequences on a small arena, with a static ignore
+    region: frames where a GT box or a detection overlaps two boxes of the
+    other side are common."""
+    pairs = []
+    for seed, name in ((5, "a"), (6, "b")):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=8, n_frames=14, arena=(160.0, 120.0), drop_rate=0.2,
+            clutter_rate=5.0, jitter_sigma=4.0, seed=seed))
+        gt = dataclasses.replace(gt, sequence_id=name, ignore_regions=(
+            IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),))
+        pairs.append((gt.columns, dets))
+    return pairs
+
+
+@pytest.mark.parametrize("spec", ["builtin:max_gap=2",
+                                  "builtin:max_gap=1,min_track_len=3", "cmd"])
+def test_table_fed_clear_equals_clear_on_the_tracks(spec, monkeypatch):
+    """At every threshold of a sweep, CLEAR on the tracker's output reads
+    the tracks' part of the GT x detection table (builtin trackers) or
+    builds its own table (cmd:), and equals both CLEAR building its table
+    from the tracks and the per-frame walk."""
+    linker = Path(__file__).resolve().parent / "reference_linker.py"
+    tracker = trackers.make_tracker(
+        f"cmd:{sys.executable} {linker} {{input}} {{output}} 2"
+        if spec == "cmd" else spec)
+    calls = []
+
+    def spy(gt, tracks, iou_thr, edges=None):
+        calls.append((gt, tracks, iou_thr, edges))
+        return evaluate_clear(gt, tracks, iou_thr, edges)
+    monkeypatch.setattr(pr_integration, "evaluate_clear", spy)
+    pairs = _crowded_sequences()
+    scores = np.concatenate([dets.score for _, dets in pairs])
+    for iou_thr in (0.3,) if spec == "cmd" else (0.3, 0.5, 0.7):
+        sweep(pairs, tracker, select_thresholds(scores, 4 if spec == "cmd"
+                                                else 8), iou_thr)
+    assert calls
+    for gt, tracks, iou_thr, edges in calls:
+        assert (edges is None) == (spec == "cmd")
+        got = evaluate_clear(gt, tracks, iou_thr, edges)
+        _assert_same_clear(got, evaluate_clear(gt, tracks, iou_thr))
+        _assert_same_clear(got, _reference_evaluate_clear(gt, tracks, iou_thr))
 
 
 def test_failing_per_sequence_step_fails_each_threshold():
@@ -270,7 +324,7 @@ def test_failing_per_sequence_step_fails_each_threshold():
         def by_threshold(self, dets, sequence_id):
             if sequence_id == "b":
                 raise RuntimeError("no table")
-            return lambda tau: track_columns()
+            return lambda tau: (track_columns(), None)
 
     pairs = _two_sequences()
     thresholds = select_thresholds(pairs[0][1].score, 4)

@@ -225,12 +225,21 @@ def _assert_same_tracks(got, want) -> None:
 
 def _assert_links_like_frame_loop(dets, link_thr, max_gap, min_track_len):
     """by_threshold(dets)(tau) equals the per-frame loop run on the
-    detections with score >= tau, at every threshold of the ladder."""
+    detections with score >= tau, at every threshold of the ladder, and
+    names a distinct detection row with score >= tau and the same frame
+    and box behind each track row."""
     at = BuiltinGreedyTracker(link_thr, max_gap, min_track_len).by_threshold(
         dets, "s")
     for tau in _ladder(dets):
-        _assert_same_tracks(at(tau), frame_loop_greedy_iou_track(
+        tracks, rows = at(tau)
+        _assert_same_tracks(tracks, frame_loop_greedy_iou_track(
             dets.take(dets.score >= tau), link_thr, max_gap, min_track_len))
+        behind = dets.take(rows)
+        assert len(set(rows.tolist())) == len(rows)
+        assert (behind.score >= tau).all()
+        assert _rows(tracks) == _rows(dataclasses.replace(
+            tracks, left=behind.left, top=behind.top, width=behind.width,
+            height=behind.height, frame=behind.frame))
 
 
 def test_link_scenes_cover_ties_and_empty_frames():
@@ -249,6 +258,23 @@ def test_link_scenes_cover_ties_and_empty_frames():
         tied += np.count_nonzero((frame[1:] == frame[:-1])
                                  & (table.iou[1:] == table.iou[:-1]))
     assert tied > 10
+
+
+def test_link_table_order_is_the_lag_by_lag_walk():
+    """Links sorted by destination frame, -IoU and destination row, and
+    links equal in those by lag, then source row: the order in which a
+    walk over lags, frames and source rows finds them."""
+    ties = 0
+    for dets in _link_scenes():
+        table = link_table(dets, 0.2, 2)
+        frame = table.frame
+        key = list(zip(frame[table.dst].tolist(), (-table.iou).tolist(),
+                       table.dst.tolist(),
+                       (frame[table.dst] - frame[table.src]).tolist(),
+                       table.src.tolist()))
+        assert key == sorted(key)
+        ties += sum(a[:3] == b[:3] for a, b in zip(key, key[1:]))
+    assert ties > 0
 
 
 @pytest.mark.parametrize("max_gap", [0, 1, 2, 10**6])
