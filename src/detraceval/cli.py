@@ -14,13 +14,11 @@ report that cannot be written, is one line ``detraceval: error: <path>:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +67,23 @@ def _float_text(value: float) -> str:
     return repr(float(text))
 
 
+def _g_is_json(part: np.ndarray) -> np.ndarray:
+    """Mask of the values of the float64 array `part` whose "%.6g" text is
+    their JSON text, `_float_text`: those with 1e-300 < |v| < 0.99999.
+
+    "%.6g" % v runs the formatter of f"{v:.6g}". In that range |v| rounds
+    to a value below 1, so the text is neither integral nor
+    exponent-positive nor null: it is fixed-point with a ".", which
+    `_float_text` keeps, or exponent-negative ("1.5e-05"), which its round
+    trip gives back. A normal double (the margin keeps subnormals, whose 6
+    digits may not survive, out) printed with at most 15 significant
+    digits is the repr of the float it reads as, and repr writes an
+    exponent below -4 as %g does.
+    """
+    size = np.abs(part)
+    return (size > 1e-300) & (size < 0.99999)
+
+
 # Exact type -> JSON text, as `json.dump` writes it after rounding.
 _TEXT = {float: _float_text, int: int.__repr__, str: encode_basestring_ascii,
          bool: lambda value: "true" if value else "false",
@@ -87,11 +102,38 @@ def _scalar(value) -> str:
         f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _chunk(column, lo: int, text, g_is_text) -> tuple[str, list]:
+    """The %-spec and the values that fill it for the rows lo ..
+    lo + _CHUNK_ROWS - 1 of a `Rows` column, as its writer (JSON or CSV)
+    writes them: `text` gives the text of one value, and `g_is_text`
+    masks the values of a float64 array whose "%.6g" text is their text.
+
+    An int64 array gives "%d" and its Python ints: "%d" % v is str(v),
+    which is `int.__repr__`. A float64 array gives "%.6g" and its Python
+    floats when the mask holds for the whole chunk, or else "%s" and
+    their "%.6g" texts, with `text` of each value outside it. A list gives
+    "%s" and the text of each value.
+    """
+    part = column[lo:lo + _CHUNK_ROWS]
+    if not isinstance(part, np.ndarray):
+        return "%s", list(map(text, part))
+    values = part.tolist()
+    if part.dtype == np.int64:
+        return "%d", values
+    odd = np.flatnonzero(~g_is_text(part)).tolist()
+    if not odd:
+        return "%.6g", values
+    texts = list(map("%.6g".__mod__, values))
+    for i in odd:
+        texts[i] = text(values[i])
+    return "%s", texts
+
+
 def _emit(value, newline: str, parts: list[str], fh) -> None:
     """Append the JSON text of `value`, nested at the indent `newline`
-    ends with, to `parts`. `Rows` are formatted column by column, each
-    row filled into one %-template, and written out with `parts` every
-    _CHUNK_ROWS rows."""
+    ends with, to `parts`. `Rows` are written out with `parts` every
+    _CHUNK_ROWS rows: each column's chunk becomes a %-spec and its values
+    (`_chunk`), and each row fills one %-template."""
     if not isinstance(value, (dict, list, tuple, Rows)):
         parts.append(_scalar(value))
         return
@@ -110,14 +152,15 @@ def _emit(value, newline: str, parts: list[str], fh) -> None:
     sep = "[" + inner
     if isinstance(value, Rows):
         keys, field = sorted(value.columns), inner + "  "
-        template = "{" + field + ("," + field).join(
-            encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-            for k in keys) + inner + "}"
+        names = [encode_basestring_ascii(k).replace("%", "%%") + ": "
+                 for k in keys]
         for lo in range(0, len(value), _CHUNK_ROWS):
-            texts = [[_TEXT.get(type(v), _scalar)(v)
-                      for v in value[k][lo:lo + _CHUNK_ROWS]] for k in keys]
+            specs, values = zip(*(_chunk(value[k], lo, _scalar, _g_is_json)
+                                  for k in keys))
+            template = "{" + field + ("," + field).join(
+                map(str.__add__, names, specs)) + inner + "}"
             parts.append(sep + ("," + inner).join(
-                map(template.__mod__, zip(*texts))))
+                map(template.__mod__, zip(*values))))
             sep = "," + inner
             fh.write("".join(parts))
             parts.clear()
@@ -129,24 +172,36 @@ def _emit(value, newline: str, parts: list[str], fh) -> None:
     parts.append(newline + "]")
 
 
+def _csv_text(value) -> str:
+    """CSV field of one value: a float at 6 significant digits, or empty if
+    it is not finite; any other value as its text. A field holding a
+    comma, a quote, "\\r" or "\\n" is quoted, its quotes doubled (the
+    QUOTE_MINIMAL rule of `csv`)."""
+    text = (str(value) if not isinstance(value, float) else
+            f"{value:.6g}" if math.isfinite(value) else "")
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Rows) -> None:
     """Write the columns of `rows` that `header` names, in its order, as
-    CSV: a float at 6 significant digits, or an empty field if it is not
-    finite; any other value as its text. A field holding a comma, a quote,
-    "\\r" or "\\n" is quoted; each line ends in "\\n". Like `_write_json`,
-    it formats and writes _CHUNK_ROWS rows at a time."""
+    CSV fields (`_csv_text`), each line ending in "\\n"; the bytes are
+    those of a QUOTE_MINIMAL `csv.writer`. Like `_write_json`, it writes
+    _CHUNK_ROWS rows at a time, each column's chunk a %-spec and its
+    values (`_chunk`) and each row one %-template. The "%.6g" text of a
+    finite float is its field: it holds only digits, "-", "+", "." and
+    "e", so it needs no quoting, and it is not empty. A row of one empty
+    field is written '""', as `csv` writes it, so that it reads back as a
+    field."""
+    text = _csv_text if len(header) != 1 else lambda v: _csv_text(v) or '""'
     with open(path, "w", newline="") as fh:
-        # A writer ending lines in "\n" alone leaves "\r" unquoted, and a
-        # reader then splits the row. This one quotes both, and passes
-        # each row, line end included, to one write call.
-        lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
-        writer = csv.writer(lf, lineterminator="\r\n")
-        writer.writerow(header)
-        for lo in range(0, len(rows), _CHUNK_ROWS):
-            writer.writerows(zip(*(
-                [str(v) if not isinstance(v, float) else
-                 f"{v:.6g}" if math.isfinite(v) else ""
-                 for v in rows[k][lo:lo + _CHUNK_ROWS]] for k in header)))
+        fh.write(",".join(map(text, header)) + "\n")
+        for lo in range(0, len(rows) if header else 0, _CHUNK_ROWS):
+            specs, values = zip(*(_chunk(rows[k], lo, text, np.isfinite)
+                                  for k in header))
+            fh.write("".join(map((",".join(specs) + "\n").__mod__,
+                                 zip(*values))))
 
 
 def _out_dir(args) -> Path:

@@ -89,10 +89,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -418,6 +419,16 @@ def positions(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return position[rows]
 
 
+def ordered_sum(values: Iterable):
+    """The total of `values` added left to right from the int 0, the way
+    the builtin `sum` adds up to CPython 3.11; from 3.12 on, `sum` rounds
+    float totals otherwise (compensated), so a total would depend on the
+    interpreter. Every float total that reaches a report is added here:
+    MOTP's IoU total, the PR arc length and the mean scores. Starting at
+    the int 0 keeps an all-int total an int, as `sum` does."""
+    return reduce(operator.add, values, 0)
+
+
 def frame_slices(frames: np.ndarray,
                  *columns: np.ndarray) -> Iterator[tuple[int, ...]]:
     """(frame, lo_1, hi_1, lo_2, hi_2, ...) for each of `frames`: each
@@ -471,23 +482,43 @@ def padded_rows(lo: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Rows:
-    """Report rows held as columns: column name -> list of Python scalars,
-    every list of one length. ``len(rows)`` is the row count and
-    ``rows[name]`` a column. A detection report's PR points and CLEAR's
-    per-frame counts are `Rows`; the CLI writes them to JSON and CSV
-    column by column, and no per-row object is built on the way."""
+    """Report rows held as columns: column name -> a list of Python scalars
+    or a 1-D int64 or float64 array, every column of one length.
+    ``len(rows)`` is the row count and ``rows[name]`` a column. A
+    detection report's PR points are `Rows` of arrays, and CLEAR's
+    per-frame counts `Rows` of lists; the CLI writes them to JSON and CSV
+    column by column, turning an array's values into Python scalars one
+    chunk of rows at a time, and no per-row object is built on the way.
+    An array of any other dtype is a TypeError, as `json.dump` refuses
+    numpy scalars."""
 
-    columns: dict[str, list]
+    columns: dict[str, list | np.ndarray]
 
     def __post_init__(self) -> None:
         if len(set(map(len, self.columns.values()))) > 1:
             raise ValueError("Rows columns differ in length")
+        for name, column in self.columns.items():
+            if isinstance(column, np.ndarray) and column.dtype not in (
+                    np.int64, np.float64):
+                raise TypeError(f"Rows column {name!r}: an array must be "
+                                f"int64 or float64, got {column.dtype}")
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
-    def __getitem__(self, name: str) -> list:
+    def __getitem__(self, name: str) -> list | np.ndarray:
         return self.columns[name]
+
+    def __eq__(self, other) -> bool:
+        """Equal column names and values; an array compares as its list."""
+        if not isinstance(other, Rows):
+            return NotImplemented
+        return _column_lists(self) == _column_lists(other)
+
+
+def _column_lists(rows: Rows) -> dict[str, list]:
+    return {k: c.tolist() if isinstance(c, np.ndarray) else c
+            for k, c in rows.columns.items()}
 
 
 # ---------------------------------------------------------------------------

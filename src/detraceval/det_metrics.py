@@ -291,8 +291,9 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     pairs, from one labeling pass per sequence. A subset's `points` are its
     count table's rows in curve order, one per distinct score, or the one
     row of nothing kept when there are no detections: `Rows` with the
-    columns threshold, precision, recall, tp, fp and fn, each taken from
-    the table's arrays with one ``tolist``.
+    float64 columns threshold, precision and recall and the int64 columns
+    tp, fp and fn, each the table's array as it is; the writer turns them
+    into Python scalars one chunk of rows at a time.
 
     Names: "overall", "difficulty:<easy|medium|hard>", "weather:<...>",
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
@@ -313,6 +314,6 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                    "fn": table.n_gt - tp}
         report[name] = {
             "ap": average_precision(recall, precision),
-            "points": Rows({k: c.tolist() for k, c in columns.items()}),
+            "points": Rows(columns),
         }
     return report

@@ -92,7 +92,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
-                        check_frame_count, positions)
+                        check_frame_count, ordered_sum, positions)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
 from .matching import EdgeTable, clear_correspond, edge_table
@@ -137,11 +137,12 @@ class MetricBundle:
 
 
 def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
-    # Summed sequence by sequence, frame by frame: MOTP's float sum keeps
-    # one order.
-    gt_total, fn, fp, ids, matches, iou_sum = (
+    # Summed sequence by sequence, frame by frame: MOTP's float total keeps
+    # that one order on every interpreter (`ordered_sum`).
+    gt_total, fn, fp, ids, matches = (
         sum(v for s in stats for v in s.frame_counts[name])
-        for name in ("gt", "fn", "fp", "ids", "matches", "iou_sum"))
+        for name in ("gt", "fn", "fp", "ids", "matches"))
+    iou_sum = ordered_sum(v for s in stats for v in s.frame_counts["iou_sum"])
     fm = sum(s.fm for s in stats)
     mt = sum(s.mt for s in stats)
     ml = sum(s.ml for s in stats)

@@ -45,7 +45,7 @@ from typing import Callable, Mapping, NoReturn, Sequence
 import numpy as np
 
 from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
-                        ValidationError, check_frame_count)
+                        ValidationError, check_frame_count, ordered_sum)
 from .det_metrics import DEFAULT_IOU_THR, CountTable, rates, threshold_counts
 from .matching import EdgeTable, edge_table
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
@@ -243,8 +243,9 @@ def integrate(points: Sequence[OperatingPoint],
 
 
 def arc_length(points: Sequence[OperatingPoint]) -> float:
-    return sum(math.hypot(b.precision - a.precision, b.recall - a.recall)
-               for a, b in zip(points, points[1:]))
+    return ordered_sum(math.hypot(b.precision - a.precision,
+                                  b.recall - a.recall)
+                       for a, b in zip(points, points[1:]))
 
 
 _EXTRACTORS: dict[str, Callable[[MetricBundle], float]] = {
@@ -272,4 +273,4 @@ def pr_report(points: Sequence[OperatingPoint]) -> PRIntegratedReport:
 
 def mean_scores(rows: Sequence[Mapping[str, float]]) -> dict[str, float]:
     """Key-wise arithmetic mean of score mappings, over the first one's keys."""
-    return {k: sum(r[k] for r in rows) / len(rows) for k in rows[0]}
+    return {k: ordered_sum(r[k] for r in rows) / len(rows) for k in rows[0]}

@@ -205,6 +205,43 @@ def test_rows_length_is_the_row_count_of_equal_columns():
         Rows({"a": [1, 2], "b": [1]})
 
 
+def test_rows_take_int64_and_float64_arrays_only():
+    rows = Rows({"a": np.arange(3), "b": np.array([0.5, 1.0, np.nan]),
+                 "c": [1, None, "x"]})
+    assert len(rows) == 3 and rows["a"].dtype == np.int64
+    for column in (np.zeros(3, np.float32), np.zeros(3, bool),
+                   np.zeros(3, np.int32), np.zeros(3, object)):
+        with pytest.raises(TypeError, match="int64 or float64"):
+            Rows({"a": column})
+    # Equality compares an array column as its list.
+    rows = Rows({"a": np.arange(3), "b": np.array([0.5, 1.0, -0.0]),
+                 "c": [1, None, "x"]})
+    assert rows == Rows({"c": [1, None, "x"], "a": [0, 1, 2],
+                         "b": [0.5, 1.0, 0.0]})
+    assert Rows({"a": np.arange(3)}) == Rows({"a": np.arange(3)})
+    assert Rows({"a": np.arange(3)}) != Rows({"a": np.arange(1, 4)})
+    assert Rows({"a": np.arange(3)}) != Rows({"b": np.arange(3)})
+    assert Rows({"a": [1]}) != {"a": [1]}
+
+
+def test_ordered_sum_folds_left_to_right_from_int_zero():
+    """The one rule for float totals: a left fold from the int 0, the same
+    on every interpreter. CPython >= 3.12's `sum` gives 1.000000000000001
+    on the first case; a fold never adds the small terms together."""
+    assert datamodel.ordered_sum([1.0] + [1e-16] * 10) == 1.0
+    assert datamodel.ordered_sum([1e-16] * 10 + [1.0]) == 1.000000000000001
+    total = datamodel.ordered_sum([])
+    assert total == 0 and type(total) is int
+    total = datamodel.ordered_sum(iter([0, 2, 0]))
+    assert total == 2 and type(total) is int
+    assert str(datamodel.ordered_sum([-0.0])) == "0.0"  # 0 + -0.0
+    values = np.random.default_rng(0).uniform(size=1000).tolist()
+    total = 0
+    for v in values:
+        total += v
+    assert datamodel.ordered_sum(values) == total
+
+
 @pytest.mark.parametrize("budget", [1, 7, 60, 1 << 16])
 def test_frame_chunks_take_each_pair_once_in_width_order(budget, monkeypatch):
     """Every frame pair once, ordered by wider side, then pair count; each

@@ -8,7 +8,7 @@ from box_columns import concat, det_columns, round_scores
 from detraceval import datamodel, det_metrics
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   GroundTruth, GtEntry, GtTrack, IgnoreRegion,
-                                  Rows, ValidationError)
+                                  ValidationError)
 from detraceval.det_metrics import (PRCurve, PRPoint, _label_detections,
                                     average_precision, detection_report, rates,
                                     threshold_counts)
@@ -80,9 +80,13 @@ def test_no_detections_empty_set_convention():
     sweep reads the same row at every threshold."""
     gt, dets = _gt_two_boxes().columns, det_columns()
     report = detection_report([(gt, dets)])["overall"]
-    assert report == {"ap": 0.0, "points": Rows(dict(
-        threshold=[math.inf], precision=[1.0], recall=[0.0], tp=[0], fp=[0],
-        fn=[2]))}
+    assert report["ap"] == 0.0 and list(report) == ["ap", "points"]
+    # The points are the count table's float64 and int64 arrays.
+    assert {k: (c.dtype, c.tolist())
+            for k, c in report["points"].columns.items()} == {
+        "threshold": (np.float64, [math.inf]),
+        "precision": (np.float64, [1.0]), "recall": (np.float64, [0.0]),
+        "tp": (np.int64, [0]), "fp": (np.int64, [0]), "fn": (np.int64, [2])}
     table = threshold_counts([(gt, dets)])
     assert [table.at(tau) for tau in (-1.0, 0.0, math.inf)] == [(0, 0, 2)] * 3
 

@@ -5,7 +5,8 @@ at 6 significant digits, non-finite floats as null. The reference below is
 the code it replaced, kept verbatim: round every float, then
 ``json.dump(..., sort_keys=True, indent=2)`` and a newline. The bytes must
 be equal on every value a report can hold; the reference is given each
-`Rows` as the list of its row dicts.
+`Rows` as the list of its row dicts, an array column as its list of Python
+scalars.
 """
 
 import io
@@ -38,8 +39,9 @@ def _round6(obj):
 def _plain(obj):
     """`obj` with every `Rows` turned into the list of its row dicts."""
     if isinstance(obj, Rows):
-        return [dict(zip(obj.columns, row))
-                for row in zip(*obj.columns.values())]
+        return [dict(zip(obj.columns, row)) for row in zip(*(
+            c.tolist() if isinstance(c, np.ndarray) else c
+            for c in obj.columns.values()))]
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -64,7 +66,7 @@ SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e16, 1e15,
                   123456.5, 999999.5, 9999995.0, 1234567.0, 1e-4, 1e-5,
                   0.00012345650, 0.1234565, 1.0000005, 2.5e-7, 5e-324,
                   2.2250738585072014e-308, 1.7976931348623157e308, 100000.0,
-                  0.5, 1.0, -1.0, 3.0, 1 / 3)
+                  0.5, 1.0, -1.0, 3.0, 1 / 3, 0.9999996, -0.99999, 1e-300)
 SPECIAL_STRINGS = ("", "a", "é", "日本", "😀", "\x00", "\x1f", "\n\t\r", '"',
                    "\\", "%", "%s", "%%s", "\ud800", "\x7f", "a b", "Z", "z")
 
@@ -88,13 +90,22 @@ def rows(draw, values):
     return out
 
 
+def _column(n):
+    """A list of any mix of scalars, or an int64 or float64 array."""
+    return (st.lists(scalars, min_size=n, max_size=n)
+            | st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)
+            .map(lambda v: np.array(v, dtype=np.int64))
+            | st.lists(floats, min_size=n, max_size=n)
+            .map(lambda v: np.array(v, dtype=np.float64)))
+
+
 @st.composite
 def tables(draw):
-    """`Rows` of 0 to 6 rows; a column holds any mix of scalars."""
+    """`Rows` of 0 to 6 rows; a column holds any mix of scalars, or is an
+    int64 or float64 array."""
     keys = draw(st.lists(strings, max_size=6, unique=True))
     n = draw(st.integers(0, 6))
-    return Rows({k: draw(st.lists(scalars, min_size=n, max_size=n))
-                 for k in keys})
+    return Rows({k: draw(_column(n)) for k in keys})
 
 
 def _extend(children):
@@ -136,8 +147,13 @@ def test_writer_long_lists_cross_chunks(tmp_path):
     points[300] = {"other": "é", "keys": (1, 2)}
     columns = {k: [p.get(k) for p in points[:100]] * 300
                for k in ("threshold", "precision", "tp")}
+    floats = rng.uniform(-2.0, 2.0, size=30000)
+    floats[::997] = rng.choice(SPECIAL_FLOATS, size=len(floats[::997]))
+    arrays = {"threshold": floats, "tp": rng.integers(-2**63, 2**63 - 1,
+                                                      size=30000),
+              "%s": np.array([1e-300, 1e-301, 0.99999, 0.9999996] * 7500)}
     obj = {"overall": {"ap": 0.1234567, "points": points},
-           "rows": Rows(columns),
+           "rows": Rows(columns), "arrays": Rows(arrays),
            "nested": [[{"a": 1.0}] * 3, [], {}, ()] * 2000}
     assert _written(obj, tmp_path) == _reference(obj)
 
@@ -169,6 +185,14 @@ def test_writer_rejects_what_json_rejects(tmp_path, value):
     for obj in ({"v": value}, Rows({"v": [1, value]})):
         with pytest.raises(TypeError):
             _written(obj, tmp_path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.bool_, object])
+def test_writer_rejects_array_columns_json_rejects(tmp_path, dtype):
+    """An array column of another dtype than int64 or float64 is a
+    TypeError, as `json.dump` refuses numpy scalars: `Rows` refuses it."""
+    with pytest.raises(TypeError, match="int64 or float64"):
+        _written(Rows({"v": np.array([1, 0], dtype=dtype)}), tmp_path)
 
 
 @pytest.mark.parametrize("value", [[1], (1,), {"a": 1}])

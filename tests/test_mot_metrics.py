@@ -110,6 +110,16 @@ def test_aggregate_sums_before_ratio():
     assert aggregate([a, b]).mota == pytest.approx(35.0)
 
 
+def test_motp_total_is_an_ordered_fold():
+    """MOTP adds the per-frame IoU sums left to right on any interpreter:
+    1.0 then ten 1e-16 stay 1.0 (a compensated sum gives
+    1.000000000000001), and the int 0 of an unmatched frame adds nothing."""
+    frames = [(1, 1, 1, 0, 0, 0, 1.0), (2, 1, 0, 1, 0, 0, 0)]
+    frames += [(f, 1, 1, 0, 0, 0, 1e-16) for f in range(3, 13)]
+    bundle = aggregate([_stats(frames, n_tracks=1)])
+    assert bundle.motp == 100.0 * 1.0 / 11
+
+
 def test_aggregate_empty_rejected():
     with pytest.raises(ValidationError):
         aggregate([])

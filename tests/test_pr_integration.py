@@ -118,6 +118,23 @@ def test_inserting_collinear_point_is_neutral():
     assert abs(base - split) < 1e-9
 
 
+def test_arc_length_and_mean_scores_fold_left_to_right():
+    """Both float totals add left to right from the int 0, on any
+    interpreter: a step of 1.0 then ten of 1e-16 stay 1.0, where a
+    compensated sum (CPython >= 3.12's `sum`, or `math.fsum`) gives
+    1.000000000000001."""
+    steps = [1.0] + [1e-16] * 10
+    assert math.fsum(steps) != 1.0
+    pts = [_point(1.0, 0.0), _point(0.0, 0.0)] + [
+        _point(0.0, k * 1e-16) for k in range(1, 11)]
+    lengths = [math.hypot(b.precision - a.precision, b.recall - a.recall)
+               for a, b in zip(pts, pts[1:])]
+    assert lengths[0] == 1.0 and math.fsum(lengths) != 1.0
+    assert arc_length(pts) == 1.0
+    mean = pr_integration.mean_scores([{"s": v} for v in steps])
+    assert mean == {"s": 1.0 / 11} and math.fsum(steps) / 11 != 1.0 / 11
+
+
 def test_integral_bounded_by_extremes():
     rng = np.random.default_rng(4)
     for _ in range(30):
