@@ -354,18 +354,10 @@ class BoxColumns:
 class IgnoreColumns(BoxColumns):
     """Ignore regions; a region without a frame span has None in both
     `first_frame` and `last_frame`. `geometry.covered` reads them through
-    `corners` and `active` to decide which boxes lie inside them."""
+    `corners` and the spans to decide which boxes lie inside them."""
 
     first_frame: tuple[int | None, ...]
     last_frame: tuple[int | None, ...]
-
-    def active(self, frames: Sequence[int]) -> np.ndarray:
-        """(len(frames), regions) mask: region j is active at frames[i]
-        (`IgnoreRegion.active_at`)."""
-        spans = list(zip(self.first_frame, self.last_frame))
-        return np.array([[first is None or first <= frame <= last
-                          for first, last in spans] for frame in frames],
-                        dtype=bool).reshape(len(frames), len(spans))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,6 +409,17 @@ def positions(order: np.ndarray, rows: np.ndarray) -> np.ndarray:
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     return position[rows]
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of `values`, ascending: what a plain `np.unique`
+    returns, by one sort and one comparison of neighbours. `np.unique`
+    without `return_*` (and so `np.union1d`) imports `numpy.ma` on its
+    first call, which costs a few milliseconds of every process."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def ordered_sum(values: Iterable):

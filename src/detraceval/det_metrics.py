@@ -59,7 +59,7 @@ import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
                         GtColumns, Rows, ValidationError, check_frame_count,
-                        frame_slices, positions)
+                        distinct, frame_slices, positions)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
 from .matching import EdgeTable, edge_table, match_frame_greedy
@@ -129,13 +129,15 @@ def rates(tp, kept, n_gt) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Labels:
+class Labels:
     """One sequence's labeling pass, before any subset is applied.
 
     Detections are in frame order, input order within a frame. `matched`
     is the GT row each one matched, or -1; `covered` marks the unmatched
     ones that ignore regions cover. `pooled` marks the GT rows in the
-    matching pool.
+    matching pool. `inside` marks every detection that lies inside ignore
+    regions, in input order: the sequence's one `geometry.covered` call
+    on its detections, which the sweep also hands to CLEAR.
     """
 
     gt: GtColumns
@@ -143,6 +145,7 @@ class _Labels:
     matched: np.ndarray
     covered: np.ndarray
     pooled: np.ndarray
+    inside: np.ndarray
 
     def counts(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """(TP scores, FP scores, GT count) when `rows` marks the GT rows in
@@ -155,7 +158,7 @@ class _Labels:
 
 
 def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
-                      iou_thr: float) -> _Labels:
+                      iou_thr: float) -> Labels:
     """One sequence's greedy labeling, read off its GT x detection edge
     table at iou_thr; see the module docstring for why this one pass
     serves every subset and threshold, and why a conflict-free frame is
@@ -168,9 +171,9 @@ def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
     on = pooled[edges.gt] & (edges.iou > 0.0)
     e_gt, e_det, e_iou = (edges.gt[on], positions(order, edges.box[on]),
                           edges.iou[on])
-    conflicted = np.union1d(
+    conflicted = distinct(np.concatenate((
         frame[np.bincount(e_det, minlength=len(order)) > 1],
-        g.frame[np.bincount(e_gt, minlength=len(g)) > 1])
+        g.frame[np.bincount(e_gt, minlength=len(g)) > 1])))
     hard = np.isin(frame[e_det], conflicted)
     matched = np.full(len(order), -1, dtype=np.int64)
     matched[e_det[~hard]] = e_gt[~hard]
@@ -190,10 +193,9 @@ def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
         if pairs:
             gi, di, _ = zip(*pairs)
             matched[d_lo + np.array(di)] = gts[np.array(gi)]
-    ignored = np.zeros(len(order), dtype=bool)
-    left = np.flatnonzero(matched < 0)
-    ignored[left] = covered(d.take(order[left]), g.ignore)
-    return _Labels(g, score, matched, ignored, pooled)
+    inside = covered(d, g.ignore)
+    return Labels(g, score, matched, inside[order] & (matched < 0), pooled,
+                  inside)
 
 
 def _table(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> CountTable:
@@ -242,7 +244,7 @@ def _subset_rows(kind: str, value: str, g: GtColumns) -> np.ndarray | None:
     return np.ones(len(g), dtype=bool)
 
 
-def _subset_table(labels: Sequence[_Labels], name: str) -> CountTable:
+def _subset_table(labels: Sequence[Labels], name: str) -> CountTable:
     kind, value = _subset_value(name)
     counts = []
     for lab in labels:
@@ -254,23 +256,31 @@ def _subset_table(labels: Sequence[_Labels], name: str) -> CountTable:
     return _table(counts)
 
 
-def _labels(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-            iou_thr: float,
-            edges: Sequence[EdgeTable] | None) -> list[_Labels]:
+def label_pairs(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
+                iou_thr: float,
+                edges: Sequence[EdgeTable] | None = None) -> list[Labels]:
+    """One labeling pass per (GT, detections) pair. `edges` holds each
+    pair's `matching.edge_table` at iou_thr when the caller has built
+    them; they are built here otherwise."""
     if edges is None:
         edges = [edge_table(g, d, iou_thr) for g, d in pairs]
     return [_label_detections(g, d, e, iou_thr)
             for (g, d), e in zip(pairs, edges)]
 
 
+def count_table(labels: Sequence[Labels]) -> CountTable:
+    """The count table of the labeled sequences, every GT row counted: it
+    gives (tp, fp, fn) at any threshold."""
+    return _table([lab.counts(np.ones(len(lab.gt), dtype=bool))
+                   for lab in labels])
+
+
 def threshold_counts(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
                      iou_thr: float = DEFAULT_IOU_THR,
                      edges: Sequence[EdgeTable] | None = None) -> CountTable:
-    """Label each (GT, detections) pair once; the table gives (tp, fp, fn)
-    at any threshold. `edges` holds each pair's `matching.edge_table` at
-    iou_thr when the caller has built them; they are built here otherwise."""
-    return _table([lab.counts(np.ones(len(lab.gt), dtype=bool))
-                   for lab in _labels(pairs, iou_thr, edges)])
+    """Label each (GT, detections) pair once (`label_pairs`); the table
+    gives (tp, fp, fn) at any threshold."""
+    return count_table(label_pairs(pairs, iou_thr, edges))
 
 
 def average_precision(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -299,7 +309,7 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
     "category:<car|bus|van|others>".
     """
-    labels = _labels(pairs, iou_thr, None)
+    labels = label_pairs(pairs, iou_thr)
     report: dict[str, dict] = {}
     for name in subsets:
         table = _subset_table(labels, name)

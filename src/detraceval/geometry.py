@@ -225,26 +225,47 @@ def covered(boxes: GtColumns | DetectionColumns | TrackColumns,
     is `ignore_coverage(box_i, regions, frame_i) > IGNORE_COVERAGE_THR`,
     the box's area being width * height as `BBox.area` has it.
 
-    One array test, with `box_coverage`'s max/min and `>` comparisons,
-    finds the boxes that some region active at their frame clips. A box
-    that no region clips has coverage exactly 0.0; only the clipped boxes
-    go through the scalar `box_coverage`, given the regions that clip
-    them, in region order, which are the ones it would keep from all
-    active regions.
+    A region is active at a row's frame when it has no span, or when
+    first_frame <= frame <= last_frame, compared as int64 (no float ever
+    stands in for a frame, so frames near the int64 maximum compare
+    exactly). One array test, with `box_coverage`'s max/min and `>`
+    comparisons, finds the active regions that clip each box. A box that
+    no region clips has coverage exactly 0.0.
+
+    A box that exactly one region clips gets (x1 - x0) * (y1 - y0) / area
+    on the clipped corners, computed on arrays. That is `box_coverage`'s
+    result bit for bit: with one rectangle, `_union_area` has the single
+    strip x0 .. x1 holding the one interval y0 .. y1, so it computes
+    0.0 + (x1 - x0) * (0.0 + (y1 - y0)), and 0.0 + v is v for every
+    v >= 0. The clipped corners are the same max/min of the same floats;
+    where they differ, as 0.0 against -0.0, the differences do not.
+    Only the boxes that two or more regions clip go through the scalar
+    `box_coverage`, given the regions that clip them, in region order,
+    which are the ones it would keep from all active regions.
     """
     out = np.zeros(len(boxes), dtype=bool)
     if not len(ignore) or not len(boxes):
         return out
+    static = np.array([f is None for f in ignore.first_frame], dtype=bool)
+    first, last = (np.array([0 if f is None else f for f in span], dtype=np.int64)
+                   for span in (ignore.first_frame, ignore.last_frame))
     corners, regions = boxes.corners(), ignore.corners()
     box, reg = corners[:, None, :], regions[None, :, :]
-    unique_frames, at = np.unique(boxes.frame, return_inverse=True)
-    clips = (ignore.active(unique_frames.tolist())[at]
-             & (np.minimum(box[..., 2], reg[..., 2])
-                > np.maximum(box[..., 0], reg[..., 0]))
-             & (np.minimum(box[..., 3], reg[..., 3])
-                > np.maximum(box[..., 1], reg[..., 1])))
-    areas, region_rows = boxes.width * boxes.height, regions.tolist()
-    for i in np.flatnonzero(clips.any(axis=1)).tolist():
+    x0 = np.maximum(box[..., 0], reg[..., 0])
+    y0 = np.maximum(box[..., 1], reg[..., 1])
+    x1 = np.minimum(box[..., 2], reg[..., 2])
+    y1 = np.minimum(box[..., 3], reg[..., 3])
+    frame = boxes.frame[:, None]
+    clips = ((static | ((first <= frame) & (frame <= last)))
+             & (x1 > x0) & (y1 > y0))
+    n_clips = np.count_nonzero(clips, axis=1)
+    areas = boxes.width * boxes.height
+    one = np.flatnonzero(n_clips == 1)
+    j = np.argmax(clips[one], axis=1)
+    out[one] = ((x1[one, j] - x0[one, j]) * (y1[one, j] - y0[one, j])
+                / areas[one]) > IGNORE_COVERAGE_THR
+    region_rows = regions.tolist()
+    for i in np.flatnonzero(n_clips > 1).tolist():
         clipping = [region_rows[j] for j in np.flatnonzero(clips[i])]
         out[i] = box_coverage(corners[i].tolist(), float(areas[i]),
                               clipping) > IGNORE_COVERAGE_THR

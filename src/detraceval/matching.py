@@ -95,7 +95,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import DetectionColumns, GtColumns, TrackColumns
+from .datamodel import DetectionColumns, GtColumns, TrackColumns, distinct
 from .geometry import iou_edges
 
 FORBIDDEN = math.inf
@@ -282,9 +282,9 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
         parent[root(r)] = root(n + c)
     label = np.array([root(r) for r in rows.tolist()])
     pairs: list[tuple[int, int]] = []
-    for comp in np.unique(label):
+    for comp in distinct(label):
         in_comp = label == comp
-        comp_rows, comp_cols = np.unique(rows[in_comp]), np.unique(cols[in_comp])
+        comp_rows, comp_cols = distinct(rows[in_comp]), distinct(cols[in_comp])
         matched = _canonical_match(iou_mat[np.ix_(comp_rows, comp_cols)], iou_thr)
         pairs.extend((int(comp_rows[a]), int(comp_cols[b])) for a, b in matched)
     pairs.sort()

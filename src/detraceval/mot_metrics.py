@@ -19,7 +19,11 @@ Conventions (documented once, used by the oracle too):
 * An unmatched hypothesis box inside ignore regions (covered > 0.5,
   `geometry.covered`) is dropped rather than counted as a false positive.
   GT inside ignore regions still counts, as FN when missed and toward
-  MT/ML; the detection layer drops such GT instead.
+  MT/ML; the detection layer drops such GT instead. `evaluate_clear`
+  computes the hypotheses' coverage unless the caller passes it: the
+  sweep passes, for the builtin tracker, the track rows' part of the
+  detections' coverage that labeling took once per sequence, since a
+  builtin track row is a detection row with its box and frame unchanged.
 
 Algorithm. Each side is sorted by (frame, id); a scored frame (one with a
 GT or a hypothesis box) is a slice of rows on each side.
@@ -92,7 +96,7 @@ from typing import Sequence
 import numpy as np
 
 from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
-                        check_frame_count, ordered_sum, positions)
+                        check_frame_count, distinct, ordered_sum, positions)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
 from .matching import EdgeTable, clear_correspond, edge_table
@@ -216,21 +220,24 @@ def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
 
 def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
                    iou_thr: float = DEFAULT_IOU_THR,
-                   edges: EdgeTable | None = None
+                   edges: EdgeTable | None = None,
+                   inside: np.ndarray | None = None
                    ) -> tuple[MetricBundle, SequenceStats]:
     """CLEAR MOT of one sequence from its GT and hypothesis columns
     (`read_ground_truth` / `read_tracks`, or `GroundTruth.columns` and
     the `TrackColumns` a tracker returns), by the edge-table algorithm of
     the module docstring. `edges` is the GT x `tracks` table at iou_thr
-    (`matching.edge_table`) when the caller has it, as the sweep has for
-    the builtin tracker; it is built here otherwise."""
+    (`matching.edge_table`) and `inside` the mask of the track rows inside
+    ignore regions (`covered(tracks, gt.ignore)`) when the caller has
+    them, as the sweep has for the builtin tracker; each is computed here
+    otherwise."""
     check_frame_count(gt, tracks, "output tracks")
 
     # Each side sorted once by (frame, id); a frame is a slice of the rows.
     g_order = np.lexsort((gt.target_id, gt.frame))
     h_order = np.lexsort((tracks.track_id, tracks.frame))
     g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
-    frames = np.union1d(g_frame, h_frame)
+    frames = distinct(np.concatenate((g_frame, h_frame)))
     g_lo, h_lo = (np.searchsorted(col, frames) for col in (g_frame, h_frame))
     n_g = np.searchsorted(g_frame, frames, "right") - g_lo
     n_h = np.searchsorted(h_frame, frames, "right") - h_lo
@@ -244,7 +251,9 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     n_matches = np.bincount(g_at[hit], minlength=n_frames)
     taken = np.zeros(len(tracks), dtype=bool)
     taken[match[hit]] = True
-    dropped = covered(tracks, gt.ignore)[h_order] & ~taken
+    if inside is None:
+        inside = covered(tracks, gt.ignore)
+    dropped = inside[h_order] & ~taken
     n_fp = n_h - n_matches - np.bincount(
         np.repeat(np.arange(n_frames), n_h)[dropped], minlength=n_frames)
 

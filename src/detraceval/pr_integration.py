@@ -16,9 +16,10 @@ once:
 
 * the GT x detection edge table (`matching.edge_table`): every same-frame
   (GT row, detection row, IoU) with IoU >= iou_thr, over all detections;
-* from it, the detection labeling pass (`det_metrics.threshold_counts`),
-  whose count table gives precision and recall at every threshold and
-  whose rows are also `eval-det`'s PR curve;
+* from it, the detection labeling pass (`det_metrics.label_pairs`), whose
+  count table gives precision and recall at every threshold and whose
+  rows are also `eval-det`'s PR curve; the pass also marks, once, every
+  detection inside ignore regions (`Labels.inside`);
 * the tracker's entry point (`by_threshold`, see `trackers`) over the
   detections at the lowest threshold; the builtin tracker computes its
   link IoUs there, in one link table.
@@ -26,8 +27,9 @@ once:
 So only the tracker's per-threshold step and CLEAR run once per
 threshold. The builtin tracker's step also names the detection row behind
 each track row; CLEAR then reads those rows' part of the edge table
-(`EdgeTable.take`) and computes no IoU. A `cmd:` tracker's output is a
-new set of boxes, so CLEAR builds its table from them. The sweep stays in
+(`EdgeTable.take`) and of the ignore mask, and computes no IoU and no
+coverage. A `cmd:` tracker's output is a new set of boxes, so CLEAR
+builds its table and its coverage from them. The sweep stays in
 columns: thinning at a threshold is the mask ``score >= threshold`` over
 `DetectionColumns`, and CLEAR scores the `TrackColumns` the tracker
 returns as they are. Tracker output past the sequence's last frame is a
@@ -46,7 +48,8 @@ import numpy as np
 
 from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
                         ValidationError, check_frame_count, ordered_sum)
-from .det_metrics import DEFAULT_IOU_THR, CountTable, rates, threshold_counts
+from .det_metrics import (DEFAULT_IOU_THR, CountTable, count_table,
+                          label_pairs, rates)
 from .matching import EdgeTable, edge_table
 from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 
@@ -57,8 +60,9 @@ from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 # one function of the threshold per sequence instead (`trackers.TracksAt`).
 TrackerAdapter = Callable[[DetectionColumns, str], TrackColumns]
 # One sequence's tracks at a threshold, with their GT x track edge table
-# when the sweep can take it from the GT x detection one.
-ScoredAt = Callable[[float], tuple[TrackColumns, EdgeTable | None]]
+# and their ignore mask when the sweep can take them from the detections'.
+ScoredAt = Callable[[float], tuple[TrackColumns, EdgeTable | None,
+                                   np.ndarray | None]]
 
 DEFAULT_N_THRESHOLDS = 10
 
@@ -131,12 +135,14 @@ def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
 
 
 def _tracks_at(tracker: TrackerAdapter, dets: DetectionColumns,
-               sequence_id: str, lowest: float, edges: EdgeTable) -> ScoredAt:
+               sequence_id: str, lowest: float, edges: EdgeTable,
+               inside: np.ndarray) -> ScoredAt:
     """The tracker's per-sequence entry point over the detections with
     score >= lowest; a tracker without one runs on the detections with
     score >= tau. Where the entry point gives the detection row behind
     each track row, the tracks' edge table is the rows' part of `edges`,
-    the sequence's GT x detection table. An entry point that fails fails
+    the sequence's GT x detection table, and their ignore mask the rows'
+    part of `inside`, the detections'. An entry point that fails fails
     each threshold of the sequence, so the failure is reported, and
     skipped with keep_going, where a per-threshold one is."""
     kept = np.flatnonzero(dets.score >= lowest)
@@ -144,16 +150,19 @@ def _tracks_at(tracker: TrackerAdapter, dets: DetectionColumns,
         by_threshold = getattr(tracker, "by_threshold", None)
         if by_threshold is None:
             return lambda tau: (tracker(dets.take(dets.score >= tau),
-                                        sequence_id), None)
+                                        sequence_id), None, None)
         at = by_threshold(dets.take(kept), sequence_id)
     except Exception as exc:
         def failed(tau: float, error: Exception = exc) -> NoReturn:
             raise error
         return failed
 
-    def scored_at(tau: float) -> tuple[TrackColumns, EdgeTable | None]:
+    def scored_at(tau: float) -> tuple[TrackColumns, EdgeTable | None,
+                                       np.ndarray | None]:
         tracks, rows = at(tau)
-        return tracks, None if rows is None else edges.take(kept[rows])
+        if rows is None:
+            return tracks, None, None
+        return tracks, edges.take(kept[rows]), inside[kept[rows]]
     return scored_at
 
 
@@ -166,13 +175,13 @@ def _evaluate_threshold(gts: Sequence[GtColumns],
     stats = []
     for gt, at in zip(gts, tracks_at):
         try:
-            tracks, edges = at(threshold)
+            tracks, edges, inside = at(threshold)
             check_frame_count(gt, tracks, "tracker output")
         except Exception as exc:
             raise SweepError(
                 f"tracker failed at threshold {threshold:g} on sequence "
                 f"{gt.sequence_id!r}: {exc}") from exc
-        stats.append(evaluate_clear(gt, tracks, iou_thr, edges)[1])
+        stats.append(evaluate_clear(gt, tracks, iou_thr, edges, inside)[1])
     return OperatingPoint(threshold, precision.item(), recall.item(),
                           aggregate(stats))
 
@@ -208,11 +217,17 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     if not all(map(math.isfinite, thresholds)):
         raise ValidationError(f"thresholds must be finite: {list(map(float, thresholds))}")
     edges = [edge_table(gt, dets, iou_thr) for gt, dets in pairs]
-    counts = threshold_counts(pairs, iou_thr, edges)
+    labels = label_pairs(pairs, iou_thr, edges)
+    counts = count_table(labels)
+    # Of the labels only each sequence's ignore mask outlives the table;
+    # their other per-detection arrays are freed before the tracker's
+    # tables are built.
+    inside = [lab.inside for lab in labels]
+    del labels
     lowest = min(thresholds, default=0.0)
     gts = [gt for gt, _ in pairs]
-    tracks_at = [_tracks_at(tracker, dets, gt.sequence_id, lowest, table)
-                 for (gt, dets), table in zip(pairs, edges)]
+    tracks_at = [_tracks_at(tracker, dets, gt.sequence_id, lowest, table, mask)
+                 for (gt, dets), table, mask in zip(pairs, edges, inside)]
 
     def run(tau: float) -> OperatingPoint | None:
         try:

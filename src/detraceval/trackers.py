@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .datamodel import (DetectionColumns, TrackColumns, ValidationError,
-                        read_tracks, write_detections)
+                        distinct, read_tracks, write_detections)
 from .geometry import iou_edges
 
 TMPDIR_ENV = "DETRACEVAL_TMPDIR"
@@ -92,7 +92,7 @@ class LinkTable:
         # tracks' first rows, known only once the earlier frames are linked.
         frame = self.frame[dst]
         tie = (frame[1:] == frame[:-1]) & (iou[1:] == iou[:-1])
-        tied = np.unique(frame[1:][tie])
+        tied = distinct(frame[1:][tie])
         head = np.array(_greedy_link(
             len(kept), src.tolist(), dst.tolist(), iou.tolist(),
             list(zip(np.searchsorted(frame, tied).tolist(),

@@ -10,13 +10,13 @@ import numpy as np
 
 from detraceval.datamodel import (DetectionColumns, GtColumns,
                                   check_frame_count, frame_slices)
-from detraceval.det_metrics import _Labels
+from detraceval.det_metrics import Labels
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import match_frame_greedy
 
 
 def frame_loop_label_detections(g: GtColumns, d: DetectionColumns,
-                                iou_thr: float) -> _Labels:
+                                iou_thr: float) -> Labels:
     """Run one greedy pass per frame over a sequence."""
     check_frame_count(g, d, "detections")
     g_corners = g.corners()
@@ -41,4 +41,4 @@ def frame_loop_label_detections(g: GtColumns, d: DetectionColumns,
     ignored = np.zeros(len(order), dtype=bool)
     left = np.flatnonzero(matched < 0)
     ignored[left] = covered(d.take(order[left]), g.ignore)
-    return _Labels(g, score, matched, ignored, pooled)
+    return Labels(g, score, matched, ignored, pooled, covered(d, g.ignore))

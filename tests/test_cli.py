@@ -390,9 +390,12 @@ def recording(sub, iou_thr):
     return canonical_match(sub, iou_thr)
 
 matching._canonical_match = recording
-codes = [detraceval.cli.main(argv) for argv in json.loads(sys.argv[1])]
+codes, masked = [], []
+for argv in json.loads(sys.argv[1]):
+    codes.append(detraceval.cli.main(argv))
+    masked.append("numpy.ma" in sys.modules)
 print(json.dumps({"after_package": after_package, "after_cli": after_cli,
-                  "codes": codes, "shapes": shapes,
+                  "codes": codes, "shapes": shapes, "masked": masked,
                   "after_main": scipy_loaded()}))
 """
 
@@ -430,8 +433,9 @@ def _two_by_two_scene(tmp_path):
 def test_evaluation_commands_import_no_scipy(tmp_path):
     # scipy is imported only where it is the only way to do the job: by
     # gen-synthetic's clutter, and by residual components with both sides
-    # >= 3. A fresh interpreter shows what the package and the evaluation
-    # commands load.
+    # >= 3. numpy.ma, which a plain np.unique / np.union1d imports on first
+    # use, is never needed. A fresh interpreter shows what the package and
+    # the evaluation commands load.
     gt_dir, det_dir, tracks_dir = _two_by_two_scene(tmp_path)
     out = tmp_path / "out"
     argvs = [
@@ -452,6 +456,7 @@ def test_evaluation_commands_import_no_scipy(tmp_path):
     assert got["codes"] == [0, 0, 0]
     assert [2, 2] in got["shapes"]  # the component the enumeration serves
     assert got["after_package"] == got["after_cli"] == got["after_main"] == []
+    assert got["masked"] == [False, False, False]
     mot = json.loads((out / "mot" / "mot_aggregate.json").read_text())
     assert mot["bundle"]["fn"] == mot["bundle"]["fp"] == 0
 

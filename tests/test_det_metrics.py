@@ -503,7 +503,7 @@ def test_table_labeling_equals_the_frame_loop(iou_thr):
     for g, d in _label_scenes():
         got = _label_detections(g, d, edge_table(g, d, iou_thr), iou_thr)
         want = frame_loop_label_detections(g, d, iou_thr)
-        for name in ("score", "matched", "covered", "pooled"):
+        for name in ("score", "matched", "covered", "pooled", "inside"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 

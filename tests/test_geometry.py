@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +202,8 @@ _regions = st.lists(st.builds(lambda box, span: IgnoreRegion(box, *span),
                               _grid_boxes, _spans), max_size=4)
 _rows = st.lists(st.tuples(_grid_boxes, st.integers(1, 6)), max_size=12)
 _SQUARE = BBox(0, 0, 10, 10)
+_UNIT = BBox(0, 0, 1, 1)
+_TOP = 2 ** 63 - 1  # the largest int64 frame
 
 
 def _columns(rows, regions):
@@ -226,6 +230,27 @@ def _columns(rows, regions):
 @example([(_SQUARE, f) for f in range(1, 7)],
          [IgnoreRegion(_SQUARE, 2, 4), IgnoreRegion(BBox(0, 0, 4, 10), 4, 5),
           IgnoreRegion(BBox(3, 0, 4, 10), 5, 6)])
+# one region: coverage exactly 0.5, and the next float above it
+@example([(_UNIT, 1)], [IgnoreRegion(BBox(0, 0, 0.5, 1))])
+@example([(_UNIT, 1)], [IgnoreRegion(BBox(0, 0, math.nextafter(0.5, 1), 1))])
+# regions that touch the box's edges clip nothing
+@example([(_SQUARE, 1)], [IgnoreRegion(BBox(10, 0, 10, 10)),
+                          IgnoreRegion(BBox(0, -10, 10, 10)),
+                          IgnoreRegion(BBox(-10, 0, 10, 10), 1, 1)])
+# two overlapping regions clip one box, a third one another box
+@example([(_SQUARE, 1), (BBox(20, 0, 10, 10), 1)],
+         [IgnoreRegion(BBox(-5, 0, 9, 10)), IgnoreRegion(BBox(2, 2, 6, 6)),
+          IgnoreRegion(BBox(20, 0, 6, 10))])
+# spans that start, end, or start and end at the box's frame
+@example([(_SQUARE, 3)], [IgnoreRegion(BBox(0, 0, 3, 10), 3, 5),
+                          IgnoreRegion(BBox(7, 0, 3, 10), 1, 3)])
+@example([(_SQUARE, 3), (_SQUARE, 4)], [IgnoreRegion(BBox(0, 0, 6, 10), 3, 3)])
+# frames and spans at the int64 maximum, where float64 cannot tell
+# neighbouring frames apart: only the frame _TOP - 2 box is inside
+@example([(_SQUARE, _TOP), (_SQUARE, _TOP - 1), (_SQUARE, _TOP - 2)],
+         [IgnoreRegion(BBox(0, 0, 4, 10), _TOP, _TOP),
+          IgnoreRegion(BBox(4, 0, 4, 10), _TOP - 2, _TOP - 2),
+          IgnoreRegion(BBox(8, 0, 2, 10), 1, _TOP - 1)])
 def test_covered_equals_scalar_coverage_test(rows, regions):
     """`covered` is the scalar `ignore_coverage(...) > IGNORE_COVERAGE_THR`
     row by row, for static and frame-ranged, overlapping regions."""
@@ -233,6 +258,26 @@ def test_covered_equals_scalar_coverage_test(rows, regions):
             for b, f in rows]
     got = covered(*_columns(rows, regions))
     assert got.dtype == bool and got.tolist() == want
+
+
+_near_boxes = st.builds(BBox, st.floats(-20, 20), st.floats(-20, 20),
+                        st.floats(0.5, 30), st.floats(0.5, 30))
+_float_spans = st.one_of(st.just((None, None)),
+                         st.tuples(st.integers(-3, 6), st.integers(0, 4)).map(
+                             lambda t: (t[0], t[0] + t[1])))
+_float_regions = st.lists(st.builds(lambda box, span: IgnoreRegion(box, *span),
+                                    _near_boxes, _float_spans), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_near_boxes, st.integers(1, 6)), max_size=12),
+       _float_regions)
+def test_covered_equals_scalar_coverage_on_float_boxes(rows, regions):
+    """Off the grid too: boxes and regions with arbitrary float corners,
+    where one-region coverages are rarely round numbers."""
+    want = [ignore_coverage(b, regions, f) > IGNORE_COVERAGE_THR
+            for b, f in rows]
+    assert covered(*_columns(rows, regions)).tolist() == want
 
 
 def test_covered_threshold_and_span_edges():

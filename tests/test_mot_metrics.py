@@ -283,6 +283,42 @@ def test_matches_oracle_with_ignore_regions_over_hypotheses():
     assert dropped > 0
 
 
+def test_passed_ignore_mask_matches_oracle():
+    """CLEAR given the hypotheses' ignore mask, as the sweep gives it,
+    equals CLEAR computing it and the oracle, with one to three regions,
+    static or spanned, laid over hypothesis boxes."""
+    dropped = 0
+    for seed in range(150):
+        gt, tracks = random_tiny_scenario(seed)
+        if not len(tracks):
+            continue
+        rng = np.random.default_rng(1000 + seed)
+        regions = []
+        for _ in range(int(rng.integers(1, 4))):
+            row = int(rng.integers(len(tracks)))
+            f = int(tracks.frame[row])
+            width = float(tracks.width[row])
+            box = BBox(float(tracks.left[row]) + rng.uniform(-0.5, 0.8) * width,
+                       float(tracks.top[row]), width, float(tracks.height[row]))
+            span = ((f - int(rng.integers(2)), f + int(rng.integers(2)))
+                    if rng.integers(2) else (None, None))
+            regions.append(IgnoreRegion(box, *span))
+        ignored = dataclasses.replace(gt, ignore_regions=tuple(regions))
+        cols = ignored.columns
+        inside = covered(tracks, cols.ignore)
+        want = oracle_clear(ignored, tracks)
+        passed, _ = evaluate_clear(cols, tracks, inside=inside)
+        computed, _ = evaluate_clear(cols, tracks)
+        assert_bundles_equal(passed, want)
+        assert_bundles_equal(computed, want)
+        # the mask passed is the one read: an empty one drops nothing
+        plain, _ = evaluate_clear(gt.columns, tracks)
+        nothing = np.zeros(len(tracks), dtype=bool)
+        assert evaluate_clear(cols, tracks, inside=nothing)[0] == plain
+        dropped += plain.fp - passed.fp
+    assert dropped > 0
+
+
 def _columns_from_files(gt, tracks):
     """The columns eval-mot reads: the objects written out and read back."""
     gt_buf, track_buf = io.StringIO(), io.StringIO()

@@ -11,10 +11,11 @@ from box_columns import round_scores, track_columns
 from detraceval.datamodel import BBox, IgnoreRegion, ValidationError
 from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
-from detraceval.geometry import iou_matrix
+from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import match_frame_greedy
 from detraceval.mot_metrics import MetricBundle, evaluate_clear
-from detraceval import geometry, pr_integration, trackers
+from detraceval import (det_metrics, geometry, mot_metrics, pr_integration,
+                        trackers)
 from detraceval.pr_integration import (OperatingPoint, SweepError, arc_length,
                                        integrate, pr_report, select_thresholds,
                                        select_thresholds_quantile, sweep)
@@ -289,17 +290,16 @@ def test_sweep_builds_one_link_table_per_sequence(monkeypatch):
     assert seen[0]["link_table"] == seen[0]["edge_table"] == 2
 
 
-def _crowded_sequences():
+def _crowded_sequences(regions=(IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),)):
     """Two cluttered sequences on a small arena, with a static ignore
-    region: frames where a GT box or a detection overlaps two boxes of the
-    other side are common."""
+    region by default: frames where a GT box or a detection overlaps two
+    boxes of the other side are common."""
     pairs = []
     for seed, name in ((5, "a"), (6, "b")):
         gt, dets = gen_scenario(ScenarioConfig(
             n_targets=8, n_frames=14, arena=(160.0, 120.0), drop_rate=0.2,
             clutter_rate=5.0, jitter_sigma=4.0, seed=seed))
-        gt = dataclasses.replace(gt, sequence_id=name, ignore_regions=(
-            IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),))
+        gt = dataclasses.replace(gt, sequence_id=name, ignore_regions=regions)
         pairs.append((gt.columns, dets))
     return pairs
 
@@ -317,9 +317,9 @@ def test_table_fed_clear_equals_clear_on_the_tracks(spec, monkeypatch):
         if spec == "cmd" else spec)
     calls = []
 
-    def spy(gt, tracks, iou_thr, edges=None):
-        calls.append((gt, tracks, iou_thr, edges))
-        return evaluate_clear(gt, tracks, iou_thr, edges)
+    def spy(gt, tracks, iou_thr, edges=None, inside=None):
+        calls.append((gt, tracks, iou_thr, edges, inside))
+        return evaluate_clear(gt, tracks, iou_thr, edges, inside)
     monkeypatch.setattr(pr_integration, "evaluate_clear", spy)
     pairs = _crowded_sequences()
     scores = np.concatenate([dets.score for _, dets in pairs])
@@ -327,11 +327,85 @@ def test_table_fed_clear_equals_clear_on_the_tracks(spec, monkeypatch):
         sweep(pairs, tracker, select_thresholds(scores, 4 if spec == "cmd"
                                                 else 8), iou_thr)
     assert calls
-    for gt, tracks, iou_thr, edges in calls:
-        assert (edges is None) == (spec == "cmd")
-        got = evaluate_clear(gt, tracks, iou_thr, edges)
+    for gt, tracks, iou_thr, edges, inside in calls:
+        assert (edges is None) == (inside is None) == (spec == "cmd")
+        got = evaluate_clear(gt, tracks, iou_thr, edges, inside)
         _assert_same_clear(got, evaluate_clear(gt, tracks, iou_thr))
         _assert_same_clear(got, _reference_evaluate_clear(gt, tracks, iou_thr))
+
+
+def _regioned_sequences():
+    """The crowded sequences with a static region and two spanned ones
+    that overlap it and each other, so that some boxes are clipped by two
+    regions and some frames lie outside a span."""
+    return _crowded_sequences((
+        IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),
+        IgnoreRegion(BBox(40.0, 30.0, 50.0, 40.0), 5, 12),
+        IgnoreRegion(BBox(80.0, 40.0, 60.0, 60.0), 3, 9)))
+
+
+@pytest.mark.parametrize("spec", ["builtin:max_gap=2", "cmd"])
+def test_sweep_clear_gets_the_tracks_ignore_coverage(spec, monkeypatch):
+    """At every threshold the mask of track rows inside ignore regions
+    that CLEAR uses equals `covered(tracks, gt.ignore)`: passed in, taken
+    from labeling's detection coverage, for the builtin tracker; computed
+    by CLEAR from the tracks for a cmd: tracker."""
+    linker = Path(__file__).resolve().parent / "reference_linker.py"
+    tracker = trackers.make_tracker(
+        f"cmd:{sys.executable} {linker} {{input}} {{output}} 2"
+        if spec == "cmd" else spec)
+    computed, calls = [], []
+
+    def spy(gt, tracks, iou_thr, edges=None, inside=None):
+        computed.clear()
+        result = evaluate_clear(gt, tracks, iou_thr, edges, inside)
+        calls.append((gt, tracks, inside, list(computed)))
+        return result
+
+    def counted(boxes, ignore, _fn=mot_metrics.covered):
+        computed.append(_fn(boxes, ignore))
+        return computed[-1]
+    monkeypatch.setattr(pr_integration, "evaluate_clear", spy)
+    monkeypatch.setattr(mot_metrics, "covered", counted)
+    pairs = _regioned_sequences()
+    scores = np.concatenate([dets.score for _, dets in pairs])
+    # The lowest threshold leaves detections out, so the tracker's entry
+    # point sees fewer rows than the labeling pass.
+    sweep(pairs, tracker, select_thresholds(scores, 5)[1:], 0.5)
+    assert len(calls) == 4 * len(pairs)
+    inside_total = 0
+    for gt, tracks, inside, masks in calls:
+        want = covered(tracks, gt.ignore)
+        if spec == "cmd":
+            assert inside is None and len(masks) == 1
+            inside = masks[0]
+        else:
+            assert masks == []
+        assert inside.dtype == bool and inside.tolist() == want.tolist()
+        inside_total += int(want.sum())
+    assert inside_total > 0
+
+
+def test_sweep_coverage_calls_do_not_grow_with_thresholds(monkeypatch):
+    """With the builtin tracker, ignore coverage is computed once per
+    sequence for the GT and once for the detections, whatever the number
+    of thresholds, and never in CLEAR."""
+    pairs = _regioned_sequences()
+    scores = np.concatenate([dets.score for _, dets in pairs])
+    tracker = trackers.BuiltinGreedyTracker(max_gap=2)
+    calls = {det_metrics: 0, mot_metrics: 0}
+    for module in calls:
+        def counted(*args, _fn=module.covered, _module=module):
+            calls[_module] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, "covered", counted)
+    seen = []
+    for n in (2, 10):
+        for module in calls:
+            calls[module] = 0
+        sweep(pairs, tracker, select_thresholds(scores, n))
+        seen.append((calls[det_metrics], calls[mot_metrics]))
+    assert seen == [(2 * len(pairs), 0)] * 2
 
 
 def test_failing_per_sequence_step_fails_each_threshold():
