@@ -426,10 +426,9 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-_JOBS_HELP = ("worker threads (default 1); every value gives the same bytes. "
-              "Threads pay only while external (cmd:) trackers run; the "
-              "built-in tracker and CLEAR hold the interpreter lock, so more "
-              "threads do not speed them up")
+_JOBS_HELP = ("threads (default 1) over one sequence's thresholds (eval-system) "
+              "or over sequences (eval-mot); every value gives the same bytes, "
+              "and only external (cmd:) tracker runs overlap on them")
 
 
 def build_parser() -> argparse.ArgumentParser:

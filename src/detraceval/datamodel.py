@@ -422,14 +422,15 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def ordered_sum(values: Iterable):
-    """The total of `values` added left to right from the int 0, the way
+def ordered_sum(values: Iterable, start=0):
+    """The total of `values` added left to right from `start`, the way
     the builtin `sum` adds up to CPython 3.11; from 3.12 on, `sum` rounds
     float totals otherwise (compensated), so a total would depend on the
     interpreter. Every float total that reaches a report is added here:
-    MOTP's IoU total, the PR arc length and the mean scores. Starting at
-    the int 0 keeps an all-int total an int, as `sum` does."""
-    return reduce(operator.add, values, 0)
+    MOTP's IoU total, the PR arc length and the mean scores. The default
+    start, the int 0, keeps an all-int total an int, as `sum` does; a
+    running total passed as `start` continues the same fold."""
+    return reduce(operator.add, values, start)
 
 
 def frame_slices(frames: np.ndarray,

@@ -32,13 +32,15 @@ the score order. Only the other, conflicted, frames run
 pooled GT) IoU matrix filled from the table, with 0 where the table holds
 no edge; a 0 never matches, and every other entry is the IoU a per-frame
 `iou_matrix` gives, bit for bit (`iou_broadcast` is symmetric). The sweep
-builds the tables itself and hands each to CLEAR as well
-(`pr_integration`).
+builds each sequence's table itself, labels from it and hands it to CLEAR
+as well, one sequence at a time (`pr_integration.sweep_sequence`).
 
-The pooled labels become one `CountTable`: cumulative TP and detection
-counts at every distinct score, in descending score order. Its rows are
-the PR curve that `detection_report` writes and integrates, and the sweep
-reads its thresholds off the same table (`threshold_counts(...).at`).
+The labels' counts, pooled over sequences in sequence order, become one
+`CountTable` (`count_table`): cumulative TP and detection counts at every
+distinct score, in descending score order. Its rows are the PR curve that
+`detection_report` writes and integrates, and the sweep reads its
+thresholds off the same table, built from the counts that each sequence's
+run returns (`count_table(...).at`).
 Along descending score the TP count never falls, and at a fixed TP count
 precision falls as detections are added, so the rows are already in curve
 order: recall ascending, ties by precision descending.
@@ -198,8 +200,11 @@ def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
                   inside)
 
 
-def _table(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]) -> CountTable:
-    """Count table of (TP scores, FP scores, GT count) pooled over sequences."""
+def count_table(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]
+                ) -> CountTable:
+    """The count table of per-sequence (TP scores, FP scores, GT count)
+    (`Labels.counts`), pooled in sequence order: it gives (tp, fp, fn) at
+    any threshold."""
     tp_scores = [tp for tp, _, _ in counts]
     scores = np.concatenate(tp_scores + [fp for _, fp, _ in counts])
     is_tp = np.zeros(len(scores), dtype=np.int64)
@@ -246,41 +251,27 @@ def _subset_rows(kind: str, value: str, g: GtColumns) -> np.ndarray | None:
 
 def _subset_table(labels: Sequence[Labels], name: str) -> CountTable:
     kind, value = _subset_value(name)
-    counts = []
-    for lab in labels:
-        rows = _subset_rows(kind, value, lab.gt)
-        if rows is not None:
-            counts.append(lab.counts(rows))
+    counts = [lab.counts(rows) for lab in labels
+              if (rows := _subset_rows(kind, value, lab.gt)) is not None]
     if not counts:
         raise ValidationError(f"empty evaluation target set for subset {name!r}")
-    return _table(counts)
+    return count_table(counts)
 
 
 def label_pairs(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                iou_thr: float,
-                edges: Sequence[EdgeTable] | None = None) -> list[Labels]:
-    """One labeling pass per (GT, detections) pair. `edges` holds each
-    pair's `matching.edge_table` at iou_thr when the caller has built
-    them; they are built here otherwise."""
-    if edges is None:
-        edges = [edge_table(g, d, iou_thr) for g, d in pairs]
-    return [_label_detections(g, d, e, iou_thr)
-            for (g, d), e in zip(pairs, edges)]
-
-
-def count_table(labels: Sequence[Labels]) -> CountTable:
-    """The count table of the labeled sequences, every GT row counted: it
-    gives (tp, fp, fn) at any threshold."""
-    return _table([lab.counts(np.ones(len(lab.gt), dtype=bool))
-                   for lab in labels])
+                iou_thr: float) -> list[Labels]:
+    """One labeling pass per (GT, detections) pair, each on the pair's
+    `matching.edge_table` at iou_thr."""
+    return [_label_detections(g, d, edge_table(g, d, iou_thr), iou_thr)
+            for g, d in pairs]
 
 
 def threshold_counts(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                     iou_thr: float = DEFAULT_IOU_THR,
-                     edges: Sequence[EdgeTable] | None = None) -> CountTable:
+                     iou_thr: float = DEFAULT_IOU_THR) -> CountTable:
     """Label each (GT, detections) pair once (`label_pairs`); the table
-    gives (tp, fp, fn) at any threshold."""
-    return count_table(label_pairs(pairs, iou_thr, edges))
+    gives (tp, fp, fn) at any threshold, every GT row counted."""
+    return count_table([lab.counts(np.ones(len(lab.gt), dtype=bool))
+                        for lab in label_pairs(pairs, iou_thr)])
 
 
 def average_precision(recall: np.ndarray, precision: np.ndarray) -> float:

@@ -4,6 +4,10 @@ Conventions (documented once, used by the oracle too):
 
 * MOTA = 100 * (1 - (FN + FP + IDS) / GT), counts summed over frames (and
   over sequences before the ratio when aggregating). Can be negative.
+  One fold (`Totals`) sums a sequence's stats into a running total, in
+  sequence order: `evaluate_clear`'s bundle is one sequence's total,
+  `aggregate`'s the fold over every sequence, and the sweep keeps one
+  running total per threshold as it runs sequence by sequence.
 * MOTP = 100 * (sum of matched IoU) / (number of matches); higher is better.
 * Correspondence (`matching.clear_correspond`): a pair matched at frame
   f - 1 persists at frame f while it still overlaps at >= the threshold;
@@ -91,6 +95,7 @@ Why this equals running `clear_correspond` on every frame in order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -140,29 +145,47 @@ class MetricBundle:
         return dict(vars(self))
 
 
-def _bundle_from_stats(stats: Sequence[SequenceStats]) -> MetricBundle:
-    # Summed sequence by sequence, frame by frame: MOTP's float total keeps
-    # that one order on every interpreter (`ordered_sum`).
-    gt_total, fn, fp, ids, matches = (
-        sum(v for s in stats for v in s.frame_counts[name])
-        for name in ("gt", "fn", "fp", "ids", "matches"))
-    iou_sum = ordered_sum(v for s in stats for v in s.frame_counts["iou_sum"])
-    fm = sum(s.fm for s in stats)
-    mt = sum(s.mt for s in stats)
-    ml = sum(s.ml for s in stats)
-    n_tracks = sum(s.n_tracks for s in stats)
-    if gt_total > 0:
-        mota = 100.0 * (1.0 - (fn + fp + ids) / gt_total)
-    else:
-        mota = 100.0 if fn + fp + ids == 0 else 0.0
-    motp = 100.0 * iou_sum / matches if matches > 0 else 0.0
-    return MetricBundle(
-        mota=mota, motp=motp,
-        mt=mt, ml=ml,
-        mt_pct=100.0 * mt / n_tracks if n_tracks else 0.0,
-        ml_pct=100.0 * ml / n_tracks if n_tracks else 0.0,
-        ids=ids, fm=fm, fp=fp, fn=fn,
-    )
+@dataclass(frozen=True)
+class Totals:
+    """CLEAR counts summed over sequences: the running state that
+    `aggregate`, `evaluate_clear` and the sweep fold each sequence's stats
+    into (`add`), in sequence order. MOTP's IoU total goes on as one left
+    fold across sequences, frame by frame (`ordered_sum` from the total so
+    far), so it is the float a fold over every frame of every sequence
+    gives, on every interpreter, and the int 0 while no frame matched."""
+
+    gt: int = 0
+    matches: int = 0
+    fn: int = 0
+    fp: int = 0
+    ids: int = 0
+    iou_sum: float = 0
+    fm: int = 0
+    mt: int = 0
+    ml: int = 0
+    n_tracks: int = 0
+
+    def add(self, stats: SequenceStats) -> Totals:
+        counts = stats.frame_counts
+        return Totals(*(getattr(self, k) + sum(counts[k])
+                        for k in ("gt", "matches", "fn", "fp", "ids")),
+                      ordered_sum(counts["iou_sum"], self.iou_sum),
+                      self.fm + stats.fm, self.mt + stats.mt,
+                      self.ml + stats.ml, self.n_tracks + stats.n_tracks)
+
+    def bundle(self) -> MetricBundle:
+        errors = self.fn + self.fp + self.ids
+        mota = (100.0 * (1.0 - errors / self.gt) if self.gt > 0
+                else 100.0 if errors == 0 else 0.0)
+        return MetricBundle(
+            mota=mota, motp=_percent(self.iou_sum, self.matches),
+            mt=self.mt, ml=self.ml, mt_pct=_percent(self.mt, self.n_tracks),
+            ml_pct=_percent(self.ml, self.n_tracks),
+            ids=self.ids, fm=self.fm, fp=self.fp, fn=self.fn)
+
+
+def _percent(part, whole) -> float:
+    return 100.0 * part / whole if whole else 0.0
 
 
 def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
@@ -306,11 +329,12 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
         fm=int(fm), mt=int(np.count_nonzero(coverage > MT_COVERAGE)),
         ml=int(np.count_nonzero(coverage < ML_COVERAGE)), n_tracks=n_tracks,
     )
-    return _bundle_from_stats([stats]), stats
+    return Totals().add(stats).bundle(), stats
 
 
 def aggregate(stats: Sequence[SequenceStats]) -> MetricBundle:
-    """Benchmark-level bundle: counts summed across sequences before ratios."""
+    """Benchmark-level bundle: counts summed across sequences before ratios
+    (`Totals`)."""
     if not stats:
         raise ValidationError("aggregate requires at least one sequence")
-    return _bundle_from_stats(list(stats))
+    return reduce(Totals.add, stats, Totals()).bundle()

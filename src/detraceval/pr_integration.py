@@ -11,29 +11,44 @@ MOTA/MOTP/MT%/ML% integrate as percents; IDS/FM/FP/FN as raw counts.
 The curve is not extended to synthetic endpoints; only realized operating
 points are integrated.
 
-Before the threshold loop, per sequence, the sweep builds three things
-once:
+The sweep is sequence-major: `sweep_sequence` runs one sequence through
+every threshold, and `sweep` calls it for each sequence in order. Per
+sequence it builds three things once:
 
 * the GT x detection edge table (`matching.edge_table`): every same-frame
   (GT row, detection row, IoU) with IoU >= iou_thr, over all detections;
-* from it, the detection labeling pass (`det_metrics.label_pairs`), whose
-  count table gives precision and recall at every threshold and whose
-  rows are also `eval-det`'s PR curve; the pass also marks, once, every
-  detection inside ignore regions (`Labels.inside`);
+* from it, the detection labeling pass (`det_metrics._label_detections`),
+  whose counts give precision and recall at every threshold once every
+  sequence's are pooled in one count table; the pass also marks, once,
+  every detection inside ignore regions (`Labels.inside`);
 * the tracker's entry point (`by_threshold`, see `trackers`) over the
   detections at the lowest threshold; the builtin tracker computes its
   link IoUs there, in one link table.
 
-So only the tracker's per-threshold step and CLEAR run once per
+Then only the tracker's per-threshold step and CLEAR run once per
 threshold. The builtin tracker's step also names the detection row behind
 each track row; CLEAR then reads those rows' part of the edge table
 (`EdgeTable.take`) and of the ignore mask, and computes no IoU and no
 coverage. A `cmd:` tracker's output is a new set of boxes, so CLEAR
-builds its table and its coverage from them. The sweep stays in
-columns: thinning at a threshold is the mask ``score >= threshold`` over
-`DetectionColumns`, and CLEAR scores the `TrackColumns` the tracker
-returns as they are. Tracker output past the sequence's last frame is a
-tracker failure at that threshold, like an exception in the tracker.
+builds its table and its coverage from them. The sequence's tables and
+labels die when `sweep_sequence` returns; what `sweep` keeps between
+sequences is the labels' counts and, per threshold, a running CLEAR total
+(`mot_metrics.Totals`) that each sequence's stats are folded into, in
+sequence order, so every total is the one `aggregate` gives.
+
+The sweep stays in columns: thinning at a threshold is the mask
+``score >= threshold`` over `DetectionColumns`, and CLEAR scores the
+`TrackColumns` the tracker returns as they are. Tracker output past the
+sequence's last frame is a tracker failure at that threshold, like an
+exception in the tracker.
+
+Failures. The error raised is the first failure in (threshold, sequence)
+order, thresholds in the order given. Without keep_going a sequence stops
+at its own first failure (a thread skips a threshold above a known
+failure), and later sequences run only the thresholds below the lowest
+failure found so far. With keep_going a threshold that failed on any
+sequence is a gap, and later sequences skip it; when every threshold
+failed, the error names the first failure.
 """
 
 from __future__ import annotations
@@ -42,16 +57,16 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
                         ValidationError, check_frame_count, ordered_sum)
-from .det_metrics import (DEFAULT_IOU_THR, CountTable, count_table,
-                          label_pairs, rates)
-from .matching import EdgeTable, edge_table
-from .mot_metrics import MetricBundle, aggregate, evaluate_clear
+from .det_metrics import (DEFAULT_IOU_THR, _label_detections, count_table,
+                          rates)
+from .matching import edge_table
+from .mot_metrics import MetricBundle, SequenceStats, Totals, evaluate_clear
 
 # Columns in, columns out: a tracker gets one sequence's detections with
 # score >= the threshold, in input order, and the sequence id, and returns
@@ -59,10 +74,6 @@ from .mot_metrics import MetricBundle, aggregate, evaluate_clear
 # A tracker with a `by_threshold(dets, sequence_id)` method gives the sweep
 # one function of the threshold per sequence instead (`trackers.TracksAt`).
 TrackerAdapter = Callable[[DetectionColumns, str], TrackColumns]
-# One sequence's tracks at a threshold, with their GT x track edge table
-# and their ignore mask when the sweep can take them from the detections'.
-ScoredAt = Callable[[float], tuple[TrackColumns, EdgeTable | None,
-                                   np.ndarray | None]]
 
 DEFAULT_N_THRESHOLDS = 10
 
@@ -134,67 +145,58 @@ def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
     return out
 
 
-def _tracks_at(tracker: TrackerAdapter, dets: DetectionColumns,
-               sequence_id: str, lowest: float, edges: EdgeTable,
-               inside: np.ndarray) -> ScoredAt:
-    """The tracker's per-sequence entry point over the detections with
-    score >= lowest; a tracker without one runs on the detections with
-    score >= tau. Where the entry point gives the detection row behind
-    each track row, the tracks' edge table is the rows' part of `edges`,
-    the sequence's GT x detection table, and their ignore mask the rows'
-    part of `inside`, the detections'. An entry point that fails fails
-    each threshold of the sequence, so the failure is reported, and
-    skipped with keep_going, where a per-threshold one is."""
-    kept = np.flatnonzero(dets.score >= lowest)
-    try:
-        by_threshold = getattr(tracker, "by_threshold", None)
-        if by_threshold is None:
-            return lambda tau: (tracker(dets.take(dets.score >= tau),
-                                        sequence_id), None, None)
-        at = by_threshold(dets.take(kept), sequence_id)
-    except Exception as exc:
-        def failed(tau: float, error: Exception = exc) -> NoReturn:
-            raise error
-        return failed
-
-    def scored_at(tau: float) -> tuple[TrackColumns, EdgeTable | None,
-                                       np.ndarray | None]:
-        tracks, rows = at(tau)
-        if rows is None:
-            return tracks, None, None
-        return tracks, edges.take(kept[rows]), inside[kept[rows]]
-    return scored_at
-
-
-def _evaluate_threshold(gts: Sequence[GtColumns],
-                        tracks_at: Sequence[ScoredAt],
-                        threshold: float, iou_thr: float,
-                        counts: CountTable) -> OperatingPoint:
-    tp, fp, fn = counts.at(threshold)
-    precision, recall = rates(tp, tp + fp, tp + fn)
-    stats = []
-    for gt, at in zip(gts, tracks_at):
-        try:
-            tracks, edges, inside = at(threshold)
-            check_frame_count(gt, tracks, "tracker output")
-        except Exception as exc:
-            raise SweepError(
-                f"tracker failed at threshold {threshold:g} on sequence "
-                f"{gt.sequence_id!r}: {exc}") from exc
-        stats.append(evaluate_clear(gt, tracks, iou_thr, edges, inside)[1])
-    return OperatingPoint(threshold, precision.item(), recall.item(),
-                          aggregate(stats))
-
-
 def map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     """[fn(item) for item in items], on `jobs` threads when jobs > 1; the
-    one home of the `--jobs` policy. The built-in tracker and CLEAR hold
-    Python's interpreter lock, so threads pay only while external (`cmd:`)
-    tracker processes run, which then overlap."""
+    one home of the `--jobs` policy: `eval-system` runs one sequence's
+    thresholds on it, `eval-mot` its sequences. The built-in tracker and
+    CLEAR hold Python's interpreter lock, so threads pay only while
+    external (`cmd:`) tracker processes run, which then overlap."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
+
+
+def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
+                   tracker: TrackerAdapter, thresholds: Sequence[float],
+                   iou_thr: float = DEFAULT_IOU_THR, keep_going: bool = False,
+                   jobs: int = 1) -> tuple[tuple, list]:
+    """One sequence through every threshold: its labels' counts
+    (`Labels.counts`, every GT row) and, per threshold, its CLEAR stats,
+    the tracker's failure there, or None where it was not run. The edge
+    table, the labels and the tracker's entry point are built here, once
+    (see the module docstring), and die when this returns; the thresholds
+    run on `jobs` threads. Without keep_going a threshold after a failed
+    one in `thresholds` is not run. An entry point that fails fails every
+    threshold."""
+    edges = edge_table(gt, dets, iou_thr)
+    labels = _label_detections(gt, dets, edges, iou_thr)
+    counts = labels.counts(np.ones(len(gt), dtype=bool))
+    kept = np.flatnonzero(dets.score >= min(thresholds, default=0.0))
+    by_threshold = getattr(tracker, "by_threshold", None)
+    try:
+        at = (by_threshold(dets.take(kept), gt.sequence_id) if by_threshold
+              else lambda tau: (tracker(dets.take(dets.score >= tau),
+                                        gt.sequence_id), None))
+    except Exception as exc:
+        return counts, [exc] * len(thresholds)
+    # Without keep_going, the thresholds seen to fail; each run writes only
+    # its own slot, so threads need no lock.
+    failed = [False] * len(thresholds)
+
+    def run(i: int) -> SequenceStats | Exception | None:
+        if any(failed[:i]):
+            return None
+        try:
+            tracks, rows = at(thresholds[i])
+            check_frame_count(gt, tracks, "tracker output")
+        except Exception as exc:
+            failed[i] = not keep_going
+            return exc
+        table, inside = ((None, None) if rows is None else
+                         (edges.take(kept[rows]), labels.inside[kept[rows]]))
+        return evaluate_clear(gt, tracks, iou_thr, table, inside)[1]
+    return counts, map_jobs(run, range(len(thresholds)), jobs)
 
 
 def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
@@ -207,37 +209,44 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
 
     `pairs` holds each sequence's (GT, detections) columns. At a threshold
     the tracker gets the detections with score >= threshold, in input
-    order; the edge tables, the labeling and the tracker's per-sequence
-    entry points are made first, one per sequence (see the module
-    docstring). Threshold evaluations are
-    independent; with jobs > 1 they run concurrently. Results are returned
-    in curve order regardless of execution order. With keep_going, a
-    failing threshold leaves a gap instead of aborting.
+    order. Each sequence runs through the thresholds in turn
+    (`sweep_sequence`), and its stats are folded into one running total
+    per threshold. Results are returned in curve order regardless of
+    execution order. With keep_going, a failing threshold leaves a gap
+    instead of aborting (see the module docstring for which thresholds a
+    sequence runs).
     """
     if not all(map(math.isfinite, thresholds)):
         raise ValidationError(f"thresholds must be finite: {list(map(float, thresholds))}")
-    edges = [edge_table(gt, dets, iou_thr) for gt, dets in pairs]
-    labels = label_pairs(pairs, iou_thr, edges)
-    counts = count_table(labels)
-    # Of the labels only each sequence's ignore mask outlives the table;
-    # their other per-detection arrays are freed before the tracker's
-    # tables are built.
-    inside = [lab.inside for lab in labels]
-    del labels
-    lowest = min(thresholds, default=0.0)
-    gts = [gt for gt, _ in pairs]
-    tracks_at = [_tracks_at(tracker, dets, gt.sequence_id, lowest, table, mask)
-                 for (gt, dets), table, mask in zip(pairs, edges, inside)]
-
-    def run(tau: float) -> OperatingPoint | None:
-        try:
-            return _evaluate_threshold(gts, tracks_at, tau, iou_thr, counts)
-        except SweepError:
-            if keep_going:
-                return None
-            raise
-
-    points = [p for p in map_jobs(run, thresholds, jobs) if p is not None]
+    totals = [Totals()] * len(thresholds)
+    failures: dict[int, tuple[str, Exception]] = {}  # the first, per threshold
+    counts = []
+    for gt, dets in pairs:
+        live = [i for i in range(len(thresholds)) if i not in failures
+                and (keep_going or all(i < j for j in failures))]
+        seq_counts, outcomes = sweep_sequence(
+            gt, dets, tracker, [thresholds[i] for i in live], iou_thr,
+            keep_going, jobs)
+        counts.append(seq_counts)
+        for i, outcome in zip(live, outcomes):
+            if isinstance(outcome, Exception):
+                failures[i] = (gt.sequence_id, outcome)
+            elif outcome is not None:
+                totals[i] = totals[i].add(outcome)
+    if failures and (not keep_going or len(failures) == len(thresholds)):
+        i = min(failures)
+        sequence_id, exc = failures[i]
+        every = "every threshold failed; first: " if keep_going else ""
+        raise SweepError(f"{every}tracker failed at threshold {thresholds[i]:g}"
+                         f" on sequence {sequence_id!r}: {exc}") from exc
+    table = count_table(counts)
+    points = []
+    for i, tau in enumerate(thresholds):
+        if i not in failures:
+            tp, fp, fn = table.at(tau)
+            precision, recall = rates(tp, tp + fp, tp + fn)
+            points.append(OperatingPoint(tau, precision.item(), recall.item(),
+                                         totals[i].bundle()))
     points.sort(key=lambda p: (p.recall, -p.precision))
     return points
 

@@ -3,9 +3,9 @@ adapter that shells out to an external tracker executable.
 
 Both take one sequence's detections as `DetectionColumns` and return
 `TrackColumns`, rows sorted by (track_id, frame) as `read_tracks` gives
-them. Both also have one per-sequence entry point for the threshold sweep,
-``by_threshold(dets, sequence_id)``, which returns a function of the score
-threshold tau (`TracksAt`): it gives what a call on
+them. The builtin linker also has one per-sequence entry point for the
+threshold sweep, ``by_threshold(dets, sequence_id)``, which returns a
+function of the score threshold tau (`TracksAt`): it gives what a call on
 ``dets.take(dets.score >= tau)`` returns, and the row of `dets` behind
 each track row, or None where the tracker cannot say. The sweep makes it
 once per sequence, so only the tracker's per-threshold step and CLEAR run
@@ -14,8 +14,9 @@ per sequence, in one `LinkTable` (`geometry.iou_edges` over the frame
 pairs up to max_gap + 1 frames apart), and links each threshold's rows
 from that table; its track rows are detection rows with their boxes
 unchanged, so it names them, and the sweep's CLEAR reads their IoUs from
-the sequence's GT x detection table. A `cmd:` tracker runs once per
-threshold on the thinned detections and names no rows.
+the sequence's GT x detection table. A tracker without an entry point,
+such as a `cmd:` tracker, is called once per threshold on the thinned
+detections, and names no rows.
 
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
@@ -250,14 +251,6 @@ class ExternalTracker:
 
     def __call__(self, dets: DetectionColumns, sequence_id: str) -> TrackColumns:
         return run_external(self, dets, sequence_id)
-
-    def by_threshold(self, dets: DetectionColumns,
-                     sequence_id: str) -> TracksAt:
-        """The sequence's tracks at each score threshold tau: one run on
-        the detections with score >= tau, in input order. The rows behind
-        the tracks are unknown (None)."""
-        return lambda tau: (run_external(self, dets.take(dets.score >= tau),
-                                         sequence_id), None)
 
 
 def run_external(adapter: ExternalTracker, dets: DetectionColumns,

@@ -164,6 +164,29 @@ def test_tracker_output_beyond_frame_count_is_a_tracker_failure(
     assert len(thresholds) == 4 and max(thresholds) <= 0.5
 
 
+def test_a_tracker_that_always_fails_runs_once_or_names_the_first_failure(
+        tmp_path, monkeypatch, capsys):
+    """A cmd: tracker that fails on every call runs once and keeps one
+    workspace; with --keep-going it runs at every threshold, and the error,
+    one line, names the first failure."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(work))
+    _short_scene(tmp_path)
+    tracker = ("--tracker", "cmd:false {input} {output}", "--thresholds", "3")
+    assert _eval("eval-system", tmp_path, *tracker, "--jobs", "1") == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("detraceval: error: tracker failed at threshold "
+                          "0.25 on sequence 's': tracker exited with status 1")
+    assert len(list(work.iterdir())) == 1
+    assert _eval("eval-system", tmp_path, *tracker, "--keep-going") == 1
+    err = _one_line_error(capsys)
+    assert err.startswith("detraceval: error: every threshold failed; first: "
+                          "tracker failed at threshold 0.25 on sequence 's': "
+                          "tracker exited with status 1")
+    assert len(list(work.iterdir())) == 1 + 3
+
+
 def test_builtin_sweep_equals_reference_linker_per_threshold(tmp_path):
     """The builtin tracker links every threshold from one link table per
     sequence; a `cmd:` tracker running the per-frame reference linker on

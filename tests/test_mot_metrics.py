@@ -15,8 +15,7 @@ from detraceval.det_metrics import DEFAULT_IOU_THR
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import clear_correspond
 from detraceval.mot_metrics import (ML_COVERAGE, MT_COVERAGE, SequenceStats,
-                                    _bundle_from_stats, aggregate,
-                                    evaluate_clear)
+                                    Totals, aggregate, evaluate_clear)
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_clear,
                               random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
@@ -118,6 +117,20 @@ def test_motp_total_is_an_ordered_fold():
     frames += [(f, 1, 1, 0, 0, 0, 1e-16) for f in range(3, 13)]
     bundle = aggregate([_stats(frames, n_tracks=1)])
     assert bundle.motp == 100.0 * 1.0 / 11
+
+
+def test_aggregate_is_one_left_fold_over_sequences():
+    """`aggregate([a, b])` is `Totals` folding a, then b: MOTP's IoU total
+    goes on frame by frame across sequences. Adding b's own total to a's
+    would round 1.0 + 1e-15 instead of adding 1e-16 ten times to 1.0."""
+    a = _stats([(1, 1, 1, 0, 0, 0, 1.0)], n_tracks=1)
+    b = _stats([(f, 1, 1, 0, 0, 0, 1e-16) for f in range(1, 11)], n_tracks=1)
+    folded = Totals().add(a).add(b)
+    assert aggregate([a, b]) == folded.bundle()
+    assert folded.iou_sum == 1.0 and folded.matches == 11
+    partial = Totals().add(a).iou_sum + Totals().add(b).iou_sum
+    assert aggregate([a, b]).motp == 100.0 * 1.0 / 11
+    assert aggregate([a, b]).motp != 100.0 * partial / 11
 
 
 def test_aggregate_empty_rejected():
@@ -517,7 +530,7 @@ def _reference_evaluate_clear(gt, tracks, iou_thr=DEFAULT_IOU_THR):
             "ids": n_ids, "iou_sum": iou_sums}),
         fm=fm, mt=mt, ml=ml, n_tracks=len(target_ids),
     )
-    return _bundle_from_stats([stats]), stats
+    return aggregate([stats]), stats
 
 
 def _assert_same_clear(got, want):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import match_frame_greedy
-from detraceval.mot_metrics import MetricBundle, evaluate_clear
+from detraceval.mot_metrics import MetricBundle, aggregate, evaluate_clear
 from detraceval import (det_metrics, geometry, mot_metrics, pr_integration,
                         trackers)
 from detraceval.pr_integration import (OperatingPoint, SweepError, arc_length,
@@ -419,11 +421,122 @@ def test_failing_per_sequence_step_fails_each_threshold():
 
     pairs = _two_sequences()
     thresholds = select_thresholds(pairs[0][1].score, 4)
-    with pytest.raises(SweepError, match=(
-            f"tracker failed at threshold {thresholds[0]:g} on sequence 'b': "
-            "no table")):
+    first = (f"tracker failed at threshold {thresholds[0]:g} on sequence "
+             "'b': no table")
+    with pytest.raises(SweepError, match=first):
         sweep(pairs, Broken(), thresholds)
-    assert sweep(pairs, Broken(), thresholds, keep_going=True, jobs=2) == []
+    with pytest.raises(SweepError, match=f"^every threshold failed; first: "
+                                         f"{first}$"):
+        sweep(pairs, Broken(), thresholds, keep_going=True, jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failures_are_reported_in_threshold_then_sequence_order(jobs):
+    """Failures at (sequence 0, 5th threshold) and (sequence 2, 2nd
+    threshold): the error names the second, the first in (threshold,
+    sequence) order, though a sequence-major sweep meets the other first;
+    with keep_going both thresholds are gaps and every other point is the
+    one a sweep over the other thresholds gives."""
+    pairs = _two_sequences()
+    pairs.append((dataclasses.replace(pairs[0][0], sequence_id="c"),
+                  pairs[0][1]))
+    names = [gt.sequence_id for gt, _ in pairs]
+    thresholds = select_thresholds(
+        np.concatenate([dets.score for _, dets in pairs]), 8)
+    fails = {(names[0], thresholds[4]), (names[2], thresholds[1])}
+    builtin = trackers.BuiltinGreedyTracker(max_gap=2)
+
+    class Failing:
+        def by_threshold(self, dets, sequence_id):
+            at = builtin.by_threshold(dets, sequence_id)
+
+            def step(tau):
+                if (sequence_id, tau) in fails:
+                    raise RuntimeError(f"fails at {tau:g}")
+                return at(tau)
+            return step
+
+    with pytest.raises(SweepError) as error:
+        sweep(pairs, Failing(), thresholds, jobs=jobs)
+    assert str(error.value) == (
+        f"tracker failed at threshold {thresholds[1]:g} on sequence "
+        f"{names[2]!r}: fails at {thresholds[1]:g}")
+    rest = [tau for i, tau in enumerate(thresholds) if i not in (1, 4)]
+    assert (sweep(pairs, Failing(), thresholds, keep_going=True, jobs=jobs)
+            == sweep(pairs, builtin, rest))
+
+
+def test_a_tracker_failing_everywhere_is_called_once():
+    """Without keep_going the sweep stops at the first failure: a tracker
+    that fails on every call is called once at jobs=1, whatever the
+    number of sequences and thresholds."""
+    calls = []
+
+    def failing(dets, sequence_id):
+        calls.append(sequence_id)
+        raise RuntimeError("always")
+
+    pairs = _two_sequences()
+    thresholds = select_thresholds(pairs[0][1].score, 10)
+    with pytest.raises(SweepError, match=(
+            f"^tracker failed at threshold {thresholds[0]:g} on sequence "
+            f"'a': always$")):
+        sweep(pairs, failing, thresholds)
+    assert calls == ["a"]
+
+
+def test_a_sequences_tables_die_before_the_next_is_built(monkeypatch):
+    """The sweep is sequence-major: when a sequence's edge table is built,
+    the edge table, labels and link table of the sequence before are
+    gone."""
+    refs, alive = [], []
+
+    def tracked(module, name):
+        def build(*args, _fn=getattr(module, name)):
+            if name == "edge_table":
+                gc.collect()
+                alive.append([ref() is not None for ref in refs])
+            table = _fn(*args)
+            refs.append(weakref.ref(table))
+            return table
+        monkeypatch.setattr(module, name, build)
+    tracked(pr_integration, "edge_table")
+    tracked(pr_integration, "_label_detections")
+    tracked(trackers, "link_table")
+    pairs = _two_sequences()
+    scores = np.concatenate([dets.score for _, dets in pairs])
+    sweep(pairs, trackers.BuiltinGreedyTracker(max_gap=2),
+          select_thresholds(scores, 4))
+    assert alive == [[], [False] * 3]
+
+
+def test_sweep_bundles_aggregate_the_stats_clear_gave():
+    """At each threshold the sweep's bundle is `aggregate` of the stats
+    that `evaluate_clear` returned there, sequence by sequence."""
+    pairs = _regioned_sequences()
+    thresholds = select_thresholds(
+        np.concatenate([dets.score for _, dets in pairs]), 5)
+    builtin = trackers.BuiltinGreedyTracker(max_gap=2)
+    seen = []
+
+    class Recording:
+        def by_threshold(self, dets, sequence_id):
+            at = builtin.by_threshold(dets, sequence_id)
+            return lambda tau: seen.append([tau]) or at(tau)
+
+    def spy(*args):
+        result = evaluate_clear(*args)
+        seen[-1].append(result[1])
+        return result
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pr_integration, "evaluate_clear", spy)
+        points = sweep(pairs, Recording(), thresholds)
+    assert [tau for tau, _ in seen] == thresholds * len(pairs)
+    assert len(points) == len(thresholds)
+    for p in points:
+        stats = [s for tau, s in seen if tau == p.threshold]
+        assert len(stats) == len(pairs)
+        assert p.metrics == aggregate(stats)
 
 
 def test_pr_report_all_zero_bundles():
