@@ -465,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", required=True)
     p.add_argument("--tracker", required=True,
                    help="builtin | builtin:<opts> | cmd:<template>")
-    p.add_argument("--thresholds", type=int, default=10)
+    p.add_argument("--thresholds", type=int,
+                   default=pr_integration.DEFAULT_N_THRESHOLDS,
+                   help="number of score thresholds (default %(default)s)")
     p.add_argument("--quantile-thresholds", action="store_true",
                    help="space thresholds by score quantiles instead of "
                         "uniform values")

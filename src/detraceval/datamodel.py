@@ -433,17 +433,6 @@ def ordered_sum(values: Iterable, start=0):
     return reduce(operator.add, values, start)
 
 
-def frame_slices(frames: np.ndarray,
-                 *columns: np.ndarray) -> Iterator[tuple[int, ...]]:
-    """(frame, lo_1, hi_1, lo_2, hi_2, ...) for each of `frames`: each
-    column is a frame column sorted ascending, and its rows lo_k:hi_k are
-    the ones at that frame. Detection labeling's loop over conflicted
-    frames takes its row ranges from here."""
-    bounds = [np.searchsorted(col, frames, side).tolist()
-              for col in columns for side in ("left", "right")]
-    return zip(frames.tolist(), *bounds)
-
-
 # Box pairs whose IoUs one chunk of frame pairs computes in one
 # `geometry.iou_broadcast` call (`geometry.iou_edges`, behind the GT x box
 # edge table and the builtin tracker's link table), counted after padding.

@@ -23,15 +23,21 @@ The pass reads the sequence's GT x detection edge table
 (`matching.edge_table`): every same-frame (GT row, detection row, IoU)
 with IoU >= iou_thr, computed once per sequence by `geometry.iou_edges`.
 Of it the pass keeps the edges whose GT row is in the pool and whose IoU is
-> 0: exactly the pairs greedy matching may take. In a frame where no
-detection and no pooled GT row holds two kept edges, greedy matching is
-the set of those edges: a detection's only candidate is its edge's GT, and
-no other detection has an edge to that GT, so it is still free whatever
-the score order. Only the other, conflicted, frames run
+> 0: exactly the pairs greedy matching may take. `matching.split_conflicts`
+splits them by the conflict rule stated once in the `matching` docstring,
+over the detections and every GT row, each side in frame order. In a
+frame where no detection and no GT row holds two kept edges, greedy
+matching is the set of those edges: a detection's only candidate is its
+edge's GT, and no other detection has an edge to that GT, so it is still
+free whatever the score order. Only the other, conflicted, frames run
 `matching.match_frame_greedy`, in frame order, on the frame's (detection,
-pooled GT) IoU matrix filled from the table, with 0 where the table holds
-no edge; a 0 never matches, and every other entry is the IoU a per-frame
-`iou_matrix` gives, bit for bit (`iou_broadcast` is symmetric). The sweep
+GT) IoU matrix filled from the kept edges, with -1 elsewhere. A -1 never
+matches, and every other entry is the IoU a per-frame `iou_matrix` gives,
+bit for bit (`iou_broadcast` is symmetric). The matrix holds the frame's
+GT rows outside the pool too, which makes no difference: such a row
+holds no kept edge, so it never matches, and the pooled rows keep their
+input order within the frame, so greedy's lowest-column tie rule picks
+the GT a pool-only matrix would. The sweep
 builds each sequence's table itself, labels from it and hands it to CLEAR
 as well, one sequence at a time (`pr_integration.sweep_sequence`).
 
@@ -61,10 +67,11 @@ import numpy as np
 
 from .datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, DetectionColumns,
                         GtColumns, Rows, ValidationError, check_frame_count,
-                        distinct, frame_slices, positions)
+                        distinct, positions)
 from .geometry import (OcclusionClass, ScaleClass, covered, occlusion_bands,
                        scale_bands)
-from .matching import EdgeTable, edge_table, match_frame_greedy
+from .matching import (EdgeTable, edge_table, match_frame_greedy,
+                       split_conflicts)
 
 DEFAULT_IOU_THR = 0.7
 
@@ -167,34 +174,27 @@ def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
     matched by its edges."""
     check_frame_count(g, d, "detections")
     pooled = ~covered(g, g.ignore)
-    # Detections in frame order; an edge's detection is its position there.
+    # Each side in frame order, input order within a frame (the order
+    # `edge_table` sorts in); an edge's rows are their positions there.
     order = np.argsort(d.frame, kind="stable")
-    frame, score = d.frame[order], d.score[order]
+    g_order = np.argsort(g.frame, kind="stable")
+    frame, g_frame = d.frame[order], g.frame[g_order]
+    frames = distinct(np.concatenate((frame, g_frame)))
+    n_d, n_g = (np.diff(np.searchsorted(col, frames, "right"), prepend=0)
+                for col in (frame, g_frame))
     on = pooled[edges.gt] & (edges.iou > 0.0)
-    e_gt, e_det, e_iou = (edges.gt[on], positions(order, edges.box[on]),
-                          edges.iou[on])
-    conflicted = distinct(np.concatenate((
-        frame[np.bincount(e_det, minlength=len(order)) > 1],
-        g.frame[np.bincount(e_gt, minlength=len(g)) > 1])))
-    hard = np.isin(frame[e_det], conflicted)
+    e_det, e_gt = (positions(order, edges.box[on]),
+                   positions(g_order, edges.gt[on]))
+    free, conflicts = split_conflicts(n_d, n_g, e_det, e_gt, edges.iou[on])
     matched = np.full(len(order), -1, dtype=np.int64)
-    matched[e_det[~hard]] = e_gt[~hard]
-    # Conflicted frames: the greedy rule on the frame's (detections, pool)
-    # matrix, with IoU 0 where the table holds no edge.
-    hard = np.flatnonzero(hard)
-    hard = hard[np.argsort(e_det[hard], kind="stable")]
-    pool = np.flatnonzero(pooled)
-    pool = pool[np.argsort(g.frame[pool], kind="stable")]
-    for _, d_lo, d_hi, g_lo, g_hi, e_lo, e_hi in frame_slices(
-            conflicted, frame, g.frame[pool], frame[e_det[hard]]):
-        at = hard[e_lo:e_hi]
-        gts = pool[g_lo:g_hi]
-        iou_mat = np.zeros((d_hi - d_lo, len(gts)))
-        iou_mat[e_det[at] - d_lo, np.searchsorted(gts, e_gt[at])] = e_iou[at]
-        pairs = match_frame_greedy(iou_mat, score[d_lo:d_hi], iou_thr)
+    matched[e_det[free]] = g_order[e_gt[free]]
+    score = d.score[order]
+    for _, d0, g0, iou_mat in conflicts:
+        pairs = match_frame_greedy(iou_mat, score[d0:d0 + len(iou_mat)],
+                                   iou_thr)
         if pairs:
             gi, di, _ = zip(*pairs)
-            matched[d_lo + np.array(di)] = gts[np.array(gi)]
+            matched[d0 + np.array(di)] = g_order[g0 + np.array(gi)]
     inside = covered(d, g.ignore)
     return Labels(g, score, matched, inside[order] & (matched < 0), pooled,
                   inside)

@@ -13,13 +13,18 @@ Three layers:
   then remaining boxes are matched to maximize total overlap. It takes one
   frame as two ascending id lists plus the frame's IoU matrix.
 
-Both matchers get their frame's matrix from one sequence's `EdgeTable`
+Both matchers get their frames from one sequence's `EdgeTable`
 (`edge_table`: every same-frame GT x box pair with IoU >= the threshold,
-computed once by `geometry.iou_edges`), and both callers,
-`det_metrics._label_detections` and `mot_metrics.evaluate_clear`, run them
-on conflicted frames only (a GT or a box with two pairs in the table); a
-conflict-free frame is matched by exactly those pairs, which the callers
-take without calling them.
+computed once by `geometry.iou_edges`), and `split_conflicts` decides, for
+both callers (`det_metrics._label_detections` and
+`mot_metrics._correspond`), which frames a matcher runs on. The conflict
+rule: a frame is conflicted when some row on either side holds two of the
+edges the caller passes. A conflict-free frame is matched by exactly its
+edges, which the caller takes without calling a matcher (each caller's
+docstring says why its matcher agrees); a conflicted frame goes to the
+matcher as its IoU matrix, filled from its edges and with -1 elsewhere.
+Both matchers ignore an entry <= 0 or below the threshold, so the -1
+changes nothing.
 
 Both matchers return one frame's matches as a list of (gt, hypothesis, IoU)
 pairs and nothing else: a box that no pair holds is unmatched, and a caller
@@ -91,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -194,6 +199,41 @@ def edge_table(gt: GtColumns, boxes: DetectionColumns | TrackColumns,
     g, b, iou = iou_edges(gt, g_order, g_lo, n_g, boxes, b_order, b_lo, n_b,
                           iou_thr)
     return EdgeTable(g_order[g], b_order[b], iou, len(boxes))
+
+
+def split_conflicts(n_a: np.ndarray, n_b: np.ndarray, e_a: np.ndarray,
+                    e_b: np.ndarray, e_iou: np.ndarray
+                    ) -> tuple[np.ndarray, Iterator[tuple]]:
+    """The conflict rule of the module docstring, over one sequence.
+
+    Each side's rows are in frame order, frame k holding n_a[k] rows of
+    side a and n_b[k] of side b after those of the frames before it; the
+    frames cover every row of both sides. Edge i joins a row e_a[i] to b
+    row e_b[i] at IoU e_iou[i]. Returns the mask of the edges in
+    conflict-free frames, and an iterator over the conflicted frames in
+    frame order: (k, the frame's first a row, its first b row, its
+    (n_a[k], n_b[k]) IoU matrix, filled from its edges and -1 elsewhere),
+    each matrix built as it is reached."""
+    a_lo, b_lo = np.cumsum(n_a) - n_a, np.cumsum(n_b) - n_b
+    a_at = np.repeat(np.arange(len(n_a)), n_a)  # frame of each a row
+    conflicted = np.zeros(len(n_a), dtype=bool)
+    conflicted[a_at[np.flatnonzero(np.bincount(e_a) > 1)]] = True
+    # b_lo finds the frame of a b row; only rows with two edges need one
+    twice = np.flatnonzero(np.bincount(e_b) > 1)
+    conflicted[np.searchsorted(b_lo, twice, "right") - 1] = True
+    hard = conflicted[a_at[e_a]]
+
+    def matrices() -> Iterator[tuple]:
+        # the edges of conflicted frames by a row, so by frame
+        at = np.flatnonzero(hard)[np.argsort(e_a[hard], kind="stable")]
+        frames = np.flatnonzero(conflicted)
+        for k, edges in zip(frames.tolist(), np.split(
+                at, np.searchsorted(e_a[at], a_lo[frames[1:]]))):
+            a0, b0 = int(a_lo[k]), int(b_lo[k])
+            iou = np.full((n_a[k], n_b[k]), -1.0)
+            iou[e_a[edges] - a0, e_b[edges] - b0] = e_iou[edges]
+            yield k, a0, b0, iou
+    return ~hard, matrices()
 
 
 def _residual_value(iou_mat: np.ndarray, iou_thr: float) -> tuple[int, float]:

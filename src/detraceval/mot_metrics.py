@@ -42,12 +42,12 @@ GT or a hypothesis box) is a slice of rows on each side.
    the sequence's GT x detection table (`EdgeTable.take`): a builtin track
    row is a detection row with its box unchanged, so its IoUs are that
    detection's.
-2. Conflicts. A frame is conflicted when some GT row or some hypothesis
-   row in it has two edges, counted by one `bincount` over the edges per
-   side. A conflict-free frame matches exactly its edges. The conflicted
-   frames go through `matching.clear_correspond` in frame order, each
-   given its (n, m) IoU matrix, filled from its edges and with -1 (below
-   any threshold) elsewhere, and the pairs matched at the frame before.
+2. Conflicts, by `matching.split_conflicts` (the rule is stated once in
+   the `matching` docstring) over every edge of the table. A
+   conflict-free frame matches exactly its edges. The conflicted frames
+   go through `matching.clear_correspond` in frame order, each given its
+   (n, m) IoU matrix, filled from its edges and with -1 (below any
+   threshold) elsewhere, and the pairs matched at the frame before.
 3. Counts, from the matched pairs in array passes. FN and FP per frame
    from the pair counts; IDS, FM, MT and ML over the GT rows ordered by
    (id, frame); each frame's IoU sum adds its pairs in the order
@@ -104,7 +104,8 @@ from .datamodel import (GtColumns, Rows, TrackColumns, ValidationError,
                         check_frame_count, distinct, ordered_sum, positions)
 from .det_metrics import DEFAULT_IOU_THR
 from .geometry import covered
-from .matching import EdgeTable, clear_correspond, edge_table
+from .matching import (EdgeTable, clear_correspond, edge_table,
+                       split_conflicts)
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
@@ -189,51 +190,33 @@ def _percent(part, whole) -> float:
 
 
 def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
-                g_lo: np.ndarray, n_g: np.ndarray, tracks: TrackColumns,
-                h_order: np.ndarray, h_lo: np.ndarray, n_h: np.ndarray,
-                edges: EdgeTable,
+                n_g: np.ndarray, tracks: TrackColumns, h_order: np.ndarray,
+                n_h: np.ndarray, edges: EdgeTable,
                 iou_thr: float) -> tuple[np.ndarray, np.ndarray]:
     """CLEAR's correspondence over a sequence from its edge table (see the
     module docstring). Rows are positions in the sorted orders `g_order`
-    and `h_order`; scored frame k, numbered frames[k], holds GT rows
-    g_lo[k] .. g_lo[k] + n_g[k] - 1 and hypothesis rows h_lo[k] ..
-    h_lo[k] + n_h[k] - 1. Returns (match, match_iou): the hypothesis row
+    and `h_order`; scored frame k, numbered frames[k], holds the next
+    n_g[k] GT rows and n_h[k] hypothesis rows after those of the frames
+    before it. Returns (match, match_iou): the hypothesis row
     matched to each GT row (-1 if none) and their IoU. The table and the
     arrays made from it live only while this runs."""
     g_ids, h_ids = gt.target_id[g_order], tracks.track_id[h_order]
     e_g, e_h = positions(g_order, edges.gt), positions(h_order, edges.box)
-    e_iou = edges.iou
+    free, conflicts = split_conflicts(n_g, n_h, e_g, e_h, edges.iou)
     match = np.full(len(g_ids), -1)
     match_iou = np.zeros(len(g_ids))
-    # A frame is conflicted when a GT row or a hypothesis row in it has two
-    # edges; h_lo finds the frame of a hypothesis row.
-    g_at = np.repeat(np.arange(len(frames)), n_g)  # frame index of each row
-    conflicted = np.zeros(len(frames), dtype=bool)
-    conflicted[g_at[np.bincount(e_g, minlength=len(g_ids)) > 1]] = True
-    twice = np.flatnonzero(np.bincount(e_h, minlength=len(h_ids)) > 1)
-    conflicted[np.searchsorted(h_lo, twice, "right") - 1] = True
-    hard = conflicted[g_at[e_g]]
-    match[e_g[~hard]] = e_h[~hard]
-    match_iou[e_g[~hard]] = e_iou[~hard]
+    match[e_g[free]] = e_h[free]
+    match_iou[e_g[free]] = edges.iou[free]
     # Conflicted frames in frame order; the frame before is settled: a
     # conflict-free frame above, or an earlier pass of this loop.
-    hard = np.flatnonzero(hard)
-    hard = hard[np.argsort(e_g[hard], kind="stable")]
-    bounds = np.searchsorted(e_g[hard], g_lo[conflicted]).tolist()
-    for f, lo, hi in zip(np.flatnonzero(conflicted).tolist(), bounds,
-                         bounds[1:] + [len(hard)]):
+    for f, g0, h0, iou in conflicts:
         prev: dict[int, int] = {}
         if f and frames[f - 1] == frames[f] - 1:
-            rows = np.arange(g_lo[f - 1], g_lo[f - 1] + n_g[f - 1])
+            rows = np.arange(g0 - n_g[f - 1], g0)
             rows = rows[match[rows] >= 0]
             prev = dict(zip(g_ids[rows].tolist(), h_ids[match[rows]].tolist()))
-        g0, h0 = int(g_lo[f]), int(h_lo[f])
         gts = g_ids[g0:g0 + n_g[f]].tolist()
         hyps = h_ids[h0:h0 + n_h[f]].tolist()
-        # Below the threshold where the table holds no edge.
-        iou = np.full((len(gts), len(hyps)), -1.0)
-        at = hard[lo:hi]
-        iou[e_g[at] - g0, e_h[at] - h0] = e_iou[at]
         g_row = {g: g0 + a for a, g in enumerate(gts)}
         h_row = {h: h0 + b for b, h in enumerate(hyps)}
         for g, h, v in clear_correspond(prev, gts, hyps, iou, iou_thr):
@@ -261,11 +244,10 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     h_order = np.lexsort((tracks.track_id, tracks.frame))
     g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
     frames = distinct(np.concatenate((g_frame, h_frame)))
-    g_lo, h_lo = (np.searchsorted(col, frames) for col in (g_frame, h_frame))
-    n_g = np.searchsorted(g_frame, frames, "right") - g_lo
-    n_h = np.searchsorted(h_frame, frames, "right") - h_lo
+    n_g, n_h = (np.diff(np.searchsorted(col, frames, "right"), prepend=0)
+                for col in (g_frame, h_frame))
     match, match_iou = _correspond(
-        frames, gt, g_order, g_lo, n_g, tracks, h_order, h_lo, n_h,
+        frames, gt, g_order, n_g, tracks, h_order, n_h,
         edge_table(gt, tracks, iou_thr) if edges is None else edges, iou_thr)
 
     n_frames = len(frames)

@@ -21,9 +21,11 @@ sequence it builds three things once:
   whose counts give precision and recall at every threshold once every
   sequence's are pooled in one count table; the pass also marks, once,
   every detection inside ignore regions (`Labels.inside`);
-* the tracker's entry point (`by_threshold`, see `trackers`) over the
-  detections at the lowest threshold; the builtin tracker computes its
-  link IoUs there, in one link table.
+* the tracker's entry point (`by_threshold`, see `trackers`) over all
+  detections; the builtin tracker computes its link IoUs there, in one
+  link table. Its tracks at threshold tau equal a call on the detections
+  with score >= tau, whatever rows it was built over; at the CLI the
+  lowest threshold is the lowest score, so every row takes part anyway.
 
 Then only the tracker's per-threshold step and CLEAR run once per
 threshold. The builtin tracker's step also names the detection row behind
@@ -48,7 +50,9 @@ at its own first failure (a thread skips a threshold above a known
 failure), and later sequences run only the thresholds below the lowest
 failure found so far. With keep_going a threshold that failed on any
 sequence is a gap, and later sequences skip it; when every threshold
-failed, the error names the first failure.
+failed, the error names the first failure. Once a failure is known and
+no threshold is left to run, the error is decided: `sweep` builds no
+later sequence's tables and raises it.
 """
 
 from __future__ import annotations
@@ -164,18 +168,17 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
     """One sequence through every threshold: its labels' counts
     (`Labels.counts`, every GT row) and, per threshold, its CLEAR stats,
     the tracker's failure there, or None where it was not run. The edge
-    table, the labels and the tracker's entry point are built here, once
-    (see the module docstring), and die when this returns; the thresholds
-    run on `jobs` threads. Without keep_going a threshold after a failed
-    one in `thresholds` is not run. An entry point that fails fails every
-    threshold."""
+    table, the labels and the tracker's entry point are built here, once,
+    over all of `dets` (see the module docstring), and die when this
+    returns; the thresholds run on `jobs` threads. Without keep_going a
+    threshold after a failed one in `thresholds` is not run. An entry
+    point that fails fails every threshold."""
     edges = edge_table(gt, dets, iou_thr)
     labels = _label_detections(gt, dets, edges, iou_thr)
     counts = labels.counts(np.ones(len(gt), dtype=bool))
-    kept = np.flatnonzero(dets.score >= min(thresholds, default=0.0))
     by_threshold = getattr(tracker, "by_threshold", None)
     try:
-        at = (by_threshold(dets.take(kept), gt.sequence_id) if by_threshold
+        at = (by_threshold(dets, gt.sequence_id) if by_threshold
               else lambda tau: (tracker(dets.take(dets.score >= tau),
                                         gt.sequence_id), None))
     except Exception as exc:
@@ -194,7 +197,7 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
             failed[i] = not keep_going
             return exc
         table, inside = ((None, None) if rows is None else
-                         (edges.take(kept[rows]), labels.inside[kept[rows]]))
+                         (edges.take(rows), labels.inside[rows]))
         return evaluate_clear(gt, tracks, iou_thr, table, inside)[1]
     return counts, map_jobs(run, range(len(thresholds)), jobs)
 
@@ -224,6 +227,8 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     for gt, dets in pairs:
         live = [i for i in range(len(thresholds)) if i not in failures
                 and (keep_going or all(i < j for j in failures))]
+        if failures and not live:  # decided: the error below is raised
+            break
         seq_counts, outcomes = sweep_sequence(
             gt, dets, tracker, [thresholds[i] for i in live], iou_thr,
             keep_going, jobs)

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from detraceval.datamodel import (DetectionColumns, GtColumns,
-                                  check_frame_count, frame_slices)
+from detraceval.datamodel import DetectionColumns, GtColumns, check_frame_count
 from detraceval.det_metrics import Labels
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import match_frame_greedy
+from frame_walk import frame_slices
 
 
 def frame_loop_label_detections(g: GtColumns, d: DetectionColumns,

@@ -22,8 +22,9 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from detraceval.datamodel import (DetectionColumns, TrackColumns,
-                                  frame_slices, read_detections, write_tracks)
+                                  read_detections, write_tracks)
 from detraceval.geometry import iou_matrix
+from frame_walk import frame_slices
 
 
 def frame_loop_greedy_iou_track(dets: DetectionColumns, link_thr: float = 0.5,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import detraceval
 from box_columns import det_columns, track_columns
 from detraceval.cli import _read_pair, build_parser, main
-from detraceval.pr_integration import SCORE_NAMES
+from detraceval.pr_integration import DEFAULT_N_THRESHOLDS, SCORE_NAMES
 from detraceval.datamodel import (DetectionColumns, GtColumns, TrackColumns,
                                   ValidationError, read_detections, read_tracks,
                                   write_tracks)
@@ -683,6 +683,12 @@ def test_jobs_defaults_to_one_and_rejects_less(tmp_path, capsys, command):
         assert main(argv + ["--jobs", jobs]) == 1
         assert f"--jobs must be at least 1, got {jobs}" in _one_line_error(capsys)
     assert not (tmp_path / "out").exists()
+
+
+def test_thresholds_default_is_the_sweeps():
+    argv = ["eval-system", "--gt", "gt", "--det", "det", "--tracker",
+            "builtin", "--out", "out"]
+    assert build_parser().parse_args(argv).thresholds == DEFAULT_N_THRESHOLDS
 
 
 @pytest.mark.parametrize("command,row", [

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detraceval.datamodel import BBox
 from detraceval.geometry import iou, iou_matrix
 from detraceval.matching import (_IOU_TIE_TOL, FORBIDDEN, _residual_match,
                                  _residual_value, clear_correspond, hungarian,
-                                 match_frame_greedy)
+                                 match_frame_greedy, split_conflicts)
 
 
 def brute_force_min_cost(cost):
@@ -480,3 +482,64 @@ def test_clear_correspond_closed_forms_solve_no_assignment(monkeypatch):
     hyps[62] = BBox(502, 0, 10, 10)
     with pytest.raises(AssertionError, match="hungarian called"):
         _correspond(None, gts, hyps, 0.5)
+
+
+@st.composite
+def _frames_and_edges(draw):
+    """Per-frame row counts of two sides and edges between same-frame
+    rows, in any order: frames with rows on one side only or on none, and
+    frames where every pair is an edge, at IoU 0 among others."""
+    n_frames = draw(st.integers(0, 5))
+    counts = st.lists(st.integers(0, 3), min_size=n_frames, max_size=n_frames)
+    n_a, n_b = draw(counts), draw(counts)
+    a_lo, b_lo = np.cumsum([0] + n_a), np.cumsum([0] + n_b)
+    edges = []
+    for k in range(len(n_a)):
+        pairs = [(a_lo[k] + i, b_lo[k] + j)
+                 for i in range(n_a[k]) for j in range(n_b[k])]
+        if pairs and not draw(st.booleans()):
+            pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+        edges += [(a, b, draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])))
+                  for a, b in pairs]
+    return n_a, n_b, draw(st.permutations(edges))
+
+
+def _brute_force_split(n_a, n_b, edges):
+    """The conflict rule frame by frame: the free mask and (k, first a
+    row, first b row, dense IoU matrix) of each conflicted frame."""
+    a_lo, b_lo = np.cumsum([0] + n_a), np.cumsum([0] + n_b)
+    free = [True] * len(edges)
+    conflicts = []
+    for k in range(len(n_a)):
+        at = [i for i, (a, _, _) in enumerate(edges)
+              if a_lo[k] <= a < a_lo[k + 1]]
+        rows = [edges[i][0] for i in at] + [-1 - edges[i][1] for i in at]
+        if len(set(rows)) < len(rows):
+            mat = np.full((n_a[k], n_b[k]), -1.0)
+            for i in at:
+                a, b, iou_ = edges[i]
+                mat[a - a_lo[k], b - b_lo[k]] = iou_
+                free[i] = False
+            conflicts.append((k, int(a_lo[k]), int(b_lo[k]), mat))
+    return free, conflicts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frames_and_edges())
+# an a row with two edges; a b row with two edges, then a free frame
+@example(([1, 0, 2], [2, 1, 0], [(0, 0, 0.3), (0, 1, 0.7)]))
+@example(([2, 1], [1, 1], [(0, 0, 0.3), (1, 0, 0.7), (2, 1, 0.0)]))
+def test_split_conflicts_follows_the_frame_by_frame_rule(case):
+    n_a, n_b, edges = case
+    e_a, e_b = (np.array([e[side] for e in edges], dtype=np.int64)
+                for side in (0, 1))
+    free, conflicts = split_conflicts(np.array(n_a, dtype=np.int64),
+                                      np.array(n_b, dtype=np.int64), e_a, e_b,
+                                      np.array([e[2] for e in edges]))
+    want_free, want = _brute_force_split(n_a, n_b, edges)
+    assert free.tolist() == want_free
+    got = list(conflicts)
+    assert [g[:3] for g in got] == [w[:3] for w in want]
+    for (*_, mat), (*_, want_mat) in zip(got, want):
+        assert mat.shape == want_mat.shape
+        assert mat.tobytes() == want_mat.tobytes()

@@ -8,9 +8,9 @@ from box_columns import concat, relabel, track_columns
 from detraceval import datamodel
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
                                   IgnoreRegion, Rows, ValidationError,
-                                  check_frame_count, frame_slices,
-                                  read_ground_truth, read_tracks,
-                                  write_ground_truth, write_tracks)
+                                  check_frame_count, read_ground_truth,
+                                  read_tracks, write_ground_truth,
+                                  write_tracks)
 from detraceval.det_metrics import DEFAULT_IOU_THR
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import clear_correspond
@@ -19,6 +19,7 @@ from detraceval.mot_metrics import (ML_COVERAGE, MT_COVERAGE, SequenceStats,
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_clear,
                               random_tiny_scenario)
 from detraceval.trackers import greedy_iou_track
+from frame_walk import frame_slices
 
 
 def assert_bundles_equal(a, b, tol=1e-9):

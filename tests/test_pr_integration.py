@@ -485,6 +485,36 @@ def test_a_tracker_failing_everywhere_is_called_once():
     assert calls == ["a"]
 
 
+@pytest.mark.parametrize("keep_going", [False, True])
+def test_a_decided_error_builds_no_later_sequences_table(monkeypatch,
+                                                         keep_going):
+    """Once a failure is known and no threshold is left to run (the first
+    threshold failed, or with keep_going every threshold did), the sweep
+    raises without building a later sequence's edge table; with no
+    thresholds it returns no point."""
+    built = []
+
+    def counted(gt, *args, _fn=pr_integration.edge_table):
+        built.append(gt.sequence_id)
+        return _fn(gt, *args)
+
+    def failing(dets, sequence_id):
+        raise RuntimeError("always")
+
+    monkeypatch.setattr(pr_integration, "edge_table", counted)
+    pairs = _two_sequences()
+    pairs.append((dataclasses.replace(pairs[0][0], sequence_id="c"),
+                  pairs[0][1]))
+    thresholds = select_thresholds(pairs[0][1].score, 4)
+    every = "every threshold failed; first: " if keep_going else ""
+    with pytest.raises(SweepError, match=(
+            f"^{every}tracker failed at threshold {thresholds[0]:g} on "
+            f"sequence 'a': always$")):
+        sweep(pairs, failing, thresholds, keep_going=keep_going)
+    assert built == ["a"]
+    assert sweep(pairs, failing, [], keep_going=keep_going) == []
+
+
 def test_a_sequences_tables_die_before_the_next_is_built(monkeypatch):
     """The sweep is sequence-major: when a sequence's edge table is built,
     the edge table, labels and link table of the sequence before are
