@@ -45,7 +45,7 @@ def _write_json(path: Path, obj) -> None:
     after that rounding, with `Rows` written as the list of their row
     objects, _CHUNK_ROWS rows at a time.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parts: list[str] = []
         _emit(obj, "\n", parts, fh)
         parts.append("\n")
@@ -195,7 +195,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Rows) -> None:
     field is written '""', as `csv` writes it, so that it reads back as a
     field."""
     text = _csv_text if len(header) != 1 else lambda v: _csv_text(v) or '""'
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(text, header)) + "\n")
         for lo in range(0, len(rows) if header else 0, _CHUNK_ROWS):
             specs, values = zip(*(_chunk(rows[k], lo, text, np.isfinite)
@@ -230,7 +230,7 @@ def _read(path: Path, reader):
     """reader(file) of the file at `path`; its errors, and a file that
     cannot be opened or read, name the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return reader(fh)
     except (ValidationError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
@@ -329,7 +329,7 @@ def _system_report(path: Path) -> dict | None:
     """The system report in the file at `path`, checked; None for a JSON
     document that is not one (no `scores` or no `detector`)."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: unreadable JSON: {exc}") from None
     if not (isinstance(doc, dict) and "scores" in doc and "detector" in doc):
@@ -418,9 +418,9 @@ def cmd_gen_synthetic(args) -> int:
     out = _out_dir(args)
     (out / "gt").mkdir(exist_ok=True)
     (out / "det").mkdir(exist_ok=True)
-    with open(out / "gt" / f"{seq}.json", "w") as fh:
+    with open(out / "gt" / f"{seq}.json", "w", encoding="utf-8") as fh:
         write_ground_truth(gt, fh)
-    with open(out / "det" / f"{seq}.csv", "w") as fh:
+    with open(out / "det" / f"{seq}.csv", "w", encoding="utf-8") as fh:
         write_detections(dets, fh)
     _write_json(out / "config.json", config_echo)
     return 0

@@ -64,8 +64,9 @@ constructors alike. Frames, ids, ``frame_count`` and ignore-region frame
 spans must fit in int64; in the GT JSON they must be integers or floats
 with an integral value (``2.0``, not ``1.9``, ``"2"`` or ``true``), never
 truncated. The GT constructors apply the same rule (`_as_int`, which also
-takes numpy integers) to every frame, id and ``frame_count``, so
-`GroundTruth.columns` never truncates either.
+takes numpy integers) to every frame, id and ``frame_count``, and keep
+their own checks, so a `GroundTruth` is a reference built without the
+reader.
 
 The readers build no domain object. Detections and tracks have no
 per-box type: `gen_scenario`, the fixtures and the trackers build their
@@ -73,7 +74,11 @@ columns directly, and `gen_scenario` checks its detections against
 `_DETECTION_RULES` through `checked_detections`, as `read_detections`
 does. The GT dataclasses are construction types only: `synth`, `fixtures`
 and the tests build ground truth with them and pass `GroundTruth.columns`;
-nothing turns columns back into objects. Every CLI subcommand, the
+nothing turns columns back into objects. `GroundTruth.columns` is the GT
+reader's conversion (`_gt_from_document`) of the document that
+`write_ground_truth` writes (`_gt_document`), so it equals
+`read_ground_truth` of the written file by construction, and that
+conversion is the one code that builds `GtColumns`. Every CLI subcommand, the
 threshold sweep and the trackers work on columns and build no per-box
 object: a threshold is the mask ``score >= threshold`` applied with
 `DetectionColumns.take`, a tracker takes `DetectionColumns` and returns
@@ -284,23 +289,9 @@ class GroundTruth:
 
     @cached_property
     def columns(self) -> GtColumns:
-        """The same data as `read_ground_truth` columns, computed once."""
-        rows = [(tr.target_id, e) for tr in self.tracks for e in tr.entries]
-        entries = [e for _, e in rows]
-        regions = self.ignore_regions
-        return GtColumns(
-            **_box_columns([e.box for e in entries]),
-            frame=_ints([e.frame for e in entries]),
-            target_id=_ints([tid for tid, _ in rows]),
-            occlusion=_floats([e.occlusion_ratio for e in entries]),
-            truncation=_floats([e.truncation_ratio for e in entries]),
-            category=tuple(e.category for e in entries),
-            sequence_id=self.sequence_id, frame_count=self.frame_count,
-            weather=self.weather, difficulty=self.difficulty,
-            ignore=IgnoreColumns(
-                **_box_columns([r.box for r in regions]),
-                first_frame=tuple(r.first_frame for r in regions),
-                last_frame=tuple(r.last_frame for r in regions)))
+        """`read_ground_truth` of what `write_ground_truth` writes, read
+        from the document itself (no JSON text), computed once."""
+        return _gt_from_document(_gt_document(self))
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +888,9 @@ def _gt_walk(doc: dict) -> tuple:
     return levels, (place, error)
 
 
-def read_ground_truth(stream: TextIO | str) -> GtColumns:
-    doc = _load_json(stream)
+def _gt_from_document(doc: dict) -> GtColumns:
+    """A parsed GT document as checked columns: the GT reader after its
+    JSON step, and the one place that builds `GtColumns`."""
     try:
         regions = doc.get("ignore_regions", [])
         region, entry, track = _gt_columns(regions, doc["tracks"])
@@ -913,8 +905,13 @@ def read_ground_truth(stream: TextIO | str) -> GtColumns:
                                                       last_frame=last))
 
 
-def write_ground_truth(gt: GroundTruth, stream: TextIO) -> None:
-    doc = {
+def read_ground_truth(stream: TextIO | str) -> GtColumns:
+    return _gt_from_document(_load_json(stream))
+
+
+def _gt_document(gt: GroundTruth) -> dict:
+    """The GT document of `gt`, as `write_ground_truth` writes it."""
+    return {
         "sequence_id": gt.sequence_id,
         "frame_count": gt.frame_count,
         "weather": gt.weather,
@@ -937,5 +934,8 @@ def write_ground_truth(gt: GroundTruth, stream: TextIO) -> None:
             for tr in gt.tracks
         ],
     }
-    json.dump(doc, stream, indent=1)
+
+
+def write_ground_truth(gt: GroundTruth, stream: TextIO) -> None:
+    json.dump(_gt_document(gt), stream, indent=1)
     stream.write("\n")

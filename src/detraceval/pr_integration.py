@@ -61,7 +61,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -128,22 +128,20 @@ def select_thresholds(scores: Sequence[float] | np.ndarray,
     # scaling by 1.0 leaves every other ladder bit for bit as it was.
     scale = 1.0 if math.isfinite(hi - lo) else 0.5
     step = (hi * scale - lo * scale) / (n - 1)
-    values = [(lo * scale + i * step) / scale for i in range(n - 1)] + [hi]
-    out: list[float] = []
-    for v in values:
-        if not out or v > out[-1]:
-            out.append(v)
-    return out
+    return _ascending([(lo * scale + i * step) / scale for i in range(n - 1)] + [hi])
 
 
 def select_thresholds_quantile(scores: Sequence[float] | np.ndarray,
                                n: int = DEFAULT_N_THRESHOLDS) -> list[float]:
     """Alternative spacing: score quantiles instead of uniform values."""
     scores = sorted(_score_list(scores, n))
+    return _ascending(scores[round(i * (len(scores) - 1) / (n - 1))] for i in range(n))
+
+
+def _ascending(values: Iterable[float]) -> list[float]:
+    """`values` in order, each kept only if it is above the last one kept."""
     out: list[float] = []
-    for i in range(n):
-        idx = round(i * (len(scores) - 1) / (n - 1))
-        v = scores[idx]
+    for v in values:
         if not out or v > out[-1]:
             out.append(v)
     return out
@@ -221,6 +219,8 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     """
     if not all(map(math.isfinite, thresholds)):
         raise ValidationError(f"thresholds must be finite: {list(map(float, thresholds))}")
+    if len(thresholds) == 0:
+        return []
     totals = [Totals()] * len(thresholds)
     failures: dict[int, tuple[str, Exception]] = {}  # the first, per threshold
     counts = []

@@ -21,9 +21,13 @@ detections, and names no rows.
 External tracker contract, in files: the command template receives {input}
 (detection CSV, written by `write_detections`), {output} (track CSV to
 produce, read by `read_tracks`) and optionally {sequence}, the raw
-sequence id; exit 0 means success. The workspace directory is made under
-``$DETRACEVAL_TMPDIR`` when it is set, else the system temporary
-directory; it is removed on success and kept for inspection on failure.
+sequence id; exit 0 means success. Both files are UTF-8. The tracker's
+stdout and stderr are captured as bytes and never decoded on success; a
+failure message quotes stderr decoded as UTF-8, with a byte that is not
+UTF-8 read as U+FFFD, so what a tracker prints cannot fail a run. The
+workspace directory is made under ``$DETRACEVAL_TMPDIR`` when it is set,
+else the system temporary directory; it is removed on success and kept for
+inspection on failure.
 """
 
 from __future__ import annotations
@@ -262,14 +266,13 @@ def run_external(adapter: ExternalTracker, dets: DetectionColumns,
     workspace = tempfile.mkdtemp(prefix=f"detraceval-{safe_id}-", dir=base)
     input_path = os.path.join(workspace, "detections.csv")
     output_path = os.path.join(workspace, "tracks.csv")
-    with open(input_path, "w") as fh:
+    with open(input_path, "w", encoding="utf-8") as fh:
         write_detections(dets, fh)
     argv = [arg.format(input=input_path, output=output_path,
                        sequence=sequence_id)
             for arg in adapter._argv]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=adapter.timeout)
+        proc = subprocess.run(argv, capture_output=True, timeout=adapter.timeout)
     except subprocess.TimeoutExpired:
         raise TrackerError(
             f"tracker timed out after {adapter.timeout}s on sequence "
@@ -279,18 +282,22 @@ def run_external(adapter: ExternalTracker, dets: DetectionColumns,
             f"cannot run tracker command {argv[0]!r}: {exc} "
             f"(workspace kept: {workspace})") from exc
     if proc.returncode != 0:
+        # Decoded as text mode would under a UTF-8 locale, newlines included,
+        # but never failing: bytes that are not UTF-8 read as U+FFFD.
+        stderr = proc.stderr.decode("utf-8", "replace")
+        stderr = stderr.replace("\r\n", "\n").replace("\r", "\n").strip()
         raise TrackerError(
             f"tracker exited with status {proc.returncode} on sequence "
-            f"{sequence_id!r}; stderr: {proc.stderr.strip()!r} "
+            f"{sequence_id!r}; stderr: {stderr!r} "
             f"(workspace kept: {workspace})")
     if not os.path.exists(output_path):
         raise TrackerError(
             f"tracker produced no output file on sequence {sequence_id!r} "
             f"(workspace kept: {workspace})")
     try:
-        with open(output_path) as fh:
+        with open(output_path, encoding="utf-8") as fh:
             tracks = read_tracks(fh)
-    except ValidationError as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:
         raise TrackerError(
             f"unparseable tracker output on sequence {sequence_id!r}: {exc} "
             f"(workspace kept: {workspace})") from exc

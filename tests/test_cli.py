@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import detraceval
 from box_columns import det_columns, track_columns
-from detraceval.cli import _read_pair, build_parser, main
+from detraceval.cli import _read_pair, _write_json, build_parser, main
 from detraceval.pr_integration import DEFAULT_N_THRESHOLDS, SCORE_NAMES
 from detraceval.datamodel import (DetectionColumns, GtColumns, TrackColumns,
                                   ValidationError, read_detections, read_tracks,
@@ -391,6 +391,68 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "x" / "gt" / "perfect.json").exists()
+
+
+# A locale whose encoding is ASCII, with UTF-8 mode off.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_commands_write_the_same_bytes_under_an_ascii_locale(tmp_path):
+    """Every file is UTF-8 whatever the locale. Under an ASCII locale, with
+    each open() that falls back on the locale's encoding an error
+    (EncodingWarning), every subcommand exits 0 and writes the bytes this
+    process writes. `report` reads a detector name that is not ASCII, from
+    a report written as `_write_json` writes it and from one in raw UTF-8."""
+    def argvs(side: Path) -> list[list[str]]:
+        gt, det = str(side / "gen" / "gt"), str(side / "gen" / "det")
+        return [["gen-synthetic", "--targets", "3", "--frames", "12",
+                 "--seed", "1", "--out", str(side / "gen")],
+                ["eval-det", "--gt", gt, "--det", det, "--out", str(side / "det")],
+                ["eval-mot", "--gt", gt, "--tracks", str(tmp_path / "tracks"),
+                 "--out", str(side / "mot")],
+                ["eval-system", "--gt", gt, "--det", det, "--tracker", "builtin",
+                 "--thresholds", "4", "--out", str(side / "system")],
+                ["report", "--results", str(tmp_path / "results"),
+                 "--out", str(side / "report")]]
+
+    normal, ascii_run = tmp_path / "normal", tmp_path / "ascii"
+    gen, det, mot, system, report = argvs(normal)
+    assert main(gen) == 0 and main(det) == 0
+    # eval-mot scores the builtin tracker's tracks of the generated detections.
+    (det_csv,) = (normal / "gen" / "det").iterdir()
+    with open(det_csv, encoding="utf-8") as fh:
+        tracks = greedy_iou_track(read_detections(fh))
+    (tmp_path / "tracks").mkdir()
+    with open(tmp_path / "tracks" / det_csv.name, "w", encoding="utf-8") as fh:
+        write_tracks(tracks, fh)
+    assert main(mot) == 0 and main(system) == 0
+    doc = json.loads((normal / "system" / "system_report.json").read_bytes())
+    for name in ("escaped", "raw"):
+        (tmp_path / "results" / name).mkdir(parents=True)
+    _write_json(tmp_path / "results" / "escaped" / "system_report.json",
+                {**doc, "detector": "d\u00e9tecteur"})
+    (tmp_path / "results" / "raw" / "system_report.json").write_bytes(
+        json.dumps({**doc, "detector": "d\u00e9tecteur brut"},
+                   ensure_ascii=False).encode())
+    assert main(report) == 0
+    root = str(Path(detraceval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **_ASCII_LOCALE}
+    for argv in argvs(ascii_run):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W",
+             "error::EncodingWarning", "-m", "detraceval.cli", *argv],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert _tree(ascii_run) == _tree(normal)
+    leaderboard = (normal / "report" / "leaderboard.csv").read_bytes()
+    assert "d\u00e9tecteur,".encode() in leaderboard
+    assert "d\u00e9tecteur brut,".encode() in leaderboard
 
 
 _SCIPY_GUARD = """

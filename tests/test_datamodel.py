@@ -197,6 +197,25 @@ def test_columns_keep_every_integral_frame():
     assert type(gt.frame_count) is int and gt.columns.frame_count == 5
 
 
+def test_columns_are_what_the_reader_reads_from_the_written_file():
+    """`GroundTruth.columns` equals `read_ground_truth` of the written file
+    for containers built from numpy scalars and integral floats, with
+    target ids out of order, a static ignore region and one with a frame
+    span, and a sequence id that is not a string."""
+    gt = GroundTruth(
+        sequence_id=7, frame_count=np.int64(4), weather="night",
+        difficulty="hard",
+        tracks=(GtTrack(9.0, (GtEntry(np.int64(1), BBox(np.float64(1.5), 2, 3, 4),
+                                      0.25, np.float64(0.5), "bus"),
+                              GtEntry(3.0, BBox(5, np.float64(6.25), 7, 8.5)))),
+                GtTrack(np.int64(2), (GtEntry(2, _BOX),))),
+        ignore_regions=(IgnoreRegion(BBox(0, 0, 10, 10)),
+                        IgnoreRegion(BBox(1, 2.5, 3, 4), np.int64(2), 3.0)))
+    assert_same_columns(gt.columns, roundtrip_gt(gt))
+    assert gt.columns.sequence_id == "7"
+    assert gt.columns.target_id.tolist() == [9, 9, 2]
+
+
 def test_rows_length_is_the_row_count_of_equal_columns():
     rows = Rows({"a": [1, 2, 3], "b": [0.5, None, "x"]})
     assert len(rows) == 3 and rows["b"] == [0.5, None, "x"]

@@ -491,7 +491,7 @@ def test_a_decided_error_builds_no_later_sequences_table(monkeypatch,
     """Once a failure is known and no threshold is left to run (the first
     threshold failed, or with keep_going every threshold did), the sweep
     raises without building a later sequence's edge table; with no
-    thresholds it returns no point."""
+    thresholds it returns no point and builds no table."""
     built = []
 
     def counted(gt, *args, _fn=pr_integration.edge_table):
@@ -512,7 +512,9 @@ def test_a_decided_error_builds_no_later_sequences_table(monkeypatch,
             f"sequence 'a': always$")):
         sweep(pairs, failing, thresholds, keep_going=keep_going)
     assert built == ["a"]
+    built.clear()
     assert sweep(pairs, failing, [], keep_going=keep_going) == []
+    assert built == []
 
 
 def test_a_sequences_tables_die_before_the_next_is_built(monkeypatch):

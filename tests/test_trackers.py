@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from box_columns import det_columns, track_columns
 from detraceval import datamodel
+from detraceval.cli import main
 from detraceval.datamodel import BBox, DetectionColumns, ValidationError
 from detraceval.fixtures import load_fixture
 from detraceval.geometry import iou
@@ -383,6 +384,17 @@ def test_external_missing_output(tmp_path, monkeypatch):
     _assert_workspace_kept(tmp_path)
 
 
+def test_external_output_that_is_not_utf8(tmp_path, monkeypatch):
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(tmp_path))
+    adapter = ExternalTracker(
+        f"{PY} -c \"import sys; open(sys.argv[2], 'wb').write(bytes([255]))\" "
+        "{input} {output}")
+    with pytest.raises(TrackerError, match="^unparseable tracker output on "
+                       "sequence 'seq1': 'utf-8' codec can't decode byte 0xff"):
+        run_external(adapter, _some_dets(), "seq1")
+    _assert_workspace_kept(tmp_path)
+
+
 def test_external_command_requires_placeholders():
     with pytest.raises(ValidationError, match="placeholders"):
         ExternalTracker("mytracker --in foo")
@@ -448,4 +460,51 @@ def test_failed_tracker_keeps_a_safe_workspace(tmp_path, monkeypatch):
     with pytest.raises(TrackerError, match="status 3"):
         adapter(_some_dets(), "a/b")
     (workspace,) = tmp_path.glob("detraceval-a_b-*")
+    assert (workspace / "detections.csv").is_file()
+
+
+# Numbers each detection as a track of its own, writes the bytes given in
+# hex as argv[3] to stderr and exits with the status argv[4].
+_PRINTING_TRACKER = (
+    "import sys\n"
+    "rows = [l.split(',') for l in open(sys.argv[1])]\n"
+    "open(sys.argv[2], 'w').write(''.join(\n"
+    "    ','.join([r[0], str(i + 1)] + r[2:6]) + chr(10)\n"
+    "    for i, r in enumerate(rows)))\n"
+    "sys.stderr.buffer.write(bytes.fromhex(sys.argv[3]))\n"
+    "sys.exit(int(sys.argv[4]))\n")
+
+
+def test_stderr_that_is_not_utf8_fails_no_run(tmp_path, monkeypatch, capsys):
+    """A `cmd:` tracker's stderr is never decoded on success: one that
+    writes the byte 0xff there and exits 0 gives the report of the same
+    tracker writing nothing, and leaves no workspace. On exit 3 the error
+    quotes that stderr, the byte replaced, and keeps the workspace."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("DETRACEVAL_TMPDIR", str(work))
+    assert main(["gen-synthetic", "--fixture", "fp-heavy",
+                 "--out", str(tmp_path / "in")]) == 0
+    script = tmp_path / "track.py"
+    script.write_text(_PRINTING_TRACKER)
+
+    def run(stderr: str, status: int) -> int:
+        return main(["eval-system", "--gt", str(tmp_path / "in" / "gt"),
+                     "--det", str(tmp_path / "in" / "det"), "--thresholds", "3",
+                     "--tracker", f"cmd:{PY} {script} {{input}} {{output}} "
+                                  f"'{stderr}' {status}",
+                     "--tracker-name", "printing",
+                     "--out", str(tmp_path / f"out-{stderr}-{status}")])
+
+    assert run("", 0) == 0 and run("ff", 0) == 0
+    for name in ("system_report.json", "pr_curve.csv"):
+        assert ((tmp_path / "out--0" / name).read_bytes()
+                == (tmp_path / "out-ff-0" / name).read_bytes())
+    assert not list(work.iterdir())
+    capsys.readouterr()
+    assert run("ff", 3) == 1
+    err = capsys.readouterr().err
+    assert ("tracker exited with status 3 on sequence 'synth-11'; "
+            "stderr: '�' (workspace kept: ") in err
+    (workspace,) = work.iterdir()
     assert (workspace / "detections.csv").is_file()
