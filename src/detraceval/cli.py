@@ -293,7 +293,22 @@ def cmd_eval_mot(args) -> int:
     return 0
 
 
+def _argv_text(value: str, option: str) -> str:
+    """A command-line value as the text its bytes spell in UTF-8. Under a
+    locale that is not UTF-8, Python hands the non-ASCII bytes of argv on
+    as surrogate escapes, which no report may hold; bytes that are not
+    UTF-8 are an error."""
+    try:
+        return value.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        raise ValidationError(f"{option} is not valid UTF-8 text: "
+                              f"{value!r}") from None
+
+
 def cmd_eval_system(args) -> int:
+    detector = _argv_text(args.detector_name, "--detector-name")
+    tracker_name = (_argv_text(args.tracker_name, "--tracker-name")
+                    if args.tracker_name else _argv_text(args.tracker, "--tracker"))
     tracker = make_tracker(args.tracker)
     out = _out_dir(args)
     pairs = [_read_pair(gt_path, det_path, read_detections)
@@ -310,8 +325,8 @@ def cmd_eval_system(args) -> int:
              "recall": p.recall, "bundle": p.metrics.as_dict()}
             for p in report.curve]
     _write_json(out / "system_report.json", {
-        "detector": args.detector_name,
-        "tracker": args.tracker_name or args.tracker,
+        "detector": detector,
+        "tracker": tracker_name,
         "iou_thr": args.iou_thr,
         "arc_length": report.arc_length,
         "scores": report.scores(),

@@ -32,7 +32,9 @@ columns, one row per box:
 * `read_ground_truth` -> `GtColumns`: frame, target_id, left, top, width,
   height, occlusion, truncation, category, in file order (so each track's
   entries are consecutive), plus the sequence fields and the ignore regions
-  as `IgnoreColumns`.
+  as `IgnoreColumns`. A category is an int8 code, its index in
+  `CATEGORIES`: the category rule compares the values read with ``==``
+  and the column is mapped to codes once, so no per-box string is kept.
 
 Each of these three column sets carries a frame column, so
 `geometry.covered` can tell which of its rows lie inside the ignore regions:
@@ -41,7 +43,12 @@ the detection layer asks it of GT and detections, CLEAR of hypotheses.
 Frames and ids are int64, geometry float64; every box column set also
 gives ``right = left + width`` and ``bottom = top + height``, computed in
 float64 so that they equal `BBox.right` / `BBox.bottom` bit for bit, and
-every number equals what ``int(token)`` / ``float(token)`` gives.
+every number equals what ``int(token)`` / ``float(token)`` gives. A CSV
+file's columns are converted in one numpy pass (`np.loadtxt`, in C) where
+numpy reads every token as ``int()`` / ``float()`` would; on any other
+text, and on any token it refuses or warns about, the file is converted
+again with ``int()`` / ``float()`` (`_csv_columns`), so numpy's grammar
+and version change no number and no error.
 
 Input rules. Each reader states the rules of its format once, in one
 table (`_DETECTION_RULES`, `_TRACK_RULES`, `_GT_RULES`): finite boxes with
@@ -95,6 +102,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
+import warnings
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
@@ -371,11 +380,13 @@ class DetectionColumns(BoxColumns):
 
 @dataclass(frozen=True, eq=False)
 class GtColumns(BoxColumns):
+    """`category` holds int8 codes, indices into `CATEGORIES`."""
+
     frame: np.ndarray
     target_id: np.ndarray
     occlusion: np.ndarray
     truncation: np.ndarray
-    category: tuple[str, ...]
+    category: np.ndarray
     sequence_id: str
     frame_count: int
     weather: str
@@ -555,9 +566,8 @@ _GT_RULES = {
         *((8, lambda c, name=name: ~((c[name] >= 0) & (c[name] <= 1)),
            f"{name}_ratio out of range [0,1]: {{{name}}}")
           for name in ("occlusion", "truncation")),
-        (8, lambda c: ~np.fromiter(map(CATEGORIES.__contains__, c["category"]),
-                                   bool, len(c["category"])),
-         f"unknown category {{category!r}}, expected one of {CATEGORIES}")),
+        (8, lambda c: c["category"] < 0,
+         f"unknown category {{category_value!r}}, expected one of {CATEGORIES}")),
     "track": (
         (2, lambda c: c["length"] == 0, "track {target_id}: empty track"),
         (2, lambda c: c["unsorted"], "track {target_id}: frames must be strictly "
@@ -615,17 +625,49 @@ class _BadColumns(Exception):
     finds the first value that fails."""
 
 
+# `catch_warnings` swaps the warning filters of the whole process; the lock
+# keeps readers on several threads (`eval-mot --jobs`) from restoring each
+# other's filters out of order. While a pass runs, a warning on another
+# thread is an error too; nothing that runs beside a reader warns.
+_LOADTXT = threading.Lock()
+
+
 def _csv_columns(rows: list[str], n_fields: int,
                  fields: dict[str, tuple[int, type]]) -> dict[str, np.ndarray]:
-    """Field name -> column converted with int() or float(); raises
-    _BadColumns on a wrong field count or a token that does not convert.
+    """Field name -> column, each value what int(token) or float(token)
+    gives; raises _BadColumns on a wrong field count or a token that does
+    not convert.
 
-    The rows are split as one comma-joined string, so no per-row list is
-    built: with n_fields - 1 commas on every row, field i of every row is
-    every n_fields-th token from i on."""
+    One `np.loadtxt` pass converts every column in C, on ASCII text
+    without the separators \\x1c-\\x1f only: there it reads a float with
+    the parser of float(), and an int only from spaces, a sign and digits
+    within int64. Elsewhere it does not read as Python does: it strips
+    those four separators as spaces, which int() and float() refuse, and
+    its int parser misreads non-ASCII characters as digits. The pass
+    refuses some tokens that int() and float() take (underscores, ints
+    beyond int64), and warns where it reads what they might not (no rows;
+    on numpy 1.x, a float in an int column, truncated). After a refusal or
+    a warning, or on other text, int() and float() convert the rows, split
+    as one comma-joined string, so no per-row list is built: with
+    n_fields - 1 commas on every row, field i of every row is every
+    n_fields-th token from i on. So neither numpy's token grammar nor its
+    version changes what a file gives."""
     if set(map(str.count, rows, repeat(","))) - {n_fields - 1}:
         raise _BadColumns
-    tokens = ",".join(rows).split(",") if rows else []
+    text = ",".join(rows)
+    if text.isascii() and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+        try:
+            with _LOADTXT, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    rows, delimiter=",", comments=None, ndmin=1,
+                    dtype=[(name, np.int64 if kind is int else np.float64)
+                           for name, (_, kind) in fields.items()],
+                    usecols=[index for index, _ in fields.values()])
+            return {name: table[name].copy() for name in fields}
+        except (ValueError, OverflowError, Warning):
+            pass
+    tokens = text.split(",") if rows else []
     try:
         return {name: (_ints if kind is int else _floats)(
                     list(map(kind, tokens[index::n_fields])))
@@ -762,10 +804,28 @@ def _box_floats(objects: list) -> dict[str, np.ndarray]:
     return {name: _float_column([o[name] for o in objects]) for name in _BOX_FIELDS}
 
 
+_CATEGORY_CODES = {name: code for code, name in enumerate(CATEGORIES)}
+
+
+def _category_codes(values: Sequence) -> np.ndarray:
+    """Each value's index in `CATEGORIES` as int8, -1 where it equals none
+    of them. Values compare with ==, as `in CATEGORIES` compares them, so an
+    unhashable one (a JSON list) is a -1 too."""
+    try:
+        return np.fromiter(map(_CATEGORY_CODES.get, values, repeat(-1)),
+                           np.int8, len(values))
+    except TypeError:
+        return np.fromiter((next((code for code, name in enumerate(CATEGORIES)
+                                  if value == name), -1) for value in values),
+                           np.int8, len(values))
+
+
 def _gt_columns(regions: list, tracks: list) -> tuple[dict, dict, dict]:
     """The region, entry and track columns of the ignore regions and tracks;
     raises when a value does not convert (a region, track or entry that is
-    not an object fails where a field is first read from it)."""
+    not an object fails where a field is first read from it). An entry's
+    category is its code (`_category_codes`), and its value as read is kept
+    in `category_value` for the category rule's message."""
     per_track = [t["entries"] for t in tracks]
     if {type(regions), type(tracks), *map(type, per_track)} - {list}:
         raise _BadColumns
@@ -774,7 +834,8 @@ def _gt_columns(regions: list, tracks: list) -> tuple[dict, dict, dict]:
         "frame": _int_column([e["frame"] for e in entries]), **_box_floats(entries),
         **{name: _float_column([e.get(name, 0.0) for e in entries])
            for name in ("occlusion", "truncation")},
-        "category": tuple([e.get("category", "car") for e in entries])}, {
+        "category_value": (values := tuple([e.get("category", "car") for e in entries])),
+        "category": _category_codes(values)}, {
         "target_id": _int_column([t["target_id"] for t in tracks]),
         "length": _ints(list(map(len, per_track)))}
 
@@ -899,6 +960,7 @@ def _gt_from_document(doc: dict) -> GtColumns:
     except (_BadColumns, KeyError, TypeError, ValueError, OverflowError):
         _check_rules(_GT_RULES, *_gt_walk(doc))  # raises: the walk stops at a failure
     _check_rules(_GT_RULES, _gt_levels(region, entry, track, document))
+    del entry["category_value"]  # every code is a category's now
     first, last = zip(*spans) if spans else ((), ())
     return GtColumns(**entry, target_id=np.repeat(track["target_id"], track["length"]),
                      **document, ignore=IgnoreColumns(**region, first_frame=first,

@@ -243,7 +243,7 @@ def _subset_rows(kind: str, value: str, g: GtColumns) -> np.ndarray | None:
     if kind == "occlusion":
         return occlusion_bands(g.occlusion) == value
     if kind == "category":
-        return np.fromiter((c == value for c in g.category), bool, len(g))
+        return g.category == CATEGORIES.index(value)
     if kind in ("weather", "difficulty") and getattr(g, kind) != value:
         return None
     return np.ones(len(g), dtype=bool)

@@ -202,20 +202,24 @@ def edge_table(gt: GtColumns, boxes: DetectionColumns | TrackColumns,
 
 
 def split_conflicts(n_a: np.ndarray, n_b: np.ndarray, e_a: np.ndarray,
-                    e_b: np.ndarray, e_iou: np.ndarray
+                    e_b: np.ndarray, e_iou: np.ndarray,
+                    a_at: np.ndarray | None = None
                     ) -> tuple[np.ndarray, Iterator[tuple]]:
     """The conflict rule of the module docstring, over one sequence.
 
     Each side's rows are in frame order, frame k holding n_a[k] rows of
     side a and n_b[k] of side b after those of the frames before it; the
     frames cover every row of both sides. Edge i joins a row e_a[i] to b
-    row e_b[i] at IoU e_iou[i]. Returns the mask of the edges in
+    row e_b[i] at IoU e_iou[i]. `a_at` is the frame k of each a row,
+    ``np.repeat(np.arange(len(n_a)), n_a)``, built here unless the caller
+    has it. Returns the mask of the edges in
     conflict-free frames, and an iterator over the conflicted frames in
     frame order: (k, the frame's first a row, its first b row, its
     (n_a[k], n_b[k]) IoU matrix, filled from its edges and -1 elsewhere),
     each matrix built as it is reached."""
     a_lo, b_lo = np.cumsum(n_a) - n_a, np.cumsum(n_b) - n_b
-    a_at = np.repeat(np.arange(len(n_a)), n_a)  # frame of each a row
+    if a_at is None:
+        a_at = np.repeat(np.arange(len(n_a)), n_a)
     conflicted = np.zeros(len(n_a), dtype=bool)
     conflicted[a_at[np.flatnonzero(np.bincount(e_a) > 1)]] = True
     # b_lo finds the frame of a b row; only rows with two edges need one

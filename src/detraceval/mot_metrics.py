@@ -190,19 +190,20 @@ def _percent(part, whole) -> float:
 
 
 def _correspond(frames: np.ndarray, gt: GtColumns, g_order: np.ndarray,
-                n_g: np.ndarray, tracks: TrackColumns, h_order: np.ndarray,
-                n_h: np.ndarray, edges: EdgeTable,
+                n_g: np.ndarray, g_at: np.ndarray, tracks: TrackColumns,
+                h_order: np.ndarray, n_h: np.ndarray, edges: EdgeTable,
                 iou_thr: float) -> tuple[np.ndarray, np.ndarray]:
     """CLEAR's correspondence over a sequence from its edge table (see the
     module docstring). Rows are positions in the sorted orders `g_order`
     and `h_order`; scored frame k, numbered frames[k], holds the next
     n_g[k] GT rows and n_h[k] hypothesis rows after those of the frames
-    before it. Returns (match, match_iou): the hypothesis row
-    matched to each GT row (-1 if none) and their IoU. The table and the
-    arrays made from it live only while this runs."""
+    before it, and g_at[i] is the frame k of GT row i. Returns (match,
+    match_iou): the hypothesis row matched to each GT row (-1 if none) and
+    their IoU. The table and the arrays made from it live only while this
+    runs."""
     g_ids, h_ids = gt.target_id[g_order], tracks.track_id[h_order]
     e_g, e_h = positions(g_order, edges.gt), positions(h_order, edges.box)
-    free, conflicts = split_conflicts(n_g, n_h, e_g, e_h, edges.iou)
+    free, conflicts = split_conflicts(n_g, n_h, e_g, e_h, edges.iou, g_at)
     match = np.full(len(g_ids), -1)
     match_iou = np.zeros(len(g_ids))
     match[e_g[free]] = e_h[free]
@@ -246,12 +247,12 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
     frames = distinct(np.concatenate((g_frame, h_frame)))
     n_g, n_h = (np.diff(np.searchsorted(col, frames, "right"), prepend=0)
                 for col in (g_frame, h_frame))
-    match, match_iou = _correspond(
-        frames, gt, g_order, n_g, tracks, h_order, n_h,
-        edge_table(gt, tracks, iou_thr) if edges is None else edges, iou_thr)
-
     n_frames = len(frames)
     g_at = np.repeat(np.arange(n_frames), n_g)   # frame index of each row
+    match, match_iou = _correspond(
+        frames, gt, g_order, n_g, g_at, tracks, h_order, n_h,
+        edge_table(gt, tracks, iou_thr) if edges is None else edges, iou_thr)
+
     hit = match >= 0
     n_matches = np.bincount(g_at[hit], minlength=n_frames)
     taken = np.zeros(len(tracks), dtype=bool)

@@ -159,6 +159,15 @@ def map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
+def _bare(exc: Exception) -> Exception:
+    """`exc` without its traceback and the exceptions chained to it, whose
+    frames would keep a failed sequence's tables alive for as long as
+    `sweep` holds the failure. Its type and message, all that the error
+    line shows, stay."""
+    exc.__traceback__ = exc.__context__ = exc.__cause__ = None
+    return exc
+
+
 def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
                    tracker: TrackerAdapter, thresholds: Sequence[float],
                    iou_thr: float = DEFAULT_IOU_THR, keep_going: bool = False,
@@ -180,7 +189,7 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
               else lambda tau: (tracker(dets.take(dets.score >= tau),
                                         gt.sequence_id), None))
     except Exception as exc:
-        return counts, [exc] * len(thresholds)
+        return counts, [_bare(exc)] * len(thresholds)
     # Without keep_going, the thresholds seen to fail; each run writes only
     # its own slot, so threads need no lock.
     failed = [False] * len(thresholds)
@@ -193,7 +202,7 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
             check_frame_count(gt, tracks, "tracker output")
         except Exception as exc:
             failed[i] = not keep_going
-            return exc
+            return _bare(exc)
         table, inside = ((None, None) if rows is None else
                          (edges.take(rows), labels.inside[rows]))
         return evaluate_clear(gt, tracks, iou_thr, table, inside)[1]

@@ -455,6 +455,45 @@ def test_commands_write_the_same_bytes_under_an_ascii_locale(tmp_path):
     assert "d\u00e9tecteur brut,".encode() in leaderboard
 
 
+def test_names_keep_their_text_under_an_ascii_locale(tmp_path):
+    """Under an ASCII locale, non-ASCII --detector-name and --tracker-name
+    bytes reach the system report as the UTF-8 text they spell, and
+    `report` reads them back; a name whose bytes are not UTF-8 is one
+    error line, before any output is made."""
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    root = str(Path(detraceval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **_ASCII_LOCALE}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "detraceval.cli", *argv],
+                              capture_output=True, env=env)
+
+    system = ["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+              "--tracker", "builtin", "--thresholds", "3"]
+    proc = run(*system, "--detector-name", "d\u00e9tecteur".encode(),
+               "--tracker-name", "suivi \u65e5\u672c".encode(),
+               "--out", str(tmp_path / "results" / "run"))
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    doc = json.loads((tmp_path / "results" / "run" / "system_report.json")
+                     .read_bytes())
+    assert (doc["detector"], doc["tracker"]) == ("d\u00e9tecteur",
+                                                  "suivi \u65e5\u672c")
+    proc = run("report", "--results", str(tmp_path / "results"),
+               "--out", str(tmp_path / "report"))
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    leaderboard = (tmp_path / "report" / "leaderboard.csv").read_bytes()
+    assert "d\u00e9tecteur,suivi \u65e5\u672c,".encode() in leaderboard
+    for option in ("--detector-name", "--tracker-name"):
+        proc = run(*system, option, b"d\xe9tecteur",
+                   "--out", str(tmp_path / "refused"))
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith(
+            f"detraceval: error: {option} is not valid UTF-8 text: ")
+        assert proc.stderr.count(b"\n") == 1
+        assert not (tmp_path / "refused").exists()
+
+
 _SCIPY_GUARD = """
 import json, sys
 
@@ -867,6 +906,8 @@ def test_report_scan_fuzz_never_raises(scan_root, files):
     or ends in one `detraceval: error:` line; it never raises."""
     results, out = scan_root / "results", scan_root / "out"
     shutil.rmtree(results, ignore_errors=True)
+    # New files: truncating just-written ones can wait on their writeback.
+    shutil.rmtree(out, ignore_errors=True)
     for i, data in enumerate(files):
         (results / f"run{i}").mkdir(parents=True)
         (results / f"run{i}" / "system_report.json").write_bytes(data)
@@ -1049,6 +1090,8 @@ def test_pair_reader_fuzz_gives_columns_or_names_the_file(fuzz_root, case):
     kind, data = case
     name, text = _INPUTS[kind]
     path = fuzz_root / kind / name
+    # A new file: truncating a just-written file can wait on its writeback.
+    path.unlink()
     path.write_bytes(data)
     try:
         for other in _BOX_READERS if kind == "gt" else (kind,):
@@ -1064,6 +1107,7 @@ def test_pair_reader_fuzz_gives_columns_or_names_the_file(fuzz_root, case):
                 continue
             assert isinstance(gt, GtColumns) and isinstance(boxes, columns)
     finally:
+        path.unlink()
         path.write_text(text)
 
 

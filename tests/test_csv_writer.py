@@ -47,6 +47,8 @@ def _lists(rows: Rows) -> Rows:
 
 def _bytes(write, root: Path, header, rows) -> bytes:
     path = root / "table.csv"
+    # A new file: truncating a just-written file can wait on its writeback.
+    path.unlink(missing_ok=True)
     write(path, header, rows)
     return path.read_bytes()
 

@@ -269,6 +269,23 @@ def test_matched_out_of_subset_gt_neutralizes_detection():
     assert report["category:car"]["ap"] == 1.0
 
 
+def test_category_subsets_select_the_rows_of_their_name():
+    """GT categories are int8 codes into CATEGORIES, and a category subset
+    selects exactly the rows whose entry has that name."""
+    names = ("van", "car", "others", "bus", "car", "van")
+    gt = GroundTruth("s", 2, tuple(
+        GtTrack(t + 1, (GtEntry(1, BBox(30 * t, 0, 20, 20), category=name),
+                        GtEntry(2, BBox(30 * t, 5, 20, 20), category=name)))
+        for t, name in enumerate(names)))
+    cols = gt.columns
+    assert cols.category.dtype == np.int8
+    assert [CATEGORIES[c] for c in cols.category] == [n for n in names
+                                                       for _ in range(2)]
+    for name in CATEGORIES:
+        rows = det_metrics._subset_rows("category", name, cols)
+        assert rows.tolist() == [n == name for n in names for _ in range(2)]
+
+
 def test_per_scale_counts_recombine():
     # small + large targets: subset TP counts sum to the overall TP count
     gt = GroundTruth("s", 1, (

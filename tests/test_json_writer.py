@@ -58,6 +58,8 @@ def _reference(obj) -> str:
 
 def _written(obj, root: Path) -> str:
     path = root / "report.json"
+    # A new file: truncating a just-written file can wait on its writeback.
+    path.unlink(missing_ok=True)
     cli._write_json(path, obj)
     return path.read_text()
 

@@ -21,11 +21,14 @@ import itertools
 import json
 import math
 import struct
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, TextIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
@@ -318,6 +321,136 @@ def test_ids_beyond_int64_are_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The one-pass conversion against the per-token path
+# ---------------------------------------------------------------------------
+
+_INT64_EDGES = (2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 10 ** 30)
+_SPACES = ("", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "　")
+
+
+def _any_case(word: str):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
+
+
+# The token forms `int()` and `float()` accept or reject, numpy's loadtxt
+# reading some of them otherwise: ints beyond int64, underscores and
+# non-ASCII digits, which it refuses; a float in an int column, which
+# numpy 1.x reads with a warning; the separators \x1c-\x1f, which it
+# strips as spaces, and non-ASCII characters, which its int parser
+# misreads as digits; and short texts of any characters.
+_TOKENS = st.one_of(
+    st.integers(-10, 10).map(str), st.sampled_from(_INT64_EDGES).map(str),
+    st.floats(allow_nan=False).map(repr), st.floats(width=32).map(str),
+    st.tuples(st.sampled_from(("", "+", "-")), st.integers(0, 99),
+              st.sampled_from(("", ".", ".5")), st.sampled_from(("e", "E")),
+              st.sampled_from(("", "+", "-")), st.integers(0, 400)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}{t[4]}{t[5]}"),
+    st.tuples(st.sampled_from(("", "+", "-")),
+              st.sampled_from(("inf", "infinity", "nan")).flatmap(_any_case)).map("".join),
+    st.sampled_from(("1.0", "-0.0", "1_0", "1__0", "_1", "1_", "1_0.5", "1e1_0",
+                     "5e-324", "2.4e-324", "4.9e-324", "1e-310",
+                     "2.2250738585072014e-308", "1e400", "-1e400",
+                     "١", "٣.٥", "１２", "१",
+                     "", ".", "e5", "1e", "0x10", "1d5", "2j", "nan(1)",
+                     "1 2", "#1", "1#", "#", '"1"', '"', "1\x00", "+-1",
+                     "1\x1c", "\x1f-2", "1\u01fe", "\U00010112")),
+    st.text(st.characters(codec="ascii", exclude_characters=",\n\r"), max_size=3),
+    st.text(st.characters(exclude_characters=",\n\r", exclude_categories=("Cs",)),
+            max_size=2))
+_FIELD = st.tuples(st.sampled_from(_SPACES), _TOKENS,
+                   st.sampled_from(_SPACES)).map("".join)
+
+
+@st.composite
+def _token_lines(draw, n_fields: int) -> list[str]:
+    """Lines of plain fields with drawn tokens among them; a line may have
+    a field more or less."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        fields = [draw(st.integers(1, 3).map(str)) for _ in range(n_fields)]
+        for i in draw(st.sets(st.integers(0, n_fields - 1), max_size=3)):
+            fields[i] = draw(_FIELD)
+        extra = draw(st.sampled_from((0,) * 8 + (-1, 1)))
+        lines.append(",".join(fields[:n_fields + extra] + ["1"] * extra))
+    return lines
+
+
+def _per_token(read, lines):
+    """`read(lines)` with numpy's one-pass conversion refusing every file,
+    so each token goes through int() or float()."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        return _columns_or_error(read, lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(((read_tracks, 6), (read_detections, 10))).flatmap(
+    lambda case: st.tuples(st.just(case[0]), _token_lines(case[1]))))
+@example((read_tracks, []))
+@example((read_tracks, ["1_0,1,0,0,5,5"]))
+@example((read_tracks, ["1.0,1,0,0,5,5"]))
+@example((read_tracks, [f"1,{2 ** 63},0,0,5,5"]))
+@example((read_detections, ["1,-1,0,0,5,٥,0.5,-1,-1,-1"]))
+@example((read_detections, ["1,-1,0,0,5,5,#1,-1,-1,-1"]))
+@example((read_tracks, ["1,1\u01fe,0,0,5,5"]))
+@example((read_detections, ["0\x1c,-1,0,0,5,5,0.5,-1,-1,-1"]))
+def test_one_pass_conversion_equals_the_per_token_path(case):
+    """For every token form, the readers give the columns, bit for bit, or
+    the error text that converting each token with int() or float() gives."""
+    read, lines = case
+    assert _columns_or_error(read, lines) == _per_token(read, lines)
+
+
+def test_plain_csv_is_converted_in_one_numpy_pass(monkeypatch):
+    """A file of plain tokens takes numpy's one pass, whose result the
+    reader keeps; a warning from it sends the file to the per-token path,
+    as numpy 1.x warns where it reads a float into an int column."""
+    calls = []
+
+    def spy(*args, _loadtxt=np.loadtxt, **kwargs):
+        calls.append(kwargs["usecols"])
+        return _loadtxt(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    want = [_per_token(read, lines) for read, lines in (
+        (read_tracks, TRACK_LINES), (read_detections, DETECTION_LINES))]
+    assert [_columns_or_error(read_tracks, TRACK_LINES),
+            _columns_or_error(read_detections, DETECTION_LINES)] == want
+    assert calls == [[0, 1, 2, 3, 4, 5], [0, 2, 3, 4, 5, 6]]
+
+    def truncating(*args, _loadtxt=np.loadtxt, **kwargs):
+        warnings.warn("parsing an integer via a float", DeprecationWarning)
+        return _loadtxt([line.replace("1.5,", "1,", 1) for line in args[0]],
+                        **kwargs)
+    monkeypatch.setattr(np, "loadtxt", truncating)
+    lines = ["1.5,1,0,0,5,5"]
+    assert _columns_or_error(read_tracks, lines) == (
+        "error", "line 1: malformed frame: '1.5'")
+
+
+def test_readers_on_threads_leave_the_warning_filters_as_they_were():
+    """The one pass turns warnings into errors for the whole process while
+    it runs. Readers on more threads than cores, switching often, with
+    every third file empty (numpy warns on it), give their own columns and
+    leave the filters of the process as they found them."""
+    filters = list(warnings.filters)
+    files = [[], TRACK_LINES, ["1,1,0,0,5,5"]] * 40
+    want = [_columns_or_error(read_tracks, lines) for lines in files]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda lines: _columns_or_error(read_tracks, lines),
+                                files, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert warnings.filters == filters
+
+
+# ---------------------------------------------------------------------------
 # Ground truth inputs
 # ---------------------------------------------------------------------------
 
@@ -472,7 +605,7 @@ def _gt_columns_match(cols, gt: GroundTruth) -> None:
     rows = [(tr.target_id, e) for tr in gt.tracks for e in tr.entries]
     assert cols.target_id.tolist() == [tid for tid, _ in rows]
     assert cols.frame.tolist() == [e.frame for _, e in rows]
-    assert list(cols.category) == [e.category for _, e in rows]
+    assert [CATEGORIES[c] for c in cols.category] == [e.category for _, e in rows]
     for name, get in (("occlusion", lambda e: e.occlusion_ratio),
                       ("truncation", lambda e: e.truncation_ratio)):
         assert _bits(getattr(cols, name)) == _bits(
@@ -694,6 +827,28 @@ def test_ignore_region_spans_follow_the_integer_rule(value, error):
     assert kind == "ok" and cols.ignore.first_frame == (None, 3)
     assert type(cols.ignore.first_frame[1]) is int
     assert type(region.first_frame) is int and region.first_frame == 3
+
+
+@pytest.mark.parametrize("value", ["truck", "Car", "car ", "", 3, 1.5, None,
+                                   True, [1], ["car"], {"car": 1}])
+def test_a_category_outside_the_list_is_named(value):
+    """A category that is none of CATEGORIES, of any JSON type, is named in
+    the old parser's message."""
+    text = _gt_text((("tracks", 1, "entries", 1), "category", value))
+    assert _same_gt(text)[1] == (
+        "error", f"unknown category {value!r}, expected one of {CATEGORIES}")
+
+
+@pytest.mark.parametrize("category,error", [
+    (..., "track 2: left must be a number, got 'x'"),
+    ("car", "track 2: left must be a number, got 'x'"),
+    ([1], f"unknown category [1], expected one of {CATEGORIES}")])
+def test_categories_of_a_walked_document(category, error):
+    """Where a later value does not convert, the walk reads a missing
+    category as "car", and an unknown one is the error that comes first."""
+    text = _gt_text((ENTRY, "category", category),
+                    (("tracks", 1, "entries", 2), "left", "x"))
+    assert _same_gt(text)[1] == ("error", error)
 
 
 @given(gt_texts())

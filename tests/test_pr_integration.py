@@ -517,10 +517,9 @@ def test_a_decided_error_builds_no_later_sequences_table(monkeypatch,
     assert built == []
 
 
-def test_a_sequences_tables_die_before_the_next_is_built(monkeypatch):
-    """The sweep is sequence-major: when a sequence's edge table is built,
-    the edge table, labels and link table of the sequence before are
-    gone."""
+def _tables_alive(monkeypatch) -> list:
+    """A list that gains, each time the sweep builds an edge table, whether
+    each edge table, labels and link table built before it is alive."""
     refs, alive = [], []
 
     def tracked(module, name):
@@ -535,11 +534,50 @@ def test_a_sequences_tables_die_before_the_next_is_built(monkeypatch):
     tracked(pr_integration, "edge_table")
     tracked(pr_integration, "_label_detections")
     tracked(trackers, "link_table")
+    return alive
+
+
+def test_a_sequences_tables_die_before_the_next_is_built(monkeypatch):
+    """The sweep is sequence-major: when a sequence's edge table is built,
+    the edge table, labels and link table of the sequence before are
+    gone."""
+    alive = _tables_alive(monkeypatch)
     pairs = _two_sequences()
     scores = np.concatenate([dets.score for _, dets in pairs])
     sweep(pairs, trackers.BuiltinGreedyTracker(max_gap=2),
           select_thresholds(scores, 4))
     assert alive == [[], [False] * 3]
+
+
+def test_a_held_failure_keeps_no_table_alive(monkeypatch):
+    """A failure that a keep_going sweep holds keeps none of its sequence's
+    tables alive: when b's edge table is built, a's edge table, labels and
+    link table are gone, though a failed at one threshold, and the error
+    line still gives the failure's message."""
+    pairs = _two_sequences()
+    thresholds = select_thresholds(
+        np.concatenate([dets.score for _, dets in pairs]), 4)
+    builtin = trackers.BuiltinGreedyTracker(max_gap=2)
+
+    class Failing:
+        def by_threshold(self, dets, sequence_id):
+            at = builtin.by_threshold(dets, sequence_id)
+
+            def step(tau):
+                if (sequence_id, tau) == ("a", thresholds[1]):
+                    raise RuntimeError(f"fails at {tau:g}")
+                return at(tau)
+            return step
+
+    alive = _tables_alive(monkeypatch)
+    points = sweep(pairs, Failing(), thresholds, keep_going=True)
+    assert alive == [[], [False] * 3]
+    assert sorted(p.threshold for p in points) == [
+        tau for i, tau in enumerate(thresholds) if i != 1]
+    with pytest.raises(SweepError, match=(
+            f"^tracker failed at threshold {thresholds[1]:g} on sequence "
+            f"'a': fails at {thresholds[1]:g}$")):
+        sweep(pairs, Failing(), thresholds)
 
 
 def test_sweep_bundles_aggregate_the_stats_clear_gave():

@@ -1,0 +1,172 @@
+"""Reader timings in-process, and paired benchmark runs of two checkouts.
+
+    python3 tools/reader_bench.py readers --src SRC --inputs DIR [--repeat 9]
+    python3 tools/reader_bench.py paper-slice --src SRC --inputs DIR [--sequences 20]
+    python3 tools/reader_bench.py pairs --parent DIR --change DIR --workload W
+                                        --seed N --seconds S --pairs K
+
+Run from the repository root. Each subcommand prints one JSON object.
+
+`readers` imports the package from SRC and times `read_ground_truth` and
+`read_tracks` / `read_detections` over every input file of the three
+`bench/` workloads at seed 1: the best of --repeat passes, each file opened
+anew. The inputs are generated into DIR/<workload> by `bench/workloads.py`
+when that directory is missing, so two checkouts time the same files.
+
+`paper-slice` reads, in this process, the first --sequences sequences of
+the paper-scale recipe (`gen_scenario(ScenarioConfig(n_targets=9,
+n_frames=1400, drop_rate=0.2, clutter_rate=4.0, jitter_sigma=1.0,
+seed=100 + i))`, generated into DIR/paper when missing) and keeps every
+sequence's columns, as `eval-system` does: the read time, and the
+process's peak RSS (`ru_maxrss`) after reading.
+
+`pairs` runs `bench/run.py --workload W --seed N --seconds S --trace 0` K
+times in each checkout, alternating which one runs first (odd pairs start
+with the parent), and prints every run's metrics with, per metric, each
+side's median, the parent's interquartile range and how many pairs the
+change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _inputs(root: Path, name: str) -> Path:
+    """DIR/<name> holding the workload's seed-1 inputs, generated once."""
+    path = root / name
+    if not path.exists():
+        sys.path.insert(0, str(ROOT / "bench"))
+        import workloads
+        workloads.WORKLOADS[name]().generate(path, 1)
+    return path
+
+
+def _paper_inputs(root: Path, n: int) -> Path:
+    path = root / "paper"
+    if not path.exists():
+        from detraceval.datamodel import write_detections, write_ground_truth
+        from detraceval.synth import ScenarioConfig, gen_scenario
+        for kind in ("gt", "det"):
+            (path / kind).mkdir(parents=True)
+        for i in range(n):
+            gt, dets = gen_scenario(ScenarioConfig(
+                n_targets=9, n_frames=1400, drop_rate=0.2, clutter_rate=4.0,
+                jitter_sigma=1.0, seed=100 + i))
+            with open(path / "gt" / f"seq{i:03d}.json", "w", encoding="utf-8") as fh:
+                write_ground_truth(gt, fh)
+            with open(path / "det" / f"seq{i:03d}.csv", "w", encoding="utf-8") as fh:
+                write_detections(dets, fh)
+    return path
+
+
+def _read_all(files: list[Path], reader) -> float:
+    start = time.perf_counter()
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            reader(fh)
+    return time.perf_counter() - start
+
+
+def cmd_readers(args) -> dict:
+    from detraceval.datamodel import (read_detections, read_ground_truth,
+                                      read_tracks)
+    out = {}
+    for name in ("mot-long", "system-sweep", "det-subsets"):
+        root = _inputs(Path(args.inputs), name)
+        boxes = (("read_tracks", read_tracks, "tracks")
+                 if (root / "tracks").exists() else
+                 ("read_detections", read_detections, "det"))
+        out[name] = {
+            label: round(min(_read_all(sorted((root / sub).iterdir()), reader)
+                             for _ in range(args.repeat)), 6)
+            for label, reader, sub in (("read_ground_truth", read_ground_truth,
+                                        "gt"), boxes)}
+    return {"src": args.src, "repeat": args.repeat, "best_s": out}
+
+
+def cmd_paper_slice(args) -> dict:
+    from detraceval.datamodel import read_detections, read_ground_truth
+    root = _paper_inputs(Path(args.inputs), args.sequences)
+    gt_files = sorted((root / "gt").glob("*.json"))[:args.sequences]
+    kept, start = [], time.perf_counter()
+    for gt_path in gt_files:
+        with open(gt_path, encoding="utf-8") as fh:
+            gt = read_ground_truth(fh)
+        with open(root / "det" / (gt_path.stem + ".csv"), encoding="utf-8") as fh:
+            kept.append((gt, read_detections(fh)))
+    read_s = time.perf_counter() - start
+    return {"src": args.src, "sequences": len(kept),
+            "gt_boxes": sum(len(gt) for gt, _ in kept),
+            "detections": sum(len(d) for _, d in kept),
+            "read_s": round(read_s, 4),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def _run(checkout: Path, args) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cmd_pairs(args) -> dict:
+    sides = {"parent": Path(args.parent), "change": Path(args.change)}
+    runs = {"parent": [], "change": []}
+    for k in range(args.pairs):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            runs[side].append(_run(sides[side], args))
+    summary = {}
+    for metric in runs["parent"][0]["metrics"]:
+        values = {side: [r["metrics"][metric]["value"] for r in runs[side]]
+                  for side in runs}
+        q1, _, q3 = statistics.quantiles(values["parent"], n=4)
+        lower = metric != "boxes_per_s"
+        summary[metric] = {
+            "parent_median": statistics.median(values["parent"]),
+            "change_median": statistics.median(values["change"]),
+            "parent_iqr": q3 - q1,
+            "change_wins": sum((c < p) if lower else (c > p)
+                               for p, c in zip(values["parent"], values["change"])),
+            **values}
+    return {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            "pairs": args.pairs, "summary": summary,
+            "failed": {side: [r["failed"] for r in runs[side]] for side in runs}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, flag, default in (("readers", "--repeat", 9),
+                                ("paper-slice", "--sequences", 20)):
+        p = sub.add_parser(name)
+        p.add_argument("--src", required=True)
+        p.add_argument("--inputs", required=True)
+        p.add_argument(flag, type=int, default=default)
+    p = sub.add_parser("pairs")
+    for flag in ("--parent", "--change", "--workload"):
+        p.add_argument(flag, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.command != "pairs":
+        sys.path.insert(0, str(Path(args.src).resolve()))
+    command = {"readers": cmd_readers, "paper-slice": cmd_paper_slice,
+               "pairs": cmd_pairs}[args.command]
+    print(json.dumps(command(args)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
