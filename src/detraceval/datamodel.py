@@ -50,6 +50,18 @@ text, and on any token it refuses or warns about, the file is converted
 again with ``int()`` / ``float()`` (`_csv_columns`), so numpy's grammar
 and version change no number and no error.
 
+A GT JSON text is decoded a piece at a time (`_gt_streamed`): the
+members of the top-level object one at a time, and the ``tracks`` array
+one track at a time, by the standard library's own scanner. The tracks
+are converted by `_gt_columns` in batches of at least `_GT_BATCH_ENTRIES`
+entries, the batches' columns are joined, and the rules run once on the
+joined columns, so only one batch's entry objects exist at a time. A
+text too short to hold a batch of valid entries, and anything that path
+does not expect (a BOM, a repeated member, ``tracks`` missing, empty or
+not an array, text after the object, a value that does not decode or
+convert), is decoded whole by ``json.loads`` (`_gt_from_document`), as
+before, so both paths give the same columns and the same errors.
+
 Input rules. Each reader states the rules of its format once, in one
 table (`_DETECTION_RULES`, `_TRACK_RULES`, `_GT_RULES`): finite boxes with
 positive width and height, frames and track ids >= 1, one box per (track,
@@ -82,10 +94,10 @@ columns directly, and `gen_scenario` checks its detections against
 does. The GT dataclasses are construction types only: `synth`, `fixtures`
 and the tests build ground truth with them and pass `GroundTruth.columns`;
 nothing turns columns back into objects. `GroundTruth.columns` is the GT
-reader's conversion (`_gt_from_document`) of the document that
-`write_ground_truth` writes (`_gt_document`), so it equals
-`read_ground_truth` of the written file by construction, and that
-conversion is the one code that builds `GtColumns`. Every CLI subcommand, the
+reader's whole-document conversion (`_gt_from_document`) of the document
+that `write_ground_truth` writes (`_gt_document`), so it equals
+`read_ground_truth` of the written file, and `_gt_checked`, behind both
+of the reader's paths, is the one code that builds `GtColumns`. Every CLI subcommand, the
 threshold sweep and the trackers work on columns and build no per-box
 object: a threshold is the mask ``score >= threshold`` applied with
 `DetectionColumns.take`, a tracker takes `DetectionColumns` and returns
@@ -108,7 +120,7 @@ from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -481,7 +493,8 @@ class Rows:
     or a 1-D int64 or float64 array, every column of one length.
     ``len(rows)`` is the row count and ``rows[name]`` a column. A
     detection report's PR points are `Rows` of arrays, and CLEAR's
-    per-frame counts `Rows` of lists; the CLI writes them to JSON and CSV
+    per-frame counts int64 arrays beside a list of IoU sums that mixes the
+    int 0 with floats; the CLI writes them to JSON and CSV
     column by column, turning an array's values into Python scalars one
     chunk of rows at a time, and no per-row object is built on the way.
     An array of any other dtype is a TypeError, as `json.dump` refuses
@@ -762,8 +775,7 @@ def write_tracks(tracks: TrackColumns, stream: TextIO) -> None:
 # Ground truth JSON
 # ---------------------------------------------------------------------------
 
-def _load_json(stream: TextIO | str):
-    text = stream if isinstance(stream, str) else stream.read()
+def _load_json(text: str):
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to read
@@ -949,16 +961,23 @@ def _gt_walk(doc: dict) -> tuple:
     return levels, (place, error)
 
 
-def _gt_from_document(doc: dict) -> GtColumns:
-    """A parsed GT document as checked columns: the GT reader after its
-    JSON step, and the one place that builds `GtColumns`."""
-    try:
-        regions = doc.get("ignore_regions", [])
-        region, entry, track = _gt_columns(regions, doc["tracks"])
-        spans = [_span(r.get("first_frame"), r.get("last_frame")) for r in regions]
-        document = _document(doc)
-    except (_BadColumns, KeyError, TypeError, ValueError, OverflowError):
-        _check_rules(_GT_RULES, *_gt_walk(doc))  # raises: the walk stops at a failure
+# What a GT document's values can raise while they are converted; the
+# conversion then starts again on the whole document (`_gt_walk`, or the
+# reader's whole-document path).
+_UNCONVERTED = (_BadColumns, KeyError, TypeError, ValueError, OverflowError)
+
+
+def _gt_fields(doc: dict) -> tuple[list, dict]:
+    """The ignore regions' spans and the sequence fields of a GT document
+    whose regions converted, each converted and checked."""
+    return ([_span(r.get("first_frame"), r.get("last_frame"))
+             for r in doc.get("ignore_regions", [])], _document(doc))
+
+
+def _gt_checked(region: dict, entry: dict, track: dict, spans: list,
+                document: dict) -> GtColumns:
+    """Converted GT columns once they pass `_GT_RULES`: the one place that
+    builds `GtColumns`."""
     _check_rules(_GT_RULES, _gt_levels(region, entry, track, document))
     del entry["category_value"]  # every code is a category's now
     first, last = zip(*spans) if spans else ((), ())
@@ -967,8 +986,121 @@ def _gt_from_document(doc: dict) -> GtColumns:
                                                       last_frame=last))
 
 
+def _gt_from_document(doc: dict) -> GtColumns:
+    """A parsed GT document as checked columns: the GT reader's
+    whole-document path after its JSON step."""
+    try:
+        columns = _gt_columns(doc.get("ignore_regions", []), doc["tracks"])
+        fields = _gt_fields(doc)
+    except _UNCONVERTED:
+        _check_rules(_GT_RULES, *_gt_walk(doc))  # raises: the walk stops at a failure
+    return _gt_checked(*columns, *fields)
+
+
+# Entries that `_gt_streamed` gathers, whole tracks at a time, before it
+# converts them: its batches hold at least this many (the last one may
+# hold fewer), so only one batch's entry objects exist at a time.
+_GT_BATCH_ENTRIES = 1 << 13
+# The text of the shortest valid entry and its comma. A GT text shorter
+# than `_GT_BATCH_ENTRIES` of them holds less than one batch of valid
+# entries, so the reader decodes it whole.
+_SHORTEST_ENTRY = len('{"frame":1,"left":1,"top":1,"width":1,"height":1},')
+
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+class _Unstreamed(Exception):
+    """The GT text is not a document that `_gt_streamed` reads."""
+
+
+def _after(text: str, at: int, chars: str) -> tuple[str, int]:
+    """The first character at or after `at` that is not JSON whitespace,
+    which must be one of `chars`, and the position after it."""
+    at = _WHITESPACE(text, at).end()
+    char = text[at:at + 1]
+    if not char or char not in chars:
+        raise _Unstreamed
+    return char, at + 1
+
+
+def _gt_tracks(text: str, at: int, scan) -> tuple[list, int]:
+    """The columns (`_gt_columns`) of the tracks array that starts at `at`,
+    one set per batch of tracks, and the position after the array. Each
+    track is decoded on its own; on an empty array the scanner raises
+    StopIteration, and the whole-document path reads it."""
+    batches, batch, entries = [], [], 0
+    _, at = _after(text, at, "[")
+    close = ","
+    while close == ",":
+        track, at = scan(text, _WHITESPACE(text, at).end())
+        batch.append(track)
+        entries += len(track["entries"])
+        del track  # so that the batch's last track dies with the batch
+        if entries >= _GT_BATCH_ENTRIES:
+            batches.append(_gt_columns([], batch))
+            batch, entries = [], 0
+        close, at = _after(text, at, ",]")
+    if batch:
+        batches.append(_gt_columns([], batch))
+    return batches, at
+
+
+def _joined(batches: list) -> tuple[dict, dict, dict]:
+    """The region, entry and track columns of `_gt_columns` batches, each
+    column the batches' values in order."""
+    return tuple({name: tuple(chain.from_iterable(c[name] for c in level))
+                  if isinstance(column, tuple) else
+                  np.concatenate([c[name] for c in level])
+                  for name, column in level[0].items()}
+                 for level in zip(*batches))
+
+
+def _gt_streamed(text: str) -> tuple[dict, tuple]:
+    """The members of the GT object in `text` other than ``tracks``, and
+    the columns of its regions and tracks. The object is decoded one member
+    at a time and ``tracks`` one track at a time, so no more than a batch
+    of entry objects exists at once; the regions are converted after the
+    object. Raises `_Unstreamed` on what it does not read (not an object,
+    a BOM, a repeated member, ``tracks`` missing, empty or not an array,
+    text after the object), and a JSON or conversion error as it meets
+    one."""
+    # A decoder of its own: the C scanner keeps a memo of keys while it
+    # decodes, and readers may run on several threads.
+    scan = json.JSONDecoder().scan_once
+    members, batches = {}, None
+    _, at = _after(text, 0, "{")
+    close = ","
+    while close == ",":
+        _, at = _after(text, at, '"')
+        key, at = json.decoder.scanstring(text, at)
+        _, at = _after(text, at, ":")
+        if key in members:
+            raise _Unstreamed
+        if key == "tracks":
+            members[key] = None
+            batches, at = _gt_tracks(text, at, scan)
+        else:
+            members[key], at = scan(text, _WHITESPACE(text, at).end())
+        close, at = _after(text, at, ",}")
+    if batches is None or _WHITESPACE(text, at).end() != len(text):
+        raise _Unstreamed
+    return members, _joined([*batches, _gt_columns(
+        members.get("ignore_regions", []), [])])
+
+
 def read_ground_truth(stream: TextIO | str) -> GtColumns:
-    return _gt_from_document(_load_json(stream))
+    text = stream if isinstance(stream, str) else stream.read()
+    if len(text) >= _GT_BATCH_ENTRIES * _SHORTEST_ENTRY:
+        try:
+            doc, columns = _gt_streamed(text)
+            fields = _gt_fields(doc)
+        except (_Unstreamed, StopIteration, RecursionError, *_UNCONVERTED):
+            pass
+        else:
+            return _gt_checked(*columns, *fields)
+    # A short text, and whatever the streamed path does not read, is read
+    # whole, as json.loads reads it: the same columns or the same error.
+    return _gt_from_document(_load_json(text))
 
 
 def _gt_document(gt: GroundTruth) -> dict:

@@ -117,7 +117,8 @@ class SequenceStats:
 
     `frame_counts` holds one row per scored frame (a frame with a GT or a
     hypothesis box), in frame order, with the columns frame, gt, matches,
-    fn, fp, ids and iou_sum; iou_sum is the int 0 at a frame without a
+    fn, fp, ids and iou_sum. `evaluate_clear` gives the six counts as
+    int64 arrays and iou_sum as a list: the int 0 at a frame without a
     match, the float sum of the matched IoUs otherwise.
     """
 
@@ -153,7 +154,9 @@ class Totals:
     into (`add`), in sequence order. MOTP's IoU total goes on as one left
     fold across sequences, frame by frame (`ordered_sum` from the total so
     far), so it is the float a fold over every frame of every sequence
-    gives, on every interpreter, and the int 0 while no frame matched."""
+    gives, on every interpreter, and the int 0 while no frame matched.
+    Every count is a Python int, whether a stats column is an int64 array
+    or a list."""
 
     gt: int = 0
     matches: int = 0
@@ -168,7 +171,7 @@ class Totals:
 
     def add(self, stats: SequenceStats) -> Totals:
         counts = stats.frame_counts
-        return Totals(*(getattr(self, k) + sum(counts[k])
+        return Totals(*(getattr(self, k) + int(np.sum(counts[k]))
                         for k in ("gt", "matches", "fn", "fp", "ids")),
                       ordered_sum(counts["iou_sum"], self.iou_sum),
                       self.fm + stats.fm, self.mt + stats.mt,
@@ -300,15 +303,13 @@ def evaluate_clear(gt: GtColumns, tracks: TrackColumns,
         at = np.flatnonzero(n_matches > rank)
         iou_sums[at] += match_iou[ranked[first[at] + rank]]
 
-    n_matches_list = n_matches.tolist()
     stats = SequenceStats(
         sequence_id=gt.sequence_id,
         frame_counts=Rows({
-            "frame": frames.tolist(), "gt": n_g.tolist(),
-            "matches": n_matches_list, "fn": (n_g - n_matches).tolist(),
-            "fp": n_fp.tolist(), "ids": n_ids.tolist(),
+            "frame": frames, "gt": n_g, "matches": n_matches,
+            "fn": n_g - n_matches, "fp": n_fp, "ids": n_ids,
             "iou_sum": [v if m else 0 for v, m in zip(iou_sums.tolist(),
-                                                       n_matches_list)]}),
+                                                       n_matches.tolist())]}),
         fm=int(fm), mt=int(np.count_nonzero(coverage > MT_COVERAGE)),
         ml=int(np.count_nonzero(coverage < ML_COVERAGE)), n_tracks=n_tracks,
     )

@@ -1,16 +1,18 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from box_columns import det_columns, track_columns
 from detraceval import datamodel
-from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
-                                  IgnoreRegion, Rows, ValidationError,
-                                  read_detections, read_ground_truth,
-                                  read_tracks, write_detections,
-                                  write_ground_truth, write_tracks)
+from detraceval.datamodel import (CATEGORIES, BBox, GroundTruth, GtEntry,
+                                  GtTrack, IgnoreRegion, Rows,
+                                  ValidationError, read_detections,
+                                  read_ground_truth, read_tracks,
+                                  write_detections, write_ground_truth,
+                                  write_tracks)
 from detraceval.synth import ScenarioConfig, gen_scenario
 
 
@@ -214,6 +216,28 @@ def test_columns_are_what_the_reader_reads_from_the_written_file():
     assert_same_columns(gt.columns, roundtrip_gt(gt))
     assert gt.columns.sequence_id == "7"
     assert gt.columns.target_id.tolist() == [9, 9, 2]
+
+
+def test_a_long_gt_is_read_without_all_its_entry_objects_at_once():
+    """A 40-track x 1000-entry GT, as `write_ground_truth` writes it, is
+    read a batch of tracks at a time: the read allocates less than 12 MB
+    at its peak (about 23 MB when the whole document is decoded at once)
+    and gives the GT's columns."""
+    gt = GroundTruth("long", 1000, tuple(
+        GtTrack(t, tuple(GtEntry(f, BBox(t + f / 8, 2.5, 10.25, 20.5), 0.25,
+                                 0.5, CATEGORIES[t % 4]) for f in range(1, 1001)))
+        for t in range(1, 41)), ignore_regions=(IgnoreRegion(BBox(0, 0, 9, 9)),))
+    buf = io.StringIO()
+    write_ground_truth(gt, buf)
+    text = buf.getvalue()
+    tracemalloc.start()
+    try:
+        got = read_ground_truth(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+    assert_same_columns(got, gt.columns)
 
 
 def test_rows_length_is_the_row_count_of_equal_columns():

@@ -223,22 +223,24 @@ def test_motp_equals_mean_matched_iou():
 
 
 def test_frame_counts_are_one_row_per_scored_frame():
-    """One row per frame with a GT or a hypothesis box, in frame order, of
-    Python scalars; iou_sum is the int 0 where nothing matched."""
+    """One row per frame with a GT or a hypothesis box, in frame order: the
+    counts as int64 arrays, iou_sum as Python scalars, the int 0 where
+    nothing matched; the bundle's counts are Python ints."""
     gt = _linear_gt(n_tracks=1, n_frames=6)
     tracks = track_columns((7, (
         (e.frame, e.box) for e in gt.tracks[0].entries[:3])))
     bundle, stats = evaluate_clear(gt.columns, tracks)
     counts = stats.frame_counts
     assert sorted(counts.columns) == sorted(FRAME_COLUMNS)
-    assert len(counts) == 6 and counts["frame"] == [1, 2, 3, 4, 5, 6]
-    assert counts["matches"] == [1, 1, 1, 0, 0, 0]
-    assert counts["fn"] == [0, 0, 0, 1, 1, 1]
+    assert len(counts) == 6 and counts["frame"].tolist() == [1, 2, 3, 4, 5, 6]
+    assert counts["matches"].tolist() == [1, 1, 1, 0, 0, 0]
+    assert counts["fn"].tolist() == [0, 0, 0, 1, 1, 1]
     assert counts["iou_sum"] == [1.0, 1.0, 1.0, 0, 0, 0]
     assert [type(v) for v in counts["iou_sum"]] == [float] * 3 + [int] * 3
-    assert all(type(v) is int for name in FRAME_COLUMNS[:-1]
-               for v in counts[name])
+    assert all(counts[name].dtype == np.int64 for name in FRAME_COLUMNS[:-1])
     assert aggregate([stats]) == bundle
+    assert all(type(v) is int for k, v in bundle.as_dict().items()
+               if k in ("mt", "ml", "ids", "fm", "fp", "fn"))
 
 
 def test_unmatched_hyp_over_ignore_region_not_fp():

@@ -31,11 +31,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detraceval import datamodel
 from detraceval.datamodel import (CATEGORIES, DIFFICULTIES, WEATHERS, BBox,
                                   GroundTruth, GtEntry, GtTrack, IgnoreRegion,
                                   ValidationError, _check, read_detections,
                                   read_ground_truth, read_tracks)
 from reference_containers import Detection, DetectionSet, OutTrack, TrackSet
+
+
+@pytest.fixture(autouse=True)
+def _small_gt_batches(monkeypatch):
+    """The GT reader converts 2 entries a batch in every test here, so the
+    GT fixtures and fuzz also join the columns of many batches."""
+    monkeypatch.setattr(datamodel, "_GT_BATCH_ENTRIES", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -922,3 +930,120 @@ def test_gt_entry_accept_set_and_messages_unchanged():
         assert (_result(GtEntry, frame, box, occ, trunc, cat)
                 == _result(_old_entry_check, frame, occ, trunc, cat)), \
             (frame, occ, trunc, cat)
+
+
+# ---------------------------------------------------------------------------
+# The GT document read one track at a time
+# ---------------------------------------------------------------------------
+
+def _whole_document(text: str):
+    """The GT reader's whole-document path: json.loads, then conversion."""
+    return datamodel._gt_from_document(datamodel._load_json(text))
+
+
+_ws = st.text(" \t\r\n", max_size=2)
+DEEP = 100_000  # far beyond any recursion limit
+
+
+@st.composite
+def gt_member_texts(draw):
+    """A fuzz document written member by member: any order, unknown and
+    repeated members (two ``tracks`` arrays among them), JSON whitespace
+    of every kind, a BOM, text after the object, a broken separator or
+    bracket, and a track nested beyond the recursion limit."""
+    members = draw(st.permutations(list(json.loads(draw(gt_texts())).items())))
+    for _ in range(draw(st.integers(0, 2))):
+        members.insert(draw(st.integers(0, len(members))), (
+            draw(st.sampled_from(("note", "Tracks", "notes", "", "tracks",
+                                  "ignore_regions", "weather"))),
+            draw(st.sampled_from((1, None, [], {"a": [1]}, "x", math.nan,
+                                  [{"target_id": 9, "entries": []}])))))
+    if draw(st.sampled_from((False,) * 19 + (True,))):
+        members.insert(0, ("tracks", [{"target_id": 1, "deep": "@deep@",
+                                       "entries": []}]))
+    indent = draw(st.one_of(st.none(), st.integers(0, 2), _ws))
+    separators = (draw(_ws) + "," + draw(_ws), draw(_ws) + ":" + draw(_ws))
+    body = separators[0].join(
+        json.dumps(key) + separators[1]
+        + json.dumps(value, indent=indent, separators=separators)
+        for key, value in members)
+    text = (draw(st.sampled_from(("",) * 19 + ("\ufeff",))) + draw(_ws) + "{"
+            + draw(_ws) + body + draw(_ws) + "}" + draw(_ws)
+            + draw(st.sampled_from(("",) * 16 + ("x", "{}", ",", "]"))))
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        # a separator or bracket of the object or of an array in it; no
+        # string here holds one of them
+        depth, marks = 0, []
+        for at, char in enumerate(text):
+            depth -= char in "]}"
+            if char in ",:[]{}" and depth <= 2:
+                marks.append(at)
+            depth += char in "[{"
+        at = draw(st.sampled_from(marks))
+        text = text[:at] + draw(st.sampled_from(";= ")) + text[at + 1:]
+    return text.replace('"@deep@"', "[" * DEEP + "]" * DEEP)
+
+
+@given(gt_member_texts(), st.sampled_from((1, 2, 3)))
+@settings(max_examples=500, deadline=None)
+@example("{}", 1)
+@example('{"tracks": []}', 1)
+@example('\ufeff{"sequence_id": "s", "frame_count": 1, "tracks": []}', 1)
+@example('{"sequence_id": "s", "frame_count": 1, "tracks": [] } {}', 1)
+@example('{"sequence_id": "s", "frame_count": 1, "tracks": [{"target_id": 1, '
+         '"entries": [], "x": ' + "[" * DEEP + "]" * DEEP + "}]}", 1)
+def test_streamed_gt_read_equals_the_whole_document_read(text, batch):
+    """Read a member and a track at a time, in batches of `batch` entries,
+    a GT text gives the columns, or the error text, of the whole-document
+    read (json.loads, then `_gt_from_document`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datamodel, "_GT_BATCH_ENTRIES", batch)
+        got = _columns_or_error(read_ground_truth, text)
+    assert got == _columns_or_error(_whole_document, text)
+
+
+def _long_gt_text(**members) -> str:
+    doc = _base_doc()
+    doc["tracks"] = [{"target_id": tid, "entries": [
+        dict(doc["tracks"][0]["entries"][0], frame=f, left=f + tid / 8)
+        for f in range(1, 2 + tid % 3)]} for tid in range(1, 60)]
+    return json.dumps({**members, **doc, "frame_count": 9}, indent=1)
+
+
+@pytest.mark.parametrize("order", ["regions-first", "regions-last", "no-regions"])
+def test_a_valid_document_is_read_one_track_at_a_time(order, monkeypatch):
+    """Every member read on its own, the regions before or after the
+    tracks or missing: the same columns as the whole-document read, which
+    never runs."""
+    doc = json.loads(_long_gt_text(note={"any": [1, 2]}))
+    regions = doc.pop("ignore_regions")
+    if order == "regions-last":
+        doc["ignore_regions"] = regions
+    elif order == "regions-first":
+        doc = {"ignore_regions": regions, **doc}
+    text = json.dumps(doc, indent=1)
+    want = _columns_or_error(_whole_document, text)
+    batches = []
+    real = datamodel._gt_columns
+    monkeypatch.setattr(datamodel, "_gt_columns",
+                        lambda regions, tracks: batches.append(len(tracks))
+                        or real(regions, tracks))
+    monkeypatch.setattr(datamodel, "_load_json", None)  # the whole read fails
+    assert _columns_or_error(read_ground_truth, text) == want
+    assert want[0] == "ok" and len(batches) > 20
+
+
+def test_a_text_shorter_than_one_batch_is_read_whole(monkeypatch):
+    """A text too short to hold a batch of valid entries is one json.loads
+    and one conversion, as before the reader streamed."""
+    text = _long_gt_text()
+    want = _columns_or_error(_whole_document, text)
+    monkeypatch.setattr(datamodel, "_GT_BATCH_ENTRIES",
+                        len(text) // datamodel._SHORTEST_ENTRY + 1)
+    calls = []
+    real = datamodel._gt_columns
+    monkeypatch.setattr(datamodel, "_gt_columns", lambda *args: calls.append(1)
+                        or real(*args))
+    monkeypatch.setattr(datamodel, "_gt_streamed", None)  # never streams
+    assert _columns_or_error(read_ground_truth, text) == want
+    assert want[0] == "ok" and calls == [1]

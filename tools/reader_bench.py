@@ -2,6 +2,7 @@
 
     python3 tools/reader_bench.py readers --src SRC --inputs DIR [--repeat 9]
     python3 tools/reader_bench.py paper-slice --src SRC --inputs DIR [--sequences 20]
+    python3 tools/reader_bench.py gt-peak --src SRC --inputs DIR [--runs 5]
     python3 tools/reader_bench.py pairs --parent DIR --change DIR --workload W
                                         --seed N --seconds S --pairs K
 
@@ -19,6 +20,11 @@ n_frames=1400, drop_rate=0.2, clutter_rate=4.0, jitter_sigma=1.0,
 seed=100 + i))`, generated into DIR/paper when missing) and keeps every
 sequence's columns, as `eval-system` does: the read time, and the
 process's peak RSS (`ru_maxrss`) after reading.
+
+`gt-peak` starts --runs fresh interpreters that each import the package
+from SRC and read only the `mot-long` GT file (generated into
+DIR/mot-long when missing), and gives each child's peak RSS (`ru_maxrss`)
+after the import and after the read, with their medians.
 
 `pairs` runs `bench/run.py --workload W --seed N --seconds S --trace 0` K
 times in each checkout, alternating which one runs first (odd pairs start
@@ -112,6 +118,34 @@ def cmd_paper_slice(args) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+# One GT read in a fresh interpreter: argv is SRC and the GT file; prints
+# the peak RSS in KiB after the import and after the read.
+_GT_PEAK_CHILD = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from detraceval.datamodel import read_ground_truth
+imported = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open(sys.argv[2], encoding="utf-8") as fh:
+    read_ground_truth(fh)
+print(imported, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def cmd_gt_peak(args) -> dict:
+    gt_path, = (_inputs(Path(args.inputs), "mot-long") / "gt").iterdir()
+    runs = []
+    for _ in range(args.runs):
+        proc = subprocess.run(
+            [sys.executable, "-c", _GT_PEAK_CHILD, str(Path(args.src).resolve()),
+             str(gt_path)], capture_output=True, text=True, check=True)
+        runs.append([int(kib) / 1024 for kib in proc.stdout.split()])
+    imported, read = zip(*runs)
+    return {"src": args.src, "gt": gt_path.name, "runs": args.runs,
+            "imported_mb": imported, "read_peak_mb": read,
+            "imported_median_mb": statistics.median(imported),
+            "read_peak_median_mb": statistics.median(read)}
+
+
 def _run(checkout: Path, args) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload,
@@ -148,7 +182,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flag, default in (("readers", "--repeat", 9),
-                                ("paper-slice", "--sequences", 20)):
+                                ("paper-slice", "--sequences", 20),
+                                ("gt-peak", "--runs", 5)):
         p = sub.add_parser(name)
         p.add_argument("--src", required=True)
         p.add_argument("--inputs", required=True)
@@ -160,10 +195,10 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.command != "pairs":
+    if args.command not in ("pairs", "gt-peak"):
         sys.path.insert(0, str(Path(args.src).resolve()))
     command = {"readers": cmd_readers, "paper-slice": cmd_paper_slice,
-               "pairs": cmd_pairs}[args.command]
+               "gt-peak": cmd_gt_peak, "pairs": cmd_pairs}[args.command]
     print(json.dumps(command(args)))
     return 0
 
