@@ -46,9 +46,9 @@ total IoU add up across them, and fixing one ground truth's pair changes
 only its own component's part of both. The rule therefore decides each
 component on its own:
 
-* when no row and no column has two edges, every component is one edge,
-  and the edges are the answer;
-* otherwise the components are labeled by union-find over the edges, and
+* an isolated edge, one whose row and column hold no other edge, is a
+  component of its own, and it is its component's answer;
+* the other components are labeled by union-find over their edges, and
   each goes through `_canonical_match` on its own sub-matrix. That walk
   fixes the ground truths in ascending order and asks `_residual_value`,
   for every candidate pair, for the optimum of what would remain.
@@ -303,18 +303,21 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
     """Optimal residual matching, canonicalized per the documented tie-break,
     one connected component at a time (see the module docstring).
 
-    Edges are the pairs with IoU >= iou_thr. When no row and no column has
-    two edges, the edges are the answer. Otherwise each component, labeled
-    by union-find over the edges, goes through `_canonical_match` on its
-    sub-matrix. Pairs are (row, column), sorted by row.
+    Edges are the pairs with IoU >= iou_thr. An isolated edge, one whose
+    row and column hold no other edge, is a component of its own and is
+    matched as it is. The other components, labeled by union-find over
+    their edges, each go through `_canonical_match` on their sub-matrix.
+    Pairs are (row, column), sorted by row.
     """
     rows, cols = np.nonzero(iou_mat >= iou_thr)
-    if len(rows) == 0:
-        return []
-    if np.bincount(rows).max() == 1 and np.bincount(cols).max() == 1:
-        return list(zip(rows.tolist(), cols.tolist()))
-    # nodes: row i is i, column j is n + j
     n, m = iou_mat.shape
+    alone = ((np.bincount(rows, minlength=n)[rows] == 1)
+             & (np.bincount(cols, minlength=m)[cols] == 1))
+    pairs = list(zip(rows[alone].tolist(), cols[alone].tolist()))
+    if alone.all():
+        return pairs
+    rows, cols = rows[~alone], cols[~alone]
+    # nodes: row i is i, column j is n + j
     parent = list(range(n + m))
 
     def root(x: int) -> int:
@@ -325,7 +328,6 @@ def _residual_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]
     for r, c in zip(rows.tolist(), cols.tolist()):
         parent[root(r)] = root(n + c)
     label = np.array([root(r) for r in rows.tolist()])
-    pairs: list[tuple[int, int]] = []
     for comp in distinct(label):
         in_comp = label == comp
         comp_rows, comp_cols = distinct(rows[in_comp]), distinct(cols[in_comp])

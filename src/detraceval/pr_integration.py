@@ -27,11 +27,12 @@ sequence it builds three things once:
   with score >= tau, whatever rows it was built over; at the CLI the
   lowest threshold is the lowest score, so every row takes part anyway.
 
-Then only the tracker's per-threshold step and CLEAR run once per
-threshold. The builtin tracker's step also names the detection row behind
-each track row; CLEAR then reads those rows' part of the edge table
-(`EdgeTable.take`) and of the ignore mask, and computes no IoU and no
-coverage. A `cmd:` tracker's output is a new set of boxes, so CLEAR
+Then only the tracker's step runs once per threshold, and one CLEAR call
+(`mot_metrics.evaluate_clear_runs`) scores the tracks of every threshold
+whose step succeeded. The builtin tracker's step also names the detection
+row behind each track row; CLEAR then reads those rows' part of the edge
+table (`EdgeTable.take`) and of the ignore mask, and computes no IoU and
+no coverage. A `cmd:` tracker's output is a new set of boxes, so CLEAR
 builds its table and its coverage from them. The sequence's tables and
 labels die when `sweep_sequence` returns; what `sweep` keeps between
 sequences is the labels' counts and, per threshold, a running CLEAR total
@@ -70,7 +71,7 @@ from .datamodel import (DetectionColumns, GtColumns, TrackColumns,
 from .det_metrics import (DEFAULT_IOU_THR, _label_detections, count_table,
                           rates)
 from .matching import edge_table
-from .mot_metrics import MetricBundle, SequenceStats, Totals, evaluate_clear
+from .mot_metrics import MetricBundle, Totals, evaluate_clear_runs
 
 # Columns in, columns out: a tracker gets one sequence's detections with
 # score >= the threshold, in input order, and the sequence id, and returns
@@ -150,7 +151,7 @@ def _ascending(values: Iterable[float]) -> list[float]:
 def map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
     """[fn(item) for item in items], on `jobs` threads when jobs > 1; the
     one home of the `--jobs` policy: `eval-system` runs one sequence's
-    thresholds on it, `eval-mot` its sequences. The built-in tracker and
+    tracker steps on it, `eval-mot` its sequences. The built-in tracker and
     CLEAR hold Python's interpreter lock, so threads pay only while
     external (`cmd:`) tracker processes run, which then overlap."""
     if jobs > 1:
@@ -177,9 +178,11 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
     the tracker's failure there, or None where it was not run. The edge
     table, the labels and the tracker's entry point are built here, once,
     over all of `dets` (see the module docstring), and die when this
-    returns; the thresholds run on `jobs` threads. Without keep_going a
-    threshold after a failed one in `thresholds` is not run. An entry
-    point that fails fails every threshold."""
+    returns. The tracker steps run first, on `jobs` threads; then one
+    `evaluate_clear_runs` call scores the tracks of every threshold whose
+    step succeeded. Without keep_going a threshold after a failed one in
+    `thresholds` is not run. An entry point that fails fails every
+    threshold."""
     edges = edge_table(gt, dets, iou_thr)
     labels = _label_detections(gt, dets, edges, iou_thr)
     counts = labels.counts(np.ones(len(gt), dtype=bool))
@@ -190,11 +193,11 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
                                         gt.sequence_id), None))
     except Exception as exc:
         return counts, [_bare(exc)] * len(thresholds)
-    # Without keep_going, the thresholds seen to fail; each run writes only
-    # its own slot, so threads need no lock.
+    # Without keep_going, the thresholds seen to fail; each step writes
+    # only its own slot, so threads need no lock.
     failed = [False] * len(thresholds)
 
-    def run(i: int) -> SequenceStats | Exception | None:
+    def step(i: int) -> tuple | Exception | None:
         if any(failed[:i]):
             return None
         try:
@@ -203,10 +206,16 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
         except Exception as exc:
             failed[i] = not keep_going
             return _bare(exc)
-        table, inside = ((None, None) if rows is None else
-                         (edges.take(rows), labels.inside[rows]))
-        return evaluate_clear(gt, tracks, iou_thr, table, inside)[1]
-    return counts, map_jobs(run, range(len(thresholds)), jobs)
+        return tracks, rows
+    outcomes = map_jobs(step, range(len(thresholds)), jobs)
+    ran = [i for i, outcome in enumerate(outcomes)
+           if isinstance(outcome, tuple)]
+    runs = [(tracks, None, None) if rows is None
+            else (tracks, edges.take(rows), labels.inside[rows])
+            for tracks, rows in (outcomes[i] for i in ran)]
+    for i, stats in zip(ran, evaluate_clear_runs(gt, runs, iou_thr)):
+        outcomes[i] = stats
+    return counts, outcomes
 
 
 def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 
 from box_columns import concat, relabel, track_columns
-from detraceval import datamodel
+from detraceval import datamodel, synth
 from detraceval.datamodel import (BBox, GroundTruth, GtEntry, GtTrack,
-                                  IgnoreRegion, Rows, ValidationError,
-                                  check_frame_count, read_ground_truth,
-                                  read_tracks, write_ground_truth,
-                                  write_tracks)
+                                  IgnoreRegion, Rows, TrackColumns,
+                                  ValidationError, check_frame_count,
+                                  read_ground_truth, read_tracks,
+                                  write_ground_truth, write_tracks)
 from detraceval.det_metrics import DEFAULT_IOU_THR
 from detraceval.geometry import covered, iou_matrix
-from detraceval.matching import clear_correspond
+from detraceval.matching import clear_correspond, edge_table
 from detraceval.mot_metrics import (ML_COVERAGE, MT_COVERAGE, SequenceStats,
-                                    Totals, aggregate, evaluate_clear)
+                                    Totals, aggregate, evaluate_clear,
+                                    evaluate_clear_runs)
 from detraceval.synth import (ScenarioConfig, gen_scenario, oracle_clear,
                               random_tiny_scenario)
-from detraceval.trackers import greedy_iou_track
+from detraceval.trackers import BuiltinGreedyTracker, greedy_iou_track
 from frame_walk import frame_slices
 
 
@@ -631,3 +632,160 @@ def test_chunk_budget_does_not_change_results(budget, monkeypatch):
             for iou_thr, expected in zip((0.3, 0.5), want):
                 _assert_same_clear(evaluate_clear(gt, tracks, iou_thr),
                                    expected)
+
+
+LEVEL_THRESHOLDS = (1e-9, 0.3, 0.5, 0.7, 1.0)
+
+
+def _side_by_side(n_frames=9):
+    """Two targets whose boxes coincide with two hypotheses' boxes at every
+    frame, so each GT box overlaps both hypotheses at IoU 1.0 and every
+    frame with both is conflicted at any threshold. Hypothesis 11 ends at
+    frame 4 and 13 takes its place; frame 6 holds no box at all; the
+    second target leaves after frame 8. The matched pairs persist through
+    the runs of conflicted frames around the empty one."""
+    box = BBox(10.0, 20.0, 30.0, 40.0)
+    frames = [f for f in range(1, n_frames + 1) if f != 6]
+    gt = GroundTruth("side-by-side", n_frames, (
+        GtTrack(1, tuple(GtEntry(f, box) for f in frames)),
+        GtTrack(2, tuple(GtEntry(f, box) for f in frames if f <= 8))))
+    tracks = track_columns(
+        (11, ((f, box) for f in frames if f <= 4)),
+        (12, ((f, box) for f in frames)),
+        (13, ((f, box) for f in frames if f > 4)))
+    return gt, tracks
+
+
+def _level_scenes():
+    """(GT objects, tracks): the side-by-side scene, crowded tracker output
+    on a small arena that `oracle_clear` still accepts, and gappy scenes
+    with frames without any box, free and grid-aligned."""
+    scenes = [_side_by_side()]
+    for seed in range(6):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=3, n_frames=14, arena=(100.0, 70.0),
+            box_size=(20.0, 40.0), drop_rate=0.1, clutter_rate=0.5,
+            jitter_sigma=2.0, seed=seed))
+        scenes.append((gt, greedy_iou_track(dets, max_gap=2)))
+    for seed in range(30):
+        for grid in (False, True):
+            scenes.append(_gappy_scenario(seed, grid))
+    return scenes
+
+
+def _persisting_chain(gt, tracks, iou_thr):
+    """The most consecutive conflicted frames, in a frame walk, through
+    which one (gt, hypothesis) pair stays matched."""
+    gt = gt.columns
+    g_order = np.lexsort((gt.target_id, gt.frame))
+    h_order = np.lexsort((tracks.track_id, tracks.frame))
+    g_frame, h_frame = gt.frame[g_order], tracks.frame[h_order]
+    g_boxes, h_boxes = gt.corners()[g_order], tracks.corners()[h_order]
+    g_ids, h_ids = gt.target_id[g_order].tolist(), tracks.track_id[h_order].tolist()
+    prev, chain, longest, before = {}, {}, 0, None
+    for frame, g_lo, g_hi, h_lo, h_hi in frame_slices(
+            np.union1d(g_frame, h_frame), g_frame, h_frame):
+        iou = iou_matrix(g_boxes[g_lo:g_hi], h_boxes[h_lo:h_hi])
+        edge = iou >= iou_thr
+        conflicted = bool(edge.size) and (edge.sum(0).max() > 1
+                                          or edge.sum(1).max() > 1)
+        follows = before == frame - 1
+        pairs = clear_correspond(prev if follows else {}, g_ids[g_lo:g_hi],
+                                 h_ids[h_lo:h_hi], iou, iou_thr)
+        prev, before = {g: h for g, h, _ in pairs}, frame
+        chain = {pair: (chain.get(pair, 0) if follows else 0) + 1
+                 for pair in prev.items()} if conflicted else {}
+        longest = max(longest, *chain.values(), 0)
+    return longest
+
+
+def _oracle_fits(gt, tracks):
+    """Whether no frame holds more boxes on a side than `oracle_clear`
+    enumerates."""
+    return all(np.unique(col, return_counts=True)[1].max(initial=0)
+               <= synth.ORACLE_MAX_OBJECTS
+               for col in (gt.columns.frame, tracks.frame))
+
+
+@pytest.mark.parametrize("iou_thr", LEVEL_THRESHOLDS)
+def test_level_pass_equals_the_frame_walk_and_the_oracle(iou_thr):
+    """Conflicted frames, handled a level at a time, give the frame walk's
+    stats and the oracle's bundle, which all but a few crowded scenes are
+    small enough for. The scenes hold pairs that persist through three
+    consecutive conflicted frames, so the pass reaches level 2 (counted
+    from 0) with persistence at work."""
+    longest, fits = 0, []
+    for gt, tracks in _level_scenes():
+        got = evaluate_clear(gt.columns, tracks, iou_thr)
+        _assert_same_clear(got, _reference_evaluate_clear(gt.columns, tracks,
+                                                          iou_thr))
+        fits.append(_oracle_fits(gt, tracks))
+        if fits[-1]:
+            assert_bundles_equal(got[0], oracle_clear(gt, tracks, iou_thr))
+        longest = max(longest, _persisting_chain(gt, tracks, iou_thr))
+    assert fits[0] and sum(fits[1:7]) >= 3 and all(fits[7:])
+    assert longest >= 3
+
+
+def _shifted(gt, boxes, shift):
+    """GT and box columns with every frame, and the frame count, moved on
+    by `shift`."""
+    return (dataclasses.replace(gt, frame=gt.frame + shift,
+                                frame_count=gt.frame_count + shift),
+            dataclasses.replace(boxes, frame=boxes.frame + shift))
+
+
+def _run_pool(gt, dets, iou_thr):
+    """Runs over one sequence: the builtin tracker's output at four
+    thresholds, each with the tracks' part of the GT x detection table
+    and ignore mask and again without them (their track ids overlap), the
+    GT boxes as tracks, and a run without tracks."""
+    edges = edge_table(gt, dets, iou_thr)
+    inside = covered(dets, gt.ignore)
+    at = BuiltinGreedyTracker(max_gap=2).by_threshold(dets, gt.sequence_id)
+    runs = []
+    for tau in np.quantile(dets.score, [0.0, 0.3, 0.6, 0.9]).tolist():
+        tracks, rows = at(tau)
+        runs += [(tracks, edges.take(rows), inside[rows]), (tracks, None, None)]
+    truth = TrackColumns(gt.left, gt.top, gt.width, gt.height,
+                         frame=gt.frame, track_id=gt.target_id)
+    return runs + [(truth, None, None), (track_columns(), None, None)]
+
+
+@pytest.mark.parametrize("last_frame", ["small", "int64 max"])
+def test_runs_scored_together_equal_each_run_scored_alone(last_frame):
+    """Random subsets of a pool of runs, in random orders, scored in one
+    call give each run the stats it gets alone, and those equal the frame
+    walk's. Some runs have boxes at frame 1 and at the last frame, so one
+    run's last frame is followed by the next one's first; with the last
+    frame at the int64 maximum, runs kept apart by shifting frame numbers
+    would overflow."""
+    gt, dets = gen_scenario(ScenarioConfig(
+        n_targets=6, n_frames=12, arena=(160.0, 120.0), drop_rate=0.2,
+        clutter_rate=4.0, jitter_sigma=3.0, seed=3))
+    gt = dataclasses.replace(gt, ignore_regions=(
+        IgnoreRegion(BBox(0.0, 0.0, 60.0, 50.0)),)).columns
+    if last_frame != "small":
+        gt, dets = _shifted(gt, dets, np.iinfo(np.int64).max - gt.frame_count)
+        assert gt.frame_count == np.iinfo(np.int64).max
+    first = gt.frame_count - 11
+    rng = np.random.default_rng(7)
+    for iou_thr in (0.3, 0.7):
+        pool = _run_pool(gt, dets, iou_thr)
+        assert sum(first in run[0].frame and gt.frame_count in run[0].frame
+                   for run in pool) >= 2
+        alone = []
+        for tracks, edges, inside in pool:
+            got = evaluate_clear(gt, tracks, iou_thr, edges, inside)
+            _assert_same_clear(got, _reference_evaluate_clear(gt, tracks,
+                                                              iou_thr))
+            alone.append(got)
+        for _ in range(15):
+            picked = rng.permutation(len(pool))[:rng.integers(1, len(pool) + 1)]
+            stats = evaluate_clear_runs(gt, [pool[i] for i in picked], iou_thr)
+            assert len(stats) == len(picked)
+            for i, got in zip(picked.tolist(), stats):
+                _assert_same_clear((alone[i][0], got), alone[i])
+        whole = evaluate_clear_runs(gt, pool, iou_thr)
+        assert [s.sequence_id for s in whole] == [gt.sequence_id] * len(pool)
+    assert evaluate_clear_runs(gt, [], 0.5) == []

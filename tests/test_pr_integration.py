@@ -15,7 +15,8 @@ from detraceval.det_metrics import rates, threshold_counts
 from detraceval.fixtures import load_fixture
 from detraceval.geometry import covered, iou_matrix
 from detraceval.matching import match_frame_greedy
-from detraceval.mot_metrics import MetricBundle, aggregate, evaluate_clear
+from detraceval.mot_metrics import (MetricBundle, aggregate, evaluate_clear,
+                                    evaluate_clear_runs)
 from detraceval import (det_metrics, geometry, mot_metrics, pr_integration,
                         trackers)
 from detraceval.pr_integration import (OperatingPoint, SweepError, arc_length,
@@ -319,19 +320,21 @@ def test_table_fed_clear_equals_clear_on_the_tracks(spec, monkeypatch):
         if spec == "cmd" else spec)
     calls = []
 
-    def spy(gt, tracks, iou_thr, edges=None, inside=None):
-        calls.append((gt, tracks, iou_thr, edges, inside))
-        return evaluate_clear(gt, tracks, iou_thr, edges, inside)
-    monkeypatch.setattr(pr_integration, "evaluate_clear", spy)
+    def spy(gt, runs, iou_thr):
+        stats = evaluate_clear_runs(gt, runs, iou_thr)
+        calls.extend((gt, *run, iou_thr, got) for run, got in zip(runs, stats))
+        return stats
+    monkeypatch.setattr(pr_integration, "evaluate_clear_runs", spy)
     pairs = _crowded_sequences()
     scores = np.concatenate([dets.score for _, dets in pairs])
     for iou_thr in (0.3,) if spec == "cmd" else (0.3, 0.5, 0.7):
         sweep(pairs, tracker, select_thresholds(scores, 4 if spec == "cmd"
                                                 else 8), iou_thr)
     assert calls
-    for gt, tracks, iou_thr, edges, inside in calls:
+    for gt, tracks, edges, inside, iou_thr, stats in calls:
         assert (edges is None) == (inside is None) == (spec == "cmd")
         got = evaluate_clear(gt, tracks, iou_thr, edges, inside)
+        assert stats == got[1]
         _assert_same_clear(got, evaluate_clear(gt, tracks, iou_thr))
         _assert_same_clear(got, _reference_evaluate_clear(gt, tracks, iou_thr))
 
@@ -358,16 +361,20 @@ def test_sweep_clear_gets_the_tracks_ignore_coverage(spec, monkeypatch):
         if spec == "cmd" else spec)
     computed, calls = [], []
 
-    def spy(gt, tracks, iou_thr, edges=None, inside=None):
+    def spy(gt, runs, iou_thr):
         computed.clear()
-        result = evaluate_clear(gt, tracks, iou_thr, edges, inside)
-        calls.append((gt, tracks, inside, list(computed)))
+        result = evaluate_clear_runs(gt, runs, iou_thr)
+        # CLEAR computes the masks of the runs that bring none, in run order
+        masks = iter(list(computed))
+        calls.extend((gt, tracks, inside, [] if inside is not None
+                      else [next(masks)]) for tracks, _, inside in runs)
+        assert next(masks, None) is None
         return result
 
     def counted(boxes, ignore, _fn=mot_metrics.covered):
-        computed.append(_fn(boxes, ignore))
-        return computed[-1]
-    monkeypatch.setattr(pr_integration, "evaluate_clear", spy)
+        computed.append((boxes, _fn(boxes, ignore)))
+        return computed[-1][1]
+    monkeypatch.setattr(pr_integration, "evaluate_clear_runs", spy)
     monkeypatch.setattr(mot_metrics, "covered", counted)
     pairs = _regioned_sequences()
     scores = np.concatenate([dets.score for _, dets in pairs])
@@ -380,7 +387,8 @@ def test_sweep_clear_gets_the_tracks_ignore_coverage(spec, monkeypatch):
         want = covered(tracks, gt.ignore)
         if spec == "cmd":
             assert inside is None and len(masks) == 1
-            inside = masks[0]
+            boxes, inside = masks[0]
+            assert boxes is tracks
         else:
             assert masks == []
         assert inside.dtype == bool and inside.tolist() == want.tolist()
@@ -582,7 +590,7 @@ def test_a_held_failure_keeps_no_table_alive(monkeypatch):
 
 def test_sweep_bundles_aggregate_the_stats_clear_gave():
     """At each threshold the sweep's bundle is `aggregate` of the stats
-    that `evaluate_clear` returned there, sequence by sequence."""
+    that `evaluate_clear_runs` returned there, sequence by sequence."""
     pairs = _regioned_sequences()
     thresholds = select_thresholds(
         np.concatenate([dets.score for _, dets in pairs]), 5)
@@ -594,12 +602,14 @@ def test_sweep_bundles_aggregate_the_stats_clear_gave():
             at = builtin.by_threshold(dets, sequence_id)
             return lambda tau: seen.append([tau]) or at(tau)
 
-    def spy(*args):
-        result = evaluate_clear(*args)
-        seen[-1].append(result[1])
-        return result
+    def spy(gt, runs, iou_thr):
+        # one call per sequence, after its tracker steps, in their order
+        stats = evaluate_clear_runs(gt, runs, iou_thr)
+        for entry, got in zip(seen[len(seen) - len(runs):], stats):
+            entry.append(got)
+        return stats
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pr_integration, "evaluate_clear", spy)
+        patch.setattr(pr_integration, "evaluate_clear_runs", spy)
         points = sweep(pairs, Recording(), thresholds)
     assert [tau for tau, _ in seen] == thresholds * len(pairs)
     assert len(points) == len(thresholds)

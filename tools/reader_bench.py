@@ -3,6 +3,8 @@
     python3 tools/reader_bench.py readers --src SRC --inputs DIR [--repeat 9]
     python3 tools/reader_bench.py paper-slice --src SRC --inputs DIR [--sequences 20]
     python3 tools/reader_bench.py gt-peak --src SRC --inputs DIR [--runs 5]
+    python3 tools/reader_bench.py clear --src SRC --inputs DIR [--iou-thr 0.7]
+                                        [--repeat 5] [--sequences 4]
     python3 tools/reader_bench.py pairs --parent DIR --change DIR --workload W
                                         --seed N --seconds S --pairs K
 
@@ -26,6 +28,21 @@ from SRC and read only the `mot-long` GT file (generated into
 DIR/mot-long when missing), and gives each child's peak RSS (`ru_maxrss`)
 after the import and after the read, with their medians.
 
+`clear` times CLEAR in this process, as `eval-system --tracker
+builtin:max_gap=2 --thresholds 10` runs it, on each sequence of the
+`system-sweep` seed-1 input and on the first --sequences paper-scale
+sequences. Per sequence it builds what the sweep builds (the edge table,
+the labels, the tracker's tracks at every threshold and their part of the
+table and of the ignore mask) and times, best of --repeat, one
+`evaluate_clear_runs` call over every threshold's tracks; a package
+without that function is timed one `evaluate_clear` call per threshold, as
+its sweep calls it. It counts the frames that reach
+`matching.clear_correspond` (those still conflicted after persistence),
+the conflicted frames and their levels where the package has `_levels`,
+and the edges of the largest run and of all runs stacked. Then, with
+`tracemalloc`, the peak that CLEAR allocates on the largest sequence, and
+the process's peak RSS (`ru_maxrss`) at the end.
+
 `pairs` runs `bench/run.py --workload W --seed N --seconds S --trace 0` K
 times in each checkout, alternating which one runs first (odd pairs start
 with the parent), and prints every run's metrics with, per metric, each
@@ -37,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import resource
 import statistics
 import subprocess
@@ -118,6 +136,101 @@ def cmd_paper_slice(args) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def _sweep_runs(gt, dets, thresholds, iou_thr):
+    """The runs CLEAR scores at every threshold of one sequence of the
+    sweep: (tracks, their part of the edge table, their ignore mask)."""
+    from detraceval.det_metrics import _label_detections
+    from detraceval.matching import edge_table
+    from detraceval.trackers import BuiltinGreedyTracker
+    edges = edge_table(gt, dets, iou_thr)
+    labels = _label_detections(gt, dets, edges, iou_thr)
+    at = BuiltinGreedyTracker(max_gap=2).by_threshold(dets, gt.sequence_id)
+    return [(tracks, edges.take(rows), labels.inside[rows])
+            for tracks, rows in map(at, thresholds)]
+
+
+def cmd_clear(args) -> dict:
+    import tracemalloc
+
+    import numpy as np
+    from detraceval import mot_metrics
+    from detraceval.datamodel import read_detections, read_ground_truth
+    from detraceval.pr_integration import select_thresholds
+    multi = getattr(mot_metrics, "evaluate_clear_runs", None)
+
+    def clear(gt, runs):
+        if multi is not None:
+            return multi(gt, runs, args.iou_thr)
+        return [mot_metrics.evaluate_clear(gt, tracks, args.iou_thr, edges,
+                                           inside)[1]
+                for tracks, edges, inside in runs]
+
+    # What CLEAR's last call met: frames run through clear_correspond, and
+    # the levels `_levels` gave each conflicted frame.
+    counts = {"residual": 0, "levels": []}
+    residual, levels = (getattr(mot_metrics, name, None)
+                        for name in ("clear_correspond", "_levels"))
+
+    def counted(*args):
+        counts["residual"] += 1
+        return residual(*args)
+
+    def leveled(*args):
+        counts["levels"].append(levels(*args))
+        return counts["levels"][-1]
+    mot_metrics.clear_correspond = counted
+    if levels is not None:
+        mot_metrics._levels = leveled
+    sets = {"system-sweep": (_inputs(Path(args.inputs), "system-sweep"), None),
+            "paper": (_paper_inputs(Path(args.inputs), args.sequences),
+                      args.sequences)}
+    out, largest = [], None
+    for name, (root, count) in sets.items():
+        pairs = []
+        for gt_path in sorted((root / "gt").glob("*.json"))[:count]:
+            with open(gt_path, encoding="utf-8") as fh:
+                gt = read_ground_truth(fh)
+            with open(root / "det" / (gt_path.stem + ".csv"),
+                      encoding="utf-8") as fh:
+                pairs.append((gt, read_detections(fh)))
+        thresholds = select_thresholds(
+            np.concatenate([dets.score for _, dets in pairs]), 10)
+        for gt, dets in pairs:
+            runs = _sweep_runs(gt, dets, thresholds, args.iou_thr)
+            counts.update(residual=0, levels=[])
+            clear(gt, runs)
+            edges = [len(table.iou) for _, table, _ in runs]
+            out.append({
+                "set": name, "sequence": gt.sequence_id, "runs": len(runs),
+                "frames_to_clear_correspond": counts["residual"],
+                "conflicted_frames": (sum(map(len, counts["levels"]))
+                                      if levels else None),
+                "levels": (max((int(lv.max()) + 1 for lv in counts["levels"]
+                                if len(lv)), default=0) if levels else None),
+                "largest_run_edges": max(edges), "stacked_edges": sum(edges)})
+            best = math.inf
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                clear(gt, runs)
+                best = min(best, time.perf_counter() - start)
+            out[-1]["clear_s"] = round(best, 6)
+            if largest is None or sum(edges) > largest[0]:
+                largest = (sum(edges), gt, runs)
+    _, gt, runs = largest
+    tracemalloc.start()
+    clear(gt, runs)
+    clear_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"src": args.src, "iou_thr": args.iou_thr, "repeat": args.repeat,
+            "passes": "one per sequence" if multi else "one per threshold",
+            "sequences": out,
+            "clear_s": {name: round(sum(s["clear_s"] for s in out
+                                        if s["set"] == name), 6)
+                        for name in sets},
+            "clear_peak_mb_on_largest": clear_peak / 2**20,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 # One GT read in a fresh interpreter: argv is SRC and the GT file; prints
 # the peak RSS in KiB after the import and after the read.
 _GT_PEAK_CHILD = """
@@ -188,6 +301,12 @@ def main(argv=None) -> int:
         p.add_argument("--src", required=True)
         p.add_argument("--inputs", required=True)
         p.add_argument(flag, type=int, default=default)
+    p = sub.add_parser("clear")
+    p.add_argument("--src", required=True)
+    p.add_argument("--inputs", required=True)
+    p.add_argument("--iou-thr", type=float, default=0.7)
+    p.add_argument("--repeat", type=int, default=5)
+    p.add_argument("--sequences", type=int, default=4)
     p = sub.add_parser("pairs")
     for flag in ("--parent", "--change", "--workload"):
         p.add_argument(flag, required=True)
@@ -198,7 +317,8 @@ def main(argv=None) -> int:
     if args.command not in ("pairs", "gt-peak"):
         sys.path.insert(0, str(Path(args.src).resolve()))
     command = {"readers": cmd_readers, "paper-slice": cmd_paper_slice,
-               "gt-peak": cmd_gt_peak, "pairs": cmd_pairs}[args.command]
+               "gt-peak": cmd_gt_peak, "clear": cmd_clear,
+               "pairs": cmd_pairs}[args.command]
     print(json.dumps(command(args)))
     return 0
 
