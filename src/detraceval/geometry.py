@@ -10,6 +10,10 @@ equals `iou` entry for entry, bit for bit, on row-aligned pairs and, as
 frame pairs at once, in padded chunks, and keeps the pairs at or above a
 threshold: the builtin tracker's link table and the GT x box edge table
 that labeling and CLEAR read (`matching.edge_table`) both come from it.
+Above threshold 0 the kernel gets only the pairs whose boxes overlap
+strictly on both axes. The pairs that this interval test drops have IoU
+exactly 0 (the argument is in `iou_edges`), so the edges, their order and
+each IoU's bits are those of the kernel on every pair.
 Likewise `scale_bands` and `occlusion_bands` are the column forms of
 `scale_class` and `occlusion_class`, with the same results row by row.
 
@@ -116,10 +120,26 @@ def iou_edges(a: BoxColumns, a_order: np.ndarray, a_lo: np.ndarray,
     `a_order` (rows of `a`) against those at b_lo[k] .. b_lo[k] + b_n[k] - 1
     of `b_order`. Pairs with an empty side are skipped; the others go in
     chunks (`datamodel.frame_chunks`), each padded to its widest frames
-    (`datamodel.padded_rows`), its corners built for it alone, and given to
-    one `iou_broadcast` call with `a` as its first argument, so each IoU is
-    bit for bit `iou_matrix(a_frame, b_frame)`'s entry. Edges come chunk by
-    chunk, and within a frame pair by a position, then b position."""
+    (`datamodel.padded_rows`) and its corners built for it alone. Edges
+    come chunk by chunk, and within a frame pair by a position, then b
+    position.
+
+    Only candidate pairs reach the kernel: real (unpadded) pairs whose
+    boxes overlap strictly on both axes, a.left < b.right,
+    b.left < a.right, a.top < b.bottom and b.top < a.bottom, on the
+    corners `corners` gives. The x tests run on the padded layout, with
+    each padded row's left edge set to +inf so that it overlaps nothing;
+    the y tests run on the pairs that pass them. At iou_thr <= 0 every
+    real pair is a candidate. The candidates, in layout order, go to one
+    row-aligned `iou_broadcast` call with `a` as its first argument, so
+    each IoU is bit for bit `iou_matrix(a_frame, b_frame)`'s entry.
+
+    The tests drop only pairs whose IoU is exactly 0, so for iou_thr > 0
+    the edges are those of the kernel on every pair: the kernel's IoU is
+    non-zero only when its clipped width min(rights) - max(lefts) and
+    height are > 0, and in IEEE float64 x - y > 0 implies x > y (x <= y
+    gives a difference <= 0, and inf - inf is nan), so both lefts lie
+    below both rights and both tops below both bottoms."""
     pairs = np.flatnonzero((a_n > 0) & (b_n > 0))
     parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
               np.empty(0))]
@@ -127,11 +147,29 @@ def iou_edges(a: BoxColumns, a_order: np.ndarray, a_lo: np.ndarray,
         k = pairs[chunk]
         a_at, a_valid = padded_rows(a_lo[k], a_n[k])
         b_at, b_valid = padded_rows(b_lo[k], b_n[k])
-        iou = iou_broadcast(a.corners(a_order[a_at])[:, :, None],
-                            b.corners(b_order[b_at])[:, None])
-        at, i, j = np.nonzero(a_valid[:, :, None] & b_valid[:, None]
-                              & (iou >= iou_thr))
-        parts.append((a_at[at, i], b_at[at, j], iou[at, i, j]))
+        a_box, b_box = a.corners(a_order[a_at]), b.corners(b_order[b_at])
+        if iou_thr > 0.0:
+            a_left = np.where(a_valid, a_box[..., 0], np.inf)
+            b_left = np.where(b_valid, b_box[..., 0], np.inf)
+            candidate = ((a_left[:, :, None] < b_box[:, None, :, 2])
+                         & (b_left[:, None] < a_box[:, :, None, 2]))
+        else:
+            candidate = a_valid[:, :, None] & b_valid[:, None]
+        # Flat positions in the chunk: i of a_at, j of b_at.
+        width_a, width_b = a_at.shape[1], b_at.shape[1]
+        i, j = np.divmod(np.flatnonzero(candidate), width_b)
+        j += i // width_a * width_b
+        a_box = np.take(a_box.reshape(-1, 4), i, axis=0)
+        b_box = np.take(b_box.reshape(-1, 4), j, axis=0)
+        if iou_thr > 0.0:
+            y = np.flatnonzero((a_box[:, 1] < b_box[:, 3])
+                               & (b_box[:, 1] < a_box[:, 3]))
+            i, j = i[y], j[y]
+            a_box, b_box = np.take(a_box, y, axis=0), np.take(b_box, y, axis=0)
+        iou = iou_broadcast(a_box, b_box)
+        keep = np.flatnonzero(iou >= iou_thr)
+        parts.append((a_at.ravel()[i[keep]], b_at.ravel()[j[keep]],
+                      iou[keep]))
     return tuple(map(np.concatenate, zip(*parts)))
 
 

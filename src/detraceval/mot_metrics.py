@@ -42,8 +42,11 @@ and a scored frame is a slice of rows on each side.
 1. The edge table (`matching.edge_table`) of each run: every same-frame
    (GT row, hypothesis row, IoU) with IoU >= the threshold.
    `geometry.iou_edges` computes it: the frames, ordered by width, go in
-   chunks of at most `datamodel.EDGE_CHUNK_PAIRS` padded pairs, one
-   `iou_broadcast` call per chunk with the GT side first. CLEAR builds it
+   chunks of at most `datamodel.EDGE_CHUNK_PAIRS` padded pairs, and each
+   chunk makes one row-aligned `iou_broadcast` call, with the GT side
+   first, on its candidate pairs: at a threshold above 0 the same-frame
+   pairs whose boxes overlap strictly on both axes, at 0 every same-frame
+   pair. The pairs left out have IoU exactly 0. CLEAR builds it
    from the GT and the tracks (`eval-mot`, `cmd:` trackers) unless the
    caller passes one. The sweep passes, for the builtin tracker, the
    track rows' part of the sequence's GT x detection table

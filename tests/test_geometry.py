@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from box_columns import det_columns, track_columns
+from detraceval import datamodel, geometry, matching, trackers
 from detraceval.datamodel import (BBox, DetectionColumns, GroundTruth,
-                                  IgnoreRegion)
+                                  GtEntry, GtTrack, IgnoreRegion,
+                                  frame_chunks)
 from detraceval.geometry import (IGNORE_COVERAGE_THR, OcclusionClass,
                                  ScaleClass, covered,
                                  ignore_coverage, iou, iou_broadcast,
-                                 iou_matrix, occlusion_class, scale_class)
+                                 iou_edges, iou_matrix, occlusion_class,
+                                 scale_class)
 
 boxes = st.builds(
     BBox,
@@ -62,7 +66,8 @@ def box_pairs(draw):
     box of the first list gets an identical, edge-touching, nested,
     disjoint or unrelated partner in the second."""
     ox, oy = draw(st.sampled_from(((0.0, 0.0), (1e6, -1e6), (-3e7, 5e8),
-                                   (1e9, 1e9), (123456.789, 0.1))))
+                                   (1e9, 1e9), (123456.789, 0.1),
+                                   (2.0**53, 2.0**53))))
     coords = st.floats(-500, 500)
     base = draw(st.lists(st.builds(
         lambda x, y, w, h: BBox(ox + x, oy + y, w, h),
@@ -120,6 +125,147 @@ def test_iou_matrix_empty_sides():
     a = _corners([BBox(0, 0, 10, 10)])
     assert iou_matrix(a, _corners([])).shape == (1, 0)
     assert iou_matrix(_corners([]), a).shape == (0, 1)
+
+
+EDGE_THRESHOLDS = (0.0, 1e-9, 0.3, 0.5, 0.7, 1.0)
+
+
+@st.composite
+def edge_scenes(draw):
+    """Two box sets, stored in shuffled row order, and the frame pairs
+    `iou_edges` takes over them: each pair is a `box_pairs` draw (touching,
+    nested, identical and disjoint partners), some near 2**53 where
+    left + width rounds, each side cut to a drawn length, so sides differ
+    in width and some are empty. Returns
+    (a, a_order, a_lo, a_n, b, b_order, b_lo, b_n)."""
+    sides = ([], [])
+    counts = ([], [])
+    for _ in range(draw(st.integers(1, 6))):
+        for side, boxes in enumerate(draw(box_pairs())):
+            boxes = boxes[:draw(st.integers(0, len(boxes)))]
+            sides[side].extend(boxes)
+            counts[side].append(len(boxes))
+    out = []
+    for boxes, n in zip(sides, counts):
+        order = np.array(draw(st.permutations(range(len(boxes)))),
+                         dtype=np.intp)
+        n = np.array(n, dtype=np.intp)
+        out += [_stored(boxes, order), order, np.cumsum(n) - n, n]
+    return tuple(out)
+
+
+def _stored(boxes, order):
+    """Detection columns holding boxes[p] at row order[p]."""
+    rows = [None] * len(boxes)
+    for position, row in enumerate(order.tolist()):
+        rows[row] = boxes[position]
+    return det_columns(*((1, box, 0.5) for box in rows))
+
+
+def _reference_edges(a, a_order, a_lo, a_n, b, b_order, b_lo, b_n, iou_thr):
+    """`iou_matrix` once per frame pair with a box on each side, the pairs
+    taken in the order `frame_chunks` gives them, and its entries kept at
+    or above iou_thr in row-major order."""
+    pairs = np.flatnonzero((a_n > 0) & (b_n > 0))
+    rows = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+             np.empty(0))]
+    for chunk in frame_chunks(a_n[pairs], b_n[pairs]):
+        for k in pairs[chunk]:
+            at = np.arange(a_lo[k], a_lo[k] + a_n[k])
+            bt = np.arange(b_lo[k], b_lo[k] + b_n[k])
+            m = iou_matrix(a.corners(a_order[at]), b.corners(b_order[bt]))
+            i, j = np.nonzero(m >= iou_thr)
+            rows.append((at[i], bt[j], m[i, j]))
+    return tuple(map(np.concatenate, zip(*rows)))
+
+
+def _one_pair(a_boxes, b_boxes, b_order):
+    """An `edge_scenes` value of one frame pair, the b boxes (given in
+    position order) stored at rows `b_order`."""
+    a_order, b_order = np.arange(len(a_boxes)), np.array(b_order)
+    return (_stored(a_boxes, a_order), a_order, np.array([0]),
+            np.array([len(a_boxes)]), _stored(b_boxes, b_order), b_order,
+            np.array([0]), np.array([len(b_boxes)]))
+
+
+@pytest.mark.parametrize("budget", ("default", 1))
+@given(edge_scenes())
+# left + width rounds to left at 2**53: zero-width boxes, IoU 0 or 1.
+@example(_one_pair([BBox(2.0**53, 0.0, 1.0, 5.0), BBox(2.0**53, 0.0, 3.0, 5.0),
+                    BBox(2.0**53 + 2.0, 0.0, 1.0, 5.0)],
+                   [BBox(2.0**53, 0.0, 1.0, 5.0),
+                    BBox(2.0**53 + 2.0, 0.0, 2.0, 5.0),
+                    BBox(2.0**53 - 2.0, 0.0, 2.0, 5.0)], [2, 0, 1]))
+# A shared edge has IoU 0: an edge at threshold 0 only.
+@example(_one_pair([BBox(0.0, 0.0, 10.0, 10.0)],
+                   [BBox(10.0, 0.0, 10.0, 10.0), BBox(0.0, 10.0, 10.0, 10.0)],
+                   [1, 0]))
+@settings(max_examples=150, deadline=None)
+def test_iou_edges_equals_iou_matrix_per_frame_pair(budget, scene):
+    """The candidate prefilter drops no edge: at every threshold, in
+    padded chunks or one frame pair a chunk, `iou_edges` gives the
+    reference's (a, b, IoU) triples in its order, each IoU bit for bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        if budget != "default":
+            patch.setattr(datamodel, "EDGE_CHUNK_PAIRS", budget)
+        for iou_thr in EDGE_THRESHOLDS:
+            got = iou_edges(*scene, iou_thr)
+            want = _reference_edges(*scene, iou_thr)
+            assert got[0].tolist() == want[0].tolist(), iou_thr
+            assert got[1].tolist() == want[1].tolist(), iou_thr
+            assert got[2].tobytes() == want[2].tobytes(), iou_thr
+
+
+def _lane_scene(n_lanes=6, n_frames=30):
+    """The `mot-long` shape at small size: boxes 40 px wide in lanes 60 px
+    apart, never overlapping across lanes, and hypotheses that are the GT
+    shifted right by 1 px, as tracks and as detections. Lane l is absent
+    from the frames f with (f + l) % 4 == 0, so frames differ in width and
+    chunks pad."""
+    entries = {lane: [] for lane in range(n_lanes)}
+    for frame in range(1, n_frames + 1):
+        for lane in range(n_lanes):
+            if (frame + lane) % 4:
+                entries[lane].append((frame, BBox(60.0 * lane + 0.1 * frame,
+                                                  200.0 + 3.0 * lane,
+                                                  40.0, 40.0)))
+    gt = GroundTruth("lanes", n_frames, [
+        GtTrack(lane + 1, [GtEntry(frame, box) for frame, box in boxes])
+        for lane, boxes in entries.items()])
+    shifted = {lane: [(frame, BBox(box.left + 1.0, box.top, box.width,
+                                   box.height)) for frame, box in boxes]
+               for lane, boxes in entries.items()}
+    tracks = track_columns(*((lane + 1, boxes)
+                             for lane, boxes in shifted.items()))
+    dets = det_columns(*((frame, box, 0.5) for boxes in shifted.values()
+                         for frame, box in boxes))
+    return gt.columns, tracks, dets
+
+
+def test_iou_kernel_sees_only_candidate_pairs(monkeypatch):
+    """The prefilter stays in place: on disjoint lanes the kernel gets as
+    many pairs as there are edges at 0.7 (for the link table too), and
+    every same-frame pair, not the padded ones, at 0."""
+    gt, tracks, dets = _lane_scene()
+    seen = [0]
+
+    def counted(a, b):
+        out = iou_broadcast(a, b)
+        seen[0] += out.size
+        return out
+    monkeypatch.setattr(geometry, "iou_broadcast", counted)
+    _, per_frame = np.unique(gt.frame, return_counts=True)
+    same_frame = int((per_frame ** 2).sum())
+    for iou_thr, want in ((0.7, len(gt)), (0.0, same_frame)):
+        seen[0] = 0
+        table = matching.edge_table(gt, tracks, iou_thr)
+        assert len(table.iou) == seen[0] == want, iou_thr
+    padded = sum(len(chunk) * int(per_frame[chunk].max()) ** 2
+                 for chunk in frame_chunks(per_frame, per_frame))
+    assert padded > same_frame
+    seen[0] = 0
+    links = trackers.link_table(dets, 0.5, 2)
+    assert len(links.iou) == seen[0] > 0
 
 
 def test_scale_bands():

@@ -5,6 +5,8 @@
     python3 tools/reader_bench.py gt-peak --src SRC --inputs DIR [--runs 5]
     python3 tools/reader_bench.py clear --src SRC --inputs DIR [--iou-thr 0.7]
                                         [--repeat 5] [--sequences 4]
+    python3 tools/reader_bench.py edges --src SRC --inputs DIR [--iou-thr 0.7]
+                                        [--repeat 5] [--sequences 4]
     python3 tools/reader_bench.py pairs --parent DIR --change DIR --workload W
                                         --seed N --seconds S --pairs K
 
@@ -42,6 +44,21 @@ the conflicted frames and their levels where the package has `_levels`,
 and the edges of the largest run and of all runs stacked. Then, with
 `tracemalloc`, the peak that CLEAR allocates on the largest sequence, and
 the process's peak RSS (`ru_maxrss`) at the end.
+
+`edges` times `geometry.iou_edges` in this process. It runs each `bench/`
+workload's command at seed 1 in-process (`--jobs 1 --iou-thr T`, output
+to a temporary directory), records every `iou_edges` call that the GT x box
+edge tables (`matching.edge_table`) and the link tables
+(`trackers.link_table`) make, and times each recorded call again, best of
+--repeat. Per call it gives the padded pairs (every pair of the padded
+chunks, as `datamodel.frame_chunks` forms them), the same-frame pairs
+(without padding), the pairs given to the `iou_broadcast` kernel and the
+edges kept. Then the dense case: the first --sequences sequences of the
+paper-scale recipe at clutter_rate=40 (about 47 detections a frame,
+generated in memory), where it times, best of --repeat, the builtin
+tracker's link table (`link_table(dets, 0.5, 2)`, as `eval-system
+--tracker builtin:max_gap=2` builds it) and the GT x detection edge table
+at IoU T.
 
 `pairs` runs `bench/run.py --workload W --seed N --seconds S --trace 0` K
 times in each checkout, alternating which one runs first (odd pairs start
@@ -149,6 +166,15 @@ def _sweep_runs(gt, dets, thresholds, iou_thr):
             for tracks, rows in map(at, thresholds)]
 
 
+def _best(repeat: int, fn, *args) -> float:
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def cmd_clear(args) -> dict:
     import tracemalloc
 
@@ -208,12 +234,7 @@ def cmd_clear(args) -> dict:
                 "levels": (max((int(lv.max()) + 1 for lv in counts["levels"]
                                 if len(lv)), default=0) if levels else None),
                 "largest_run_edges": max(edges), "stacked_edges": sum(edges)})
-            best = math.inf
-            for _ in range(args.repeat):
-                start = time.perf_counter()
-                clear(gt, runs)
-                best = min(best, time.perf_counter() - start)
-            out[-1]["clear_s"] = round(best, 6)
+            out[-1]["clear_s"] = round(_best(args.repeat, clear, gt, runs), 6)
             if largest is None or sum(edges) > largest[0]:
                 largest = (sum(edges), gt, runs)
     _, gt, runs = largest
@@ -229,6 +250,82 @@ def cmd_clear(args) -> dict:
                         for name in sets},
             "clear_peak_mb_on_largest": clear_peak / 2**20,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def cmd_edges(args) -> dict:
+    import tempfile
+
+    import numpy as np
+    from detraceval import cli, datamodel, geometry, matching, trackers
+    from detraceval.synth import ScenarioConfig, gen_scenario
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    iou_edges, kernel = geometry.iou_edges, geometry.iou_broadcast
+    calls, pairs = [], [0]
+
+    def counted_kernel(*xs):
+        out = kernel(*xs)
+        pairs[0] += out.size
+        return out
+
+    def recorder(caller):
+        def recorded(*xs):
+            pairs[0] = 0
+            out = iou_edges(*xs)
+            calls.append((caller, xs, pairs[0], len(out[2])))
+            return out
+        return recorded
+    geometry.iou_broadcast = counted_kernel
+    matching.iou_edges = recorder("edge_table")
+    trackers.iou_edges = recorder("link_table")
+    out = {}
+    for name, workload in workloads.WORKLOADS.items():
+        root = _inputs(Path(args.inputs), name)
+        other = root / ("tracks" if (root / "tracks").exists() else "det")
+        inputs = workloads.Inputs(root / "gt", other, 0, 0, 0)
+        calls.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = workload().argv(inputs, Path(tmp) / "out", jobs=1)
+            if cli.main(argv + ["--iou-thr", str(args.iou_thr)]):
+                raise SystemExit(f"{name}: the command failed")
+        rows = []
+        for caller, xs, kernel_pairs, edges in calls:
+            a_n, b_n = xs[3], xs[7]
+            k = np.flatnonzero((a_n > 0) & (b_n > 0))
+            padded = sum(len(c) * int(a_n[k][c].max()) * int(b_n[k][c].max())
+                         for c in datamodel.frame_chunks(a_n[k], b_n[k]))
+            rows.append({"caller": caller,
+                         "iou_edges_s": round(_best(args.repeat, iou_edges,
+                                                    *xs), 6),
+                         "padded_pairs": padded,
+                         "same_frame_pairs": int((a_n * b_n).sum()),
+                         "kernel_pairs": kernel_pairs, "edges": edges})
+        out[name] = {"calls": rows, **{
+            f"total_{key}": (round(sum(r[key] for r in rows), 6)
+                             if key.endswith("_s") else
+                             sum(r[key] for r in rows))
+            for key in ("iou_edges_s", "padded_pairs", "same_frame_pairs",
+                        "kernel_pairs", "edges")}}
+    geometry.iou_broadcast = kernel
+    matching.iou_edges = trackers.iou_edges = iou_edges
+    dense = []
+    for i in range(args.sequences):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=9, n_frames=1400, drop_rate=0.2, clutter_rate=40.0,
+            jitter_sigma=1.0, seed=100 + i))
+        gt = gt.columns
+        dense.append({
+            "sequence": gt.sequence_id, "gt_boxes": len(gt),
+            "detections": len(dets),
+            "link_table_s": round(_best(args.repeat, trackers.link_table,
+                                        dets, 0.5, 2), 6),
+            "edge_table_s": round(_best(args.repeat, matching.edge_table,
+                                        gt, dets, args.iou_thr), 6)})
+    return {"src": args.src, "iou_thr": args.iou_thr, "repeat": args.repeat,
+            "workloads": out,
+            "dense": {"sequences": dense, **{
+                f"total_{key}": round(sum(s[key] for s in dense), 6)
+                for key in ("link_table_s", "edge_table_s")}}}
 
 
 # One GT read in a fresh interpreter: argv is SRC and the GT file; prints
@@ -307,6 +404,12 @@ def main(argv=None) -> int:
     p.add_argument("--iou-thr", type=float, default=0.7)
     p.add_argument("--repeat", type=int, default=5)
     p.add_argument("--sequences", type=int, default=4)
+    p = sub.add_parser("edges")
+    p.add_argument("--src", required=True)
+    p.add_argument("--inputs", required=True)
+    p.add_argument("--iou-thr", type=float, default=0.7)
+    p.add_argument("--repeat", type=int, default=5)
+    p.add_argument("--sequences", type=int, default=4)
     p = sub.add_parser("pairs")
     for flag in ("--parent", "--change", "--workload"):
         p.add_argument(flag, required=True)
@@ -317,7 +420,7 @@ def main(argv=None) -> int:
     if args.command not in ("pairs", "gt-peak"):
         sys.path.insert(0, str(Path(args.src).resolve()))
     command = {"readers": cmd_readers, "paper-slice": cmd_paper_slice,
-               "gt-peak": cmd_gt_peak, "clear": cmd_clear,
+               "gt-peak": cmd_gt_peak, "clear": cmd_clear, "edges": cmd_edges,
                "pairs": cmd_pairs}[args.command]
     print(json.dumps(command(args)))
     return 0
