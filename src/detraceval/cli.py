@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -252,10 +253,10 @@ def _read_pair(gt_path: Path, path: Path, reader):
 
 def cmd_eval_det(args) -> int:
     out = _out_dir(args)
-    pairs = [_read_pair(gt_path, det_path, read_detections)
-             for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv")]
-    subsets = args.subset or ["overall"]
-    report = det_metrics.detection_report(pairs, subsets, args.iou_thr)
+    pairs = (_read_pair(gt_path, det_path, read_detections)
+             for _, gt_path, det_path in _load_pairs(args.gt, args.det, ".csv"))
+    report = det_metrics.detection_report(pairs, args.subset or ["overall"],
+                                          args.iou_thr)
     _write_json(out / "detection_report.json", report)
     header = ("threshold", "precision", "recall", "tp", "fp", "fn")
     for name, body in report.items():
@@ -515,14 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_) -> str:
+    return f"detraceval: warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
         if not 0.0 <= getattr(args, "iou_thr", 0.0) <= 1.0:
             raise ValidationError(
                 f"--iou-thr must be a number in [0, 1], got {args.iou_thr}")
+        for name in getattr(args, "subset", None) or ():
+            det_metrics._subset_value(name)
+        if "thresholds" in args:
+            pr_integration.check_threshold_count(args.thresholds)
         return args.func(args)
     except (ValidationError, TrackerError,
             pr_integration.SweepError) as exc:
@@ -532,6 +542,8 @@ def main(argv=None) -> int:
         print(f"detraceval: error: {exc.filename or args.out}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -45,10 +45,11 @@ gives ``right = left + width`` and ``bottom = top + height``, computed in
 float64 so that they equal `BBox.right` / `BBox.bottom` bit for bit, and
 every number equals what ``int(token)`` / ``float(token)`` gives. A CSV
 file's columns are converted in one numpy pass (`np.loadtxt`, in C) where
-numpy reads every token as ``int()`` / ``float()`` would; on any other
-text, and on any token it refuses or warns about, the file is converted
-again with ``int()`` / ``float()`` (`_csv_columns`), so numpy's grammar
-and version change no number and no error.
+numpy reads every token as ``int()`` / ``float()`` would
+(`_csv_columns`); on any other text, and on any token it refuses or warns
+about, the rows are converted one at a time with ``int()`` / ``float()``
+(`_read_csv`), up to the first value that fails, so numpy's grammar and
+version change no number and no error.
 
 A GT JSON text is decoded a piece at a time (`_gt_streamed`): the
 members of the top-level object one at a time, and the ``tracks`` array
@@ -117,7 +118,6 @@ import operator
 import threading
 import warnings
 from collections import defaultdict
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
@@ -648,47 +648,39 @@ _LOADTXT = threading.Lock()
 
 
 def _csv_columns(rows: list[str], n_fields: int,
-                 fields: dict[str, tuple[int, type]]) -> dict[str, np.ndarray]:
+                 fields: dict[str, tuple[int, type]]) -> dict | None:
     """Field name -> column, each value what int(token) or float(token)
-    gives; raises _BadColumns on a wrong field count or a token that does
-    not convert.
+    gives, from one `np.loadtxt` pass; None where the pass cannot say so.
 
-    One `np.loadtxt` pass converts every column in C, on ASCII text
-    without the separators \\x1c-\\x1f only: there it reads a float with
-    the parser of float(), and an int only from spaces, a sign and digits
-    within int64. Elsewhere it does not read as Python does: it strips
-    those four separators as spaces, which int() and float() refuse, and
-    its int parser misreads non-ASCII characters as digits. The pass
-    refuses some tokens that int() and float() take (underscores, ints
-    beyond int64), and warns where it reads what they might not (no rows;
-    on numpy 1.x, a float in an int column, truncated). After a refusal or
-    a warning, or on other text, int() and float() convert the rows, split
-    as one comma-joined string, so no per-row list is built: with
-    n_fields - 1 commas on every row, field i of every row is every
-    n_fields-th token from i on. So neither numpy's token grammar nor its
-    version changes what a file gives."""
-    if set(map(str.count, rows, repeat(","))) - {n_fields - 1}:
-        raise _BadColumns
+    The pass converts every column in C, on ASCII text without the
+    separators \\x1c-\\x1f only: there it reads a float with the parser of
+    float(), and an int only from spaces, a sign and digits within int64.
+    Elsewhere it does not read as Python does: it strips those four
+    separators as spaces, which int() and float() refuse, and its int
+    parser misreads non-ASCII characters as digits. The pass refuses some
+    tokens that int() and float() take (underscores, ints beyond int64),
+    and warns where it reads what they might not (no rows; on numpy 1.x, a
+    float in an int column, truncated). On a wrong field count, on other
+    text, and after a refusal or a warning, it gives None, and
+    `_read_csv` converts the rows one at a time with int() and float(), so
+    neither numpy's token grammar nor its version changes what a file
+    gives."""
     text = ",".join(rows)
-    if text.isascii() and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
-        try:
-            with _LOADTXT, warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    rows, delimiter=",", comments=None, ndmin=1,
-                    dtype=[(name, np.int64 if kind is int else np.float64)
-                           for name, (_, kind) in fields.items()],
-                    usecols=[index for index, _ in fields.values()])
-            return {name: table[name].copy() for name in fields}
-        except (ValueError, OverflowError, Warning):
-            pass
-    tokens = text.split(",") if rows else []
+    if (set(map(str.count, rows, repeat(","))) - {n_fields - 1}
+            or not text.isascii()
+            or any(map(text.__contains__, "\x1c\x1d\x1e\x1f"))):
+        return None
     try:
-        return {name: (_ints if kind is int else _floats)(
-                    list(map(kind, tokens[index::n_fields])))
-                for name, (index, kind) in fields.items()}
-    except (ValueError, OverflowError):
-        raise _BadColumns from None
+        with _LOADTXT, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                rows, delimiter=",", comments=None, ndmin=1,
+                dtype=[(name, np.int64 if kind is int else np.float64)
+                       for name, (_, kind) in fields.items()],
+                usecols=[index for index, _ in fields.values()])
+    except (ValueError, OverflowError, Warning):
+        return None
+    return {name: table[name].copy() for name in fields}
 
 
 def _convert(token: str, kind: type, line_no: int, what: str):
@@ -703,28 +695,34 @@ def _convert(token: str, kind: type, line_no: int, what: str):
 
 def _read_csv(stream: Iterable[str], n_fields: int, fields: dict) -> tuple:
     """(columns, line numbers, failure) of a CSV file for `_check_rules`,
-    each row's place its index. When a row does not convert, the rows are
-    converted one at a time up to it, and the columns end with that row,
-    the fields it did not convert read as "0"."""
+    each row's place its index. Where `_csv_columns` gives None, the rows
+    are converted one at a time; when a row does not convert, the columns
+    end with that row, the fields it did not convert read as 0."""
     lines = list(map(str.strip, stream))
     rows = list(filter(None, lines))
     line = (np.arange(1, len(rows) + 1) if len(rows) == len(lines) else
             np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + 1)
-    with suppress(_BadColumns):
-        return _csv_columns(rows, n_fields, fields), line, None
+    columns = _csv_columns(rows, n_fields, fields)
+    if columns is not None:
+        return columns, line, None
+    values: dict[str, list] = {name: [] for name in fields}
+    failure = None
     for at, (line_no, row) in enumerate(zip(line.tolist(), rows)):
-        tokens, padded, converted = row.split(","), ["0"] * n_fields, 0
+        tokens, converted = row.split(","), 0
         try:
             if len(tokens) != n_fields:
                 raise ValidationError(f"line {line_no}: expected {n_fields} "
                                       f"comma-separated fields, got {len(tokens)}")
             for name, (index, kind) in fields.items():
-                _convert(tokens[index], kind, line_no, name)
-                padded[index], converted = tokens[index], converted + 1
+                values[name].append(_convert(tokens[index], kind, line_no, name))
+                converted += 1
         except ValidationError as exc:
-            return (_csv_columns(rows[:at] + [",".join(padded)], n_fields, fields),
-                    line[:at + 1], ((at, converted + 0.5), exc))
-    raise AssertionError("CSV columns failed to convert where no row fails")
+            for column in values.values():
+                column += [0] * (at + 1 - len(column))
+            line, failure = line[:at + 1], ((at, converted + 0.5), exc)
+            break
+    return ({name: (_ints if kind is int else _floats)(values[name])
+             for name, (_, kind) in fields.items()}, line, failure)
 
 
 def checked_detections(cols: dict[str, np.ndarray], line: np.ndarray,

@@ -14,10 +14,13 @@ matched detection is a true positive or neutral, and which GT counts in the
 denominator. The pass therefore records, per detection, the GT row it
 matched (or none) and whether ignore regions cover it; a subset is a boolean
 mask over GT rows (all rows or none for the sequence-level `weather` and
-`difficulty`), and its counts are read off the pass. Greedy matching takes
-detections in descending score, so the detections above any threshold are
-a prefix of the pass and their matching is the one a pass over them alone
-would give.
+`difficulty`), and its counts are read off the pass. `detection_report`
+applies every subset to a sequence as soon as it is labeled and keeps only
+each subset's counts (`Labels.counts`), so it holds one sequence's GT,
+detections and labels at a time; `Labels` keep no GT. Greedy matching
+takes detections in descending score, so the detections above any
+threshold are a prefix of the pass and their matching is the one a pass
+over them alone would give.
 
 The pass reads the sequence's GT x detection edge table
 (`matching.edge_table`): every same-frame (GT row, detection row, IoU)
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -149,7 +152,6 @@ class Labels:
     on its detections, which the sweep also hands to CLEAR.
     """
 
-    gt: GtColumns
     score: np.ndarray
     matched: np.ndarray
     covered: np.ndarray
@@ -196,8 +198,7 @@ def _label_detections(g: GtColumns, d: DetectionColumns, edges: EdgeTable,
             gi, di, _ = zip(*pairs)
             matched[d0 + np.array(di)] = g_order[g0 + np.array(gi)]
     inside = covered(d, g.ignore)
-    return Labels(g, score, matched, inside[order] & (matched < 0), pooled,
-                  inside)
+    return Labels(score, matched, inside[order] & (matched < 0), pooled, inside)
 
 
 def count_table(counts: Sequence[tuple[np.ndarray, np.ndarray, int]]
@@ -249,29 +250,15 @@ def _subset_rows(kind: str, value: str, g: GtColumns) -> np.ndarray | None:
     return np.ones(len(g), dtype=bool)
 
 
-def _subset_table(labels: Sequence[Labels], name: str) -> CountTable:
-    kind, value = _subset_value(name)
-    counts = [lab.counts(rows) for lab in labels
-              if (rows := _subset_rows(kind, value, lab.gt)) is not None]
-    if not counts:
-        raise ValidationError(f"empty evaluation target set for subset {name!r}")
-    return count_table(counts)
-
-
-def label_pairs(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
-                iou_thr: float) -> list[Labels]:
-    """One labeling pass per (GT, detections) pair, each on the pair's
-    `matching.edge_table` at iou_thr."""
-    return [_label_detections(g, d, edge_table(g, d, iou_thr), iou_thr)
-            for g, d in pairs]
-
-
-def threshold_counts(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
+def threshold_counts(pairs: Iterable[tuple[GtColumns, DetectionColumns]],
                      iou_thr: float = DEFAULT_IOU_THR) -> CountTable:
-    """Label each (GT, detections) pair once (`label_pairs`); the table
-    gives (tp, fp, fn) at any threshold, every GT row counted."""
-    return count_table([lab.counts(np.ones(len(lab.gt), dtype=bool))
-                        for lab in label_pairs(pairs, iou_thr)])
+    """Label each (GT, detections) pair once, on its `matching.edge_table`
+    at iou_thr; the table gives (tp, fp, fn) at any threshold, every GT
+    row counted."""
+    return count_table([
+        _label_detections(g, d, edge_table(g, d, iou_thr), iou_thr).counts(
+            np.ones(len(g), dtype=bool))
+        for g, d in pairs])
 
 
 def average_precision(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -285,11 +272,14 @@ def average_precision(recall: np.ndarray, precision: np.ndarray) -> float:
     return np.cumsum(np.append(0.0, (recall - prev)[step] * env[step]))[-1].item()
 
 
-def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
+def detection_report(pairs: Iterable[tuple[GtColumns, DetectionColumns]],
                      subsets: Sequence[str] = ("overall",),
                      iou_thr: float = DEFAULT_IOU_THR) -> dict[str, dict]:
     """AP + PR curve per named subset, pooled over the (GT, detections)
-    pairs, from one labeling pass per sequence. A subset's `points` are its
+    pairs, from one labeling pass per sequence. Every name is checked
+    before the first pair is drawn; then each pair, drawn from any
+    iterable, is labeled and reduced to its subsets' counts before the
+    next is drawn. A subset's `points` are its
     count table's rows in curve order, one per distinct score, or the one
     row of nothing kept when there are no detections: `Rows` with the
     float64 columns threshold, precision and recall and the int64 columns
@@ -300,10 +290,23 @@ def detection_report(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     "scale:<small|medium|large>", "occlusion:<none|partial|heavy>",
     "category:<car|bus|van|others>".
     """
-    labels = label_pairs(pairs, iou_thr)
+    kinds = [_subset_value(name) for name in subsets]
+
+    def sequence_counts(pair):
+        g, d = pair
+        labels = _label_detections(g, d, edge_table(g, d, iou_thr), iou_thr)
+        return [None if (rows := _subset_rows(kind, value, g)) is None
+                else labels.counts(rows) for kind, value in kinds]
+
+    # `map` drops each pair, and its labels, before it draws the next.
+    by_sequence = list(map(sequence_counts, pairs))
     report: dict[str, dict] = {}
-    for name in subsets:
-        table = _subset_table(labels, name)
+    for i, name in enumerate(subsets):
+        counts = [seq[i] for seq in by_sequence if seq[i] is not None]
+        if not counts:
+            raise ValidationError(
+                f"empty evaluation target set for subset {name!r}")
+        table = count_table(counts)
         if table.n_gt == 0:
             raise ValidationError("empty evaluation target set")
         # Row 0 (nothing kept) is a point only when there are no detections.

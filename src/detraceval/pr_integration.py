@@ -107,12 +107,17 @@ class PRIntegratedReport:
         return {k: self.integrals[k] for k in SCORE_NAMES}
 
 
+def check_threshold_count(n: int) -> None:
+    """Both spacings need at least two thresholds."""
+    if n < 2:
+        raise ValidationError(f"need n >= 2 thresholds, got {n}")
+
+
 def _score_list(scores: Sequence[float] | np.ndarray, n: int) -> list[float]:
     """The scores as Python floats, after the checks both spacings share."""
     if len(scores) == 0:
         raise ValidationError("no detections: cannot select score thresholds")
-    if n < 2:
-        raise ValidationError(f"need n >= 2 thresholds, got {n}")
+    check_threshold_count(n)
     return np.asarray(scores, dtype=np.float64).tolist()
 
 

@@ -41,4 +41,4 @@ def frame_loop_label_detections(g: GtColumns, d: DetectionColumns,
     ignored = np.zeros(len(order), dtype=bool)
     left = np.flatnonzero(matched < 0)
     ignored[left] = covered(d.take(order[left]), g.ignore)
-    return Labels(g, score, matched, ignored, pooled, covered(d, g.ignore))
+    return Labels(score, matched, ignored, pooled, covered(d, g.ignore))

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -215,6 +218,74 @@ def test_eval_system_jobs_byte_identical(tmp_path):
         outs.append(out)
     for rel in ("system_report.json", "pr_curve.csv"):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+def _scenario_dirs(root: Path, seeds) -> tuple[Path, Path, Path]:
+    """GT, detection and track directories of one generated sequence per
+    seed; the tracks are the greedy linker's on the detections."""
+    from detraceval.datamodel import write_detections, write_ground_truth
+    from detraceval.synth import ScenarioConfig, gen_scenario
+    dirs = [root / sub for sub in ("gt", "det", "tracks")]
+    for d in dirs:
+        d.mkdir(parents=True)
+    for seed in seeds:
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=6, n_frames=20, drop_rate=0.1, clutter_rate=2.0,
+            jitter_sigma=1.0, seed=seed))
+        with open(dirs[0] / f"s{seed}.json", "w", encoding="utf-8") as fh:
+            write_ground_truth(gt, fh)
+        with open(dirs[1] / f"s{seed}.csv", "w", encoding="utf-8") as fh:
+            write_detections(dets, fh)
+        with open(dirs[2] / f"s{seed}.csv", "w", encoding="utf-8") as fh:
+            write_tracks(greedy_iou_track(dets, max_gap=2), fh)
+    return tuple(dirs)
+
+
+def test_eval_mot_jobs_byte_identical(tmp_path, monkeypatch):
+    """eval-mot's threads read GT and track files at once: each streamed
+    GT read, in several batches, and each track read give the bytes of
+    --jobs 1 in every report file."""
+    from detraceval import datamodel
+    gt_dir, _, tracks_dir = _scenario_dirs(tmp_path, (2, 3, 4, 5))
+    monkeypatch.setattr(datamodel, "_GT_BATCH_ENTRIES", 8)
+    batches = []
+    real = datamodel._gt_columns
+    monkeypatch.setattr(datamodel, "_gt_columns",
+                        lambda *args: batches.append(1) or real(*args))
+    trees = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"out{jobs}"
+        batches.clear()
+        assert main(["eval-mot", "--gt", str(gt_dir), "--tracks",
+                     str(tracks_dir), "--jobs", jobs, "--out", str(out)]) == 0
+        assert len(batches) >= 4 * 3  # each GT: 2 or more batches, regions
+        trees.append(_tree(out))
+    assert len(trees[0]) == 5 and trees[0] == trees[1]
+
+
+def test_eval_det_reads_one_sequence_at_a_time(tmp_path, monkeypatch):
+    """eval-det labels each sequence as it is read: when a sequence's GT
+    file is read, the GT and detection columns of the sequences before it
+    are gone."""
+    from detraceval import cli
+    gt_dir, det_dir, _ = _scenario_dirs(tmp_path, (2, 3, 4))
+    refs, alive = [], []
+
+    def tracked(name):
+        def read(fh, _fn=getattr(cli, name)):
+            if name == "read_ground_truth":
+                gc.collect()
+                alive.append([ref() is not None for ref in refs])
+            columns = _fn(fh)
+            refs.append(weakref.ref(columns))
+            return columns
+        monkeypatch.setattr(cli, name, read)
+    tracked("read_ground_truth")
+    tracked("read_detections")
+    assert main(["eval-det", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--subset", "overall", "--subset", "category:car",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert alive == [[], [False] * 2, [False] * 4]
 
 
 _OVERLAP_TRACKER = """\
@@ -935,6 +1006,58 @@ def test_iou_thr_outside_unit_interval_is_one_line_error(tmp_path, capsys,
                  "--iou-thr", iou_thr, "--out", str(tmp_path / "out")]) == 1
     assert "--iou-thr must be a number in [0, 1]" in _one_line_error(capsys)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["eval-det", "--subset", "overall", "--subset", "bogus"],
+     "bad subset name 'bogus'"),
+    (["eval-det", "--subset", "colour:red"], "unknown subset kind 'colour'"),
+    (["eval-det", "--subset", "scale:huge"],
+     "unknown scale 'huge' in subset 'scale:huge'"),
+    (["eval-system", "--tracker", "builtin", "--thresholds", "1"],
+     "need n >= 2 thresholds, got 1"),
+    (["eval-system", "--tracker", "builtin", "--thresholds", "0"],
+     "need n >= 2 thresholds, got 0"),
+    (["eval-system", "--tracker", "builtin", "--thresholds", "-3"],
+     "need n >= 2 thresholds, got -3"),
+])
+def test_bad_subset_or_threshold_count_is_one_line_error(tmp_path, capsys,
+                                                         argv, error):
+    """A bad --subset or --thresholds is reported before any input is
+    read, here a malformed detection file, and before --out is made."""
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    (det_dir / "perfect.csv").write_text("1,-1,oops,0,5,5,0.9,-1,-1,-1\n")
+    command, *options = argv
+    assert main([command, "--gt", str(gt_dir), "--det", str(det_dir),
+                 *options, "--out", str(tmp_path / "out")]) == 1
+    assert error in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_warnings_are_one_line_each(tmp_path):
+    """eval-system on the perfect fixture warns twice, each warning one
+    `detraceval: warning:` line. In-process the formatter is main's only
+    while it runs, so `pytest.warns` still sees the warnings."""
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    argv = ["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+            "--tracker", "builtin"]
+    root = str(Path(detraceval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "detraceval.cli", *argv,
+         "--out", str(tmp_path / "child")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "detraceval: warning: all detection scores are equal; single threshold\n"
+        "detraceval: warning: single operating point: line integral is 0\n")
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning) as caught:
+        assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0
+    assert {str(w.message) for w in caught} == {
+        "all detection scores are equal; single threshold",
+        "single operating point: line integral is 0"}
+    assert warnings.formatwarning is formatwarning
 
 
 @pytest.mark.parametrize("flag,value,name", [

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -404,6 +407,45 @@ def test_unknown_subset_name_is_validation_error():
                  "colour:red", "overall:car", "car"):
         with pytest.raises(ValidationError):
             detection_report([(gt.columns, dets)], [name])
+
+
+def _read_scene(texts: tuple[str, str], refs: list) -> tuple:
+    """The GT and detection columns read from their texts; `refs` gains a
+    weak reference to each."""
+    pair = (datamodel.read_ground_truth(io.StringIO(texts[0])),
+            datamodel.read_detections(io.StringIO(texts[1])))
+    refs.extend(map(weakref.ref, pair))
+    return pair
+
+
+def test_a_fed_generator_is_folded_one_sequence_at_a_time():
+    """detection_report folds each pair as it arrives: when sequence k + 1
+    is read, the GT and detections of sequence k are gone. A list of the
+    same pairs gives the same report."""
+    texts = []
+    for seed in (3, 4, 5):
+        gt, dets = gen_scenario(ScenarioConfig(
+            n_targets=4, n_frames=12, drop_rate=0.2, clutter_rate=2.0,
+            jitter_sigma=1.0, seed=seed))
+        gt_text, det_text = io.StringIO(), io.StringIO()
+        datamodel.write_ground_truth(gt, gt_text)
+        datamodel.write_detections(dets, det_text)
+        texts.append((gt_text.getvalue(), det_text.getvalue()))
+    refs, alive = [], []
+
+    def pairs():
+        for scene in texts:
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            yield _read_scene(scene, refs)
+    subsets = ["overall", "category:car"]
+    got = detection_report(pairs(), subsets)
+    assert alive == [[], [False] * 2, [False] * 4]
+    want = detection_report([_read_scene(scene, []) for scene in texts],
+                            subsets)
+    for name in subsets:
+        assert got[name]["ap"] == want[name]["ap"]
+        assert _dicts(got[name]["points"]) == _dicts(want[name]["points"])
 
 
 def test_tied_signed_zero_scores_keep_the_last_detections_threshold():

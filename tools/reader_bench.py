@@ -3,6 +3,8 @@
     python3 tools/reader_bench.py readers --src SRC --inputs DIR [--repeat 9]
     python3 tools/reader_bench.py paper-slice --src SRC --inputs DIR [--sequences 20]
     python3 tools/reader_bench.py gt-peak --src SRC --inputs DIR [--runs 5]
+    python3 tools/reader_bench.py det-peak --src SRC --inputs DIR
+                                           [--sequences 100] [--runs 4]
     python3 tools/reader_bench.py clear --src SRC --inputs DIR [--iou-thr 0.7]
                                         [--repeat 5] [--sequences 4]
     python3 tools/reader_bench.py edges --src SRC --inputs DIR [--iou-thr 0.7]
@@ -29,6 +31,15 @@ process's peak RSS (`ru_maxrss`) after reading.
 from SRC and read only the `mot-long` GT file (generated into
 DIR/mot-long when missing), and gives each child's peak RSS (`ru_maxrss`)
 after the import and after the read, with their medians.
+
+`det-peak` runs `eval-det --subset overall --subset category:car` on the
+first --sequences sequences of the paper-scale recipe (generated into
+DIR/paper when missing, and linked into DIR/paper-<sequences>), --runs
+times, each in a fresh interpreter that imports the package from SRC and
+writes to a new directory under DIR. Per run it gives the wall time of
+`cli.main`, the child's peak RSS (`ru_maxrss`) and the sha256 of the
+report files (each file's name and digest, in name order); then the
+medians and the distinct digests.
 
 `clear` times CLEAR in this process, as `eval-system --tracker
 builtin:max_gap=2 --thresholds 10` runs it, on each sequence of the
@@ -70,6 +81,7 @@ change won.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import resource
@@ -356,6 +368,66 @@ def cmd_gt_peak(args) -> dict:
             "read_peak_median_mb": statistics.median(read)}
 
 
+# One eval-det run in a fresh interpreter: argv is SRC, the GT and
+# detection directories and --out; prints the exit status, the wall time
+# of `cli.main` and the peak RSS in KiB.
+_DET_PEAK_CHILD = """
+import resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from detraceval.cli import main
+start = time.perf_counter()
+code = main(["eval-det", "--gt", sys.argv[2], "--det", sys.argv[3],
+             "--subset", "overall", "--subset", "category:car",
+             "--out", sys.argv[4]])
+print(code, time.perf_counter() - start,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _report_digest(out: Path) -> str:
+    lines = []
+    for path in sorted(out.iterdir()):
+        with open(path, "rb") as fh:
+            lines.append(f"{path.name} {hashlib.file_digest(fh, 'sha256').hexdigest()}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def cmd_det_peak(args) -> dict:
+    import tempfile
+    inputs = Path(args.inputs)
+    root = _paper_inputs(inputs, args.sequences)
+    gt_files = sorted((root / "gt").glob("*.json"))[:args.sequences]
+    if len(gt_files) < args.sequences:
+        raise SystemExit(f"{root} holds {len(gt_files)} sequences, "
+                         f"fewer than {args.sequences}")
+    view = inputs / f"paper-{args.sequences}"
+    if not view.exists():
+        for kind, suffix in (("gt", ".json"), ("det", ".csv")):
+            (view / kind).mkdir(parents=True)
+            for gt_path in gt_files:
+                name = gt_path.stem + suffix
+                (view / kind / name).symlink_to((root / kind / name).resolve())
+    runs = []
+    for _ in range(args.runs):
+        with tempfile.TemporaryDirectory(dir=inputs) as tmp:
+            out = Path(tmp) / "out"
+            proc = subprocess.run(
+                [sys.executable, "-c", _DET_PEAK_CHILD,
+                 str(Path(args.src).resolve()), str(view / "gt"),
+                 str(view / "det"), str(out)],
+                capture_output=True, text=True, check=True)
+            code, wall, kib = proc.stdout.split()
+            if code != "0":
+                raise SystemExit(f"eval-det failed: {proc.stderr}")
+            runs.append({"wall_s": float(wall), "peak_rss_mb": int(kib) / 1024,
+                         "report_sha256": _report_digest(out)})
+    return {"src": args.src, "sequences": args.sequences, "runs": runs,
+            "wall_median_s": statistics.median(r["wall_s"] for r in runs),
+            "peak_rss_median_mb": statistics.median(r["peak_rss_mb"]
+                                                    for r in runs),
+            "report_sha256": sorted({r["report_sha256"] for r in runs})}
+
+
 def _run(checkout: Path, args) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", args.workload,
@@ -398,6 +470,11 @@ def main(argv=None) -> int:
         p.add_argument("--src", required=True)
         p.add_argument("--inputs", required=True)
         p.add_argument(flag, type=int, default=default)
+    p = sub.add_parser("det-peak")
+    p.add_argument("--src", required=True)
+    p.add_argument("--inputs", required=True)
+    p.add_argument("--sequences", type=int, default=100)
+    p.add_argument("--runs", type=int, default=4)
     p = sub.add_parser("clear")
     p.add_argument("--src", required=True)
     p.add_argument("--inputs", required=True)
@@ -420,7 +497,8 @@ def main(argv=None) -> int:
     if args.command not in ("pairs", "gt-peak"):
         sys.path.insert(0, str(Path(args.src).resolve()))
     command = {"readers": cmd_readers, "paper-slice": cmd_paper_slice,
-               "gt-peak": cmd_gt_peak, "clear": cmd_clear, "edges": cmd_edges,
+               "gt-peak": cmd_gt_peak, "det-peak": cmd_det_peak,
+               "clear": cmd_clear, "edges": cmd_edges,
                "pairs": cmd_pairs}[args.command]
     print(json.dumps(command(args)))
     return 0
