@@ -272,14 +272,11 @@ def cmd_eval_mot(args) -> int:
             "sequence 'aggregate': the name is reserved for "
             "mot_aggregate.json; rename its ground truth file")
     out = _out_dir(args)
-
-    def evaluate(triple):
-        _, gt_path, track_path = triple
-        return mot_metrics.evaluate_clear(
-            *_read_pair(gt_path, track_path, read_tracks), args.iou_thr)
-
-    results = pr_integration.map_jobs(evaluate, triples, args.jobs)
-
+    # In order, on this thread, whatever --jobs says: each sequence's
+    # columns die before the next is read.
+    results = [mot_metrics.evaluate_clear(
+        *_read_pair(gt_path, track_path, read_tracks), args.iou_thr)
+        for _, gt_path, track_path in triples]
     all_stats = []
     for (seq, _, _), (bundle, stats) in zip(triples, results):
         all_stats.append(stats)
@@ -442,11 +439,6 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-_JOBS_HELP = ("threads (default 1) over one sequence's thresholds (eval-system) "
-              "or over sequences (eval-mot); every value gives the same bytes, "
-              "and only external (cmd:) tracker runs overlap on them")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detraceval",
@@ -471,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-mot", help="CLEAR MOT evaluation")
     p.add_argument("--gt", required=True)
     p.add_argument("--tracks", required=True, help="track directory (*.csv)")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="no effect; kept so that existing command lines work")
     common(p)
     p.set_defaults(func=cmd_eval_mot)
 
@@ -487,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile-thresholds", action="store_true",
                    help="space thresholds by score quantiles instead of "
                         "uniform values")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="threads (default 1) over one sequence's tracker "
+                        "runs; only cmd: runs overlap; reports do not depend on it")
     p.add_argument("--keep-going", action="store_true",
                    help="record a gap instead of aborting on tracker failure")
     p.add_argument("--detector-name", default="detector")

@@ -641,8 +641,9 @@ class _BadColumns(Exception):
 
 
 # `catch_warnings` swaps the warning filters of the whole process; the lock
-# keeps readers on several threads (`eval-mot --jobs`) from restoring each
-# other's filters out of order. While a pass runs, a warning on another
+# keeps readers on several threads (a `cmd:` tracker's outputs, read on the
+# sweep's threads, or a library caller's) from restoring each other's
+# filters out of order. While a pass runs, a warning on another
 # thread is an error too; nothing that runs beside a reader warns.
 _LOADTXT = threading.Lock()
 

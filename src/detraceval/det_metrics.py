@@ -303,12 +303,9 @@ def detection_report(pairs: Iterable[tuple[GtColumns, DetectionColumns]],
     report: dict[str, dict] = {}
     for i, name in enumerate(subsets):
         counts = [seq[i] for seq in by_sequence if seq[i] is not None]
-        if not counts:
+        if not counts or (table := count_table(counts)).n_gt == 0:
             raise ValidationError(
                 f"empty evaluation target set for subset {name!r}")
-        table = count_table(counts)
-        if table.n_gt == 0:
-            raise ValidationError("empty evaluation target set")
         # Row 0 (nothing kept) is a point only when there are no detections.
         rows = slice(1 if len(table.score) > 1 else 0, None)
         tp, kept = table.tp[rows], table.kept[rows]

@@ -23,8 +23,10 @@ edges the caller passes. A conflict-free frame is matched by exactly its
 edges, which the caller takes without calling a matcher (each caller's
 docstring says why its matcher agrees); a conflicted frame goes to the
 matcher as its IoU matrix, filled from its edges and with -1 elsewhere.
-Both matchers ignore an entry <= 0 or below the threshold, so the -1
-changes nothing.
+`match_frame_greedy` ignores an entry <= 0 or below the threshold, and
+`clear_correspond` an entry below the threshold only, so at threshold 0
+it matches a pair of IoU 0 that greedy matching leaves out. Both ignore
+an entry < 0, so the -1 changes nothing.
 
 Both matchers return one frame's matches as a list of (gt, hypothesis, IoU)
 pairs and nothing else: a box that no pair holds is unmatched, and a caller

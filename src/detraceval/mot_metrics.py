@@ -441,16 +441,14 @@ def evaluate_clear_runs(gt: GtColumns, runs: Sequence[Run],
               for cut in (coverage > MT_COVERAGE, coverage < ML_COVERAGE))
 
     # Each frame's IoU sum in clear_correspond's pair order, persisted pairs
-    # then residual pairs, each by gt row: one pass per pair rank adds the
-    # rank's pair of every frame that has one.
+    # then residual pairs, each by gt row: `np.add.at` adds the pairs one at
+    # a time in `ranked` order, so each frame's sum starts at 0.0 and takes
+    # its pairs in that order.
     hit_rows = np.flatnonzero(hit)
     ranked = hit_rows[np.argsort(2 * g_at[hit_rows] + ~persisted[hit_rows],
                                  kind="stable")]
-    first = np.cumsum(n_matches) - n_matches
     iou_sums = np.zeros(n_frames)
-    for rank in range(int(n_matches.max()) if n_frames else 0):
-        at = np.flatnonzero(n_matches > rank)
-        iou_sums[at] += match_iou[ranked[first[at] + rank]]
+    np.add.at(iou_sums, g_at[ranked], match_iou[ranked])
     iou_sum = [v if m else 0 for v, m in zip(iou_sums.tolist(),
                                              n_matches.tolist())]
     columns = {"frame": frame, "gt": n_g, "matches": n_matches,

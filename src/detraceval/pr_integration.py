@@ -39,6 +39,13 @@ sequences is the labels' counts and, per threshold, a running CLEAR total
 (`mot_metrics.Totals`) that each sequence's stats are folded into, in
 sequence order, so every total is the one `aggregate` gives.
 
+Threads. With jobs > 1 the tracker steps of one sequence run on that
+many threads, and nothing else in the package does: only an external
+(`cmd:`) tracker's processes overlap there, while reading, the built-in
+tracker and CLEAR hold Python's interpreter lock. Sequences, and each
+sequence's CLEAR call, run in order on the calling thread, and every
+value of jobs gives the same result.
+
 The sweep stays in columns: thinning at a threshold is the mask
 ``score >= threshold`` over `DetectionColumns`, and CLEAR scores the
 `TrackColumns` the tracker returns as they are. Tracker output past the
@@ -47,7 +54,7 @@ exception in the tracker.
 
 Failures. The error raised is the first failure in (threshold, sequence)
 order, thresholds in the order given. Without keep_going a sequence stops
-at its own first failure (a thread skips a threshold above a known
+at its own first failure (a step skips a threshold above a known
 failure), and later sequences run only the thresholds below the lowest
 failure found so far. With keep_going a threshold that failed on any
 sequence is a gap, and later sequences skip it; when every threshold
@@ -153,18 +160,6 @@ def _ascending(values: Iterable[float]) -> list[float]:
     return out
 
 
-def map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
-    """[fn(item) for item in items], on `jobs` threads when jobs > 1; the
-    one home of the `--jobs` policy: `eval-system` runs one sequence's
-    tracker steps on it, `eval-mot` its sequences. The built-in tracker and
-    CLEAR hold Python's interpreter lock, so threads pay only while
-    external (`cmd:`) tracker processes run, which then overlap."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _bare(exc: Exception) -> Exception:
     """`exc` without its traceback and the exceptions chained to it, whose
     frames would keep a failed sequence's tables alive for as long as
@@ -183,11 +178,12 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
     the tracker's failure there, or None where it was not run. The edge
     table, the labels and the tracker's entry point are built here, once,
     over all of `dets` (see the module docstring), and die when this
-    returns. The tracker steps run first, on `jobs` threads; then one
-    `evaluate_clear_runs` call scores the tracks of every threshold whose
-    step succeeded. Without keep_going a threshold after a failed one in
-    `thresholds` is not run. An entry point that fails fails every
-    threshold."""
+    returns. The tracker steps run first, on `jobs` threads when jobs > 1
+    (the package's one thread pool; see the module docstring); then one
+    `evaluate_clear_runs` call, on the calling thread, scores the tracks of
+    every threshold whose step succeeded. Without keep_going a threshold
+    after a failed one in `thresholds` is not run. An entry point that
+    fails fails every threshold."""
     edges = edge_table(gt, dets, iou_thr)
     labels = _label_detections(gt, dets, edges, iou_thr)
     counts = labels.counts(np.ones(len(gt), dtype=bool))
@@ -212,7 +208,11 @@ def sweep_sequence(gt: GtColumns, dets: DetectionColumns,
             failed[i] = not keep_going
             return _bare(exc)
         return tracks, rows
-    outcomes = map_jobs(step, range(len(thresholds)), jobs)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(step, range(len(thresholds))))
+    else:
+        outcomes = list(map(step, range(len(thresholds))))
     ran = [i for i, outcome in enumerate(outcomes)
            if isinstance(outcome, tuple)]
     runs = [(tracks, None, None) if rows is None
@@ -279,14 +279,24 @@ def sweep(pairs: Sequence[tuple[GtColumns, DetectionColumns]],
     return points
 
 
-def integrate(points: Sequence[OperatingPoint],
-              extractor: Callable[[MetricBundle], float]) -> float:
-    """Trapezoidal line integral of a metric along the PR polyline, halved."""
+def _check_points(points: Sequence[OperatingPoint]) -> None:
+    """An error for no point; a warning for one, whose integrals are 0."""
     if not points:
         raise ValidationError("integrate requires at least one operating point")
     if len(points) == 1:
         warnings.warn("single operating point: line integral is 0")
-        return 0.0
+
+
+def integrate(points: Sequence[OperatingPoint],
+              extractor: Callable[[MetricBundle], float]) -> float:
+    """Trapezoidal line integral of a metric along the PR polyline, halved."""
+    _check_points(points)
+    return _integral(points, extractor)
+
+
+def _integral(points: Sequence[OperatingPoint],
+              extractor: Callable[[MetricBundle], float]) -> float:
+    """`integrate` without the checks: 0 for one point."""
     total = 0.0
     for a, b in zip(points, points[1:]):
         ds = math.hypot(b.precision - a.precision, b.recall - a.recall)
@@ -318,8 +328,9 @@ SCORE_NAMES = tuple(_EXTRACTORS)
 
 def pr_report(points: Sequence[OperatingPoint]) -> PRIntegratedReport:
     ordered = sorted(points, key=lambda p: (p.recall, -p.precision))
+    _check_points(ordered)  # one warning per report, not one per score
     return PRIntegratedReport(
-        {name: integrate(ordered, fn) for name, fn in _EXTRACTORS.items()},
+        {name: _integral(ordered, fn) for name, fn in _EXTRACTORS.items()},
         arc_length(ordered), tuple(ordered))
 
 

@@ -242,9 +242,8 @@ def _scenario_dirs(root: Path, seeds) -> tuple[Path, Path, Path]:
 
 
 def test_eval_mot_jobs_byte_identical(tmp_path, monkeypatch):
-    """eval-mot's threads read GT and track files at once: each streamed
-    GT read, in several batches, and each track read give the bytes of
-    --jobs 1 in every report file."""
+    """eval-mot gives the bytes of --jobs 1 at --jobs 4 in every report
+    file, with each GT read streamed in several batches."""
     from detraceval import datamodel
     gt_dir, _, tracks_dir = _scenario_dirs(tmp_path, (2, 3, 4, 5))
     monkeypatch.setattr(datamodel, "_GT_BATCH_ENTRIES", 8)
@@ -261,6 +260,36 @@ def test_eval_mot_jobs_byte_identical(tmp_path, monkeypatch):
         assert len(batches) >= 4 * 3  # each GT: 2 or more batches, regions
         trees.append(_tree(out))
     assert len(trees[0]) == 5 and trees[0] == trees[1]
+
+
+def test_eval_mot_scores_in_order_on_the_main_thread(tmp_path, monkeypatch):
+    """--jobs has no effect on eval-mot: at --jobs 4, with no thread pool
+    to be had, every read and every CLEAR call runs on the main thread,
+    sequence after sequence, and the reports are the bytes of --jobs 1."""
+    import concurrent.futures
+    import threading
+    from detraceval import cli, mot_metrics, pr_integration
+    gt_dir, _, tracks_dir = _scenario_dirs(tmp_path, (2, 3, 4))
+    argv = ["eval-mot", "--gt", str(gt_dir), "--tracks", str(tracks_dir)]
+    assert main([*argv, "--jobs", "1", "--out", str(tmp_path / "out1")]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("eval-mot started a thread pool")
+    for module in (concurrent.futures, pr_integration):
+        monkeypatch.setattr(module, "ThreadPoolExecutor", no_pool)
+    calls = []
+    for module, name in ((cli, "read_ground_truth"), (cli, "read_tracks"),
+                         (mot_metrics, "evaluate_clear")):
+        def call(*args, _fn=getattr(module, name), _name=name):
+            calls.append((_name, threading.current_thread()))
+            return _fn(*args)
+        monkeypatch.setattr(module, name, call)
+    assert main([*argv, "--jobs", "4", "--out", str(tmp_path / "out4")]) == 0
+    assert [name for name, _ in calls] == [
+        "read_ground_truth", "read_tracks", "evaluate_clear"] * 3
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+    tree = _tree(tmp_path / "out1")
+    assert len(tree) == 4 and tree == _tree(tmp_path / "out4")
 
 
 def test_eval_det_reads_one_sequence_at_a_time(tmp_path, monkeypatch):
@@ -319,6 +348,26 @@ def test_jobs_overlap_external_tracker_runs(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
     events = log.read_text().split()
     assert events[:2] == ["start", "start"], events
+
+
+def test_cmd_tracker_sweep_jobs_byte_identical(tmp_path):
+    """The one threaded path: a `cmd:` tracker over two sequences and four
+    thresholds writes the same report bytes at --jobs 1 and --jobs 4."""
+    gt_dir, det_dir, _ = _scenario_dirs(tmp_path, (2, 3))
+    linker = Path(__file__).resolve().parent / "reference_linker.py"
+    outs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"out{jobs}"
+        assert main(["eval-system", "--gt", str(gt_dir), "--det",
+                     str(det_dir), "--tracker",
+                     f"cmd:{sys.executable} {linker} {{input}} {{output}} 2",
+                     "--thresholds", "4", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        outs.append(_tree(out))
+    assert sorted(outs[0]) == ["pr_curve.csv", "system_report.json"]
+    assert outs[0] == outs[1]
+    points = json.loads(outs[0]["system_report.json"])["points"]
+    assert len(points) == 4
 
 
 def test_eval_system_report_schema(tmp_path):
@@ -1034,6 +1083,20 @@ def test_bad_subset_or_threshold_count_is_one_line_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_subset_error_names_the_subset(tmp_path, capsys):
+    """A subset that keeps no GT row of any sequence is one error line
+    that names it."""
+    root = tmp_path / "scene"
+    assert main(["gen-synthetic", "--targets", "3", "--frames", "5",
+                 "--out", str(root)]) == 0
+    assert main(["eval-det", "--gt", str(root / "gt"), "--det",
+                 str(root / "det"), "--subset", "overall",
+                 "--subset", "scale:large", "--out", str(tmp_path / "out")]) == 1
+    assert _one_line_error(capsys) == (
+        "detraceval: error: empty evaluation target set for subset "
+        "'scale:large'\n")
+
+
 def test_warnings_are_one_line_each(tmp_path):
     """eval-system on the perfect fixture warns twice, each warning one
     `detraceval: warning:` line. In-process the formatter is main's only
@@ -1052,11 +1115,11 @@ def test_warnings_are_one_line_each(tmp_path):
         "detraceval: warning: all detection scores are equal; single threshold\n"
         "detraceval: warning: single operating point: line integral is 0\n")
     formatwarning = warnings.formatwarning
-    with pytest.warns(UserWarning) as caught:
+    with pytest.warns(UserWarning) as caught:  # an `always` filter
         assert main([*argv, "--out", str(tmp_path / "in-process")]) == 0
-    assert {str(w.message) for w in caught} == {
+    assert [str(w.message) for w in caught] == [
         "all detection scores are equal; single threshold",
-        "single operating point: line integral is 0"}
+        "single operating point: line integral is 0"]
     assert warnings.formatwarning is formatwarning
 
 

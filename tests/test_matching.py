@@ -168,6 +168,18 @@ def test_greedy_zero_overlap_never_matches_at_zero_threshold():
     assert _unmatched_hyp(m, range(2)) == (0, 1)
 
 
+def test_matchers_at_zero_threshold_differ_on_an_iou_of_zero():
+    """At threshold 0 CLEAR's matcher takes a pair of IoU 0, which greedy
+    matching leaves out; both ignore the -1 that fills a conflicted
+    frame's matrix."""
+    zero = np.array([[0.0]])
+    assert clear_correspond(None, [1], [7], zero, 0.0) == [(1, 7, 0.0)]
+    assert match_frame_greedy(zero, [0.9], 0.0) == []
+    filled = np.array([[-1.0]])
+    assert clear_correspond(None, [1], [7], filled, 0.0) == []
+    assert match_frame_greedy(filled, [0.9], 0.0) == []
+
+
 def test_greedy_matches_at_exactly_iou_thr():
     gts = [BBox(0, 0, 10, 20)]
     m = _greedy([_det(0, 0, 0.9)], gts, 0.5)  # IoU 100 / 200

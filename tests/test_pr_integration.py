@@ -85,6 +85,22 @@ def test_integrate_single_point_is_zero_with_warning():
         assert integrate([_point(1.0, 0.5, mota=80.0)], lambda m: m.mota) == 0.0
 
 
+def test_single_point_warns_once_per_integrate_and_once_per_report():
+    """Under an `always` filter a one-point curve gives one warning per
+    direct `integrate` call, and one per `pr_report` call for its eight
+    scores, every one of them 0."""
+    points = [_point(1.0, 0.5, mota=80.0)]
+    with pytest.warns(UserWarning) as caught:
+        integrate(points, lambda m: m.mota)
+        integrate(points, lambda m: m.motp)
+    assert len(caught) == 2
+    with pytest.warns(UserWarning) as caught:
+        report = pr_report(points)
+    assert [str(w.message) for w in caught] == [
+        "single operating point: line integral is 0"]
+    assert set(report.scores().values()) == {0.0}
+
+
 def test_integral_linearity():
     rng = np.random.default_rng(2)
     pts1, pts2 = [], []
