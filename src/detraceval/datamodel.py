@@ -40,16 +40,14 @@ Each of these three column sets carries a frame column, so
 `geometry.covered` can tell which of its rows lie inside the ignore regions:
 the detection layer asks it of GT and detections, CLEAR of hypotheses.
 
-Frames and ids are int64, geometry float64; every box column set also
-gives ``right = left + width`` and ``bottom = top + height``, computed in
-float64 so that they equal `BBox.right` / `BBox.bottom` bit for bit, and
-every number equals what ``int(token)`` / ``float(token)`` gives. A CSV
-file's columns are converted in one numpy pass (`np.loadtxt`, in C) where
-numpy reads every token as ``int()`` / ``float()`` would
-(`_csv_columns`); on any other text, and on any token it refuses or warns
-about, the rows are converted one at a time with ``int()`` / ``float()``
-(`_read_csv`), up to the first value that fails, so numpy's grammar and
-version change no number and no error.
+Frames and ids are int64, geometry float64, and every number equals what
+``int(token)`` / ``float(token)`` gives. A CSV file's columns are
+converted in one numpy pass (`np.loadtxt`, in C) where numpy reads every
+token as ``int()`` / ``float()`` would (`_csv_columns`); on any other
+text, and on any token it refuses or warns about, the rows are converted
+one at a time with ``int()`` / ``float()`` (`_read_csv`), up to the first
+value that fails, so numpy's grammar and version change no number and no
+error.
 
 A GT JSON text is decoded a piece at a time (`_gt_streamed`): the
 members of the top-level object one at a time, and the ``tracks`` array
@@ -344,19 +342,12 @@ class BoxColumns:
     def __len__(self) -> int:
         return len(self.left)
 
-    @property
-    def right(self) -> np.ndarray:
-        return self.left + self.width
-
-    @property
-    def bottom(self) -> np.ndarray:
-        return self.top + self.height
-
     def corners(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Left, top, right, bottom of the boxes at `rows` (all of them by
         default) along a last axis of 4, the layout of every `geometry` and
         `matching` kernel: (n, 4) for all rows, (k, w, 4) for a (k, w)
-        index array. Right and bottom are `right` and `bottom` row by row."""
+        index array. Right is ``left + width`` and bottom ``top + height``,
+        in float64, so they equal `BBox.right` / `BBox.bottom` bit for bit."""
         left, top = self.left[rows], self.top[rows]
         return np.stack((left, top, left + self.width[rows],
                          top + self.height[rows]), axis=-1)

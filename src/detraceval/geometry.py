@@ -213,8 +213,6 @@ def _union_area(rects: list[tuple[float, float, float, float]]) -> float:
     xs = sorted({x for r in rects for x in (r[0], r[2])})
     total = 0.0
     for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
         intervals = sorted((r[1], r[3]) for r in rects if r[0] <= x0 and r[2] >= x1)
         covered = 0.0
         cur_lo = cur_hi = None

@@ -271,13 +271,11 @@ def _residual_value(iou_mat: np.ndarray, iou_thr: float) -> tuple[int, float]:
 def _canonical_match(iou_mat: np.ndarray, iou_thr: float) -> list[tuple[int, int]]:
     """Optimal residual matching, canonicalized per the documented tie-break,
     by one Hungarian solve per candidate pair: rows in ascending order each
-    take the first column that keeps the optimum of what remains."""
+    take the first column that keeps the optimum of what remains.
+    `iou_mat` is one connected component of `_residual_match`'s edges, so
+    both its sides are non-empty and its optimum holds a pair."""
     n, m = iou_mat.shape
-    if n == 0 or m == 0:
-        return []
     card, total = _residual_value(iou_mat, iou_thr)
-    if card == 0:
-        return []
     rows = list(range(n))
     cols = list(range(m))
     pairs: list[tuple[int, int]] = []

@@ -72,8 +72,9 @@ and a scored frame is a slice of rows on each side.
    from the pair counts; IDS, FM, MT and ML over the GT rows ordered by
    (run, id, frame), each run's copy of a target being a track of its
    own; each frame's IoU sum adds its pairs in the order
-   `clear_correspond` returns them, one pass per pair rank. A run's stats
-   are its slice of the frames and its tracks' FM, MT and ML.
+   `clear_correspond` returns them, by one `np.add.at` over the pairs
+   ranked in that order. A run's stats are its slice of the frames and
+   its tracks' FM, MT and ML.
 
 Memory. The stacked tables live while `_correspond` runs: 24 bytes an
 edge (two row numbers and an IoU), plus the chunk being computed while a

@@ -266,7 +266,9 @@ def _oracle_residual(gids: list, hids: list,
     if n == 0 or m == 0:
         return {}
     iou_tab = [[iou(boxes_g[g], boxes_h[h]) for h in hids] for g in gids]
-    best: tuple | None = None  # (card, total, key, mapping)
+    # (card, total, key, mapping); the first mapping, all unmatched, always
+    # qualifies, so the loop sets it
+    best: tuple | None = None
     for mapping in _enumerate_partial_assignments(n, m):
         if any(j >= 0 and iou_tab[i][j] < iou_thr
                for i, j in enumerate(mapping)):
@@ -285,8 +287,6 @@ def _oracle_residual(gids: list, hids: list,
                 best = (card, total, key, mapping)
             elif total >= btotal - _TIE_TOL and key < bkey:
                 best = (card, max(total, btotal), key, mapping)
-    if best is None:
-        return {}
     return {gids[i]: hids[j] for i, j in enumerate(best[3]) if j >= 0}
 
 

@@ -851,6 +851,16 @@ def test_bad_builtin_tracker_option_is_one_line_error(tmp_path, capsys, spec,
     assert f"builtin tracker option {option}:" in err and f"got {value}" in err
 
 
+def test_unknown_builtin_tracker_option_is_one_line_error(tmp_path, capsys):
+    gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
+    assert main(["eval-system", "--gt", str(gt_dir), "--det", str(det_dir),
+                 "--tracker", "builtin:bogus=1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert _one_line_error(capsys) == (
+        "detraceval: error: unknown builtin tracker option 'bogus'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_system_without_detections_says_so(tmp_path, capsys):
     gt_dir, det_dir = _emit_fixture(tmp_path, "perfect")
     (det_dir / "perfect.csv").write_text("")
@@ -954,6 +964,8 @@ BAD_SYSTEM_DOCS = {
     "no-tracker": _system_doc(tracker=_DROP),
     "tracker-number": _system_doc(tracker=3),
     "detector-list": _system_doc(detector=["a"]),
+    "detector-lone-surrogate": _system_doc(detector="\ud800"),
+    "tracker-lone-surrogate": _system_doc(tracker="\ud800"),
 }
 
 

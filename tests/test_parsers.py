@@ -277,8 +277,11 @@ def test_every_single_token_fault_matches_old_parser(kind):
 
 
 def _box_columns_match(cols, boxes: list[BBox]) -> None:
-    for name in ("left", "top", "width", "height", "right", "bottom"):
-        assert _bits(getattr(cols, name)) == _bits(
+    corners = cols.corners()
+    for name, column in (("left", cols.left), ("top", cols.top),
+                         ("width", cols.width), ("height", cols.height),
+                         ("right", corners[:, 2]), ("bottom", corners[:, 3])):
+        assert _bits(column) == _bits(
             np.array([getattr(b, name) for b in boxes], dtype=np.float64))
 
 

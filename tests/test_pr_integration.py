@@ -101,6 +101,14 @@ def test_single_point_warns_once_per_integrate_and_once_per_report():
     assert set(report.scores().values()) == {0.0}
 
 
+def test_empty_curve_is_an_error():
+    message = "integrate requires at least one operating point"
+    with pytest.raises(ValidationError, match=message):
+        pr_report([])
+    with pytest.raises(ValidationError, match=message):
+        integrate([], lambda m: m.mota)
+
+
 def test_integral_linearity():
     rng = np.random.default_rng(2)
     pts1, pts2 = [], []
